@@ -67,6 +67,7 @@ from repro.engine import Executor
 from repro.engine.system import production_32node, research_4node
 from repro.errors import ReproError, WorkloadSpecError
 from repro.optimizer import Optimizer
+from repro.serve.config import ServeConfig
 from repro.workloads.spec import (
     build_catalog_for,
     describe_workload,
@@ -268,51 +269,55 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the prediction serving daemon (docs/SERVING.md)"
     )
+    # Every serving default comes from ServeConfig itself, so the daemon
+    # the CLI starts is the daemon ``ServeConfig()`` describes.  Only the
+    # port differs: a fixed one for operators, where the library binds
+    # an ephemeral one.
+    defaults = ServeConfig()
     serve.add_argument(
         "--model", metavar="ARTIFACT",
         help="model artifact to serve (hot-reloadable via SIGHUP or "
              "/admin/reload); omit to train an in-memory model first",
     )
     serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default loopback)"
+        "--host", default=defaults.host,
+        help="bind address (default %(default)s)",
     )
     serve.add_argument(
         "--port", type=int, default=8765,
         help="bind port; 0 picks an ephemeral port (default 8765)",
     )
     serve.add_argument(
-        "--max-batch", type=int, default=32,
-        help="micro-batch size cap (default 32)",
+        "--max-batch", type=int, default=defaults.max_batch,
+        help="micro-batch size cap (default %(default)s)",
     )
     serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="micro-batch collection window in ms (default 2.0)",
+        "--max-queue", type=int, default=defaults.max_queue,
+        help="queued-statement cap before shedding 503s "
+             "(default %(default)s)",
     )
     serve.add_argument(
-        "--max-queue", type=int, default=512,
-        help="queued-statement cap before shedding 503s (default 512)",
-    )
-    serve.add_argument(
-        "--quota-rate", type=float, default=None, metavar="PRED_S_PER_S",
+        "--quota-rate", type=float, default=defaults.quota_rate,
+        metavar="PRED_S_PER_S",
         help="per-client admission quota in predicted seconds of query "
              "work per wall second (default: quotas off)",
     )
     serve.add_argument(
-        "--quota-burst", type=float, default=None,
+        "--quota-burst", type=float, default=defaults.quota_burst,
         help="per-client quota burst (default 60x the rate)",
     )
     serve.add_argument(
-        "--heavy-seconds", type=float, default=None,
+        "--heavy-seconds", type=float, default=defaults.heavy_seconds,
         help="predicted elapsed time above which a query is a bowling "
              "ball eligible for shedding under load (default: off)",
     )
     serve.add_argument(
-        "--shed-inflight", type=int, default=32,
+        "--shed-inflight", type=int, default=defaults.shed_inflight,
         help="shed bowling balls while more requests than this are in "
-             "flight (default 32)",
+             "flight (default %(default)s)",
     )
     serve.add_argument(
-        "--slo-p99-ms", type=float, default=None,
+        "--slo-p99-ms", type=float, default=defaults.slo_p99_ms,
         help="p99 latency target reported at /admin/status",
     )
     serve.add_argument(
@@ -328,22 +333,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve through a degrading fallback chain",
     )
     serve.add_argument(
-        "--default-deadline-ms", type=float, default=None,
+        "--default-deadline-ms", type=float,
+        default=defaults.default_deadline_ms,
         help="deadline budget for requests that carry none; spent "
              "budgets answer 504 (default: unbounded)",
     )
     serve.add_argument(
-        "--degrade", action="store_true",
+        "--degrade", action="store_true", default=defaults.degrade,
         help="enable the tiered degradation ladder (step service "
              "quality down under sustained pressure, back up when calm)",
     )
     serve.add_argument(
-        "--degrade-force-tier", type=int, default=None, metavar="TIER",
+        "--degrade-force-tier", type=int,
+        default=defaults.degrade_force_tier, metavar="TIER",
         help="pin the degradation ladder to one tier 0..3 (testing)",
     )
     serve.add_argument(
-        "--stale-cache-size", type=int, default=256,
-        help="bound on the tier-3 stale-prediction cache (default 256)",
+        "--stale-cache-size", type=int, default=defaults.stale_cache_size,
+        help="bound on the tier-3 stale-prediction cache "
+             "(default %(default)s)",
     )
     serve.add_argument(
         "--supervised", action="store_true",
@@ -616,22 +624,12 @@ def _workload_command(args) -> int:
     return 0
 
 
-def _serve_command(args, config) -> int:
-    """``repro serve``: run the prediction daemon until interrupted."""
-    import threading
-
-    from repro.serve import (
-        PredictionDaemon,
-        ServeConfig,
-        Supervisor,
-        SupervisorConfig,
-    )
-
-    serve_config = ServeConfig(
+def _serve_config(args) -> ServeConfig:
+    """The :class:`ServeConfig` a parsed ``repro serve`` line describes."""
+    return ServeConfig(
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         max_queue=args.max_queue,
         quota_rate=args.quota_rate,
         quota_burst=args.quota_burst,
@@ -643,6 +641,15 @@ def _serve_command(args, config) -> int:
         degrade_force_tier=args.degrade_force_tier,
         stale_cache_size=args.stale_cache_size,
     )
+
+
+def _serve_command(args, config) -> int:
+    """``repro serve``: run the prediction daemon until interrupted."""
+    import threading
+
+    from repro.serve import PredictionDaemon, Supervisor, SupervisorConfig
+
+    serve_config = _serve_config(args)
 
     def build_daemon() -> PredictionDaemon:
         if args.model:

@@ -30,6 +30,16 @@ WEIGHTING_SCHEMES = ("equal", "ranked", "distance")
 
 _EPSILON = 1e-12
 
+#: Neighbour distances are compared, and returned, rounded to this many
+#: decimals (see :func:`nearest_neighbors`).
+_QUANTUM_DECIMALS = 9
+_QUANTUM = 10.0**-_QUANTUM_DECIMALS
+
+#: Bound on the all-pairs distance forms' rounding error: a few hundred
+#: ulps of ``|a|^2 + |b|^2`` on a squared Euclidean distance, of 1 on a
+#: cosine.
+_ROUGH_RELATIVE_NOISE = 1e-13
+
 
 def _euclidean_distances(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
     # ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b keeps the working set at
@@ -43,6 +53,24 @@ def _cosine_distances(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
     ref_norms = np.linalg.norm(reference, axis=1, keepdims=True)
     cosine = (points @ reference.T) / (
         np.maximum(point_norms, _EPSILON) * np.maximum(ref_norms.T, _EPSILON)
+    )
+    return 1.0 - np.clip(cosine, -1.0, 1.0)
+
+
+def _pair_distances(
+    points: np.ndarray, shortlist: np.ndarray, metric: str
+) -> np.ndarray:
+    """Distance from ``points[i]`` to each of ``shortlist[i]`` — shapes
+    (m, d) and (m, w, d) — every pair reduced on its own, so a pair's
+    value does not depend on m or w."""
+    if metric == "euclidean":
+        difference = shortlist - points[:, None, :]
+        return np.sqrt((difference * difference).sum(axis=2))
+    dots = (shortlist * points[:, None, :]).sum(axis=2)
+    point_norms = np.sqrt((points * points).sum(axis=1))[:, None]
+    shortlist_norms = np.sqrt((shortlist * shortlist).sum(axis=2))
+    cosine = dots / (
+        np.maximum(point_norms, _EPSILON) * np.maximum(shortlist_norms, _EPSILON)
     )
     return 1.0 - np.clip(cosine, -1.0, 1.0)
 
@@ -68,23 +96,43 @@ def nearest_neighbors(
     if reference.ndim != 2 or reference.shape[0] == 0:
         raise ModelError("reference set must be a non-empty 2-D array")
     k = min(k, reference.shape[0])
+    # Shortlist on the fast all-pairs distances, then rank the shortlist
+    # on distances recomputed pair by pair.  The all-pairs forms (a
+    # matrix product) carry cancellation noise that depends on the batch
+    # shape — near zero the square root blows it up to ~1e-8 — so a
+    # query that coincides with several training rows (duplicate plans
+    # project to one point) would otherwise keep a different k of them
+    # batched than alone.  A pair's own ``((ref - p)**2).sum()`` does not
+    # depend on what else is in the batch.
     if metric == "euclidean":
-        distances = _euclidean_distances(points, reference)
+        rough = _euclidean_distances(points, reference)
+        # The error scales with |a|^2 + |b|^2, and |b| <= |a| + d(a, b):
+        # bounded from what is already computed, reference norms unread.
+        norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+        scale = norms**2 + (norms + rough.max(axis=1)) ** 2
+        noise = np.sqrt(_ROUGH_RELATIVE_NOISE * scale)
     else:
-        distances = _cosine_distances(points, reference)
-    # Select on quantized distances with index tie-breaking: the same
+        rough = _cosine_distances(points, reference)
+        noise = _ROUGH_RELATIVE_NOISE
+    n_reference = reference.shape[0]
+    rows = np.arange(points.shape[0])[:, None]
+    candidate = np.argpartition(rough, kth=k - 1, axis=1)[:, :k]
+    # Everything that could still rank among the k nearest once exact:
+    # within the noise, plus two quanta, of the k-th rough distance.
+    reach = rough[rows, candidate].max(axis=1) + noise + 2.0 * _QUANTUM
+    width = int((rough <= reach[:, None]).sum(axis=1).max())
+    if width >= n_reference:
+        candidate = np.broadcast_to(np.arange(n_reference), rough.shape)
+    elif width > k:
+        candidate = np.argpartition(rough, kth=width - 1, axis=1)[:, :width]
+    exact = _pair_distances(points, reference[candidate], metric)
+    # Rank on quantized distances with index tie-breaking: the same
     # query projects to coordinates that differ in the last ulp between
-    # batched and single-query BLAS paths, and near-ties (duplicate
-    # training plans project to identical points) would otherwise resolve
-    # to different neighbours depending on batch size.
-    quantized = np.round(distances, decimals=9)
-    # argpartition then sort the k candidates: O(N + k log k) per point.
-    candidate = np.argpartition(quantized, kth=k - 1, axis=1)[:, :k]
-    candidate_quantized = np.take_along_axis(quantized, candidate, axis=1)
-    order = np.lexsort((candidate, candidate_quantized), axis=1)
-    indices = np.take_along_axis(candidate, order, axis=1)
-    sorted_distances = np.take_along_axis(candidate_quantized, order, axis=1)
-    return indices, sorted_distances
+    # batched and single-query BLAS paths, and duplicates must resolve
+    # to the same neighbours whatever the batch size.
+    quantized = np.round(exact, decimals=_QUANTUM_DECIMALS)
+    order = np.lexsort((candidate, quantized), axis=1)[:, :k]
+    return candidate[rows, order], quantized[rows, order]
 
 
 def combine_neighbors(

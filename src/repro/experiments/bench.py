@@ -728,7 +728,6 @@ def bench_serving(
     scale: float = 0.05,
     seed: int = 31,
     max_workers: int = 16,
-    max_wait_ms: float = 25.0,
 ) -> dict:
     """Measure the serving daemon's micro-batching tradeoff.
 
@@ -741,9 +740,9 @@ def bench_serving(
     drill drops nothing).  ``max_batch=1`` is the no-batching baseline.
 
     The final row replays the same schedule with the degradation ladder
-    pinned at tier 2 ("lean": no batch wait, no plan lint, regression
-    fallback floor) so the report quantifies what stepping down buys in
-    p99 relative to the full-fidelity tier-0 rows.
+    pinned at tier 2 ("lean": no plan lint, regression fallback floor)
+    so the report quantifies what stepping down buys in p99 relative to
+    the full-fidelity tier-0 rows.
     """
     from repro.api import QueryPerformancePredictor
     from repro.serve import PredictionDaemon, ServeConfig, generate_load, run_load
@@ -757,7 +756,6 @@ def bench_serving(
     def drill(max_batch: int, force_tier: Optional[int]) -> dict:
         config = ServeConfig(
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms if max_batch > 1 else 0.0,
             metrics=False,
             degrade=force_tier is not None,
             degrade_force_tier=force_tier,
@@ -795,7 +793,6 @@ def bench_serving(
         "n_train": n_train,
         "scale": scale,
         "max_workers": max_workers,
-        "max_wait_ms": max_wait_ms,
         "rows": rows,
     }
 
@@ -868,7 +865,7 @@ def bench_sanitizer_overhead(
     schedule = generate_load(n_requests, seed=seed)
 
     def drill() -> dict:
-        config = ServeConfig(max_batch=8, max_wait_ms=2.0, metrics=False)
+        config = ServeConfig(max_batch=8, metrics=False)
         daemon = PredictionDaemon(service=service, config=config)
         address = daemon.start()
         try:

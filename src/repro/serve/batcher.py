@@ -1,12 +1,15 @@
 """Micro-batching collector for the serving daemon.
 
 Handler threads :meth:`~MicroBatcher.submit` their statements and block
-on an event; a single collector thread coalesces everything in flight
-into one batch — up to ``max_batch`` statements, waiting at most
-``max_wait_s`` for stragglers — and runs the daemon's batch predict
-function **once** per batch.  That is the whole point: N concurrent
-requests cost one kernel cross through ``forecast_many`` instead of N
-(the property ``tests/test_serve.py`` asserts by counting crosses).
+on an event; a single collector thread takes everything queued — up
+to ``max_batch`` statements — and runs the daemon's batch predict
+function **once** per batch.  The collector is work-conserving: it
+never holds a batch open on a timer.  An idle collector dispatches a
+lone request at once; requests that arrive while a batch is predicting
+queue up and leave together as the next batch, so load, not a wait,
+forms the batches.  That is the whole point: N concurrent requests
+cost one kernel cross through ``forecast_many`` instead of N (the
+property ``tests/test_serve.py`` asserts by counting crosses).
 
 The batcher knows nothing about HTTP or models; it moves lists of SQL
 between threads.  Failure of a batch fans the exception out to every
@@ -82,8 +85,6 @@ class MicroBatcher:
             daemon passes a closure that snapshots the current model
             runtime, so a hot reload mid-batch is atomic per batch.
         max_batch: close a batch at this many statements.
-        max_wait_s: after the first statement arrives, wait at most
-            this long for more before predicting.
         max_queue: cap on queued statements; beyond it submissions
             raise :class:`QueueFullError`.
         clock: monotonic time source (injectable for tests).
@@ -93,13 +94,11 @@ class MicroBatcher:
         self,
         predict_fn: Callable[[list[str]], list],
         max_batch: int = 32,
-        max_wait_s: float = 0.002,
         max_queue: int = 512,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self._predict_fn = predict_fn
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_s)
         self.max_queue = int(max_queue)
         self._clock = clock
         self._queue: deque[PendingRequest] = deque()
@@ -160,7 +159,8 @@ class MicroBatcher:
     # -- collector side --------------------------------------------------
 
     def _take_batch(self) -> Optional[list[PendingRequest]]:
-        """Block until a batch is ready; None when stopped and drained."""
+        """Block until something is queued, then take what is there (up
+        to ``max_batch`` statements, FIFO); None when stopped and drained."""
         with self._cond:
             while not self._queue and not self._stopping:
                 self._cond.wait()
@@ -169,19 +169,13 @@ class MicroBatcher:
             note_access("serve.batcher.queue")
             batch = [self._queue.popleft()]
             size = len(batch[0].sqls)
-            deadline = self._clock() + self.max_wait_s
-            while size < self.max_batch and not self._stopping:
-                if self._queue:
-                    if size + len(self._queue[0].sqls) > self.max_batch:
-                        break
-                    pending = self._queue.popleft()
-                    batch.append(pending)
-                    size += len(pending.sqls)
-                    continue
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
+            while (
+                self._queue
+                and size + len(self._queue[0].sqls) <= self.max_batch
+            ):
+                pending = self._queue.popleft()
+                batch.append(pending)
+                size += len(pending.sqls)
             self._queued_statements -= size
             return batch
 
@@ -319,7 +313,6 @@ class MicroBatcher:
             "mean_batch_size": round(statements / batches, 3) if batches else 0.0,
             "queued_statements": queued,
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_s * 1e3,
             "expired_requests": self.expired_requests,
             "stage_ms": stage_ms,
         }

@@ -1,31 +1,47 @@
 """Minimal client for the prediction serving daemon.
 
 A thin ``http.client`` wrapper used by the test suite, the load
-generator and examples — one synchronous request per call, structured
-rejections surfaced as :class:`~repro.errors.ServeRejectedError` so a
-caller backs off on the daemon's own ``retry_after_s`` hint instead of
-parsing response bodies.
+generator and examples — one synchronous request per call over one
+persistent HTTP/1.1 connection, structured rejections surfaced as
+:class:`~repro.errors.ServeRejectedError` so a caller backs off on the
+daemon's own ``retry_after_s`` hint instead of parsing response bodies.
 
 Transport failures get the same treatment: a connection refused, reset
 or timed out (the signature of a supervisor restarting its child) is a
 typed :class:`~repro.errors.ServeUnavailableError` carrying a
 ``retry_after_s`` hint — never a bare ``OSError`` the caller has to
-pattern-match.
+pattern-match.  The one exception is a *kept* connection the daemon
+closed while it sat idle (idle timeout, restart): that is found out on
+the next request, before any response byte, and costs one silent
+reconnect.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 from http.client import HTTPConnection, HTTPException
 from typing import Optional
 
+from repro.analysis.sanitizer import make_lock
 from repro.errors import ServeError, ServeRejectedError, ServeUnavailableError
 
 __all__ = ["ServeClient"]
 
+#: Linux only; elsewhere the client simply leaves ACK timing alone.
+_TCP_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+
 
 class ServeClient:
     """Synchronous JSON client for one daemon address.
+
+    Keeps one connection open between calls (``http.client`` sets
+    ``TCP_NODELAY`` on it); :meth:`close` or a ``with`` block releases
+    it.  Safe to share between threads: a caller takes the kept
+    connection for the length of its request, and one that finds it
+    taken uses a connection of its own, so callers never wait on each
+    other — but only sequential calls reuse a connection, so a load
+    generator gives each sender thread its own client.
 
     Args:
         host: daemon host.
@@ -53,15 +69,30 @@ class ServeClient:
         self.timeout_s = float(timeout_s)
         self.client_id = client_id
         self.retry_after_s = float(retry_after_s)
+        self._kept: Optional[HTTPConnection] = None
+        self._kept_lock = make_lock("serve.client.kept")
+
+    def close(self) -> None:
+        """Close the kept connection (a later call opens a new one)."""
+        connection = self._swap_kept(None)
+        if connection is not None:
+            connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport -------------------------------------------------------
 
-    def _connect(self, timeout: Optional[float]) -> HTTPConnection:
-        return HTTPConnection(
-            self.host,
-            self.port,
-            timeout=self.timeout_s if timeout is None else float(timeout),
-        )
+    def _swap_kept(
+        self, connection: Optional[HTTPConnection]
+    ) -> Optional[HTTPConnection]:
+        """Put ``connection`` in the kept slot; returns what was there."""
+        with self._kept_lock:
+            kept, self._kept = self._kept, connection
+        return kept
 
     def _unavailable(self, error: Exception) -> ServeUnavailableError:
         cause = error if isinstance(error, OSError) else None
@@ -72,6 +103,60 @@ class ServeClient:
             cause=cause,
         )
 
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        payload: Optional[bytes],
+        headers: dict,
+        timeout: Optional[float],
+    ) -> tuple[int, bytes]:
+        """One request/response on the kept connection (or a new one)."""
+        timeout_s = self.timeout_s if timeout is None else float(timeout)
+        connection = self._swap_kept(None)
+        if connection is None:
+            connection = HTTPConnection(self.host, self.port)
+        # An open socket from an earlier call may have been closed by the
+        # daemon since; only then is a dead connection worth a second try.
+        reused = connection.sock is not None
+        while True:
+            response = None
+            try:
+                connection.timeout = timeout_s
+                if connection.sock is not None:
+                    connection.sock.settimeout(timeout_s)
+                connection.request(method, path, body=payload, headers=headers)
+                response = connection.getresponse()
+                if _TCP_QUICKACK is not None and connection.sock is not None:
+                    # A peer that writes header and body separately with
+                    # Nagle on (a stock ``http.server``) holds the body
+                    # back until the header is ACKed, and on a kept
+                    # connection that ACK is delayed ~40 ms: send it now.
+                    connection.sock.setsockopt(
+                        socket.IPPROTO_TCP, _TCP_QUICKACK, 1
+                    )
+                raw = response.read()
+            except (OSError, HTTPException) as error:
+                connection.close()
+                # Reset, broken pipe or end-of-stream where the status
+                # line should be: the daemon closed the idle connection
+                # and never answered this request.  Send it again, once.
+                if (
+                    reused
+                    and response is None
+                    and isinstance(error, ConnectionError)
+                ):
+                    reused = False
+                    continue
+                # Refused (no listener), reset (child died mid-request),
+                # timeout, or a torn response: the supervisor-restart
+                # signature.  Surface it typed, with a backoff hint.
+                raise self._unavailable(error) from error
+            displaced = self._swap_kept(connection)
+            if displaced is not None:
+                displaced.close()
+            return response.status, raw
+
     def _request(
         self,
         method: str,
@@ -79,42 +164,22 @@ class ServeClient:
         body: Optional[dict] = None,
         timeout: Optional[float] = None,
     ) -> tuple[int, dict]:
-        connection = self._connect(timeout)
+        headers = {"Content-Type": "application/json"}
+        if self.client_id:
+            headers["X-Repro-Client"] = self.client_id
+        payload = json.dumps(body).encode("utf-8") if body is not None else None
+        status, raw = self._exchange(method, path, payload, headers, timeout)
         try:
-            headers = {"Content-Type": "application/json"}
-            if self.client_id:
-                headers["X-Repro-Client"] = self.client_id
-            payload = json.dumps(body).encode("utf-8") if body is not None else None
-            try:
-                connection.request(method, path, body=payload, headers=headers)
-                response = connection.getresponse()
-                raw = response.read()
-            except (OSError, HTTPException) as error:
-                # Refused (no listener), reset (child died mid-request),
-                # timeout, or a torn response: the supervisor-restart
-                # signature.  Surface it typed, with a backoff hint.
-                raise self._unavailable(error) from error
-            try:
-                document = json.loads(raw.decode("utf-8")) if raw else {}
-            except (ValueError, UnicodeDecodeError):
-                document = {"raw": raw.decode("utf-8", "replace")}
-            return response.status, document
-        finally:
-            connection.close()
+            document = json.loads(raw.decode("utf-8")) if raw else {}
+        except (ValueError, UnicodeDecodeError):
+            document = {"raw": raw.decode("utf-8", "replace")}
+        return status, document
 
     def _request_text(
         self, method: str, path: str, timeout: Optional[float] = None
     ) -> tuple[int, str]:
-        connection = self._connect(timeout)
-        try:
-            try:
-                connection.request(method, path)
-                response = connection.getresponse()
-                return response.status, response.read().decode("utf-8")
-            except (OSError, HTTPException) as error:
-                raise self._unavailable(error) from error
-        finally:
-            connection.close()
+        status, raw = self._exchange(method, path, None, {}, timeout)
+        return status, raw.decode("utf-8")
 
     @staticmethod
     def _raise_for(status: int, document: dict) -> None:

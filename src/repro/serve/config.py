@@ -4,8 +4,7 @@ One frozen dataclass holds every serving parameter — network binding,
 micro-batching, admission control, breaker policy and SLO target — so a
 daemon's behaviour is fully described by a single value that tests, the
 CLI and the bench harness can construct and log.  See docs/SERVING.md
-for the operational meaning of each knob and the measured batching
-tradeoffs.
+for the operational meaning of each knob.
 """
 
 from __future__ import annotations
@@ -26,11 +25,10 @@ class ServeConfig:
         host: interface to bind (default loopback).
         port: TCP port; 0 binds an ephemeral port (the daemon reports
             the actual one via ``address`` after start).
-        max_batch: micro-batch size cap — the collector closes a batch
-            once this many statements are gathered.
-        max_wait_ms: how long the collector holds an open batch waiting
-            for more requests before predicting with what it has.  The
-            batching latency/throughput dial: 0 disables coalescing.
+        max_batch: micro-batch size cap — the collector takes at most
+            this many queued statements into one batch.  Batches form
+            from whatever queued while the previous one was predicting;
+            nothing is ever held back on a timer.
         max_queue: bound on queued (not yet batched) requests; further
             submissions are shed with 503 + retry hints.
         request_timeout_s: how long a handler waits for its batch result
@@ -62,9 +60,8 @@ class ServeConfig:
             never a silently late answer (docs/SERVING.md).
         degrade: run the tiered degradation ladder — under sustained
             pressure the daemon steps down explicit service tiers
-            (shrink batch wait, skip plan lint, force the cheap
-            fallback stage, serve stale cached predictions) and steps
-            back up hysteretically.
+            (skip plan lint, force the cheap fallback stage, serve
+            stale cached predictions) and steps back up hysteretically.
         degrade_queue_depth: queued statements above which the ladder
             counts the daemon as under pressure.
         degrade_p99_factor: pressure also when observed p99 exceeds
@@ -83,7 +80,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0
     max_batch: int = 32
-    max_wait_ms: float = 2.0
     max_queue: int = 512
     request_timeout_s: float = 30.0
     drain_timeout_s: float = 10.0
@@ -108,8 +104,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ServeError("max_batch must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ServeError("max_wait_ms must be non-negative")
         if self.max_queue < 1:
             raise ServeError("max_queue must be >= 1")
         if self.request_timeout_s <= 0:
@@ -130,10 +124,6 @@ class ServeConfig:
             raise ServeError("degrade hysteresis windows must be non-negative")
         if self.stale_cache_size < 0:
             raise ServeError("stale_cache_size must be non-negative")
-
-    @property
-    def max_wait_s(self) -> float:
-        return self.max_wait_ms / 1e3
 
     @property
     def effective_quota_burst(self) -> Optional[float]:

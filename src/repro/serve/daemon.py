@@ -124,10 +124,60 @@ class _Server(ThreadingHTTPServer):
     connects at once — exactly the serving scenario — so it is raised
     well past the admission layer's own shedding thresholds (the daemon
     rejects with structured 429/503s, never TCP resets).
+
+    Connections are persistent (HTTP/1.1 keep-alive), so a handler
+    thread lives as long as its client keeps the connection.  The server
+    tracks each one with its socket: :meth:`close_connections` is how
+    ``PredictionDaemon.stop`` ends the idle ones, so that no handler
+    thread outlives the daemon.
     """
 
     daemon_threads = True
     request_queue_size = 128
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._connections: dict[threading.Thread, socket.socket] = {}
+        self._connections_lock = make_lock("serve.daemon.connections")
+        guarded_by("serve.daemon.connections", self._connections_lock)
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="repro-serve-conn",
+            daemon=True,
+        )
+        with self._connections_lock:
+            note_access("serve.daemon.connections")
+            self._connections[thread] = request
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        # Runs on the handler thread, last thing before it exits.
+        with self._connections_lock:
+            note_access("serve.daemon.connections")
+            self._connections.pop(threading.current_thread(), None)
+        super().shutdown_request(request)
+
+    def close_connections(self, timeout_s: float) -> None:
+        """End every open connection and wait for its handler thread.
+
+        Only the read side is shut: a handler blocked waiting for the
+        next request sees end-of-stream and exits, while one still
+        writing a response finishes it first and exits on its next read.
+        """
+        with self._connections_lock:
+            note_access("serve.daemon.connections")
+            connections = list(self._connections.items())
+        for _, request in connections:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the peer already closed it
+        deadline = time.monotonic() + timeout_s
+        for thread, _ in connections:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
 
 class _Response(Exception):
@@ -211,7 +261,6 @@ class PredictionDaemon:
         self.batcher = MicroBatcher(
             self._predict_batch,
             max_batch=self.config.max_batch,
-            max_wait_s=self.config.max_wait_s,
             max_queue=self.config.max_queue,
             clock=clock,
         )
@@ -227,7 +276,7 @@ class PredictionDaemon:
                 clock=clock,
             )
         self.stale_cache = StalePredictionCache(self.config.stale_cache_size)
-        self._server: Optional[ThreadingHTTPServer] = None
+        self._server: Optional[_Server] = None
         self._server_thread: Optional[threading.Thread] = None
         self._previous_sighup = None
 
@@ -284,8 +333,8 @@ class PredictionDaemon:
         """One micro-batch → one ``forecast_many`` call (one kernel
         cross), tagged with the runtime version that served it.
 
-        Applies the current degradation tier's quality levers: tier 2+
-        drops plan lint and floors the fallback chain at the cheap
+        Applies the current degradation tier's quality levers: tier 1+
+        drops plan lint, tier 2+ floors the fallback chain at the cheap
         regression stage for this batch.
         """
         fault_site("serve.batch", n=len(sqls))
@@ -314,25 +363,17 @@ class PredictionDaemon:
     # -- degradation ladder ----------------------------------------------
 
     def _observe_pressure(self) -> int:
-        """Feed one pressure observation to the ladder; returns the tier.
-
-        Applies the tier-1 lever immediately: at tier >= 1 the batcher
-        stops holding batches open for stragglers.
-        """
+        """Feed one pressure observation to the ladder; returns the tier."""
         if self.degrade is None:
             return 0
         p99_ms: Optional[float] = None
         if self.requests_total:
             p99_ms = self._latency.percentiles()["p99"] * 1e3
-        tier = self.degrade.evaluate(
+        return self.degrade.evaluate(
             queue_depth=self.batcher.depth(),
             p99_ms=p99_ms,
             breaker_open=self.breaker.state == "open",
         )
-        self.batcher.max_wait_s = (
-            0.0 if self.degrade.skip_batch_wait() else self.config.max_wait_s
-        )
-        return tier
 
     def _serve_stale(
         self, sqls: Sequence[str], client: str, tier: int
@@ -680,7 +721,7 @@ class PredictionDaemon:
         server.server_port = int(port)
         return self._start_server(server)
 
-    def _start_server(self, server: ThreadingHTTPServer) -> tuple[str, int]:
+    def _start_server(self, server: _Server) -> tuple[str, int]:
         if self.config.metrics:
             enable_metrics()
         server.repro_daemon = self  # type: ignore[attr-defined]
@@ -715,7 +756,8 @@ class PredictionDaemon:
         )
 
     def stop(self, drain: bool = True) -> None:
-        """Shut down: refuse new work, drain the queue, close the socket."""
+        """Shut down: refuse new work, drain the queue, stop accepting,
+        close the kept-alive connections, close the socket."""
         if self._server is None:
             return
         self._stopping = True
@@ -730,6 +772,7 @@ class PredictionDaemon:
         self._server.shutdown()
         if self._server_thread is not None:
             self._server_thread.join(timeout=5.0)
+        self._server.close_connections(timeout_s=5.0)
         self._server.server_close()
         self._server = None
         self._server_thread = None
@@ -752,6 +795,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # A kept-alive exchange is one small write each way.  With Nagle on,
+    # or with header and body written separately, every response stalls
+    # ~40 ms on the client's delayed ACK: no-delay, and a buffered wfile
+    # (``handle_one_request`` flushes it once, after the response).
+    disable_nagle_algorithm = True
+    wbufsize = -1
+    #: Seconds a persistent connection may sit without a request before
+    #: the handler closes it (clients reconnect transparently).
+    timeout = 30.0
 
     @property
     def daemon(self) -> PredictionDaemon:

@@ -7,10 +7,10 @@ of service tiers and stepping back up when the pressure clears:
 ====  ===========  ====================================================
 tier  name         what the daemon gives up
 ====  ===========  ====================================================
-0     ``full``     nothing — full batching window, plan lint, KCCA
-1     ``fast``     the batch coalescing wait (batches close immediately)
-2     ``lean``     tier 1, plus plan lint and the KCCA stage (requests
-                   are served by the cheaper fallback regression stage)
+0     ``full``     nothing — plan lint, KCCA
+1     ``fast``     plan lint and vocabulary checks
+2     ``lean``     tier 1, plus the KCCA stage (requests are served by
+                   the cheaper fallback regression stage)
 3     ``stale``    tier 2, plus repeated statements may be answered
                    from a bounded stale-prediction cache without
                    touching the pipeline at all
@@ -204,13 +204,9 @@ class DegradeController:
     def tier_name(self) -> str:
         return TIER_NAMES[self.tier]
 
-    def skip_batch_wait(self) -> bool:
-        """Tier >= 1: close batches immediately, no coalescing hold."""
-        return self.tier >= 1
-
     def lint_enabled(self) -> bool:
-        """Tier >= 2 drops plan lint + vocabulary checks."""
-        return self.tier < 2
+        """Tier >= 1 drops plan lint + vocabulary checks."""
+        return self.tier < 1
 
     def fallback_floor(self) -> Optional[str]:
         """Tier >= 2 forces the cheaper regression fallback stage."""

@@ -231,5 +231,6 @@ def _replay_one(
             status = 0
         break
     latency = time.monotonic() - start
+    client.close()
     with lock:
         report.observe(status, latency, stage)

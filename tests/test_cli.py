@@ -1,8 +1,11 @@
 """CLI tests (train / plan / measure / predict / explain / forecast / pools)."""
 
+import dataclasses
+
 import pytest
 
-from repro.cli import _service_cache, build_parser, main
+from repro.cli import _serve_config, _service_cache, build_parser, main
+from repro.serve import ServeConfig
 
 SQL = "SELECT count(*) AS c FROM store_sales ss WHERE ss.ss_quantity > 20"
 
@@ -22,6 +25,22 @@ class TestParser:
         assert args.system == "prod8"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--system", "prod5", "plan", SQL])
+
+
+    def test_serve_defaults_are_serve_configs(self):
+        """A bare ``repro serve`` starts the daemon ``ServeConfig()``
+        describes — on the CLI's fixed port instead of an ephemeral one."""
+        args = build_parser().parse_args(["serve"])
+        assert _serve_config(args) == dataclasses.replace(
+            ServeConfig(), port=args.port
+        )
+        assert args.port != ServeConfig().port
+
+    def test_serve_flags_override_the_defaults(self):
+        args = build_parser().parse_args(
+            ["serve", "--port", "0", "--max-batch", "4", "--max-queue", "9"]
+        )
+        assert _serve_config(args) == ServeConfig(max_batch=4, max_queue=9)
 
 
 class TestCommands:

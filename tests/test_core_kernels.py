@@ -125,17 +125,24 @@ class TestDistanceProperties:
         # ...each row's indices are distinct...
         for row in indices:
             assert len(set(row.tolist())) == k_eff
-        # ...and the nearest reported distance is the true minimum
-        # (quantized exactly as nearest_neighbors quantizes for ties).
-        full = np.round(_euclidean_distances(points, reference), decimals=9)
-        assert np.allclose(distances[:, 0], full.min(axis=1))
+        # ...and the nearest reported distance is the true minimum,
+        # pair by pair (quantized exactly as nearest_neighbors quantizes
+        # for ties) — not the expansion trick's, which is ~1e-6 off near
+        # zero at these magnitudes.
+        brute = np.linalg.norm(
+            points[:, None, :] - reference[None, :, :], axis=2
+        )
+        assert np.allclose(
+            distances[:, 0], np.round(brute, decimals=9).min(axis=1)
+        )
 
     def test_self_neighbors_find_themselves(self):
         data = np.random.default_rng(5).normal(size=(20, 4))
         indices, distances = nearest_neighbors(data, data, 1)
         assert np.array_equal(indices[:, 0], np.arange(20))
-        # sqrt of the expansion trick's fp noise: ~1e-8, not exactly 0.
-        assert np.allclose(distances[:, 0], 0.0, atol=1e-6)
+        # Exactly 0: the reported distance is recomputed pair by pair,
+        # free of the expansion trick's ~1e-8 noise near zero.
+        assert (distances[:, 0] == 0.0).all()
 
 
 class TestKernelMatrix:

@@ -46,6 +46,31 @@ class TestNearestNeighbors:
         indices, _ = nearest_neighbors(points, reference, 1)
         assert list(indices[:, 0]) == [0, 9]
 
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_ties_resolve_by_index_whatever_the_batch(self, metric):
+        """More coincident reference rows than k: the lowest indices win,
+        alone or batched, at exactly the same distances.  The query sits
+        one ulp off the duplicates, as a re-projected training query
+        does: the all-pairs distance then reads 0 or ~5e-9 depending on
+        the batch it is computed in."""
+        rng = np.random.default_rng(2)
+        reference = rng.normal(size=(200, 12)) * 0.1
+        duplicates = [151, 17, 95, 60]
+        reference[duplicates] = reference[duplicates[0]]
+        points = rng.normal(size=(40, 12)) * 0.1
+        points[14] = np.nextafter(reference[duplicates[0]], np.inf)
+        batched_idx, batched_dist = nearest_neighbors(
+            points, reference, 3, metric
+        )
+        assert list(batched_idx[14]) == [17, 60, 95]
+        assert list(batched_dist[14]) == [0.0, 0.0, 0.0]
+        for row in range(points.shape[0]):
+            single_idx, single_dist = nearest_neighbors(
+                points[row], reference, 3, metric
+            )
+            assert np.array_equal(single_idx[0], batched_idx[row])
+            assert np.array_equal(single_dist[0], batched_dist[row])
+
     def test_invalid_metric(self):
         with pytest.raises(ModelError):
             nearest_neighbors(np.ones((1, 2)), np.ones((3, 2)), 1, "manhattan")

@@ -230,6 +230,12 @@ class TestBatchPrediction:
         batched = service.predict_many(sqls)
         singles = [service.predict(sql) for sql in sqls]
         assert batched == singles
+        # Bit for bit, neighbour distances (``confidence.distance``)
+        # included: a statement that coincides with several training rows
+        # keeps the same k of them whatever it is batched with.
+        assert service.forecast_many(sqls) == [
+            service.forecast(sql) for sql in sqls
+        ]
 
     def test_forecast_many_matches_forecast(self, service, batch_sqls):
         sqls = batch_sqls[:10]

@@ -19,8 +19,10 @@ headline guarantees:
 from __future__ import annotations
 
 import signal
+import socket
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -31,7 +33,8 @@ from repro.api import (
     clear_artifact_cache,
     resolve_artifact,
 )
-from repro.errors import ServeError, ServeRejectedError
+from repro.errors import ServeError, ServeRejectedError, ServeUnavailableError
+from repro.resilience.faults import FaultPlan, armed
 from repro.serve import (
     AdmissionController,
     MicroBatcher,
@@ -52,7 +55,7 @@ SQL_JOIN = (
 
 def start_daemon(service, **overrides) -> PredictionDaemon:
     """A daemon on an ephemeral loopback port with test-friendly knobs."""
-    defaults = dict(max_batch=8, max_wait_ms=20.0, metrics=True)
+    defaults = dict(max_batch=8, metrics=True)
     defaults.update(overrides)
     daemon = PredictionDaemon(service=service, config=ServeConfig(**defaults))
     daemon.start()
@@ -182,7 +185,7 @@ class TestPredictions:
             return original(*args, **kwargs)
 
         daemon = start_daemon(
-            serve_service, max_batch=n_clients, max_wait_ms=250.0
+            serve_service, max_batch=n_clients
         )
         barrier = threading.Barrier(n_clients)
         results = []
@@ -214,7 +217,7 @@ class TestPredictions:
     def test_32_concurrent_clients_all_answered(self, serve_service):
         n_clients = 32
         daemon = start_daemon(
-            serve_service, max_batch=16, max_wait_ms=50.0, max_queue=256
+            serve_service, max_batch=16, max_queue=256
         )
         barrier = threading.Barrier(n_clients)
         outcomes = []
@@ -247,12 +250,12 @@ class TestPredictions:
     def test_single_and_batched_results_identical(self, serve_service):
         """The same statement answered solo and inside a shared batch
         must produce byte-identical numbers (batching is pure routing)."""
-        daemon = start_daemon(serve_service, max_batch=1, max_wait_ms=0.0)
+        daemon = start_daemon(serve_service, max_batch=1)
         try:
             solo = client_for(daemon).forecast(SQL_JOIN)["forecast"]
         finally:
             daemon.stop()
-        daemon = start_daemon(serve_service, max_batch=8, max_wait_ms=100.0)
+        daemon = start_daemon(serve_service, max_batch=8)
         try:
             batched = client_for(daemon).forecast_batch(
                 [SQL_LIGHT, SQL_JOIN, SQL_LIGHT]
@@ -418,7 +421,7 @@ class TestBatcherUnits:
         def boom(sqls):
             raise ValueError("model fell over")
 
-        batcher = MicroBatcher(boom, max_batch=8, max_wait_s=0.0)
+        batcher = MicroBatcher(boom, max_batch=8)
         first = batcher.submit(["a"])
         second = batcher.submit(["b"])
         batcher.start()
@@ -428,12 +431,57 @@ class TestBatcherUnits:
         batcher.stop()
 
     def test_result_length_mismatch_is_an_error(self):
-        batcher = MicroBatcher(lambda sqls: [1], max_wait_s=0.0)
+        batcher = MicroBatcher(lambda sqls: [1])
         pending = batcher.submit(["a", "b"])
         batcher.start()
         assert pending.event.wait(5)
         assert isinstance(pending.error, ServeError)
         batcher.stop()
+
+    def test_idle_collector_predicts_a_lone_request_at_once(self):
+        # The clock never advances: nothing in the collector waits on it.
+        batcher = MicroBatcher(lambda sqls: list(sqls), clock=lambda: 0.0)
+        batcher.start()
+        try:
+            pending = batcher.submit(["a"])
+            assert pending.event.wait(5)
+            assert pending.results == ["a"]
+            assert batcher.stats()["batches"] == 1
+        finally:
+            batcher.stop()
+
+    def test_requests_arriving_during_predict_form_the_next_batches(self):
+        batches = []
+        entered = threading.Event()
+        release = threading.Event()
+
+        def predict(sqls):
+            batches.append(list(sqls))
+            entered.set()
+            assert release.wait(5)
+            return list(sqls)
+
+        batcher = MicroBatcher(predict, max_batch=4, clock=lambda: 0.0)
+        batcher.start()
+        try:
+            first = batcher.submit(["first"])
+            assert entered.wait(5)
+            # Queued while the collector is busy: one statement, a pair,
+            # one more (4 = max_batch), then two that no longer fit.
+            later = [
+                batcher.submit(sqls)
+                for sqls in (["a"], ["b", "c"], ["d"], ["e"], ["f"])
+            ]
+            release.set()
+            for pending in [first, *later]:
+                assert pending.event.wait(5)
+        finally:
+            release.set()
+            batcher.stop()
+        assert batches == [["first"], ["a", "b", "c", "d"], ["e", "f"]]
+        assert [p.results for p in later] == [
+            ["a"], ["b", "c"], ["d"], ["e"], ["f"]
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +582,7 @@ class TestHotReload:
         }
         daemon = PredictionDaemon(
             artifact=path_a,
-            config=ServeConfig(max_batch=4, max_wait_ms=10.0),
+            config=ServeConfig(max_batch=4),
         )
         host, port = daemon.start()
         outcomes = []
@@ -593,32 +641,41 @@ class TestHotReload:
 
 class TestShutdown:
     def test_stop_drains_inflight_requests(self, serve_service):
-        # A huge batch window: the collector holds the batch open, so
-        # the requests are provably still queued when stop() arrives.
-        daemon = start_daemon(serve_service, max_batch=8, max_wait_ms=5000.0)
+        # The first batch hangs in predict, so the four requests behind
+        # it are provably still queued when stop() arrives.
+        daemon = start_daemon(serve_service, max_batch=8)
         host, port = daemon.address
         results = []
         lock = threading.Lock()
 
         def one(index: int) -> None:
-            client = ServeClient(host, port, client_id=f"c{index}")
-            payload = client.forecast(SQL_LIGHT)
+            with ServeClient(host, port, client_id=f"c{index}") as client:
+                payload = client.forecast(SQL_LIGHT)
             with lock:
                 results.append(payload["model_version"])
 
-        threads = [threading.Thread(target=one, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            if daemon.batcher.stats()["queued_statements"] >= 4:
-                break
-            time.sleep(0.005)
-        assert daemon.batcher.stats()["queued_statements"] >= 4
-        daemon.stop(drain=True)  # must answer the held batch, not drop it
+        def wait_for(condition) -> None:
+            deadline = time.monotonic() + 30.0
+            while not condition() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert condition()
+
+        plan = FaultPlan(seed=3).on(
+            "serve.batch", mode="hang", delay=1.5, calls={1}
+        )
+        threads = [threading.Thread(target=one, args=(i,)) for i in range(5)]
+        with armed(plan):
+            threads[0].start()
+            wait_for(lambda: plan.fired.get("serve.batch") == 1)
+            for thread in threads[1:]:
+                thread.start()
+            wait_for(
+                lambda: daemon.batcher.stats()["queued_statements"] >= 4
+            )
+            daemon.stop(drain=True)  # must answer what is queued, not drop it
         for thread in threads:
             thread.join(timeout=60)
-        assert len(results) == 4
+        assert len(results) == 5
 
     def test_stopped_daemon_refuses_politely(self, serve_service):
         daemon = start_daemon(serve_service)
@@ -634,6 +691,169 @@ class TestShutdown:
             assert payload["model_version"] == daemon.model_version
         with pytest.raises(ServeError):
             daemon.address  # noqa: B018
+
+
+# ----------------------------------------------------------------------
+# The persistent client connection
+# ----------------------------------------------------------------------
+
+
+def count_accepts(daemon: PredictionDaemon) -> list:
+    """Grows by one element for every connection the daemon accepts."""
+    accepted = []
+    get_request = daemon._server.get_request
+
+    def counting():
+        request = get_request()
+        accepted.append(request[1])
+        return request
+
+    daemon._server.get_request = counting
+    return accepted
+
+
+def median_exchange_s(client: ServeClient, n: int = 50) -> float:
+    """Median wall time of ``n`` sequential forecasts on one client."""
+    latencies = []
+    for _ in range(n):
+        start = time.perf_counter()
+        client.forecast(SQL_LIGHT)
+        latencies.append(time.perf_counter() - start)
+    return sorted(latencies)[n // 2]
+
+
+class TestPersistentConnection:
+    def test_sequential_calls_share_one_connection(self, serve_service):
+        daemon = start_daemon(serve_service)
+        try:
+            accepted = count_accepts(daemon)
+            with client_for(daemon) as client:
+                for _ in range(5):
+                    client.forecast(SQL_LIGHT)
+                client.health()
+                client.status()
+                client.metrics_text()
+            assert len(accepted) == 1
+        finally:
+            daemon.stop()
+
+    def test_kept_alive_forecasts_do_not_stall(self, serve_service):
+        """Nagle x delayed ACK costs ~40 ms per kept-alive exchange when
+        either end writes a message in two pieces without TCP_NODELAY."""
+        daemon = start_daemon(serve_service)
+        try:
+            with client_for(daemon) as client:
+                assert median_exchange_s(client) < 0.020
+        finally:
+            daemon.stop()
+
+    @pytest.mark.skipif(
+        not hasattr(socket, "TCP_QUICKACK"), reason="needs TCP_QUICKACK"
+    )
+    def test_stock_http_server_peer_does_not_stall_either(self):
+        """``http.server`` as shipped writes header and body separately
+        with Nagle on; the client must not wait out a delayed ACK."""
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                body = b'{"forecast": {}}'
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with ServeClient("127.0.0.1", server.server_address[1]) as client:
+                assert median_exchange_s(client) < 0.020
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    def test_restart_costs_one_silent_reconnect(self, serve_service):
+        daemon = start_daemon(serve_service)
+        host, port = daemon.address
+        client = ServeClient(host, port, timeout_s=10.0)
+        try:
+            before = client.forecast(SQL_LIGHT)["forecast"]
+            daemon.stop()  # closes the connection the client kept
+            daemon = start_daemon(serve_service, port=port)
+            accepted = count_accepts(daemon)
+            assert client.forecast(SQL_LIGHT)["forecast"] == before
+            assert len(accepted) == 1
+        finally:
+            daemon.stop()
+        # Nobody listens any more: the reconnect is refused, and that is
+        # a typed error, not a second retry.
+        with pytest.raises(ServeUnavailableError):
+            client.forecast(SQL_LIGHT)
+        client.close()
+
+    def test_client_shared_by_threads(self, serve_service):
+        sqls = [
+            f"SELECT count(*) AS c FROM store_sales ss "
+            f"WHERE ss.ss_quantity > {10 + index}"
+            for index in range(8)
+        ]
+        expected = [
+            float(serve_service.forecast(sql).metrics.elapsed_time)
+            for sql in sqls
+        ]
+        answers: list = [None] * len(sqls)
+        daemon = start_daemon(serve_service)
+        try:
+            with client_for(daemon) as client:
+                barrier = threading.Barrier(len(sqls))
+
+                def one(index: int) -> None:
+                    barrier.wait()
+                    payload = client.forecast(sqls[index])
+                    answers[index] = payload["forecast"]["metrics"][
+                        "elapsed_time"
+                    ]
+
+                threads = [
+                    threading.Thread(target=one, args=(i,))
+                    for i in range(len(sqls))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            daemon.stop()
+        assert answers == expected
+
+    def test_no_handler_thread_outlives_the_daemon(self, serve_service):
+        def serve_threads() -> set:
+            return {
+                thread
+                for thread in threading.enumerate()
+                if thread.name.startswith("repro-serve")
+            }
+
+        before = serve_threads()
+        daemon = start_daemon(serve_service)
+        clients = [client_for(daemon) for _ in range(3)]
+        try:
+            for client in clients:
+                client.forecast(SQL_LIGHT)  # three idle kept connections
+            names = [thread.name for thread in serve_threads() - before]
+            assert names.count("repro-serve-conn") == 3
+        finally:
+            daemon.stop()
+        assert serve_threads() - before == set()
+        for client in clients:
+            client.close()
 
 
 # ----------------------------------------------------------------------
@@ -658,7 +878,7 @@ class TestLoadGenerator:
 
     def test_load_drill_zero_drops(self, serve_service, load_schedule):
         daemon = start_daemon(
-            serve_service, max_batch=16, max_wait_ms=10.0, max_queue=512
+            serve_service, max_batch=16, max_queue=512
         )
         try:
             schedule = load_schedule(60, seed=5, n_clients=4)

@@ -221,7 +221,7 @@ class TestChaosLoadDrill:
     ):
         """With batch faults firing mid-stream, every request still gets
         a structured answer: ok or rejected, never a dropped socket."""
-        daemon = start_daemon(serve_service, max_batch=4, max_wait_ms=5.0)
+        daemon = start_daemon(serve_service, max_batch=4)
         try:
             schedule = load_schedule(40, seed=11, n_clients=3)
             plan = FaultPlan(seed=5).on("serve.batch", mode="raise", rate=0.3)
@@ -247,7 +247,7 @@ class TestChaosLoadDrill:
 
 def supervised(service, tmp_path, *, serve_overrides=None, **policy):
     """A supervisor over a daemon factory, journaling into tmp_path."""
-    serve_kwargs = dict(max_batch=4, max_wait_ms=5.0)
+    serve_kwargs = dict(max_batch=4)
     serve_kwargs.update(serve_overrides or {})
     config = ServeConfig(**serve_kwargs)
     defaults = dict(
@@ -352,6 +352,10 @@ class TestSupervisor:
             assert status == 503
             assert payload["error"] == "restarting"
             assert payload["retry_after_s"] > 0
+            # The parent answers ``Connection: close``: the client keeps
+            # no connection to it, and dials again for the next call.
+            assert client._kept.sock is None
+            assert client.try_forecast(SQL_LIGHT)[0] == 503
         finally:
             supervisor.stop()
         events = [
@@ -440,7 +444,6 @@ class TestSelfHealingDrill:
         daemon = start_daemon(
             serve_service,
             max_batch=2,
-            max_wait_ms=5.0,
             degrade=True,
             degrade_queue_depth=2,
             degrade_down_after_s=0.02,

@@ -285,17 +285,16 @@ class TestDegradeLadder:
         assert ladder.step_downs == 0 and ladder.step_ups == 0
 
     @pytest.mark.parametrize(
-        "tier,skip_wait,lint,floor,stale",
+        "tier,lint,floor,stale",
         [
-            (0, False, True, None, False),
-            (1, True, True, None, False),
-            (2, True, False, "regression", False),
-            (3, True, False, "regression", True),
+            (0, True, None, False),
+            (1, False, None, False),
+            (2, False, "regression", False),
+            (3, False, "regression", True),
         ],
     )
-    def test_tier_effects(self, tier, skip_wait, lint, floor, stale):
+    def test_tier_effects(self, tier, lint, floor, stale):
         ladder = controller(FakeClock(), force_tier=tier)
-        assert ladder.skip_batch_wait() is skip_wait
         assert ladder.lint_enabled() is lint
         assert ladder.fallback_floor() == floor
         assert ladder.stale_ok() is stale
@@ -418,7 +417,7 @@ class TestDeadlineServing:
     ):
         """A wedged batch under a deadline surfaces as a structured 504
         (cooperative cancellation), and the daemon keeps serving."""
-        daemon = start_daemon(serve_service, max_wait_ms=0.0)
+        daemon = start_daemon(serve_service)
         try:
             client = client_for(daemon)
             plan = FaultPlan(seed=5).on(
@@ -449,8 +448,6 @@ class TestDegradedServing:
             status = daemon.status()["degrade"]
             assert status["tier"] == 2 and status["forced"] is True
             assert status["tier_name"] == "lean"
-            # Tier >= 1 drops the batch coalescing wait.
-            assert daemon.batcher.max_wait_s == 0.0
         finally:
             daemon.stop()
 
@@ -488,7 +485,6 @@ class TestDegradedServing:
         daemon = start_daemon(
             serve_service,
             max_batch=2,
-            max_wait_ms=5.0,
             degrade=True,
             degrade_queue_depth=2,
             degrade_down_after_s=0.02,
