@@ -133,9 +133,22 @@ class PlanNode:
 
     def walk(self) -> Iterator["PlanNode"]:
         """Yield this node and all descendants, pre-order."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        # One generator for the whole tree (a recursive one is resumed
+        # once per level for every node): follow first children directly
+        # and park the other children on a stack.
+        node = self
+        pending: list[PlanNode] = []
+        while True:
+            yield node
+            children = node.children
+            if children:
+                node = children[0]
+                if len(children) > 1:
+                    pending.extend(children[:0:-1])
+            elif pending:
+                node = pending.pop()
+            else:
+                return
 
     @property
     def child(self) -> "PlanNode":

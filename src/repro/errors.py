@@ -207,6 +207,30 @@ class ServeRejectedError(ServeError):
         self.payload = payload or {}
 
 
+class ServeBadStatementError(ServeError):
+    """Client-side error for a 400 ``bad_statement``: the daemon could
+    not parse or bind the statement.
+
+    The same text fails the same way every time, so unlike
+    :class:`ServeRejectedError` there is no retry hint.
+
+    Attributes:
+        position: character offset of the offending token (None when
+            the statement parsed but did not bind to the catalog).
+        payload: the full decoded JSON error body.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        position: int | None = None,
+        payload: dict | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.position = position
+        self.payload = payload or {}
+
+
 class ServeUnavailableError(ServeError):
     """Client-side error for a transport-level failure reaching the
     daemon (connection refused/reset, timeout) — the signature of a

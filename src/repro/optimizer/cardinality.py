@@ -18,7 +18,7 @@ from repro.storage.catalog import TableStats
 __all__ = ["RelEstimate", "scan_estimate", "join_estimate", "semi_join_estimate",
            "group_by_estimate"]
 
-_MIN_ROWS = 1.0
+MIN_ROWS = 1.0
 
 
 @dataclass
@@ -55,7 +55,7 @@ def scan_estimate(
     selectivity: float,
 ) -> RelEstimate:
     """Estimate for a filtered scan of a base table."""
-    rows = max(table_stats.row_count * selectivity, _MIN_ROWS)
+    rows = max(table_stats.row_count * selectivity, MIN_ROWS)
     ndv = {}
     for name, col in table_stats.columns.items():
         scaled = min(float(col.n_distinct), rows)
@@ -83,7 +83,7 @@ def join_estimate(
     for left_col, right_col in join_pairs:
         denominator = max(left.ndv_of(left_col), right.ndv_of(right_col))
         rows /= max(denominator, 1.0)
-    rows = max(rows, _MIN_ROWS)
+    rows = max(rows, MIN_ROWS)
     ndv = {}
     for column, value in {**left.ndv, **right.ndv}.items():
         ndv[column] = max(min(value, rows), 1.0)
@@ -104,7 +104,7 @@ def semi_join_estimate(
     fraction = 1.0
     for left_col, right_col in join_pairs:
         fraction *= min(right.ndv_of(right_col) / left.ndv_of(left_col), 1.0)
-    rows = max(left.rows * fraction, _MIN_ROWS)
+    rows = max(left.rows * fraction, MIN_ROWS)
     ndv = {col: max(min(v, rows), 1.0) for col, v in left.ndv.items()}
     return RelEstimate(
         rows=rows, row_bytes=left.row_bytes, ndv=ndv, bindings=left.bindings
@@ -120,7 +120,7 @@ def group_by_estimate(
         groups *= child.ndv_of(key)
         if groups > child.rows:
             break
-    rows = max(min(groups, child.rows / 2.0, 1e12), _MIN_ROWS)
+    rows = max(min(groups, child.rows / 2.0, 1e12), MIN_ROWS)
     ndv = {key: min(child.ndv_of(key), rows) for key in group_keys}
     return RelEstimate(
         rows=rows, row_bytes=out_row_bytes, ndv=ndv, bindings=child.bindings

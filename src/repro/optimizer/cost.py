@@ -23,55 +23,67 @@ _CPU_ROW_WEIGHT = 0.01
 _CPU_COMPARE_WEIGHT = 0.0002
 _MESSAGE_ROW_WEIGHT = 0.002
 
+_EXCHANGE_MULTIPLIER = {"broadcast": 4.0, "repartition": 1.0, "collect": 0.5}
+_SEMI_JOINS = (OperatorKind.SEMI_JOIN, OperatorKind.ANTI_JOIN)
+_GROUPING = (
+    OperatorKind.HASH_GROUPBY,
+    OperatorKind.SORT_GROUPBY,
+    OperatorKind.DISTINCT,
+)
+_ROW_PASSES = (OperatorKind.FILTER, OperatorKind.PROJECT, OperatorKind.ROOT)
+
 
 def plan_cost(plan: PlanNode, catalog: Catalog) -> float:
     """Total abstract cost of ``plan`` (sum over all operators)."""
-    return sum(node_cost(node, catalog) for node in plan.walk())
+    return sum([node_cost(node, catalog) for node in plan.walk()])
 
 
 def node_cost(node: PlanNode, catalog: Catalog) -> float:
     """Abstract cost contribution of a single operator."""
     kind = node.kind
     out_rows = max(node.estimated_rows, 1.0)
-    in_rows = sum(max(c.estimated_rows, 1.0) for c in node.children) or out_rows
+    children = node.children
+    if not children:
+        in_rows = out_rows
+    elif len(children) == 1:
+        in_rows = max(children[0].estimated_rows, 1.0)
+    else:
+        in_rows = sum([max(c.estimated_rows, 1.0) for c in children])
 
+    # The kinds are tested in the order of how often plans contain them.
+    if kind == OperatorKind.EXCHANGE:
+        multiplier = _EXCHANGE_MULTIPLIER.get(
+            node.exchange_kind or "repartition", 1.0
+        )
+        return _MESSAGE_ROW_WEIGHT * in_rows * multiplier
     if kind == OperatorKind.FILE_SCAN:
         stats = catalog.stats(node.table_name) if node.table_name else None
         pages = stats.page_count if stats else 1
         table_rows = stats.row_count if stats else out_rows
         return _IO_WEIGHT * pages + _CPU_ROW_WEIGHT * table_rows
+    if kind in _ROW_PASSES:
+        return _CPU_ROW_WEIGHT * 0.25 * in_rows
     if kind == OperatorKind.HASH_JOIN:
         build = max(node.right.estimated_rows, 1.0)
         probe = max(node.left.estimated_rows, 1.0)
         return _CPU_ROW_WEIGHT * (2.0 * build + probe + 0.5 * out_rows)
+    if kind in _GROUPING:
+        return _CPU_ROW_WEIGHT * (1.5 * in_rows + 0.5 * out_rows)
+    if kind == OperatorKind.SCALAR_AGGREGATE:
+        return _CPU_ROW_WEIGHT * in_rows
+    if kind == OperatorKind.TOP_N:
+        limit = max(node.limit or 1, 2)
+        return _CPU_COMPARE_WEIGHT * in_rows * math.log2(limit)
+    if kind == OperatorKind.SORT:
+        return _CPU_COMPARE_WEIGHT * in_rows * max(math.log2(in_rows), 1.0) * 10.0
     if kind == OperatorKind.MERGE_JOIN:
         return _CPU_ROW_WEIGHT * (in_rows + 0.5 * out_rows)
     if kind == OperatorKind.NESTED_JOIN:
         outer = max(node.left.estimated_rows, 1.0)
         inner = max(node.right.estimated_rows, 1.0)
         return _CPU_COMPARE_WEIGHT * outer * inner + _CPU_ROW_WEIGHT * out_rows
-    if kind in (OperatorKind.SEMI_JOIN, OperatorKind.ANTI_JOIN):
+    if kind in _SEMI_JOINS:
         build = max(node.right.estimated_rows, 1.0)
         probe = max(node.left.estimated_rows, 1.0)
         return _CPU_ROW_WEIGHT * (2.0 * build + probe)
-    if kind == OperatorKind.SORT:
-        return _CPU_COMPARE_WEIGHT * in_rows * max(math.log2(in_rows), 1.0) * 10.0
-    if kind in (
-        OperatorKind.HASH_GROUPBY,
-        OperatorKind.SORT_GROUPBY,
-        OperatorKind.DISTINCT,
-    ):
-        return _CPU_ROW_WEIGHT * (1.5 * in_rows + 0.5 * out_rows)
-    if kind == OperatorKind.SCALAR_AGGREGATE:
-        return _CPU_ROW_WEIGHT * in_rows
-    if kind == OperatorKind.EXCHANGE:
-        multiplier = {"broadcast": 4.0, "repartition": 1.0, "collect": 0.5}.get(
-            node.exchange_kind or "repartition", 1.0
-        )
-        return _MESSAGE_ROW_WEIGHT * in_rows * multiplier
-    if kind == OperatorKind.TOP_N:
-        limit = max(node.limit or 1, 2)
-        return _CPU_COMPARE_WEIGHT * in_rows * math.log2(limit)
-    if kind in (OperatorKind.FILTER, OperatorKind.PROJECT, OperatorKind.ROOT):
-        return _CPU_ROW_WEIGHT * 0.25 * in_rows
     return _CPU_ROW_WEIGHT * in_rows

@@ -7,15 +7,30 @@ greedy "smallest intermediate result next" heuristic.  The objective is
 the sum of estimated intermediate cardinalities — a stand-in for a full
 cost model that is accurate enough to pick reasonable (and occasionally
 wrong) orders.
+
+The search needs only the *row count* of each candidate join, so it does
+not build a :class:`RelEstimate` per expansion.  ``join_estimate`` clamps
+every distinct count of its inputs to the rows of its output, so inside a
+left-deep prefix a column's distinct count is its base value pushed
+through one clamp per join since its table came in.  Every intermediate
+has at least ``MIN_ROWS`` = 1 row — the floor of a distinct count — so
+that chain of clamps equals one clamp to the smallest of those
+intermediates.  A prefix therefore carries, per joined binding, that
+smallest row count (its *floor*), and costing a candidate reads one
+number per join pair instead of re-deriving every column of every joined
+table.  The optimizer builds the estimates of the chosen order with
+``join_estimate`` as before; ``tests/_reference.py`` keeps the search
+written with plain ``join_estimate`` to compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from math import inf
+from typing import Mapping, Optional, Sequence
 
 from repro.errors import OptimizerError
-from repro.optimizer.cardinality import RelEstimate, join_estimate
+from repro.optimizer.cardinality import MIN_ROWS, RelEstimate
 
 __all__ = ["JoinEdge", "order_joins", "DP_LIMIT"]
 
@@ -44,22 +59,13 @@ class JoinEdge:
         return binding in (self.left_binding, self.right_binding)
 
 
-def _pairs_between(
-    done: frozenset[str], new_binding: str, edges: Sequence[JoinEdge]
-) -> list[tuple[str, str]]:
-    """(done-side column, new-side column) pairs joining ``new_binding``."""
-    pairs = []
-    for edge in edges:
-        if edge.touches(new_binding):
-            other = (
-                edge.left_binding
-                if edge.right_binding == new_binding
-                else edge.right_binding
-            )
-            if other in done and other != new_binding:
-                new_col, done_col = edge.pair_for(new_binding)
-                pairs.append((done_col, new_col))
-    return pairs
+#: One equi-join edge seen from a candidate: the binding on the other
+#: side, the base distinct count of the other side's column (None when the
+#: statistics lack it) and the candidate's own distinct-count estimate.
+_Link = tuple[str, Optional[float], float]
+
+#: A left-deep prefix: (total cost, order, rows, floor per joined binding).
+_Prefix = tuple[float, list[str], float, dict[str, float]]
 
 
 def order_joins(
@@ -81,17 +87,63 @@ def order_joins(
     return _greedy_order(relations, edges, bindings)
 
 
-def _expand(
-    relations: Mapping[str, RelEstimate],
-    edges: Sequence[JoinEdge],
-    done: frozenset[str],
-    estimate: RelEstimate,
-    candidate: str,
-) -> tuple[RelEstimate, bool]:
-    """Join ``candidate`` onto the current prefix; returns (estimate, connected)."""
-    pairs = _pairs_between(done, candidate, edges)
-    joined = join_estimate(estimate, relations[candidate], pairs)
-    return joined, bool(pairs)
+def _links(
+    relations: Mapping[str, RelEstimate], edges: Sequence[JoinEdge]
+) -> dict[str, list[_Link]]:
+    """Per binding, the edges that can join it to a prefix, in query order.
+
+    The order matters: each pair divides the row estimate in turn, and
+    floating-point division does not commute.
+    """
+    links: dict[str, list[_Link]] = {binding: [] for binding in relations}
+    for edge in edges:
+        left, right = edge.left_binding, edge.right_binding
+        if left == right or left not in relations or right not in relations:
+            continue
+        left_rel, right_rel = relations[left], relations[right]
+        left_col, right_col = edge.left_column, edge.right_column
+        links[right].append(
+            (left, left_rel.ndv.get(left_col), right_rel.ndv_of(right_col))
+        )
+        links[left].append(
+            (right, right_rel.ndv.get(right_col), left_rel.ndv_of(left_col))
+        )
+    return links
+
+
+def _joined_rows(
+    rows: float,
+    floors: Mapping[str, float],
+    candidate_rows: float,
+    candidate_links: Sequence[_Link],
+) -> tuple[float, bool]:
+    """Rows of ``prefix JOIN candidate`` and whether an edge connects them.
+
+    Same arithmetic, in the same order, as ``join_estimate`` on the
+    prefix's full estimate; ``floors`` maps each binding of the prefix to
+    the smallest intermediate row count since it was joined (``inf`` for
+    a lone base relation, whose distinct counts no join has clamped yet).
+    """
+    joined = rows * candidate_rows
+    connected = False
+    for other, other_ndv, candidate_ndv in candidate_links:
+        if other in floors:
+            connected = True
+            if other_ndv is None:
+                prefix_ndv = max(rows / 10.0, 1.0)
+            else:
+                prefix_ndv = max(min(other_ndv, floors[other], rows), 1.0)
+            joined /= max(prefix_ndv, candidate_ndv, 1.0)
+    return max(joined, MIN_ROWS), connected
+
+
+def _extended_floors(
+    floors: Mapping[str, float], candidate: str, rows: float
+) -> dict[str, float]:
+    """Floors of the prefix once ``candidate`` joined it, producing ``rows``."""
+    extended = {binding: min(floor, rows) for binding, floor in floors.items()}
+    extended[candidate] = rows
+    return extended
 
 
 def _dp_order(
@@ -100,34 +152,34 @@ def _dp_order(
     bindings: list[str],
 ) -> list[str]:
     """Exhaustive DP over left-deep orders, minimising summed intermediates."""
-    # state: frozenset of joined bindings -> (total_cost, order, estimate)
-    states: dict[frozenset[str], tuple[float, list[str], RelEstimate]] = {}
+    links = _links(relations, edges)
+    # The cheapest prefix per set of joined bindings, one prefix size at a time.
+    level: dict[frozenset[str], _Prefix] = {}
     for binding in bindings:
-        estimate = relations[binding]
-        states[frozenset({binding})] = (estimate.rows, [binding], estimate)
-    for _size in range(2, len(bindings) + 1):
-        next_states: dict[frozenset[str], tuple[float, list[str], RelEstimate]] = {}
-        for done, (cost, order, estimate) in states.items():
-            if len(done) != _size - 1:
-                continue
+        rows = relations[binding].rows
+        level[frozenset({binding})] = (rows, [binding], rows, {binding: inf})
+    for _ in range(len(bindings) - 1):
+        next_level: dict[frozenset[str], _Prefix] = {}
+        for done, (cost, order, rows, floors) in level.items():
             for candidate in bindings:
                 if candidate in done:
                     continue
-                joined, connected = _expand(
-                    relations, edges, done, estimate, candidate
+                joined, connected = _joined_rows(
+                    rows, floors, relations[candidate].rows, links[candidate]
                 )
                 # Penalise cross products heavily but keep them legal.
-                penalty = 1.0 if connected else 1e3
-                new_cost = cost + joined.rows * penalty
+                new_cost = cost + (joined if connected else joined * 1e3)
                 key = done | {candidate}
-                existing = next_states.get(key)
+                existing = next_level.get(key)
                 if existing is None or new_cost < existing[0]:
-                    next_states[key] = (new_cost, order + [candidate], joined)
-        states.update(next_states)
-    full = frozenset(bindings)
-    if full not in states:
-        raise OptimizerError("join ordering failed to cover all relations")
-    return states[full][1]
+                    next_level[key] = (
+                        new_cost,
+                        order + [candidate],
+                        joined,
+                        _extended_floors(floors, candidate, joined),
+                    )
+        level = next_level
+    return level[frozenset(bindings)][1]
 
 
 def _greedy_order(
@@ -136,22 +188,24 @@ def _greedy_order(
     bindings: list[str],
 ) -> list[str]:
     """Greedy smallest-next order for large join sets."""
+    links = _links(relations, edges)
     start = min(bindings, key=lambda b: relations[b].rows)
     order = [start]
-    done = frozenset({start})
-    estimate = relations[start]
+    rows = relations[start].rows
+    floors = {start: inf}
     remaining = [b for b in bindings if b != start]
     while remaining:
-        best: tuple[float, str, RelEstimate] | None = None
+        best: tuple[float, str, float] | None = None
         for candidate in remaining:
-            joined, connected = _expand(relations, edges, done, estimate, candidate)
-            penalty = 1.0 if connected else 1e3
-            score = joined.rows * penalty
+            joined, connected = _joined_rows(
+                rows, floors, relations[candidate].rows, links[candidate]
+            )
+            score = joined if connected else joined * 1e3
             if best is None or score < best[0]:
                 best = (score, candidate, joined)
         assert best is not None
-        _score, chosen, estimate = best
+        _score, chosen, rows = best
         order.append(chosen)
-        done = done | {chosen}
+        floors = _extended_floors(floors, chosen, rows)
         remaining.remove(chosen)
     return order

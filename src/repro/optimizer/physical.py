@@ -26,6 +26,7 @@ from repro.sql.ast import (
     InSubquery,
     IsNull,
     Like,
+    Literal,
     Query,
     SelectItem,
     UnaryOp,
@@ -137,46 +138,75 @@ class BindingMap:
 
 
 def _transform(expr: Expr, fn) -> Expr:
-    """Rebuild ``expr`` bottom-up, applying ``fn`` to every node."""
+    """Apply ``fn`` to every node of ``expr``, bottom-up.
+
+    A node is rebuilt only when one of its children changed; otherwise
+    ``fn`` gets the node it was given, so an expression ``fn`` leaves
+    alone comes back as the same object.
+    """
+    if isinstance(expr, (ColumnRef, Literal)):
+        return fn(expr)
     if isinstance(expr, BinaryOp):
-        rebuilt: Expr = BinaryOp(
-            expr.op, _transform(expr.left, fn), _transform(expr.right, fn)
-        )
-    elif isinstance(expr, UnaryOp):
-        rebuilt = UnaryOp(expr.op, _transform(expr.operand, fn))
-    elif isinstance(expr, Between):
-        rebuilt = Between(
-            _transform(expr.expr, fn),
-            _transform(expr.low, fn),
-            _transform(expr.high, fn),
-            expr.negated,
-        )
-    elif isinstance(expr, InList):
-        rebuilt = InList(
-            _transform(expr.expr, fn),
-            tuple(_transform(v, fn) for v in expr.values),
-            expr.negated,
-        )
-    elif isinstance(expr, InSubquery):
-        rebuilt = InSubquery(_transform(expr.expr, fn), expr.query, expr.negated)
-    elif isinstance(expr, IsNull):
-        rebuilt = IsNull(_transform(expr.expr, fn), expr.negated)
-    elif isinstance(expr, Like):
-        rebuilt = Like(_transform(expr.expr, fn), expr.pattern, expr.negated)
+        left = _transform(expr.left, fn)
+        right = _transform(expr.right, fn)
+        if left is not expr.left or right is not expr.right:
+            expr = BinaryOp(expr.op, left, right)
     elif isinstance(expr, FuncCall):
-        rebuilt = FuncCall(
-            expr.name, tuple(_transform(a, fn) for a in expr.args), expr.distinct
-        )
+        args = _transform_all(expr.args, fn)
+        if args is not expr.args:
+            expr = FuncCall(expr.name, args, expr.distinct)
+    elif isinstance(expr, UnaryOp):
+        operand = _transform(expr.operand, fn)
+        if operand is not expr.operand:
+            expr = UnaryOp(expr.op, operand)
+    elif isinstance(expr, Between):
+        inner = _transform(expr.expr, fn)
+        low = _transform(expr.low, fn)
+        high = _transform(expr.high, fn)
+        if inner is not expr.expr or low is not expr.low or high is not expr.high:
+            expr = Between(inner, low, high, expr.negated)
+    elif isinstance(expr, InList):
+        inner = _transform(expr.expr, fn)
+        values = _transform_all(expr.values, fn)
+        if inner is not expr.expr or values is not expr.values:
+            expr = InList(inner, values, expr.negated)
+    elif isinstance(expr, InSubquery):
+        inner = _transform(expr.expr, fn)
+        if inner is not expr.expr:
+            expr = InSubquery(inner, expr.query, expr.negated)
+    elif isinstance(expr, IsNull):
+        inner = _transform(expr.expr, fn)
+        if inner is not expr.expr:
+            expr = IsNull(inner, expr.negated)
+    elif isinstance(expr, Like):
+        inner = _transform(expr.expr, fn)
+        if inner is not expr.expr:
+            expr = Like(inner, expr.pattern, expr.negated)
     elif isinstance(expr, CaseWhen):
-        rebuilt = CaseWhen(
-            tuple(
-                (_transform(c, fn), _transform(v, fn)) for c, v in expr.branches
-            ),
-            _transform(expr.default, fn) if expr.default is not None else None,
+        branches = tuple(
+            [
+                (_transform(cond, fn), _transform(value, fn))
+                for cond, value in expr.branches
+            ]
         )
-    else:
-        rebuilt = expr
-    return fn(rebuilt)
+        default = (
+            _transform(expr.default, fn) if expr.default is not None else None
+        )
+        if default is not expr.default or any(
+            cond is not old_cond or value is not old_value
+            for (cond, value), (old_cond, old_value) in zip(branches, expr.branches)
+        ):
+            expr = CaseWhen(branches, default)
+    return fn(expr)
+
+
+def _transform_all(exprs: tuple[Expr, ...], fn) -> tuple[Expr, ...]:
+    """``_transform`` each of ``exprs``; the same tuple when none changed."""
+    rebuilt = tuple([_transform(expr, fn) for expr in exprs])
+    for new, old in zip(rebuilt, exprs):
+        if new is not old:
+            return rebuilt
+    return exprs
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,12 @@ property ``tests/test_serve.py`` asserts by counting crosses).
 
 The batcher knows nothing about HTTP or models; it moves lists of SQL
 between threads.  Failure of a batch fans the exception out to every
-pending request in it, and :meth:`stop` drains the queue FIFO before
-the collector exits so shutdown never strands a waiting handler.
+pending request in it — except a statement that does not parse or bind
+(``SQLError`` / ``OptimizerError``): that is its sender's error, so the
+members of such a batch are predicted again one by one and only the
+request that carries the statement fails.  :meth:`stop` drains the
+queue FIFO before the collector exits so shutdown never strands a
+waiting handler.
 """
 
 from __future__ import annotations
@@ -25,7 +29,12 @@ from collections import deque
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.sanitizer import guarded_by, make_condition, note_access
-from repro.errors import DeadlineExceededError, ServeError
+from repro.errors import (
+    DeadlineExceededError,
+    OptimizerError,
+    ServeError,
+    SQLError,
+)
 from repro.resilience.deadline import Deadline, deadline_scope
 
 __all__ = ["PendingRequest", "MicroBatcher", "QueueFullError"]
@@ -224,13 +233,25 @@ class MicroBatcher:
                 self._expire(pending, "queue")
             else:
                 live.append(pending)
-        if not live:
-            return
+        if live:
+            self._predict(live)
+
+    def _predict(self, live: list[PendingRequest]) -> None:
+        """One predict call for ``live``; resolves or fails each member."""
         sqls = [sql for pending in live for sql in pending.sqls]
         batch_deadline = self._batch_deadline(live)
         try:
             with deadline_scope(batch_deadline):
                 results = list(self._predict_fn(sqls))
+        except (SQLError, OptimizerError) as error:
+            # Somebody's statement does not compile.  Co-batched requests
+            # must not pay for it: predict the members one at a time.
+            if len(live) == 1:
+                live[0].fail(error)
+            else:
+                for pending in live:
+                    self._predict([pending])
+            return
         except BaseException as error:  # fan the failure out, keep running
             for pending in live:
                 pending.fail(error)

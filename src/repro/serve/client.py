@@ -4,7 +4,9 @@ A thin ``http.client`` wrapper used by the test suite, the load
 generator and examples — one synchronous request per call over one
 persistent HTTP/1.1 connection, structured rejections surfaced as
 :class:`~repro.errors.ServeRejectedError` so a caller backs off on the
-daemon's own ``retry_after_s`` hint instead of parsing response bodies.
+daemon's own ``retry_after_s`` hint instead of parsing response bodies,
+and a statement the daemon cannot compile as the non-retryable
+:class:`~repro.errors.ServeBadStatementError`.
 
 Transport failures get the same treatment: a connection refused, reset
 or timed out (the signature of a supervisor restarting its child) is a
@@ -24,7 +26,12 @@ from http.client import HTTPConnection, HTTPException
 from typing import Optional
 
 from repro.analysis.sanitizer import make_lock
-from repro.errors import ServeError, ServeRejectedError, ServeUnavailableError
+from repro.errors import (
+    ServeBadStatementError,
+    ServeError,
+    ServeRejectedError,
+    ServeUnavailableError,
+)
 
 __all__ = ["ServeClient"]
 
@@ -190,6 +197,12 @@ class ServeClient:
                 retry_after_s=float(document.get("retry_after_s", 0.0)),
                 payload=document,
             )
+        if status == 400 and document.get("error") == "bad_statement":
+            raise ServeBadStatementError(
+                document.get("detail", "bad statement"),
+                position=document.get("position"),
+                payload=document,
+            )
         raise ServeError(
             f"daemon answered {status}: {document.get('error', document)}"
         )
@@ -213,6 +226,8 @@ class ServeClient:
         Raises:
             ServeRejectedError: structured rejection (429/503/504) with
                 the daemon's retry hints attached.
+            ServeBadStatementError: the statement does not parse or bind
+                (400 ``bad_statement``); retrying cannot help.
             ServeUnavailableError: the daemon could not be reached
                 (refused/reset/timeout — e.g. a supervisor restart).
             ServeError: any other non-200 answer.

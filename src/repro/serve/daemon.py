@@ -51,8 +51,10 @@ from repro.engine.metrics import METRIC_NAMES
 from repro.errors import (
     DeadlineExceededError,
     InjectedFault,
+    OptimizerError,
     ReproError,
     ServeError,
+    SQLError,
 )
 from repro.obs.metrics import Histogram, enable_metrics, get_registry
 from repro.obs.trace import span
@@ -444,8 +446,8 @@ class PredictionDaemon:
         """Predict ``sqls`` for ``client`` through the batch path.
 
         Returns the success payload; raises :class:`_Response` for every
-        structured non-200 outcome (shed, quota, breaker, fault, spent
-        deadline).
+        structured non-200 outcome (bad statement, shed, quota, breaker,
+        fault, spent deadline).
         """
         with self._state_lock:
             note_access("serve.daemon.state")
@@ -520,6 +522,16 @@ class PredictionDaemon:
                     # The client's budget ran out, not a daemon fault:
                     # the breaker does not count it.
                     raise self._expired_response(pending.error)
+                if isinstance(pending.error, (SQLError, OptimizerError)):
+                    # The sender's statement does not parse or bind:
+                    # nothing to retry and no daemon fault, so neither a
+                    # retry hint nor a breaker failure.
+                    raise _Response(
+                        400,
+                        "bad_statement",
+                        detail=str(pending.error),
+                        position=getattr(pending.error, "position", None),
+                    )
                 self.breaker.record_failure(str(pending.error))
                 if isinstance(pending.error, (InjectedFault, ReproError)):
                     raise _Response(
@@ -614,7 +626,7 @@ class PredictionDaemon:
                     "repro_serve_deadline_expired_total",
                     "requests answered 504: deadline budget spent",
                 ).inc()
-            elif status in (429, 503):
+            elif status in (400, 429, 503):
                 self.requests_rejected += 1
                 registry.counter(
                     "repro_serve_rejections_total", "rejected requests"

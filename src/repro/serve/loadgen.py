@@ -26,7 +26,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.analysis.sanitizer import make_lock
-from repro.errors import ServeRejectedError, ServeUnavailableError
+from repro.errors import (
+    ServeBadStatementError,
+    ServeRejectedError,
+    ServeUnavailableError,
+)
 from repro.rng import child_generator
 from repro.serve.client import ServeClient
 from repro.workloads.generator import generate_pool
@@ -219,6 +223,8 @@ def _replay_one(
             stage = payload.get("served_by")
         except ServeRejectedError as rejection:
             status = rejection.status
+        except ServeBadStatementError:
+            status = 400
         except ServeUnavailableError:
             if attempts < retry_unavailable:
                 attempts += 1

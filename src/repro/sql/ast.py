@@ -375,6 +375,18 @@ def walk(expr: Expr) -> Iterator[Expr]:
     blocks should recurse on :class:`InSubquery` / :class:`Exists` nodes
     explicitly.
     """
-    yield expr
-    for child in expr.children():
-        yield from walk(child)
+    # One generator for the whole tree, like ``PlanNode.walk``: follow
+    # first children directly, park the others on a stack.
+    node = expr
+    pending: list[Expr] = []
+    while True:
+        yield node
+        children = node.children()
+        if children:
+            node = children[0]
+            if len(children) > 1:
+                pending.extend(children[:0:-1])
+        elif pending:
+            node = pending.pop()
+        else:
+            return

@@ -45,10 +45,26 @@ from repro.sql.ast import (
     SelectItem,
     Star,
     TableRef,
+    UnaryOp,
 )
 from repro.sql.tokens import Token, tokenize
 
 __all__ = ["parse"]
+
+#: comparison operator -> the operator stored in the AST
+_COMPARISONS = {
+    "=": "=",
+    "<": "<",
+    ">": ">",
+    "<=": "<=",
+    ">=": ">=",
+    "<>": "<>",
+    "!=": "<>",
+}
+_ADDITIVE_OPS = frozenset("+-")
+_MULTIPLICATIVE_OPS = frozenset("*/%")
+_PREDICATE_KEYWORDS = frozenset({"NOT", "BETWEEN", "IN", "LIKE", "IS"})
+_KEYWORD_LITERALS = {"NULL": None, "TRUE": True, "FALSE": False}
 
 
 def parse(text: str) -> Query:
@@ -65,71 +81,63 @@ def parse(text: str) -> Query:
 
 
 class _Parser:
-    """Token-stream cursor with one-token lookahead."""
+    """Token-stream cursor with one-token lookahead.
+
+    ``kind`` and ``value`` mirror the current token, so a production
+    looks at them once and dispatches instead of trying one ``accept``
+    after another.
+    """
 
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self.kind, self.value, _ = tokens[0]
 
     # ------------------------------------------------------------------
     # Token-stream helpers
     # ------------------------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._pos]
-
-    def advance(self) -> Token:
-        token = self.current
-        if token.kind != "EOF":
+    def advance(self) -> None:
+        """Step past the current token; the cursor stays on EOF."""
+        if self.kind != "EOF":
             self._pos += 1
-        return token
+            self.kind, self.value, _ = self._tokens[self._pos]
 
-    def accept_keyword(self, *words: str) -> Optional[Token]:
-        """Consume and return the current token if it is one of ``words``."""
-        if self.current.kind == "KEYWORD" and self.current.value in {
-            w.upper() for w in words
-        }:
-            return self.advance()
-        return None
+    def _error(self, message: str) -> ParseError:
+        return ParseError(message, self._tokens[self._pos].position)
 
-    def expect_keyword(self, word: str) -> Token:
-        token = self.accept_keyword(word)
-        if token is None:
-            raise ParseError(
-                f"expected {word!r}, found {self.current.value!r}",
-                self.current.position,
-            )
-        return token
+    def accept_keyword(self, word: str) -> bool:
+        """Consume the current token if it is the keyword ``word``."""
+        if self.value == word and self.kind == "KEYWORD":
+            self.advance()
+            return True
+        return False
 
-    def accept_op(self, op: str) -> Optional[Token]:
-        if self.current.kind == "OP" and self.current.value == op:
-            return self.advance()
-        return None
+    def expect_keyword(self, word: str) -> None:
+        if not self.accept_keyword(word):
+            raise self._error(f"expected {word!r}, found {self.value!r}")
 
-    def expect_op(self, op: str) -> Token:
-        token = self.accept_op(op)
-        if token is None:
-            raise ParseError(
-                f"expected {op!r}, found {self.current.value!r}",
-                self.current.position,
-            )
-        return token
+    def accept_op(self, op: str) -> bool:
+        if self.value == op and self.kind == "OP":
+            self.advance()
+            return True
+        return False
 
-    def expect_ident(self) -> Token:
-        if self.current.kind != "IDENT":
-            raise ParseError(
-                f"expected identifier, found {self.current.value!r}",
-                self.current.position,
-            )
-        return self.advance()
+    def expect_op(self, op: str) -> None:
+        if not self.accept_op(op):
+            raise self._error(f"expected {op!r}, found {self.value!r}")
+
+    def expect_ident(self) -> str:
+        """Consume an identifier and return its name."""
+        if self.kind != "IDENT":
+            raise self._error(f"expected identifier, found {self.value!r}")
+        name = self.value
+        self.advance()
+        return name
 
     def expect_eof(self) -> None:
-        if self.current.kind != "EOF":
-            raise ParseError(
-                f"unexpected trailing input {self.current.value!r}",
-                self.current.position,
-            )
+        if self.kind != "EOF":
+            raise self._error(f"unexpected trailing input {self.value!r}")
 
     # ------------------------------------------------------------------
     # Grammar productions
@@ -137,7 +145,7 @@ class _Parser:
 
     def parse_query(self) -> Query:
         self.expect_keyword("SELECT")
-        distinct = self.accept_keyword("DISTINCT") is not None
+        distinct = self.accept_keyword("DISTINCT")
         select = self._parse_select_list()
         self.expect_keyword("FROM")
         tables, join_conditions = self._parse_from_clause()
@@ -163,10 +171,10 @@ class _Parser:
 
         limit: Optional[int] = None
         if self.accept_keyword("LIMIT"):
-            token = self.advance()
-            if token.kind != "NUMBER" or "." in token.value:
-                raise ParseError("LIMIT requires an integer", token.position)
-            limit = int(token.value)
+            if self.kind != "NUMBER" or "." in self.value:
+                raise self._error("LIMIT requires an integer")
+            limit = int(self.value)
+            self.advance()
 
         return Query(
             select=tuple(select),
@@ -186,16 +194,19 @@ class _Parser:
         return items
 
     def _parse_select_item(self) -> SelectItem:
-        if self.current.kind == "OP" and self.current.value == "*":
-            self.advance()
+        if self.accept_op("*"):
             return SelectItem(Star())
-        expr = self.parse_expr()
-        alias: Optional[str] = None
+        return SelectItem(self.parse_expr(), self._parse_alias())
+
+    def _parse_alias(self) -> Optional[str]:
+        """``[AS] name`` after a select item or a table name."""
+        if self.kind == "IDENT":
+            alias = self.value
+            self.advance()
+            return alias
         if self.accept_keyword("AS"):
-            alias = self.expect_ident().value
-        elif self.current.kind == "IDENT":
-            alias = self.advance().value
-        return SelectItem(expr, alias)
+            return self.expect_ident()
+        return None
 
     def _parse_from_clause(self) -> tuple[list[TableRef], list[Expr]]:
         tables = [self._parse_table_ref()]
@@ -203,25 +214,17 @@ class _Parser:
         while True:
             if self.accept_op(","):
                 tables.append(self._parse_table_ref())
-                continue
-            if self.current.is_keyword("INNER") or self.current.is_keyword("JOIN"):
+            elif self.kind == "KEYWORD" and self.value in ("INNER", "JOIN"):
                 self.accept_keyword("INNER")
                 self.expect_keyword("JOIN")
                 tables.append(self._parse_table_ref())
                 if self.accept_keyword("ON"):
                     conditions.append(self.parse_expr())
-                continue
-            break
-        return tables, conditions
+            else:
+                return tables, conditions
 
     def _parse_table_ref(self) -> TableRef:
-        name = self.expect_ident().value
-        alias: Optional[str] = None
-        if self.accept_keyword("AS"):
-            alias = self.expect_ident().value
-        elif self.current.kind == "IDENT":
-            alias = self.advance().value
-        return TableRef(name, alias)
+        return TableRef(self.expect_ident(), self._parse_alias())
 
     def _parse_expr_list(self) -> list[Expr]:
         exprs = [self.parse_expr()]
@@ -233,45 +236,46 @@ class _Parser:
         items = []
         while True:
             expr = self.parse_expr()
-            descending = False
-            if self.accept_keyword("DESC"):
-                descending = True
-            else:
+            descending = self.accept_keyword("DESC")
+            if not descending:
                 self.accept_keyword("ASC")
             items.append(OrderItem(expr, descending))
             if not self.accept_op(","):
-                break
-        return items
+                return items
 
     # -- expressions ----------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> Expr:
         left = self._parse_and()
-        while self.accept_keyword("OR"):
-            right = self._parse_and()
-            left = BinaryOp("OR", left, right)
+        while self.value == "OR" and self.kind == "KEYWORD":
+            self.advance()
+            left = BinaryOp("OR", left, self._parse_and())
         return left
 
     def _parse_and(self) -> Expr:
         left = self._parse_not()
-        while self.accept_keyword("AND"):
-            right = self._parse_not()
-            left = BinaryOp("AND", left, right)
+        while self.value == "AND" and self.kind == "KEYWORD":
+            self.advance()
+            left = BinaryOp("AND", left, self._parse_not())
         return left
 
     def _parse_not(self) -> Expr:
-        if self.accept_keyword("NOT"):
-            from repro.sql.ast import UnaryOp
-
+        if self.value == "NOT" and self.kind == "KEYWORD":
+            self.advance()
             return UnaryOp("NOT", self._parse_not())
         return self._parse_predicate()
 
     def _parse_predicate(self) -> Expr:
         left = self._parse_additive()
-        negated = self.accept_keyword("NOT") is not None
+        if self.kind == "OP":
+            op = _COMPARISONS.get(self.value)
+            if op is None:
+                return left
+            self.advance()
+            return BinaryOp(op, left, self._parse_additive())
+        if self.kind != "KEYWORD" or self.value not in _PREDICATE_KEYWORDS:
+            return left
+        negated = self.accept_keyword("NOT")
         if self.accept_keyword("BETWEEN"):
             low = self._parse_additive()
             self.expect_keyword("AND")
@@ -280,28 +284,22 @@ class _Parser:
         if self.accept_keyword("IN"):
             return self._parse_in(left, negated)
         if self.accept_keyword("LIKE"):
-            token = self.advance()
-            if token.kind != "STRING":
-                raise ParseError("LIKE requires a string pattern", token.position)
-            return Like(left, token.value, negated=negated)
+            if self.kind != "STRING":
+                raise self._error("LIKE requires a string pattern")
+            pattern = self.value
+            self.advance()
+            return Like(left, pattern, negated=negated)
         if negated:
-            raise ParseError(
-                "expected BETWEEN, IN or LIKE after NOT", self.current.position
-            )
+            raise self._error("expected BETWEEN, IN or LIKE after NOT")
         if self.accept_keyword("IS"):
-            is_negated = self.accept_keyword("NOT") is not None
+            is_negated = self.accept_keyword("NOT")
             self.expect_keyword("NULL")
             return IsNull(left, negated=is_negated)
-        for op in ("<=", ">=", "<>", "!=", "=", "<", ">"):
-            if self.accept_op(op):
-                right = self._parse_additive()
-                canonical = "<>" if op == "!=" else op
-                return BinaryOp(canonical, left, right)
         return left
 
     def _parse_in(self, left: Expr, negated: bool) -> Expr:
         self.expect_op("(")
-        if self.current.is_keyword("SELECT"):
+        if self.value == "SELECT" and self.kind == "KEYWORD":
             query = self.parse_query()
             self.expect_op(")")
             return InSubquery(left, query, negated=negated)
@@ -313,69 +311,55 @@ class _Parser:
 
     def _parse_additive(self) -> Expr:
         left = self._parse_multiplicative()
-        while True:
-            if self.accept_op("+"):
-                left = BinaryOp("+", left, self._parse_multiplicative())
-            elif self.accept_op("-"):
-                left = BinaryOp("-", left, self._parse_multiplicative())
-            else:
-                return left
+        while self.kind == "OP" and self.value in _ADDITIVE_OPS:
+            op = self.value
+            self.advance()
+            left = BinaryOp(op, left, self._parse_multiplicative())
+        return left
 
     def _parse_multiplicative(self) -> Expr:
         left = self._parse_unary()
-        while True:
-            if self.accept_op("*"):
-                left = BinaryOp("*", left, self._parse_unary())
-            elif self.accept_op("/"):
-                left = BinaryOp("/", left, self._parse_unary())
-            elif self.accept_op("%"):
-                left = BinaryOp("%", left, self._parse_unary())
-            else:
-                return left
+        while self.kind == "OP" and self.value in _MULTIPLICATIVE_OPS:
+            op = self.value
+            self.advance()
+            left = BinaryOp(op, left, self._parse_unary())
+        return left
 
     def _parse_unary(self) -> Expr:
+        if self.kind == "IDENT":
+            return self._parse_ident_expr()
         if self.accept_op("-"):
-            from repro.sql.ast import UnaryOp
-
             return UnaryOp("-", self._parse_unary())
         return self._parse_primary()
 
     def _parse_primary(self) -> Expr:
-        token = self.current
-        if token.kind == "NUMBER":
+        """A literal, ``EXISTS``, ``CASE`` or a parenthesised expression
+        (identifiers never get here: ``_parse_unary`` takes them)."""
+        kind, value = self.kind, self.value
+        if kind == "NUMBER":
             self.advance()
-            value = float(token.value) if "." in token.value else int(token.value)
+            return Literal(float(value) if "." in value else int(value))
+        if kind == "STRING":
+            self.advance()
             return Literal(value)
-        if token.kind == "STRING":
-            self.advance()
-            return Literal(token.value)
-        if token.is_keyword("NULL"):
-            self.advance()
-            return Literal(None)
-        if token.is_keyword("TRUE"):
-            self.advance()
-            return Literal(True)
-        if token.is_keyword("FALSE"):
-            self.advance()
-            return Literal(False)
-        if token.is_keyword("EXISTS"):
-            self.advance()
-            self.expect_op("(")
-            query = self.parse_query()
-            self.expect_op(")")
-            return Exists(query)
-        if token.is_keyword("CASE"):
-            return self._parse_case()
-        if token.kind == "OP" and token.value == "(":
+        if kind == "KEYWORD":
+            if value in _KEYWORD_LITERALS:
+                self.advance()
+                return Literal(_KEYWORD_LITERALS[value])
+            if value == "EXISTS":
+                self.advance()
+                self.expect_op("(")
+                query = self.parse_query()
+                self.expect_op(")")
+                return Exists(query)
+            if value == "CASE":
+                return self._parse_case()
+        elif kind == "OP" and value == "(":
             self.advance()
             expr = self.parse_expr()
             self.expect_op(")")
             return expr
-        if token.kind == "IDENT":
-            return self._parse_ident_expr()
-        raise ParseError(
-            f"unexpected token {token.value!r} in expression", token.position
-        )
+        raise self._error(f"unexpected token {value!r} in expression")
 
     def _parse_case(self) -> Expr:
         self.expect_keyword("CASE")
@@ -386,7 +370,7 @@ class _Parser:
             value = self.parse_expr()
             branches.append((cond, value))
         if not branches:
-            raise ParseError("CASE requires at least one WHEN", self.current.position)
+            raise self._error("CASE requires at least one WHEN")
         default: Optional[Expr] = None
         if self.accept_keyword("ELSE"):
             default = self.parse_expr()
@@ -394,25 +378,25 @@ class _Parser:
         return CaseWhen(tuple(branches), default)
 
     def _parse_ident_expr(self) -> Expr:
-        name = self.expect_ident().value
-        if self.accept_op("("):
-            return self._parse_call(name)
-        if self.accept_op("."):
-            column = self.expect_ident().value
-            return ColumnRef(column, table=name)
+        name = self.value
+        self.advance()
+        if self.kind == "OP":
+            if self.value == ".":
+                self.advance()
+                return ColumnRef(self.expect_ident(), table=name)
+            if self.value == "(":
+                self.advance()
+                return self._parse_call(name)
         return ColumnRef(name)
 
     def _parse_call(self, name: str) -> Expr:
-        distinct = self.accept_keyword("DISTINCT") is not None
-        if self.current.kind == "OP" and self.current.value == "*":
-            self.advance()
+        distinct = self.accept_keyword("DISTINCT")
+        if self.accept_op("*"):
             self.expect_op(")")
             return FuncCall(name, (Star(),), distinct=distinct)
         if self.accept_op(")"):
             return FuncCall(name, (), distinct=distinct)
-        args = [self.parse_expr()]
-        while self.accept_op(","):
-            args.append(self.parse_expr())
+        args = self._parse_expr_list()
         self.expect_op(")")
         return FuncCall(name, tuple(args), distinct=distinct)
 

@@ -4,11 +4,16 @@ Splits SQL text into a flat list of :class:`Token` objects.  The tokenizer
 is deliberately small: it recognises identifiers, keywords, numeric and
 string literals, operators and punctuation — enough for the SQL subset used
 by the workload generators and examples.
+
+The whole text is scanned by one compiled pattern; each match is the
+whitespace and ``--`` comments before a token plus the token itself, so
+offsets are running sums of match lengths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import TokenizeError
 
@@ -52,12 +57,37 @@ KEYWORDS = frozenset(
     }
 )
 
-_OPERATOR_STARTS = "<>=!+-*/,().%"
-_TWO_CHAR_OPS = ("<=", ">=", "<>", "!=")
+_OPERATORS = frozenset(
+    ["<=", ">=", "<>", "!=", *"<>=!+-*/,().%"]
+)
+
+#: One match per token: (skipped text, token text).  The alternatives are
+#: tried in order — number, word, string, operator — and the last two
+#: never fail: the empty match at the end of the text, which ends the
+#: scan, and any single character no other alternative accepts, which
+#: :func:`tokenize` reports.  Numbers are ASCII digits only; ``\w`` and
+#: ``\s`` are the Unicode classes, so identifiers in any alphabet and any
+#: Unicode whitespace go through the same pattern.  A string literal's
+#: closing quote must not be followed by another quote, otherwise a
+#: dangling ``''`` escape would be re-read as an end of string.
+_SCAN = re.compile(
+    r"(\s*(?:--[^\n]*\s*)*)"
+    r"([0-9]+\.?[0-9]*|\.[0-9]+"
+    r"|\w+"
+    r"|'[^']*(?:''[^']*)*'(?!')"
+    r"|[<>!]=|<>|[<>=!+\-*/,().%]"
+    r"|\Z"
+    r"|.)",
+    re.DOTALL,
+).findall
+
+_ASCII_WORD_START = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+)
+_NUMBER_START = frozenset("0123456789.")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token.
 
     Attributes:
@@ -77,6 +107,12 @@ class Token:
         return self.kind == "KEYWORD" and self.value == word.upper()
 
 
+#: ``Token(kind, value, position)`` without the Python-level ``__new__``
+#: that ``NamedTuple`` generates — half the cost of building a token, and
+#: the scan builds one per lexeme.
+_new_token = tuple.__new__
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text`` into a list of tokens terminated by an EOF token.
 
@@ -85,64 +121,32 @@ def tokenize(text: str) -> list[Token]:
             character.
     """
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and text.startswith("--", i):
-            end = text.find("\n", i)
-            i = n if end < 0 else end + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            if word.upper() in KEYWORDS:
-                tokens.append(Token("KEYWORD", word.upper(), start))
+    append = tokens.append
+    position = 0
+    for skipped, lexeme in _SCAN(text):
+        if skipped:
+            position += len(skipped)
+        first = lexeme[:1]
+        if first in _ASCII_WORD_START or (first > "\x7f" and first.isalpha()):
+            upper = lexeme.upper()
+            if upper in KEYWORDS:
+                append(_new_token(Token, ("KEYWORD", upper, position)))
             else:
-                tokens.append(Token("IDENT", word.lower(), start))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            seen_dot = False
-            while i < n and (text[i].isdigit() or (text[i] == "." and not seen_dot)):
-                if text[i] == ".":
-                    seen_dot = True
-                i += 1
-            tokens.append(Token("NUMBER", text[start:i], start))
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            parts: list[str] = []
-            while True:
-                if i >= n:
-                    raise TokenizeError("unterminated string literal", start)
-                if text[i] == "'":
-                    # Doubled quote is an escaped quote inside the literal.
-                    if i + 1 < n and text[i + 1] == "'":
-                        parts.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                parts.append(text[i])
-                i += 1
-            tokens.append(Token("STRING", "".join(parts), start))
-            continue
-        if ch in _OPERATOR_STARTS:
-            two = text[i : i + 2]
-            if two in _TWO_CHAR_OPS:
-                tokens.append(Token("OP", two, i))
-                i += 2
-            else:
-                tokens.append(Token("OP", ch, i))
-                i += 1
-            continue
-        raise TokenizeError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("EOF", "", n))
+                append(_new_token(Token, ("IDENT", lexeme.lower(), position)))
+        elif lexeme in _OPERATORS:
+            append(_new_token(Token, ("OP", lexeme, position)))
+        elif first in _NUMBER_START:
+            append(_new_token(Token, ("NUMBER", lexeme, position)))
+        elif first == "'" and lexeme != "'":
+            # Doubled quote is an escaped quote inside the literal.
+            body = lexeme[1:-1].replace("''", "'")
+            append(_new_token(Token, ("STRING", body, position)))
+        elif not lexeme:
+            break
+        elif first == "'":
+            raise TokenizeError("unterminated string literal", position)
+        else:
+            raise TokenizeError(f"unexpected character {first!r}", position)
+        position += len(lexeme)
+    append(_new_token(Token, ("EOF", "", position)))
     return tokens

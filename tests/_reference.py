@@ -1,6 +1,10 @@
-"""Brute-force reference SQL evaluator for correctness tests.
+"""Reference implementations the correctness tests compare against.
 
-Evaluates the same AST the optimizer consumes, but the dumbest possible
+``run_reference`` is a brute-force SQL evaluator; ``reference_join_order``
+(at the end of the file) is the join-order search written with plain
+``join_estimate``.
+
+The evaluator evaluates the same AST the optimizer consumes, but the dumbest possible
 way: materialise the full cross product of the FROM tables as Python
 dicts, evaluate predicates row by row (including subqueries, re-evaluated
 per row), then group/aggregate/sort with plain Python.  Exponentially slow
@@ -266,3 +270,75 @@ def _eval_aggregate(call: FuncCall, row, tables, members):
     if name == "max":
         return max(numeric)
     raise AssertionError(f"unsupported aggregate {name}")
+
+
+# ----------------------------------------------------------------------
+# Reference join-order search
+# ----------------------------------------------------------------------
+
+
+def reference_join_order(relations, edges) -> list[str]:
+    """``repro.optimizer.joinorder.order_joins`` the slow, obvious way.
+
+    Every expansion joins the prefix's full :class:`RelEstimate` to the
+    candidate with ``join_estimate`` — re-deriving every distinct count —
+    and reads ``.rows``.  The production search carries only what that
+    row count depends on; this is the search it must agree with, order
+    for order and tie for tie.
+    """
+    from repro.optimizer.cardinality import join_estimate
+    from repro.optimizer.joinorder import DP_LIMIT
+
+    def expand(done, estimate, candidate):
+        pairs = []
+        for edge in edges:
+            if edge.touches(candidate):
+                other = (
+                    edge.left_binding
+                    if edge.right_binding == candidate
+                    else edge.right_binding
+                )
+                if other in done and other != candidate:
+                    new_col, done_col = edge.pair_for(candidate)
+                    pairs.append((done_col, new_col))
+        joined = join_estimate(estimate, relations[candidate], pairs)
+        return joined, (1.0 if pairs else 1e3)
+
+    bindings = sorted(relations)
+    if len(bindings) <= 1:
+        return bindings
+    if len(bindings) <= DP_LIMIT:
+        states = {
+            frozenset({b}): (relations[b].rows, [b], relations[b]) for b in bindings
+        }
+        for size in range(2, len(bindings) + 1):
+            next_states: dict = {}
+            for done, (cost, order, estimate) in states.items():
+                if len(done) != size - 1:
+                    continue
+                for candidate in bindings:
+                    if candidate in done:
+                        continue
+                    joined, penalty = expand(done, estimate, candidate)
+                    new_cost = cost + joined.rows * penalty
+                    key = done | {candidate}
+                    if key not in next_states or new_cost < next_states[key][0]:
+                        next_states[key] = (new_cost, order + [candidate], joined)
+            states.update(next_states)
+        return states[frozenset(bindings)][1]
+
+    start = min(bindings, key=lambda b: relations[b].rows)
+    order, done, estimate = [start], frozenset({start}), relations[start]
+    remaining = [b for b in bindings if b != start]
+    while remaining:
+        best = None
+        for candidate in remaining:
+            joined, penalty = expand(done, estimate, candidate)
+            score = joined.rows * penalty
+            if best is None or score < best[0]:
+                best = (score, candidate, joined)
+        _score, chosen, estimate = best
+        order.append(chosen)
+        done = done | {chosen}
+        remaining.remove(chosen)
+    return order

@@ -4,12 +4,16 @@
 * Nyström KCCA tracks the exact solve (and reproduces it at rank = N);
 * Nyström pipelines round-trip through save/load;
 * the rewritten distance/kernel kernels match their reference formulas;
-* the benchmark harness runs and emits a valid, JSON-able report.
+* the benchmark harness runs and emits a valid, JSON-able report;
+* the statement front end stays within its budget of interpreter calls
+  per statement.
 """
 
 from __future__ import annotations
 
+import cProfile
 import json
+import pstats
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from repro.experiments.corpus import (
     resolve_jobs,
 )
 from repro.pipeline import PredictionPipeline
+from repro.sql.parser import parse
 from repro.workloads.generator import generate_pool
 
 
@@ -260,3 +265,69 @@ class TestBenchHarness:
             assert row["correlation_gap"] < 0.5
         for batch in loaded["predict_latency"]["batches"]:
             assert batch["p95_ms"] >= batch["p50_ms"] > 0
+
+
+# ----------------------------------------------------------------------
+# Interpreter work per statement (a perf guard without a clock)
+# ----------------------------------------------------------------------
+
+
+class TestFrontEndWorkCounts:
+    """Python-level calls per statement, counted by cProfile.
+
+    A call count repeats exactly on any machine, so it can gate a ratio
+    where a timing cannot: each path may use at most 15 % more calls per
+    statement than it did when the front end was rewritten (PR 14).  The
+    commit before that rewrite spent 1390 / 1024 / 2606 calls on the same
+    pool and fails all three.
+    """
+
+    #: calls per statement when the guard was written
+    PARSE_CALLS = 431.6
+    OPTIMIZE_CALLS = 696.5
+    FORECAST_MANY_CALLS = 1245.4
+    HEADROOM = 1.15
+
+    @pytest.fixture(scope="class")
+    def statements(self):
+        # Every built-in spec that runs on the tpcds catalog, mixed.
+        pool = []
+        for workload, count in (("tpcds", 100), ("analytics", 50), ("oltp", 50)):
+            pool += generate_pool(count, seed=1409, workload=workload)
+        return [instance.sql for instance in pool]
+
+    @staticmethod
+    def calls_per_statement(work, statements) -> float:
+        profile = cProfile.Profile()
+        profile.enable()
+        work()
+        profile.disable()
+        return pstats.Stats(profile).total_calls / len(statements)
+
+    def test_parse(self, statements):
+        def work():
+            for sql in statements:
+                parse(sql)
+
+        calls = self.calls_per_statement(work, statements)
+        assert calls <= self.PARSE_CALLS * self.HEADROOM, calls
+
+    def test_optimize(self, statements, optimizer):
+        queries = [parse(sql) for sql in statements]
+
+        def work():
+            for query in queries:
+                optimizer.optimize(query)
+
+        calls = self.calls_per_statement(work, statements)
+        assert calls <= self.OPTIMIZE_CALLS * self.HEADROOM, calls
+
+    def test_forecast_many(self, statements, serve_service):
+        serve_service.forecast_many(statements[:8])  # lazy set-up is not the path
+
+        def work():
+            for start in range(0, len(statements), 50):
+                serve_service.forecast_many(statements[start:start + 50])
+
+        calls = self.calls_per_statement(work, statements)
+        assert calls <= self.FORECAST_MANY_CALLS * self.HEADROOM, calls

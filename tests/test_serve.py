@@ -33,7 +33,13 @@ from repro.api import (
     clear_artifact_cache,
     resolve_artifact,
 )
-from repro.errors import ServeError, ServeRejectedError, ServeUnavailableError
+from repro.errors import (
+    ParseError,
+    ServeBadStatementError,
+    ServeError,
+    ServeRejectedError,
+    ServeUnavailableError,
+)
 from repro.resilience.faults import FaultPlan, armed
 from repro.serve import (
     AdmissionController,
@@ -267,6 +273,93 @@ class TestPredictions:
 
 
 # ----------------------------------------------------------------------
+# A statement that does not compile is its sender's error
+# ----------------------------------------------------------------------
+
+
+class TestBadStatement:
+    @pytest.mark.parametrize(
+        "sql, position",
+        [
+            ("selec 1", 0),                       # ParseError
+            ("select \u00b2 from item", 7),         # TokenizeError (was a bare ValueError)
+            ("SELECT count(*) AS c FROM no_such_table t", None),  # OptimizerError
+        ],
+    )
+    def test_answered_400_with_message_and_position(
+        self, serve_service, sql, position
+    ):
+        daemon = start_daemon(serve_service)
+        try:
+            client = client_for(daemon)
+            status, payload = client.try_forecast(sql)
+            assert status == 400
+            assert payload["error"] == "bad_statement"
+            assert payload["detail"]
+            assert payload["position"] == position
+            assert "retry_after_s" not in payload
+            with pytest.raises(ServeBadStatementError) as excinfo:
+                client.forecast(sql)
+            assert excinfo.value.position == position
+            assert not isinstance(excinfo.value, ServeRejectedError)
+            assert not hasattr(excinfo.value, "retry_after_s")
+        finally:
+            daemon.stop()
+
+    def test_twenty_typos_leave_the_breaker_closed(self, serve_service):
+        daemon = start_daemon(serve_service)
+        try:
+            typist = client_for(daemon, "typist")
+            for _ in range(20):
+                status, _payload = typist.try_forecast("selec 1")
+                assert status == 400
+            status = daemon.status()
+            assert status["breaker"]["state"] == "closed"
+            assert status["requests"]["failed"] == 0
+            assert status["requests"]["rejected"] == 20
+            # Another client is served as if nothing had happened.
+            payload = client_for(daemon, "bystander").forecast(SQL_LIGHT)
+            assert payload["forecast"]["metrics"]["elapsed_time"] > 0
+        finally:
+            daemon.stop()
+
+    def test_co_batched_good_requests_are_still_served(self, serve_service):
+        daemon = start_daemon(serve_service, max_batch=16)
+        statements = [SQL_LIGHT, "selec 1", SQL_JOIN, "select 1 from", SQL_LIGHT,
+                      "SELECT x FROM no_such_table t"] * 4
+        outcomes: list = [None] * len(statements)
+        barrier = threading.Barrier(len(statements))
+
+        def send(index: int) -> None:
+            client = client_for(daemon, f"c{index}")
+            barrier.wait(10)
+            outcomes[index] = client.try_forecast(statements[index])
+            client.close()
+
+        try:
+            threads = [
+                threading.Thread(target=send, args=(i,))
+                for i in range(len(statements))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+            expected = serve_service.forecast(SQL_LIGHT).metrics.elapsed_time
+            for sql, (status, payload) in zip(statements, outcomes):
+                if sql in (SQL_LIGHT, SQL_JOIN):
+                    assert status == 200, payload
+                else:
+                    assert (status, payload["error"]) == (400, "bad_statement")
+                if sql == SQL_LIGHT:
+                    assert payload["forecast"]["metrics"]["elapsed_time"] == expected
+            assert daemon.status()["breaker"]["state"] == "closed"
+        finally:
+            daemon.stop()
+
+
+# ----------------------------------------------------------------------
 # Admission control
 # ----------------------------------------------------------------------
 
@@ -429,6 +522,31 @@ class TestBatcherUnits:
         assert isinstance(first.error, ValueError)
         assert isinstance(second.error, ValueError)
         batcher.stop()
+
+    def test_unparsable_statement_fails_only_its_own_request(self):
+        # Collector not started yet: the three requests leave as one batch.
+        calls = []
+
+        def predict(sqls):
+            calls.append(list(sqls))
+            if "bad" in sqls:
+                raise ParseError("expected 'SELECT', found 'bad'", 0)
+            return [s.upper() for s in sqls]
+
+        batcher = MicroBatcher(predict, max_batch=8)
+        good = batcher.submit(["a"])
+        bad = batcher.submit(["bad", "b"])
+        also_good = batcher.submit(["c", "d"])
+        batcher.start()
+        try:
+            for pending in (good, bad, also_good):
+                assert pending.event.wait(5)
+            assert good.results == ["A"] and good.error is None
+            assert also_good.results == ["C", "D"] and also_good.error is None
+            assert isinstance(bad.error, ParseError) and bad.results is None
+            assert calls == [["a", "bad", "b", "c", "d"], ["a"], ["bad", "b"], ["c", "d"]]
+        finally:
+            batcher.stop()
 
     def test_result_length_mismatch_is_an_error(self):
         batcher = MicroBatcher(lambda sqls: [1])
