@@ -6,9 +6,7 @@
 * Section VIII — sliding-window retraining adapts to a system change
   (e.g. the OS upgrade that degraded Figure 10's bowling balls);
 * Section VIII — calibrating optimizer cost to seconds still cannot match
-  KCCA (quantifying Figure 17's message);
-* Section VIII — the identical model predicts MapReduce jobs once the
-  feature vectors are swapped.
+  KCCA (quantifying Figure 17's message).
 """
 
 import numpy as np
@@ -167,44 +165,3 @@ def test_calibrated_cost_still_loses_to_kcca(
     assert kcca_risk > calibrated_risk
     assert scatter.max() > 2.0
 
-
-def test_mapreduce_adaptation(benchmark, print_header):
-    """Section VIII: the identical predictor works on MapReduce jobs."""
-    from repro.mapreduce import (
-        JOB_METRIC_NAMES,
-        default_cluster,
-        generate_jobs,
-        job_feature_vector,
-        simulate_job,
-    )
-    from repro.rng import child_generator
-
-    cluster = default_cluster(16)
-    jobs = generate_jobs(500, seed=19)
-    features = np.vstack([job_feature_vector(j, cluster) for j in jobs])
-    metrics = np.vstack(
-        [
-            simulate_job(j, cluster, rng=child_generator(1, j.job_id))
-            .as_vector()
-            for j in jobs
-        ]
-    )
-
-    def run():
-        model = KCCAPredictor().fit(features[:420], metrics[:420])
-        predicted = model.predict(features[420:])
-        return {
-            name: predictive_risk(predicted[:, i], metrics[420:, i])
-            for i, name in enumerate(JOB_METRIC_NAMES)
-        }
-
-    risks = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    print_header("Section VIII — MapReduce adaptation (same model)")
-    for name, risk in risks.items():
-        print(f"  {name:<22} {risk:7.3f}")
-
-    assert risks["elapsed_time"] > 0.5
-    assert risks["hdfs_read_bytes"] > 0.8
-    learnable = [v for v in risks.values() if v > 0.4]
-    assert len(learnable) >= 5

@@ -1,13 +1,14 @@
-"""Run the performance benchmark suite and record the perf trajectory.
+"""Run the seven component ratio sections of ``repro.experiments.bench``.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python scripts/bench.py                 # full run
     PYTHONPATH=src python scripts/bench.py --quick         # CI smoke
-    PYTHONPATH=src python scripts/bench.py --jobs 8 --out BENCH_pr2.json
+    PYTHONPATH=src python scripts/bench.py --out report.json
 
-Writes a machine-readable JSON report (see docs/PERFORMANCE.md for the
-schema and the current baseline) and prints a human summary.
+Prints a human summary and optionally writes the machine-readable JSON
+report (schema in docs/PERFORMANCE.md).  End-to-end speed is the gate
+benchmark's job: ``python3 bench/run.py``.
 """
 
 from __future__ import annotations
@@ -23,27 +24,21 @@ from repro.experiments.bench import format_report, run_benchmarks  # noqa: E402
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark corpus build, KCCA fit and predict latency."
+        description="Component ratio benchmarks (see docs/PERFORMANCE.md)."
     )
     parser.add_argument(
         "--quick", action="store_true",
         help="CI smoke mode: tiny workloads, a few seconds total",
     )
     parser.add_argument(
-        "--jobs", type=int, default=4,
-        help="worker count for the parallel corpus-build point (default 4)",
-    )
-    parser.add_argument(
         "--label", default="pr2", help="report label (default pr2)"
     )
     parser.add_argument(
         "--out", type=Path, default=None, metavar="FILE",
-        help="write the JSON report here (e.g. BENCH_pr2.json)",
+        help="write the JSON report here",
     )
     args = parser.parse_args(argv)
-    report = run_benchmarks(
-        quick=args.quick, jobs=args.jobs, label=args.label, out=args.out
-    )
+    report = run_benchmarks(quick=args.quick, label=args.label, out=args.out)
     print(format_report(report))
     if args.out is not None:
         print(f"\nreport written to {args.out}")

@@ -349,11 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pin the degradation ladder to one tier 0..3 (testing)",
     )
     serve.add_argument(
-        "--stale-cache-size", type=int, default=defaults.stale_cache_size,
-        help="bound on the tier-3 stale-prediction cache "
-             "(default %(default)s)",
-    )
-    serve.add_argument(
         "--supervised", action="store_true",
         help="run the daemon as a supervised child: crash -> restart "
              "with backoff on the same socket, crash loops give up "
@@ -639,7 +634,6 @@ def _serve_config(args) -> ServeConfig:
         default_deadline_ms=args.default_deadline_ms,
         degrade=args.degrade,
         degrade_force_tier=args.degrade_force_tier,
-        stale_cache_size=args.stale_cache_size,
     )
 
 

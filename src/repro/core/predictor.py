@@ -253,25 +253,7 @@ class KCCAPredictor(SerializableModel):
 
     def predict(self, query_features: np.ndarray) -> np.ndarray:
         """Predicted performance vectors, shape (m, n_metrics)."""
-        coords = self.project(query_features)
-        with span("predictor.knn", n=coords.shape[0], k=self.k_neighbors):
-            indices, distances = nearest_neighbors(
-                coords,
-                self._x_projection,
-                self.k_neighbors,
-                metric=self.distance_metric,
-            )
-        predictions = np.vstack(
-            [
-                combine_neighbors(
-                    self._train_performance[indices[i]],
-                    distances[i],
-                    weighting=self.weighting,
-                )
-                for i in range(coords.shape[0])
-            ]
-        )
-        return predictions
+        return self.predict_batch(query_features)[0]
 
     def predict_batch(
         self, query_features: np.ndarray

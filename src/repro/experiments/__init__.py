@@ -10,8 +10,8 @@
   suite prints and EXPERIMENTS.md records.
 * :mod:`repro.experiments.report` — plain-text table rendering.
 * :mod:`repro.experiments.bench` — the perf benchmark harness behind
-  ``scripts/bench.py`` (corpus-build throughput, exact-vs-Nyström KCCA
-  fit, predict latency percentiles).
+  ``scripts/bench.py`` (seven within-component ratio sections; the
+  gate benchmark under ``bench/`` measures end-to-end speed).
 """
 
 from repro.experiments.bench import format_report, run_benchmarks

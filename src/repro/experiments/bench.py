@@ -1,22 +1,17 @@
-"""Performance benchmark harness for the train/serve hot path.
+"""Component benchmark harness: seven ratio sections, one JSON report.
 
-Three benchmarks, one machine-readable JSON report:
+End-to-end speed (corpus build, forecast latency, served latency under
+load) is measured by the gate benchmark, ``python3 bench/run.py`` (see
+``BENCHMARK.json`` and docs/PERFORMANCE.md).  This module keeps the
+comparisons *inside* one component that nothing else measures: worker
+attach vs rebuild, exact vs Nyström fit, and what tracing, fault sites,
+plan lint and tracked locks cost when off and on, plus per-family
+accuracy of the spec-driven workloads.
 
-* **corpus build** — end-to-end optimize+execute throughput of
-  :func:`~repro.experiments.corpus.build_corpus`, serial vs. a
-  ``jobs=N`` process fan-out, with a bitwise-identity check between the
-  two corpora (the parallel path must be a pure speedup, never a
-  different measurement);
-* **KCCA fit** — the exact dense O(N^3) solve vs. the low-rank Nyström
-  solve at several training-set sizes;
-* **predict latency** — ``predict_many`` wall-clock percentiles (p50 /
-  p95) at serving-representative batch sizes.
-
-``python scripts/bench.py`` runs all three and writes ``BENCH_pr2.json``;
-every future PR reruns it to extend the perf trajectory.  ``--quick``
-shrinks the workload for CI smoke coverage.  All numbers are wall-clock
-seconds from ``time.perf_counter`` on the reporting machine; the report
-embeds the CPU count and library versions so runs are comparable.
+``python scripts/bench.py`` runs every section in :data:`SECTIONS` and
+prints a summary; ``--quick`` shrinks them for CI smoke coverage.  All
+numbers are wall-clock from ``time.perf_counter`` on the reporting
+machine; the report embeds the CPU count and library versions.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ import os
 import platform
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,16 +37,14 @@ from repro.workloads.tpcds import build_tpcds_catalog
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
+    "SECTIONS",
     "machine_info",
-    "bench_corpus_build",
     "bench_data_plane",
     "bench_kcca_fit",
-    "bench_predict_latency",
     "bench_observability_overhead",
     "bench_fault_site_overhead",
     "bench_plan_lint_overhead",
     "bench_workload_families",
-    "bench_serving",
     "bench_sanitizer_overhead",
     "run_benchmarks",
     "format_report",
@@ -77,7 +70,11 @@ __all__ = [
 #: p50/p99 with the runtime concurrency sanitizer off vs on, plus the
 #: measured acquire count per request and the estimated disabled-mode
 #: p99 overhead (budget: < 1%).
-BENCH_SCHEMA_VERSION = 6
+#: v7: ``corpus_build``, ``predict_latency``, ``serving`` and
+#: ``data_plane.scaling`` are gone — the gate benchmark reports build
+#: throughput and parallel efficiency, forecast latency and served
+#: latency under load, with output checks.
+BENCH_SCHEMA_VERSION = 7
 
 
 def machine_info() -> dict:
@@ -104,89 +101,6 @@ def _synthetic_training_data(
 
 
 # ----------------------------------------------------------------------
-# Corpus-build throughput
-# ----------------------------------------------------------------------
-
-
-def bench_corpus_build(
-    n_queries: int = 96,
-    scale_factor: float = 0.15,
-    seed: int = 7,
-    jobs_list: Sequence[int] = (1, 4),
-    noise_seed: int = 1,
-) -> dict:
-    """Time ``build_corpus`` at each worker count on one shared pool.
-
-    The serial run is the reference: every parallel corpus is checked for
-    bitwise equality against it, and speedups are relative to it.
-
-    Worker counts are clamped to the machine's CPU count: timing jobs=4
-    on a 1-CPU box measures scheduler churn, not the fan-out, and would
-    report it as a parallel data point.  Each run records both the
-    requested ``jobs`` and the ``effective_jobs`` actually used, with an
-    ``oversubscribed`` flag when the request exceeded the hardware.
-    """
-    catalog = build_tpcds_catalog(scale_factor=scale_factor, seed=seed)
-    config = research_4node()
-    pool = generate_pool(n_queries, seed=seed)
-    cpus = os.cpu_count() or 1
-    runs = []
-    reference = None
-    for jobs in jobs_list:
-        effective_jobs = max(1, min(jobs, cpus))
-        start = time.perf_counter()
-        corpus = build_corpus(
-            catalog, config, pool, noise_seed=noise_seed, jobs=effective_jobs
-        )
-        elapsed = time.perf_counter() - start
-        identical = None
-        if reference is None:
-            reference = corpus
-        else:
-            identical = bool(
-                np.array_equal(
-                    corpus.feature_matrix(), reference.feature_matrix()
-                )
-                and np.array_equal(
-                    corpus.performance_matrix(),
-                    reference.performance_matrix(),
-                )
-                and np.array_equal(
-                    corpus.optimizer_costs(), reference.optimizer_costs()
-                )
-            )
-        runs.append(
-            {
-                "jobs": jobs,
-                "effective_jobs": effective_jobs,
-                "oversubscribed": jobs > cpus,
-                "seconds": elapsed,
-                "queries_per_second": n_queries / elapsed,
-                "identical_to_serial": identical,
-            }
-        )
-    serial_s = runs[0]["seconds"]
-    # One CPU cannot run two workers at once: every "parallel" number on
-    # such a box measures scheduler churn, and reporting it as a speedup
-    # would be dishonest.  The flag lets renderers (and downstream
-    # trajectory tooling) treat those runs as identity checks only.
-    scaling_valid = cpus > 1 and runs[-1]["effective_jobs"] > 1
-    result = {
-        "n_queries": n_queries,
-        "scale_factor": scale_factor,
-        "runs": runs,
-        "scaling_valid": scaling_valid,
-        "speedup_at_max_jobs": serial_s / runs[-1]["seconds"],
-    }
-    if not scaling_valid:
-        result["scaling_invalid_reason"] = (
-            f"machine has {cpus} cpu(s); parallel runs only verify "
-            "bitwise identity, not scaling"
-        )
-    return result
-
-
-# ----------------------------------------------------------------------
 # Shared-memory data plane
 # ----------------------------------------------------------------------
 
@@ -194,8 +108,6 @@ def bench_corpus_build(
 def _bench_chunk_noop(instances: Sequence[object]) -> int:
     """Module-level no-op chunk task (pure submission-overhead probe)."""
     return len(instances)
-
-
 
 
 def bench_data_plane(
@@ -218,9 +130,6 @@ def bench_data_plane(
       pool so only the IPC/bookkeeping is on the clock.
     * **warm pool**: a second identical ``build_corpus`` with the warm
       pool enabled vs. back-to-back cold builds.
-    * **scaling**: the jobs=N curve, only meaningful with >= 4 CPUs; on
-      smaller boxes the overhead metrics above stand in and the
-      subsection carries ``valid: false``.
     """
     import pickle
     from concurrent.futures import ProcessPoolExecutor
@@ -327,53 +236,11 @@ def bench_data_plane(
         "speedup": cold_s / warm_s,
     }
 
-    # -- scaling curve (needs real cores) ------------------------------
-    cpus = os.cpu_count() or 1
-    if cpus >= 4:
-        scaling_pool = generate_pool(max(n_queries * 4, 96), seed=seed)
-        serial_start = time.perf_counter()
-        reference = build_corpus(small_catalog, config, scaling_pool)
-        serial_s = time.perf_counter() - serial_start
-        runs = [{"jobs": 1, "seconds": serial_s, "identical_to_serial": None}]
-        for jobs in (2, 4):
-            start = time.perf_counter()
-            corpus = build_corpus(
-                small_catalog, config, scaling_pool, jobs=jobs
-            )
-            elapsed = time.perf_counter() - start
-            runs.append(
-                {
-                    "jobs": jobs,
-                    "seconds": elapsed,
-                    "identical_to_serial": bool(
-                        np.array_equal(
-                            corpus.performance_matrix(),
-                            reference.performance_matrix(),
-                        )
-                    ),
-                }
-            )
-        scaling = {
-            "valid": True,
-            "runs": runs,
-            "speedup_at_max_jobs": serial_s / runs[-1]["seconds"],
-        }
-    else:
-        scaling = {
-            "valid": False,
-            "reason": (
-                f"machine has {cpus} cpu(s) (< 4); worker-init and "
-                "task-submission overhead metrics stand in for the "
-                "scaling curve"
-            ),
-        }
-
     return {
         "scale_factor": scale_factor,
         "worker_init": worker_init,
         "task_submission": task_submission,
         "warm_pool": warm_pool_section,
-        "scaling": scaling,
     }
 
 
@@ -435,44 +302,6 @@ def bench_kcca_fit(
             }
         )
     return results
-
-
-# ----------------------------------------------------------------------
-# Serving latency
-# ----------------------------------------------------------------------
-
-
-def bench_predict_latency(
-    n_train: int = 800,
-    batch_sizes: Sequence[int] = (1, 16, 128),
-    repeats: int = 50,
-    seed: int = 3,
-) -> dict:
-    """``predict`` wall-clock percentiles per batch size on a fitted model."""
-    features, performance = _synthetic_training_data(
-        n_train + max(batch_sizes), seed=seed
-    )
-    model = KCCAPredictor().fit(features[:n_train], performance[:n_train])
-    held_out = features[n_train:]
-    batches = []
-    for batch in batch_sizes:
-        queries = held_out[:batch]
-        model.predict(queries)  # warm caches outside the timed region
-        samples = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            model.predict(queries)
-            samples.append(time.perf_counter() - start)
-        p50, p95 = np.percentile(samples, [50, 95])
-        batches.append(
-            {
-                "batch": batch,
-                "p50_ms": float(p50) * 1e3,
-                "p95_ms": float(p95) * 1e3,
-                "p50_us_per_query": float(p50) / batch * 1e6,
-            }
-        )
-    return {"n_train": n_train, "repeats": repeats, "batches": batches}
 
 
 # ----------------------------------------------------------------------
@@ -716,86 +545,6 @@ def bench_workload_families(
     return {"n_queries": n_queries, "scale": scale, "workloads": rows}
 
 
-# ----------------------------------------------------------------------
-# Serving daemon: batch-size vs latency tradeoff
-# ----------------------------------------------------------------------
-
-
-def bench_serving(
-    n_requests: int = 120,
-    batch_sizes: Sequence[int] = (1, 8, 32),
-    n_train: int = 120,
-    scale: float = 0.05,
-    seed: int = 31,
-    max_workers: int = 16,
-) -> dict:
-    """Measure the serving daemon's micro-batching tradeoff.
-
-    One service is trained once; for each ``max_batch`` a fresh daemon
-    is started on an ephemeral port and the *same* seeded request
-    schedule (:func:`repro.serve.generate_load`) is replayed against it
-    unpaced through ``max_workers`` concurrent clients.  Reported per
-    batch size: p50/p99 request latency, how many kernel-cross batches
-    the requests collapsed into, and rejected/dropped counts (a healthy
-    drill drops nothing).  ``max_batch=1`` is the no-batching baseline.
-
-    The final row replays the same schedule with the degradation ladder
-    pinned at tier 2 ("lean": no plan lint, regression fallback floor)
-    so the report quantifies what stepping down buys in p99 relative to
-    the full-fidelity tier-0 rows.
-    """
-    from repro.api import QueryPerformancePredictor
-    from repro.serve import PredictionDaemon, ServeConfig, generate_load, run_load
-
-    service = QueryPerformancePredictor.train_on_workload(
-        n_queries=n_train, scale=scale, seed=seed
-    )
-    schedule = generate_load(n_requests, seed=seed)
-    rows = []
-
-    def drill(max_batch: int, force_tier: Optional[int]) -> dict:
-        config = ServeConfig(
-            max_batch=max_batch,
-            metrics=False,
-            degrade=force_tier is not None,
-            degrade_force_tier=force_tier,
-        )
-        daemon = PredictionDaemon(service=service, config=config)
-        address = daemon.start()
-        try:
-            report = run_load(address, schedule, max_workers=max_workers)
-            stats = daemon.batcher.stats()
-        finally:
-            daemon.stop()
-        batches = stats["batches"]
-        return {
-            "max_batch": max_batch,
-            "degraded": force_tier is not None,
-            "degrade_tier": force_tier if force_tier is not None else 0,
-            "requests": report.total,
-            "ok": report.ok,
-            "rejected": report.rejected,
-            "dropped": report.dropped,
-            "batches": batches,
-            "mean_batch_size": stats["mean_batch_size"],
-            "collapse_factor": (
-                round(report.total / batches, 3) if batches else None
-            ),
-            "p50_ms": report.percentile_ms(50),
-            "p99_ms": report.percentile_ms(99),
-        }
-
-    for max_batch in batch_sizes:
-        rows.append(drill(max_batch, force_tier=None))
-    rows.append(drill(max(batch_sizes), force_tier=2))
-    return {
-        "n_requests": n_requests,
-        "n_train": n_train,
-        "scale": scale,
-        "max_workers": max_workers,
-        "rows": rows,
-    }
-
 
 # ----------------------------------------------------------------------
 # Runtime sanitizer: tracked-lock overhead, off vs on
@@ -918,84 +667,170 @@ def bench_sanitizer_overhead(
 
 
 # ----------------------------------------------------------------------
-# Driver
+# Section table, driver and text report
 # ----------------------------------------------------------------------
+
+
+def _format_data_plane(section: dict) -> list[str]:
+    init = section["worker_init"]
+    tasks = section["task_submission"]
+    warm = section["warm_pool"]
+    return [
+        f"data plane (catalog scale {section['scale_factor']}):",
+        f"  worker init  rebuild {init['rebuild_ms']:8.2f}ms  "
+        f"attach {init['attach_ms']:8.2f}ms  {init['speedup']:6.1f}x "
+        f"(catalog {init['catalog_pickle_mb']:.1f}MB pickled, "
+        f"descriptor {init['descriptor_kb']:.1f}KB)",
+        f"  task overhead  single {tasks['per_query_us_single']:8.1f}"
+        f"us/query  chunked({tasks['chunk_size']}) "
+        f"{tasks['per_query_us_chunked']:8.1f}us/query  "
+        f"{tasks['overhead_ratio']:6.1f}x",
+        f"  warm pool  cold {warm['cold_build_s']:7.2f}s  "
+        f"warm {warm['warm_build_s']:7.2f}s  "
+        f"{warm['speedup']:6.2f}x  ({warm['n_queries']} queries)",
+    ]
+
+
+def _format_kcca_fit(rows: list[dict]) -> list[str]:
+    return ["KCCA fit (exact vs nystrom):"] + [
+        f"  N={row['n']:<5} rank={row['rank']:<4} "
+        f"exact {row['exact_seconds']:7.3f}s  "
+        f"nystrom {row['nystrom_seconds']:7.3f}s  "
+        f"{row['speedup']:6.1f}x  corr gap {row['correlation_gap']:.2e}"
+        for row in rows
+    ]
+
+
+def _format_observability(section: dict) -> list[str]:
+    off, on = section["disabled"], section["enabled"]
+    return [
+        f"observability overhead (batch={section['batch']}, predict):",
+        f"  disabled  p50 {off['p50_ms']:7.2f}ms  p95 {off['p95_ms']:7.2f}ms",
+        f"  enabled   p50 {on['p50_ms']:7.2f}ms  p95 {on['p95_ms']:7.2f}ms  "
+        f"(+{section['enabled_overhead_pct']:.1f}% p95)",
+    ]
+
+
+def _format_resilience(section: dict) -> list[str]:
+    off, on = section["disarmed"], section["armed_idle"]
+    return [
+        f"fault-site overhead ({section['n_queries']} queries, execute):",
+        f"  disarmed    p50 {off['p50_ms']:7.2f}ms  p95 {off['p95_ms']:7.2f}ms",
+        f"  armed idle  p50 {on['p50_ms']:7.2f}ms  p95 {on['p95_ms']:7.2f}ms  "
+        f"(+{section['armed_idle_overhead_pct']:.1f}% p95)",
+    ]
+
+
+def _format_static_analysis(section: dict) -> list[str]:
+    optimize, lint = section["optimize"], section["lint"]
+    return [
+        f"plan-lint overhead ({section['n_queries']} queries, optimize):",
+        f"  optimize  p50 {optimize['p50_ms']:7.2f}ms"
+        f"  p95 {optimize['p95_ms']:7.2f}ms",
+        f"  lint      p50 {lint['p50_us']:7.2f}us  p95 {lint['p95_us']:7.2f}us"
+        f"  ({section['lint_pct_of_optimize']:.2f}% of optimize)",
+    ]
+
+
+def _format_workloads(section: dict) -> list[str]:
+    lines = [
+        f"workload families ({section['n_queries']} queries, "
+        f"scale {section['scale']}, within-20% elapsed):"
+    ]
+    for row in section["workloads"]:
+        lines.append(
+            f"  {row['workload']:<12} overall "
+            f"{row['within_20pct_elapsed']:.2f}  "
+            f"({row['n_train']} train / {row['n_test']} test, "
+            f"{row['seconds']:.1f}s)"
+        )
+        lines.extend(
+            f"    {family:<14} n={stats['n']:<3} "
+            f"within-20% {stats['within_20pct_elapsed']:.2f}"
+            for family, stats in row["families"].items()
+        )
+    return lines
+
+
+def _format_sanitizer(section: dict) -> list[str]:
+    micro = section["lock_microbench"]
+    off, on = section["serving_off"], section["serving_on"]
+    return [
+        "concurrency sanitizer (tracked locks):",
+        f"  lock op  raw {micro['raw_ns_per_op']:7.1f}ns  "
+        f"disabled {micro['tracked_disabled_ns_per_op']:7.1f}ns  "
+        f"enabled {micro['tracked_enabled_ns_per_op']:7.1f}ns",
+        f"  serving  off p50 {off['p50_ms']:7.2f}ms p99 {off['p99_ms']:7.2f}ms"
+        f"   on p50 {on['p50_ms']:7.2f}ms p99 {on['p99_ms']:7.2f}ms "
+        f"({section['enabled_p99_overhead_pct']:+.1f}% p99)",
+        f"  disabled-mode p99 overhead estimate "
+        f"{section['disabled_p99_overhead_pct_estimate']:.4f}% "
+        f"({section['acquires_per_request']:.0f} acquires/request; "
+        f"budget {section['disabled_p99_budget_pct']:.0f}%)",
+    ]
+
+
+#: Every section, in run and report order, as ``(report key, function,
+#: keyword overrides of --quick, renderer of its block in format_report)``.
+#: ``data_plane`` is first: its worker-init comparison unpickles 27 MB,
+#: which reads artificially fast once the other sections have warmed
+#: the allocator.
+SECTIONS: tuple[tuple[str, Callable[..., object], dict, Callable], ...] = (
+    (
+        "data_plane", bench_data_plane,
+        dict(scale_factor=0.15, n_tasks=64, chunk_size=16, init_repeats=3,
+             n_queries=12),
+        _format_data_plane,
+    ),
+    (
+        "kcca_fit", bench_kcca_fit, dict(sizes=(120, 240), rank=64),
+        _format_kcca_fit,
+    ),
+    (
+        "observability", bench_observability_overhead,
+        dict(n_train=200, batch=16, repeats=10), _format_observability,
+    ),
+    (
+        "resilience", bench_fault_site_overhead,
+        dict(n_queries=8, scale_factor=0.05, repeats=3), _format_resilience,
+    ),
+    (
+        "static_analysis", bench_plan_lint_overhead,
+        dict(n_queries=8, scale_factor=0.05, repeats=3),
+        _format_static_analysis,
+    ),
+    (
+        "workloads", bench_workload_families,
+        dict(workloads=("tpcds", "oltp"), n_queries=32), _format_workloads,
+    ),
+    (
+        "sanitizer", bench_sanitizer_overhead,
+        dict(n_requests=40, n_train=60, max_workers=8, lock_ops=20_000),
+        _format_sanitizer,
+    ),
+)
 
 
 def run_benchmarks(
     quick: bool = False,
-    jobs: int = 4,
     label: str = "pr2",
     out: Optional[Path] = None,
 ) -> dict:
-    """Run every benchmark and (optionally) write the JSON report.
+    """Run every section of :data:`SECTIONS` and (optionally) write the
+    JSON report.
 
-    ``quick`` shrinks all three benchmarks to CI-smoke size (a couple of
-    seconds total); the full run is sized for a dev box and takes on the
-    order of a minute.
+    ``quick`` shrinks every section to CI-smoke size; the full run is
+    sized for a dev box and takes on the order of a minute.
     """
-    # data_plane runs first: its worker-init microbenchmark compares a
-    # 27 MB unpickle against a shared-memory attach, and the unpickle
-    # side reads artificially fast once the other sections have warmed
-    # the allocator.
-    if quick:
-        data_plane = bench_data_plane(
-            scale_factor=0.15, n_tasks=64, chunk_size=16,
-            init_repeats=3, n_queries=12,
-        )
-        corpus = bench_corpus_build(
-            n_queries=16, scale_factor=0.05, jobs_list=(1, jobs)
-        )
-        kcca = bench_kcca_fit(sizes=(120, 240), rank=64)
-        predict = bench_predict_latency(
-            n_train=200, batch_sizes=(1, 16), repeats=10
-        )
-        observability = bench_observability_overhead(
-            n_train=200, batch=16, repeats=10
-        )
-        resilience = bench_fault_site_overhead(
-            n_queries=8, scale_factor=0.05, repeats=3
-        )
-        static_analysis = bench_plan_lint_overhead(
-            n_queries=8, scale_factor=0.05, repeats=3
-        )
-        workload_families = bench_workload_families(
-            workloads=("tpcds", "oltp"), n_queries=32
-        )
-        serving = bench_serving(
-            n_requests=40, batch_sizes=(1, 8), n_train=60, max_workers=8
-        )
-        sanitizer = bench_sanitizer_overhead(
-            n_requests=40, n_train=60, max_workers=8, lock_ops=20_000
-        )
-    else:
-        data_plane = bench_data_plane()
-        corpus = bench_corpus_build(jobs_list=(1, jobs))
-        kcca = bench_kcca_fit()
-        predict = bench_predict_latency()
-        observability = bench_observability_overhead()
-        resilience = bench_fault_site_overhead()
-        static_analysis = bench_plan_lint_overhead()
-        workload_families = bench_workload_families()
-        serving = bench_serving()
-        sanitizer = bench_sanitizer_overhead()
     report = {
         "bench_schema_version": BENCH_SCHEMA_VERSION,
         "label": label,
         "quick": quick,
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "machine": machine_info(),
-        "corpus_build": corpus,
-        "data_plane": data_plane,
-        "kcca_fit": kcca,
-        "predict_latency": predict,
-        "observability": observability,
-        "resilience": resilience,
-        "static_analysis": static_analysis,
-        "workloads": workload_families,
-        "serving": serving,
-        "sanitizer": sanitizer,
     }
+    for name, run, quick_kwargs, _ in SECTIONS:
+        report[name] = run(**(quick_kwargs if quick else {}))
     if out is not None:
         Path(out).write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -1007,199 +842,8 @@ def format_report(report: dict) -> str:
         f"bench {report['label']}  "
         f"({report['machine']['cpus']} cpu, numpy {report['machine']['numpy']}"
         f"{', quick' if report['quick'] else ''})",
-        "",
-        "corpus build "
-        f"({report['corpus_build']['n_queries']} queries, "
-        f"scale {report['corpus_build']['scale_factor']}):",
     ]
-    for run in report["corpus_build"]["runs"]:
-        identical = run["identical_to_serial"]
-        note = "" if identical is None else (
-            "  bitwise-identical" if identical else "  MISMATCH"
-        )
-        effective = run.get("effective_jobs", run["jobs"])
-        if run.get("oversubscribed"):
-            note += (
-                f"  (requested {run['jobs']}, clamped to {effective} cpu)"
-            )
-        lines.append(
-            f"  jobs={effective:<3} {run['seconds']:8.2f}s  "
-            f"{run['queries_per_second']:7.1f} q/s{note}"
-        )
-    if report["corpus_build"].get("scaling_valid", True):
-        lines.append(
-            f"  speedup at max jobs: "
-            f"{report['corpus_build']['speedup_at_max_jobs']:.2f}x"
-        )
-    else:
-        lines.append(
-            "  scaling not measurable on this machine "
-            f"({report['corpus_build'].get('scaling_invalid_reason', '')})"
-        )
-    data_plane = report.get("data_plane")
-    if data_plane is not None:
+    for name, _, _, render in SECTIONS:
         lines.append("")
-        lines.append(
-            f"data plane (catalog scale {data_plane['scale_factor']}):"
-        )
-        init = data_plane["worker_init"]
-        lines.append(
-            f"  worker init  rebuild {init['rebuild_ms']:8.2f}ms  "
-            f"attach {init['attach_ms']:8.2f}ms  "
-            f"{init['speedup']:6.1f}x "
-            f"(catalog {init['catalog_pickle_mb']:.1f}MB pickled, "
-            f"descriptor {init['descriptor_kb']:.1f}KB)"
-        )
-        tasks = data_plane["task_submission"]
-        lines.append(
-            f"  task overhead  single {tasks['per_query_us_single']:8.1f}"
-            f"us/query  chunked({tasks['chunk_size']}) "
-            f"{tasks['per_query_us_chunked']:8.1f}us/query  "
-            f"{tasks['overhead_ratio']:6.1f}x"
-        )
-        warm = data_plane["warm_pool"]
-        lines.append(
-            f"  warm pool  cold {warm['cold_build_s']:7.2f}s  "
-            f"warm {warm['warm_build_s']:7.2f}s  "
-            f"{warm['speedup']:6.2f}x  ({warm['n_queries']} queries)"
-        )
-        scaling = data_plane["scaling"]
-        if scaling["valid"]:
-            lines.append(
-                f"  scaling  speedup at max jobs "
-                f"{scaling['speedup_at_max_jobs']:.2f}x"
-            )
-        else:
-            lines.append(f"  scaling  not measured: {scaling['reason']}")
-    lines.append("")
-    lines.append("KCCA fit (exact vs nystrom):")
-    for row in report["kcca_fit"]:
-        lines.append(
-            f"  N={row['n']:<5} rank={row['rank']:<4} "
-            f"exact {row['exact_seconds']:7.3f}s  "
-            f"nystrom {row['nystrom_seconds']:7.3f}s  "
-            f"{row['speedup']:6.1f}x  corr gap {row['correlation_gap']:.2e}"
-        )
-    lines.append("")
-    predict = report["predict_latency"]
-    lines.append(f"predict latency (n_train={predict['n_train']}):")
-    for row in predict["batches"]:
-        lines.append(
-            f"  batch={row['batch']:<4} p50 {row['p50_ms']:7.2f}ms  "
-            f"p95 {row['p95_ms']:7.2f}ms  "
-            f"{row['p50_us_per_query']:8.1f}us/query"
-        )
-    observability = report.get("observability")
-    if observability is not None:
-        lines.append("")
-        lines.append(
-            f"observability overhead "
-            f"(batch={observability['batch']}, predict):"
-        )
-        lines.append(
-            f"  disabled  p50 {observability['disabled']['p50_ms']:7.2f}ms  "
-            f"p95 {observability['disabled']['p95_ms']:7.2f}ms"
-        )
-        lines.append(
-            f"  enabled   p50 {observability['enabled']['p50_ms']:7.2f}ms  "
-            f"p95 {observability['enabled']['p95_ms']:7.2f}ms  "
-            f"(+{observability['enabled_overhead_pct']:.1f}% p95)"
-        )
-    resilience = report.get("resilience")
-    if resilience is not None:
-        lines.append("")
-        lines.append(
-            f"fault-site overhead "
-            f"({resilience['n_queries']} queries, execute):"
-        )
-        lines.append(
-            f"  disarmed    p50 {resilience['disarmed']['p50_ms']:7.2f}ms  "
-            f"p95 {resilience['disarmed']['p95_ms']:7.2f}ms"
-        )
-        lines.append(
-            f"  armed idle  p50 {resilience['armed_idle']['p50_ms']:7.2f}ms  "
-            f"p95 {resilience['armed_idle']['p95_ms']:7.2f}ms  "
-            f"(+{resilience['armed_idle_overhead_pct']:.1f}% p95)"
-        )
-    static_analysis = report.get("static_analysis")
-    if static_analysis is not None:
-        lines.append("")
-        lines.append(
-            f"plan-lint overhead "
-            f"({static_analysis['n_queries']} queries, optimize):"
-        )
-        lines.append(
-            f"  optimize  p50 {static_analysis['optimize']['p50_ms']:7.2f}ms"
-            f"  p95 {static_analysis['optimize']['p95_ms']:7.2f}ms"
-        )
-        lines.append(
-            f"  lint      p50 {static_analysis['lint']['p50_us']:7.2f}us"
-            f"  p95 {static_analysis['lint']['p95_us']:7.2f}us  "
-            f"({static_analysis['lint_pct_of_optimize']:.2f}% of optimize)"
-        )
-    workloads = report.get("workloads")
-    if workloads is not None:
-        lines.append("")
-        lines.append(
-            f"workload families "
-            f"({workloads['n_queries']} queries, scale {workloads['scale']}, "
-            f"within-20% elapsed):"
-        )
-        for row in workloads["workloads"]:
-            lines.append(
-                f"  {row['workload']:<12} overall "
-                f"{row['within_20pct_elapsed']:.2f}  "
-                f"({row['n_train']} train / {row['n_test']} test, "
-                f"{row['seconds']:.1f}s)"
-            )
-            for family, stats in row["families"].items():
-                lines.append(
-                    f"    {family:<14} n={stats['n']:<3} "
-                    f"within-20% {stats['within_20pct_elapsed']:.2f}"
-                )
-    serving = report.get("serving")
-    if serving is not None:
-        lines.append("")
-        lines.append(
-            f"serving daemon ({serving['n_requests']} requests, "
-            f"{serving['max_workers']} concurrent clients, seeded load):"
-        )
-        for row in serving["rows"]:
-            collapse = row["collapse_factor"]
-            tier = (
-                f" [degraded tier {row['degrade_tier']}]"
-                if row.get("degraded")
-                else ""
-            )
-            lines.append(
-                f"  max_batch={row['max_batch']:<4} "
-                f"p50 {row['p50_ms']:7.2f}ms  p99 {row['p99_ms']:7.2f}ms  "
-                f"{row['requests']} req -> {row['batches']} batches "
-                f"({collapse if collapse is not None else '?'}x collapse, "
-                f"{row['rejected']} rejected, {row['dropped']} dropped)"
-                f"{tier}"
-            )
-    sanitizer = report.get("sanitizer")
-    if sanitizer is not None:
-        micro = sanitizer["lock_microbench"]
-        lines.append("")
-        lines.append("concurrency sanitizer (tracked locks):")
-        lines.append(
-            f"  lock op  raw {micro['raw_ns_per_op']:7.1f}ns  "
-            f"disabled {micro['tracked_disabled_ns_per_op']:7.1f}ns  "
-            f"enabled {micro['tracked_enabled_ns_per_op']:7.1f}ns"
-        )
-        lines.append(
-            f"  serving  off p50 {sanitizer['serving_off']['p50_ms']:7.2f}ms "
-            f"p99 {sanitizer['serving_off']['p99_ms']:7.2f}ms   "
-            f"on p50 {sanitizer['serving_on']['p50_ms']:7.2f}ms "
-            f"p99 {sanitizer['serving_on']['p99_ms']:7.2f}ms "
-            f"({sanitizer['enabled_p99_overhead_pct']:+.1f}% p99)"
-        )
-        lines.append(
-            f"  disabled-mode p99 overhead estimate "
-            f"{sanitizer['disabled_p99_overhead_pct_estimate']:.4f}% "
-            f"({sanitizer['acquires_per_request']:.0f} acquires/request; "
-            f"budget {sanitizer['disabled_p99_budget_pct']:.0f}%)"
-        )
+        lines.extend(render(report[name]))
     return "\n".join(lines)

@@ -77,7 +77,6 @@ from repro.storage.catalog import Catalog
 from repro.storage.shared import (
     AttachedCatalog,
     CatalogDescriptor,
-    SharedCatalog,
     attach_catalog,
     share_catalog,
 )
@@ -223,20 +222,18 @@ def _execute_instance(
 class _WorkerContext:
     """Everything a worker needs to execute corpus queries.
 
-    Exactly one of ``descriptor`` (shared-memory data plane: the worker
-    *attaches* zero-copy table views) and ``catalog`` (legacy pickle
-    path: the worker rebuilds the tables from the pickled catalog) is
-    set.  The ``token`` identifies the prepared worker state — a worker
-    that already holds this token skips re-initialisation entirely,
-    which is what makes the warm pool cheap across repeated builds.
+    The worker *attaches* zero-copy table views of the published data
+    plane through ``descriptor``.  The ``token`` identifies the prepared
+    worker state — a worker that already holds this token skips
+    re-initialisation entirely, which is what makes the warm pool cheap
+    across repeated builds.
     """
 
     token: str
     config: SystemConfig
     noise_seed: int
     trace: bool
-    descriptor: Optional[CatalogDescriptor] = None
-    catalog: Optional[Catalog] = None
+    descriptor: CatalogDescriptor
     plan: Optional[FaultPlan] = None
     retry: Optional[RetryPolicy] = None
 
@@ -248,13 +245,12 @@ def _make_context(
     config: SystemConfig,
     noise_seed: int,
     trace: bool,
-    descriptor: Optional[CatalogDescriptor],
-    catalog: Optional[Catalog],
+    descriptor: CatalogDescriptor,
     plan: Optional[FaultPlan],
     retry: Optional[RetryPolicy],
     warm: bool,
 ) -> _WorkerContext:
-    if warm and descriptor is not None and plan is None and retry is None:
+    if warm and plan is None and retry is None:
         # Deterministic token: a warm worker that already prepared this
         # exact (plane, config, seed, trace) state reuses it wholesale.
         # Plane names are never reused, so tokens cannot collide across
@@ -273,15 +269,14 @@ def _make_context(
         noise_seed=noise_seed,
         trace=trace,
         descriptor=descriptor,
-        catalog=catalog,
         plan=plan,
         retry=retry,
     )
 
 
-#: Per-worker state: optimizer + executor over the attached (or rebuilt)
-#: catalog, keyed by the context token that produced it.  Single slot —
-#: applying a new context tears down the previous attachment first.
+#: Per-worker state: optimizer + executor over the attached catalog,
+#: keyed by the context token that produced it.  Single slot — applying
+#: a new context tears down the previous attachment first.
 _WORKER: dict = {}
 
 
@@ -304,15 +299,10 @@ def _apply_context(context: _WorkerContext) -> None:
         # before the attach below so plans can target ``artifact.read``.
         context.plan.reset_counters()
         _arm_faults(context.plan)
-    if context.descriptor is not None:
-        attached = attach_catalog(context.descriptor)
-        catalog = attached.catalog
-        _WORKER["attached"] = attached
-    else:
-        assert context.catalog is not None
-        catalog = context.catalog
-    _WORKER["optimizer"] = Optimizer(catalog, context.config)
-    _WORKER["executor"] = Executor(catalog, context.config)
+    attached = attach_catalog(context.descriptor)
+    _WORKER["attached"] = attached
+    _WORKER["optimizer"] = Optimizer(attached.catalog, context.config)
+    _WORKER["executor"] = Executor(attached.catalog, context.config)
     _WORKER["config_name"] = context.config.name
     _WORKER["noise_seed"] = context.noise_seed
     _WORKER["retry"] = context.retry
@@ -460,9 +450,8 @@ def _payload_to_record(query_id: str, payload: dict) -> ExecutedQuery:
 
 
 #: Valid ``data_plane`` arguments: the shared-memory plane (with mmap
-#: spill fallback), a forced backend, or the legacy pickle-the-catalog
-#: worker init.
-DATA_PLANES = ("auto", "shm", "mmap", "pickle")
+#: spill fallback) or a forced backend.
+DATA_PLANES = ("auto", "shm", "mmap")
 
 
 def build_corpus(
@@ -496,9 +485,7 @@ def build_corpus(
             on uniform pools, lower it when runtimes are heavily skewed.
         data_plane: how workers get the catalog — ``"auto"`` publishes
             the tables once to shared memory (``"shm"``) falling back to
-            a memory-mapped spill file (``"mmap"``); ``"pickle"`` ships
-            the whole catalog to every worker (the pre-data-plane
-            behaviour, kept for comparison benchmarks).
+            a memory-mapped spill file (``"mmap"``).
 
     None of these knobs changes the corpus bytes: a retried, resumed,
     chunked or fanned-out build — on any data plane — is bitwise
@@ -617,23 +604,11 @@ def _build_parallel(
     pool_attempts = retry.max_attempts if retry is not None else 1
 
     facility = warm_pool()
-    warm = (
-        facility is not None
-        and plan is None
-        and retry is None
-        and data_plane != "pickle"
-    )
-    shared: Optional[SharedCatalog] = None
-    descriptor: Optional[CatalogDescriptor] = None
-    catalog_arg: Optional[Catalog] = None
-    if data_plane == "pickle":
-        catalog_arg = catalog
-    elif warm and facility is not None:
+    warm = facility is not None and plan is None and retry is None
+    if warm and facility is not None:
         shared = facility.shared_catalog(catalog, backend=data_plane)
-        descriptor = shared.descriptor
     else:
         shared = share_catalog(catalog, backend=data_plane)
-        descriptor = shared.descriptor
     try:
         attempt = 0
         while True:
@@ -650,7 +625,7 @@ def _build_parallel(
                 # forever.
                 worker_plan = plan.without_modes(("exit",))
             context = _make_context(
-                config, noise_seed, traced, descriptor, catalog_arg,
+                config, noise_seed, traced, shared.descriptor,
                 worker_plan, retry, warm,
             )
             try:
@@ -692,7 +667,7 @@ def _build_parallel(
         # Warm-pool planes stay published for the next build; one-shot
         # planes are unlinked here even when the build fails, so a
         # crashed (or faulted) build never leaks /dev/shm segments.
-        if shared is not None and not warm:
+        if not warm:
             shared.close()
     return [results[q.query_id] for q in pool]
 

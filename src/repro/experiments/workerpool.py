@@ -26,10 +26,9 @@ Enable it around a batch of builds::
 
 or imperatively via :func:`enable_warm_pool` /
 :func:`shutdown_warm_pool` (mirrored on the :mod:`repro.api` façade as
-``set_warm_pool`` / ``shutdown_warm_pool``).  Builds
-that arm fault plans, carry retry policies or use the ``pickle`` data
-plane bypass the warm pool automatically — their worker state is
-build-specific and must not leak into later builds.
+``set_warm_pool`` / ``shutdown_warm_pool``).  Builds that arm fault
+plans or carry retry policies bypass the warm pool automatically — their
+worker state is build-specific and must not leak into later builds.
 """
 
 from __future__ import annotations

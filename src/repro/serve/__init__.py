@@ -20,7 +20,7 @@ This package is the only place in the codebase allowed to import
 """
 
 from repro.serve.admission import AdmissionController, AdmissionDecision, TokenBucket
-from repro.serve.batcher import MicroBatcher, QueueFullError
+from repro.serve.batcher import BatchTooLargeError, MicroBatcher, QueueFullError
 from repro.serve.client import ServeClient
 from repro.serve.config import ServeConfig
 from repro.serve.daemon import PredictionDaemon, forecast_payload
@@ -34,6 +34,7 @@ __all__ = [
     "TokenBucket",
     "MicroBatcher",
     "QueueFullError",
+    "BatchTooLargeError",
     "ServeClient",
     "ServeConfig",
     "PredictionDaemon",

@@ -37,11 +37,21 @@ from repro.errors import (
 )
 from repro.resilience.deadline import Deadline, deadline_scope
 
-__all__ = ["PendingRequest", "MicroBatcher", "QueueFullError"]
+__all__ = [
+    "PendingRequest",
+    "MicroBatcher",
+    "QueueFullError",
+    "BatchTooLargeError",
+]
 
 
 class QueueFullError(ServeError):
     """The batcher's submission queue is at capacity (shed with 503)."""
+
+
+class BatchTooLargeError(ServeError):
+    """One submission carries more statements than the queue can ever
+    hold: retrying cannot help, so it is the sender's error (400)."""
 
 
 class PendingRequest:
@@ -141,9 +151,15 @@ class MicroBatcher:
         """Queue ``sqls`` for the next batch; returns the pending handle.
 
         Raises:
+            BatchTooLargeError: ``sqls`` alone exceeds ``max_queue``.
             QueueFullError: the queue is at ``max_queue`` statements.
             ServeError: the batcher is stopping.
         """
+        if len(sqls) > self.max_queue:
+            raise BatchTooLargeError(
+                f"batch of {len(sqls)} statements exceeds the serve queue "
+                f"cap of {self.max_queue}; split it"
+            )
         pending = PendingRequest(sqls, client, deadline=deadline)
         pending.submitted_at = self._clock()
         with self._cond:

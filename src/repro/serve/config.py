@@ -29,12 +29,9 @@ class ServeConfig:
             this many queued statements into one batch.  Batches form
             from whatever queued while the previous one was predicting;
             nothing is ever held back on a timer.
-        max_queue: bound on queued (not yet batched) requests; further
-            submissions are shed with 503 + retry hints.
-        request_timeout_s: how long a handler waits for its batch result
-            before answering 503.
-        drain_timeout_s: how long shutdown waits for in-flight requests
-            to finish after the queue has drained.
+        max_queue: bound on queued (not yet batched) statements; further
+            submissions are shed with 503 + retry hints, and one batch
+            larger than the bound is refused with 400.
         quota_rate: per-client admission budget refill, in *predicted
             seconds of query work per wall second*; None disables
             quotas.  The paper's use case: the predictions themselves
@@ -48,7 +45,6 @@ class ServeConfig:
         retry_after_s: baseline retry hint attached to shed responses.
         breaker_failures: consecutive batch-path failures that open the
             daemon's serving breaker.
-        breaker_reset_s: open time before the serving breaker half-opens.
         slo_p99_ms: target p99 request latency for the ``/admin/status``
             SLO section; None reports percentiles without a verdict.
         metrics: enable the process metrics registry on start so
@@ -64,50 +60,39 @@ class ServeConfig:
             stale cached predictions) and steps back up hysteretically.
         degrade_queue_depth: queued statements above which the ladder
             counts the daemon as under pressure.
-        degrade_p99_factor: pressure also when observed p99 exceeds
-            ``slo_p99_ms`` times this factor (needs ``slo_p99_ms``).
         degrade_down_after_s: pressure must be sustained this long
             before the ladder steps down one tier.
         degrade_up_after_s: calm must be sustained this long before the
             ladder steps back up one tier (hysteresis: recovering is
             deliberately slower than degrading).
-        degrade_force_tier: pin the ladder to one tier (testing and the
-            bench's degraded-mode measurement); None runs it freely.
-        stale_cache_size: bound on the tier-3 stale-prediction cache
-            (entries); 0 disables stale serving even at tier 3.
+        degrade_force_tier: pin the ladder to one tier (testing); None
+            runs it freely.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     max_batch: int = 32
     max_queue: int = 512
-    request_timeout_s: float = 30.0
-    drain_timeout_s: float = 10.0
     quota_rate: Optional[float] = None
     quota_burst: Optional[float] = None
     heavy_seconds: Optional[float] = None
     shed_inflight: int = 32
     retry_after_s: float = 1.0
     breaker_failures: int = 5
-    breaker_reset_s: float = 30.0
     slo_p99_ms: Optional[float] = None
     metrics: bool = True
     default_deadline_ms: Optional[float] = None
     degrade: bool = False
     degrade_queue_depth: int = 64
-    degrade_p99_factor: float = 1.5
     degrade_down_after_s: float = 0.25
     degrade_up_after_s: float = 1.0
     degrade_force_tier: Optional[int] = None
-    stale_cache_size: int = 256
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ServeError("max_batch must be >= 1")
         if self.max_queue < 1:
             raise ServeError("max_queue must be >= 1")
-        if self.request_timeout_s <= 0:
-            raise ServeError("request_timeout_s must be positive")
         if self.quota_rate is not None and self.quota_rate <= 0:
             raise ServeError("quota_rate must be positive when set")
         if self.heavy_seconds is not None and self.heavy_seconds <= 0:
@@ -122,8 +107,6 @@ class ServeConfig:
             raise ServeError("degrade_queue_depth must be >= 1")
         if self.degrade_down_after_s < 0 or self.degrade_up_after_s < 0:
             raise ServeError("degrade hysteresis windows must be non-negative")
-        if self.stale_cache_size < 0:
-            raise ServeError("stale_cache_size must be non-negative")
 
     @property
     def effective_quota_burst(self) -> Optional[float]:

@@ -39,6 +39,7 @@ See docs/SERVING.md for the operational guide.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 import time
@@ -62,11 +63,18 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import fault_site
 from repro.serve.admission import AdmissionController
-from repro.serve.batcher import MicroBatcher, QueueFullError
+from repro.serve.batcher import BatchTooLargeError, MicroBatcher, QueueFullError
 from repro.serve.config import ServeConfig
 from repro.serve.degrade import DegradeController, StalePredictionCache
 
 __all__ = ["PredictionDaemon", "forecast_payload"]
+
+#: How long a handler waits for its batch result before answering 503.
+_REQUEST_TIMEOUT_S = 30.0
+#: How long shutdown waits for the queue, then for in-flight requests.
+_DRAIN_TIMEOUT_S = 10.0
+#: Open time before the serving breaker half-opens.
+_BREAKER_RESET_S = 30.0
 
 
 def forecast_payload(forecast) -> dict:
@@ -222,9 +230,9 @@ class PredictionDaemon:
         self.config = config or ServeConfig()
         self._clock = clock
         self._artifact_path = Path(artifact) if artifact is not None else None
-        self._generation = 0
         if service is not None:
-            self._runtime = _Runtime(service, self._memory_version())
+            # An in-memory service has no artifact digest to be named by.
+            self._runtime = _Runtime(service, "mem-1")
         else:
             self._runtime = self._load_runtime(self._artifact_path)
         self._reload_lock = make_lock("serve.daemon.reload")
@@ -249,7 +257,7 @@ class PredictionDaemon:
         self.breaker = CircuitBreaker(
             name="serve_batch",
             failure_threshold=self.config.breaker_failures,
-            reset_timeout=self.config.breaker_reset_s,
+            reset_timeout=_BREAKER_RESET_S,
             clock=clock,
         )
         self.admission = AdmissionController(
@@ -271,22 +279,17 @@ class PredictionDaemon:
             self.degrade = DegradeController(
                 queue_depth=self.config.degrade_queue_depth,
                 slo_p99_ms=self.config.slo_p99_ms,
-                p99_factor=self.config.degrade_p99_factor,
                 down_after_s=self.config.degrade_down_after_s,
                 up_after_s=self.config.degrade_up_after_s,
                 force_tier=self.config.degrade_force_tier,
                 clock=clock,
             )
-        self.stale_cache = StalePredictionCache(self.config.stale_cache_size)
+        self.stale_cache = StalePredictionCache()
         self._server: Optional[_Server] = None
         self._server_thread: Optional[threading.Thread] = None
         self._previous_sighup = None
 
     # -- model runtime ---------------------------------------------------
-
-    def _memory_version(self) -> str:
-        self._generation += 1
-        return f"mem-{self._generation}"
 
     def _load_runtime(self, path: Path) -> _Runtime:
         from repro.api import resolve_artifact
@@ -321,16 +324,6 @@ class PredictionDaemon:
             ).inc()
             return runtime.version
 
-    def swap_service(self, service, version: Optional[str] = None) -> str:
-        """Swap an in-memory service (test/embedding hook); returns its
-        version label."""
-        with self._reload_lock:
-            runtime = _Runtime(service, version or self._memory_version())
-            note_access("serve.daemon.runtime_swap")
-            self._runtime = runtime
-            self.reloads += 1
-            return runtime.version
-
     def _predict_batch(self, sqls: list[str]) -> list:
         """One micro-batch → one ``forecast_many`` call (one kernel
         cross), tagged with the runtime version that served it.
@@ -357,7 +350,7 @@ class PredictionDaemon:
             if chain is not None:
                 chain.set_floor(None)
         results = [(forecast, runtime.version) for forecast in forecasts]
-        if self.degrade is not None and self.stale_cache.max_entries > 0:
+        if self.degrade is not None:
             for sql, result in zip(sqls, results):
                 self.stale_cache.put(sql, result)
         return results
@@ -480,12 +473,21 @@ class PredictionDaemon:
                     503,
                     "breaker_open",
                     retry_after_s=max(
-                        self.config.retry_after_s, self.config.breaker_reset_s
+                        self.config.retry_after_s, _BREAKER_RESET_S
                     ),
                     breaker=self.breaker.status(),
                 )
             try:
                 pending = self.batcher.submit(sqls, client, deadline=deadline)
+            except BatchTooLargeError as error:
+                # No retry can fit it: the sender's error, so no retry
+                # hint and no breaker failure.
+                raise _Response(
+                    400,
+                    "batch_too_large",
+                    detail=str(error),
+                    max_queue=self.config.max_queue,
+                ) from error
             except QueueFullError as error:
                 raise _Response(
                     503,
@@ -497,7 +499,7 @@ class PredictionDaemon:
                 raise _Response(
                     503, "shutting_down", retry_after_s=self.config.retry_after_s
                 ) from error
-            timeout_s = self.config.request_timeout_s
+            timeout_s = _REQUEST_TIMEOUT_S
             if deadline is not None and deadline.budget_s is not None:
                 # No point waiting past the caller's own budget; the
                 # margin lets the batcher's own expiry land first.
@@ -773,8 +775,8 @@ class PredictionDaemon:
         if self._server is None:
             return
         self._stopping = True
-        self.batcher.stop(drain=drain, timeout_s=self.config.drain_timeout_s)
-        deadline = self._clock() + self.config.drain_timeout_s
+        self.batcher.stop(drain=drain, timeout_s=_DRAIN_TIMEOUT_S)
+        deadline = self._clock() + _DRAIN_TIMEOUT_S
         while self._clock() < deadline:
             with self._state_lock:
                 note_access("serve.daemon.state")
@@ -868,6 +870,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError("'deadline_ms' must be a number")
+        try:
+            # json.loads accepts NaN and Infinity; neither is a budget,
+            # and either would be echoed back as invalid JSON.
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
+            raise ValueError("'deadline_ms' must be finite")
         if value <= 0:
             raise ValueError("'deadline_ms' must be positive")
         return float(value)
@@ -950,6 +960,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 )
             elif self.path == "/admin/reload":
                 artifact = body.get("artifact")
+                if artifact is not None and not isinstance(artifact, str):
+                    self._send_json(
+                        400,
+                        {
+                            "error": "bad_request",
+                            "detail": "'artifact' must be a path string",
+                        },
+                    )
+                    return
                 try:
                     version = daemon.reload(artifact)
                 except ReproError as error:

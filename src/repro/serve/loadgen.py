@@ -1,15 +1,11 @@
 """Deterministic load generation for the serving daemon.
 
 Builds seeded request schedules — Poisson arrivals over SQL sampled
-from a workload spec — and replays them against a daemon either through
-a :class:`~repro.serve.client.ServeClient` or a plain address.  Two
-replay modes:
-
-* ``pace=False`` (default): fire every request as fast as the worker
-  pool allows.  No wall-clock sleeps anywhere, so tests stay fast and
-  deterministic; the arrival offsets still order the requests.
-* ``pace=True``: honour the schedule's inter-arrival gaps in real time
-  (bench mode, for latency-vs-load curves).
+from a workload spec — and replays them against a daemon as fast as the
+worker pool allows.  No wall-clock sleeps anywhere, so tests stay fast
+and deterministic; the arrival offsets only order the requests (the
+gate's open-loop generator, ``bench/loadgen.py``, is the one that keeps
+a rate and times from the due instant).
 
 The schedule itself is a pure function of ``(seed, workload, n)`` via
 ``repro.rng.child_generator``, so the same drill replays bitwise the
@@ -148,7 +144,6 @@ def generate_load(
 def run_load(
     address: tuple[str, int],
     schedule: Sequence[LoadRequest],
-    pace: bool = False,
     max_workers: int = 8,
     timeout_s: float = 30.0,
     deadline_ms: Optional[float] = None,
@@ -165,7 +160,6 @@ def run_load(
     Args:
         address: daemon (or supervisor) host/port.
         schedule: the seeded request schedule.
-        pace: honour inter-arrival gaps in real time.
         max_workers: concurrent replay threads.
         timeout_s: per-request client timeout.
         deadline_ms: attach this end-to-end budget to every request.
@@ -178,24 +172,12 @@ def run_load(
     host, port = address
     report = LoadReport()
     lock = make_lock("serve.loadgen.report")
-    if pace:
-        base = time.monotonic()
-        with ThreadPoolExecutor(max_workers=max_workers) as executor:
-            for request in schedule:
-                delay = request.offset_s - (time.monotonic() - base)
-                if delay > 0:
-                    time.sleep(delay)
-                executor.submit(
-                    _replay_one, host, port, timeout_s, request, report, lock,
-                    deadline_ms, retry_unavailable, retry_backoff_s,
-                )
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as executor:
-            for request in schedule:
-                executor.submit(
-                    _replay_one, host, port, timeout_s, request, report, lock,
-                    deadline_ms, retry_unavailable, retry_backoff_s,
-                )
+    with ThreadPoolExecutor(max_workers=max_workers) as executor:
+        for request in schedule:
+            executor.submit(
+                _replay_one, host, port, timeout_s, request, report, lock,
+                deadline_ms, retry_unavailable, retry_backoff_s,
+            )
     return report
 
 

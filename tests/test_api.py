@@ -1,5 +1,8 @@
 """Public API integration tests (QueryPerformancePredictor)."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.api import Forecast, QueryPerformancePredictor
@@ -86,3 +89,17 @@ class TestTwoStepService:
         service.fit_pool(generate_pool(60, seed=6, problem_fraction=0.2))
         metrics = service.predict(EXAMPLE_SQL)
         assert metrics.elapsed_time > 0
+
+
+EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "examples").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
+def test_example_imports_resolve(path):
+    """Nothing else imports ``examples/``, so a name removed from the
+    package would break them silently.  Importing runs no work: every
+    example does its work in ``main()`` under a ``__main__`` guard."""
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

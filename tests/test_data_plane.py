@@ -4,7 +4,7 @@ Covers the PR-7 invariants:
 
 * ``share_catalog``/``attach_catalog`` round-trip columns and statistics
   bit-for-bit on both backends (shm and mmap spill);
-* chunked, mmap, pickle and warm-pool parallel builds are all bitwise
+* chunked, mmap and warm-pool parallel builds are all bitwise
   identical to the serial build;
 * kill -> resume through a checkpoint journal stays bitwise identical
   when the build is chunked;
@@ -128,9 +128,8 @@ class TestBuildIdentity:
             {"chunk_size": 3},
             {"chunk_size": 1},
             {"data_plane": "mmap"},
-            {"data_plane": "pickle"},
         ],
-        ids=["chunk3", "chunk1", "mmap", "pickle"],
+        ids=["chunk3", "chunk1", "mmap"],
     )
     def test_parallel_matches_serial(
         self, tpcds_catalog, config, pool, serial_corpus, kwargs

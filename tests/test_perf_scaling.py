@@ -27,7 +27,12 @@ from repro.core.kernels import (
 from repro.core.neighbors import nearest_neighbors
 from repro.core.predictor import KCCAPredictor
 from repro.errors import ModelError
-from repro.experiments.bench import run_benchmarks
+from repro.experiments.bench import (
+    BENCH_SCHEMA_VERSION,
+    SECTIONS,
+    format_report,
+    run_benchmarks,
+)
 from repro.experiments.corpus import (
     build_corpus,
     load_or_build_corpus,
@@ -249,22 +254,27 @@ class TestNumericRewrites:
 class TestBenchHarness:
     def test_quick_run_emits_valid_report(self, tmp_path):
         out = tmp_path / "bench.json"
-        report = run_benchmarks(quick=True, jobs=2, label="test", out=out)
+        report = run_benchmarks(quick=True, label="test", out=out)
         # The on-disk report is valid JSON and matches the return value.
         loaded = json.loads(out.read_text())
         assert loaded == json.loads(json.dumps(report))
         assert loaded["label"] == "test"
+        assert loaded["bench_schema_version"] == BENCH_SCHEMA_VERSION == 7
         assert loaded["machine"]["cpus"] >= 1
-        runs = loaded["corpus_build"]["runs"]
-        assert [run["jobs"] for run in runs] == [1, 2]
-        assert runs[1]["identical_to_serial"] is True
+        # One table wires both the driver and the text report: every
+        # registered section is in the report and prints its own block.
+        names = [name for name, *_ in SECTIONS]
+        assert list(loaded)[-len(names):] == names
+        blocks = format_report(report).split("\n\n")[1:]
+        assert len(blocks) == len(names)
+        for (name, _, _, render), block in zip(SECTIONS, blocks):
+            assert loaded[name], name
+            assert block and block == "\n".join(render(report[name])), name
         assert len(loaded["kcca_fit"]) == 2
         for row in loaded["kcca_fit"]:
             assert row["exact_seconds"] > 0
             assert row["nystrom_seconds"] > 0
             assert row["correlation_gap"] < 0.5
-        for batch in loaded["predict_latency"]["batches"]:
-            assert batch["p95_ms"] >= batch["p50_ms"] > 0
 
 
 # ----------------------------------------------------------------------

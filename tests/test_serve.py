@@ -18,6 +18,7 @@ headline guarantees:
 
 from __future__ import annotations
 
+import json
 import signal
 import socket
 import threading
@@ -43,6 +44,7 @@ from repro.errors import (
 from repro.resilience.faults import FaultPlan, armed
 from repro.serve import (
     AdmissionController,
+    BatchTooLargeError,
     MicroBatcher,
     PredictionDaemon,
     QueueFullError,
@@ -71,6 +73,32 @@ def start_daemon(service, **overrides) -> PredictionDaemon:
 def client_for(daemon: PredictionDaemon, client_id="test") -> ServeClient:
     host, port = daemon.address
     return ServeClient(host, port, timeout_s=30.0, client_id=client_id)
+
+
+def raw_post(daemon: PredictionDaemon, path: str, body: bytes):
+    """POST ``body`` byte for byte over a bare socket — what a client
+    that is not ours may send; returns (status, header block, body)."""
+    request = (
+        f"POST {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode("ascii") + body
+    with socket.create_connection(daemon.address, timeout=30.0) as sock:
+        sock.sendall(request)
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    head, _, payload = raw.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, head.decode("latin-1"), payload.decode("utf-8")
+
+
+def strict_json(text: str):
+    """Parse as a strict client would: NaN/Infinity are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 # ----------------------------------------------------------------------
@@ -125,6 +153,29 @@ class TestEndpoints:
                 "POST", "/v1/forecast_batch", {"sqls": []}
             )
             assert (status, payload["error"]) == (400, "bad_request")
+        finally:
+            daemon.stop()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_deadline_is_400(self, serve_service, literal):
+        # json.loads accepts all three; NaN even passes a "<= 0" check.
+        daemon = start_daemon(serve_service)
+        try:
+            for path, field in (
+                ("/v1/forecast", f'"sql": "{SQL_LIGHT}"'),
+                ("/v1/forecast_batch", f'"sqls": ["{SQL_LIGHT}"]'),
+            ):
+                body = f'{{{field}, "deadline_ms": {literal}}}'.encode()
+                status, _head, text = raw_post(daemon, path, body)
+                assert status == 400, text
+                payload = strict_json(text)
+                assert payload["error"] == "bad_request"
+                assert "deadline_ms" in payload["detail"]
+            # A real budget is served, and its echo is valid JSON.
+            body = f'{{"sql": "{SQL_LIGHT}", "deadline_ms": 30000}}'.encode()
+            status, _head, text = raw_post(daemon, "/v1/forecast", body)
+            assert status == 200, text
+            assert strict_json(text)["deadline"]["budget_ms"] == 30000.0
         finally:
             daemon.stop()
 
@@ -412,6 +463,31 @@ class TestAdmission:
         assert payload["weight_class"] == "bowling_ball"
         assert payload["predicted_seconds"] > predicted / 2.0
 
+    def test_batch_that_can_never_fit_is_400_not_a_retry_hint(
+        self, serve_service
+    ):
+        # 503 queue_full + Retry-After told the client to retry a batch
+        # that no retry could ever fit (the queue was empty).
+        daemon = start_daemon(serve_service, max_queue=4)
+        try:
+            status, payload = daemon.dispatch_forecast([SQL_LIGHT] * 6, "c")
+            assert (status, payload["error"]) == (400, "batch_too_large")
+            assert payload["max_queue"] == 4
+            assert "retry_after_s" not in payload
+            body = json.dumps({"sqls": [SQL_LIGHT] * 6}).encode()
+            status, head, text = raw_post(daemon, "/v1/forecast_batch", body)
+            assert (status, strict_json(text)["error"]) == (400, "batch_too_large")
+            assert "retry-after" not in head.lower()
+            snapshot = daemon.status()
+            assert snapshot["breaker"]["state"] == "closed"
+            assert snapshot["requests"]["rejected"] == 2
+            assert snapshot["requests"]["failed"] == 0
+            # A batch that fits the cap is served as before.
+            status, payload = daemon.dispatch_forecast([SQL_LIGHT] * 4, "c")
+            assert status == 200 and len(payload["forecasts"]) == 4
+        finally:
+            daemon.stop()
+
     def test_retry_after_header_on_rejection(self, serve_service):
         daemon = start_daemon(
             serve_service, quota_rate=0.001, quota_burst=0.001,
@@ -483,6 +559,9 @@ class TestBatcherUnits:
         batcher.submit(["b"])
         with pytest.raises(QueueFullError):
             batcher.submit(["c"])
+        # Can never fit, however empty the queue gets: a different error.
+        with pytest.raises(BatchTooLargeError):
+            batcher.submit(["c", "d", "e"])
 
     def test_submit_after_stop_is_refused(self):
         batcher = MicroBatcher(lambda sqls: sqls)
@@ -653,6 +732,16 @@ class TestHotReload:
             status, payload = client._request("POST", "/admin/reload", {})
             assert status == 409
             assert payload["error"] == "reload_failed"
+        finally:
+            daemon.stop()
+
+    def test_reload_with_non_string_artifact_is_400(self, serve_service):
+        daemon = start_daemon(serve_service)
+        try:
+            status, payload = client_for(daemon)._request(
+                "POST", "/admin/reload", {"artifact": 5}
+            )
+            assert (status, payload["error"]) == (400, "bad_request")
         finally:
             daemon.stop()
 
