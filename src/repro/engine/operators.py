@@ -41,6 +41,10 @@ __all__ = [
 #: Maximum elements evaluated at once by the chunked nested-loop join.
 _NL_CHUNK_ELEMENTS = 4_000_000
 
+#: Widest integer key range (max - min + 1) ranked through a lookup table
+#: whatever the row count; a range no wider than the rows is always ranked so.
+_TABLE_SPAN = 1 << 20
+
 
 @dataclass
 class Batch:
@@ -102,32 +106,78 @@ class Batch:
 # ----------------------------------------------------------------------
 
 
-def _codes_for_pair(
-    left: np.ndarray, right: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integer codes such that equal values share a code across both sides."""
-    if (
-        np.issubdtype(left.dtype, np.number)
-        and np.issubdtype(right.dtype, np.number)
-    ):
-        combined = np.concatenate([left.astype(np.float64), right.astype(np.float64)])
+def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Codes in ``[0, n_distinct)`` that follow the sorted order of ``values``.
+
+    Integer keys whose range fits a lookup table are ranked in linear
+    time: offset by the minimum, mark the values present, number the marks
+    in order.  Strings, floats and wider ranges go through ``np.unique``.
+    """
+    if values.dtype.kind == "b":
+        values = values.view(np.uint8)
+    if values.dtype.kind in "iu" and len(values):
+        low = values.min()
+        span = int(values.max()) - int(low) + 1
+        if span <= max(_TABLE_SPAN, len(values)):
+            wide = values if values.dtype.itemsize == 8 else values.astype(np.int64)
+            offsets = (wide - wide.dtype.type(low)).view(np.int64)
+            present = np.zeros(span, dtype=bool)
+            present[offsets] = True
+            marks = np.flatnonzero(present)
+            rank = np.empty(span, dtype=np.int64)
+            rank[marks] = np.arange(len(marks))
+            return rank[offsets], len(marks)
+    uniques, codes = np.unique(values, return_inverse=True)
+    return codes, len(uniques)
+
+
+def _pair_codes(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense codes over ``left`` then ``right``: integers compare as
+    integers, other numbers as ``float64``, anything else as text."""
+    if left.dtype.kind in "biu" and right.dtype.kind in "biu":
+        dtype = np.result_type(left, right)
+        if dtype.kind == "f":  # int64 with uint64: no integer type holds both
+            dtype = np.dtype(object)
+    elif left.dtype.kind in "iufc" and right.dtype.kind in "iufc":
+        dtype = np.dtype(np.float64)
     else:
-        combined = np.concatenate([left.astype(str), right.astype(str)])
-    _, inverse = np.unique(combined, return_inverse=True)
-    return inverse[: len(left)], inverse[len(left):]
+        dtype = np.dtype(str)
+    sides = [left.astype(dtype, copy=False), right.astype(dtype, copy=False)]
+    return _dense_codes(np.concatenate(sides))
 
 
-def _combine_codes(code_arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Combine per-column codes into a single composite code per row."""
-    result = code_arrays[0].astype(np.int64)
-    for codes in code_arrays[1:]:
-        radix = int(codes.max(initial=0)) + 1
-        result = result * radix + codes.astype(np.int64)
-    return result
+def _combine_codes(
+    columns: Sequence[tuple[np.ndarray, int]]
+) -> tuple[np.ndarray, int]:
+    """Fold per-column ``(codes, radix)`` pairs into one composite code per
+    row, ordered like the key tuples, and an exclusive bound on it.
+
+    The composite is made dense again whenever its bound outgrows the
+    lookup table, so the bound never passes ``max(_TABLE_SPAN, n_rows)``
+    on entry to a step and the product stays far inside ``int64``.
+    """
+    codes, bound = columns[0]
+    for more, radix in columns[1:]:
+        codes = codes * radix + more
+        bound *= radix
+        if bound > _TABLE_SPAN:
+            codes, bound = _dense_codes(codes)
+    return codes, bound
+
+
+def _first_rows(codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """Index of the first row that carries each code."""
+    first = np.full(n_codes, len(codes), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    return first
 
 
 def factorize_rows(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     """Factorise rows of a multi-column key into dense group codes.
+
+    Each column is ranked once (:func:`_dense_codes`); several columns are
+    folded into one composite code and that is ranked again, so a
+    single-column key is factorised exactly once.
 
     Returns:
         (codes, n_groups) where codes[i] is the group id of row i in
@@ -135,13 +185,10 @@ def factorize_rows(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     """
     if not arrays:
         raise ExecutionError("factorize_rows requires at least one key column")
-    per_column = []
-    for arr in arrays:
-        _, inverse = np.unique(arr, return_inverse=True)
-        per_column.append(inverse)
-    composite = _combine_codes(per_column)
-    uniques, codes = np.unique(composite, return_inverse=True)
-    return codes, len(uniques)
+    columns = [_dense_codes(np.asarray(arr)) for arr in arrays]
+    if len(columns) == 1:
+        return columns[0]
+    return _dense_codes(_combine_codes(columns)[0])
 
 
 # ----------------------------------------------------------------------
@@ -154,6 +201,10 @@ def join_match_counts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-left-row match bookkeeping for an equi join.
 
+    Both sides are coded together, the right (build) side is counted per
+    code and stably sorted by it; a left row reads its count and the start
+    of its run from those per-code tables.
+
     Returns:
         (counts, starts, order): ``order`` sorts the right side by key;
         for left row i the matching right rows are
@@ -161,18 +212,14 @@ def join_match_counts(
     """
     if len(left_keys) != len(right_keys) or not left_keys:
         raise ExecutionError("equi join requires matching, non-empty key lists")
-    left_codes_list, right_codes_list = [], []
-    for lk, rk in zip(left_keys, right_keys):
-        lc, rc = _codes_for_pair(np.asarray(lk), np.asarray(rk))
-        left_codes_list.append(lc)
-        right_codes_list.append(rc)
-    left_codes = _combine_codes(left_codes_list)
-    right_codes = _combine_codes(right_codes_list)
+    pairs = zip(map(np.asarray, left_keys), map(np.asarray, right_keys))
+    codes, bound = _combine_codes([_pair_codes(lk, rk) for lk, rk in pairs])
+    n_left = len(left_keys[0])
+    left_codes, right_codes = codes[:n_left], codes[n_left:]
     order = np.argsort(right_codes, kind="stable")
-    right_sorted = right_codes[order]
-    starts = np.searchsorted(right_sorted, left_codes, side="left")
-    ends = np.searchsorted(right_sorted, left_codes, side="right")
-    return (ends - starts).astype(np.int64), starts.astype(np.int64), order
+    per_code = np.bincount(right_codes, minlength=bound)
+    run_starts = np.cumsum(per_code) - per_code
+    return per_code[left_codes], run_starts[left_codes], order
 
 
 def equi_join_indices(
@@ -181,15 +228,10 @@ def equi_join_indices(
     """Row-index pairs produced by an inner equi join."""
     counts, starts, order = join_match_counts(left_keys, right_keys)
     total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
     left_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    cumulative = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        cumulative - counts, counts
-    )
-    right_pos = np.repeat(starts, counts) + offsets
+    # Output pair p of left row i reads order[starts[i] + (p - first pair of i)].
+    right_pos = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    right_pos += np.arange(total, dtype=np.int64)
     return left_idx, order[right_pos]
 
 
@@ -305,15 +347,10 @@ def _aggregate_column(
     codes: np.ndarray,
     n_groups: int,
     batch: Batch,
-    group_order: np.ndarray,
-    group_starts: np.ndarray,
+    layout: Optional[tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
-    """Compute one aggregate per group.
-
-    ``group_order`` sorts rows by group code and ``group_starts`` marks the
-    first row of each group within that ordering (used by the reduceat-based
-    min/max paths).
-    """
+    """Compute one aggregate per group; ``codes`` holds each row's group and
+    ``layout`` (min/max only) the rows in group order and each group's start."""
     func = spec.func.lower()
     if func == "count" and spec.expr is None and not spec.distinct:
         return np.bincount(codes, minlength=n_groups).astype(np.float64)
@@ -322,9 +359,10 @@ def _aggregate_column(
     values = batch.evaluate(spec.expr)
     if spec.distinct:
         # Count distinct (value, group) pairs per group.
-        pair_codes, _ = factorize_rows([codes, values])
-        _, unique_idx = np.unique(pair_codes, return_index=True)
-        return np.bincount(codes[unique_idx], minlength=n_groups).astype(np.float64)
+        pair_codes, n_pairs = factorize_rows([codes, values])
+        pair_group = np.empty(n_pairs, dtype=np.int64)
+        pair_group[pair_codes] = codes  # rows of one pair all write its group
+        return np.bincount(pair_group, minlength=n_groups).astype(np.float64)
     if func == "count":
         return np.bincount(codes, minlength=n_groups).astype(np.float64)
     numeric = values.astype(np.float64)
@@ -336,9 +374,9 @@ def _aggregate_column(
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     if func in ("min", "max"):
-        ordered = numeric[group_order]
+        group_order, group_starts = layout
         reducer = np.minimum if func == "min" else np.maximum
-        return reducer.reduceat(ordered, group_starts)
+        return reducer.reduceat(numeric[group_order], group_starts)
     raise ExecutionError(f"unsupported aggregate function {func!r}")
 
 
@@ -361,15 +399,15 @@ def group_by_batch(
         return Batch(columns, n_rows=0)
     key_arrays = [batch.column(name) for name in group_keys]
     codes, n_groups = factorize_rows(key_arrays)
-    group_order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[group_order]
-    group_starts = np.searchsorted(sorted_codes, np.arange(n_groups), side="left")
-    representative = group_order[group_starts]
+    representative = _first_rows(codes, n_groups)
     columns = {name: batch.column(name)[representative] for name in group_keys}
+    layout = None
+    if any(spec.func.lower() in ("min", "max") for spec in aggregates):
+        # The only aggregates that need the rows laid out group by group.
+        sizes = np.bincount(codes, minlength=n_groups)
+        layout = np.argsort(codes, kind="stable"), np.cumsum(sizes) - sizes
     for spec in aggregates:
-        columns[spec.alias] = _aggregate_column(
-            spec, codes, n_groups, batch, group_order, group_starts
-        )
+        columns[spec.alias] = _aggregate_column(spec, codes, n_groups, batch, layout)
     return Batch(columns, n_rows=n_groups)
 
 
@@ -387,7 +425,7 @@ def scalar_aggregate_batch(
                 raise ExecutionError(f"aggregate {func} requires an argument")
             values = batch.evaluate(spec.expr)
             if spec.distinct:
-                values = np.unique(values)
+                values = values[_first_rows(*_dense_codes(values))]
             if func == "count":
                 value = float(len(values))
             elif batch.n_rows == 0 and len(values) == 0:
@@ -413,9 +451,10 @@ def distinct_batch(batch: Batch, keys: Sequence[str] | None = None) -> Batch:
     if batch.n_rows == 0:
         return batch
     names = list(keys) if keys else list(batch.columns)
-    codes, _ = factorize_rows([batch.column(name) for name in names])
-    _, unique_idx = np.unique(codes, return_index=True)
-    return batch.take(np.sort(unique_idx))
+    codes, n_distinct = factorize_rows([batch.column(name) for name in names])
+    keep = np.zeros(batch.n_rows, dtype=bool)
+    keep[_first_rows(codes, n_distinct)] = True
+    return batch.mask(keep)
 
 
 def filter_batch(batch: Batch, predicate: Expr) -> Batch:

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.operators import (
+    _TABLE_SPAN,
     Batch,
     distinct_batch,
     equi_join_indices,
@@ -30,6 +31,93 @@ def predicate(cond):
 
 def expr(expression):
     return parse(f"SELECT {expression} FROM t").select[0].expr
+
+
+# ----------------------------------------------------------------------
+# Key columns for the oracle properties
+# ----------------------------------------------------------------------
+
+#: Key domains, ``name -> (values, dtype)``.  Integer ranges land on both
+#: sides of ``_TABLE_SPAN`` (a range of exactly ``_TABLE_SPAN`` is ranked
+#: through the lookup table, one more goes to ``np.unique``), narrow
+#: dtypes reach their extremes, and ``uint64`` reaches past ``int64``.
+KEY_DOMAINS = {
+    "small": (st.integers(0, 8), np.int64),
+    "negative": (st.integers(-6, 3), np.int32),
+    "int8": (st.sampled_from([-128, -1, 0, 127]), np.int8),
+    "bool": (st.booleans(), np.bool_),
+    "uint64": (
+        st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]),
+        np.uint64,
+    ),
+    "big": (st.sampled_from([-(2**62), 2**53, 2**53 + 1, 2**53 + 2]), np.int64),
+    "edge": (
+        st.sampled_from([-3, 0, 5, _TABLE_SPAN - 4, _TABLE_SPAN - 3]), np.int64
+    ),
+    "float": (
+        st.sampled_from([0.0, -0.0, 1.5, -2.25, float("inf"), float("nan")]),
+        np.float64,
+    ),
+    "text": (st.sampled_from(["", "a", "ab", "b", "\u00e9"]), np.str_),
+}
+INTEGER_DOMAINS = ("small", "negative", "int8", "bool", "uint64", "big", "edge")
+#: (left domain, right domain) of one join key: any two integer domains,
+#: floats with floats or small integers, text with text.
+JOINABLE = [(a, b) for a in INTEGER_DOMAINS for b in INTEGER_DOMAINS] + [
+    ("float", "float"), ("small", "float"), ("float", "small"), ("text", "text"),
+]
+
+
+def key_column(draw, domain, n_rows):
+    values, dtype = KEY_DOMAINS[domain]
+    return np.array(
+        draw(st.lists(values, min_size=n_rows, max_size=n_rows)), dtype=dtype
+    )
+
+
+@st.composite
+def key_columns(draw, max_rows=40):
+    """One to three key columns of a common length (possibly zero)."""
+    n_rows = draw(st.integers(0, max_rows))
+    domains = draw(
+        st.lists(st.sampled_from(sorted(KEY_DOMAINS)), min_size=1, max_size=3)
+    )
+    return [key_column(draw, domain, n_rows) for domain in domains]
+
+
+@st.composite
+def join_sides(draw):
+    """Left and right key lists of a one- to three-column equi join."""
+    pairs = draw(st.lists(st.sampled_from(JOINABLE), min_size=1, max_size=3))
+    n_left, n_right = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    return (
+        [key_column(draw, left, n_left) for left, _ in pairs],
+        [key_column(draw, right, n_right) for _, right in pairs],
+    )
+
+
+def same_key(a, b) -> bool:
+    """Key equality as the engine sees it: ``==``, and NaN matches NaN."""
+    return a == b or (a != a and b != b)
+
+
+def canonical(row) -> tuple:
+    """A hashable stand-in for a key tuple under :func:`same_key`."""
+    return tuple("nan" if value != value else value for value in row)
+
+
+def key_rows(columns) -> list[tuple]:
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def shown(rows) -> list[tuple]:
+    """Rows as reprs, which tell -0.0 from 0.0 and equate NaN with NaN."""
+    return [tuple(map(repr, row)) for row in rows]
+
+
+def sort_rank(row) -> tuple:
+    """Sorted key order: column by column, NaN after every number."""
+    return tuple((True, 0) if value != value else (False, value) for value in row)
 
 
 class TestBatch:
@@ -89,24 +177,39 @@ class TestEquiJoin:
         assert len(li) == 2
         assert (li == 1).all()
 
-    @given(
-        st.lists(st.integers(0, 8), min_size=0, max_size=40),
-        st.lists(st.integers(0, 8), min_size=0, max_size=40),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_nested_loop_oracle(self, left_keys, right_keys):
-        """Property: equi join == brute-force nested loop join."""
-        left = np.array(left_keys, dtype=np.int64)
-        right = np.array(right_keys, dtype=np.int64)
-        li, ri = equi_join_indices([left], [right])
-        got = sorted(zip(li.tolist(), ri.tolist()))
-        expected = sorted(
-            (i, j)
-            for i in range(len(left))
-            for j in range(len(right))
-            if left[i] == right[j]
+    def test_large_integer_keys_compare_exactly(self):
+        """Keys past 2**53 that differ by one are different keys (they
+        used to meet in a float64 cast)."""
+        li, ri = equi_join_indices(
+            [np.array([2**53, 2**53 + 1])], [np.array([2**53 + 1])]
         )
-        assert got == expected
+        assert (li.tolist(), ri.tolist()) == ([1], [0])
+
+    @given(join_sides())
+    @example(([np.array([0, _TABLE_SPAN - 1, 7])], [np.array([7, _TABLE_SPAN - 1])]))
+    @example(([np.array([0, _TABLE_SPAN, 7])], [np.array([7, _TABLE_SPAN, 7])]))
+    @example(([np.array([2**64 - 1, 5], dtype=np.uint64)], [np.array([-1, 5])]))
+    @example(([np.array([], dtype=np.int64)], [np.array([1, 2])]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_nested_loop_oracle(self, sides):
+        """Property: equi join == brute-force nested loop join, pair for
+        pair: left-major, right rows of one left row in row order."""
+        left, right = sides
+        li, ri = equi_join_indices(left, right)
+        left_rows, right_rows = key_rows(left), key_rows(right)
+        expected = [
+            (i, j)
+            for i, left_row in enumerate(left_rows)
+            for j, right_row in enumerate(right_rows)
+            if all(map(same_key, left_row, right_row))
+        ]
+        assert list(zip(li.tolist(), ri.tolist())) == expected
+        semi = semi_join_batch(
+            Batch({f"l{c}": col for c, col in enumerate(left)}, len(left_rows)),
+            Batch({f"r{c}": col for c, col in enumerate(right)}, len(right_rows)),
+            [(f"l{c}", f"r{c}") for c in range(len(left))],
+        )
+        assert semi.n_rows == len({i for i, _ in expected})
 
 
 class TestHashJoinBatches:
@@ -305,29 +408,55 @@ class TestGroupBy:
         with pytest.raises(ExecutionError):
             group_by_batch(self.make(), [], [])
 
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 4), st.floats(-100, 100)),
-            min_size=1,
-            max_size=80,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_sum_matches_oracle(self, rows):
-        """Property: group-by sums equal a dict-based reference."""
-        keys = np.array([r[0] for r in rows])
-        vals = np.array([r[1] for r in rows])
-        batch = Batch({"t.k": keys, "t.v": vals}, len(rows))
+    @given(key_columns(max_rows=60), st.data())
+    @example([np.array([_TABLE_SPAN - 1, 0, _TABLE_SPAN - 1, 0])], None)
+    @example([np.array([_TABLE_SPAN, 0, _TABLE_SPAN, 0])], None)
+    @settings(max_examples=150, deadline=None)
+    def test_sum_matches_oracle(self, keys, data):
+        """Property: groups, their order, their key values and every
+        aggregate equal a dict-based reference — sums bit for bit, since
+        both add a group's values in row order."""
+        n_rows = len(keys[0])
+        if data is None:
+            vals = np.arange(n_rows) * 0.1
+        else:
+            finite = st.floats(-100, 100)
+            vals = np.array(
+                data.draw(st.lists(finite, min_size=n_rows, max_size=n_rows)),
+                dtype=np.float64,
+            )
+        names = [f"t.k{c}" for c in range(len(keys))]
+        batch = Batch({**dict(zip(names, keys)), "t.v": vals}, n_rows)
         out = group_by_batch(
-            batch, ["t.k"], [AggregateSpec("sum", expr("t.v"), "s")]
+            batch,
+            names,
+            [
+                AggregateSpec("sum", expr("t.v"), "s"),
+                AggregateSpec("count", None, "c"),
+                AggregateSpec("min", expr("t.v"), "lo"),
+                AggregateSpec("max", expr("t.v"), "hi"),
+                AggregateSpec("count", expr("t.k0"), "d", True),
+            ],
         )
-        got = dict(zip(out.column("t.k").tolist(), out.column("s").tolist()))
-        expected = {}
-        for k, v in rows:
-            expected[k] = expected.get(k, 0.0) + v
-        assert set(got) == set(expected)
-        for k in expected:
-            assert got[k] == pytest.approx(expected[k], rel=1e-9, abs=1e-9)
+        groups: dict = {}
+        for row, value in zip(key_rows(keys), vals.tolist()):
+            groups.setdefault(canonical(row), (row, []))[1].append(value)
+        expected = sorted(groups.values(), key=lambda group: sort_rank(group[0]))
+        # a group shows the key of its first row, down to the sign of zero
+        assert shown(key_rows([out.column(name) for name in names])) == shown(
+            row for row, _ in expected
+        )
+        sums = []
+        for _, values in expected:
+            total = 0.0
+            for value in values:
+                total += value
+            sums.append(total)
+        assert out.column("s").tolist() == sums
+        assert out.column("c").tolist() == [len(values) for _, values in expected]
+        assert out.column("lo").tolist() == [min(values) for _, values in expected]
+        assert out.column("hi").tolist() == [max(values) for _, values in expected]
+        assert out.column("d").tolist() == [1.0] * len(expected)
 
 
 class TestScalarAggregate:
@@ -383,6 +512,41 @@ class TestDistinctFilterProjectTopN:
         )
         assert distinct_batch(batch, keys=["a"]).n_rows == 2
 
+    @given(key_columns())
+    @example([np.array([_TABLE_SPAN - 1, 0, _TABLE_SPAN - 1])])
+    @example([np.array([_TABLE_SPAN, 0, _TABLE_SPAN])])
+    @example([np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64)])
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_matches_oracle(self, keys):
+        """Property: ``distinct`` keeps the first row of every key, in row
+        order, and ``count(distinct)`` counts those rows."""
+        rows = key_rows(keys)
+        seen, first = set(), []
+        for index, row in enumerate(rows):
+            if canonical(row) not in seen:
+                seen.add(canonical(row))
+                first.append(index)
+        names = [f"t.k{c}" for c in range(len(keys))]
+        batch = Batch(dict(zip(names, keys)), len(rows))
+        out = distinct_batch(batch)
+        assert shown(key_rows(list(out.columns.values()))) == shown(
+            rows[index] for index in first
+        )
+        counted = scalar_aggregate_batch(
+            batch, [AggregateSpec("count", expr("t.k0"), "d", True)]
+        )
+        assert counted.column("d")[0] == len({canonical(row[:1]) for row in rows})
+        if rows:
+            grouped = group_by_batch(
+                batch, names[:1], [AggregateSpec("count", expr(names[-1]), "d", True)]
+            )
+            per_group: dict = {}
+            for row in rows:
+                per_group.setdefault(canonical(row[:1]), set()).add(canonical(row[-1:]))
+            assert sorted(grouped.column("d").tolist()) == sorted(
+                float(len(values)) for values in per_group.values()
+            )
+
     def test_filter(self):
         batch = Batch({"t.a": np.arange(10)}, 10)
         assert filter_batch(batch, predicate("t.a >= 5")).n_rows == 5
@@ -412,3 +576,13 @@ class TestFactorize:
     def test_requires_columns(self):
         with pytest.raises(ExecutionError):
             factorize_rows([])
+
+    def test_wide_composite_key_keeps_sorted_order(self):
+        """Four columns of 70 000 distinct values each: the product of
+        their radices passes 2**63 (it used to wrap, silently)."""
+        rng = np.random.default_rng(16)
+        columns = [rng.permutation(70_000) for _ in range(4)]
+        codes, n = factorize_rows(columns)
+        assert n == 70_000
+        # every key is distinct, so the first column alone orders the rows
+        assert np.array_equal(codes, columns[0])

@@ -2,9 +2,13 @@
 
 A tiny handcrafted database (small enough for the exponential reference
 evaluator) is queried with every language feature the subset supports; the
-engine's answer must match the reference's as a multiset.
+engine's answer must match the reference's as a multiset.  At the gate's
+scale the referee is the engine's own past: the digest fixture written at
+the commit before its key kernels were rewritten (see
+``tests/_engine_digest.py``) must be reproduced bit for bit.
 """
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +21,7 @@ from repro.sql.parser import parse
 from repro.storage.catalog import Catalog
 from repro.storage.table import Column, Schema, Table
 
+from tests._engine_digest import FIXTURE, engine_digests
 from tests._reference import run_reference
 
 
@@ -234,3 +239,8 @@ def test_metrics_accompany_results(tiny_db):
     assert metrics.records_used == 60
     assert metrics.message_count > 0
     assert result.n_rows == 1
+
+
+def test_engine_reproduces_parent_commit_digests():
+    """The gate's training corpus and every tpcds template's result batch."""
+    assert engine_digests() == json.loads(FIXTURE.read_text())

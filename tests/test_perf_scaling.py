@@ -6,7 +6,8 @@
 * the rewritten distance/kernel kernels match their reference formulas;
 * the benchmark harness runs and emits a valid, JSON-able report;
 * the statement front end stays within its budget of interpreter calls
-  per statement.
+  per statement;
+* the engine groups and joins integer keys without sorting them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import cProfile
 import json
 import pstats
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from repro.core.kernels import (
 )
 from repro.core.neighbors import nearest_neighbors
 from repro.core.predictor import KCCAPredictor
+from repro.engine.operators import Batch, group_by_batch, hash_join_batches
+from repro.engine.plan import AggregateSpec
 from repro.errors import ModelError
 from repro.experiments.bench import (
     BENCH_SCHEMA_VERSION,
@@ -341,3 +345,85 @@ class TestFrontEndWorkCounts:
 
         calls = self.calls_per_statement(work, statements)
         assert calls <= self.FORECAST_MANY_CALLS * self.HEADROOM, calls
+
+
+# ----------------------------------------------------------------------
+# Sorts per group-by and per join (a perf guard without a clock)
+# ----------------------------------------------------------------------
+
+
+class TestEngineSortCounts:
+    """Sorting work on integer keys, counted by cProfile.
+
+    The engine's keys are small-range integer surrogates, so grouping and
+    join matching are linear-time table look-ups; the one sort left is the
+    stable argsort that lays out a join's build side.  The commit before
+    the key kernels were rewritten (PR 16) made two ``np.unique`` calls, an
+    argsort and a ``searchsorted`` over every group-by input and two
+    ``searchsorted`` passes over every probe side, and fails both tests.
+    """
+
+    ROWS = 200_000
+    BUILD_ROWS = 1_000
+    _SORTS = re.compile(
+        r"'(argsort|sort|searchsorted)' of 'numpy\.ndarray'"
+        r"|lexsort"
+    )
+
+    @classmethod
+    def sort_calls(cls, work) -> dict[str, int]:
+        """Calls of NumPy's sorting primitives (and of ``np.unique``) in ``work``."""
+        profile = cProfile.Profile()
+        profile.enable()
+        work()
+        profile.disable()
+        calls: dict[str, int] = {}
+        for (path, _, name), (_, n_calls, *_) in pstats.Stats(profile).stats.items():
+            match = cls._SORTS.search(name)
+            if match:
+                calls[match.group(1) or "lexsort"] = n_calls
+            elif name == "unique" and path.endswith("_arraysetops_impl.py"):
+                calls["unique"] = n_calls
+        return calls
+
+    def test_group_by_sum_count_never_sorts(self):
+        rng = np.random.default_rng(16)
+        batch = Batch(
+            {
+                "t.item": rng.integers(1, 900, self.ROWS),
+                "t.year": rng.integers(1998, 2004, self.ROWS).astype(np.int32),
+                "t.price": rng.random(self.ROWS),
+            },
+            self.ROWS,
+        )
+        price = parse("SELECT t.price FROM t").select[0].expr
+        aggregates = [
+            AggregateSpec("sum", price, "revenue"),
+            AggregateSpec("count", None, "cnt"),
+            AggregateSpec("avg", price, "mean"),
+        ]
+
+        def work():
+            group_by_batch(batch, ["t.item"], aggregates)
+            group_by_batch(batch, ["t.item", "t.year"], aggregates)
+
+        assert self.sort_calls(work) == {}
+
+    def test_hash_join_sorts_only_its_build_side(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        keys = 2 * self.BUILD_ROWS
+        probe = Batch({"l.k": rng.integers(0, keys, self.ROWS)}, self.ROWS)
+        build = Batch({"r.k": rng.integers(0, keys, self.BUILD_ROWS)}, self.BUILD_ROWS)
+        sorted_lengths = []
+        argsort = np.argsort
+
+        def recording_argsort(a, *args, **kwargs):
+            sorted_lengths.append(len(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording_argsort)
+        calls = self.sort_calls(
+            lambda: hash_join_batches(probe, build, [("l.k", "r.k")])
+        )
+        assert calls == {"argsort": 1}
+        assert sorted_lengths == [self.BUILD_ROWS]
