@@ -41,6 +41,7 @@ Resilient serving (off by default; see docs/ROBUSTNESS.md)::
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -49,6 +50,7 @@ import numpy as np
 
 from repro.analysis.findings import PlanWarning
 from repro.analysis.planlint import corpus_vocabulary, vocabulary_warnings
+from repro.analysis.sanitizer import guarded_by, make_lock, note_access
 from repro.core.confidence import ConfidenceReport
 from repro.core.features import plan_feature_matrix, plan_feature_vector
 from repro.core.predictor import KCCAPredictor
@@ -61,7 +63,7 @@ from repro.experiments.report import hms
 from repro.experiments import workerpool as _workerpool
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
-from repro.optimizer import Optimizer
+from repro.optimizer import OptimizedQuery, Optimizer
 from repro.pipeline import PredictionPipeline
 from repro.resilience import deadline as _resilience_deadline
 from repro.resilience import fallback as _resilience_fallback
@@ -200,6 +202,102 @@ class Forecast:
     warnings: tuple[PlanWarning, ...] = ()
 
 
+#: Statement-memo bounds: entries, and bytes of one statement (a longer one
+#: is compiled, not retained); their product bounds the text held.  No knob.
+_MEMO_ENTRIES = 1024
+_MEMO_STATEMENT_BYTES = 4096
+
+
+def _warnings(
+    optimized: OptimizedQuery, pipeline: Optional[PredictionPipeline]
+) -> tuple[PlanWarning, ...]:
+    """``optimized``'s plan-lint warnings plus, given a fitted pipeline,
+    PL005 for operators outside its training corpus's vocabulary."""
+    vocabulary = pipeline and pipeline.metadata.get("operator_vocabulary")
+    if not vocabulary:
+        return optimized.warnings
+    return optimized.warnings + tuple(
+        vocabulary_warnings(optimized.plan, vocabulary)
+    )
+
+
+class StatementMemo:
+    """Bounded LRU: ``(statement text, lint flag)`` -> ``(feature row,
+    optimizer cost, warnings, last forecast)``.
+
+    The first three are what compiling yields: pure functions of the
+    text, the catalog statistics and the fitted pipeline's vocabulary,
+    so any service tier may reuse them; no plan tree or AST is kept.
+    The forecast is no such function (fallback stages, breakers and
+    floors decide it too): only serving tier 3 answers from it, labelled
+    stale.  Callers pass the ``stamp`` (statistics version, pipeline)
+    they run under: a new one empties the memo, and what was computed
+    under an old one is not stored.
+    """
+
+    def __init__(self) -> None:
+        self._lock = make_lock("api.statement_memo")
+        guarded_by("api.statement_memo.entries", self._lock)
+        self._entries: OrderedDict[tuple[str, bool], tuple] = OrderedDict()
+        self._stamp: object = None
+        self.hits = self.misses = 0
+
+    def lookup(
+        self, stamp: object, keys: Sequence[tuple[str, bool]], either: bool = False
+    ) -> tuple[dict, int]:
+        """Entries retained for ``keys`` (``either``: failing that, for the text
+        under the other lint flag), now most recently used; hit count."""
+        found, hits = {}, 0
+        with self._lock:
+            note_access("api.statement_memo.entries")
+            if stamp != self._stamp:
+                self._entries.clear()
+                self._stamp = stamp
+            for key in keys:
+                held = key
+                if either and key not in self._entries:
+                    held = (key[0], not key[1])
+                entry = self._entries.get(held)
+                if entry is not None:
+                    self._entries.move_to_end(held)
+                    found[key] = entry
+                    hits += 1
+            self.hits += hits
+            self.misses += len(keys) - hits
+        if _obs_metrics.metrics_enabled():
+            for outcome, count in (("hits", hits), ("misses", len(keys) - hits)):
+                _obs_metrics.get_registry().counter(
+                    f"repro_forecast_memo_{outcome}_total",
+                    f"statement-memo lookups: {outcome}",
+                ).inc(count)
+        return found, hits
+
+    def store(self, stamp: object, entries: dict) -> None:
+        """Retain ``entries``, evicting the least recently used."""
+        with self._lock:
+            note_access("api.statement_memo.entries")
+            if stamp != self._stamp:
+                return
+            for key, entry in entries.items():
+                if len(key[0].encode()) <= _MEMO_STATEMENT_BYTES:
+                    self._entries[key] = entry
+            while len(self._entries) > _MEMO_ENTRIES:
+                self._entries.popitem(last=False)
+
+    def stats(self) -> dict:
+        """JSON-able counters (the ``memo`` block of ``/admin/status``)."""
+        with self._lock:
+            note_access("api.statement_memo.entries")
+            return {
+                "size": len(self._entries),
+                "max_entries": _MEMO_ENTRIES,
+                "bytes": sum(len(sql.encode()) for sql, _ in self._entries),
+                "max_bytes": _MEMO_ENTRIES * _MEMO_STATEMENT_BYTES,
+                "hits": self.hits,
+                "misses": self.misses,
+            }
+
+
 class QueryPerformancePredictor:
     """Trainable, explainable query performance prediction service.
 
@@ -238,6 +336,8 @@ class QueryPerformancePredictor:
         self._pipeline: Optional[PredictionPipeline] = None
         self._corpus: Optional[Corpus] = None
         self._catalog_spec: Optional[dict] = None
+        #: The statement memo (``memo.stats()``: size, bounds, hits, misses).
+        self.memo = StatementMemo()
         #: Content digest of the artifact this service was loaded
         #: from (set by :func:`resolve_artifact`); None when trained
         #: in-process.
@@ -489,13 +589,16 @@ class QueryPerformancePredictor:
     ) -> list[Forecast]:
         """Batched forecasts: N queries, one kernel-cross per model.
 
-        The batch path end-to-end: plan all statements, build one feature
+        The batch path end-to-end: plan the statements the statement
+        memo does not hold (once per distinct text), build one feature
         matrix, project it once, and derive predictions and confidence
         from the same projection.  Each stage boundary is a cooperative
         cancellation point against the caller's installed
         :class:`~repro.resilience.deadline.Deadline` (the serving daemon
         turns an expired budget into a structured 504), and each stage's
-        wall time is charged to the deadline's per-stage accounting.
+        wall time is charged to the deadline's per-stage accounting.  A
+        memoised statement is a cancellation point and an
+        ``optimizer.optimize`` fault site like any other.
 
         Args:
             sqls: the statements to forecast.
@@ -503,43 +606,64 @@ class QueryPerformancePredictor:
                 degradation ladder disables them under pressure.
         """
         self._require_trained()
+        if not sqls:
+            return []
+        pipeline, memo = self._pipeline, self.memo
+        stamp = (self.catalog.version, pipeline)
+        keys = [(sql, lint) for sql in sqls]
         with _obs_trace.span("api.forecast_many", n=len(sqls)) as current:
             with _resilience_deadline.stage_scope("optimize"):
-                optimized = self.optimizer.optimize_many(sqls, lint=lint)
-            with _obs_trace.span("api.featurize", n=len(optimized)), \
+                compiled, hits = memo.lookup(stamp, keys)
+                current.set(memo_hits=hits)
+                misses: list[str] = []
+                for key in keys:
+                    if key in compiled:
+                        _resilience_deadline.check_deadline("optimize")
+                        _resilience_faults.fault_site("optimizer.optimize")
+                    else:
+                        compiled[key] = ()  # compiled below, once
+                        misses.append(key[0])
+                optimized = self.optimizer.optimize_many(misses, lint=lint)
+            with _obs_trace.span("api.featurize", n=len(sqls)), \
                     _resilience_deadline.stage_scope("featurize"):
-                features = plan_feature_matrix(
-                    [opt.plan for opt in optimized]
-                )
-            costs = np.array([opt.cost for opt in optimized])
+                rows = plan_feature_matrix([opt.plan for opt in optimized])
+                for sql, opt, row in zip(misses, optimized, rows):
+                    warnings = _warnings(opt, pipeline) if lint else ()
+                    compiled[sql, lint] = (row.copy(), opt.cost, warnings, None)
+                parts = [compiled[key] for key in keys]
+                features = np.array([part[0] for part in parts])
+            costs = np.array([part[1] for part in parts])
             with _resilience_deadline.stage_scope("predict"):
-                scored = self._pipeline.score_many(
-                    features, optimizer_costs=costs
-                )
-            if scored and scored[0].stage is not None:
+                scored = pipeline.score_many(features, optimizer_costs=costs)
+            if scored[0].stage is not None:
                 current.set(served_by=scored[0].stage)
-        vocabulary = (
-            self._pipeline.metadata.get("operator_vocabulary") if lint else None
-        )
         forecasts = []
-        for opt, score in zip(optimized, scored):
+        for key, (row, cost, warnings, _), score in zip(keys, parts, scored):
             metrics = PerformanceMetrics.from_vector(score.prediction)
-            warnings = opt.warnings
-            if vocabulary:
-                warnings = warnings + tuple(
-                    vocabulary_warnings(opt.plan, vocabulary)
-                )
-            forecasts.append(
-                Forecast(
-                    metrics=metrics,
-                    category=categorize(metrics.elapsed_time).value,
-                    confidence=score.confidence,
-                    optimizer_cost=opt.cost,
-                    served_by=score.stage,
-                    warnings=warnings,
-                )
+            forecast = Forecast(
+                metrics=metrics,
+                category=categorize(metrics.elapsed_time).value,
+                confidence=score.confidence,
+                optimizer_cost=cost,
+                served_by=score.stage,
+                warnings=warnings,
             )
+            compiled[key] = (row, cost, warnings, forecast)
+            forecasts.append(forecast)
+        memo.store(stamp, compiled)
         return forecasts
+
+    def last_forecasts(self, sqls: Sequence[str]) -> Optional[list[Forecast]]:
+        """A forecast computed for each of ``sqls`` under this model and these
+        catalog statistics (the unlinted one if both are held), or None unless
+        the memo holds every one: what the serving daemon's tier 3 answers a
+        repeated request from, whichever tier computed it."""
+        keys = [(sql, False) for sql in sqls]
+        stamp = (self.catalog.version, self._pipeline)
+        found, hits = self.memo.lookup(stamp, keys, either=True)
+        if hits < len(keys):
+            return None
+        return [found[key][3] for key in keys]
 
     def forecast_workload(
         self,
@@ -572,15 +696,7 @@ class QueryPerformancePredictor:
         the training corpus.  Usable before training: the vocabulary
         check is simply skipped then.
         """
-        optimized = self.optimizer.optimize(sql)
-        warnings = optimized.warnings
-        if self._pipeline is not None:
-            vocabulary = self._pipeline.metadata.get("operator_vocabulary")
-            if vocabulary:
-                warnings = warnings + tuple(
-                    vocabulary_warnings(optimized.plan, vocabulary)
-                )
-        return warnings
+        return _warnings(self.optimizer.optimize(sql), self._pipeline)
 
     def resilience_status(self) -> Optional[dict]:
         """Per-stage breaker health when serving through a fallback

@@ -71,18 +71,16 @@ def center_kernel(kernel: np.ndarray) -> np.ndarray:
 
 
 def center_cross_kernel(
-    cross: np.ndarray, train_kernel: np.ndarray
+    cross: np.ndarray, train_col_means: np.ndarray, total_mean: float
 ) -> np.ndarray:
     """Centre new-vs-train kernel evaluations in the training feature space.
 
     ``cross`` is M x N (new points vs training points); centring uses the
-    training kernel's statistics so new points land in the same centred
-    space the model was fitted in.
+    training kernel's 1 x N column means and grand mean so new points
+    land in the same centred space the model was fitted in.
     """
     cross = np.asarray(cross, dtype=np.float64)
-    train_col_means = train_kernel.mean(axis=0, keepdims=True)  # 1 x N
     new_row_means = cross.mean(axis=1, keepdims=True)  # M x 1
-    total_mean = train_kernel.mean()
     return cross - new_row_means - train_col_means + total_mean
 
 
@@ -160,6 +158,7 @@ class KCCA:
         self._kx_centered: Optional[np.ndarray] = None
         self._ky_centered: Optional[np.ndarray] = None
         self._kx_train: Optional[np.ndarray] = None
+        self._centering: Optional[tuple[np.ndarray, float]] = None
         self._x_proj: Optional[np.ndarray] = None
         self._y_proj: Optional[np.ndarray] = None
 
@@ -206,7 +205,7 @@ class KCCA:
             assert self.alpha is not None and self.beta is not None
             self._kx_centered = kx_c
             self._ky_centered = ky_c
-            self._kx_train = kx
+            self._keep_train_kernel(kx)
             # Project the training set once; fit already paid for the
             # centred kernels, so downstream consumers (predictor,
             # confidence) reuse these buffers instead of redoing the
@@ -214,6 +213,11 @@ class KCCA:
             self._x_proj = kx_c @ self.alpha
             self._y_proj = ky_c @ self.beta
         return self
+
+    def _keep_train_kernel(self, kx: np.ndarray) -> None:
+        # All that centring a cross kernel reads of the N x N matrix, reduced once.
+        self._kx_train = kx
+        self._centering = (kx.mean(axis=0, keepdims=True), kx.mean())
 
     def _fit_exact(
         self, kx_c: np.ndarray, ky_c: np.ndarray, ridge: float, d: int
@@ -305,9 +309,9 @@ class KCCA:
         Returns M x d coordinates in the query projection.
         """
         self._require_fitted()
-        assert self._kx_train is not None and self.alpha is not None
+        assert self._centering is not None and self.alpha is not None
         with span("kcca.project", n=int(np.asarray(cross_kernel).shape[0])):
-            centered = center_cross_kernel(cross_kernel, self._kx_train)
+            centered = center_cross_kernel(cross_kernel, *self._centering)
             return centered @ self.alpha
 
     def state_dict(self) -> dict:
@@ -345,7 +349,7 @@ class KCCA:
             self.correlations = np.asarray(fitted["correlations"])
             self._kx_centered = np.asarray(fitted["kx_centered"])
             self._ky_centered = np.asarray(fitted["ky_centered"])
-            self._kx_train = np.asarray(fitted["kx_train"])
+            self._keep_train_kernel(np.asarray(fitted["kx_train"]))
             if fitted.get("landmarks") is not None:
                 self.landmarks = np.asarray(fitted["landmarks"])
         return self

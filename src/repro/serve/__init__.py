@@ -24,7 +24,7 @@ from repro.serve.batcher import BatchTooLargeError, MicroBatcher, QueueFullError
 from repro.serve.client import ServeClient
 from repro.serve.config import ServeConfig
 from repro.serve.daemon import PredictionDaemon, forecast_payload
-from repro.serve.degrade import DegradeController, StalePredictionCache
+from repro.serve.degrade import DegradeController
 from repro.serve.loadgen import LoadReport, LoadRequest, generate_load, run_load
 from repro.serve.supervisor import Supervisor, SupervisorConfig
 
@@ -40,7 +40,6 @@ __all__ = [
     "PredictionDaemon",
     "forecast_payload",
     "DegradeController",
-    "StalePredictionCache",
     "Supervisor",
     "SupervisorConfig",
     "LoadReport",

@@ -65,7 +65,7 @@ from repro.resilience.faults import fault_site
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import BatchTooLargeError, MicroBatcher, QueueFullError
 from repro.serve.config import ServeConfig
-from repro.serve.degrade import DegradeController, StalePredictionCache
+from repro.serve.degrade import DegradeController
 
 __all__ = ["PredictionDaemon", "forecast_payload"]
 
@@ -75,6 +75,8 @@ _REQUEST_TIMEOUT_S = 30.0
 _DRAIN_TIMEOUT_S = 10.0
 #: Open time before the serving breaker half-opens.
 _BREAKER_RESET_S = 30.0
+#: Largest request body read; a longer one is refused unread (413).
+_MAX_BODY_BYTES = 1 << 20
 
 
 def forecast_payload(forecast) -> dict:
@@ -284,7 +286,6 @@ class PredictionDaemon:
                 force_tier=self.config.degrade_force_tier,
                 clock=clock,
             )
-        self.stale_cache = StalePredictionCache()
         self._server: Optional[_Server] = None
         self._server_thread: Optional[threading.Thread] = None
         self._previous_sighup = None
@@ -339,8 +340,7 @@ class PredictionDaemon:
         if self.degrade is not None:
             lint = self.degrade.lint_enabled()
             floor = self.degrade.fallback_floor()
-        chain_method = getattr(runtime.service, "fallback_chain", None)
-        chain = chain_method() if chain_method is not None else None
+        chain = runtime.service.fallback_chain()
         if chain is not None:
             chain.set_floor(floor)
         try:
@@ -349,11 +349,7 @@ class PredictionDaemon:
         finally:
             if chain is not None:
                 chain.set_floor(None)
-        results = [(forecast, runtime.version) for forecast in forecasts]
-        if self.degrade is not None:
-            for sql, result in zip(sqls, results):
-                self.stale_cache.put(sql, result)
-        return results
+        return [(forecast, runtime.version) for forecast in forecasts]
 
     # -- degradation ladder ----------------------------------------------
 
@@ -373,7 +369,7 @@ class PredictionDaemon:
     def _serve_stale(
         self, sqls: Sequence[str], client: str, tier: int
     ) -> Optional[dict]:
-        """A full response from the stale cache, or None on any miss.
+        """A full response from the memo's last forecasts, or None on any miss.
 
         Tier 3 only: every statement must hit; a partial hit goes
         through the real pipeline (a mixed-freshness response would be
@@ -381,24 +377,21 @@ class PredictionDaemon:
         """
         if self.degrade is None or not self.degrade.stale_ok():
             return None
-        results = []
-        for sql in sqls:
-            cached = self.stale_cache.get(sql)
-            if cached is None:
-                return None
-            results.append(cached)
-        self.stale_cache.note_served(len(results))
+        runtime = self._runtime
+        forecasts = runtime.service.last_forecasts(sqls)
+        if forecasts is None:
+            return None
         with self._state_lock:
             note_access("serve.daemon.state")
             self.served_stale += 1
         if self.config.metrics:
             get_registry().counter(
                 "repro_serve_stale_served_total",
-                "responses served from the stale-prediction cache",
+                "responses served from the statement memo's last forecasts",
             ).inc()
         return {
-            "forecasts": [forecast_payload(f) for f, _ in results],
-            "model_version": results[0][1],
+            "forecasts": [forecast_payload(f) for f in forecasts],
+            "model_version": runtime.version,
             "served_by": "stale_cache",
             "degrade_tier": tier,
             "stale": True,
@@ -690,7 +683,7 @@ class PredictionDaemon:
             "degrade": (
                 self.degrade.status() if self.degrade is not None else None
             ),
-            "stale_cache": self.stale_cache.stats(),
+            "memo": service.memo.stats(),
             "deadline": {
                 "default_deadline_ms": self.config.default_deadline_ms,
                 "expired_requests": self.batcher.expired_requests,
@@ -835,6 +828,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after_s > 0:
             self.send_header("Retry-After", str(max(1, round(retry_after_s))))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -850,6 +845,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0:
             return {}
+        if length > _MAX_BODY_BYTES:
+            # Unread, it would be parsed as the next request: close too.
+            self.close_connection = True
+            raise _Response(413, "body_too_large", max_bytes=_MAX_BODY_BYTES)
         raw = self.rfile.read(length)
         document = json.loads(raw.decode("utf-8"))
         if not isinstance(document, dict):
@@ -911,6 +910,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
             daemon = self.daemon
             try:
                 body = self._read_json()
+            except _Response as refused:
+                self._send_json(refused.status, refused.payload)
+                return
             except (ValueError, UnicodeDecodeError) as error:
                 self._send_json(400, {"error": "bad_json", "detail": str(error)})
                 return

@@ -11,9 +11,9 @@ tier  name         what the daemon gives up
 1     ``fast``     plan lint and vocabulary checks
 2     ``lean``     tier 1, plus the KCCA stage (requests are served by
                    the cheaper fallback regression stage)
-3     ``stale``    tier 2, plus repeated statements may be answered
-                   from a bounded stale-prediction cache without
-                   touching the pipeline at all
+3     ``stale``    tier 2, plus a repeated statement may be answered
+                   with the forecast the service's statement memo last
+                   kept for it, without touching the pipeline at all
 ====  ===========  ====================================================
 
 The :class:`DegradeController` decides the tier.  Transitions are a
@@ -29,13 +29,12 @@ at a time and never flaps.
 Every transition increments a step counter, updates the
 ``repro_serve_degrade_tier`` gauge, and is visible per-response via the
 ``degrade_tier`` field (plus ``served_by: "stale_cache"`` for tier-3
-cache hits).  See docs/SERVING.md.
+answers from the memo).  See docs/SERVING.md.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import Callable, Optional
 
 from repro.analysis.sanitizer import guarded_by, make_lock, note_access
@@ -43,7 +42,6 @@ from repro.obs.metrics import get_registry, metrics_enabled
 
 __all__ = [
     "DegradeController",
-    "StalePredictionCache",
     "TIER_NAMES",
     "MAX_TIER",
 ]
@@ -213,7 +211,7 @@ class DegradeController:
         return "regression" if self.tier >= 2 else None
 
     def stale_ok(self) -> bool:
-        """Tier 3 may answer repeats from the stale-prediction cache."""
+        """Tier 3 may answer repeats from the statement memo."""
         return self.tier >= MAX_TIER
 
     def status(self) -> dict:
@@ -237,79 +235,4 @@ class DegradeController:
                     "up_after_s": self.up_after_s,
                 },
                 "transitions": list(self.transitions[-8:]),
-            }
-
-
-class StalePredictionCache:
-    """Bounded LRU of the last forecast served per statement.
-
-    Tier 3's pressure valve: when the ladder bottoms out, a repeated
-    statement can be answered from here without touching the pipeline.
-    Entries are whatever the daemon's batch predict returned (forecast
-    payload + model version); a hit is labelled
-    ``served_by: "stale_cache"`` so staleness is never silent.
-
-    Args:
-        max_entries: LRU bound; 0 disables the cache entirely.
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        self.max_entries = int(max_entries)
-        self._entries: OrderedDict[str, object] = OrderedDict()
-        self._lock = make_lock("serve.degrade.stale_cache")
-        guarded_by("serve.stale_cache.entries", self._lock)
-        self.hits = 0
-        self.misses = 0
-        self.served_stale = 0
-
-    def put(self, sql: str, value: object) -> None:
-        """Remember the freshest result for ``sql`` (evicts LRU)."""
-        if self.max_entries <= 0:
-            return
-        with self._lock:
-            note_access("serve.stale_cache.entries")
-            self._entries[sql] = value
-            self._entries.move_to_end(sql)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def get(self, sql: str) -> Optional[object]:
-        """The cached result for ``sql``, or None (counts hit/miss)."""
-        with self._lock:
-            note_access("serve.stale_cache.entries")
-            value = self._entries.get(sql)
-            if value is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(sql)
-            self.hits += 1
-            return value
-
-    def note_served(self, n: int) -> None:
-        """Count ``n`` statements answered from the cache.
-
-        The daemon calls this from handler threads, so the increment
-        lives under the cache's own lock (it used to be a bare ``+=``
-        from outside the class — exactly the race the lockset checker
-        exists to catch).
-        """
-        with self._lock:
-            self.served_stale += n
-
-    def __len__(self) -> int:
-        with self._lock:
-            note_access("serve.stale_cache.entries")
-            return len(self._entries)
-
-    def stats(self) -> dict:
-        """JSON-able counters for ``/admin/status``."""
-        with self._lock:
-            note_access("serve.stale_cache.entries")
-            size = len(self._entries)
-            return {
-                "size": size,
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "served_stale": self.served_stale,
             }

@@ -99,6 +99,9 @@ class Catalog:
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
         self._stats: dict[str, TableStats] = {}
+        #: Bumped by :meth:`register` and :meth:`analyze`: what is derived
+        #: from the statistics (``repro.api``'s statement memo) compares it.
+        self.version = 0
 
     @classmethod
     def from_parts(
@@ -134,6 +137,7 @@ class Catalog:
         if table.name in self._tables:
             raise CatalogError(f"table {table.name!r} already registered")
         self._tables[table.name] = table
+        self.version += 1
         if analyze:
             self.analyze(table.name)
 
@@ -158,6 +162,7 @@ class Catalog:
             columns=column_stats,
         )
         self._stats[name] = stats
+        self.version += 1
         return stats
 
     # ------------------------------------------------------------------

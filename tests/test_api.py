@@ -76,6 +76,13 @@ class TestPrediction:
         assert vector.ndim == 1
         assert vector.sum() > 0
 
+    def test_empty_batch_is_an_empty_answer(self, service):
+        # Was a bare numpy ValueError ("zero-size array to reduction
+        # operation maximum") from inside score_many.
+        assert service.forecast_many([]) == []
+        assert service.predict_many([]) == []
+        assert service.forecast_workload("tpcds", n_queries=0) == []
+
     def test_measure_is_deterministic_without_noise_seed(self, service):
         a = service.measure("SELECT count(*) AS c FROM item i")
         b = service.measure("SELECT count(*) AS c FROM item i")

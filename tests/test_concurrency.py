@@ -511,26 +511,58 @@ class TestStressUnderSanitizer:
         assert bucket.balance() == 0.0
         assert sanitizer_findings() == []
 
-    def test_degrade_ladder_and_stale_cache(self, sanitizer):
-        from repro.serve.degrade import DegradeController, StalePredictionCache
+    def test_degrade_ladder_and_stale_cache(
+        self, sanitizer, monkeypatch, tpcds_catalog, config, mini_corpus
+    ):
+        """The ladder, and the statement memo that tier 3 answers from:
+        eight threads forecasting an overlapping statement set through a
+        memo small enough to evict on every pass."""
+        import repro.api as api
+        from repro.serve.degrade import DegradeController
+        from repro.workloads.generator import generate_pool
 
+        monkeypatch.setattr(api, "_MEMO_ENTRIES", 6)
         ladder = DegradeController(clock=lambda: 0.0)
-        cache = StalePredictionCache(max_entries=32)
+        service = api.QueryPerformancePredictor(tpcds_catalog, config=config)
+        service.fit_corpus(mini_corpus)
+        sqls = [q.sql for q in generate_pool(12, seed=77, workload="oltp")]
+        expected = dict(zip(sqls, service.forecast_many(sqls)))
+        lookups_before = service.memo.stats()["misses"]
+        wrong = []
+        rounds = 40
 
         def worker():
-            for i in range(ROUNDS):
+            for i in range(rounds):
                 ladder.evaluate(queue_depth=0)
                 ladder.status()
-                cache.put(f"q{i % 8}", i)
-                cache.get(f"q{i % 8}")
-                cache.note_served(1)
+                batch = [sqls[(i + k) % len(sqls)] for k in range(3)]
+                if service.forecast_many(batch) != [expected[s] for s in batch]:
+                    wrong.append(batch)
+                stale = service.last_forecasts(batch[:1])
+                if stale is not None and stale != [expected[batch[0]]]:
+                    wrong.append(batch[:1])
 
-        _hammer(worker)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
         assert ladder.tier == 0
         assert ladder.step_downs == 0 and ladder.step_ups == 0
-        # note_served is the fix for the old bare `+=` race: the total
-        # must be exact, not approximately THREADS * ROUNDS.
-        assert cache.stats()["served_stale"] == THREADS * ROUNDS
+        assert wrong == []
+        # The counters are exact, not approximately right: every lookup
+        # (three a forecast, one a stale probe) is a hit or a miss, and
+        # the bytes are those of the keys retained.
+        status = service.memo.stats()
+        assert status["hits"] + status["misses"] - lookups_before == (
+            THREADS * rounds * 4
+        )
+        assert status["size"] <= 6
+        retained = service.last_forecasts
+        assert status["bytes"] == sum(
+            len(sql.encode()) for sql in sqls if retained([sql]) is not None
+        )
         assert sanitizer_findings() == []
 
     def test_the_old_served_stale_race_shape_is_caught(self, sanitizer):

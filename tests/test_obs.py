@@ -449,6 +449,22 @@ class TestEndToEnd:
         text = obs.get_registry().render_prometheus()
         assert "repro_predict_queries_total 2" in text
 
+    def test_memo_hits_on_the_span_and_in_the_registry(self, trained_service):
+        sql = "SELECT count(*) AS c FROM item i WHERE i.i_manufact_id > 17"
+        obs.enable_tracing()
+        obs.enable_metrics()
+        trained_service.forecast_many([sql, sql])  # two lookups miss, one compile
+        trained_service.forecast(sql)
+        cold, warm = obs.drain_trace()
+        assert cold.attributes["memo_hits"] == 0
+        assert warm.attributes["memo_hits"] == 1
+        compiles = [s for s in cold.walk() if s.name == "optimizer.optimize"]
+        assert len(compiles) == 1
+        assert "optimizer.optimize" not in {s.name for s in warm.walk()}
+        snap = obs.metrics_snapshot()
+        assert snap["repro_forecast_memo_hits_total"]["value"] == 1.0
+        assert snap["repro_forecast_memo_misses_total"]["value"] == 2.0
+
     def test_api_facade_switches(self):
         from repro import api
 

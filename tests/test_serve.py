@@ -156,6 +156,37 @@ class TestEndpoints:
         finally:
             daemon.stop()
 
+    def test_oversize_body_is_413_unread_and_closes(self, serve_service):
+        """Only the headers are sent: the daemon must refuse on
+        ``Content-Length`` alone (reading would block on a body that
+        never comes) and close, since the unread body would otherwise
+        be parsed as the connection's next request."""
+        daemon = start_daemon(serve_service)
+        try:
+            head = (
+                "POST /v1/forecast HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {(1 << 20) + 1}\r\n\r\n"
+            ).encode("ascii")
+            with socket.create_connection(daemon.address, timeout=10.0) as sock:
+                sock.sendall(head)
+                raw = b""
+                while chunk := sock.recv(65536):  # b"" once the daemon closes
+                    raw += chunk
+            headers, _, text = raw.partition(b"\r\n\r\n")
+            assert headers.split(b" ", 2)[1] == b"413"
+            assert b"connection: close" in headers.lower()
+            payload = strict_json(text.decode("utf-8"))
+            assert payload == {"error": "body_too_large", "max_bytes": 1 << 20}
+            # The limit itself is served, and so is the next connection.
+            body = json.dumps({"sql": SQL_LIGHT}).encode()
+            status, _head, _text = raw_post(
+                daemon, "/v1/forecast", body + b" " * ((1 << 20) - len(body))
+            )
+            assert status == 200
+            assert client_for(daemon).forecast(SQL_LIGHT)["forecast"]
+        finally:
+            daemon.stop()
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_deadline_is_400(self, serve_service, literal):
         # json.loads accepts all three; NaN even passes a "<= 0" check.
@@ -189,9 +220,12 @@ class TestEndpoints:
             daemon.stop()
         for key in (
             "model_version", "uptime_s", "inflight", "requests", "slo",
-            "batcher", "admission", "breaker", "resilience",
+            "batcher", "admission", "breaker", "resilience", "memo",
         ):
             assert key in status, key
+        assert set(status["memo"]) == {
+            "size", "max_entries", "bytes", "max_bytes", "hits", "misses"
+        }
         assert status["requests"]["ok"] >= 1
         assert status["slo"]["p99_ms"] >= status["slo"]["p50_ms"] >= 0
         assert status["slo"]["met"] is True

@@ -31,14 +31,16 @@ from repro.resilience.deadline import (
     stage_scope,
 )
 from repro.resilience.faults import FaultPlan, armed
-from repro.serve.degrade import (
-    MAX_TIER,
-    TIER_NAMES,
-    DegradeController,
-    StalePredictionCache,
-)
+from repro.serve import PredictionDaemon, ServeConfig
+from repro.serve.degrade import MAX_TIER, TIER_NAMES, DegradeController
 
-from tests.test_serve import SQL_JOIN, SQL_LIGHT, client_for, start_daemon
+from tests.test_serve import (
+    SQL_JOIN,
+    SQL_LIGHT,
+    client_for,
+    start_daemon,
+    train_artifact,
+)
 
 
 class FakeClock:
@@ -320,28 +322,6 @@ class TestDegradeLadder:
         ]
 
 
-class TestStalePredictionCache:
-    def test_hits_misses_and_lru_eviction(self):
-        cache = StalePredictionCache(max_entries=2)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refreshes "a": "b" is now LRU
-        cache.put("c", 3)  # evicts "b"
-        assert cache.get("b") is None
-        assert cache.get("c") == 3
-        assert len(cache) == 2
-        stats = cache.stats()
-        assert stats["hits"] == 2 and stats["misses"] == 2
-        assert stats["size"] == 2 and stats["max_entries"] == 2
-
-    def test_zero_entries_disables_the_cache(self):
-        cache = StalePredictionCache(max_entries=0)
-        cache.put("a", 1)
-        assert cache.get("a") is None
-        assert len(cache) == 0
-
-
 # ----------------------------------------------------------------------
 # Daemon integration: 504 semantics, tier effects, the live ladder
 # ----------------------------------------------------------------------
@@ -457,22 +437,93 @@ class TestDegradedServing:
         daemon = start_daemon(
             serve_service, degrade=True, degrade_force_tier=3
         )
+        # The memo is the (session-wide) service's, not the daemon's:
+        # statements of this test's own, so the first one is a miss.
+        sql = SQL_LIGHT.replace("> 30", "> 33")
         try:
             client = client_for(daemon)
-            fresh = client.forecast(SQL_LIGHT)  # miss: real pipeline
+            fresh = client.forecast(sql)  # miss: real pipeline
             assert fresh.get("stale") is None
-            repeat = client.forecast(SQL_LIGHT)
+            repeat = client.forecast(sql)
             assert repeat["served_by"] == "stale_cache"
             assert repeat["stale"] is True
             assert repeat["degrade_tier"] == 3
             # Bitwise the same forecast the pipeline produced.
             assert repeat["forecast"] == fresh["forecast"]
             # A statement never seen still goes through the pipeline.
-            other = client.forecast(SQL_JOIN)
+            other = client.forecast(SQL_JOIN.replace("total", "total_33"))
             assert other["served_by"] != "stale_cache"
+            # All or nothing: one unseen statement in a batch and the
+            # whole request is computed, the seen one included.
+            mixed = client.forecast_batch([sql, sql.replace("> 33", "> 34")])
+            assert mixed.get("stale") is None
+            assert mixed["forecasts"][0] == fresh["forecast"]
             status = daemon.status()
-            assert status["stale_cache"]["hits"] >= 1
+            assert status["memo"]["hits"] >= 1
             assert status["requests"]["served_stale"] == 1
+        finally:
+            daemon.stop()
+
+    def test_forecast_at_full_service_is_served_stale_at_tier_3(
+        self, serve_service
+    ):
+        """The pressure valve holds what the daemon forecast *before* the
+        pressure: a statement seen at tier 0 (linted) is a tier-3 hit,
+        although tier 3 itself computes without lint."""
+        daemon = start_daemon(
+            serve_service,
+            degrade=True,
+            degrade_down_after_s=0.0,
+            degrade_up_after_s=3600.0,
+        )
+        sql = SQL_LIGHT.replace("> 30", "> 35")
+        try:
+            client = client_for(daemon)
+            fresh = client.forecast(sql)
+            assert fresh["degrade_tier"] == 0 and fresh.get("stale") is None
+            # Sustained pressure: one observation opens the window, each
+            # further one steps the ladder down a tier.
+            for _ in range(MAX_TIER + 1):
+                daemon.degrade.evaluate(queue_depth=10**6)
+            assert daemon.status()["degrade"]["step_downs"] == MAX_TIER
+            repeat = client.forecast(sql)
+            assert repeat["degrade_tier"] == MAX_TIER
+            assert repeat["served_by"] == "stale_cache" and repeat["stale"] is True
+            assert repeat["forecast"] == fresh["forecast"]
+            assert daemon.status()["requests"]["served_stale"] == 1
+        finally:
+            daemon.stop()
+
+    def test_tier_3_answer_does_not_outlive_its_model(
+        self, tmp_path, tpcds_catalog, config, mini_corpus
+    ):
+        """The memo is the service's: after a reload to different bytes
+        a repeat is computed by the new model, not served from the old."""
+        path_a, _ = train_artifact(
+            tmp_path, "a.npz", tpcds_catalog, config, mini_corpus
+        )
+        path_b, _ = train_artifact(
+            tmp_path, "b.npz", tpcds_catalog, config, mini_corpus,
+            k_neighbors=5,
+        )
+        daemon = PredictionDaemon(
+            artifact=path_a,
+            config=ServeConfig(max_batch=4, degrade=True, degrade_force_tier=3),
+        )
+        daemon.start()
+        try:
+            client = client_for(daemon)
+            client.forecast(SQL_JOIN)
+            assert client.forecast(SQL_JOIN)["stale"] is True
+            version_b = client.reload(str(path_b))["model_version"]
+            assert daemon.status()["memo"]["size"] == 0
+            after = client.forecast(SQL_JOIN)
+            assert after.get("stale") is None
+            assert after["model_version"] == version_b
+            repeat = client.forecast(SQL_JOIN)
+            assert repeat["stale"] is True
+            assert repeat["model_version"] == version_b
+            assert repeat["forecast"] == after["forecast"]
         finally:
             daemon.stop()
 
