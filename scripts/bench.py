@@ -1,4 +1,4 @@
-"""Run the seven component ratio sections of ``repro.experiments.bench``.
+"""Run the two component ratio sections of ``repro.experiments.bench``.
 
 Usage (from the repository root)::
 

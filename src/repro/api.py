@@ -60,7 +60,6 @@ from repro.engine.system import research_4node
 from repro.errors import ModelError
 from repro.experiments.corpus import Corpus, build_corpus
 from repro.experiments.report import hms
-from repro.experiments import workerpool as _workerpool
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.optimizer import OptimizedQuery, Optimizer
@@ -85,14 +84,9 @@ __all__ = [
     "metrics_enabled",
     "get_metrics",
     "get_metrics_text",
-    "arm_faults",
-    "disarm_faults",
     "artifact_fingerprint",
     "resolve_artifact",
     "clear_artifact_cache",
-    "set_warm_pool",
-    "warm_pool_enabled",
-    "shutdown_warm_pool",
 ]
 
 
@@ -135,47 +129,6 @@ def get_metrics() -> dict:
 def get_metrics_text() -> str:
     """Prometheus text exposition of the metrics registry."""
     return _obs_metrics.get_registry().render_prometheus()
-
-
-def arm_faults(plan: "_resilience_faults.FaultPlan") -> None:
-    """Arm a deterministic chaos :class:`~repro.resilience.FaultPlan`
-    process-wide (see docs/ROBUSTNESS.md)."""
-    _resilience_faults.arm(plan)
-
-
-def disarm_faults() -> None:
-    """Disarm fault injection; all sites return to their no-op path."""
-    _resilience_faults.disarm()
-
-
-def set_warm_pool(enabled: bool) -> None:
-    """Keep (or stop keeping) corpus-build workers warm between calls.
-
-    While enabled, parallel :meth:`QueryPerformancePredictor.fit_pool`
-    builds reuse one persistent worker pool and its published
-    shared-memory catalog planes instead of spawning-then-tearing-down a
-    pool per call — the attach-don't-rebuild data plane described in
-    docs/PERFORMANCE.md.  Disabling shuts the pool down and unlinks its
-    shared segments immediately.
-    """
-    if enabled:
-        _workerpool.enable_warm_pool()
-    else:
-        _workerpool.enable_warm_pool(False)
-
-
-def warm_pool_enabled() -> bool:
-    """Whether the persistent corpus-build worker pool is enabled."""
-    return _workerpool.warm_pool_enabled()
-
-
-def shutdown_warm_pool() -> None:
-    """Tear down the warm worker pool and free its shared segments.
-
-    Equivalent to ``set_warm_pool(False)``: subsequent parallel builds
-    go back to per-call pools until the warm pool is enabled again.
-    """
-    _workerpool.shutdown_warm_pool()
 
 
 @dataclass(frozen=True)
@@ -222,50 +175,44 @@ def _warnings(
 
 
 class StatementMemo:
-    """Bounded LRU: ``(statement text, lint flag)`` -> ``(feature row,
-    optimizer cost, warnings, last forecast)``.
+    """Bounded LRU: statement text -> ``(feature row, optimizer cost,
+    warnings, last forecast)``.
 
     The first three are what compiling yields: pure functions of the
     text, the catalog statistics and the fitted pipeline's vocabulary,
     so any service tier may reuse them; no plan tree or AST is kept.
     The forecast is no such function (fallback stages, breakers and
-    floors decide it too): only serving tier 3 answers from it, labelled
-    stale.  Callers pass the ``stamp`` (statistics version, pipeline)
-    they run under: a new one empties the memo, and what was computed
-    under an old one is not stored.
+    floors decide it too): only the serving tier ``stale`` answers from
+    it, labelled stale.  Callers pass the ``stamp`` (statistics version,
+    pipeline) they run under: a new one empties the memo, and what was
+    computed under an old one is not stored.
     """
 
     def __init__(self) -> None:
         self._lock = make_lock("api.statement_memo")
         guarded_by("api.statement_memo.entries", self._lock)
-        self._entries: OrderedDict[tuple[str, bool], tuple] = OrderedDict()
+        self._entries: OrderedDict[str, tuple] = OrderedDict()
         self._stamp: object = None
         self.hits = self.misses = 0
 
-    def lookup(
-        self, stamp: object, keys: Sequence[tuple[str, bool]], either: bool = False
-    ) -> tuple[dict, int]:
-        """Entries retained for ``keys`` (``either``: failing that, for the text
-        under the other lint flag), now most recently used; hit count."""
+    def lookup(self, stamp: object, sqls: Sequence[str]) -> tuple[dict, int]:
+        """Entries retained for ``sqls``, now most recently used; hit count."""
         found, hits = {}, 0
         with self._lock:
             note_access("api.statement_memo.entries")
             if stamp != self._stamp:
                 self._entries.clear()
                 self._stamp = stamp
-            for key in keys:
-                held = key
-                if either and key not in self._entries:
-                    held = (key[0], not key[1])
-                entry = self._entries.get(held)
+            for sql in sqls:
+                entry = self._entries.get(sql)
                 if entry is not None:
-                    self._entries.move_to_end(held)
-                    found[key] = entry
+                    self._entries.move_to_end(sql)
+                    found[sql] = entry
                     hits += 1
             self.hits += hits
-            self.misses += len(keys) - hits
+            self.misses += len(sqls) - hits
         if _obs_metrics.metrics_enabled():
-            for outcome, count in (("hits", hits), ("misses", len(keys) - hits)):
+            for outcome, count in (("hits", hits), ("misses", len(sqls) - hits)):
                 _obs_metrics.get_registry().counter(
                     f"repro_forecast_memo_{outcome}_total",
                     f"statement-memo lookups: {outcome}",
@@ -278,9 +225,9 @@ class StatementMemo:
             note_access("api.statement_memo.entries")
             if stamp != self._stamp:
                 return
-            for key, entry in entries.items():
-                if len(key[0].encode()) <= _MEMO_STATEMENT_BYTES:
-                    self._entries[key] = entry
+            for sql, entry in entries.items():
+                if len(sql.encode()) <= _MEMO_STATEMENT_BYTES:
+                    self._entries[sql] = entry
             while len(self._entries) > _MEMO_ENTRIES:
                 self._entries.popitem(last=False)
 
@@ -291,7 +238,7 @@ class StatementMemo:
             return {
                 "size": len(self._entries),
                 "max_entries": _MEMO_ENTRIES,
-                "bytes": sum(len(sql.encode()) for sql, _ in self._entries),
+                "bytes": sum(len(sql.encode()) for sql in self._entries),
                 "max_bytes": _MEMO_ENTRIES * _MEMO_STATEMENT_BYTES,
                 "hits": self.hits,
                 "misses": self.misses,
@@ -359,7 +306,6 @@ class QueryPerformancePredictor:
         fallback: bool = False,
         problem_fraction: Optional[float] = None,
         jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         **predictor_kwargs,
     ) -> "QueryPerformancePredictor":
         """Build a workload spec's catalog, run its queries, train on them.
@@ -372,9 +318,7 @@ class QueryPerformancePredictor:
         ``scale``/``seed`` override the recipe's size and data seed.
         ``seed`` also drives query generation, and ``jobs`` fans the
         workload's execution out across worker processes (deterministic:
-        the corpus is bitwise identical to a serial build;
-        ``chunk_size`` tunes queries per worker task — see
-        ``build_corpus``).  Artifacts
+        the corpus is bitwise identical to a serial build).  Artifacts
         saved from a service built here embed the catalog recipe, so
         :meth:`load` can rebuild the catalog without being handed one.
         """
@@ -396,7 +340,7 @@ class QueryPerformancePredictor:
             n_queries, seed=seed, workload=compiled,
             problem_fraction=problem_fraction,
         )
-        service.fit_pool(pool, jobs=jobs, chunk_size=chunk_size)
+        service.fit_pool(pool, jobs=jobs)
         return service
 
     @classmethod
@@ -410,7 +354,6 @@ class QueryPerformancePredictor:
         fallback: bool = False,
         problem_fraction: float = 0.25,
         jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         **predictor_kwargs,
     ) -> "QueryPerformancePredictor":
         """Build a TPC-DS-like database, run a workload, train on it.
@@ -431,20 +374,14 @@ class QueryPerformancePredictor:
             fallback=fallback,
             problem_fraction=problem_fraction,
             jobs=jobs,
-            chunk_size=chunk_size,
             **predictor_kwargs,
         )
 
     def fit_pool(
-        self,
-        pool: Sequence[QueryInstance],
-        jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None,
+        self, pool: Sequence[QueryInstance], jobs: Optional[int] = None
     ) -> "QueryPerformancePredictor":
         """Execute a training pool and fit the model on the measurements."""
-        corpus = build_corpus(
-            self.catalog, self.config, pool, jobs=jobs, chunk_size=chunk_size
-        )
+        corpus = build_corpus(self.catalog, self.config, pool, jobs=jobs)
         return self.fit_corpus(corpus)
 
     def fit_corpus(self, corpus: Corpus) -> "QueryPerformancePredictor":
@@ -584,9 +521,7 @@ class QueryPerformancePredictor:
         """Predict metrics plus category, confidence and optimizer cost."""
         return self.forecast_many([sql])[0]
 
-    def forecast_many(
-        self, sqls: Sequence[str], lint: bool = True
-    ) -> list[Forecast]:
+    def forecast_many(self, sqls: Sequence[str]) -> list[Forecast]:
         """Batched forecasts: N queries, one kernel-cross per model.
 
         The batch path end-to-end: plan the statements the statement
@@ -599,38 +534,32 @@ class QueryPerformancePredictor:
         wall time is charged to the deadline's per-stage accounting.  A
         memoised statement is a cancellation point and an
         ``optimizer.optimize`` fault site like any other.
-
-        Args:
-            sqls: the statements to forecast.
-            lint: run plan lint + vocabulary checks; the serving
-                degradation ladder disables them under pressure.
         """
         self._require_trained()
         if not sqls:
             return []
         pipeline, memo = self._pipeline, self.memo
         stamp = (self.catalog.version, pipeline)
-        keys = [(sql, lint) for sql in sqls]
         with _obs_trace.span("api.forecast_many", n=len(sqls)) as current:
             with _resilience_deadline.stage_scope("optimize"):
-                compiled, hits = memo.lookup(stamp, keys)
+                compiled, hits = memo.lookup(stamp, sqls)
                 current.set(memo_hits=hits)
                 misses: list[str] = []
-                for key in keys:
-                    if key in compiled:
+                for sql in sqls:
+                    if sql in compiled:
                         _resilience_deadline.check_deadline("optimize")
                         _resilience_faults.fault_site("optimizer.optimize")
                     else:
-                        compiled[key] = ()  # compiled below, once
-                        misses.append(key[0])
-                optimized = self.optimizer.optimize_many(misses, lint=lint)
+                        compiled[sql] = ()  # compiled below, once
+                        misses.append(sql)
+                optimized = self.optimizer.optimize_many(misses)
             with _obs_trace.span("api.featurize", n=len(sqls)), \
                     _resilience_deadline.stage_scope("featurize"):
                 rows = plan_feature_matrix([opt.plan for opt in optimized])
                 for sql, opt, row in zip(misses, optimized, rows):
-                    warnings = _warnings(opt, pipeline) if lint else ()
-                    compiled[sql, lint] = (row.copy(), opt.cost, warnings, None)
-                parts = [compiled[key] for key in keys]
+                    warnings = _warnings(opt, pipeline)
+                    compiled[sql] = (row.copy(), opt.cost, warnings, None)
+                parts = [compiled[sql] for sql in sqls]
                 features = np.array([part[0] for part in parts])
             costs = np.array([part[1] for part in parts])
             with _resilience_deadline.stage_scope("predict"):
@@ -638,7 +567,7 @@ class QueryPerformancePredictor:
             if scored[0].stage is not None:
                 current.set(served_by=scored[0].stage)
         forecasts = []
-        for key, (row, cost, warnings, _), score in zip(keys, parts, scored):
+        for sql, (row, cost, warnings, _), score in zip(sqls, parts, scored):
             metrics = PerformanceMetrics.from_vector(score.prediction)
             forecast = Forecast(
                 metrics=metrics,
@@ -648,22 +577,21 @@ class QueryPerformancePredictor:
                 served_by=score.stage,
                 warnings=warnings,
             )
-            compiled[key] = (row, cost, warnings, forecast)
+            compiled[sql] = (row, cost, warnings, forecast)
             forecasts.append(forecast)
         memo.store(stamp, compiled)
         return forecasts
 
     def last_forecasts(self, sqls: Sequence[str]) -> Optional[list[Forecast]]:
         """A forecast computed for each of ``sqls`` under this model and these
-        catalog statistics (the unlinted one if both are held), or None unless
-        the memo holds every one: what the serving daemon's tier 3 answers a
-        repeated request from, whichever tier computed it."""
-        keys = [(sql, False) for sql in sqls]
+        catalog statistics, or None unless the memo holds every one: what the
+        serving daemon's tier ``stale`` answers a repeated request from,
+        whichever tier computed it."""
         stamp = (self.catalog.version, self._pipeline)
-        found, hits = self.memo.lookup(stamp, keys, either=True)
-        if hits < len(keys):
+        found, hits = self.memo.lookup(stamp, sqls)
+        if hits < len(sqls):
             return None
-        return [found[key][3] for key in keys]
+        return [found[sql][3] for sql in sqls]
 
     def forecast_workload(
         self,

@@ -20,8 +20,6 @@ Commands:
   (see docs/STATIC_ANALYSIS.md; exit 1 when any warning fires);
 * ``measure``  — actually run the query on the simulated system;
 * ``pools``    — run a workload and print the Figure 2 pool table;
-* ``metrics``  — print the process metrics registry (with ``--demo``
-  to populate it first);
 * ``serve``    — run the long-lived prediction daemon: HTTP/JSON,
   micro-batched forecasts, prediction-driven admission control, hot
   reload on SIGHUP; ``--supervised`` adds crash recovery on a shared
@@ -36,9 +34,7 @@ Commands:
 All commands build the selected workload's database deterministically
 (``--workload``, ``--scale``, ``--seed``), so output is reproducible.
 Parallel training builds (``--jobs N``) share the catalog with workers
-through a shared-memory data plane; ``--chunk-size`` tunes queries per
-worker task and ``--warm-pool`` keeps the workers alive across builds
-within one invocation (see docs/PERFORMANCE.md).
+through a shared-memory data plane (see docs/PERFORMANCE.md).
 ``--workload`` accepts a built-in spec name (``tpcds``, ``oltp``,
 ``analytics``, ``tpcds_skew``, ``customer``) or a path to a spec file
 (see docs/WORKLOADS.md).  Within one process, trained services are
@@ -57,6 +53,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -118,18 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
              "identical to a serial run",
     )
     parser.add_argument(
-        "--chunk-size", type=int, default=None, metavar="Q",
-        help="queries per worker task in parallel builds (default: "
-             "~8 chunks per worker); raise to amortise task overhead, "
-             "lower for heavily skewed runtimes",
-    )
-    parser.add_argument(
-        "--warm-pool", action="store_true",
-        help="keep corpus-build workers and their shared-memory catalog "
-             "planes alive across builds within this invocation (see "
-             "docs/PERFORMANCE.md)",
-    )
-    parser.add_argument(
         "--trace-out", metavar="FILE", default=None,
         help="enable hot-path tracing and write the span tree as JSON "
              "to FILE ('-' prints a pretty tree to stderr instead)",
@@ -148,18 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--save", required=True, metavar="ARTIFACT",
         help="where to write the model artifact (.npz)",
     )
-    train.add_argument(
-        "--queries", type=int, default=200,
-        help="training workload size (default 200)",
-    )
-    train.add_argument(
-        "--two-step", action="store_true",
-        help="use type-specific two-step models",
-    )
-    train.add_argument(
-        "--fallback", action="store_true",
-        help="serve through a degrading fallback chain (KCCA -> "
-             "regression -> cost heuristic) with circuit breakers",
+    _add_training_options(
+        train,
+        fallback="serve through a degrading fallback chain (KCCA -> "
+                 "regression -> cost heuristic) with circuit breakers",
     )
 
     plan = sub.add_parser("plan", help="show the optimizer's physical plan")
@@ -175,18 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--model", metavar="ARTIFACT",
             help="load a saved artifact instead of training",
         )
-        cmd.add_argument(
-            "--queries", type=int, default=200,
-            help="training workload size (default 200)",
-        )
-        cmd.add_argument(
-            "--two-step", action="store_true",
-            help="use type-specific two-step models",
-        )
-        cmd.add_argument(
-            "--fallback", action="store_true",
-            help="serve through a degrading fallback chain",
-        )
+        _add_training_options(cmd)
 
     forecast = sub.add_parser(
         "forecast", help="batch forecasts in one model pass"
@@ -203,18 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch", metavar="FILE",
         help="file of ';'-separated SQL statements",
     )
-    forecast.add_argument(
-        "--queries", type=int, default=200,
-        help="training workload size when no --model (default 200)",
-    )
-    forecast.add_argument(
-        "--two-step", action="store_true",
-        help="use type-specific two-step models",
-    )
-    forecast.add_argument(
-        "--fallback", action="store_true",
-        help="serve through a degrading fallback chain; the output "
-             "table gains a 'stage' column naming which model answered",
+    _add_training_options(
+        forecast,
+        queries="training workload size when no --model (default 200)",
+        fallback="serve through a degrading fallback chain; the output "
+                 "table gains a 'stage' column naming which model answered",
     )
 
     lint = sub.add_parser(
@@ -251,19 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     pools = sub.add_parser("pools", help="categorise a generated workload")
     pools.add_argument(
         "--queries", type=int, default=200, help="workload size"
-    )
-
-    metrics = sub.add_parser(
-        "metrics", help="print the process metrics registry"
-    )
-    metrics.add_argument(
-        "--format", choices=["prom", "json"], default="prom",
-        help="output format (default Prometheus text)",
-    )
-    metrics.add_argument(
-        "--demo", action="store_true",
-        help="train a small model and score a few queries first so the "
-             "registry has something to show",
     )
 
     serve = sub.add_parser(
@@ -320,17 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo-p99-ms", type=float, default=defaults.slo_p99_ms,
         help="p99 latency target reported at /admin/status",
     )
-    serve.add_argument(
-        "--queries", type=int, default=200,
-        help="training workload size when no --model (default 200)",
-    )
-    serve.add_argument(
-        "--two-step", action="store_true",
-        help="use type-specific two-step models when training in-memory",
-    )
-    serve.add_argument(
-        "--fallback", action="store_true",
-        help="serve through a degrading fallback chain",
+    _add_training_options(
+        serve,
+        queries="training workload size when no --model (default 200)",
+        two_step="use type-specific two-step models when training in-memory",
     )
     serve.add_argument(
         "--default-deadline-ms", type=float,
@@ -346,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--degrade-force-tier", type=int,
         default=defaults.degrade_force_tier, metavar="TIER",
-        help="pin the degradation ladder to one tier 0..3 (testing)",
+        help="pin the degradation ladder to one tier 0..2 (testing)",
     )
     serve.add_argument(
         "--supervised", action="store_true",
@@ -403,6 +342,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_training_options(
+    cmd: argparse.ArgumentParser,
+    queries: str = "training workload size (default 200)",
+    two_step: str = "use type-specific two-step models",
+    fallback: str = "serve through a degrading fallback chain",
+) -> None:
+    """``--queries`` / ``--two-step`` / ``--fallback``, which :func:`_train`
+    reads; a command whose help says more passes its own text."""
+    cmd.add_argument("--queries", type=int, default=200, help=queries)
+    cmd.add_argument("--two-step", action="store_true", help=two_step)
+    cmd.add_argument("--fallback", action="store_true", help=fallback)
+
+
 def _config(name: str):
     if name == "research":
         return research_4node()
@@ -415,17 +367,10 @@ def _catalog(args):
     return build_catalog_for(spec, scale=args.scale, seed=args.seed)
 
 
-def _service(args, config) -> QueryPerformancePredictor:
-    """A trained service: loaded from ``--model``, cached, or trained."""
-    artifact = getattr(args, "model", None)
-    if artifact:
-        # Fingerprint-validated: a retrain that overwrote the file is
-        # picked up instead of serving the stale cached model.
-        return resolve_artifact(Path(artifact))[1]
-    print(_NO_ARTIFACT_HINT, file=sys.stderr)
-    fallback = getattr(args, "fallback", False)
+def _train(args, config) -> QueryPerformancePredictor:
+    """A service trained on the selected workload, once per setup."""
     key = (args.workload, args.scale, args.seed, args.system, args.queries,
-           args.two_step, fallback)
+           args.two_step, args.fallback)
     if key not in _service_cache:
         # The CLI process is single-threaded; the cache cannot race.
         _service_cache[key] = QueryPerformancePredictor.train_on_workload(  # repro: allow[CC003]
@@ -435,15 +380,36 @@ def _service(args, config) -> QueryPerformancePredictor:
             seed=args.seed,
             config=config,
             two_step=args.two_step,
-            fallback=fallback,
+            fallback=args.fallback,
             jobs=args.jobs,
-            chunk_size=args.chunk_size,
         )
     return _service_cache[key]
 
 
+def _service(args, config) -> QueryPerformancePredictor:
+    """A trained service: loaded from ``--model``, cached, or trained."""
+    if args.model:
+        # Fingerprint-validated: a retrain that overwrote the file is
+        # picked up instead of serving the stale cached model.
+        return resolve_artifact(Path(args.model))[1]
+    print(_NO_ARTIFACT_HINT, file=sys.stderr)
+    return _train(args, config)
+
+
+#: A ``;`` between statements (group 1), or a stretch that may hold one
+#: that is not: a string literal or a ``--`` comment.
+_SEPARATOR = re.compile(r"'[^']*'|--[^\n]*|(;)")
+
+
 def _split_statements(text: str) -> list[str]:
-    return [part.strip() for part in text.split(";") if part.strip()]
+    """The ``;``-separated statements of ``text``, blank ones dropped."""
+    parts, start = [], 0
+    for match in _SEPARATOR.finditer(text):
+        if match.group(1):
+            parts.append(text[start:match.start()])
+            start = match.end()
+    parts.append(text[start:])
+    return [part.strip() for part in parts if part.strip()]
 
 
 def _write_trace(destination: str) -> None:
@@ -487,7 +453,6 @@ def _concurrency_lint_command(args) -> int:
 def _lint_command(args, config) -> int:
     """``repro lint``: plan-lint statements; exit 1 when warnings fire."""
     from repro.analysis.findings import LINT_SCHEMA_VERSION
-    from repro.analysis.planlint import vocabulary_warnings
 
     if args.concurrency is not None:
         return _concurrency_lint_command(args)
@@ -500,22 +465,12 @@ def _lint_command(args, config) -> int:
         print("error: lint needs SQL arguments or --batch FILE",
               file=sys.stderr)
         return 2
-    vocabulary = None
     if args.model:
         service = resolve_artifact(Path(args.model))[1]
-        optimizer = service.optimizer
-        vocabulary = service.pipeline.metadata.get("operator_vocabulary")
     else:
-        optimizer = Optimizer(_catalog(args), config)
-    results = []
-    total = 0
-    for sql in statements:
-        optimized = optimizer.optimize(sql)
-        warnings = list(optimized.warnings)
-        if vocabulary:
-            warnings.extend(vocabulary_warnings(optimized.plan, vocabulary))
-        results.append((sql, warnings))
-        total += len(warnings)
+        service = QueryPerformancePredictor(_catalog(args), config)
+    results = [(sql, service.lint(sql)) for sql in statements]
+    total = sum(len(warnings) for _, warnings in results)
     if args.format == "json":
         payload = {
             "schema_version": LINT_SCHEMA_VERSION,
@@ -545,10 +500,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         obs.enable_tracing()
     if args.metrics:
         obs.enable_metrics()
-    if args.warm_pool:
-        from repro.experiments.workerpool import enable_warm_pool
-
-        enable_warm_pool()
     try:
         return _dispatch(args, config)
     except ReproError as error:
@@ -561,10 +512,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     finally:
-        if args.warm_pool:
-            from repro.experiments.workerpool import shutdown_warm_pool
-
-            shutdown_warm_pool()
         if args.trace_out:
             _write_trace(args.trace_out)
         if args.metrics:
@@ -753,22 +700,8 @@ def _dispatch(args, config) -> int:
         print(f"message bytes    : {metrics.message_bytes:,}")
         return 0
     if args.command == "train":
-        predictor = QueryPerformancePredictor.train_on_workload(
-            args.workload,
-            n_queries=args.queries,
-            scale=args.scale,
-            seed=args.seed,
-            config=config,
-            two_step=args.two_step,
-            fallback=args.fallback,
-            jobs=args.jobs,
-            chunk_size=args.chunk_size,
-        )
         path = Path(args.save)
-        predictor.save(path)
-        key = (args.workload, args.scale, args.seed, args.system,
-               args.queries, args.two_step, args.fallback)
-        _service_cache[key] = predictor  # repro: allow[CC003] single-threaded
+        _train(args, config).save(path)
         print(f"trained on {args.queries} queries; artifact: {path}")
         return 0
     if args.command in ("predict", "explain"):
@@ -838,35 +771,8 @@ def _dispatch(args, config) -> int:
         pool = generate_pool(
             args.queries, seed=args.seed, workload=args.workload
         )
-        corpus = build_corpus(
-            catalog, config, pool, jobs=args.jobs,
-            chunk_size=args.chunk_size,
-        )
+        corpus = build_corpus(catalog, config, pool, jobs=args.jobs)
         print(format_pool_table(fig2_query_pools(corpus)))
-        return 0
-    if args.command == "metrics":
-        if args.demo:
-            obs.enable_metrics()
-            service = QueryPerformancePredictor.train_on_tpcds(
-                n_queries=40,
-                scale_factor=args.scale,
-                seed=args.seed,
-                config=config,
-                jobs=args.jobs,
-                chunk_size=args.chunk_size,
-            )
-            service.forecast_many(
-                [
-                    "SELECT count(*) AS c FROM store_sales ss "
-                    "WHERE ss.ss_quantity > 30",
-                    "SELECT count(*) AS c FROM customer c "
-                    "WHERE c.c_birth_year > 1970",
-                ]
-            )
-        if args.format == "json":
-            print(json.dumps(obs.metrics_snapshot(), indent=2, default=str))
-        else:
-            print(obs.get_registry().render_prometheus(), end="")
         return 0
     return 2
 

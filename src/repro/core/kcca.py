@@ -185,8 +185,8 @@ class KCCA:
             if use_nystrom and (self.rank or DEFAULT_NYSTROM_RANK) >= n:
                 # At rank >= N the landmark subspace is the full space:
                 # the factorisation reproduces the dense solve bitwise
-                # but costs strictly more (BENCH_pr6 measured ~2x slower
-                # at n=250, rank=250).  Take the exact path and count
+                # but costs strictly more (PR 6's report, in git history,
+                # measured ~2x slower at n=250, rank=250).  Take the exact path and count
                 # the downgrade so operators notice a rank that buys
                 # nothing at their corpus size.
                 use_nystrom = False

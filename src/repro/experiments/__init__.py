@@ -10,11 +10,11 @@
   suite prints and EXPERIMENTS.md records.
 * :mod:`repro.experiments.report` — plain-text table rendering.
 * :mod:`repro.experiments.bench` — the perf benchmark harness behind
-  ``scripts/bench.py`` (seven within-component ratio sections; the
-  gate benchmark under ``bench/`` measures end-to-end speed).
+  ``scripts/bench.py`` (two within-component ratio sections; the
+  gate benchmark under ``bench/`` measures end-to-end speed).  Not
+  imported here: import the module itself.
 """
 
-from repro.experiments.bench import format_report, run_benchmarks
 from repro.experiments.corpus import Corpus, ExecutedQuery, build_corpus, load_or_build_corpus
 from repro.experiments.harness import (
     evaluate_metrics,
@@ -30,6 +30,4 @@ __all__ = [
     "evaluate_metrics",
     "split_counts",
     "stratified_split",
-    "run_benchmarks",
-    "format_report",
 ]

@@ -22,9 +22,7 @@ The fan-out rides the shared-memory data plane (docs/PERFORMANCE.md):
 the catalog's numpy tables are published once into a shared segment
 (:func:`repro.storage.shared.share_catalog`) and workers *attach*
 zero-copy views at init instead of unpickling and rebuilding every
-table.  Queries ship in chunks (``chunk_size=...``) to amortise task
-overhead, and repeated builds can reuse live workers via the warm pool
-(:mod:`repro.experiments.workerpool`).
+table.  Queries ship in chunks to amortise task overhead.
 
 Long builds can be made resilient (see docs/ROBUSTNESS.md): pass
 ``retry=RetryPolicy(...)`` to retry transient per-query failures and
@@ -43,7 +41,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +52,6 @@ from repro.errors import CorpusBuildError, ReproError, RetryExhaustedError
 from repro.ioutils import atomic_savez
 from repro.obs.trace import (
     attach_spans,
-    disable_tracing,
     enable_tracing,
     export_trace,
     reset_trace,
@@ -65,7 +62,7 @@ from repro.optimizer import Optimizer
 from repro.resilience.checkpoint import BuildJournal
 from repro.resilience.faults import (
     FaultPlan,
-    arm as _arm_faults,
+    arm as _arm_plan,
     armed_plan,
     corrupt_array,
     fault_site,
@@ -75,16 +72,12 @@ from repro.rng import child_generator
 from repro.sql.text_features import sql_text_features
 from repro.storage.catalog import Catalog
 from repro.storage.shared import (
-    AttachedCatalog,
     CatalogDescriptor,
     attach_catalog,
     share_catalog,
 )
 from repro.workloads.categories import QueryCategory, categorize
 from repro.workloads.generator import QueryInstance
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.experiments.workerpool import CorpusWorkerPool
 
 __all__ = [
     "ExecutedQuery",
@@ -223,13 +216,9 @@ class _WorkerContext:
     """Everything a worker needs to execute corpus queries.
 
     The worker *attaches* zero-copy table views of the published data
-    plane through ``descriptor``.  The ``token`` identifies the prepared
-    worker state — a worker that already holds this token skips
-    re-initialisation entirely, which is what makes the warm pool cheap
-    across repeated builds.
+    plane through ``descriptor``.
     """
 
-    token: str
     config: SystemConfig
     noise_seed: int
     trace: bool
@@ -238,67 +227,21 @@ class _WorkerContext:
     retry: Optional[RetryPolicy] = None
 
 
-_COLD_TOKENS = iter(range(1, 1 << 62))
-
-
-def _make_context(
-    config: SystemConfig,
-    noise_seed: int,
-    trace: bool,
-    descriptor: CatalogDescriptor,
-    plan: Optional[FaultPlan],
-    retry: Optional[RetryPolicy],
-    warm: bool,
-) -> _WorkerContext:
-    if warm and plan is None and retry is None:
-        # Deterministic token: a warm worker that already prepared this
-        # exact (plane, config, seed, trace) state reuses it wholesale.
-        # Plane names are never reused, so tokens cannot collide across
-        # different catalogs or republished planes.
-        token = hashlib.sha256(
-            f"{descriptor.handle.name}|{config!r}|{noise_seed}|{int(trace)}"
-            .encode()
-        ).hexdigest()[:16]
-    else:
-        # Cold pools (and any fault/retry-carrying context) get a unique
-        # token so worker state is always rebuilt from this context.
-        token = f"cold:{os.getpid()}:{next(_COLD_TOKENS)}"
-    return _WorkerContext(
-        token=token,
-        config=config,
-        noise_seed=noise_seed,
-        trace=trace,
-        descriptor=descriptor,
-        plan=plan,
-        retry=retry,
-    )
-
-
 #: Per-worker state: optimizer + executor over the attached catalog,
-#: keyed by the context token that produced it.  Single slot — applying
-#: a new context tears down the previous attachment first.
+#: prepared once by the pool initializer.
 _WORKER: dict = {}
 
 
-def _apply_context(context: _WorkerContext) -> None:
-    """Prepare this process to execute queries under ``context``.
-
-    Idempotent per token: a warm worker that already holds the context's
-    state returns immediately (the attach-vs-rebuild and warm-pool wins
-    measured by the bench ``data_plane`` section both live here).
-    """
-    if _WORKER.get("token") == context.token:
-        return
-    previous: Optional[AttachedCatalog] = _WORKER.pop("attached", None)
-    if previous is not None:
-        previous.close()
+def _pool_init_context(context: _WorkerContext) -> None:
+    """Pool initializer: prepare this worker, once at spawn, to execute
+    queries under ``context``."""
     if context.plan is not None:
         # Each worker counts site invocations from 1 so a plan's firing
         # schedule is per-process deterministic; use ``match`` filters
         # (e.g. query_id) to target specific work items exactly.  Armed
         # before the attach below so plans can target ``artifact.read``.
         context.plan.reset_counters()
-        _arm_faults(context.plan)
+        _arm_plan(context.plan)
     attached = attach_catalog(context.descriptor)
     _WORKER["attached"] = attached
     _WORKER["optimizer"] = Optimizer(attached.catalog, context.config)
@@ -313,17 +256,6 @@ def _apply_context(context: _WorkerContext) -> None:
         # would swallow worker spans.  Reset, then enable.
         reset_trace()
         enable_tracing()
-        _WORKER["was_traced"] = True
-    elif _WORKER.pop("was_traced", False):
-        # A warm worker traced by a previous build must not keep tracing.
-        disable_tracing()
-        reset_trace()
-    _WORKER["token"] = context.token
-
-
-def _pool_init_context(context: _WorkerContext) -> None:
-    """Cold-pool initializer: prepare worker state once at spawn."""
-    _apply_context(context)
 
 
 def _worker_execute(instance: QueryInstance) -> ExecutedQuery:
@@ -355,14 +287,12 @@ def _worker_execute(instance: QueryInstance) -> ExecutedQuery:
 
 
 def _pool_run_chunk(
-    payload: "_WorkerContext | str", instances: Sequence[QueryInstance]
+    instances: Sequence[QueryInstance],
 ) -> "list[ExecutedQuery] | tuple[list[ExecutedQuery], list[dict]]":
     """Execute one chunk of queries in a worker process.
 
-    ``payload`` is the full context on warm pools (whose workers may
-    hold state from an earlier build) or just the token on cold pools
-    (whose initializer already applied the context — shipping the token
-    instead keeps per-chunk pickling cost independent of catalog size).
+    The initializer already prepared the worker, so a chunk ships only
+    its queries — per-chunk pickling cost is independent of catalog size.
 
     Traced chunks return their span dicts alongside the records —
     :func:`export_trace` flattens the worker-side spans to plain dicts,
@@ -370,15 +300,8 @@ def _pool_run_chunk(
     :func:`attach_spans` so a parallel build's trace reads like a serial
     one's.
     """
-    if isinstance(payload, _WorkerContext):
-        _apply_context(payload)
-    elif _WORKER.get("token") != payload:
-        raise ReproError(
-            "worker received a chunk for an unprepared context; cold pools "
-            "must initialise workers with _pool_init_context"
-        )
     records = [_worker_execute(instance) for instance in instances]
-    if _WORKER.get("trace"):
+    if _WORKER["trace"]:
         return records, export_trace(drain=True)
     return records
 
@@ -449,22 +372,14 @@ def _payload_to_record(query_id: str, payload: dict) -> ExecutedQuery:
     )
 
 
-#: Valid ``data_plane`` arguments: the shared-memory plane (with mmap
-#: spill fallback) or a forced backend.
-DATA_PLANES = ("auto", "shm", "mmap")
-
-
 def build_corpus(
     catalog: Catalog,
     config: SystemConfig,
     pool: Sequence[QueryInstance],
     noise_seed: int = 1,
-    progress: Optional[Callable[[int, int], None]] = None,
     jobs: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     checkpoint: Optional[Path] = None,
-    chunk_size: Optional[int] = None,
-    data_plane: str = "auto",
 ) -> Corpus:
     """Optimize and execute every query in ``pool`` on ``config``.
 
@@ -480,23 +395,12 @@ def build_corpus(
             as they finish, and a rerun with the same checkpoint resumes
             from them instead of re-executing.  The journal is deleted
             once the build completes.
-        chunk_size: queries per worker task.  Default balances load
-            (~8 chunks per worker); raise it to amortise task overhead
-            on uniform pools, lower it when runtimes are heavily skewed.
-        data_plane: how workers get the catalog — ``"auto"`` publishes
-            the tables once to shared memory (``"shm"``) falling back to
-            a memory-mapped spill file (``"mmap"``).
 
-    None of these knobs changes the corpus bytes: a retried, resumed,
-    chunked or fanned-out build — on any data plane — is bitwise
-    identical to an uninterrupted serial one.
+    None of these changes the corpus bytes: a retried, resumed or
+    fanned-out build is bitwise identical to an uninterrupted serial
+    one.  Workers get the catalog from a plane published once to shared
+    memory, or to a memory-mapped spill file where the host offers none.
     """
-    if data_plane not in DATA_PLANES:
-        raise ValueError(
-            f"data_plane must be one of {DATA_PLANES}, got {data_plane!r}"
-        )
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     pool = list(pool)
     jobs = resolve_jobs(jobs)
     journal: Optional[BuildJournal] = None
@@ -515,12 +419,12 @@ def build_corpus(
         ):
             if jobs > 1 and len(pool) > 1:
                 executed = _build_parallel(
-                    catalog, config, pool, noise_seed, progress, jobs,
-                    retry, journal, completed, chunk_size, data_plane,
+                    catalog, config, pool, noise_seed, jobs,
+                    retry, journal, completed,
                 )
             else:
                 executed = _build_serial(
-                    catalog, config, pool, noise_seed, progress,
+                    catalog, config, pool, noise_seed,
                     retry, journal, completed,
                 )
     finally:
@@ -536,7 +440,6 @@ def _build_serial(
     config: SystemConfig,
     pool: Sequence[QueryInstance],
     noise_seed: int,
-    progress: Optional[Callable[[int, int], None]],
     retry: Optional[RetryPolicy],
     journal: Optional[BuildJournal],
     completed: dict[str, ExecutedQuery],
@@ -560,8 +463,6 @@ def _build_serial(
             if journal is not None:
                 journal.record(instance.query_id, _record_to_payload(record))
         executed.append(record)
-        if progress is not None:
-            progress(len(executed), len(pool))
     return executed
 
 
@@ -570,13 +471,10 @@ def _build_parallel(
     config: SystemConfig,
     pool: Sequence[QueryInstance],
     noise_seed: int,
-    progress: Optional[Callable[[int, int], None]],
     jobs: int,
     retry: Optional[RetryPolicy],
     journal: Optional[BuildJournal],
     completed: dict[str, ExecutedQuery],
-    chunk_size: Optional[int],
-    data_plane: str,
 ) -> list[ExecutedQuery]:
     """Fan the pool out over worker processes on the data plane.
 
@@ -595,20 +493,13 @@ def _build_parallel(
     record's noise stream is derived from the query's identity alone, so
     the result is bitwise identical to the serial build.
     """
-    from repro.experiments.workerpool import warm_pool
-
     traced = tracing_enabled()
     plan = armed_plan()
     results: dict[str, ExecutedQuery] = dict(completed)
     plain = retry is None and journal is None
     pool_attempts = retry.max_attempts if retry is not None else 1
 
-    facility = warm_pool()
-    warm = facility is not None and plan is None and retry is None
-    if warm and facility is not None:
-        shared = facility.shared_catalog(catalog, backend=data_plane)
-    else:
-        shared = share_catalog(catalog, backend=data_plane)
+    shared = share_catalog(catalog)
     try:
         attempt = 0
         while True:
@@ -624,19 +515,17 @@ def _build_parallel(
                 # every rebuild would crash on the same call index
                 # forever.
                 worker_plan = plan.without_modes(("exit",))
-            context = _make_context(
-                config, noise_seed, traced, shared.descriptor,
-                worker_plan, retry, warm,
+            context = _WorkerContext(
+                config=config,
+                noise_seed=noise_seed,
+                trace=traced,
+                descriptor=shared.descriptor,
+                plan=worker_plan,
+                retry=retry,
             )
             try:
-                _run_pool(
-                    context, pending, jobs, chunk_size,
-                    facility if warm else None,
-                    journal, results, progress, len(pool),
-                )
+                _run_pool(context, pending, jobs, journal, results)
             except BrokenProcessPool as error:
-                if warm and facility is not None:
-                    facility.invalidate()
                 if plain:
                     failed = next(
                         (q.query_id for q in pool
@@ -664,25 +553,22 @@ def _build_parallel(
                     if pause > 0.0:
                         retry.sleep(pause)
     finally:
-        # Warm-pool planes stay published for the next build; one-shot
-        # planes are unlinked here even when the build fails, so a
-        # crashed (or faulted) build never leaks /dev/shm segments.
-        if not warm:
-            shared.close()
+        # Unlinked even when the build fails, so a crashed (or faulted)
+        # build never leaks /dev/shm segments.
+        shared.close()
     return [results[q.query_id] for q in pool]
 
 
 def _chunk_pending(
-    pending: Sequence[QueryInstance], jobs: int, chunk_size: Optional[int]
+    pending: Sequence[QueryInstance], jobs: int
 ) -> list[list[QueryInstance]]:
     """Partition pending queries (in pool order) into worker tasks.
 
-    The default targets ~8 chunks per worker: small enough to keep
-    workers balanced (bowling balls take ~1000x a feather), large
-    enough to amortise per-task submission overhead.
+    Targets ~8 chunks per worker: small enough to keep workers balanced
+    (bowling balls take ~1000x a feather), large enough to amortise
+    per-task submission overhead.
     """
-    if chunk_size is None:
-        chunk_size = max(1, len(pending) // (max(1, jobs) * 8))
+    chunk_size = max(1, len(pending) // (max(1, jobs) * 8))
     return [
         list(pending[i:i + chunk_size])
         for i in range(0, len(pending), chunk_size)
@@ -693,39 +579,25 @@ def _run_pool(
     context: _WorkerContext,
     pending: Sequence[QueryInstance],
     jobs: int,
-    chunk_size: Optional[int],
-    facility: "Optional[CorpusWorkerPool]",
     journal: Optional[BuildJournal],
     results: dict[str, ExecutedQuery],
-    progress: Optional[Callable[[int, int], None]],
-    total: int,
 ) -> None:
     """One worker-pool lifetime: submit chunks, harvest whatever
     completes into ``results`` (journaling each), and let
     ``BrokenProcessPool`` escape to the rebuild loop with the harvest
-    intact.
-
-    Cold pools eagerly prepare workers via the initializer and ship only
-    the context token per chunk; warm pools (which may hold an earlier
-    build's state) ship the full context and let the first chunk per
-    worker apply it.
+    intact.  The initializer prepares each worker once; a chunk ships
+    only its queries.
     """
     effective_jobs = min(jobs, len(pending))
-    chunks = _chunk_pending(pending, effective_jobs, chunk_size)
-    owns_pool = facility is None
-    if owns_pool:
-        workers = ProcessPoolExecutor(
-            max_workers=effective_jobs,
-            initializer=_pool_init_context,
-            initargs=(context,),
-        )
-        payload: "_WorkerContext | str" = context.token
-    else:
-        workers = facility.executor(jobs)
-        payload = context
+    chunks = _chunk_pending(pending, effective_jobs)
+    workers = ProcessPoolExecutor(
+        max_workers=effective_jobs,
+        initializer=_pool_init_context,
+        initargs=(context,),
+    )
     try:
         futures = {
-            workers.submit(_pool_run_chunk, payload, chunk): chunk
+            workers.submit(_pool_run_chunk, chunk): chunk
             for chunk in chunks
         }
         remaining = set(futures)
@@ -760,11 +632,8 @@ def _run_pool(
                             instance.query_id, _record_to_payload(record)
                         )
                     results[instance.query_id] = record
-                    if progress is not None:
-                        progress(len(results), total)
     finally:
-        if owns_pool:
-            workers.shutdown(wait=True)
+        workers.shutdown(wait=True)
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ the *production* path, not a profiler run on a benchmark.
 
 Tracing is **off by default** and the disabled path is a single module
 flag check returning a shared no-op context manager, so instrumentation
-can stay in the hot path permanently (the PR's bench harness measures the
-overhead; see ``bench_observability_overhead``).
+can stay in the hot path permanently (the gate benchmark measures the
+overhead: ``trace.overhead_share``).
 
 Worker processes (the ``build_corpus`` fan-out) cannot share the parent's
 thread-local tree, so workers export their finished spans as plain dicts
@@ -113,8 +113,7 @@ class Span:
         # Resolve the thread-local stack once and pin it for __exit__ —
         # each ``_STATE.<attr>`` access is a dict lookup, and on the
         # batch-predict hot path the extra lookup per span was a
-        # measurable slice of tracing overhead (bench ``observability``
-        # section).
+        # measurable slice of tracing overhead.
         stack = _STATE.stack
         self._stack = stack
         stack.append(self)

@@ -115,18 +115,28 @@ class Optimizer:
 
         Args:
             query: the statement (AST or SQL text).
-            lint: run the Pack-B plan lint on the compiled plan.  The
-                serving daemon's degradation ladder disables it under
-                sustained pressure (docs/SERVING.md).
+            lint: run the Pack-B plan lint on the compiled plan.
+
+        Raises:
+            OptimizerError: when no plan can be produced, including for a
+                statement whose expressions nest deeper than the
+                interpreter's stack.
         """
         with span("optimizer.optimize") as current:
             check_deadline("optimize")
             fault_site("optimizer.optimize")
             if isinstance(query, str):
                 query = parse(query)
-            plan, estimate, qualified = self._plan_block(query, top_level=True)
-            cost = plan_cost(plan, self.catalog)
-            warnings = tuple(lint_plan(plan)) if lint else ()
+            try:
+                plan, estimate, qualified = self._plan_block(
+                    query, top_level=True
+                )
+                cost = plan_cost(plan, self.catalog)
+                warnings = tuple(lint_plan(plan)) if lint else ()
+            except RecursionError:
+                # The expression walks recurse once per nesting level (a
+                # chain of 1 000 ANDs is 1 000 deep): the sender's error.
+                raise OptimizerError("statement nests too deeply") from None
             current.set(
                 tables=len(qualified.tables),
                 cost=float(cost),

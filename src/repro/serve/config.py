@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ServeError
+from repro.serve.degrade import MAX_TIER
 
 __all__ = ["ServeConfig"]
 
@@ -56,8 +57,8 @@ class ServeConfig:
             never a silently late answer (docs/SERVING.md).
         degrade: run the tiered degradation ladder — under sustained
             pressure the daemon steps down explicit service tiers
-            (skip plan lint, force the cheap fallback stage, serve
-            stale cached predictions) and steps back up hysteretically.
+            (force the cheap fallback stage, serve stale cached
+            predictions) and steps back up hysteretically.
         degrade_queue_depth: queued statements above which the ladder
             counts the daemon as under pressure.
         degrade_down_after_s: pressure must be sustained this long
@@ -100,9 +101,11 @@ class ServeConfig:
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
             raise ServeError("default_deadline_ms must be positive when set")
         if self.degrade_force_tier is not None and not (
-            0 <= self.degrade_force_tier <= 3
+            0 <= self.degrade_force_tier <= MAX_TIER
         ):
-            raise ServeError("degrade_force_tier must be a tier in 0..3")
+            raise ServeError(
+                f"degrade_force_tier must be a tier in 0..{MAX_TIER}"
+            )
         if self.degrade_queue_depth < 1:
             raise ServeError("degrade_queue_depth must be >= 1")
         if self.degrade_down_after_s < 0 or self.degrade_up_after_s < 0:

@@ -329,23 +329,21 @@ class PredictionDaemon:
         """One micro-batch → one ``forecast_many`` call (one kernel
         cross), tagged with the runtime version that served it.
 
-        Applies the current degradation tier's quality levers: tier 1+
-        drops plan lint, tier 2+ floors the fallback chain at the cheap
-        regression stage for this batch.
+        Applies the current degradation tier's quality lever: tier 1+
+        floors the fallback chain at the cheap regression stage for this
+        batch.
         """
         fault_site("serve.batch", n=len(sqls))
         runtime = self._runtime
-        lint = True
         floor = None
         if self.degrade is not None:
-            lint = self.degrade.lint_enabled()
             floor = self.degrade.fallback_floor()
         chain = runtime.service.fallback_chain()
         if chain is not None:
             chain.set_floor(floor)
         try:
             with span("serve.batch", n=len(sqls)):
-                forecasts = runtime.service.forecast_many(sqls, lint=lint)
+                forecasts = runtime.service.forecast_many(sqls)
         finally:
             if chain is not None:
                 chain.set_floor(None)
@@ -371,7 +369,7 @@ class PredictionDaemon:
     ) -> Optional[dict]:
         """A full response from the memo's last forecasts, or None on any miss.
 
-        Tier 3 only: every statement must hit; a partial hit goes
+        Tier ``stale`` only: every statement must hit; a partial hit goes
         through the real pipeline (a mixed-freshness response would be
         impossible to reason about).
         """

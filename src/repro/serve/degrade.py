@@ -7,11 +7,10 @@ of service tiers and stepping back up when the pressure clears:
 ====  ===========  ====================================================
 tier  name         what the daemon gives up
 ====  ===========  ====================================================
-0     ``full``     nothing — plan lint, KCCA
-1     ``fast``     plan lint and vocabulary checks
-2     ``lean``     tier 1, plus the KCCA stage (requests are served by
-                   the cheaper fallback regression stage)
-3     ``stale``    tier 2, plus a repeated statement may be answered
+0     ``full``     nothing — KCCA
+1     ``lean``     the KCCA stage (requests are served by the cheaper
+                   fallback regression stage)
+2     ``stale``    tier 1, plus a repeated statement may be answered
                    with the forecast the service's statement memo last
                    kept for it, without touching the pipeline at all
 ====  ===========  ====================================================
@@ -28,8 +27,8 @@ at a time and never flaps.
 
 Every transition increments a step counter, updates the
 ``repro_serve_degrade_tier`` gauge, and is visible per-response via the
-``degrade_tier`` field (plus ``served_by: "stale_cache"`` for tier-3
-answers from the memo).  See docs/SERVING.md.
+``degrade_tier`` field (plus ``served_by: "stale_cache"`` for
+``stale``-tier answers from the memo).  See docs/SERVING.md.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ __all__ = [
 ]
 
 #: Human names for the ladder's tiers, in step-down order.
-TIER_NAMES = ("full", "fast", "lean", "stale")
+TIER_NAMES = ("full", "lean", "stale")
 
 MAX_TIER = len(TIER_NAMES) - 1
 
@@ -202,16 +201,12 @@ class DegradeController:
     def tier_name(self) -> str:
         return TIER_NAMES[self.tier]
 
-    def lint_enabled(self) -> bool:
-        """Tier >= 1 drops plan lint + vocabulary checks."""
-        return self.tier < 1
-
     def fallback_floor(self) -> Optional[str]:
-        """Tier >= 2 forces the cheaper regression fallback stage."""
-        return "regression" if self.tier >= 2 else None
+        """Tier >= 1 forces the cheaper regression fallback stage."""
+        return "regression" if self.tier >= 1 else None
 
     def stale_ok(self) -> bool:
-        """Tier 3 may answer repeats from the statement memo."""
+        """The last tier may answer repeats from the statement memo."""
         return self.tier >= MAX_TIER
 
     def status(self) -> dict:

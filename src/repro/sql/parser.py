@@ -75,7 +75,12 @@ def parse(text: str) -> Query:
         TokenizeError: when the text cannot even be tokenized.
     """
     parser = _Parser(tokenize(text))
-    query = parser.parse_query()
+    try:
+        query = parser.parse_query()
+    except RecursionError:
+        # The productions recurse once per nesting level; a statement
+        # deeper than the interpreter's stack is the sender's error.
+        raise parser._error("statement nests too deeply") from None
     parser.expect_eof()
     return query
 

@@ -3,10 +3,10 @@
 Corpus builds fan out over worker processes, and before this module
 existed every worker paid to re-pickle and reconstruct the full catalog —
 all partitioned numpy tables plus statistics — which made ``jobs=N``
-*slower* than serial (BENCH_pr5 measured 0.33x).  Here the parent
-publishes every column array and histogram **once** into a single
-shared-memory plane (:func:`repro.ioutils.publish_arrays`), and workers
-attach zero-copy read-only views in microseconds:
+*slower* than serial (PR 5's report, in git history, measured 0.33x).
+Here the parent publishes every column array and histogram **once** into
+a single shared-memory plane (:func:`repro.ioutils.publish_arrays`), and
+workers attach zero-copy read-only views in microseconds:
 
 * :func:`share_catalog` — publisher side.  Packs all column arrays and
   per-column histograms into one plane and returns a
@@ -189,8 +189,7 @@ def attach_catalog(descriptor: CatalogDescriptor) -> AttachedCatalog:
 
     Zero-copy: every column (and histogram) is a read-only view into the
     shared buffer.  Worker init drops from "unpickle and rebuild every
-    table" to "map one segment and wrap views" — the attach-vs-rebuild
-    ratio is measured by the bench ``data_plane`` section.
+    table" to "map one segment and wrap views".
     """
     attached = attach_arrays(descriptor.handle)
     tables = []

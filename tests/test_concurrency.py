@@ -514,7 +514,7 @@ class TestStressUnderSanitizer:
     def test_degrade_ladder_and_stale_cache(
         self, sanitizer, monkeypatch, tpcds_catalog, config, mini_corpus
     ):
-        """The ladder, and the statement memo that tier 3 answers from:
+        """The ladder, and the statement memo its last tier answers from:
         eight threads forecasting an overlapping statement set through a
         memo small enough to evict on every pass."""
         import repro.api as api

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -92,6 +92,13 @@ class TestDistanceProperties:
         assert np.allclose(fast, naive, atol=1e-8 * scale)
 
     @given(paired_matrices())
+    # Two coincident rows of large magnitude: the expansion's squared
+    # distance is a few ulps of |a|^2 off 0 (1.8e-12 where BLAS fuses the
+    # multiply-add and einsum does not), and its root is 1.3e-6.  The
+    # first row is as the flake was reported, the second has the digits
+    # that reproduce it on an FMA host.
+    @example((np.array([[36.1585815, 32, 42.5583488, 0, 0]]),) * 2)
+    @example((np.array([[36.15858146516296, 32, 42.558348783995, 0, 0]]),) * 2)
     @settings(max_examples=40, deadline=None)
     def test_euclidean_distances_matches_naive_norm(self, matrices):
         points, reference = matrices
@@ -101,7 +108,13 @@ class TestDistanceProperties:
         )
         assert (fast >= 0).all()
         scale = max(float(naive.max()), 1.0)
-        assert np.allclose(fast, naive, atol=1e-6 * scale)
+        # The squared distances are off by at most 1e-8 * scale**2
+        # (test_cross_squared_matches_naive).  The root divides that by
+        # fast + naive, so 1e-6 * scale holds from naive = 1e-2 * scale
+        # up; nearer 0 all that bounds the root is the root of the error.
+        near_zero = naive < 1e-2 * scale
+        bound = np.where(near_zero, 1e-4 * scale, 1e-6 * scale)
+        assert np.allclose(fast, naive, atol=bound)
 
     @given(finite_matrix)
     @settings(max_examples=40, deadline=None)

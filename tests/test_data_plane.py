@@ -4,10 +4,11 @@ Covers the PR-7 invariants:
 
 * ``share_catalog``/``attach_catalog`` round-trip columns and statistics
   bit-for-bit on both backends (shm and mmap spill);
-* chunked, mmap and warm-pool parallel builds are all bitwise
+* parallel builds whose chunks hold several queries, and one on a host
+  that refuses shared memory (the plane spills to a file), are bitwise
   identical to the serial build;
 * kill -> resume through a checkpoint journal stays bitwise identical
-  when the build is chunked;
+  when the kill lands inside a multi-query chunk;
 * no shared segment outlives a build — after normal completion, after a
   worker killed mid-build, and after fault-injected attach failures the
   plane registry and /dev/shm are clean.
@@ -16,13 +17,14 @@ Covers the PR-7 invariants:
 from __future__ import annotations
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
 
+from repro import ioutils
 from repro.errors import CorpusBuildError, ReproError
-from repro.experiments.corpus import build_corpus
-from repro.experiments.workerpool import warm_pool, warmed_pool
+from repro.experiments.corpus import _chunk_pending, build_corpus
 from repro.ioutils import active_plane_names
 from repro.resilience.faults import FaultPlan, armed
 from repro.storage.shared import attach_catalog, share_catalog
@@ -37,6 +39,18 @@ def pool():
 @pytest.fixture(scope="module")
 def serial_corpus(tpcds_catalog, config, pool):
     return build_corpus(tpcds_catalog, config, pool, noise_seed=5)
+
+
+@pytest.fixture(scope="module")
+def wide_pool():
+    """Large enough that the default chunking puts several queries in a
+    worker task (50 // (2 * 8) = 3 at jobs=2, 50 // (3 * 8) = 2 at 3)."""
+    return generate_pool(50, seed=23)
+
+
+@pytest.fixture(scope="module")
+def wide_serial_corpus(tpcds_catalog, config, wide_pool):
+    return build_corpus(tpcds_catalog, config, wide_pool, noise_seed=5)
 
 
 def _shm_segments() -> set:
@@ -117,76 +131,84 @@ class TestCatalogRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Build identity across planes, chunking and the warm pool
+# Build identity across plane backends and chunk shapes
 # ----------------------------------------------------------------------
 
 
 class TestBuildIdentity:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"chunk_size": 3},
-            {"chunk_size": 1},
-            {"data_plane": "mmap"},
-        ],
-        ids=["chunk3", "chunk1", "mmap"],
-    )
+    @pytest.mark.parametrize("jobs", [2, 3], ids=["jobs2", "jobs3"])
     def test_parallel_matches_serial(
-        self, tpcds_catalog, config, pool, serial_corpus, kwargs
+        self, tpcds_catalog, config, wide_pool, wide_serial_corpus, jobs
     ):
+        assert max(map(len, _chunk_pending(wide_pool, jobs))) > 1
         parallel = build_corpus(
-            tpcds_catalog, config, pool, noise_seed=5, jobs=2, **kwargs
+            tpcds_catalog, config, wide_pool, noise_seed=5, jobs=jobs
+        )
+        assert_identical(wide_serial_corpus, parallel)
+        assert active_plane_names() == ()
+
+    def test_shm_refused_build_spills_and_matches_serial(
+        self, tpcds_catalog, config, pool, serial_corpus, tmp_path,
+        monkeypatch,
+    ):
+        """The selection a host without /dev/shm sees: nothing forces the
+        backend, shared memory fails, the plane goes to a spill file."""
+        def refuse(layout, total):
+            raise OSError("no shared memory on this host")
+
+        spilled = []
+        publish_mmap = ioutils._publish_mmap
+
+        def spill(layout, total, spill_dir):
+            plane = publish_mmap(layout, total, spill_dir)
+            spilled.append(plane.handle.name)
+            return plane
+
+        monkeypatch.setattr(ioutils, "_publish_shm", refuse)
+        monkeypatch.setattr(ioutils, "_publish_mmap", spill)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        before = _shm_segments()
+        parallel = build_corpus(
+            tpcds_catalog, config, pool, noise_seed=5, jobs=2
         )
         assert_identical(serial_corpus, parallel)
+        assert len(spilled) == 1
+        assert os.path.dirname(spilled[0]) == str(tmp_path)
+        assert list(tmp_path.iterdir()) == []
         assert active_plane_names() == ()
-
-    def test_warm_pool_reuses_workers_and_matches(
-        self, tpcds_catalog, config, pool, serial_corpus
-    ):
-        with warmed_pool() as warm:
-            first = build_corpus(
-                tpcds_catalog, config, pool, noise_seed=5, jobs=2
-            )
-            executor_after_first = warm._executor
-            second = build_corpus(
-                tpcds_catalog, config, pool, noise_seed=5, jobs=2
-            )
-            # Same executor object served both builds, and the catalog
-            # plane stayed published between them.
-            assert warm._executor is executor_after_first
-            assert warm.jobs == 2
-            assert active_plane_names() != ()
-        assert_identical(serial_corpus, first)
-        assert_identical(serial_corpus, second)
-        assert warm_pool() is None
-        assert active_plane_names() == ()
+        assert _shm_segments() - before == set()
 
     def test_chunked_kill_then_resume_is_bitwise_identical(
-        self, tpcds_catalog, config, pool, serial_corpus, tmp_path
+        self, tpcds_catalog, config, wide_pool, wide_serial_corpus, tmp_path
     ):
         journal = tmp_path / "build.journal"
-        target = pool[6].query_id
+        target = wide_pool[7].query_id
+        (chunk,) = [
+            chunk for chunk in _chunk_pending(wide_pool, 2)
+            if target in [query.query_id for query in chunk]
+        ]
+        assert len(chunk) > 1 and chunk[0].query_id != target
         plan = FaultPlan(seed=3).on(
             "corpus.execute", mode="exit",
-            calls=set(range(1, len(pool) + 1)),
+            calls=set(range(1, len(wide_pool) + 1)),
             match={"query_id": target},
         )
         with armed(plan):
             with pytest.raises(CorpusBuildError):
                 build_corpus(
-                    tpcds_catalog, config, pool, noise_seed=5, jobs=2,
-                    chunk_size=2, checkpoint=journal,
+                    tpcds_catalog, config, wide_pool, noise_seed=5, jobs=2,
+                    checkpoint=journal,
                 )
         # The journal survived the crash with some completed queries...
         assert journal.exists()
         assert active_plane_names() == ()
         # ...and the resumed chunked build finishes bitwise identical.
         resumed = build_corpus(
-            tpcds_catalog, config, pool, noise_seed=5, jobs=2,
-            chunk_size=2, checkpoint=journal,
+            tpcds_catalog, config, wide_pool, noise_seed=5, jobs=2,
+            checkpoint=journal,
         )
         assert not journal.exists()
-        assert_identical(serial_corpus, resumed)
+        assert_identical(wide_serial_corpus, resumed)
 
 
 # ----------------------------------------------------------------------

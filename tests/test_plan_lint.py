@@ -288,14 +288,3 @@ class TestLintCli:
     def test_no_input_exits_two(self, capsys):
         assert self.run([]) == 2
         assert "lint needs" in capsys.readouterr().err
-
-
-def test_bench_plan_lint_overhead_quick():
-    from repro.experiments.bench import bench_plan_lint_overhead
-
-    report = bench_plan_lint_overhead(
-        n_queries=4, scale_factor=0.05, repeats=2
-    )
-    assert report["optimize"]["mean_ms"] > 0.0
-    assert report["lint"]["mean_us"] > 0.0
-    assert report["lint_pct_of_optimize"] > 0.0

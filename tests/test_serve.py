@@ -35,6 +35,7 @@ from repro.api import (
     resolve_artifact,
 )
 from repro.errors import (
+    OptimizerError,
     ParseError,
     ServeBadStatementError,
     ServeError,
@@ -362,7 +363,51 @@ class TestPredictions:
 # ----------------------------------------------------------------------
 
 
+_DEEP_PREFIX = "SELECT count(*) AS c FROM item i WHERE "
+
+#: Statements, all far under the 1 MiB body cap, that nest deeper than
+#: the interpreter's stack: in the parser's productions or, where the
+#: parser loops, in the optimizer's walks over the left-deep tree it built.
+DEEP_STATEMENTS = {
+    "and": (OptimizerError, _DEEP_PREFIX + " AND ".join(
+        f"i.i_item_sk > {n}" for n in range(1000))),
+    "parens": (ParseError, _DEEP_PREFIX + "(" * 2000 + "i.i_item_sk > 1"
+               + ")" * 2000),
+    "not": (ParseError, _DEEP_PREFIX + "NOT " * 2000 + "i.i_item_sk > 1"),
+    "or": (OptimizerError, _DEEP_PREFIX + " OR ".join(
+        f"i.i_item_sk = {n}" for n in range(1500))),
+    "sum": (OptimizerError, _DEEP_PREFIX + "i.i_item_sk > "
+            + " + ".join(["1"] * 3000)),
+}
+
+
 class TestBadStatement:
+    @pytest.mark.parametrize("shape", list(DEEP_STATEMENTS))
+    def test_deep_nesting_is_a_typed_error(self, serve_service, shape):
+        kind, sql = DEEP_STATEMENTS[shape]
+        with pytest.raises(kind, match="nests too deeply"):
+            serve_service.forecast(sql)
+
+    def test_deep_nesting_is_400_for_its_sender_only(self, serve_service):
+        """Five untyped failures used to open the breaker for everybody."""
+        daemon = start_daemon(serve_service)
+        try:
+            nester = client_for(daemon, "nester")
+            shapes = list(DEEP_STATEMENTS.values())
+            for _kind, sql in shapes + shapes[:1]:
+                status, payload = nester.try_forecast(sql)
+                assert (status, payload["error"]) == (400, "bad_statement")
+                assert "nests too deeply" in payload["detail"]
+                # Another client, in between, is served as ever.
+                payload = client_for(daemon, "bystander").forecast(SQL_LIGHT)
+                assert payload["forecast"]["metrics"]["elapsed_time"] > 0
+            status = daemon.status()
+            assert status["breaker"]["state"] == "closed"
+            assert status["requests"]["failed"] == 0
+            assert status["requests"]["rejected"] == 6
+        finally:
+            daemon.stop()
+
     @pytest.mark.parametrize(
         "sql, position",
         [

@@ -212,6 +212,26 @@ class TestDegradeLadder:
         assert ladder.step_downs == 1
         assert ladder.last_reason == "queue_depth"
 
+    def test_walks_the_three_tiers_down_and_back(self):
+        clock = FakeClock()
+        ladder = controller(clock)
+        seen = [ladder.tier_name]
+        ladder.evaluate(queue_depth=20)
+        for _ in range(2):
+            clock.advance(0.3)
+            ladder.evaluate(queue_depth=20)
+            seen.append(ladder.tier_name)
+        ladder.evaluate(queue_depth=0)
+        for _ in range(2):
+            clock.advance(1.1)
+            ladder.evaluate(queue_depth=0)
+            seen.append(ladder.tier_name)
+        assert seen == ["full", "lean", "stale", "lean", "full"]
+        assert TIER_NAMES == ("full", "lean", "stale")
+        assert [(t["from"], t["to"]) for t in ladder.transitions] == [
+            (0, 1), (1, 2), (2, 1), (1, 0)
+        ]
+
     def test_ladder_moves_one_tier_at_a_time(self):
         clock = FakeClock()
         ladder = controller(clock)
@@ -287,17 +307,15 @@ class TestDegradeLadder:
         assert ladder.step_downs == 0 and ladder.step_ups == 0
 
     @pytest.mark.parametrize(
-        "tier,lint,floor,stale",
+        "tier,floor,stale",
         [
-            (0, True, None, False),
-            (1, False, None, False),
-            (2, False, "regression", False),
-            (3, False, "regression", True),
+            (0, None, False),
+            (1, "regression", False),
+            (2, "regression", True),
         ],
     )
-    def test_tier_effects(self, tier, lint, floor, stale):
+    def test_tier_effects(self, tier, floor, stale):
         ladder = controller(FakeClock(), force_tier=tier)
-        assert ladder.lint_enabled() is lint
         assert ladder.fallback_floor() == floor
         assert ladder.stale_ok() is stale
 
@@ -417,25 +435,25 @@ class TestDeadlineServing:
 
 
 class TestDegradedServing:
-    def test_forced_tier_2_serves_lean(self, serve_service):
+    def test_forced_tier_1_serves_lean(self, serve_service):
         daemon = start_daemon(
-            serve_service, degrade=True, degrade_force_tier=2
+            serve_service, degrade=True, degrade_force_tier=1
         )
         try:
             client = client_for(daemon)
             payload = client.forecast(SQL_LIGHT)
-            assert payload["degrade_tier"] == 2
+            assert payload["degrade_tier"] == 1
             status = daemon.status()["degrade"]
-            assert status["tier"] == 2 and status["forced"] is True
+            assert status["tier"] == 1 and status["forced"] is True
             assert status["tier_name"] == "lean"
         finally:
             daemon.stop()
 
-    def test_forced_tier_3_answers_repeats_from_stale_cache(
+    def test_forced_tier_2_answers_repeats_from_stale_cache(
         self, serve_service
     ):
         daemon = start_daemon(
-            serve_service, degrade=True, degrade_force_tier=3
+            serve_service, degrade=True, degrade_force_tier=2
         )
         # The memo is the (session-wide) service's, not the daemon's:
         # statements of this test's own, so the first one is a miss.
@@ -447,7 +465,7 @@ class TestDegradedServing:
             repeat = client.forecast(sql)
             assert repeat["served_by"] == "stale_cache"
             assert repeat["stale"] is True
-            assert repeat["degrade_tier"] == 3
+            assert repeat["degrade_tier"] == 2
             # Bitwise the same forecast the pipeline produced.
             assert repeat["forecast"] == fresh["forecast"]
             # A statement never seen still goes through the pipeline.
@@ -464,12 +482,11 @@ class TestDegradedServing:
         finally:
             daemon.stop()
 
-    def test_forecast_at_full_service_is_served_stale_at_tier_3(
+    def test_forecast_at_full_service_is_served_stale_at_tier_2(
         self, serve_service
     ):
         """The pressure valve holds what the daemon forecast *before* the
-        pressure: a statement seen at tier 0 (linted) is a tier-3 hit,
-        although tier 3 itself computes without lint."""
+        pressure: a statement seen at tier 0 is a tier-2 hit."""
         daemon = start_daemon(
             serve_service,
             degrade=True,
@@ -494,7 +511,47 @@ class TestDegradedServing:
         finally:
             daemon.stop()
 
-    def test_tier_3_answer_does_not_outlive_its_model(
+    def test_stepping_down_replans_nothing(self, serve_service, monkeypatch):
+        """The tier is not part of the memo's key: what full service
+        compiled, the next tier down finds, so the first step under
+        pressure does not send every hot statement through parse + plan."""
+        import repro.optimizer.optimizer as optimizer_module
+
+        daemon = start_daemon(
+            serve_service,
+            degrade=True,
+            degrade_down_after_s=0.0,
+            degrade_up_after_s=3600.0,
+        )
+        sqls = [SQL_LIGHT.replace("> 30", f"> {40 + n}") for n in range(5)]
+        try:
+            client = client_for(daemon)
+            for sql in sqls:
+                assert client.forecast(sql)["degrade_tier"] == 0
+            calls = []
+            parse = optimizer_module.parse
+            optimize = optimizer_module.Optimizer.optimize
+            monkeypatch.setattr(
+                optimizer_module, "parse",
+                lambda text: calls.append("parse") or parse(text),
+            )
+            monkeypatch.setattr(
+                optimizer_module.Optimizer, "optimize",
+                lambda self, *args, **kwargs: (
+                    calls.append("optimize") or optimize(self, *args, **kwargs)
+                ),
+            )
+            for _ in range(2):
+                daemon.degrade.evaluate(queue_depth=10**6)
+            for sql in sqls:
+                payload = client.forecast(sql)
+                assert payload["degrade_tier"] == 1
+                assert payload.get("stale") is None
+            assert calls == []
+        finally:
+            daemon.stop()
+
+    def test_tier_2_answer_does_not_outlive_its_model(
         self, tmp_path, tpcds_catalog, config, mini_corpus
     ):
         """The memo is the service's: after a reload to different bytes
@@ -508,7 +565,7 @@ class TestDegradedServing:
         )
         daemon = PredictionDaemon(
             artifact=path_a,
-            config=ServeConfig(max_batch=4, degrade=True, degrade_force_tier=3),
+            config=ServeConfig(max_batch=4, degrade=True, degrade_force_tier=2),
         )
         daemon.start()
         try:

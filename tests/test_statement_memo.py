@@ -1,9 +1,9 @@
 """The statement memo in ``repro.api``: a service that has seen a
 statement answers exactly as one that has not.
 
-The memo keeps, per ``(statement text, lint flag)``, what compiling
-yields — plan-feature row, optimizer cost, warnings — so a repeated
-forecast skips parse and plan.  Everything here compares whole
+The memo keeps, per statement text, what compiling yields — plan-feature
+row, optimizer cost, warnings — so a repeated forecast skips parse and
+plan.  Everything here compares whole
 :class:`~repro.api.Forecast` values (metrics, ``confidence``,
 ``warnings``, cost) with ``==``, which is bitwise on their floats,
 against a reference computed with the memo's bound at zero, i.e. with
@@ -67,16 +67,13 @@ def fresh(artifact, tpcds_catalog, config):
 
 @pytest.fixture(scope="module")
 def reference(artifact, tpcds_catalog, config, statements):
-    """``{lint: [Forecast]}`` from a service that retains nothing."""
+    """Every statement's forecast from a service that retains nothing."""
     service = QueryPerformancePredictor.load(
         artifact, catalog=tpcds_catalog, config=config
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(api, "_MEMO_ENTRIES", 0)
-        answers = {
-            lint: [service.forecast_many([sql], lint=lint)[0] for sql in statements]
-            for lint in (True, False)
-        }
+        answers = [service.forecast_many([sql])[0] for sql in statements]
     assert service.memo.stats()["hits"] == 0
     return answers
 
@@ -86,55 +83,38 @@ def chunks(items, size):
 
 
 class TestWarmedEqualsFresh:
-    @pytest.mark.parametrize("lint", [True, False])
-    def test_single_and_batched(self, fresh, statements, reference, lint):
-        expected = reference[lint]
+    def test_single_and_batched(self, fresh, statements, reference):
         assert len(statements) >= 1000 and len(set(statements)) > 256
-        first = [fresh.forecast_many([sql], lint=lint)[0] for sql in statements]
-        assert first == expected
+        assert all(f.warnings for f in reference[:4])
+        assert fresh.last_forecasts(statements[:5]) is None
+        first = [fresh.forecast_many([sql])[0] for sql in statements]
+        assert first == reference
+        assert fresh.last_forecasts(statements[-5:]) == reference[-5:]
         seen = fresh.memo.stats()
         assert seen["size"] == len(set(statements))
         # Second pass: every lookup is a hit, every answer the same.
-        again = [fresh.forecast_many([sql], lint=lint)[0] for sql in statements]
-        assert again == expected
+        again = [fresh.forecast_many([sql])[0] for sql in statements]
+        assert again == reference
         assert fresh.memo.stats()["hits"] == seen["hits"] + len(statements)
         assert fresh.memo.stats()["misses"] == seen["misses"]
         batched = [
             forecast
             for chunk in chunks(statements, 64)
-            for forecast in fresh.forecast_many(chunk, lint=lint)
+            for forecast in fresh.forecast_many(chunk)
         ]
-        assert batched == expected
-
-    def test_lint_flag_is_part_of_the_key(self, fresh, statements, reference):
-        probe = statements[:40]
-        assert fresh.forecast_many(probe, lint=True) == reference[True][:40]
-        assert fresh.forecast_many(probe, lint=False) == reference[False][:40]
-        assert fresh.forecast_many(probe, lint=True) == reference[True][:40]
-        assert all(f.warnings for f in reference[True][:4])
-        assert not any(f.warnings for f in reference[False])
-
-    def test_last_forecasts_ignore_the_lint_flag(self, fresh, statements, reference):
-        """Tier 3 asks for a statement's forecast whichever tier computed
-        it: the unlinted one if held, else the linted one, else nothing."""
-        probe = statements[:5]
-        assert fresh.last_forecasts(probe) is None
-        fresh.forecast_many(probe, lint=True)
-        assert fresh.last_forecasts(probe) == reference[True][:5]
-        fresh.forecast_many(probe[:2], lint=False)
-        assert fresh.last_forecasts(probe) == (
-            reference[False][:2] + reference[True][2:5]
-        )
-        assert fresh.last_forecasts(statements[3:7]) is None  # all or nothing
+        assert batched == reference
 
     def test_duplicates_inside_one_batch(self, fresh, statements, reference):
         """A cold batch holding the same text three times compiles it
         once and answers all three places."""
         picks = [0, 9, 0, 7, 9, 0]
         batch = [statements[i] for i in picks]
-        assert fresh.forecast_many(batch) == [reference[True][i] for i in picks]
+        assert fresh.forecast_many(batch) == [reference[i] for i in picks]
         assert fresh.memo.stats()["size"] == 3
-        assert fresh.forecast_many(batch) == [reference[True][i] for i in picks]
+        assert fresh.forecast_many(batch) == [reference[i] for i in picks]
+        # What the serving tier ``stale`` asks: all held, or nothing.
+        assert fresh.last_forecasts(batch) == [reference[i] for i in picks]
+        assert fresh.last_forecasts([statements[0], statements[1]]) is None
 
     def test_eviction_at_the_bound(self, fresh, statements, reference, monkeypatch):
         monkeypatch.setattr(api, "_MEMO_ENTRIES", 8)
@@ -143,7 +123,7 @@ class TestWarmedEqualsFresh:
             for chunk in chunks(probe, 5):
                 got = fresh.forecast_many(chunk)
                 at = probe.index(chunk[0])
-                assert got == reference[True][at:at + len(chunk)]
+                assert got == reference[at:at + len(chunk)]
                 assert fresh.memo.stats()["size"] <= 8
 
 
@@ -260,13 +240,13 @@ class TestBounds:
 
 
 class TestStatementMemo:
-    """The LRU itself (what tier 3's ``StalePredictionCache`` tests
-    checked of that class, now of the one cache there is)."""
+    """The LRU itself (what the ``StalePredictionCache`` tests checked
+    of that class, now of the one cache there is)."""
 
     def test_hits_misses_and_lru_eviction(self, monkeypatch):
         monkeypatch.setattr(api, "_MEMO_ENTRIES", 2)
         memo = StatementMemo()
-        a, b, c = ("a", True), ("b", True), ("c", True)
+        a, b, c = "a", "b", "c"
         assert memo.lookup(1, [a]) == ({}, 0)
         memo.store(1, {a: "A", b: "B"})
         assert memo.lookup(1, [a]) == ({a: "A"}, 1)  # refreshes a: b is now LRU
@@ -278,24 +258,9 @@ class TestStatementMemo:
         assert (stats["size"], stats["max_entries"]) == (2, 2)
         assert stats["bytes"] == 2
 
-    def test_either_flag_lookup_counts_one_hit_or_miss_a_key(self):
-        """What tier 3 asks: the text under the flag named, failing that
-        under the other one — and compiling never asks it."""
-        memo = StatementMemo()
-        linted, unlinted = ("a", True), ("a", False)
-        memo.lookup(1, [linted])
-        memo.store(1, {linted: "L"})
-        assert memo.lookup(1, [unlinted]) == ({}, 0)
-        assert memo.lookup(1, [unlinted], either=True) == ({unlinted: "L"}, 1)
-        memo.store(1, {unlinted: "U"})
-        assert memo.lookup(1, [unlinted], either=True) == ({unlinted: "U"}, 1)
-        assert memo.lookup(1, [("b", False)], either=True) == ({}, 0)
-        stats = memo.stats()
-        assert (stats["hits"], stats["misses"]) == (2, 3)
-
     def test_new_stamp_empties_and_old_stamp_cannot_store(self):
         memo = StatementMemo()
-        key = ("a", True)
+        key = "a"
         memo.lookup(1, [key])
         memo.store(1, {key: "A"})
         assert memo.lookup(2, [key]) == ({}, 0)  # statistics moved on
