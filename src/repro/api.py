@@ -51,6 +51,7 @@ import numpy as np
 from repro.analysis.findings import PlanWarning
 from repro.analysis.planlint import corpus_vocabulary, vocabulary_warnings
 from repro.analysis.sanitizer import guarded_by, make_lock, note_access
+from repro.core.base import artifact_digest, restoring
 from repro.core.confidence import ConfidenceReport
 from repro.core.features import plan_feature_matrix, plan_feature_vector
 from repro.core.predictor import KCCAPredictor
@@ -285,9 +286,8 @@ class QueryPerformancePredictor:
         self._catalog_spec: Optional[dict] = None
         #: The statement memo (``memo.stats()``: size, bounds, hits, misses).
         self.memo = StatementMemo()
-        #: Content digest of the artifact this service was loaded
-        #: from (set by :func:`resolve_artifact`); None when trained
-        #: in-process.
+        #: Content digest of the artifact bytes this service was built
+        #: from (set by :meth:`load`); None when trained in-process.
         self.artifact_fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -450,40 +450,40 @@ class QueryPerformancePredictor:
                 no catalog can be obtained, or on schema-version
                 mismatches.
         """
+        # One read: the digest, the metadata below and the fitted state all
+        # come from the same bytes, whatever replaces the file meanwhile.
         pipeline = PredictionPipeline.load(path)
-        metadata = pipeline.metadata
-        if config is None:
-            stored = metadata.get("system_config")
-            if stored is None:
-                raise ModelError(
-                    f"artifact {path} stores no system configuration; "
-                    "pass config= explicitly"
-                )
-            config = SystemConfig(**stored)
-        if catalog is None:
-            spec = metadata.get("catalog_spec")
-            if not spec or spec.get("kind") not in ("tpcds", "customer"):
-                raise ModelError(
-                    f"artifact {path} embeds no catalog recipe; "
-                    "pass catalog= explicitly"
-                )
-            if spec["kind"] == "tpcds":
-                catalog = build_tpcds_catalog(
-                    scale_factor=spec["scale_factor"], seed=spec["seed"]
-                )
-            else:
-                catalog = build_customer_catalog(
-                    seed=spec["seed"], scale=spec.get("scale", 1.0)
-                )
-        # Re-load with verification now that the environment is known.
-        pipeline = PredictionPipeline.load(path, catalog=catalog, config=config)
+        spec = pipeline.metadata.get("catalog_spec")
+        with restoring(path):  # the recipe is as much outside input
+            if config is None:
+                stored = pipeline.metadata.get("system_config")
+                if stored is None:
+                    raise ModelError(
+                        "stores no system configuration; pass config= explicitly"
+                    )
+                config = SystemConfig(**stored)
+            if catalog is None:
+                if not spec or spec.get("kind") not in ("tpcds", "customer"):
+                    raise ModelError(
+                        "embeds no catalog recipe; pass catalog= explicitly"
+                    )
+                if spec["kind"] == "tpcds":
+                    catalog = build_tpcds_catalog(
+                        scale_factor=spec["scale_factor"], seed=spec["seed"]
+                    )
+                else:
+                    catalog = build_customer_catalog(
+                        seed=spec["seed"], scale=spec.get("scale", 1.0)
+                    )
+        pipeline.check_environment(catalog, config, str(path))
         service = cls(
             catalog,
             config=config,
             two_step=bool(pipeline.metadata.get("two_step", False)),
             fallback=bool(pipeline.metadata.get("fallback", False)),
         )
-        service._catalog_spec = pipeline.metadata.get("catalog_spec")
+        service._catalog_spec = spec
+        service.artifact_fingerprint = pipeline.artifact_digest
         service._pipeline = pipeline
         return service
 
@@ -709,16 +709,10 @@ def artifact_fingerprint(path: Path) -> str:
     Raises:
         ModelError: when the artifact file does not exist.
     """
-    import hashlib
-
     resolved = Path(path)
     if not resolved.is_file():
         raise ModelError(f"model artifact not found: {resolved}")
-    digest = hashlib.sha256()
-    with open(resolved, "rb") as stream:
-        for chunk in iter(lambda: stream.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()[:16]
+    return artifact_digest(resolved.read_bytes())
 
 
 def resolve_artifact(
@@ -730,20 +724,21 @@ def resolve_artifact(
     repeated calls for unchanged bytes return the already-loaded
     service; when the file changed on disk — e.g. a retrain overwrote
     it — the stale entry is evicted and the artifact is reloaded, so a
-    cached service can never outlive its bytes.  The loaded service
-    carries the fingerprint as ``service.artifact_fingerprint``.
+    cached service can never outlive its bytes.  A load reads the file
+    once: the fingerprint (also ``service.artifact_fingerprint``) names
+    the bytes the service was built from, whatever replaces them meanwhile.
     """
-    resolved = str(Path(path).resolve())
-    fingerprint = artifact_fingerprint(Path(resolved))
+    resolved = Path(path).resolve()
     if cache:
-        entry = _ARTIFACT_CACHE.get(resolved)
-        if entry is not None and entry[0] == fingerprint:
+        entry = _ARTIFACT_CACHE.get(str(resolved))
+        if entry is not None and entry[0] == artifact_fingerprint(resolved):
             return entry
-    service = QueryPerformancePredictor.load(Path(resolved))
-    service.artifact_fingerprint = fingerprint
+    service = QueryPerformancePredictor.load(resolved)
+    assert service.artifact_fingerprint is not None
+    entry = (service.artifact_fingerprint, service)
     if cache:
-        _ARTIFACT_CACHE[resolved] = (fingerprint, service)
-    return fingerprint, service
+        _ARTIFACT_CACHE[str(resolved)] = entry
+    return entry
 
 
 def clear_artifact_cache() -> None:

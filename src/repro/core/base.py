@@ -23,12 +23,15 @@ pickle), so artifacts are safe to load and stable across Python versions.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import struct
 import zipfile
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Optional, Protocol, Type, runtime_checkable
+from typing import Any, Iterator, Optional, Protocol, Type, runtime_checkable
 
 import numpy as np
 
@@ -44,11 +47,15 @@ __all__ = [
     "unpack_state",
     "write_state",
     "read_state",
+    "artifact_digest",
+    "checked_array",
+    "restoring",
 ]
 
 #: Bump when the on-disk state layout changes incompatibly; artifacts
-#: with a different version are refused on load.
-MODEL_SCHEMA_VERSION = 1
+#: with a different version are refused on load.  Version 2 stores a
+#: KCCA fit's projections and centring constants, not its N x N kernels.
+MODEL_SCHEMA_VERSION = 2
 
 _ARRAY_KEY = "__array__"
 
@@ -187,15 +194,58 @@ def write_state(
     atomic_savez(path, __manifest__=payload, **arrays)
 
 
+def artifact_digest(data: bytes) -> str:
+    """Content identity of an artifact's bytes (sha256, 16 hex chars)."""
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def checked_array(state: dict, name: str, *shape: Optional[int]) -> np.ndarray:
+    """``state[name]`` as a finite array of ``shape`` (``None``: any extent).
+
+    Restored state is outside input: unchecked, a wrong shape surfaces as
+    a numpy error at forecast time and a NaN as a plausible forecast.
+    """
+    array = np.asarray(state[name])
+    if array.ndim != len(shape) or any(
+        want is not None and got != want
+        for got, want in zip(array.shape, shape)
+    ):
+        raise ModelError(
+            f"fitted array {name!r} has shape {array.shape}, expected {shape}"
+        )
+    if not np.isfinite(array).all():
+        raise ModelError(f"fitted array {name!r} holds a non-finite value")
+    return array
+
+
+@contextmanager
+def restoring(path: Path) -> Iterator[None]:
+    """Scope in which state read from the artifact at ``path`` is restored:
+    a missing key, wrong type or unparsable value in the manifest of a
+    readable artifact is a :class:`ModelError` naming the artifact."""
+    try:
+        yield
+    except ModelError as error:  # raised without knowing the path
+        raise ModelError(f"model artifact {path}: {error}") from error
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
+        raise ModelError(
+            f"model artifact {path} has a damaged body "
+            f"({type(error).__name__}: {error})"
+        ) from error
+
+
 def read_state(
     path: Path, expected_class: Optional[str] = None
-) -> tuple[dict, dict]:
-    """Load ``(state, manifest)`` written by :func:`write_state`.
+) -> tuple[dict, dict, str]:
+    """Load ``(state, manifest, digest)`` written by :func:`write_state`.
+
+    The file is read once: ``digest`` is :func:`artifact_digest` of the
+    very bytes ``state`` was parsed from.
 
     Raises:
         ModelError: on a missing/corrupt manifest, an unknown schema
-            version, or (when ``expected_class`` is given) a class
-            mismatch.
+            version, a class mismatch (when ``expected_class`` is given)
+            or an array the manifest names but the file lacks.
     """
     # Lazy import: see write_state.
     from repro.resilience.faults import fault_site
@@ -203,11 +253,14 @@ def read_state(
     path = Path(path)
     fault_site("artifact.read", path=str(path))
     try:
-        with np.load(path, allow_pickle=False) as data:
+        raw = path.read_bytes()
+        with np.load(io.BytesIO(raw), allow_pickle=False) as data:
             try:
                 manifest = json.loads(
                     bytes(data["__manifest__"].tobytes()).decode("utf-8")
                 )
+                if not isinstance(manifest, dict):
+                    raise ValueError("manifest is not an object")
             except (KeyError, ValueError) as error:
                 raise ModelError(
                     f"{path} is not a model artifact (bad manifest)"
@@ -241,8 +294,9 @@ def read_state(
                 f"model artifact {path} holds a {found!r}, "
                 f"expected {expected_class!r}"
             )
-    state = unpack_state(manifest["state"], arrays)
-    return state, manifest
+    with restoring(path):
+        state = unpack_state(manifest["state"], arrays)
+    return state, manifest, artifact_digest(raw)
 
 
 class SerializableModel:
@@ -265,16 +319,8 @@ class SerializableModel:
     @classmethod
     def load(cls: Type["SerializableModel"], path: Path) -> "SerializableModel":
         """Load a model of exactly this class from ``path``."""
-        state, _manifest = read_state(path, expected_class=cls.__name__)
+        state, _manifest, _digest = read_state(path, expected_class=cls.__name__)
         model = cls.__new__(cls)
-        model.load_state_dict(state)
-        return model
-
-    @staticmethod
-    def load_any(path: Path) -> "SerializableModel":
-        """Load whatever registered model class ``path`` holds."""
-        state, manifest = read_state(path)
-        cls = model_class(manifest.get("model_class", ""))
-        model = cls.__new__(cls)
-        model.load_state_dict(state)
+        with restoring(path):
+            model.load_state_dict(state)
         return model

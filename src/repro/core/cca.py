@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from repro.errors import ModelError, NotFittedError
 
@@ -43,6 +42,9 @@ class CCA:
         self._y_mean: Optional[np.ndarray] = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "CCA":
+        # Lazy import: only a process that fits pays for the solver.
+        import scipy.linalg
+
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:

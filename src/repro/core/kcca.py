@@ -36,8 +36,8 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
+from repro.core.base import checked_array
 from repro.errors import ModelError, NotFittedError
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.trace import span
@@ -92,6 +92,9 @@ def _nystrom_factor(kernel_c: np.ndarray, landmarks: np.ndarray) -> np.ndarray:
     eigenvalues below the relative cutoff are dropped (pseudo-inverse),
     so near-duplicate landmarks cannot blow the factor up.
     """
+    # Lazy import: only a process that fits pays for the solver.
+    import scipy.linalg
+
     columns = kernel_c[:, landmarks]
     block = columns[landmarks]
     eigenvalues, eigenvectors = scipy.linalg.eigh(block)
@@ -155,9 +158,6 @@ class KCCA:
         self.beta: Optional[np.ndarray] = None
         self.correlations: Optional[np.ndarray] = None
         self.landmarks: Optional[np.ndarray] = None
-        self._kx_centered: Optional[np.ndarray] = None
-        self._ky_centered: Optional[np.ndarray] = None
-        self._kx_train: Optional[np.ndarray] = None
         self._centering: Optional[tuple[np.ndarray, float]] = None
         self._x_proj: Optional[np.ndarray] = None
         self._y_proj: Optional[np.ndarray] = None
@@ -203,25 +203,21 @@ class KCCA:
                 with span("kcca.fit.exact"):
                     self._fit_exact(kx_c, ky_c, ridge, d)
             assert self.alpha is not None and self.beta is not None
-            self._kx_centered = kx_c
-            self._ky_centered = ky_c
-            self._keep_train_kernel(kx)
-            # Project the training set once; fit already paid for the
-            # centred kernels, so downstream consumers (predictor,
-            # confidence) reuse these buffers instead of redoing the
-            # N x N @ N x d product.
+            # All that prediction reads of the N x N kernels: the training
+            # set's two projections, and the column means and grand mean
+            # that centre a new query's kernel row.  The kernels themselves
+            # are neither kept nor persisted.
             self._x_proj = kx_c @ self.alpha
             self._y_proj = ky_c @ self.beta
+            self._centering = (kx.mean(axis=0, keepdims=True), float(kx.mean()))
         return self
-
-    def _keep_train_kernel(self, kx: np.ndarray) -> None:
-        # All that centring a cross kernel reads of the N x N matrix, reduced once.
-        self._kx_train = kx
-        self._centering = (kx.mean(axis=0, keepdims=True), kx.mean())
 
     def _fit_exact(
         self, kx_c: np.ndarray, ky_c: np.ndarray, ridge: float, d: int
     ) -> None:
+        # Lazy import: only a process that fits pays for the solver.
+        import scipy.linalg
+
         n = kx_c.shape[0]
         ax = kx_c + ridge * np.eye(n)
         ay = ky_c + ridge * np.eye(n)
@@ -249,6 +245,9 @@ class KCCA:
         turns ``alpha = (Kx + rI)^-1 u`` into rank-r solves — no N x N
         linear algebra anywhere.
         """
+        # Lazy import: only a process that fits pays for the solver.
+        import scipy.linalg
+
         n = kx_c.shape[0]
         rank = min(self.rank or DEFAULT_NYSTROM_RANK, n)
         rng = child_generator(self.landmark_seed, "kcca-nystrom-landmarks")
@@ -287,20 +286,16 @@ class KCCA:
 
     @property
     def x_projection(self) -> np.ndarray:
-        """Training points in the query projection (N x d), cached."""
+        """Training points in the query projection (N x d)."""
         self._require_fitted()
-        if self._x_proj is None:
-            assert self._kx_centered is not None and self.alpha is not None
-            self._x_proj = self._kx_centered @ self.alpha
+        assert self._x_proj is not None
         return self._x_proj
 
     @property
     def y_projection(self) -> np.ndarray:
-        """Training points in the performance projection (N x d), cached."""
+        """Training points in the performance projection (N x d)."""
         self._require_fitted()
-        if self._y_proj is None:
-            assert self._ky_centered is not None and self.beta is not None
-            self._y_proj = self._ky_centered @ self.beta
+        assert self._y_proj is not None
         return self._y_proj
 
     def project_x(self, cross_kernel: np.ndarray) -> np.ndarray:
@@ -315,16 +310,18 @@ class KCCA:
             return centered @ self.alpha
 
     def state_dict(self) -> dict:
-        """Constructor arguments plus fitted dual coefficients."""
+        """Constructor arguments plus what prediction reads of a fit."""
         fitted = None
         if self.alpha is not None:
+            assert self._centering is not None
             fitted = {
                 "alpha": self.alpha,
                 "beta": self.beta,
                 "correlations": self.correlations,
-                "kx_centered": self._kx_centered,
-                "ky_centered": self._ky_centered,
-                "kx_train": self._kx_train,
+                "x_projection": self._x_proj,
+                "y_projection": self._y_proj,
+                "kernel_column_means": self._centering[0],
+                "kernel_mean": self._centering[1],
             }
             if self.landmarks is not None:
                 fitted["landmarks"] = self.landmarks
@@ -340,16 +337,21 @@ class KCCA:
         }
 
     def load_state_dict(self, state: dict) -> "KCCA":
-        """Restore a :meth:`state_dict` export (inverse operation)."""
+        """Restore a :meth:`state_dict` export (inverse operation);
+        ``ModelError`` when the fitted arrays disagree about N or d."""
         self.__init__(**state["config"])
         fitted = state.get("fitted")
         if fitted is not None:
-            self.alpha = np.asarray(fitted["alpha"])
-            self.beta = np.asarray(fitted["beta"])
-            self.correlations = np.asarray(fitted["correlations"])
-            self._kx_centered = np.asarray(fitted["kx_centered"])
-            self._ky_centered = np.asarray(fitted["ky_centered"])
-            self._keep_train_kernel(np.asarray(fitted["kx_train"]))
+            self.alpha = checked_array(fitted, "alpha", None, None)
+            n, d = self.alpha.shape
+            self.beta = checked_array(fitted, "beta", n, d)
+            self.correlations = checked_array(fitted, "correlations", d)
+            self._x_proj = checked_array(fitted, "x_projection", n, d)
+            self._y_proj = checked_array(fitted, "y_projection", n, d)
+            self._centering = (
+                checked_array(fitted, "kernel_column_means", 1, n),
+                float(checked_array(fitted, "kernel_mean")),
+            )
             if fitted.get("landmarks") is not None:
                 self.landmarks = np.asarray(fitted["landmarks"])
         return self

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.base import SerializableModel, register_model
+from repro.core.base import SerializableModel, checked_array, register_model
 from repro.core.kcca import KCCA
 from repro.core.kernels import (
     PERFORMANCE_SCALE_FRACTION,
@@ -215,17 +215,10 @@ class KCCAPredictor(SerializableModel):
             raise NotFittedError("KCCAPredictor is not fitted")
 
     @property
-    def _x_projection(self) -> np.ndarray:
-        # The KCCA caches the training projection it computed at fit time
-        # from the centred-kernel buffers it already holds; keeping a
-        # second copy here would double the memory for nothing.
-        return self._kcca.x_projection
-
-    @property
     def query_projection(self) -> np.ndarray:
         """Training queries in the query projection (N x d)."""
         self._require_fitted()
-        return self._x_projection
+        return self._kcca.x_projection
 
     @property
     def performance_projection(self) -> np.ndarray:
@@ -274,7 +267,7 @@ class KCCAPredictor(SerializableModel):
         with span("predictor.knn", n=coords.shape[0], k=self.k_neighbors):
             indices, distances = nearest_neighbors(
                 coords,
-                self._x_projection,
+                self._kcca.x_projection,
                 self.k_neighbors,
                 metric=self.distance_metric,
             )
@@ -341,7 +334,13 @@ class KCCAPredictor(SerializableModel):
             self._x_scaler.load_state_dict(fitted["x_scaler"])
             self._y_scaler.load_state_dict(fitted["y_scaler"])
             self._tau_x = float(fitted["tau_x"])
-            self._train_features = np.asarray(fitted["train_features"])
-            self._train_performance = np.asarray(fitted["train_performance"])
+            self._train_features = checked_array(
+                fitted, "train_features", None, None
+            )
+            n = self._train_features.shape[0]
+            self._train_performance = checked_array(
+                fitted, "train_performance", n, None
+            )
             self._kcca.load_state_dict(fitted["kcca"])
+            checked_array(fitted["kcca"]["fitted"], "alpha", n, None)
         return self

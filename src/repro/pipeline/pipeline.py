@@ -28,11 +28,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import Model, model_class, read_state, write_state
+from repro.core.base import (
+    Model,
+    checked_array,
+    model_class,
+    read_state,
+    restoring,
+    write_state,
+)
 from repro.core.calibration import CostCalibrator
 from repro.core.confidence import ConfidenceModel, ConfidenceReport
 from repro.core.features import FeatureSpace
@@ -60,6 +67,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["PredictionPipeline", "ScoredPrediction"]
 
 _ELAPSED_INDEX = METRIC_NAMES.index("elapsed_time")
+
+
+def _fingerprints(
+    catalog: Optional[Catalog], config: Optional[SystemConfig]
+) -> dict[str, str]:
+    """Fingerprints of whichever parts of an environment are given."""
+    found = {}
+    if catalog is not None:
+        found["catalog"] = catalog_fingerprint(catalog)
+    if config is not None:
+        found["system"] = system_fingerprint(config)
+    return found
+
+
+def _holding(state: object, name: str) -> Iterator[dict]:
+    """Every dict in a nested state that has the key ``name``."""
+    if isinstance(state, dict):
+        if name in state:
+            yield state
+        for value in state.values():
+            yield from _holding(value, name)
 
 
 @dataclass(frozen=True)
@@ -108,6 +136,8 @@ class PredictionPipeline:
         self.confidence: Optional[ConfidenceModel] = None
         self.fingerprints: dict[str, str] = {}
         self.metadata: dict = dict(metadata or {})
+        #: Digest of the artifact bytes :meth:`load` restored this from.
+        self.artifact_digest: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Stage access
@@ -289,10 +319,18 @@ class PredictionPipeline:
         self, catalog: Optional[Catalog], config: Optional[SystemConfig]
     ) -> None:
         """Record the training environment's fingerprints on the pipeline."""
-        if catalog is not None:
-            self.fingerprints["catalog"] = catalog_fingerprint(catalog)
-        if config is not None:
-            self.fingerprints["system"] = system_fingerprint(config)
+        self.fingerprints.update(_fingerprints(catalog, config))
+
+    def check_environment(
+        self,
+        catalog: Optional[Catalog],
+        config: Optional[SystemConfig],
+        source: str,
+    ) -> None:
+        """Refuse (``ModelError`` naming ``source``, the artifact) a catalog
+        or configuration other than the one fingerprinted at training."""
+        for kind, actual in _fingerprints(catalog, config).items():
+            check_fingerprint(kind, self.fingerprints.get(kind), actual, source)
 
     def save(
         self,
@@ -363,62 +401,54 @@ class PredictionPipeline:
                 the ones stored in the artifact.
 
         Raises:
-            ModelError: unknown schema version, unknown model class, or a
-                fingerprint mismatch.
+            ModelError: unknown schema version, unknown model class, a
+                body that cannot be restored, or a fingerprint mismatch.
         """
-        state, manifest = read_state(path, expected_class=cls.__name__)
-        artifact = manifest.get("artifact", {})
-        version = artifact.get("schema_version")
-        if version != ARTIFACT_SCHEMA_VERSION:
-            raise ModelError(
-                f"pipeline artifact {path} has schema version {version!r}, "
-                f"this build reads version {ARTIFACT_SCHEMA_VERSION}"
-            )
-        fingerprints = artifact.get("fingerprints", {})
-        if catalog is not None:
-            check_fingerprint(
-                "catalog",
-                fingerprints.get("catalog"),
-                catalog_fingerprint(catalog),
-                str(path),
-            )
-        if config is not None:
-            check_fingerprint(
-                "system",
-                fingerprints.get("system"),
-                system_fingerprint(config),
-                str(path),
-            )
+        state, manifest, digest = read_state(path, expected_class=cls.__name__)
+        with restoring(path):
+            artifact = manifest.get("artifact", {})
+            version = artifact.get("schema_version")
+            if version != ARTIFACT_SCHEMA_VERSION:
+                raise ModelError(
+                    f"pipeline schema version {version!r}, "
+                    f"this build reads version {ARTIFACT_SCHEMA_VERSION}"
+                )
+            cls_model = model_class(artifact.get("model_class", ""))
+            model = cls_model.__new__(cls_model)
+            model.load_state_dict(state["model"])
+            # A forecast names its columns by METRIC_NAMES.
+            for holder in _holding(state["model"], "train_performance"):
+                checked_array(
+                    holder, "train_performance", None, len(METRIC_NAMES)
+                )
 
-        cls_model = model_class(artifact.get("model_class", ""))
-        model = cls_model.__new__(cls_model)
-        model.load_state_dict(state["model"])
-
-        space_state = state.get("feature_space") or {}
-        feature_space = FeatureSpace(
-            tuple(space_state.get("names", ())),
-            log_scale=bool(space_state.get("log_scale", False)),
-        )
-        pipeline = cls(
-            model=model,
-            feature_space=feature_space,
-            confidence_threshold=float(
-                artifact.get("confidence_threshold", 3.0)
-            ),
-            metadata=artifact.get("metadata"),
-        )
-        pipeline.fingerprints = dict(fingerprints)
-        if state.get("calibrator") is not None:
-            pipeline.calibrator = CostCalibrator().load_state_dict(
-                state["calibrator"]
+            space_state = state.get("feature_space") or {}
+            feature_space = FeatureSpace(
+                tuple(space_state.get("names", ())),
+                log_scale=bool(space_state.get("log_scale", False)),
             )
-        confidence_state = state.get("confidence")
-        scorer = pipeline.scorer
-        if confidence_state is not None and scorer is not None:
-            pipeline.confidence = ConfidenceModel.from_calibration(
-                scorer,
-                median=confidence_state["median"],
-                scale=confidence_state["scale"],
-                threshold=confidence_state["threshold"],
+            pipeline = cls(
+                model=model,
+                feature_space=feature_space,
+                confidence_threshold=float(
+                    artifact.get("confidence_threshold", 3.0)
+                ),
+                metadata=artifact.get("metadata"),
             )
+            pipeline.fingerprints = dict(artifact.get("fingerprints", {}))
+            pipeline.artifact_digest = digest
+            if state.get("calibrator") is not None:
+                pipeline.calibrator = CostCalibrator().load_state_dict(
+                    state["calibrator"]
+                )
+            confidence_state = state.get("confidence")
+            scorer = pipeline.scorer
+            if confidence_state is not None and scorer is not None:
+                pipeline.confidence = ConfidenceModel.from_calibration(
+                    scorer,
+                    median=confidence_state["median"],
+                    scale=confidence_state["scale"],
+                    threshold=confidence_state["threshold"],
+                )
+        pipeline.check_environment(catalog, config, str(path))
         return pipeline

@@ -1,0 +1,87 @@
+"""Rewriting saved model artifacts: a structurally valid ``.npz`` whose
+manifest or arrays say something the writer never would.
+
+``DAMAGED_BODIES`` are the shapes found by hand on the commit before
+schema 2 (ROADMAP 3(b)): each loaded, or escaped as an untyped error —
+some only at forecast time, one as a silently wrong forecast.  Every one
+must now be a ``ModelError`` from ``load``.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Callable, Optional
+
+import numpy as np
+
+_KCCA = "state/model/fitted/kcca/fitted"
+
+
+def tamper(
+    path: Path,
+    manifest: Optional[Callable] = None,
+    arrays: Optional[Callable] = None,
+) -> None:
+    """Rewrite a saved artifact in place after ``manifest(manifest_dict)``
+    and/or ``arrays(array_table)`` mutated its two halves."""
+    with np.load(path) as archive:
+        data = {key: archive[key] for key in archive.files}
+    document = json.loads(bytes(data.pop("__manifest__")).decode("utf-8"))
+    if manifest is not None:
+        manifest(document)
+    if arrays is not None:
+        arrays(data)
+    data["__manifest__"] = np.frombuffer(
+        json.dumps(document).encode("utf-8"), dtype=np.uint8
+    )
+    with open(path, "wb") as handle:
+        np.savez(handle, **data)
+
+
+def _set(table: dict, key: str, change: Callable) -> None:
+    table[key] = change(table[key])
+
+
+def _metadata(document: dict) -> dict:
+    return document["artifact"]["metadata"]
+
+
+#: name -> (manifest mutation, array mutation), either may be None.
+DAMAGED_BODIES = {
+    "array_absent_from_zip": (
+        None, lambda data: data.pop("state/model/fitted/train_features")),
+    "state_without_model": (
+        lambda doc: doc["state"].pop("model"), None),
+    "state_is_a_number": (
+        lambda doc: doc.update(state=5), None),
+    "kcca_array_missing": (
+        lambda doc: doc["state"]["model"]["fitted"]["kcca"]["fitted"].pop(
+            "alpha"), None),
+    "alpha_with_seven_rows": (
+        None, lambda data: _set(data, f"{_KCCA}/alpha", lambda a: a[:7])),
+    "two_metric_columns": (
+        None, lambda data: _set(
+            data, "state/model/fitted/train_performance", lambda a: a[:, :2])),
+    "unknown_system_config_key": (
+        lambda doc: _metadata(doc)["system_config"].update(warp_factor=9),
+        None),
+    "unknown_model_config_key": (
+        lambda doc: doc["state"]["model"]["config"].update(warp_factor=9),
+        None),
+    "scale_factor_is_a_word": (
+        lambda doc: _metadata(doc)["catalog_spec"].update(scale_factor="big"),
+        None),
+    "confidence_threshold_is_a_word": (
+        lambda doc: doc["artifact"].update(confidence_threshold="high"), None),
+    "alpha_all_nan": (
+        None, lambda data: _set(
+            data, f"{_KCCA}/alpha", lambda a: np.full_like(a, np.nan))),
+}
+
+
+def damage(path: Path, shape: str) -> Path:
+    """Apply the named ``DAMAGED_BODIES`` shape to the artifact at ``path``."""
+    manifest, arrays = DAMAGED_BODIES[shape]
+    tamper(path, manifest=manifest, arrays=arrays)
+    return path

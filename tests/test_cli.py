@@ -1,6 +1,7 @@
 """CLI tests (train / plan / measure / predict / explain / forecast / pools)."""
 
 import dataclasses
+import shutil
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.cli import (
 )
 from repro.api import resolve_artifact
 from repro.serve import ServeConfig
+from tests._artifacts import damage
 
 SQL = "SELECT count(*) AS c FROM store_sales ss WHERE ss.ss_quantity > 20"
 
@@ -229,6 +231,23 @@ class TestArtifactWorkflow:
         code = main(["forecast", "--model", str(artifact)])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "shape", ["alpha_all_nan", "unknown_model_config_key"]
+    )
+    def test_damaged_artifact_is_one_error_line(
+        self, shape, artifact, tmp_path, capsys
+    ):
+        """Exit 1 and ``error: ...`` — it was a traceback, or (the NaN
+        model) exit 0 and a forecast."""
+        damaged = damage(shutil.copy(artifact, tmp_path / "damaged.npz"), shape)
+        code = main(["forecast", "--model", str(damaged), SQL])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert str(damaged) in captured.err
 
     def test_missing_artifact_fails_cleanly(self, tmp_path, capsys):
         code = main(

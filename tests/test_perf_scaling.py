@@ -7,7 +7,8 @@
 * the benchmark harness runs and emits a valid, JSON-able report;
 * the statement front end stays within its budget of interpreter calls
   per statement, and a repeated statement makes none of them;
-* predicting never reads the N x N training kernel;
+* a fitted or loaded model holds no N x N array, its artifact grows
+  linearly in N, and what it holds instead equals the kernel expressions;
 * the engine groups and joins integer keys without sorting them.
 """
 
@@ -21,11 +22,12 @@ import re
 import numpy as np
 import pytest
 
-from repro.core.kcca import KCCA
+from repro.core.kcca import KCCA, center_kernel
 from repro.core.kernels import (
     cross_squared_distances,
     gaussian_kernel_cross,
     gaussian_kernel_matrix,
+    scale_factor_heuristic,
 )
 from repro.core.neighbors import nearest_neighbors
 from repro.core.predictor import KCCAPredictor
@@ -200,32 +202,79 @@ class TestNystromKCCA:
         first = model.query_projection
         assert model.query_projection is first  # no recompute per access
 
-    def test_predicting_never_reads_the_training_kernel(self, tmp_path):
-        """Centring a cross kernel needs the training kernel's column
-        means and grand mean, which fit and load reduce once: swap the
-        stored N x N array for one that raises on any use and a loaded
-        model predicts the same bits, one row at a time and batched.
-        (The parent commit reduced it inside every ``project_x``.)"""
-
-        class Poisoned:
-            def __getattr__(self, name):
-                raise AssertionError(f"training kernel used: .{name}")
-
+    def test_fitted_and_loaded_models_hold_no_n_by_n_array(self, tmp_path):
+        """What prediction reads of a fit is N x d and 1 x N; the kernels
+        KCCA was solved from are neither kept nor persisted."""
         features, performance = _synthetic(120)
-        new, _ = _synthetic(16, seed=9)
+        n, width = features.shape
         path = tmp_path / "model.npz"
-        PredictionPipeline(model=KCCAPredictor()).fit(features, performance).save(path)
-        expected = PredictionPipeline.load(path).score_many(new)
-        loaded = PredictionPipeline.load(path)
-        loaded.model._kcca._kx_train = Poisoned()
-        batched = loaded.score_many(new)
-        single = [loaded.score_many(new[i:i + 1])[0] for i in range(len(new))]
-        for got in (batched, single):
-            assert [s.confidence for s in got] == [s.confidence for s in expected]
-            assert all(
-                np.array_equal(s.prediction, e.prediction)
-                for s, e in zip(got, expected)
-            )
+        fitted = KCCAPredictor().fit(features, performance)
+        fitted.save(path)
+        for model in (fitted, KCCAPredictor.load(path)):
+            kcca = model._kcca
+            largest = n * max(kcca.n_components, width)
+            sizes = [
+                item.size
+                for value in (*vars(kcca).values(), *vars(model).values())
+                for item in (value if isinstance(value, tuple) else (value,))
+                if isinstance(item, np.ndarray)
+            ]
+            assert len(sizes) >= 8  # the walk does see the fitted arrays
+            assert max(sizes) == largest  # the training features, N x width
+            assert model.query_projection.shape == (n, kcca.n_components)
+
+    def test_artifact_bytes_are_linear_in_n(self, tmp_path):
+        features, performance = _synthetic(240)
+        sizes = {}
+        for n in (120, 240):
+            path = tmp_path / f"n{n}.npz"
+            PredictionPipeline(model=KCCAPredictor()).fit(
+                features[:n], performance[:n]
+            ).save(path)
+            sizes[n] = path.stat().st_size
+        # The parent commit stored three N x N kernels and read ~3.9 x.
+        assert sizes[240] < 2.6 * sizes[120]
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"approximation": "nystrom", "rank": 40}],
+        ids=["exact", "nystrom"],
+    )
+    def test_kept_state_equals_the_kernel_expressions(self, kwargs, tmp_path):
+        """The projections and centring constants a model keeps are the
+        bits the N x N kernels give, recomputed here from the kernels."""
+        features, performance = _synthetic(120)
+        model = KCCAPredictor(**kwargs).fit(features, performance)
+        kcca = model._kcca
+        fx = model._x_scaler.transform(features)
+        fy = model._y_scaler.transform(performance)
+        kx = gaussian_kernel_matrix(fx, model._tau_x)
+        ky = gaussian_kernel_matrix(
+            fy, scale_factor_heuristic(fy, model.performance_scale_fraction)
+        )
+        assert np.array_equal(
+            model.query_projection, center_kernel(kx) @ kcca.alpha
+        )
+        assert np.array_equal(
+            model.performance_projection, center_kernel(ky) @ kcca.beta
+        )
+        column_means, grand_mean = kcca._centering
+        assert np.array_equal(column_means, kx.mean(axis=0, keepdims=True))
+        assert grand_mean == kx.mean()
+
+        path = tmp_path / "model.npz"
+        model.save(path)
+        loaded = KCCAPredictor.load(path)
+        assert np.array_equal(loaded.query_projection, model.query_projection)
+        assert np.array_equal(
+            loaded.performance_projection, model.performance_projection
+        )
+        assert np.array_equal(loaded._kcca._centering[0], column_means)
+        assert loaded._kcca._centering[1] == grand_mean
+        assert np.array_equal(
+            loaded._kcca.projection_correlation(),
+            kcca.projection_correlation(),
+        )
+        assert (kcca.projection_correlation() > 0.5).any()
 
 
 # ----------------------------------------------------------------------

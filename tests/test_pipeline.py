@@ -1,9 +1,11 @@
 """Pipeline persistence, batch prediction and Model-protocol tests."""
 
+import builtins
 import inspect
-import json
+import io
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +16,13 @@ import pytest
 import repro
 import repro.cli
 import repro.experiments.harness
-from repro.api import QueryPerformancePredictor
-from repro.core.base import Model
+from repro.api import (
+    QueryPerformancePredictor,
+    artifact_fingerprint,
+    clear_artifact_cache,
+    resolve_artifact,
+)
+from repro.core.base import MODEL_SCHEMA_VERSION, Model
 from repro.core.online import OnlinePredictor
 from repro.core.predictor import KCCAPredictor
 from repro.core.regression import MultiMetricRegression
@@ -26,6 +33,7 @@ from repro.errors import ModelError
 from repro.experiments.harness import evaluate_pipeline, fit_pipeline
 from repro.pipeline import PredictionPipeline
 from repro.workloads.generator import generate_pool
+from tests._artifacts import DAMAGED_BODIES, damage, tamper
 
 MODEL_FACTORIES = {
     "kcca": lambda: KCCAPredictor(),
@@ -48,17 +56,23 @@ def batch_sqls():
     return [q.sql for q in generate_pool(100, seed=77, problem_fraction=0.2)]
 
 
-def _tamper_manifest(path: Path, mutate) -> None:
-    """Rewrite the JSON manifest inside a saved .npz artifact."""
-    with np.load(path) as archive:
-        data = {key: archive[key] for key in archive.files}
-    manifest = json.loads(bytes(data["__manifest__"]).decode("utf-8"))
-    mutate(manifest)
-    data["__manifest__"] = np.frombuffer(
-        json.dumps(manifest).encode("utf-8"), dtype=np.uint8
+def _recipe_service(tpcds_catalog, config, mini_corpus, **kwargs):
+    """A trained service whose artifact embeds the session catalog's
+    recipe, so ``load`` can rebuild the environment from the file alone."""
+    svc = QueryPerformancePredictor(tpcds_catalog, config=config, **kwargs)
+    svc._catalog_spec = {"kind": "tpcds", "scale_factor": 0.15, "seed": 123}
+    return svc.fit_corpus(mini_corpus)
+
+
+def _subprocess_env() -> dict:
+    env = dict(os.environ)
+    src_dir = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = (
+        src_dir + os.pathsep + env["PYTHONPATH"]
+        if env.get("PYTHONPATH")
+        else src_dir
     )
-    with open(path, "wb") as handle:
-        np.savez(handle, **data)
+    return env
 
 
 class TestModelProtocol:
@@ -153,7 +167,7 @@ class TestPipelineRoundTrip:
         def bump(manifest):
             manifest["artifact"]["schema_version"] = 999
 
-        _tamper_manifest(path, bump)
+        tamper(path, manifest=bump)
         with pytest.raises(ModelError, match="schema version"):
             PredictionPipeline.load(path)
 
@@ -165,8 +179,29 @@ class TestPipelineRoundTrip:
         def bump(manifest):
             manifest["schema_version"] = 999
 
-        _tamper_manifest(path, bump)
+        tamper(path, manifest=bump)
         with pytest.raises(ModelError, match="schema version"):
+            PredictionPipeline.load(path)
+
+    def test_previous_model_schema_is_refused_not_read(
+        self, mini_corpus, tmp_path
+    ):
+        """No second reader: an artifact of the schema that stored the
+        N x N kernels is refused by version, with the typed message."""
+        pipeline = fit_pipeline(mini_corpus)
+        path = tmp_path / "pipeline.npz"
+        pipeline.save(path)
+        tamper(
+            path,
+            manifest=lambda doc: doc.update(
+                schema_version=MODEL_SCHEMA_VERSION - 1
+            ),
+        )
+        assert MODEL_SCHEMA_VERSION == 2
+        with pytest.raises(
+            ModelError,
+            match="has schema version 1, this build reads version 2",
+        ):
             PredictionPipeline.load(path)
 
     def test_evaluate_pipeline_reports_all_metrics(self, mini_corpus):
@@ -222,6 +257,39 @@ class TestCorruptArtifacts:
         path.write_bytes(b"this is not a zip archive at all" * 10)
         with pytest.raises(ModelError, match=re.escape(str(path))):
             PredictionPipeline.load(path)
+
+
+class TestDamagedBodies:
+    """A readable artifact whose body is wrong is refused by ``load`` with
+    a ``ModelError`` naming the file — never an untyped error, never an
+    error (or a number) at forecast time."""
+
+    @pytest.fixture(scope="class")
+    def good(self, tpcds_catalog, config, mini_corpus, tmp_path_factory):
+        path = tmp_path_factory.mktemp("damaged") / "good.npz"
+        _recipe_service(tpcds_catalog, config, mini_corpus).save(path)
+        return path
+
+    @pytest.mark.parametrize("shape", sorted(DAMAGED_BODIES))
+    def test_load_raises_model_error(self, good, shape, tmp_path):
+        path = damage(shutil.copy(good, tmp_path / f"{shape}.npz"), shape)
+        with pytest.raises(ModelError, match=re.escape(str(path))):
+            QueryPerformancePredictor.load(path)
+
+    def test_undamaged_copy_loads_and_forecasts(self, good, batch_sqls):
+        # The control: what the shapes above are mutations of.
+        assert QueryPerformancePredictor.load(good).forecast_many(batch_sqls[:3])
+
+    @pytest.mark.parametrize("model_name", ["two_step", "regression"])
+    def test_bare_model_files_too(self, model_name, mini_corpus, tmp_path):
+        model = MODEL_FACTORIES[model_name]().fit(
+            mini_corpus.feature_matrix(), mini_corpus.performance_matrix()
+        )
+        path = tmp_path / "model.npz"
+        model.save(path)
+        tamper(path, manifest=lambda doc: doc["state"].pop("config"))
+        with pytest.raises(ModelError, match=re.escape(str(path))):
+            type(model).load(path)
 
 
 class TestBatchPrediction:
@@ -329,21 +397,128 @@ class TestApiPersistence:
             f"svc = QueryPerformancePredictor.load({str(path)!r})\n"
             f"print(repr(svc.predict({sql!r})))\n"
         )
-        env = dict(os.environ)
-        src_dir = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = (
-            src_dir + os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH")
-            else src_dir
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=_subprocess_env(),
+            check=True,
+        )
+        assert result.stdout.strip() == repr(expected)
+
+
+    def test_serving_never_imports_the_fit_time_solver(
+        self, tpcds_catalog, config, mini_corpus, batch_sqls, tmp_path
+    ):
+        """With ``scipy`` unimportable, a fresh process imports the api,
+        the daemon and the CLI, loads an artifact and forecasts — in
+        process, batched and through a ``PredictionDaemon`` — and answers
+        what the training process answered; a fit in that process fails
+        on the import, which is what proves the guard bites."""
+        trained = _recipe_service(tpcds_catalog, config, mini_corpus)
+        path = tmp_path / "model.npz"
+        trained.save(path)
+        sqls = batch_sqls[:4]
+        expected = [repr(f.metrics) for f in trained.forecast_many(sqls)]
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "import repro.api, repro.serve, repro.cli\n"
+            "from repro.core.predictor import KCCAPredictor\n"
+            "from repro.serve import PredictionDaemon, ServeClient\n"
+            f"sqls = {sqls!r}\n"
+            f"svc = repro.api.QueryPerformancePredictor.load({str(path)!r})\n"
+            "print(repr(svc.forecast(sqls[0]).metrics))\n"
+            "for forecast in svc.forecast_many(sqls):\n"
+            "    print(repr(forecast.metrics))\n"
+            f"daemon = PredictionDaemon(artifact={str(path)!r})\n"
+            "daemon.start()\n"
+            "try:\n"
+            "    with ServeClient(*daemon.address) as client:\n"
+            "        print(client.forecast(sqls[0])['forecast']['metrics']['elapsed_time'])\n"
+            "finally:\n"
+            "    daemon.stop()\n"
+            "try:\n"
+            "    KCCAPredictor().fit(np.random.rand(20, 4), np.random.rand(20, 6))\n"
+            "except ImportError:\n"
+            "    print('fit needs the solver')\n"
+            "assert not any(name.startswith('scipy.') for name in sys.modules)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env=env,
-            check=True,
+            env=_subprocess_env(),
+            timeout=120,
         )
-        assert result.stdout.strip() == repr(expected)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.strip().splitlines()
+        assert lines[0] == expected[0]
+        assert lines[1:5] == expected
+        assert float(lines[5]) == trained.forecast(sqls[0]).metrics.elapsed_time
+        assert lines[6] == "fit needs the solver"
+
+
+def _count_opens(monkeypatch, path: Path, after_first=None) -> list:
+    """Record every ``open`` of ``path`` (``builtins.open``, which
+    ``numpy.load`` calls, and ``io.open``, which ``pathlib`` calls);
+    ``after_first`` runs once, right after the first of them returns."""
+    opened: list = []
+    real = io.open
+
+    def counting(file, *args, **kwargs):
+        handle = real(file, *args, **kwargs)
+        if isinstance(file, (str, os.PathLike)) and Path(file) == path:
+            opened.append(file)
+            if len(opened) == 1 and after_first is not None:
+                after_first()
+        return handle
+
+    monkeypatch.setattr(builtins, "open", counting)
+    monkeypatch.setattr(io, "open", counting)
+    return opened
+
+
+class TestOneReadPerLoad:
+    @pytest.fixture()
+    def artifacts(self, tpcds_catalog, config, mini_corpus, tmp_path):
+        """Two artifacts that differ in a hyper-parameter (k = 3 and 5)."""
+        paths = {}
+        for k in (3, 5):
+            paths[k] = tmp_path / f"k{k}.npz"
+            _recipe_service(
+                tpcds_catalog, config, mini_corpus, k_neighbors=k
+            ).save(paths[k])
+        clear_artifact_cache()
+        yield paths
+        clear_artifact_cache()
+
+    def test_cold_resolve_opens_the_artifact_once(self, artifacts, monkeypatch):
+        path = artifacts[3].resolve()
+        opened = _count_opens(monkeypatch, path)
+        fingerprint, service = resolve_artifact(path)
+        assert len(opened) == 1  # the parent commit: three
+        monkeypatch.undo()
+        assert fingerprint == service.artifact_fingerprint
+        assert fingerprint == artifact_fingerprint(path)
+
+    def test_version_names_the_bytes_the_service_was_built_from(
+        self, artifacts, monkeypatch, tmp_path
+    ):
+        """A retrain that replaces the file while it is being loaded:
+        whichever bytes the service came from, its version is theirs."""
+        live = (tmp_path / "live.npz").resolve()
+        shutil.copy(artifacts[3], live)
+        by_digest = {artifact_fingerprint(artifacts[k]): k for k in (3, 5)}
+        replacement = shutil.copy(artifacts[5], tmp_path / "next.npz")
+        _count_opens(
+            monkeypatch, live, after_first=lambda: os.replace(replacement, live)
+        )
+        fingerprint, service = resolve_artifact(live)
+        monkeypatch.undo()
+        assert service.artifact_fingerprint == fingerprint
+        assert service.pipeline.model.k_neighbors == by_digest[fingerprint]
 
 
 class TestNoPrivateReachThrough:

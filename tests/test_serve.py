@@ -19,6 +19,7 @@ headline guarantees:
 from __future__ import annotations
 
 import json
+import shutil
 import signal
 import socket
 import threading
@@ -54,6 +55,7 @@ from repro.serve import (
     TokenBucket,
 )
 from repro.serve.loadgen import run_load
+from tests._artifacts import damage
 
 SQL_LIGHT = "SELECT count(*) AS c FROM store_sales ss WHERE ss.ss_quantity > 30"
 SQL_JOIN = (
@@ -811,6 +813,35 @@ class TestHotReload:
             status, payload = client._request("POST", "/admin/reload", {})
             assert status == 409
             assert payload["error"] == "reload_failed"
+        finally:
+            daemon.stop()
+
+    @pytest.mark.parametrize("shape", ["alpha_all_nan", "state_without_model"])
+    def test_reload_of_a_damaged_body_is_409_and_the_old_model_serves(
+        self, shape, tmp_path, tpcds_catalog, config, mini_corpus
+    ):
+        """A readable artifact with a wrong body is a failed reload (it
+        was a ``500 internal``, or — the NaN model — a successful one)."""
+        path, service = train_artifact(
+            tmp_path, "a.npz", tpcds_catalog, config, mini_corpus
+        )
+        damaged = damage(shutil.copy(path, tmp_path / "damaged.npz"), shape)
+        daemon = PredictionDaemon(artifact=path, config=ServeConfig())
+        daemon.start()
+        try:
+            client = client_for(daemon)
+            version = client.health()["model_version"]
+            status, payload = client._request(
+                "POST", "/admin/reload", {"artifact": str(damaged)}
+            )
+            assert (status, payload["error"]) == (409, "reload_failed")
+            assert str(damaged) in payload["detail"]
+            assert client.health()["model_version"] == version
+            served = client.forecast(SQL_LIGHT)
+            assert served["model_version"] == version
+            assert served["forecast"]["metrics"]["elapsed_time"] == float(
+                service.forecast(SQL_LIGHT).metrics.elapsed_time
+            )
         finally:
             daemon.stop()
 
