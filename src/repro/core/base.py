@@ -49,6 +49,7 @@ __all__ = [
     "read_state",
     "artifact_digest",
     "checked_array",
+    "finite_input",
     "restoring",
 ]
 
@@ -215,6 +216,17 @@ def checked_array(state: dict, name: str, *shape: Optional[int]) -> np.ndarray:
         )
     if not np.isfinite(array).all():
         raise ModelError(f"fitted array {name!r} holds a non-finite value")
+    return array
+
+
+def finite_input(values: Any, name: str) -> np.ndarray:
+    """``values`` as ``float64``, or :class:`ModelError` naming the ``fit``
+    input and how many of its entries are NaN or infinite: a solver given
+    one fails, if at all, with an error that says neither."""
+    array = np.asarray(values, dtype=np.float64)
+    bad = array.size - int(np.count_nonzero(np.isfinite(array)))
+    if bad:
+        raise ModelError(f"cannot fit: {name} hold {bad} non-finite value(s)")
     return array
 
 

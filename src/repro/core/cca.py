@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.base import finite_input
 from repro.errors import ModelError, NotFittedError
 
 __all__ = ["CCA"]
@@ -42,11 +43,8 @@ class CCA:
         self._y_mean: Optional[np.ndarray] = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "CCA":
-        # Lazy import: only a process that fits pays for the solver.
-        import scipy.linalg
-
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        x = finite_input(x, "the x-view samples")
+        y = finite_input(y, "the y-view samples")
         if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
             raise ModelError("CCA requires two 2-D arrays with equal rows")
         n = x.shape[0]
@@ -67,20 +65,19 @@ class CCA:
             cyy.shape[0]
         ) + self.regularization * np.eye(cyy.shape[0])
 
-        lx = scipy.linalg.cholesky(cxx, lower=True)
-        ly = scipy.linalg.cholesky(cyy, lower=True)
-        whitened = scipy.linalg.solve_triangular(lx, cxy, lower=True)
-        whitened = scipy.linalg.solve_triangular(
-            ly, whitened.T, lower=True
-        ).T
-        u, s, vt = np.linalg.svd(whitened, full_matrices=False)
-        d = min(self.n_components, len(s))
-        self.x_weights = scipy.linalg.solve_triangular(
-            lx.T, u[:, :d], lower=False
-        )
-        self.y_weights = scipy.linalg.solve_triangular(
-            ly.T, vt[:d].T, lower=False
-        )
+        # The factors are feature-width, so the triangular systems go
+        # through the general solver.
+        try:
+            lx = np.linalg.cholesky(cxx)
+            ly = np.linalg.cholesky(cyy)
+            whitened = np.linalg.solve(lx, cxy)
+            whitened = np.linalg.solve(ly, whitened.T).T
+            u, s, vt = np.linalg.svd(whitened, full_matrices=False)
+            d = min(self.n_components, len(s))
+            self.x_weights = np.linalg.solve(lx.T, u[:, :d])
+            self.y_weights = np.linalg.solve(ly.T, vt[:d].T)
+        except np.linalg.LinAlgError as error:
+            raise ModelError(f"cannot fit CCA: {error}") from error
         self.correlations = np.clip(s[:d], 0.0, 1.0)
         return self
 

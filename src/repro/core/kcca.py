@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.base import checked_array
+from repro.core.base import checked_array, finite_input
 from repro.errors import ModelError, NotFittedError
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.trace import span
@@ -92,12 +92,9 @@ def _nystrom_factor(kernel_c: np.ndarray, landmarks: np.ndarray) -> np.ndarray:
     eigenvalues below the relative cutoff are dropped (pseudo-inverse),
     so near-duplicate landmarks cannot blow the factor up.
     """
-    # Lazy import: only a process that fits pays for the solver.
-    import scipy.linalg
-
     columns = kernel_c[:, landmarks]
     block = columns[landmarks]
-    eigenvalues, eigenvectors = scipy.linalg.eigh(block)
+    eigenvalues, eigenvectors = np.linalg.eigh(block)
     cutoff = max(float(eigenvalues[-1]), 0.0) * _EIG_RTOL
     keep = eigenvalues > cutoff
     if not keep.any():
@@ -166,8 +163,8 @@ class KCCA:
 
     def fit(self, kx: np.ndarray, ky: np.ndarray) -> "KCCA":
         """Fit from two N x N kernel matrices over the same N points."""
-        kx = np.asarray(kx, dtype=np.float64)
-        ky = np.asarray(ky, dtype=np.float64)
+        kx = finite_input(kx, "the query kernel entries")
+        ky = finite_input(ky, "the performance kernel entries")
         if kx.shape != ky.shape or kx.shape[0] != kx.shape[1]:
             raise ModelError("kernel matrices must be square and same shape")
         n = kx.shape[0]
@@ -196,12 +193,15 @@ class KCCA:
                         "Nystrom fits downgraded to the exact solver "
                         "because rank >= n (approximation buys nothing)",
                     ).inc()
-            if use_nystrom:
-                with span("kcca.fit.nystrom"):
-                    self._fit_nystrom(kx_c, ky_c, ridge, d)
-            else:
-                with span("kcca.fit.exact"):
-                    self._fit_exact(kx_c, ky_c, ridge, d)
+            try:
+                if use_nystrom:
+                    with span("kcca.fit.nystrom"):
+                        self._fit_nystrom(kx_c, ky_c, ridge, d)
+                else:
+                    with span("kcca.fit.exact"):
+                        self._fit_exact(kx_c, ky_c, ridge, d)
+            except np.linalg.LinAlgError as error:
+                raise ModelError(f"cannot fit KCCA: {error}") from error
             assert self.alpha is not None and self.beta is not None
             # All that prediction reads of the N x N kernels: the training
             # set's two projections, and the column means and grand mean
@@ -215,21 +215,18 @@ class KCCA:
     def _fit_exact(
         self, kx_c: np.ndarray, ky_c: np.ndarray, ridge: float, d: int
     ) -> None:
-        # Lazy import: only a process that fits pays for the solver.
-        import scipy.linalg
-
         n = kx_c.shape[0]
         ax = kx_c + ridge * np.eye(n)
         ay = ky_c + ridge * np.eye(n)
 
-        # M = Ax^-1 Kx Ky Ay^-1, via two symmetric solves.
-        px = scipy.linalg.solve(ax, kx_c, assume_a="pos")  # Ax^-1 Kx
-        py = scipy.linalg.solve(ay, ky_c, assume_a="pos")  # Ay^-1 Ky
+        # M = Ax^-1 Kx Ky Ay^-1, via two solves.
+        px = np.linalg.solve(ax, kx_c)  # Ax^-1 Kx
+        py = np.linalg.solve(ay, ky_c)  # Ay^-1 Ky
         m = px @ py.T
         u, s, vt = np.linalg.svd(m, full_matrices=False)
 
-        self.alpha = scipy.linalg.solve(ax, u[:, :d], assume_a="pos")
-        self.beta = scipy.linalg.solve(ay, vt[:d].T, assume_a="pos")
+        self.alpha = np.linalg.solve(ax, u[:, :d])
+        self.beta = np.linalg.solve(ay, vt[:d].T)
         self.correlations = np.clip(s[:d], 0.0, 1.0)
         self.landmarks = None
 
@@ -245,9 +242,6 @@ class KCCA:
         turns ``alpha = (Kx + rI)^-1 u`` into rank-r solves — no N x N
         linear algebra anywhere.
         """
-        # Lazy import: only a process that fits pays for the solver.
-        import scipy.linalg
-
         n = kx_c.shape[0]
         rank = min(self.rank or DEFAULT_NYSTROM_RANK, n)
         rng = child_generator(self.landmark_seed, "kcca-nystrom-landmarks")
@@ -260,8 +254,8 @@ class KCCA:
         gx = zx.T @ zx + ridge * np.eye(zx.shape[1])
         gy = zy.T @ zy + ridge * np.eye(zy.shape[1])
         cross = zx.T @ zy  # rx x ry
-        inner = scipy.linalg.solve(gx, cross, assume_a="pos")
-        inner = scipy.linalg.solve(gy, inner.T, assume_a="pos").T
+        inner = np.linalg.solve(gx, cross)
+        inner = np.linalg.solve(gy, inner.T).T
         small = rx @ inner @ ry.T
         u_s, s, vt_s = np.linalg.svd(small, full_matrices=False)
 
@@ -269,12 +263,8 @@ class KCCA:
         u = qx @ u_s[:, :d]
         v = qy @ vt_s[:d].T
         # Woodbury: (Z Z^T + rI)^-1 u = (u - Z (G + rI)^-1 Z^T u) / r.
-        self.alpha = (
-            u - zx @ scipy.linalg.solve(gx, zx.T @ u, assume_a="pos")
-        ) / ridge
-        self.beta = (
-            v - zy @ scipy.linalg.solve(gy, zy.T @ v, assume_a="pos")
-        ) / ridge
+        self.alpha = (u - zx @ np.linalg.solve(gx, zx.T @ u)) / ridge
+        self.beta = (v - zy @ np.linalg.solve(gy, zy.T @ v)) / ridge
         self.correlations = np.clip(s[:d], 0.0, 1.0)
         self.landmarks = landmarks
 

@@ -28,7 +28,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.base import SerializableModel, checked_array, register_model
+from repro.core.base import (
+    SerializableModel,
+    checked_array,
+    finite_input,
+    register_model,
+)
 from repro.core.kcca import KCCA
 from repro.core.kernels import (
     PERFORMANCE_SCALE_FRACTION,
@@ -176,8 +181,8 @@ class KCCAPredictor(SerializableModel):
         self, query_features: np.ndarray, performance: np.ndarray
     ) -> "KCCAPredictor":
         """Train from (n, p) query features and (n, m) performance vectors."""
-        query_features = np.asarray(query_features, dtype=np.float64)
-        performance = np.asarray(performance, dtype=np.float64)
+        query_features = finite_input(query_features, "the plan features")
+        performance = finite_input(performance, "the performance values")
         if query_features.ndim != 2 or performance.ndim != 2:
             raise ModelError("fit requires 2-D feature and performance arrays")
         if query_features.shape[0] != performance.shape[0]:

@@ -99,7 +99,7 @@ class Executor:
         ):
             acc = MetricsAccumulator()
             model = ResourceModel(self.config, self.buffer_pool, acc)
-            batch = self._run(plan, model)
+            batch = self._run(plan, model).gathered()
             metrics = PerformanceMetrics(
                 elapsed_time=model.elapsed_seconds(rng),
                 records_accessed=acc.records_accessed,

@@ -46,9 +46,52 @@ _NL_CHUNK_ELEMENTS = 4_000_000
 _TABLE_SPAN = 1 << 20
 
 
+@dataclass(slots=True)
+class _Rows:
+    """Row numbers ``outer`` into the rows ``inner`` selects (``None``: into
+    the source itself).  The two are composed when a column is first read
+    through them, once for every column that shares the selection."""
+
+    inner: Optional["_Rows"]
+    outer: np.ndarray
+
+    def flat(self) -> np.ndarray:
+        if self.inner is not None:
+            self.outer, self.inner = self.inner.flat()[self.outer], None
+        return self.outer
+
+
+@dataclass(slots=True)
+class _Gather:
+    """A column not gathered yet: ``source[rows.flat()]``."""
+
+    source: np.ndarray
+    rows: _Rows
+
+    def __len__(self) -> int:
+        return len(self.rows.outer)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.source.dtype
+
+
+class _Columns(dict):
+    """Column arrays by name.  Reading ``columns[name]`` gathers a deferred
+    column and keeps the array; ``items()`` / ``values()`` hand back what is
+    stored, deferred or not, and are for code that only passes columns on."""
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        column = dict.__getitem__(self, name)
+        if isinstance(column, _Gather):
+            column = self[name] = column.source[column.rows.flat()]
+        return column
+
+
 @dataclass
 class Batch:
-    """A materialised batch of rows: equal-length named column arrays."""
+    """A batch of rows: equal-length named columns, each an array or, until
+    something reads it, the gather that will produce the array."""
 
     columns: dict[str, np.ndarray] = field(default_factory=dict)
     n_rows: int = 0
@@ -59,6 +102,7 @@ class Batch:
                 raise ExecutionError(
                     f"column {name!r} has {len(arr)} rows, expected {self.n_rows}"
                 )
+        self.columns = _Columns(self.columns)
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -67,19 +111,28 @@ class Batch:
             raise ExecutionError(f"unknown column {name!r}") from None
 
     def take(self, indices: np.ndarray) -> "Batch":
-        """New batch with the rows selected by ``indices`` (with repeats)."""
-        return Batch(
-            {name: arr[indices] for name, arr in self.columns.items()},
-            n_rows=len(indices),
-        )
+        """New batch with the rows selected by ``indices`` (with repeats).
+        No column is gathered here: each records its source and the rows
+        to read, and columns selected together keep sharing one selection."""
+        selections: dict[int, _Rows] = {}
+        columns = {}
+        for name, column in self.columns.items():
+            inner = column.rows if isinstance(column, _Gather) else None
+            source = column if inner is None else column.source
+            if id(inner) not in selections:
+                selections[id(inner)] = _Rows(inner, indices)
+            columns[name] = _Gather(source, selections[id(inner)])
+        return Batch(columns, n_rows=len(indices))
 
     def mask(self, keep: np.ndarray) -> "Batch":
         """New batch with rows where ``keep`` is True."""
-        keep = np.asarray(keep, dtype=bool)
-        return Batch(
-            {name: arr[keep] for name, arr in self.columns.items()},
-            n_rows=int(keep.sum()),
-        )
+        return self.take(np.flatnonzero(keep))
+
+    def gathered(self) -> "Batch":
+        """This batch once every column still deferred has been gathered."""
+        for name in self.columns:
+            self.column(name)
+        return self
 
     @property
     def row_bytes(self) -> float:
@@ -273,13 +326,8 @@ def nested_join_batches(
         left_idx = np.repeat(np.arange(start, stop, dtype=np.int64), right.n_rows)
         right_idx = np.tile(right_range, block)
         if predicate is not None:
-            pair_columns = {
-                name: arr[left_idx] for name, arr in left.columns.items()
-            }
-            pair_columns.update(
-                {name: arr[right_idx] for name, arr in right.columns.items()}
-            )
-            keep = evaluate(predicate, pair_columns, len(left_idx)).astype(bool)
+            pairs = _merge_batches(left.take(left_idx), right.take(right_idx))
+            keep = pairs.evaluate(predicate).astype(bool)
             left_idx = left_idx[keep]
             right_idx = right_idx[keep]
         left_parts.append(left_idx)
@@ -306,7 +354,7 @@ def semi_join_batch(
 def _merge_batches(left: Batch, right: Batch) -> Batch:
     if left.n_rows != right.n_rows:
         raise ExecutionError("cannot merge batches of different lengths")
-    merged = dict(left.columns)
+    merged = dict(left.columns.items())
     for name, arr in right.columns.items():
         if name in merged:
             raise ExecutionError(f"duplicate column {name!r} in join output")

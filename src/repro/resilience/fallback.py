@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.core.base import SerializableModel, model_class, register_model
 from repro.core.calibration import CostCalibrator
+from repro.core.predictor import KCCAPredictor
 from repro.core.regression import MultiMetricRegression
 from repro.engine.metrics import METRIC_NAMES
 from repro.errors import ModelError, NotFittedError
@@ -184,12 +185,6 @@ class FallbackChain(SerializableModel):
         half_open_successes: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        # Late import: the default primary lives above this module in the
-        # core package and importing it at module scope is fine, but the
-        # local import keeps the chain usable with any injected model
-        # without forcing KCCA's scipy dependency chain at class load.
-        from repro.core.predictor import KCCAPredictor
-
         self.breaker_failures = int(breaker_failures)
         self.breaker_reset_seconds = float(breaker_reset_seconds)
         self.half_open_successes = int(half_open_successes)

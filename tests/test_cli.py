@@ -249,6 +249,31 @@ class TestArtifactWorkflow:
         assert captured.err.count("\n") == 1
         assert str(damaged) in captured.err
 
+    def test_train_on_a_non_finite_measurement_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Exit 1 and ``error: ...`` — it was a ``ValueError`` traceback
+        from inside the solver."""
+        import repro.api
+
+        def poisoned(*args, **kwargs):
+            corpus = build_corpus(*args, **kwargs)
+            corpus.queries[5].performance[0] = float("inf")
+            return corpus
+
+        build_corpus = repro.api.build_corpus
+        monkeypatch.setattr(repro.api, "build_corpus", poisoned)
+        path = tmp_path / "model.npz"
+        code = main(
+            ["--scale", "0.05", "train", "--save", str(path), "--queries", "41"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "error: cannot fit: the performance values hold 1 non-finite value(s)\n"
+        )
+        assert not path.exists()
+
     def test_missing_artifact_fails_cleanly(self, tmp_path, capsys):
         code = main(
             ["predict", "--model", str(tmp_path / "nope.npz"), SQL]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.engine.operators import (
     _TABLE_SPAN,
     Batch,
+    _merge_batches,
     distinct_batch,
     equi_join_indices,
     factorize_rows,
@@ -144,6 +145,111 @@ class TestBatch:
     def test_unknown_column(self):
         with pytest.raises(ExecutionError):
             Batch({}, 0).column("a")
+
+
+#: Column dtypes a deferred gather must carry unchanged: 8-, 4- and 1-byte
+#: numbers, and strings, which ``row_bytes`` charges a flat 24 bytes.
+COLUMN_VALUES = [
+    (st.integers(-5, 5), np.int64),
+    (st.integers(0, 9), np.int32),
+    (st.sampled_from([0.0, -0.0, 1.5, -2.25]), np.float64),
+    (st.booleans(), np.bool_),
+    (st.sampled_from(["", "a", "b", "ab", "ship"]), np.str_),
+]
+
+
+def draw_columns(draw, n_rows: int, prefix: str) -> dict:
+    """One to four columns of ``n_rows`` rows, of drawn dtypes."""
+    kinds = draw(st.lists(st.sampled_from(COLUMN_VALUES), min_size=1, max_size=4))
+    return {
+        f"{prefix}.c{index}": np.array(
+            draw(st.lists(values, min_size=n_rows, max_size=n_rows)), dtype=dtype
+        )
+        for index, (values, dtype) in enumerate(kinds)
+    }
+
+
+def eager_sort_order(values: np.ndarray, descending: bool) -> list[int]:
+    """Stable order of ``values``; descending keeps ties in row order too."""
+    ranks = {value: rank for rank, value in enumerate(sorted(set(values.tolist())))}
+    sign = -1 if descending else 1
+    return sorted(range(len(values)), key=lambda row: sign * ranks[values[row].item()])
+
+
+class TestDeferredGather:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_chains_equal_an_eager_reference(self, data):
+        """Property: whatever chain of ``take`` / ``mask`` / merge /
+        ``sort_batch`` built a batch, every column equals the column an
+        eager gather at each step yields, ``row_bytes`` / ``total_bytes``
+        equal those of the eager batch, and a second read hands back the
+        array the first one gathered."""
+        draw = data.draw
+        n_rows = draw(st.integers(0, 6))
+        reference = draw_columns(draw, n_rows, "t0")
+        batch = Batch(dict(reference), n_rows)
+        for step in range(1, draw(st.integers(1, 6)) + 1):
+            operation = draw(st.sampled_from(["take", "mask", "merge", "sort", "read"]))
+            if operation == "take":
+                rows = np.array(
+                    draw(st.lists(st.integers(0, n_rows - 1), max_size=8))
+                    if n_rows else [],
+                    dtype=np.int64,
+                )
+                batch = batch.take(rows)
+                reference = {name: column[rows] for name, column in reference.items()}
+            elif operation == "mask":
+                keep = np.array(
+                    draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)),
+                    dtype=bool,
+                )
+                batch = batch.mask(keep)
+                reference = {name: column[keep] for name, column in reference.items()}
+            elif operation == "merge":
+                # The other side arrives through its own selection.
+                source = draw_columns(draw, n_rows + 2, f"t{step}")
+                rows = np.array(
+                    draw(st.lists(st.integers(0, n_rows + 1), min_size=n_rows,
+                                  max_size=n_rows)),
+                    dtype=np.int64,
+                )
+                batch = _merge_batches(batch, Batch(source, n_rows + 2).take(rows))
+                reference.update({name: column[rows] for name, column in source.items()})
+            elif operation == "sort":
+                name = draw(st.sampled_from(sorted(reference)))
+                descending = draw(st.booleans())
+                batch = sort_batch(batch, [(name, descending)])
+                order = eager_sort_order(reference[name], descending)
+                reference = {
+                    column_name: column[order] if n_rows else column
+                    for column_name, column in reference.items()
+                }
+            else:
+                batch.column(draw(st.sampled_from(sorted(reference))))
+            n_rows = len(next(iter(reference.values())))
+            assert batch.n_rows == n_rows
+        eager = Batch(dict(reference), n_rows)
+        assert batch.row_bytes == eager.row_bytes
+        assert batch.total_bytes == eager.total_bytes
+        assert list(batch.columns) == list(reference)
+        for name, expected in reference.items():
+            column = batch.column(name)
+            assert column.dtype == expected.dtype
+            assert shown([column.tolist()]) == shown([expected.tolist()])
+            assert batch.column(name) is column
+
+    def test_executor_results_hold_arrays_only(self, executor, optimizer):
+        """What ``Executor.execute`` hands back has nothing left to gather."""
+        plan = optimizer.optimize(
+            "SELECT i.i_category, ss.ss_quantity FROM store_sales ss, item i "
+            "WHERE ss.ss_item_sk = i.i_item_sk AND ss.ss_quantity > 30 "
+            "ORDER BY ss.ss_quantity DESC LIMIT 7"
+        ).plan
+        result = executor.execute(plan)
+        assert result.n_rows == 7
+        for column in result.batch.columns.values():
+            assert type(column) is np.ndarray and len(column) == 7
 
 
 class TestEquiJoin:
@@ -529,7 +635,7 @@ class TestDistinctFilterProjectTopN:
         names = [f"t.k{c}" for c in range(len(keys))]
         batch = Batch(dict(zip(names, keys)), len(rows))
         out = distinct_batch(batch)
-        assert shown(key_rows(list(out.columns.values()))) == shown(
+        assert shown(key_rows([out.column(name) for name in names])) == shown(
             rows[index] for index in first
         )
         counted = scalar_aggregate_batch(

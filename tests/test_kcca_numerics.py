@@ -1,13 +1,22 @@
 """Numerical robustness of the KCCA stack under adversarial inputs."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.api import QueryPerformancePredictor
+from repro.core import kcca as kcca_module
+from repro.core import predictor as predictor_module
+from repro.core.cca import CCA
 from repro.core.kcca import KCCA
 from repro.core.kernels import gaussian_kernel_matrix, scale_factor_heuristic
 from repro.core.predictor import KCCAPredictor
+from repro.errors import ModelError
+from repro.rng import child_generator
+from repro.workloads.generator import generate_pool
+from repro.workloads.spec import resolve_workload
 
 paired_data = st.integers(8, 40).flatmap(
     lambda n: st.tuples(
@@ -102,3 +111,234 @@ class TestKCCAStability:
         ky = gaussian_kernel_matrix(y, 1.0)
         model = KCCA(n_components=n_components).fit(kx, ky)
         assert model.alpha.shape[1] <= 4
+
+
+class TestUnsolvableInputIsTyped:
+    """A fit given NaN / infinity, or a covariance no factorisation takes,
+    raises ``ModelError`` — it was scipy's ``ValueError`` or numpy's
+    ``LinAlgError``, whichever layer met the value first."""
+
+    X = np.random.default_rng(4).uniform(0, 1, (30, 4))
+    Y = np.random.default_rng(5).uniform(1, 2, (30, 6))
+
+    @staticmethod
+    def _poisoned(data: np.ndarray, value: float) -> np.ndarray:
+        data = data.copy()
+        data[3, 1] = data[7, 0] = value
+        return data
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_predictor_names_the_input_and_the_count(self, value):
+        with pytest.raises(ModelError, match=r"plan features hold 2 non-finite"):
+            KCCAPredictor().fit(self._poisoned(self.X, value), self.Y)
+        with pytest.raises(ModelError, match=r"performance values hold 2 non-finite"):
+            KCCAPredictor().fit(self.X, self._poisoned(self.Y, value))
+
+    def test_kcca_refuses_a_non_finite_kernel_entry(self):
+        kernel = gaussian_kernel_matrix(self.X, 1.0)
+        with pytest.raises(ModelError, match=r"query kernel entries hold 2 non-finite"):
+            KCCA().fit(self._poisoned(kernel, np.nan), kernel)
+        with pytest.raises(ModelError, match=r"performance kernel entries hold 2"):
+            KCCA().fit(kernel, self._poisoned(kernel, np.inf))
+
+    def test_cca_refuses_non_finite_samples(self):
+        with pytest.raises(ModelError, match=r"x-view samples hold 2 non-finite"):
+            CCA().fit(self._poisoned(self.X, np.nan), self.Y)
+        with pytest.raises(ModelError, match=r"y-view samples hold 2 non-finite"):
+            CCA().fit(self.X, self._poisoned(self.Y, np.inf))
+
+    def test_cca_covariance_that_is_not_positive_definite(self):
+        constant = np.column_stack([self.X, np.ones(len(self.X))])
+        with pytest.raises(ModelError, match="cannot fit CCA"):
+            CCA(regularization=0.0).fit(constant, self.Y)
+
+    def test_a_failed_factorisation_inside_kcca_is_typed(self, monkeypatch):
+        def no_convergence(*_args, **_kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        kernel = gaussian_kernel_matrix(self.X, 1.0)
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(ModelError, match="cannot fit KCCA: SVD did not converge"):
+            KCCA().fit(kernel, kernel)
+
+
+# ----------------------------------------------------------------------
+# The Cholesky path as oracle.  The fit runs on numpy's LU solves; what
+# it replaced — scipy's ``assume_a="pos"`` solves, ``eigh``, ``cholesky``
+# and ``solve_triangular`` — is kept here, as it stood, to bound how far
+# the two can drift.
+# ----------------------------------------------------------------------
+
+ORACLE_RTOL = 1e-9
+
+
+def _scipy_nystrom_factor(kernel_c, landmarks):
+    import scipy.linalg
+
+    columns = kernel_c[:, landmarks]
+    block = columns[landmarks]
+    eigenvalues, eigenvectors = scipy.linalg.eigh(block)
+    cutoff = max(float(eigenvalues[-1]), 0.0) * kcca_module._EIG_RTOL
+    keep = eigenvalues > cutoff
+    if not keep.any():
+        return np.zeros((kernel_c.shape[0], 1))
+    return columns @ (eigenvectors[:, keep] / np.sqrt(eigenvalues[keep]))
+
+
+class _ScipyKCCA(KCCA):
+    """``KCCA`` with the two solves as the parent commit wrote them; also
+    keeps the kernels it was given, so a test can refit on them."""
+
+    def fit(self, kx, ky):
+        self.kernels = (kx, ky)
+        return super().fit(kx, ky)
+
+    def _fit_exact(self, kx_c, ky_c, ridge, d):
+        import scipy.linalg
+
+        n = kx_c.shape[0]
+        ax = kx_c + ridge * np.eye(n)
+        ay = ky_c + ridge * np.eye(n)
+        px = scipy.linalg.solve(ax, kx_c, assume_a="pos")
+        py = scipy.linalg.solve(ay, ky_c, assume_a="pos")
+        u, s, vt = np.linalg.svd(px @ py.T, full_matrices=False)
+        self.alpha = scipy.linalg.solve(ax, u[:, :d], assume_a="pos")
+        self.beta = scipy.linalg.solve(ay, vt[:d].T, assume_a="pos")
+        self.correlations = np.clip(s[:d], 0.0, 1.0)
+        self.landmarks = None
+
+    def _fit_nystrom(self, kx_c, ky_c, ridge, d):
+        import scipy.linalg
+
+        n = kx_c.shape[0]
+        rank = min(self.rank or kcca_module.DEFAULT_NYSTROM_RANK, n)
+        rng = child_generator(self.landmark_seed, "kcca-nystrom-landmarks")
+        landmarks = np.sort(rng.permutation(n)[:rank])
+        zx = _scipy_nystrom_factor(kx_c, landmarks)
+        zy = _scipy_nystrom_factor(ky_c, landmarks)
+        qx, rx = np.linalg.qr(zx)
+        qy, ry = np.linalg.qr(zy)
+        gx = zx.T @ zx + ridge * np.eye(zx.shape[1])
+        gy = zy.T @ zy + ridge * np.eye(zy.shape[1])
+        inner = scipy.linalg.solve(gx, zx.T @ zy, assume_a="pos")
+        inner = scipy.linalg.solve(gy, inner.T, assume_a="pos").T
+        u_s, s, vt_s = np.linalg.svd(rx @ inner @ ry.T, full_matrices=False)
+        d = min(d, s.shape[0])
+        u = qx @ u_s[:, :d]
+        v = qy @ vt_s[:d].T
+        self.alpha = (
+            u - zx @ scipy.linalg.solve(gx, zx.T @ u, assume_a="pos")
+        ) / ridge
+        self.beta = (
+            v - zy @ scipy.linalg.solve(gy, zy.T @ v, assume_a="pos")
+        ) / ridge
+        self.correlations = np.clip(s[:d], 0.0, 1.0)
+        self.landmarks = landmarks
+
+
+def _scipy_cca(x, y, n_components=2, regularization=1e-6):
+    """``CCA.fit`` as the parent commit wrote it: (x_weights, y_weights,
+    correlations)."""
+    import scipy.linalg
+
+    n = x.shape[0]
+    xc = x - x.mean(axis=0)
+    yc = y - y.mean(axis=0)
+    cxx = (xc.T @ xc) / (n - 1)
+    cyy = (yc.T @ yc) / (n - 1)
+    cxy = (xc.T @ yc) / (n - 1)
+    for cov in (cxx, cyy):
+        width = cov.shape[0]
+        cov += regularization * np.trace(cov) / max(width, 1) * np.eye(
+            width
+        ) + regularization * np.eye(width)
+    lx = scipy.linalg.cholesky(cxx, lower=True)
+    ly = scipy.linalg.cholesky(cyy, lower=True)
+    whitened = scipy.linalg.solve_triangular(lx, cxy, lower=True)
+    whitened = scipy.linalg.solve_triangular(ly, whitened.T, lower=True).T
+    u, s, vt = np.linalg.svd(whitened, full_matrices=False)
+    d = min(n_components, len(s))
+    return (
+        scipy.linalg.solve_triangular(lx.T, u[:, :d], lower=False),
+        scipy.linalg.solve_triangular(ly.T, vt[:d].T, lower=False),
+        np.clip(s[:d], 0.0, 1.0),
+    )
+
+
+def _distance(ours: np.ndarray, oracle: np.ndarray) -> float:
+    """Largest entry-wise difference, relative to the oracle's largest entry."""
+    assert ours.shape == oracle.shape
+    return float(np.abs(ours - oracle).max() / np.abs(oracle).max())
+
+
+@pytest.fixture(scope="module")
+def gate_models():
+    """The gate's model (tpcds, 300 queries, scale 0.05, seed 7) and the
+    same corpus fitted through the scipy expressions."""
+    pytest.importorskip("scipy.linalg")
+    ours = QueryPerformancePredictor.train_on_workload(
+        "tpcds", n_queries=300, scale=0.05, seed=7
+    )
+    oracle = QueryPerformancePredictor(ours.catalog, config=ours.config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(predictor_module, "KCCA", _ScipyKCCA)
+        oracle.fit_corpus(ours.training_corpus)
+    return ours, oracle
+
+
+class TestCholeskyOracle:
+    @pytest.mark.parametrize(
+        "config",
+        [{"approximation": "exact"}, {"approximation": "nystrom", "rank": 128}],
+        ids=["exact", "nystrom"],
+    )
+    def test_kcca_fit_agrees_with_the_scipy_expressions(self, gate_models, config):
+        _ours, oracle = gate_models
+        kx, ky = oracle.pipeline.model._kcca.kernels
+        assert kx.shape == (300, 300)
+        fitted = KCCA(n_components=8, **config).fit(kx, ky)
+        reference = _ScipyKCCA(n_components=8, **config).fit(kx, ky)
+        worst = max(
+            _distance(fitted.alpha, reference.alpha),
+            _distance(fitted.beta, reference.beta),
+            _distance(fitted.x_projection, reference.x_projection),
+            _distance(fitted.y_projection, reference.y_projection),
+            _distance(fitted.correlations, reference.correlations),
+        )
+        print(f"kcca {config}: max relative distance {worst:.3e}")
+        assert worst < ORACLE_RTOL
+
+    def test_cca_fit_agrees_with_the_scipy_expressions(self, gate_models):
+        corpus = gate_models[0].training_corpus
+        x, y = corpus.feature_matrix(), corpus.performance_matrix()
+        assert x.shape[0] == 300
+        fitted = CCA(n_components=2).fit(x, y)
+        x_weights, y_weights, correlations = _scipy_cca(x, y)
+        worst = max(
+            _distance(fitted.x_weights, x_weights),
+            _distance(fitted.y_weights, y_weights),
+            _distance(fitted.correlations, correlations),
+        )
+        print(f"cca: max relative distance {worst:.3e}")
+        assert worst < ORACLE_RTOL
+
+    def test_gate_forecasts_agree_with_the_scipy_fit(self, gate_models):
+        """600 held-out statements: the same three neighbours and category
+        for every one, the six metrics within tolerance."""
+        ours, oracle = gate_models
+        compiled = resolve_workload("tpcds")
+        sqls = [q.sql for q in generate_pool(600, seed=33, workload=compiled)]
+        features = np.vstack([ours.features_for(sql) for sql in sqls])
+        for mine, theirs in zip(
+            ours.pipeline.model.predict_detailed(features),
+            oracle.pipeline.model.predict_detailed(features),
+        ):
+            assert list(mine.neighbor_indices) == list(theirs.neighbor_indices)
+        worst = 0.0
+        for mine, theirs in zip(ours.forecast_many(sqls), oracle.forecast_many(sqls)):
+            assert mine.category == theirs.category
+            a, b = mine.metrics.as_vector(), theirs.metrics.as_vector()
+            scale = np.maximum(np.abs(b), np.finfo(np.float64).tiny)
+            worst = max(worst, float((np.abs(a - b) / scale).max()))
+        print(f"forecasts: max relative distance {worst:.3e}")
+        assert worst < ORACLE_RTOL

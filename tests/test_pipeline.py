@@ -407,43 +407,42 @@ class TestApiPersistence:
         assert result.stdout.strip() == repr(expected)
 
 
-    def test_serving_never_imports_the_fit_time_solver(
-        self, tpcds_catalog, config, mini_corpus, batch_sqls, tmp_path
-    ):
-        """With ``scipy`` unimportable, a fresh process imports the api,
-        the daemon and the CLI, loads an artifact and forecasts — in
-        process, batched and through a ``PredictionDaemon`` — and answers
-        what the training process answered; a fit in that process fails
-        on the import, which is what proves the guard bites."""
-        trained = _recipe_service(tpcds_catalog, config, mini_corpus)
+    def test_train_save_load_and_serve_with_scipy_unimportable(self, tmp_path):
+        """With ``scipy`` unimportable, a fresh process trains the gate's
+        model on two workers, saves it, loads it and forecasts — in
+        process, batched and through a ``PredictionDaemon`` — and the
+        trained model, the loaded one and the daemon give one answer."""
         path = tmp_path / "model.npz"
-        trained.save(path)
-        sqls = batch_sqls[:4]
-        expected = [repr(f.metrics) for f in trained.forecast_many(sqls)]
+        sqls = [
+            "SELECT count(*) AS c FROM store_sales ss WHERE ss.ss_quantity > 30",
+            "SELECT i.i_category, sum(ss.ss_sales_price) AS s FROM store_sales ss, "
+            "item i WHERE ss.ss_item_sk = i.i_item_sk GROUP BY i.i_category",
+            "SELECT count(*) AS c FROM item i",
+        ]
         code = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
-            "import numpy as np\n"
             "import repro.api, repro.serve, repro.cli\n"
-            "from repro.core.predictor import KCCAPredictor\n"
             "from repro.serve import PredictionDaemon, ServeClient\n"
             f"sqls = {sqls!r}\n"
-            f"svc = repro.api.QueryPerformancePredictor.load({str(path)!r})\n"
-            "print(repr(svc.forecast(sqls[0]).metrics))\n"
-            "for forecast in svc.forecast_many(sqls):\n"
-            "    print(repr(forecast.metrics))\n"
+            "trained = repro.api.QueryPerformancePredictor.train_on_workload(\n"
+            "    'tpcds', n_queries=300, scale=0.05, seed=7, jobs=2)\n"
+            f"trained.save({str(path)!r})\n"
+            f"loaded = repro.api.QueryPerformancePredictor.load({str(path)!r})\n"
+            "answers = [repr(f.metrics) for f in trained.forecast_many(sqls)]\n"
+            "assert [repr(trained.forecast(s).metrics) for s in sqls] == answers\n"
+            "assert [repr(loaded.forecast(s).metrics) for s in sqls] == answers\n"
+            "assert [repr(f.metrics) for f in loaded.forecast_many(sqls)] == answers\n"
             f"daemon = PredictionDaemon(artifact={str(path)!r})\n"
             "daemon.start()\n"
             "try:\n"
             "    with ServeClient(*daemon.address) as client:\n"
-            "        print(client.forecast(sqls[0])['forecast']['metrics']['elapsed_time'])\n"
+            "        served = client.forecast(sqls[0])['forecast']['metrics']\n"
             "finally:\n"
             "    daemon.stop()\n"
-            "try:\n"
-            "    KCCAPredictor().fit(np.random.rand(20, 4), np.random.rand(20, 6))\n"
-            "except ImportError:\n"
-            "    print('fit needs the solver')\n"
+            "assert served['elapsed_time'] == loaded.forecast(sqls[0]).metrics.elapsed_time\n"
             "assert not any(name.startswith('scipy.') for name in sys.modules)\n"
+            "print(len(answers), 'answers agree')\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code],
@@ -453,11 +452,19 @@ class TestApiPersistence:
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        lines = result.stdout.strip().splitlines()
-        assert lines[0] == expected[0]
-        assert lines[1:5] == expected
-        assert float(lines[5]) == trained.forecast(sqls[0]).metrics.elapsed_time
-        assert lines[6] == "fit needs the solver"
+        assert result.stdout.strip() == "3 answers agree"
+
+    def test_no_source_module_imports_scipy(self):
+        """One linear-algebra runtime per process: the package runs on
+        numpy alone (scipy is a test dependency, the numerics oracle)."""
+        source = Path(repro.__file__).parent
+        importing = [
+            f"{path.relative_to(source)}:{number}"
+            for path in sorted(source.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if re.match(r"\s*(import|from)\s+scipy\b", line)
+        ]
+        assert importing == []
 
 
 def _count_opens(monkeypatch, path: Path, after_first=None) -> list:
