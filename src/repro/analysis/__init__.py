@@ -21,60 +21,36 @@ Three rule packs behind one engine (see docs/STATIC_ANALYSIS.md):
   inversions, Eraser lockset races, hold-time violations).
 """
 
-from repro.analysis.findings import (
-    LINT_SCHEMA_VERSION,
-    Finding,
-    PlanWarning,
-)
-from repro.analysis.rules import RuleInfo, all_rules, get, is_known
-from repro.analysis.engine import lint_package, lint_source
-from repro.analysis.codebase import CODE_RULES
-from repro.analysis.concurrency import CONCURRENCY_RULES
-from repro.analysis.sanitizer import (
-    dump_sanitizer_report,
-    guarded_by,
-    make_condition,
-    make_lock,
-    make_rlock,
-    note_access,
-    reset_sanitizer,
-    sanitizer_enabled,
-    sanitizer_findings,
-)
-from repro.analysis.planlint import (
-    corpus_vocabulary,
-    lint_plan,
-    plan_vocabulary,
-    vocabulary_warnings,
-)
-from repro.analysis.runner import CheckReport, run_checks, self_lint
+from repro import lazy_exports
 
-__all__ = [
-    "LINT_SCHEMA_VERSION",
-    "Finding",
-    "PlanWarning",
-    "RuleInfo",
-    "all_rules",
-    "get",
-    "is_known",
-    "lint_package",
-    "lint_source",
-    "CODE_RULES",
-    "CONCURRENCY_RULES",
-    "make_lock",
-    "make_rlock",
-    "make_condition",
-    "guarded_by",
-    "note_access",
-    "sanitizer_enabled",
-    "sanitizer_findings",
-    "reset_sanitizer",
-    "dump_sanitizer_report",
-    "lint_plan",
-    "plan_vocabulary",
-    "corpus_vocabulary",
-    "vocabulary_warnings",
-    "CheckReport",
-    "run_checks",
-    "self_lint",
-]
+_EXPORTS = {
+    "LINT_SCHEMA_VERSION": "findings",
+    "Finding": "findings",
+    "PlanWarning": "findings",
+    "RuleInfo": "rules",
+    "all_rules": "rules",
+    "get": "rules",
+    "is_known": "rules",
+    "lint_package": "engine",
+    "lint_source": "engine",
+    "CODE_RULES": "codebase",
+    "CONCURRENCY_RULES": "concurrency",
+    "dump_sanitizer_report": "sanitizer",
+    "guarded_by": "sanitizer",
+    "make_condition": "sanitizer",
+    "make_lock": "sanitizer",
+    "make_rlock": "sanitizer",
+    "note_access": "sanitizer",
+    "reset_sanitizer": "sanitizer",
+    "sanitizer_enabled": "sanitizer",
+    "sanitizer_findings": "sanitizer",
+    "corpus_vocabulary": "planlint",
+    "lint_plan": "planlint",
+    "plan_vocabulary": "planlint",
+    "vocabulary_warnings": "planlint",
+    "CheckReport": "runner",
+    "run_checks": "runner",
+    "self_lint": "runner",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -18,6 +18,7 @@ Three ID namespaces:
 
 from __future__ import annotations
 
+import importlib
 import re
 from dataclasses import dataclass
 
@@ -68,19 +69,36 @@ def register(info: RuleInfo) -> RuleInfo:
     return info
 
 
+#: The modules registering rules.  A pack registers its rules when it is
+#: imported, and a process imports only the packs it runs.
+_PACK_MODULES = (
+    "repro.analysis.codebase",
+    "repro.analysis.concurrency",
+    "repro.analysis.planlint",
+    "repro.analysis.sanitizer",
+)
+
+
+def _registry() -> dict[str, RuleInfo]:
+    """Every pack's rules."""
+    for module in _PACK_MODULES:
+        importlib.import_module(module)
+    return _REGISTRY
+
+
 def get(rule_id: str) -> RuleInfo:
     """The registered rule for ``rule_id`` (KeyError when unknown)."""
-    return _REGISTRY[rule_id]
+    return _registry()[rule_id]
 
 
 def is_known(rule_id: str) -> bool:
     """Whether ``rule_id`` names a registered rule."""
-    return rule_id in _REGISTRY
+    return rule_id in _registry()
 
 
 def all_rules(pack: str | None = None) -> tuple[RuleInfo, ...]:
     """Every registered rule, sorted by ID; optionally one pack only."""
-    rules = sorted(_REGISTRY.values(), key=lambda info: info.id)
+    rules = sorted(_registry().values(), key=lambda info: info.id)
     if pack is not None:
         rules = [info for info in rules if info.pack == pack]
     return tuple(rules)

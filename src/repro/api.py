@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -56,24 +56,24 @@ from repro.core.confidence import ConfidenceReport
 from repro.core.features import plan_feature_matrix, plan_feature_vector
 from repro.core.predictor import KCCAPredictor
 from repro.core.two_step import TwoStepPredictor
-from repro.engine import Executor, PerformanceMetrics, SystemConfig
-from repro.engine.system import research_4node
+from repro.engine.metrics import PerformanceMetrics
+from repro.engine.system import SystemConfig, research_4node
 from repro.errors import ModelError
-from repro.experiments.corpus import Corpus, build_corpus
-from repro.experiments.report import hms
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
-from repro.optimizer import OptimizedQuery, Optimizer
-from repro.pipeline import PredictionPipeline
+from repro.optimizer.optimizer import OptimizedQuery, Optimizer
+from repro.pipeline.pipeline import PredictionPipeline
 from repro.resilience import deadline as _resilience_deadline
 from repro.resilience import fallback as _resilience_fallback
 from repro.resilience import faults as _resilience_faults
 from repro.storage.catalog import Catalog
 from repro.workloads.categories import categorize
-from repro.workloads.customer import build_customer_catalog
-from repro.workloads.generator import QueryInstance, generate_pool
-from repro.workloads.spec import WorkloadRef, build_catalog_for, resolve_workload
-from repro.workloads.tpcds import build_tpcds_catalog
+
+if TYPE_CHECKING:  # what training, generating and executing import, on use
+    from repro.engine.executor import Executor
+    from repro.experiments.corpus import Corpus
+    from repro.workloads.generator import QueryInstance
+    from repro.workloads.spec import WorkloadRef
 
 __all__ = [
     "QueryPerformancePredictor",
@@ -173,6 +173,30 @@ def _warnings(
     return optimized.warnings + tuple(
         vocabulary_warnings(optimized.plan, vocabulary)
     )
+
+
+def _rows(
+    spec: dict, pipeline: PredictionPipeline, source: str
+) -> Callable[[], Catalog]:
+    """A call generating the catalog an artifact's recipe ``spec`` describes,
+    rows and all, and checking it against the artifact's fingerprint.  The
+    recipe's arguments are checked now; the rows are made when called."""
+    kind, seed = spec["kind"], int(spec["seed"])
+    scale = float(spec["scale_factor"] if kind == "tpcds" else spec.get("scale", 1.0))
+
+    def generate() -> Catalog:
+        if kind == "tpcds":
+            from repro.workloads.tpcds import build_tpcds_catalog
+
+            catalog = build_tpcds_catalog(scale_factor=scale, seed=seed)
+        else:
+            from repro.workloads.customer import build_customer_catalog
+
+            catalog = build_customer_catalog(seed=seed, scale=scale)
+        pipeline.check_environment(catalog, None, source)
+        return catalog
+
+    return generate
 
 
 class StatementMemo:
@@ -277,13 +301,16 @@ class QueryPerformancePredictor:
         self.catalog = catalog
         self.config = config or research_4node()
         self.optimizer = Optimizer(self.catalog, self.config)
-        self.executor = Executor(self.catalog, self.config)
+        self._executor: Optional[Executor] = None
         self.two_step = two_step
         self.fallback = fallback
         self._predictor_kwargs = predictor_kwargs
         self._pipeline: Optional[PredictionPipeline] = None
         self._corpus: Optional[Corpus] = None
         self._catalog_spec: Optional[dict] = None
+        #: Generates the catalog with rows that a statistics-only one (see
+        #: :meth:`load`) stands for; None when ``catalog`` holds the rows.
+        self._rows: Optional[Callable[[], Catalog]] = None
         #: The statement memo (``memo.stats()``: size, bounds, hits, misses).
         self.memo = StatementMemo()
         #: Content digest of the artifact bytes this service was built
@@ -322,6 +349,9 @@ class QueryPerformancePredictor:
         saved from a service built here embed the catalog recipe, so
         :meth:`load` can rebuild the catalog without being handed one.
         """
+        from repro.workloads.generator import generate_pool
+        from repro.workloads.spec import build_catalog_for, resolve_workload
+
         compiled = resolve_workload(workload)
         spec = compiled.spec
         catalog = build_catalog_for(spec, scale=scale, seed=seed)
@@ -381,7 +411,10 @@ class QueryPerformancePredictor:
         self, pool: Sequence[QueryInstance], jobs: Optional[int] = None
     ) -> "QueryPerformancePredictor":
         """Execute a training pool and fit the model on the measurements."""
-        corpus = build_corpus(self.catalog, self.config, pool, jobs=jobs)
+        from repro.experiments.corpus import build_corpus
+
+        catalog = self.executor.catalog  # the rows, where catalog holds none
+        corpus = build_corpus(catalog, self.config, pool, jobs=jobs)
         return self.fit_corpus(corpus)
 
     def fit_corpus(self, corpus: Corpus) -> "QueryPerformancePredictor":
@@ -421,8 +454,9 @@ class QueryPerformancePredictor:
         """Persist the trained pipeline as a versioned artifact.
 
         The artifact embeds catalog/system fingerprints (verified on
-        load) plus, for :meth:`train_on_tpcds` services, the recipe to
-        rebuild the catalog.
+        load), the catalog statistics the optimizer plans from, and, for
+        :meth:`train_on_workload` services, the recipe that generates the
+        catalog's rows.
         """
         self._require_trained()
         self._pipeline.save(path, catalog=self.catalog, config=self.config)
@@ -439,14 +473,17 @@ class QueryPerformancePredictor:
         Args:
             path: the artifact file.
             catalog: the database to serve against; when omitted, the
-                catalog is rebuilt from the recipe stored in the artifact
-                (available for :meth:`train_on_tpcds` services).
+                service plans against the catalog statistics the artifact
+                stores, and generates the rows from the recipe it also
+                stores (available for :meth:`train_on_workload` services)
+                the first time it executes — :meth:`measure`,
+                :attr:`executor`, :meth:`fit_pool`.
             config: the system configuration; when omitted, restored from
                 the artifact.
 
         Raises:
             ModelError: when the artifact's catalog/system fingerprints
-                do not match the supplied (or rebuilt) environment, when
+                do not match the supplied (or stored) environment, when
                 no catalog can be obtained, or on schema-version
                 mismatches.
         """
@@ -454,6 +491,7 @@ class QueryPerformancePredictor:
         # come from the same bytes, whatever replaces the file meanwhile.
         pipeline = PredictionPipeline.load(path)
         spec = pipeline.metadata.get("catalog_spec")
+        rows = None
         with restoring(path):  # the recipe is as much outside input
             if config is None:
                 stored = pipeline.metadata.get("system_config")
@@ -463,18 +501,12 @@ class QueryPerformancePredictor:
                     )
                 config = SystemConfig(**stored)
             if catalog is None:
-                if not spec or spec.get("kind") not in ("tpcds", "customer"):
+                kind = (spec or {}).get("kind")
+                if pipeline.catalog is None or kind not in ("tpcds", "customer"):
                     raise ModelError(
                         "embeds no catalog recipe; pass catalog= explicitly"
                     )
-                if spec["kind"] == "tpcds":
-                    catalog = build_tpcds_catalog(
-                        scale_factor=spec["scale_factor"], seed=spec["seed"]
-                    )
-                else:
-                    catalog = build_customer_catalog(
-                        seed=spec["seed"], scale=spec.get("scale", 1.0)
-                    )
+                catalog, rows = pipeline.catalog, _rows(spec, pipeline, str(path))
         pipeline.check_environment(catalog, config, str(path))
         service = cls(
             catalog,
@@ -483,9 +515,21 @@ class QueryPerformancePredictor:
             fallback=bool(pipeline.metadata.get("fallback", False)),
         )
         service._catalog_spec = spec
+        service._rows = rows
         service.artifact_fingerprint = pipeline.artifact_digest
         service._pipeline = pipeline
         return service
+
+    @property
+    def executor(self) -> Executor:
+        """The simulated engine that :meth:`measure` runs, built on first
+        use — over rows generated then when ``catalog`` is statistics-only."""
+        if self._executor is None:
+            from repro.engine.executor import Executor
+
+            rows = self.catalog if self._rows is None else self._rows()
+            self._executor = Executor(rows, self.config)
+        return self._executor
 
     # ------------------------------------------------------------------
     # Prediction
@@ -609,6 +653,8 @@ class QueryPerformancePredictor:
         workload's tables must exist in the catalog this service was
         trained against.
         """
+        from repro.workloads.generator import generate_pool
+
         pool = generate_pool(
             n_queries, seed=seed, workload=workload,
             problem_fraction=problem_fraction,
@@ -652,6 +698,8 @@ class QueryPerformancePredictor:
 
     def explain(self, sql: str) -> str:
         """Human-readable forecast report for ``sql``."""
+        from repro.experiments.report import hms
+
         forecast = self.forecast(sql)
         m = forecast.metrics
         lines = [

@@ -60,17 +60,10 @@ from typing import Optional, Sequence
 
 from repro import obs
 from repro.api import QueryPerformancePredictor, resolve_artifact
-from repro.engine import Executor
 from repro.engine.system import production_32node, research_4node
 from repro.errors import ReproError, WorkloadSpecError
 from repro.optimizer import Optimizer
 from repro.serve.config import ServeConfig
-from repro.workloads.spec import (
-    build_catalog_for,
-    describe_workload,
-    load_workload_spec,
-    resolve_workload,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -363,6 +356,8 @@ def _config(name: str):
 
 def _catalog(args):
     """The database catalog for the selected ``--workload``."""
+    from repro.workloads.spec import build_catalog_for, resolve_workload
+
     spec = resolve_workload(args.workload).spec
     return build_catalog_for(spec, scale=args.scale, seed=args.seed)
 
@@ -522,6 +517,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _workload_command(args) -> int:
     """``repro workload validate|describe|sample``."""
+    from repro.workloads.generator import generate_pool
+    from repro.workloads.spec import describe_workload, load_workload_spec
+
     if args.workload_command == "validate":
         spec_paths: list[Path] = []
         for raw in args.paths:
@@ -558,8 +556,6 @@ def _workload_command(args) -> int:
         print(describe_workload(ref))
         return 0
     # sample
-    from repro.workloads.generator import generate_pool
-
     for query in generate_pool(args.queries, seed=args.seed, workload=ref):
         print(f"-- {query.query_id}  [{query.family}]")
         print(query.sql)
@@ -689,9 +685,8 @@ def _dispatch(args, config) -> int:
         print(f"optimizer cost : {optimized.cost:,.1f} (abstract units)")
         return 0
     if args.command == "measure":
-        catalog = _catalog(args)
-        optimized = Optimizer(catalog, config).optimize(args.sql)
-        metrics = Executor(catalog, config).execute(optimized.plan).metrics
+        service = QueryPerformancePredictor(_catalog(args), config)
+        metrics = service.measure(args.sql)
         print(f"elapsed time     : {metrics.elapsed_time:.2f}s")
         print(f"records accessed : {metrics.records_accessed:,}")
         print(f"records used     : {metrics.records_used:,}")

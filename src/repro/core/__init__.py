@@ -20,63 +20,3 @@ per-metric linear regression (:mod:`repro.core.regression`), PCA
 clustering (:mod:`repro.core.kmeans`), and SQL-text features
 (:mod:`repro.sql.text_features`).
 """
-
-from repro.core.base import (
-    Model,
-    SerializableModel,
-    MODEL_SCHEMA_VERSION,
-    register_model,
-    model_class,
-)
-from repro.core.features import (
-    PLAN_FEATURE_NAMES,
-    plan_feature_vector,
-    plan_feature_matrix,
-    FeatureSpace,
-)
-from repro.core.kernels import gaussian_kernel_matrix, gaussian_kernel_cross, scale_factor_heuristic
-from repro.core.kcca import KCCA
-from repro.core.cca import CCA
-from repro.core.pca import PCA
-from repro.core.kmeans import KMeans
-from repro.core.regression import LinearRegression, MultiMetricRegression
-from repro.core.neighbors import nearest_neighbors, combine_neighbors
-from repro.core.predictor import KCCAPredictor
-from repro.core.two_step import TwoStepPredictor
-from repro.core.metrics import predictive_risk, within_factor_fraction
-from repro.core.confidence import neighbor_confidence
-from repro.core.importance import FeatureContribution, feature_contributions
-from repro.core.online import OnlinePredictor
-from repro.core.calibration import CostCalibrator
-
-__all__ = [
-    "Model",
-    "SerializableModel",
-    "MODEL_SCHEMA_VERSION",
-    "register_model",
-    "model_class",
-    "PLAN_FEATURE_NAMES",
-    "plan_feature_vector",
-    "plan_feature_matrix",
-    "FeatureSpace",
-    "gaussian_kernel_matrix",
-    "gaussian_kernel_cross",
-    "scale_factor_heuristic",
-    "KCCA",
-    "CCA",
-    "PCA",
-    "KMeans",
-    "LinearRegression",
-    "MultiMetricRegression",
-    "nearest_neighbors",
-    "combine_neighbors",
-    "KCCAPredictor",
-    "TwoStepPredictor",
-    "predictive_risk",
-    "within_factor_fraction",
-    "neighbor_confidence",
-    "FeatureContribution",
-    "feature_contributions",
-    "OnlinePredictor",
-    "CostCalibrator",
-]

@@ -24,6 +24,7 @@ pickle), so artifacts are safe to load and stable across Python versions.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import io
 import json
 import struct
@@ -35,7 +36,7 @@ from typing import Any, Iterator, Optional, Protocol, Type, runtime_checkable
 
 import numpy as np
 
-from repro.errors import ModelError
+from repro.errors import ModelError, ReproError
 
 __all__ = [
     "Model",
@@ -88,6 +89,16 @@ class Model(Protocol):
 
 _REGISTRY: dict[str, type] = {}
 
+#: The modules defining the registered classes.  A class registers when
+#: its module is imported, and nothing else imports them all.
+_MODEL_MODULES = (
+    "repro.core.online",
+    "repro.core.predictor",
+    "repro.core.regression",
+    "repro.core.two_step",
+    "repro.resilience.fallback",
+)
+
 
 def register_model(cls: type) -> type:
     """Class decorator: make ``cls`` loadable by name from artifacts."""
@@ -101,6 +112,8 @@ def model_class(name: str) -> type:
     Raises:
         ModelError: for names no registered model claims.
     """
+    for module in _MODEL_MODULES:
+        importlib.import_module(module)
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -237,7 +250,7 @@ def restoring(path: Path) -> Iterator[None]:
     readable artifact is a :class:`ModelError` naming the artifact."""
     try:
         yield
-    except ModelError as error:  # raised without knowing the path
+    except ReproError as error:  # raised without knowing the path
         raise ModelError(f"model artifact {path}: {error}") from error
     except (KeyError, TypeError, ValueError, AttributeError) as error:
         raise ModelError(

@@ -106,11 +106,14 @@ class _Standardizer:
             "std": self._std,
         }
 
-    def load_state_dict(self, state: dict) -> "_Standardizer":
+    def load_state_dict(self, state: dict, width: int) -> "_Standardizer":
+        """Restore a :meth:`state_dict` export fitted on ``width`` columns."""
         self.__init__(state["log_transform"], state["standardize"])
-        if state.get("mean") is not None:
-            self._mean = np.asarray(state["mean"])
-            self._std = np.asarray(state["std"])
+        if self.standardize:
+            self._mean = checked_array(state, "mean", width)
+            self._std = checked_array(state, "std", width)
+            if not (self._std > 0).all():
+                raise ModelError("fitted array 'std' holds a non-positive value")
         return self
 
 
@@ -192,6 +195,10 @@ class KCCAPredictor(SerializableModel):
                 "training set must exceed the neighbour count "
                 f"({query_features.shape[0]} <= {self.k_neighbors})"
             )
+        for name in ("query_tau", "performance_tau"):
+            tau = getattr(self, name)
+            if tau is not None and not (np.isfinite(tau) and tau > 0):
+                raise ModelError(f"{name} must be a positive number, got {tau!r}")
         with span("predictor.fit", n=query_features.shape[0]):
             fx = self._x_scaler.fit_transform(query_features)
             fy = self._y_scaler.fit_transform(performance)
@@ -336,16 +343,20 @@ class KCCAPredictor(SerializableModel):
         self.__init__(**state["config"])
         fitted = state.get("fitted")
         if fitted is not None:
-            self._x_scaler.load_state_dict(fitted["x_scaler"])
-            self._y_scaler.load_state_dict(fitted["y_scaler"])
-            self._tau_x = float(fitted["tau_x"])
             self._train_features = checked_array(
                 fitted, "train_features", None, None
             )
-            n = self._train_features.shape[0]
+            n, width = self._train_features.shape
             self._train_performance = checked_array(
                 fitted, "train_performance", n, None
             )
+            self._x_scaler.load_state_dict(fitted["x_scaler"], width)
+            self._y_scaler.load_state_dict(
+                fitted["y_scaler"], self._train_performance.shape[1]
+            )
+            self._tau_x = float(checked_array(fitted, "tau_x"))
+            if self._tau_x <= 0:
+                raise ModelError(f"fitted scalar 'tau_x' is {self._tau_x}")
             self._kcca.load_state_dict(fitted["kcca"])
             checked_array(fitted["kcca"]["fitted"], "alpha", n, None)
         return self

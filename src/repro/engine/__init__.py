@@ -8,16 +8,15 @@ analytic resource model (:mod:`repro.engine.timing`) parameterised by a
 :class:`~repro.engine.system.SystemConfig`.
 """
 
-from repro.engine.system import SystemConfig
-from repro.engine.metrics import METRIC_NAMES, PerformanceMetrics
-from repro.engine.plan import OperatorKind, PlanNode
-from repro.engine.executor import Executor
+from repro import lazy_exports
 
-__all__ = [
-    "SystemConfig",
-    "METRIC_NAMES",
-    "PerformanceMetrics",
-    "OperatorKind",
-    "PlanNode",
-    "Executor",
-]
+_EXPORTS = {
+    "SystemConfig": "system",
+    "METRIC_NAMES": "metrics",
+    "PerformanceMetrics": "metrics",
+    "OperatorKind": "plan",
+    "PlanNode": "plan",
+    "Executor": "executor",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

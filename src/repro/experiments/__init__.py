@@ -11,23 +11,7 @@
 * :mod:`repro.experiments.report` — plain-text table rendering.
 * :mod:`repro.experiments.bench` — the perf benchmark harness behind
   ``scripts/bench.py`` (two within-component ratio sections; the
-  gate benchmark under ``bench/`` measures end-to-end speed).  Not
-  imported here: import the module itself.
+  gate benchmark under ``bench/`` measures end-to-end speed).
+
+Nothing is re-exported here: import the module that defines a name.
 """
-
-from repro.experiments.corpus import Corpus, ExecutedQuery, build_corpus, load_or_build_corpus
-from repro.experiments.harness import (
-    evaluate_metrics,
-    split_counts,
-    stratified_split,
-)
-
-__all__ = [
-    "Corpus",
-    "ExecutedQuery",
-    "build_corpus",
-    "load_or_build_corpus",
-    "evaluate_metrics",
-    "split_counts",
-    "stratified_split",
-]

@@ -23,7 +23,9 @@ cleanup, resource-tracker hygiene) has exactly one owner.
 This module sits below everything else in the package (it imports only
 the standard library and numpy at import time) so any layer — model
 artifacts, corpus caches, checkpoint journals — can use it without
-import cycles.
+import cycles.  ``multiprocessing`` is imported by the functions that
+publish and attach planes, so a process that only writes files never
+loads it.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ import atexit
 import os
 import tempfile
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from multiprocessing import shared_memory
 
 __all__ = [
     "atomic_write_bytes",
@@ -304,6 +308,8 @@ def publish_arrays(
 def _publish_shm(
     layout: list[tuple[str, np.ndarray, int]], total: int
 ) -> ArrayPlane:
+    from multiprocessing import shared_memory
+
     shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
     try:
         entries = []
@@ -371,6 +377,8 @@ def attach_arrays(handle: ArrayPlaneHandle) -> AttachedArrays:
     _fault_site("artifact.read", kind="plane", backend=handle.backend)
     arrays: dict[str, np.ndarray] = {}
     if handle.backend == "shm":
+        from multiprocessing import resource_tracker, shared_memory
+
         shm = shared_memory.SharedMemory(name=handle.name, create=False)
         if handle.name not in _ACTIVE_PLANES:
             # Attach-side registration (unconditional before 3.13): the

@@ -18,66 +18,40 @@ flag check per call site until :func:`enable_tracing` /
 production code rather than bolted onto benchmarks.
 """
 
-from repro.obs.drift import DriftMonitor, relative_errors
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    disable_metrics,
-    enable_metrics,
-    get_registry,
-    metrics_enabled,
-    reset_metrics,
-    timed,
-)
-from repro.obs.trace import (
-    Span,
-    attach_spans,
-    disable_tracing,
-    drain_trace,
-    enable_tracing,
-    export_trace,
-    pretty_trace,
-    reset_trace,
-    span,
-    trace_roots,
-    tracing_enabled,
-)
+from repro import lazy_exports
 
-__all__ = [
-    # tracing
-    "Span",
-    "span",
-    "enable_tracing",
-    "disable_tracing",
-    "tracing_enabled",
-    "trace_roots",
-    "drain_trace",
-    "export_trace",
-    "attach_spans",
-    "pretty_trace",
-    "reset_trace",
-    # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DEFAULT_LATENCY_BUCKETS",
-    "get_registry",
-    "metrics_snapshot",
-    "reset_metrics",
-    "enable_metrics",
-    "disable_metrics",
-    "metrics_enabled",
-    "timed",
-    # drift
-    "DriftMonitor",
-    "relative_errors",
-]
+_EXPORTS = {
+    "DriftMonitor": "drift",
+    "relative_errors": "drift",
+    "DEFAULT_LATENCY_BUCKETS": "metrics",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "disable_metrics": "metrics",
+    "enable_metrics": "metrics",
+    "get_registry": "metrics",
+    "metrics_enabled": "metrics",
+    "reset_metrics": "metrics",
+    "timed": "metrics",
+    "Span": "trace",
+    "attach_spans": "trace",
+    "disable_tracing": "trace",
+    "drain_trace": "trace",
+    "enable_tracing": "trace",
+    "export_trace": "trace",
+    "pretty_trace": "trace",
+    "reset_trace": "trace",
+    "span": "trace",
+    "trace_roots": "trace",
+    "tracing_enabled": "trace",
+}
+__all__ = [*_EXPORTS, "metrics_snapshot"]
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 
 def metrics_snapshot() -> dict:
     """Snapshot of the default registry (``{name: state}``)."""
+    from repro.obs.metrics import get_registry
+
     return get_registry().snapshot()

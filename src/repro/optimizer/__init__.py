@@ -8,7 +8,12 @@ make optimizer cost a poor predictor of runtime (paper Section VII-C.1) —
 arise organically rather than being injected.
 """
 
-from repro.optimizer.optimizer import Optimizer, OptimizedQuery
-from repro.optimizer.cost import plan_cost
+from repro import lazy_exports
 
-__all__ = ["Optimizer", "OptimizedQuery", "plan_cost"]
+_EXPORTS = {
+    "Optimizer": "optimizer",
+    "OptimizedQuery": "optimizer",
+    "plan_cost": "cost",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

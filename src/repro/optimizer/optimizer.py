@@ -209,7 +209,6 @@ class Optimizer:
             )
             table_stats = stats[binding]
             estimate = scan_estimate(binding, table_stats, selectivity)
-            table = self.catalog.table(bindings.table_name(binding))
             scan_columns = None
             output_columns = None
             if downstream is not None:
@@ -230,7 +229,8 @@ class Optimizer:
                 estimated_rows=estimate.rows,
                 estimated_row_bytes=estimate.row_bytes,
             )
-            partition_key = f"{binding}.{table.column_names[0]}"
+            schema = self.catalog.schema(bindings.table_name(binding))
+            partition_key = f"{binding}.{schema.names[0]}"
             subs[binding] = _Sub(scan, estimate, partition_key)
 
         for pairs, sub, negated in subquery_joins:

@@ -101,7 +101,7 @@ class BindingMap:
         if ref.table is not None:
             if ref.table not in self._tables:
                 raise OptimizerError(f"unknown binding {ref.table!r}")
-            schema = self._catalog.table(self._tables[ref.table]).schema
+            schema = self._catalog.schema(self._tables[ref.table])
             if ref.name not in schema:
                 raise OptimizerError(
                     f"unknown column {ref.name!r} in table "
@@ -111,7 +111,7 @@ class BindingMap:
         owners = [
             binding
             for binding, table_name in self._tables.items()
-            if ref.name in self._catalog.table(table_name).schema
+            if ref.name in self._catalog.schema(table_name)
         ]
         if len(owners) == 1:
             return ColumnRef(ref.name, table=owners[0])

@@ -8,17 +8,14 @@
   configuration; mismatches are refused on load.
 """
 
-from repro.pipeline.artifact import (
-    ARTIFACT_SCHEMA_VERSION,
-    catalog_fingerprint,
-    system_fingerprint,
-)
-from repro.pipeline.pipeline import PredictionPipeline, ScoredPrediction
+from repro import lazy_exports
 
-__all__ = [
-    "ARTIFACT_SCHEMA_VERSION",
-    "catalog_fingerprint",
-    "system_fingerprint",
-    "PredictionPipeline",
-    "ScoredPrediction",
-]
+_EXPORTS = {
+    "ARTIFACT_SCHEMA_VERSION": "artifact",
+    "catalog_fingerprint": "artifact",
+    "system_fingerprint": "artifact",
+    "PredictionPipeline": "pipeline",
+    "ScoredPrediction": "pipeline",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

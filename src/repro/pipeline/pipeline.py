@@ -21,7 +21,7 @@ model and derives predictions *and* confidence from the same projection.
 Pipelines persist to a single versioned ``.npz`` artifact
 (:meth:`~PredictionPipeline.save` / :meth:`~PredictionPipeline.load`)
 fingerprinted against the catalog and system configuration they were
-trained on.
+trained on, and carrying that catalog's statistics.
 """
 
 from __future__ import annotations
@@ -55,7 +55,9 @@ from repro.obs.trace import span
 from repro.pipeline.artifact import (
     ARTIFACT_SCHEMA_VERSION,
     catalog_fingerprint,
+    catalog_state,
     check_fingerprint,
+    statistics_catalog,
     system_fingerprint,
 )
 from repro.resilience.fallback import FallbackChain
@@ -138,6 +140,9 @@ class PredictionPipeline:
         self.metadata: dict = dict(metadata or {})
         #: Digest of the artifact bytes :meth:`load` restored this from.
         self.artifact_digest: Optional[str] = None
+        #: The statistics-only catalog :meth:`load` restored, when the
+        #: artifact was saved with its catalog.
+        self.catalog: Optional[Catalog] = None
 
     # ------------------------------------------------------------------
     # Stage access
@@ -344,7 +349,8 @@ class PredictionPipeline:
             path: artifact destination.
             catalog / config: training environment; when given, their
                 fingerprints are (re)computed and embedded so load-time
-                verification can refuse mismatched environments.
+                verification can refuse mismatched environments, and the
+                catalog's statistics are stored.
         """
         self.fingerprint_environment(catalog, config)
         model_state = self.model.state_dict()
@@ -368,6 +374,7 @@ class PredictionPipeline:
                 "names": list(self.feature_space.names),
                 "log_scale": self.feature_space.log_scale,
             },
+            "catalog": catalog_state(catalog) if catalog is not None else None,
         }
         write_state(
             path,
@@ -437,6 +444,8 @@ class PredictionPipeline:
             )
             pipeline.fingerprints = dict(artifact.get("fingerprints", {}))
             pipeline.artifact_digest = digest
+            if state.get("catalog") is not None:
+                pipeline.catalog = statistics_catalog(state["catalog"])
             if state.get("calibrator") is not None:
                 pipeline.calibrator = CostCalibrator().load_state_dict(
                     state["calibrator"]

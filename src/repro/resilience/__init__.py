@@ -31,66 +31,34 @@ passed, the instrumented hot path costs one module-global ``None`` check
 per site and existing outputs are byte-for-byte unchanged.
 """
 
-from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.resilience.checkpoint import JOURNAL_FORMAT_VERSION, BuildJournal
-from repro.resilience.deadline import (
-    Deadline,
-    check_deadline,
-    current_deadline,
-    deadline_scope,
-    stage_scope,
-)
-from repro.resilience.fallback import (
-    STAGE_NAMES,
-    CostHeuristicPredictor,
-    FallbackChain,
-)
-from repro.resilience.faults import (
-    FaultPlan,
-    FaultSpec,
-    arm,
-    armed,
-    armed_plan,
-    corrupt_array,
-    disarm,
-    fault_site,
-)
-from repro.resilience.retry import (
-    DEFAULT_FATAL,
-    DEFAULT_RETRYABLE,
-    RetryPolicy,
-)
+from repro import lazy_exports
 
-__all__ = [
-    # fault injection
-    "FaultPlan",
-    "FaultSpec",
-    "fault_site",
-    "corrupt_array",
-    "arm",
-    "disarm",
-    "armed",
-    "armed_plan",
-    # retry
-    "RetryPolicy",
-    "DEFAULT_RETRYABLE",
-    "DEFAULT_FATAL",
-    # deadlines
-    "Deadline",
-    "deadline_scope",
-    "current_deadline",
-    "check_deadline",
-    "stage_scope",
-    # circuit breaker
-    "CircuitBreaker",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
-    # checkpointing
-    "BuildJournal",
-    "JOURNAL_FORMAT_VERSION",
-    # fallback serving
-    "FallbackChain",
-    "CostHeuristicPredictor",
-    "STAGE_NAMES",
-]
+_EXPORTS = {
+    "CLOSED": "breaker",
+    "HALF_OPEN": "breaker",
+    "OPEN": "breaker",
+    "CircuitBreaker": "breaker",
+    "JOURNAL_FORMAT_VERSION": "checkpoint",
+    "BuildJournal": "checkpoint",
+    "Deadline": "deadline",
+    "check_deadline": "deadline",
+    "current_deadline": "deadline",
+    "deadline_scope": "deadline",
+    "stage_scope": "deadline",
+    "STAGE_NAMES": "fallback",
+    "CostHeuristicPredictor": "fallback",
+    "FallbackChain": "fallback",
+    "FaultPlan": "faults",
+    "FaultSpec": "faults",
+    "arm": "faults",
+    "armed": "faults",
+    "armed_plan": "faults",
+    "corrupt_array": "faults",
+    "disarm": "faults",
+    "fault_site": "faults",
+    "DEFAULT_FATAL": "retry",
+    "DEFAULT_RETRYABLE": "retry",
+    "RetryPolicy": "retry",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -19,31 +19,26 @@ This package is the only place in the codebase allowed to import
 ``os.fork`` / ``os.kill`` / ``signal.signal`` (rule RD013).
 """
 
-from repro.serve.admission import AdmissionController, AdmissionDecision, TokenBucket
-from repro.serve.batcher import BatchTooLargeError, MicroBatcher, QueueFullError
-from repro.serve.client import ServeClient
-from repro.serve.config import ServeConfig
-from repro.serve.daemon import PredictionDaemon, forecast_payload
-from repro.serve.degrade import DegradeController
-from repro.serve.loadgen import LoadReport, LoadRequest, generate_load, run_load
-from repro.serve.supervisor import Supervisor, SupervisorConfig
+from repro import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "TokenBucket",
-    "MicroBatcher",
-    "QueueFullError",
-    "BatchTooLargeError",
-    "ServeClient",
-    "ServeConfig",
-    "PredictionDaemon",
-    "forecast_payload",
-    "DegradeController",
-    "Supervisor",
-    "SupervisorConfig",
-    "LoadReport",
-    "LoadRequest",
-    "generate_load",
-    "run_load",
-]
+_EXPORTS = {
+    "AdmissionController": "admission",
+    "AdmissionDecision": "admission",
+    "TokenBucket": "admission",
+    "BatchTooLargeError": "batcher",
+    "MicroBatcher": "batcher",
+    "QueueFullError": "batcher",
+    "ServeClient": "client",
+    "ServeConfig": "config",
+    "PredictionDaemon": "daemon",
+    "forecast_payload": "daemon",
+    "DegradeController": "degrade",
+    "LoadReport": "loadgen",
+    "LoadRequest": "loadgen",
+    "generate_load": "loadgen",
+    "run_load": "loadgen",
+    "Supervisor": "supervisor",
+    "SupervisorConfig": "supervisor",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

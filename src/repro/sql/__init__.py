@@ -7,46 +7,3 @@ grouping, aggregation, ordering, limits and nested subqueries (``IN`` /
 the optimizer, and :mod:`repro.sql.text_features` derives the SQL-text
 feature vector evaluated (and rejected) in Section VI-D.1 of the paper.
 """
-
-from repro.sql.ast import (
-    Between,
-    BinaryOp,
-    ColumnRef,
-    Exists,
-    FuncCall,
-    InList,
-    InSubquery,
-    IsNull,
-    Like,
-    Literal,
-    OrderItem,
-    Query,
-    SelectItem,
-    Star,
-    TableRef,
-    UnaryOp,
-)
-from repro.sql.parser import parse
-from repro.sql.text_features import SQL_TEXT_FEATURE_NAMES, sql_text_features
-
-__all__ = [
-    "Between",
-    "BinaryOp",
-    "ColumnRef",
-    "Exists",
-    "FuncCall",
-    "InList",
-    "InSubquery",
-    "IsNull",
-    "Like",
-    "Literal",
-    "OrderItem",
-    "Query",
-    "SelectItem",
-    "Star",
-    "TableRef",
-    "UnaryOp",
-    "parse",
-    "SQL_TEXT_FEATURE_NAMES",
-    "sql_text_features",
-]

@@ -7,20 +7,3 @@ which tables are memory-resident, which drives the disk-I/O metric exactly
 as on the paper's systems (larger configurations hold all of TPC-DS in
 memory and report zero disk I/Os).
 """
-
-from repro.storage.table import Column, Schema, Table
-from repro.storage.partition import hash_partition, partition_counts
-from repro.storage.catalog import Catalog, ColumnStats, TableStats
-from repro.storage.buffer import BufferPool
-
-__all__ = [
-    "Column",
-    "Schema",
-    "Table",
-    "hash_partition",
-    "partition_counts",
-    "Catalog",
-    "ColumnStats",
-    "TableStats",
-    "BufferPool",
-]

@@ -5,6 +5,12 @@ collected once per table (like an ``UPDATE STATISTICS`` run) and include
 row counts, distinct-value counts, min/max and an equi-depth histogram per
 numeric column.  Estimation from these summaries — rather than from the
 data itself — is what gives the optimizer its realistic cardinality errors.
+
+The optimizer reads a table's schema (:meth:`Catalog.schema`) and
+statistics (:meth:`Catalog.stats`), never its rows, so a catalog built
+from statistics alone (:meth:`Catalog.from_statistics`, what a model
+artifact stores) plans every statement exactly as the catalog they were
+collected from; only execution needs :meth:`Catalog.table`.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.errors import CatalogError
-from repro.storage.table import Table
+from repro.storage.table import Column, Schema, Table
 
 __all__ = ["ColumnStats", "TableStats", "Catalog", "HISTOGRAM_BUCKETS"]
 
@@ -98,6 +104,7 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
+        self._schemas: dict[str, Schema] = {}
         self._stats: dict[str, TableStats] = {}
         #: Bumped by :meth:`register` and :meth:`analyze`: what is derived
         #: from the statistics (``repro.api``'s statement memo) compares it.
@@ -128,15 +135,30 @@ class Catalog:
             catalog._stats[name] = table_stats
         return catalog
 
+    @classmethod
+    def from_statistics(cls, stats: dict[str, TableStats]) -> "Catalog":
+        """A catalog of statistics without rows — what the optimizer reads,
+        for a process that plans but never executes; a table's schema is
+        its column statistics' names and kinds, in order."""
+        catalog = cls()
+        for name, table_stats in stats.items():
+            catalog._schemas[name] = Schema(
+                Column(column.name, column.kind)
+                for column in table_stats.columns.values()
+            )
+        catalog._stats = dict(stats)
+        return catalog
+
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
 
     def register(self, table: Table, analyze: bool = True) -> None:
         """Register ``table``; optionally collect statistics immediately."""
-        if table.name in self._tables:
+        if table.name in self._schemas:
             raise CatalogError(f"table {table.name!r} already registered")
         self._tables[table.name] = table
+        self._schemas[table.name] = table.schema
         self.version += 1
         if analyze:
             self.analyze(table.name)
@@ -171,19 +193,27 @@ class Catalog:
 
     @property
     def table_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._tables))
+        return tuple(sorted(self._schemas))
 
     def __contains__(self, name: str) -> bool:
-        return name in self._tables
+        return name in self._schemas
 
     def table(self, name: str) -> Table:
-        try:
+        """The table's rows; a statistics-only catalog has none."""
+        if name in self._tables:
             return self._tables[name]
+        if name in self._schemas:
+            raise CatalogError(f"this catalog holds no rows of table {name!r}")
+        raise CatalogError(f"unknown table {name!r}")
+
+    def schema(self, name: str) -> Schema:
+        try:
+            return self._schemas[name]
         except KeyError:
             raise CatalogError(f"unknown table {name!r}") from None
 
     def stats(self, name: str) -> TableStats:
-        if name not in self._tables:
+        if name not in self._schemas:
             raise CatalogError(f"unknown table {name!r}")
         if name not in self._stats:
             return self.analyze(name)

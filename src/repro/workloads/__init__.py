@@ -16,40 +16,3 @@
 * :mod:`repro.workloads.customer` — a separate customer schema and
   workload for the cross-schema transfer experiment (Experiment 4).
 """
-
-from repro.workloads.tpcds import build_tpcds_catalog, TPCDS_TABLE_NAMES
-from repro.workloads.categories import QueryCategory, categorize
-from repro.workloads.generator import QueryInstance, generate_pool
-from repro.workloads.spec import (
-    CompiledWorkload,
-    QueryTemplate,
-    WorkloadSpec,
-    builtin_workload_names,
-    compile_workload,
-    describe_workload,
-    load_workload_spec,
-    resolve_workload,
-)
-from repro.workloads.templates import tpcds_templates, problem_templates
-from repro.workloads.customer import build_customer_catalog, customer_templates
-
-__all__ = [
-    "build_tpcds_catalog",
-    "TPCDS_TABLE_NAMES",
-    "QueryCategory",
-    "categorize",
-    "QueryInstance",
-    "generate_pool",
-    "CompiledWorkload",
-    "QueryTemplate",
-    "WorkloadSpec",
-    "builtin_workload_names",
-    "compile_workload",
-    "describe_workload",
-    "load_workload_spec",
-    "resolve_workload",
-    "tpcds_templates",
-    "problem_templates",
-    "build_customer_catalog",
-    "customer_templates",
-]

@@ -1,10 +1,11 @@
 """Rewriting saved model artifacts: a structurally valid ``.npz`` whose
 manifest or arrays say something the writer never would.
 
-``DAMAGED_BODIES`` are the shapes found by hand on the commit before
-schema 2 (ROADMAP 3(b)): each loaded, or escaped as an untyped error —
-some only at forecast time, one as a silently wrong forecast.  Every one
-must now be a ``ModelError`` from ``load``.
+``DAMAGED_BODIES`` are the shapes found by hand (ROADMAP 3(b)): each
+loaded, or escaped as an untyped error — some only at forecast time, some
+as a silently wrong forecast — and the damage the catalog statistics an
+artifact carries since pipeline schema 2 can take.  Every one must be a
+``ModelError`` from ``load``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-_KCCA = "state/model/fitted/kcca/fitted"
+_FITTED = "state/model/fitted"
+_KCCA = f"{_FITTED}/kcca/fitted"
 
 
 def tamper(
@@ -45,6 +47,14 @@ def _set(table: dict, key: str, change: Callable) -> None:
 
 def _metadata(document: dict) -> dict:
     return document["artifact"]["metadata"]
+
+
+def _fitted(document: dict) -> dict:
+    return document["state"]["model"]["fitted"]
+
+
+def _tables(document: dict) -> dict:
+    return document["state"]["catalog"]
 
 
 #: name -> (manifest mutation, array mutation), either may be None.
@@ -77,6 +87,21 @@ DAMAGED_BODIES = {
     "alpha_all_nan": (
         None, lambda data: _set(
             data, f"{_KCCA}/alpha", lambda a: np.full_like(a, np.nan))),
+    "tau_x_nan": (lambda doc: _fitted(doc).update(tau_x=float("nan")), None),
+    "tau_x_zero": (lambda doc: _fitted(doc).update(tau_x=0.0), None),
+    "tau_x_negative": (lambda doc: _fitted(doc).update(tau_x=-1.0), None),
+    "x_scaler_std_all_nan": (
+        None, lambda data: _set(
+            data, f"{_FITTED}/x_scaler/std", lambda a: np.full_like(a, np.nan))),
+    "x_scaler_mean_five_entries": (
+        None, lambda data: _set(
+            data, f"{_FITTED}/x_scaler/mean", lambda a: a[:5])),
+    "catalog_table_missing": (lambda doc: _tables(doc).pop("item"), None),
+    "catalog_histogram_nan": (
+        lambda doc: _tables(doc)["store_sales"]["columns"][0].update(
+            histogram=[float("nan")] * 33), None),
+    "catalog_rows_not_an_integer": (
+        lambda doc: _tables(doc)["store_sales"].update(rows=7500.5), None),
 }
 
 

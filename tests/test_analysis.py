@@ -10,6 +10,7 @@ self-lint invariant that ``src/repro`` itself is clean.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -204,6 +205,20 @@ class TestRegistryAndReport:
         assert {f"RD00{i}" for i in range(10)} <= code_ids
         assert {f"PL00{i}" for i in range(1, 6)} == plan_ids
         assert is_known("RD001") and not is_known("RD999")
+
+    def test_registry_is_complete_in_a_fresh_process(self):
+        """A pack registers its rules when imported, and nothing imports a
+        pack on ``import repro.analysis`` any more: asking the registry
+        loads them all."""
+        code = (
+            "from repro.analysis import all_rules\n"
+            "print(sorted({info.pack for info in all_rules()}))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")), check=True,
+        )
+        assert result.stdout.strip() == "['code', 'concurrency', 'plan']"
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):

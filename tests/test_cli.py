@@ -233,7 +233,9 @@ class TestArtifactWorkflow:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "shape", ["alpha_all_nan", "unknown_model_config_key"]
+        "shape",
+        ["alpha_all_nan", "unknown_model_config_key", "tau_x_nan",
+         "catalog_histogram_nan"],
     )
     def test_damaged_artifact_is_one_error_line(
         self, shape, artifact, tmp_path, capsys
@@ -254,15 +256,15 @@ class TestArtifactWorkflow:
     ):
         """Exit 1 and ``error: ...`` — it was a ``ValueError`` traceback
         from inside the solver."""
-        import repro.api
+        import repro.experiments.corpus
 
         def poisoned(*args, **kwargs):
             corpus = build_corpus(*args, **kwargs)
             corpus.queries[5].performance[0] = float("inf")
             return corpus
 
-        build_corpus = repro.api.build_corpus
-        monkeypatch.setattr(repro.api, "build_corpus", poisoned)
+        build_corpus = repro.experiments.corpus.build_corpus
+        monkeypatch.setattr(repro.experiments.corpus, "build_corpus", poisoned)
         path = tmp_path / "model.npz"
         code = main(
             ["--scale", "0.05", "train", "--save", str(path), "--queries", "41"]

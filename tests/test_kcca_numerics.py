@@ -113,6 +113,35 @@ class TestKCCAStability:
         assert model.alpha.shape[1] <= 4
 
 
+class TestDegenerateTrainingSets:
+    """Training sets a workload can produce that leave nothing to learn
+    from: too few rows is a ``ModelError``, the rest fit and forecast
+    finite numbers."""
+
+    X = np.random.default_rng(6).uniform(0, 1, (30, 4))
+    Y = np.random.default_rng(7).uniform(1, 2, (30, 6))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_more_rows_than_neighbours(self, n):
+        with pytest.raises(ModelError, match=rf"\({n} <= 3\)"):
+            KCCAPredictor(k_neighbors=3).fit(self.X[:n], self.Y[:n])
+
+    def test_every_row_a_duplicate(self):
+        model = KCCAPredictor().fit(
+            np.tile(self.X[:1], (30, 1)), np.tile(self.Y[:1], (30, 1))
+        )
+        predicted = model.predict(self.X[:5])
+        assert np.isfinite(predicted).all()
+        np.testing.assert_allclose(predicted, np.tile(self.Y[:1], (5, 1)))
+
+    @pytest.mark.parametrize("columns", [[1], [0, 1, 2, 3]])
+    def test_constant_feature_columns(self, columns):
+        x = self.X.copy()
+        x[:, columns] = 3.0
+        model = KCCAPredictor().fit(x, self.Y)
+        assert np.isfinite(model.predict(self.X[:5])).all()
+
+
 class TestUnsolvableInputIsTyped:
     """A fit given NaN / infinity, or a covariance no factorisation takes,
     raises ``ModelError`` — it was scipy's ``ValueError`` or numpy's
@@ -151,6 +180,15 @@ class TestUnsolvableInputIsTyped:
         constant = np.column_stack([self.X, np.ones(len(self.X))])
         with pytest.raises(ModelError, match="cannot fit CCA"):
             CCA(regularization=0.0).fit(constant, self.Y)
+
+    @pytest.mark.parametrize("name", ["query_tau", "performance_tau"])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan], ids=repr)
+    def test_a_kernel_width_that_is_not_positive_is_named(self, name, tau):
+        """It was the kernel's untyped ``ValueError: tau must be positive``
+        (NaN passed that check and met the fit's finiteness check as a
+        kernel full of NaN, which named neither the parameter nor tau)."""
+        with pytest.raises(ModelError, match=f"{name} must be a positive number"):
+            KCCAPredictor(**{name: tau}).fit(self.X, self.Y)
 
     def test_a_failed_factorisation_inside_kcca_is_typed(self, monkeypatch):
         def no_convergence(*_args, **_kwargs):

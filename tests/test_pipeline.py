@@ -100,6 +100,29 @@ class TestModelProtocol:
         state = model.state_dict()
         assert set(state) >= {"config", "fitted"}
 
+    def test_a_fresh_process_resolves_a_class_nothing_imported(
+        self, mini_corpus, tmp_path
+    ):
+        """A model class registers when its module is imported; loading a
+        fallback chain over the two-step predictor with only the chain's
+        module imported still finds it."""
+        from repro.resilience.fallback import FallbackChain
+
+        path = tmp_path / "chain.npz"
+        FallbackChain(primary=TwoStepPredictor()).fit(
+            mini_corpus.feature_matrix(), mini_corpus.performance_matrix()
+        ).save(path)
+        code = (
+            "from repro.resilience.fallback import FallbackChain\n"
+            f"chain = FallbackChain.load({str(path)!r})\n"
+            "print(type(chain.primary).__name__)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=_subprocess_env(), check=True,
+        )
+        assert result.stdout.strip() == "TwoStepPredictor"
+
 
 class TestPipelineRoundTrip:
     @pytest.mark.parametrize("model_name", ["kcca", "two_step"])

@@ -816,7 +816,11 @@ class TestHotReload:
         finally:
             daemon.stop()
 
-    @pytest.mark.parametrize("shape", ["alpha_all_nan", "state_without_model"])
+    @pytest.mark.parametrize(
+        "shape",
+        ["alpha_all_nan", "state_without_model", "x_scaler_mean_five_entries",
+         "catalog_table_missing"],
+    )
     def test_reload_of_a_damaged_body_is_409_and_the_old_model_serves(
         self, shape, tmp_path, tpcds_catalog, config, mini_corpus
     ):
