@@ -41,7 +41,6 @@ Resilient serving (off by default; see docs/ROBUSTNESS.md)::
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -50,7 +49,6 @@ import numpy as np
 
 from repro.analysis.findings import PlanWarning
 from repro.analysis.planlint import corpus_vocabulary, vocabulary_warnings
-from repro.analysis.sanitizer import guarded_by, make_lock, note_access
 from repro.core.base import artifact_digest, restoring
 from repro.core.confidence import ConfidenceReport
 from repro.core.features import plan_feature_matrix, plan_feature_vector
@@ -59,6 +57,7 @@ from repro.core.two_step import TwoStepPredictor
 from repro.engine.metrics import PerformanceMetrics
 from repro.engine.system import SystemConfig, research_4node
 from repro.errors import ModelError
+from repro.lru import StampedLRU, text_bytes
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.optimizer.optimizer import OptimizedQuery, Optimizer
@@ -199,7 +198,7 @@ def _rows(
     return generate
 
 
-class StatementMemo:
+class StatementMemo(StampedLRU):
     """Bounded LRU: statement text -> ``(feature row, optimizer cost,
     warnings, last forecast)``.
 
@@ -214,60 +213,20 @@ class StatementMemo:
     """
 
     def __init__(self) -> None:
-        self._lock = make_lock("api.statement_memo")
-        guarded_by("api.statement_memo.entries", self._lock)
-        self._entries: OrderedDict[str, tuple] = OrderedDict()
-        self._stamp: object = None
-        self.hits = self.misses = 0
-
-    def lookup(self, stamp: object, sqls: Sequence[str]) -> tuple[dict, int]:
-        """Entries retained for ``sqls``, now most recently used; hit count."""
-        found, hits = {}, 0
-        with self._lock:
-            note_access("api.statement_memo.entries")
-            if stamp != self._stamp:
-                self._entries.clear()
-                self._stamp = stamp
-            for sql in sqls:
-                entry = self._entries.get(sql)
-                if entry is not None:
-                    self._entries.move_to_end(sql)
-                    found[sql] = entry
-                    hits += 1
-            self.hits += hits
-            self.misses += len(sqls) - hits
-        if _obs_metrics.metrics_enabled():
-            for outcome, count in (("hits", hits), ("misses", len(sqls) - hits)):
-                _obs_metrics.get_registry().counter(
-                    f"repro_forecast_memo_{outcome}_total",
-                    f"statement-memo lookups: {outcome}",
-                ).inc(count)
-        return found, hits
+        super().__init__("api.statement_memo", _MEMO_ENTRIES,
+                         "repro_forecast_memo", "statement-memo")
 
     def store(self, stamp: object, entries: dict) -> None:
-        """Retain ``entries``, evicting the least recently used."""
-        with self._lock:
-            note_access("api.statement_memo.entries")
-            if stamp != self._stamp:
-                return
-            for sql, entry in entries.items():
-                if len(sql.encode()) <= _MEMO_STATEMENT_BYTES:
-                    self._entries[sql] = entry
-            while len(self._entries) > _MEMO_ENTRIES:
-                self._entries.popitem(last=False)
+        """Retain ``entries`` of at most ``_MEMO_STATEMENT_BYTES`` of text."""
+        super().store(stamp, {sql: entry for sql, entry in entries.items()
+                              if text_bytes(sql) <= _MEMO_STATEMENT_BYTES})
 
-    def stats(self) -> dict:
-        """JSON-able counters (the ``memo`` block of ``/admin/status``)."""
-        with self._lock:
-            note_access("api.statement_memo.entries")
-            return {
-                "size": len(self._entries),
-                "max_entries": _MEMO_ENTRIES,
-                "bytes": sum(len(sql.encode()) for sql in self._entries),
-                "max_bytes": _MEMO_ENTRIES * _MEMO_STATEMENT_BYTES,
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+    def _stats_locked(self) -> dict:
+        return {
+            **super()._stats_locked(),
+            "bytes": sum(text_bytes(sql) for sql in self._entries),
+            "max_bytes": self.max_entries * _MEMO_STATEMENT_BYTES,
+        }
 
 
 class QueryPerformancePredictor:

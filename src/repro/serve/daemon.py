@@ -682,6 +682,7 @@ class PredictionDaemon:
                 self.degrade.status() if self.degrade is not None else None
             ),
             "memo": service.memo.stats(),
+            "templates": service.optimizer.templates.stats(),
             "deadline": {
                 "default_deadline_ms": self.config.default_deadline_ms,
                 "expired_requests": self.batcher.expired_requests,
@@ -911,7 +912,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
             except _Response as refused:
                 self._send_json(refused.status, refused.payload)
                 return
-            except (ValueError, UnicodeDecodeError) as error:
+            except (ValueError, UnicodeDecodeError, RecursionError) as error:
+                # json.loads recurses per nesting level: deep is bad JSON too.
                 self._send_json(400, {"error": "bad_json", "detail": str(error)})
                 return
             try:

@@ -126,10 +126,6 @@ class BinaryOp(Expr):
     def is_comparison(self) -> bool:
         return self.op in COMPARISON_OPS
 
-    @property
-    def is_conjunction(self) -> bool:
-        return self.op.upper() == "AND"
-
 
 @dataclass(frozen=True)
 class FuncCall(Expr):

@@ -47,9 +47,9 @@ from repro.sql.ast import (
     TableRef,
     UnaryOp,
 )
-from repro.sql.tokens import Token, tokenize
+from repro.sql.tokens import Token, number_value, tokenize
 
-__all__ = ["parse"]
+__all__ = ["parse", "parse_tokens"]
 
 #: comparison operator -> the operator stored in the AST
 _COMPARISONS = {
@@ -74,7 +74,13 @@ def parse(text: str) -> Query:
         ParseError: when the text is not a valid query in the subset.
         TokenizeError: when the text cannot even be tokenized.
     """
-    parser = _Parser(tokenize(text))
+    return parse_tokens(tokenize(text))[0]
+
+
+def parse_tokens(tokens: list[Token]) -> tuple[Query, dict[int, Literal]]:
+    """:func:`parse` a token list; also return the ``Literal`` nodes made
+    from its NUMBER and STRING tokens, by token index in token order."""
+    parser = _Parser(tokens)
     try:
         query = parser.parse_query()
     except RecursionError:
@@ -82,7 +88,7 @@ def parse(text: str) -> Query:
         # deeper than the interpreter's stack is the sender's error.
         raise parser._error("statement nests too deeply") from None
     parser.expect_eof()
-    return query
+    return query, parser.literals
 
 
 class _Parser:
@@ -97,6 +103,7 @@ class _Parser:
         self._tokens = tokens
         self._pos = 0
         self.kind, self.value, _ = tokens[0]
+        self.literals: dict[int, Literal] = {}
 
     # ------------------------------------------------------------------
     # Token-stream helpers
@@ -144,6 +151,16 @@ class _Parser:
         if self.kind != "EOF":
             raise self._error(f"unexpected trailing input {self.value!r}")
 
+    def take_value(self) -> int | float | str:
+        """Consume a NUMBER or STRING token and return its value."""
+        value = self.value
+        if self.kind == "NUMBER":
+            value = number_value(value)
+            if value is None:
+                raise self._error("number is too large for a float")
+        self.advance()
+        return value
+
     # ------------------------------------------------------------------
     # Grammar productions
     # ------------------------------------------------------------------
@@ -178,8 +195,7 @@ class _Parser:
         if self.accept_keyword("LIMIT"):
             if self.kind != "NUMBER" or "." in self.value:
                 raise self._error("LIMIT requires an integer")
-            limit = int(self.value)
-            self.advance()
+            limit = self.take_value()
 
         return Query(
             select=tuple(select),
@@ -341,12 +357,10 @@ class _Parser:
         """A literal, ``EXISTS``, ``CASE`` or a parenthesised expression
         (identifiers never get here: ``_parse_unary`` takes them)."""
         kind, value = self.kind, self.value
-        if kind == "NUMBER":
-            self.advance()
-            return Literal(float(value) if "." in value else int(value))
-        if kind == "STRING":
-            self.advance()
-            return Literal(value)
+        if kind == "NUMBER" or kind == "STRING":
+            at = self._pos
+            literal = self.literals[at] = Literal(self.take_value())
+            return literal
         if kind == "KEYWORD":
             if value in _KEYWORD_LITERALS:
                 self.advance()

@@ -7,17 +7,18 @@ by the workload generators and examples.
 
 The whole text is scanned by one compiled pattern; each match is the
 whitespace and ``--`` comments before a token plus the token itself, so
-offsets are running sums of match lengths.
+offsets are running sums of match lengths.  :func:`shape` reads the same
+matches for a statement's template key; :func:`tokens_of` tokenizes them.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Union
 
 from repro.errors import TokenizeError
 
-__all__ = ["Token", "tokenize", "KEYWORDS"]
+__all__ = ["Token", "tokenize", "shape", "tokens_of", "number_value", "KEYWORDS"]
 
 #: Reserved words, upper-cased.  Identifiers matching these become KEYWORD
 #: tokens; everything else becomes IDENT.
@@ -85,6 +86,9 @@ _ASCII_WORD_START = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
 )
 _NUMBER_START = frozenset("0123456789.")
+#: A lexeme starting with one of these, other than the operator ``.`` and
+#: an unterminated quote, is a NUMBER or STRING token.
+_LITERAL_START = _NUMBER_START | {"'"}
 
 
 class Token(NamedTuple):
@@ -113,6 +117,50 @@ class Token(NamedTuple):
 _new_token = tuple.__new__
 
 
+_INF = float("inf")
+
+
+def number_value(lexeme: str) -> Optional[Union[int, float]]:
+    """A NUMBER token's value (a float when it has a decimal point), or
+    None when its float64 value is not finite: no statement may hold one."""
+    as_float = float(lexeme)
+    if as_float == _INF:
+        return None
+    return as_float if "." in lexeme else int(lexeme)
+
+
+def shape(text: str) -> tuple[Optional[tuple], list, list]:
+    """``text``'s template key, its literals' values in token order, and
+    its scanned lexemes (for :func:`tokens_of`).
+
+    The key is the lexemes, with each literal that becomes a ``Literal``
+    node — a NUMBER or STRING token but a ``LIKE`` pattern or ``LIMIT``
+    count — replaced by its type (``int``, ``float``, ``str``).  Two
+    statements with one key parse alike but for those values.  A number
+    that is not finite makes the key None: parsing says where it fails.
+    """
+    pairs = _SCAN(text)
+    key, values, previous = [], [], ""
+    for _skipped, lexeme in pairs:
+        part = lexeme
+        if (
+            lexeme[:1] in _LITERAL_START
+            and lexeme not in ("'", ".")
+            and previous.upper() not in ("LIKE", "LIMIT")
+        ):
+            if lexeme[0] == "'":
+                value = lexeme[1:-1].replace("''", "'")
+            else:
+                value = number_value(lexeme)
+                if value is None:
+                    return None, values, pairs
+            values.append(value)
+            part = type(value)
+        key.append(part)
+        previous = lexeme
+    return tuple(key), values, pairs
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text`` into a list of tokens terminated by an EOF token.
 
@@ -120,10 +168,15 @@ def tokenize(text: str) -> list[Token]:
         TokenizeError: on an unterminated string literal or an unexpected
             character.
     """
+    return tokens_of(_SCAN(text))
+
+
+def tokens_of(pairs: list[tuple[str, str]]) -> list[Token]:
+    """The tokens of a text :func:`shape` scanned; raises as :func:`tokenize`."""
     tokens: list[Token] = []
     append = tokens.append
     position = 0
-    for skipped, lexeme in _SCAN(text):
+    for skipped, lexeme in pairs:
         if skipped:
             position += len(skipped)
         first = lexeme[:1]
@@ -135,12 +188,13 @@ def tokenize(text: str) -> list[Token]:
                 append(_new_token(Token, ("IDENT", lexeme.lower(), position)))
         elif lexeme in _OPERATORS:
             append(_new_token(Token, ("OP", lexeme, position)))
-        elif first in _NUMBER_START:
-            append(_new_token(Token, ("NUMBER", lexeme, position)))
-        elif first == "'" and lexeme != "'":
-            # Doubled quote is an escaped quote inside the literal.
-            body = lexeme[1:-1].replace("''", "'")
-            append(_new_token(Token, ("STRING", body, position)))
+        elif first in _LITERAL_START and lexeme != "'":
+            if first == "'":
+                # Doubled quote is an escaped quote inside the literal.
+                body = lexeme[1:-1].replace("''", "'")
+                append(_new_token(Token, ("STRING", body, position)))
+            else:
+                append(_new_token(Token, ("NUMBER", lexeme, position)))
         elif not lexeme:
             break
         elif first == "'":

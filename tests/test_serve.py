@@ -213,6 +213,19 @@ class TestEndpoints:
         finally:
             daemon.stop()
 
+    def test_deeply_nested_json_is_400(self, serve_service):
+        """json.loads recurses once per level: this body was a 500."""
+        daemon = start_daemon(serve_service)
+        try:
+            body = b"[" * 100_000 + b"]" * 100_000
+            status, _head, text = raw_post(daemon, "/v1/forecast", body)
+            assert status == 400, text
+            assert strict_json(text)["error"] == "bad_json"
+            assert client_for(daemon).forecast(SQL_LIGHT)["forecast"]
+            assert daemon.status()["breaker"]["state"] == "closed"
+        finally:
+            daemon.stop()
+
     def test_admin_status_shape(self, serve_service):
         daemon = start_daemon(serve_service, slo_p99_ms=30_000.0)
         try:
@@ -224,10 +237,14 @@ class TestEndpoints:
         for key in (
             "model_version", "uptime_s", "inflight", "requests", "slo",
             "batcher", "admission", "breaker", "resilience", "memo",
+            "templates",
         ):
             assert key in status, key
         assert set(status["memo"]) == {
             "size", "max_entries", "bytes", "max_bytes", "hits", "misses"
+        }
+        assert set(status["templates"]) == {
+            "size", "max_entries", "hits", "misses"
         }
         assert status["requests"]["ok"] >= 1
         assert status["slo"]["p99_ms"] >= status["slo"]["p50_ms"] >= 0
@@ -452,6 +469,49 @@ class TestBadStatement:
             # Another client is served as if nothing had happened.
             payload = client_for(daemon, "bystander").forecast(SQL_LIGHT)
             assert payload["forecast"]["metrics"]["elapsed_time"] > 0
+        finally:
+            daemon.stop()
+
+    def test_numbers_too_large_for_a_float_are_400(self, serve_service):
+        """An integer literal of 309+ digits was an untyped OverflowError
+        from the optimizer: five of them opened the breaker for everyone."""
+        huge = "9" * 400
+        daemon = start_daemon(serve_service)
+        try:
+            sender = client_for(daemon, "sender")
+            for n in range(10):
+                sql = SQL_LIGHT.replace("30", huge + str(n))
+                status, payload = sender.try_forecast(sql)
+                assert (status, payload["error"]) == (400, "bad_statement")
+                assert payload["position"] == SQL_LIGHT.index("30")
+            status = daemon.status()
+            assert status["breaker"]["state"] == "closed"
+            assert status["requests"]["failed"] == 0
+            payload = client_for(daemon, "bystander").forecast(SQL_LIGHT)
+            assert payload["forecast"]["metrics"]["elapsed_time"] > 0
+        finally:
+            daemon.stop()
+
+    def test_lone_surrogates_are_planned_or_400(self, serve_service):
+        """JSON may carry a lone surrogate ("\\ud800"), which has no UTF-8
+        form: inside a string literal the statement is planned, outside
+        one it is a tokenize error.  Neither is a 500 for the breaker."""
+        daemon = start_daemon(serve_service)
+        try:
+            for n in range(6):  # distinct texts: past the memo, to the optimizer
+                quoted = f"SELECT count(*) AS c FROM item i WHERE i.i_brand = '\ud800{n}'"
+                bare = f"SELECT \ud800 FROM item i WHERE i.i_item_sk > {n}"
+                for sql, expected in ((quoted, 200), (bare, 400)):
+                    body = json.dumps({"sql": sql, "client": "sender"}).encode()
+                    status, _head, text = raw_post(daemon, "/v1/forecast", body)
+                    assert status == expected, text
+                    if expected == 400:
+                        payload = strict_json(text)
+                        assert payload["error"] == "bad_statement"
+                        assert payload["position"] == 7
+            status = daemon.status()
+            assert status["breaker"]["state"] == "closed"
+            assert status["requests"]["failed"] == 0
         finally:
             daemon.stop()
 

@@ -514,7 +514,8 @@ class TestDegradedServing:
     def test_stepping_down_replans_nothing(self, serve_service, monkeypatch):
         """The tier is not part of the memo's key: what full service
         compiled, the next tier down finds, so the first step under
-        pressure does not send every hot statement through parse + plan."""
+        pressure does not send every hot statement through the optimizer
+        (every compile of a text starts by taking its shape)."""
         import repro.optimizer.optimizer as optimizer_module
 
         daemon = start_daemon(
@@ -529,11 +530,11 @@ class TestDegradedServing:
             for sql in sqls:
                 assert client.forecast(sql)["degrade_tier"] == 0
             calls = []
-            parse = optimizer_module.parse
+            shape = optimizer_module.shape
             optimize = optimizer_module.Optimizer.optimize
             monkeypatch.setattr(
-                optimizer_module, "parse",
-                lambda text: calls.append("parse") or parse(text),
+                optimizer_module, "shape",
+                lambda text: calls.append("shape") or shape(text),
             )
             monkeypatch.setattr(
                 optimizer_module.Optimizer, "optimize",

@@ -72,7 +72,7 @@ def reference(artifact, tpcds_catalog, config, statements):
         artifact, catalog=tpcds_catalog, config=config
     )
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(api, "_MEMO_ENTRIES", 0)
+        patch.setattr(service.memo, "max_entries", 0)
         answers = [service.forecast_many([sql])[0] for sql in statements]
     assert service.memo.stats()["hits"] == 0
     return answers
@@ -117,7 +117,7 @@ class TestWarmedEqualsFresh:
         assert fresh.last_forecasts([statements[0], statements[1]]) is None
 
     def test_eviction_at_the_bound(self, fresh, statements, reference, monkeypatch):
-        monkeypatch.setattr(api, "_MEMO_ENTRIES", 8)
+        monkeypatch.setattr(fresh.memo, "max_entries", 8)
         probe = statements[:60]
         for _ in range(2):
             for chunk in chunks(probe, 5):
