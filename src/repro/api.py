@@ -174,6 +174,13 @@ def _warnings(
     )
 
 
+def _rescores(pipeline: PredictionPipeline) -> bool:
+    """Whether ``pipeline`` must score a statement the memo holds a forecast
+    for: a fallback chain's stages, breakers, floors and drift state decide
+    its forecasts as well as the statement's feature row does."""
+    return isinstance(pipeline.model, _resilience_fallback.FallbackChain)
+
+
 def _rows(
     spec: dict, pipeline: PredictionPipeline, source: str
 ) -> Callable[[], Catalog]:
@@ -205,11 +212,15 @@ class StatementMemo(StampedLRU):
     The first three are what compiling yields: pure functions of the
     text, the catalog statistics and the fitted pipeline's vocabulary,
     so any service tier may reuse them; no plan tree or AST is kept.
-    The forecast is no such function (fallback stages, breakers and
-    floors decide it too): only the serving tier ``stale`` answers from
-    it, labelled stale.  Callers pass the ``stamp`` (statistics version,
-    pipeline) they run under: a new one empties the memo, and what was
-    computed under an old one is not stored.
+    For a service without a fallback chain the forecast is such a
+    function too (the mean of the k nearest training queries' metrics,
+    given the feature row and the fitted model), so a repeat is answered
+    with it.  For a fallback service, whose stages, breakers, floors and
+    drift state decide the forecast as well, only the serving tier
+    ``stale`` answers from it, labelled stale.  Callers pass the
+    ``stamp`` (statistics version, pipeline) they run under: a new one
+    empties the memo, and what was computed under an old one is not
+    stored.
     """
 
     def __init__(self) -> None:
@@ -529,9 +540,13 @@ class QueryPerformancePredictor:
 
         The batch path end-to-end: plan the statements the statement
         memo does not hold (once per distinct text), build one feature
-        matrix, project it once, and derive predictions and confidence
-        from the same projection.  Each stage boundary is a cooperative
-        cancellation point against the caller's installed
+        matrix of the statements to score, project it once, and derive
+        predictions and confidence from the same projection.  A service
+        without a fallback chain answers a statement the memo holds a
+        forecast for with that forecast and scores only the rest; a
+        fallback service scores every statement.  Either way each
+        distinct text is scored once.  Each stage boundary is a
+        cooperative cancellation point against the caller's installed
         :class:`~repro.resilience.deadline.Deadline` (the serving daemon
         turns an expired budget into a structured 504), and each stage's
         wall time is charged to the deadline's per-stage accounting.  A
@@ -543,6 +558,7 @@ class QueryPerformancePredictor:
             return []
         pipeline, memo = self._pipeline, self.memo
         stamp = (self.catalog.version, pipeline)
+        rescore = _rescores(pipeline)
         with _obs_trace.span("api.forecast_many", n=len(sqls)) as current:
             with _resilience_deadline.stage_scope("optimize"):
                 compiled, hits = memo.lookup(stamp, sqls)
@@ -562,39 +578,48 @@ class QueryPerformancePredictor:
                 for sql, opt, row in zip(misses, optimized, rows):
                     warnings = _warnings(opt, pipeline)
                     compiled[sql] = (row.copy(), opt.cost, warnings, None)
-                parts = [compiled[sql] for sql in sqls]
-                features = np.array([part[0] for part in parts])
-            costs = np.array([part[1] for part in parts])
-            with _resilience_deadline.stage_scope("predict"):
-                scored = pipeline.score_many(features, optimizer_costs=costs)
-            if scored[0].stage is not None:
-                current.set(served_by=scored[0].stage)
-        forecasts = []
-        for sql, (row, cost, warnings, _), score in zip(sqls, parts, scored):
+                unscored = [sql for sql in dict.fromkeys(sqls)
+                            if rescore or compiled[sql][3] is None]
+                features = np.array([compiled[sql][0] for sql in unscored])
+            costs = np.array([compiled[sql][1] for sql in unscored])
+            scored = []
+            if unscored:
+                with _resilience_deadline.stage_scope("predict"):
+                    scored = pipeline.score_many(features, optimizer_costs=costs)
+                if scored[0].stage is not None:
+                    current.set(served_by=scored[0].stage)
+        for sql, score in zip(unscored, scored):
+            row, cost, warnings, _ = compiled[sql]
             metrics = PerformanceMetrics.from_vector(score.prediction)
-            forecast = Forecast(
+            compiled[sql] = (row, cost, warnings, Forecast(
                 metrics=metrics,
                 category=categorize(metrics.elapsed_time).value,
                 confidence=score.confidence,
                 optimizer_cost=cost,
                 served_by=score.stage,
                 warnings=warnings,
-            )
-            compiled[sql] = (row, cost, warnings, forecast)
-            forecasts.append(forecast)
+            ))
         memo.store(stamp, compiled)
-        return forecasts
+        return [compiled[sql][3] for sql in sqls]
 
-    def last_forecasts(self, sqls: Sequence[str]) -> Optional[list[Forecast]]:
-        """A forecast computed for each of ``sqls`` under this model and these
-        catalog statistics, or None unless the memo holds every one: what the
-        serving daemon's tier ``stale`` answers a repeated request from,
-        whichever tier computed it."""
-        stamp = (self.catalog.version, self._pipeline)
-        found, hits = self.memo.lookup(stamp, sqls)
-        if hits < len(sqls):
-            return None
-        return [found[sql][3] for sql in sqls]
+    def held_forecasts(
+        self, sqls: Sequence[str]
+    ) -> tuple[Optional[list[Forecast]], bool]:
+        """The forecast the memo holds for each of ``sqls`` under this model
+        and these catalog statistics (None unless it holds every one), and
+        whether :meth:`forecast_many` answers ``sqls`` with exactly those.
+
+        It does for a service without a fallback chain.  A fallback service
+        scores every statement again, so to it they are only the last
+        answers, which the serving daemon's tier ``stale`` gives, whichever
+        tier computed them.  A peek: no lookup is counted and no entry
+        moves in the LRU order.
+        """
+        pipeline = self.pipeline
+        held = self.memo.peek((self.catalog.version, pipeline), sqls)
+        if len(held) < len(set(sqls)):
+            return None, False
+        return [held[sql][3] for sql in sqls], not _rescores(pipeline)
 
     def forecast_workload(
         self,

@@ -64,6 +64,15 @@ class StampedLRU:
                 ).inc(count)
         return found, hits
 
+    def peek(self, stamp: object, keys: Sequence[Hashable]) -> dict:
+        """Entries held for ``keys`` under ``stamp``, counted as no lookup
+        and left where they are in the LRU order."""
+        with self._lock:
+            note_access(self._state)
+            if stamp != self._stamp:
+                return {}
+            return {key: self._entries[key] for key in keys if key in self._entries}
+
     def store(self, stamp: object, entries: dict) -> None:
         """Hold ``entries`` if ``stamp`` is current, evicting the least
         recently used."""

@@ -33,6 +33,9 @@ __all__ = ["TokenBucket", "AdmissionDecision", "AdmissionController"]
 WEIGHT_FEATHER = "feather"
 WEIGHT_BOWLING_BALL = "bowling_ball"
 
+#: Smallest bucket table that inserting a bucket sweeps.
+_SWEEP_MIN = 64
+
 
 class TokenBucket:
     """A refilling budget of predicted-work seconds.
@@ -89,9 +92,11 @@ class TokenBucket:
             return False, retry
 
     def balance(self) -> float:
+        """The balance now; a read that refills nothing, so that looking
+        never changes what a later charge decides."""
         with self._lock:
-            self._refill_locked()
-            return self._tokens
+            elapsed = max(0.0, self._clock() - self._stamp)
+            return min(self.burst, self._tokens + elapsed * self.rate)
 
 
 @dataclass(frozen=True)
@@ -148,22 +153,41 @@ class AdmissionController:
         self.retry_after_s = float(retry_after_s)
         self._clock = clock
         self._buckets: dict[str, TokenBucket] = {}
+        #: Table size at which inserting a bucket first sweeps the table.
+        self._sweep_at = _SWEEP_MIN
         self._lock = make_lock("serve.admission.controller")
         guarded_by("serve.admission.buckets", self._lock)
         self.admitted = 0
         self.quota_rejections = 0
         self.shed_rejections = 0
 
-    def _bucket(self, client: str) -> TokenBucket:
+    def _charge(self, client: str, amount: float) -> tuple[bool, float]:
+        """Charge ``client``'s bucket (see :meth:`TokenBucket.try_charge`).
+
+        Under the table's lock, so a sweep never drops a bucket a charge
+        is about to land in.
+        """
         with self._lock:
             note_access("serve.admission.buckets")
             bucket = self._buckets.get(client)
             if bucket is None:
+                if len(self._buckets) >= self._sweep_at:
+                    self._sweep_locked()
                 bucket = TokenBucket(
                     self.quota_rate or 0.0, self.quota_burst, self._clock
                 )
                 self._buckets[client] = bucket
-            return bucket
+            return bucket.try_charge(amount)
+
+    def _sweep_locked(self) -> None:
+        """Drop every bucket refilled to its burst: it decides exactly as
+        the fresh one a next request would make, so the table holds only
+        the clients still paying off a charge.  The next sweep waits for
+        the table to double, which keeps inserting amortised O(1)."""
+        for client in [client for client, bucket in self._buckets.items()
+                       if bucket.balance() >= bucket.burst]:
+            del self._buckets[client]
+        self._sweep_at = max(_SWEEP_MIN, 2 * len(self._buckets))
 
     def classify(self, predicted_seconds: float) -> str:
         if self.heavy_seconds is not None and predicted_seconds > self.heavy_seconds:
@@ -190,7 +214,7 @@ class AdmissionController:
                 retry_after_s=max(self.retry_after_s, predicted_seconds),
             )
         if self.quota_rate is not None:
-            ok, retry = self._bucket(client).try_charge(predicted_seconds)
+            ok, retry = self._charge(client, predicted_seconds)
             if not ok:
                 with self._lock:
                     self.quota_rejections += 1
@@ -206,9 +230,11 @@ class AdmissionController:
         return AdmissionDecision(admitted=True, weight_class=weight)
 
     def status(self) -> dict:
-        """JSON-able snapshot for ``/admin/status``."""
+        """JSON-able snapshot for ``/admin/status``; ``clients`` lists the
+        clients whose bucket is below its burst."""
         with self._lock:
             note_access("serve.admission.buckets")
+            self._sweep_locked()
             balances = {
                 client: round(bucket.balance(), 3)
                 for client, bucket in sorted(self._buckets.items())

@@ -19,6 +19,12 @@ members of such a batch are predicted again one by one and only the
 request that carries the statement fails.  :meth:`stop` drains the
 queue FIFO before the collector exits so shutdown never strands a
 waiting handler.
+
+A request that costs less than the two thread wake-ups a queued one
+takes (the daemon's repeats, answered from the statement memo) is
+:meth:`~MicroBatcher.run` instead: a batch of its own on the calling
+thread, through the same expiry, deadline scope and failure handling,
+counted in ``inline_batches`` apart from the collector's batches.
 """
 
 from __future__ import annotations
@@ -124,10 +130,13 @@ class MicroBatcher:
         self._queued_statements = 0
         self._cond = make_condition("serve.batcher.cond")
         guarded_by("serve.batcher.queue", self._cond)
+        # Batches run on the collector and on handler threads (``run``).
+        guarded_by("serve.batcher.counters", self._cond)
         self._stopping = False
         self.batches = 0
         self.batched_statements = 0
         self.largest_batch = 0
+        self.inline_batches = 0
         self.expired_requests = 0
         self.stage_ms_total: dict[str, float] = {}
         self._thread = threading.Thread(
@@ -142,6 +151,34 @@ class MicroBatcher:
 
     # -- producer side ---------------------------------------------------
 
+    def _pending(
+        self, sqls: Sequence[str], client: str, deadline: Optional[Deadline]
+    ) -> PendingRequest:
+        if len(sqls) > self.max_queue:
+            raise BatchTooLargeError(
+                f"batch of {len(sqls)} statements exceeds the serve queue "
+                f"cap of {self.max_queue}; split it"
+            )
+        pending = PendingRequest(sqls, client, deadline=deadline)
+        pending.submitted_at = self._clock()
+        return pending
+
+    def run(
+        self,
+        sqls: Sequence[str],
+        client: str = "",
+        deadline: Optional[Deadline] = None,
+    ) -> PendingRequest:
+        """Predict ``sqls`` as a batch of their own on the calling thread,
+        exactly as the collector would; returns the settled handle.
+
+        Raises:
+            BatchTooLargeError: ``sqls`` alone exceeds ``max_queue``.
+        """
+        pending = self._pending(sqls, client, deadline)
+        self._run_batch([pending], inline=True)
+        return pending
+
     def submit(
         self,
         sqls: Sequence[str],
@@ -155,13 +192,7 @@ class MicroBatcher:
             QueueFullError: the queue is at ``max_queue`` statements.
             ServeError: the batcher is stopping.
         """
-        if len(sqls) > self.max_queue:
-            raise BatchTooLargeError(
-                f"batch of {len(sqls)} statements exceeds the serve queue "
-                f"cap of {self.max_queue}; split it"
-            )
-        pending = PendingRequest(sqls, client, deadline=deadline)
-        pending.submitted_at = self._clock()
+        pending = self._pending(sqls, client, deadline)
         with self._cond:
             if self._stopping:
                 raise ServeError("batcher is stopping; submission refused")
@@ -207,7 +238,9 @@ class MicroBatcher:
     def _expire(self, pending: PendingRequest, stage: str) -> None:
         """Fail ``pending`` with a structured deadline error (→ 504)."""
         deadline = pending.deadline
-        self.expired_requests += 1
+        with self._cond:
+            note_access("serve.batcher.counters")
+            self.expired_requests += 1
         pending.fail(
             DeadlineExceededError(
                 f"deadline of {deadline.budget_ms:.1f} ms spent at stage "
@@ -236,7 +269,7 @@ class MicroBatcher:
                 loosest = deadline
         return loosest
 
-    def _run_batch(self, batch: list[PendingRequest]) -> None:
+    def _run_batch(self, batch: list[PendingRequest], inline: bool = False) -> None:
         # Refuse to burn compute on requests whose budget is already
         # spent: they are expired here (→ 504), before predict runs.
         live: list[PendingRequest] = []
@@ -250,9 +283,9 @@ class MicroBatcher:
             else:
                 live.append(pending)
         if live:
-            self._predict(live)
+            self._predict(live, inline)
 
-    def _predict(self, live: list[PendingRequest]) -> None:
+    def _predict(self, live: list[PendingRequest], inline: bool) -> None:
         """One predict call for ``live``; resolves or fails each member."""
         sqls = [sql for pending in live for sql in pending.sqls]
         batch_deadline = self._batch_deadline(live)
@@ -266,7 +299,7 @@ class MicroBatcher:
                 live[0].fail(error)
             else:
                 for pending in live:
-                    self._predict([pending])
+                    self._predict([pending], inline)
             return
         except BaseException as error:  # fan the failure out, keep running
             for pending in live:
@@ -280,11 +313,15 @@ class MicroBatcher:
             for pending in live:
                 pending.fail(error)
             return
-        self.batches += 1
-        self.batched_statements += len(sqls)
-        self.largest_batch = max(self.largest_batch, len(sqls))
-        if batch_deadline is not None:
-            with self._cond:
+        with self._cond:
+            note_access("serve.batcher.counters")
+            if inline:
+                self.inline_batches += 1
+            else:
+                self.batches += 1
+                self.batched_statements += len(sqls)
+                self.largest_batch = max(self.largest_batch, len(sqls))
+            if batch_deadline is not None:
                 for stage, ms in batch_deadline.stage_ms.items():
                     self.stage_ms_total[stage] = (
                         self.stage_ms_total.get(stage, 0.0) + ms
@@ -336,20 +373,22 @@ class MicroBatcher:
     def stats(self) -> dict:
         """JSON-able batching counters for ``/admin/status``."""
         with self._cond:
-            queued = self._queued_statements
-            stage_ms = {
-                stage: round(ms, 3)
-                for stage, ms in sorted(self.stage_ms_total.items())
+            note_access("serve.batcher.counters")
+            batches = self.batches
+            statements = self.batched_statements
+            return {
+                "batches": batches,
+                "batched_statements": statements,
+                "largest_batch": self.largest_batch,
+                "mean_batch_size": (
+                    round(statements / batches, 3) if batches else 0.0
+                ),
+                "inline_batches": self.inline_batches,
+                "queued_statements": self._queued_statements,
+                "max_batch": self.max_batch,
+                "expired_requests": self.expired_requests,
+                "stage_ms": {
+                    stage: round(ms, 3)
+                    for stage, ms in sorted(self.stage_ms_total.items())
+                },
             }
-        batches = self.batches
-        statements = self.batched_statements
-        return {
-            "batches": batches,
-            "batched_statements": statements,
-            "largest_batch": self.largest_batch,
-            "mean_batch_size": round(statements / batches, 3) if batches else 0.0,
-            "queued_statements": queued,
-            "max_batch": self.max_batch,
-            "expired_requests": self.expired_requests,
-            "stage_ms": stage_ms,
-        }

@@ -4,7 +4,9 @@
 :class:`~repro.api.QueryPerformancePredictor` in a stdlib
 ``ThreadingHTTPServer`` and multiplexes every concurrent client onto
 the one-kernel-cross ``forecast_many`` path through a
-:class:`~repro.serve.batcher.MicroBatcher`.  After each prediction an
+:class:`~repro.serve.batcher.MicroBatcher`; a request whose every
+statement the service's memo answers runs its batch of one on its own
+handler thread, since it has nothing to share.  After each prediction an
 :class:`~repro.serve.admission.AdmissionController` reviews the
 forecast — per-client quotas and bowling-ball shedding, the paper's own
 workload-management use case — and rejections come back as 429/503 with
@@ -365,20 +367,11 @@ class PredictionDaemon:
         )
 
     def _serve_stale(
-        self, sqls: Sequence[str], client: str, tier: int
-    ) -> Optional[dict]:
-        """A full response from the memo's last forecasts, or None on any miss.
-
-        Tier ``stale`` only: every statement must hit; a partial hit goes
-        through the real pipeline (a mixed-freshness response would be
-        impossible to reason about).
-        """
-        if self.degrade is None or not self.degrade.stale_ok():
-            return None
-        runtime = self._runtime
-        forecasts = runtime.service.last_forecasts(sqls)
-        if forecasts is None:
-            return None
+        self, forecasts: list, version: str, client: str, tier: int
+    ) -> dict:
+        """A full response from the memo's last forecasts (tier ``stale``;
+        the caller has checked that the memo holds every statement: a
+        mixed-freshness response would be impossible to reason about)."""
         with self._state_lock:
             note_access("serve.daemon.state")
             self.served_stale += 1
@@ -389,7 +382,7 @@ class PredictionDaemon:
             ).inc()
         return {
             "forecasts": [forecast_payload(f) for f in forecasts],
-            "model_version": runtime.version,
+            "model_version": version,
             "served_by": "stale_cache",
             "degrade_tier": tier,
             "stale": True,
@@ -456,9 +449,11 @@ class PredictionDaemon:
                     budget_ms=round(deadline.budget_ms or 0.0, 3),
                     elapsed_ms=round(deadline.elapsed_s() * 1e3, 3),
                 )
-            stale = self._serve_stale(sqls, client, tier)
-            if stale is not None:
-                return stale
+            runtime = self._runtime
+            held, current = runtime.service.held_forecasts(sqls)
+            stale_ok = self.degrade is not None and self.degrade.stale_ok()
+            if held is not None and stale_ok:
+                return self._serve_stale(held, runtime.version, client, tier)
             if not self.breaker.allow():
                 raise _Response(
                     503,
@@ -468,8 +463,11 @@ class PredictionDaemon:
                     ),
                     breaker=self.breaker.status(),
                 )
+            # A request the memo answers in full costs less than waking the
+            # collector and being woken by it: its batch runs right here.
+            run = self.batcher.run if current else self.batcher.submit
             try:
-                pending = self.batcher.submit(sqls, client, deadline=deadline)
+                pending = run(sqls, client, deadline=deadline)
             except BatchTooLargeError as error:
                 # No retry can fit it: the sender's error, so no retry
                 # hint and no breaker failure.

@@ -10,9 +10,11 @@ tier  name         what the daemon gives up
 0     ``full``     nothing — KCCA
 1     ``lean``     the KCCA stage (requests are served by the cheaper
                    fallback regression stage)
-2     ``stale``    tier 1, plus a repeated statement may be answered
-                   with the forecast the service's statement memo last
-                   kept for it, without touching the pipeline at all
+2     ``stale``    tier 1, plus a request whose every statement the
+                   service's statement memo holds is answered with the
+                   forecasts it last kept, labelled stale (a service
+                   without a fallback chain answers repeats from the
+                   memo at every tier; for it only the label changes)
 ====  ===========  ====================================================
 
 The :class:`DegradeController` decides the tier.  Transitions are a

@@ -538,8 +538,8 @@ class TestStressUnderSanitizer:
                 batch = [sqls[(i + k) % len(sqls)] for k in range(3)]
                 if service.forecast_many(batch) != [expected[s] for s in batch]:
                     wrong.append(batch)
-                stale = service.last_forecasts(batch[:1])
-                if stale is not None and stale != [expected[batch[0]]]:
+                held, _current = service.held_forecasts(batch[:1])
+                if held is not None and held != [expected[batch[0]]]:
                     wrong.append(batch[:1])
 
         interval = sys.getswitchinterval()
@@ -552,17 +552,71 @@ class TestStressUnderSanitizer:
         assert ladder.step_downs == 0 and ladder.step_ups == 0
         assert wrong == []
         # The counters are exact, not approximately right: every lookup
-        # (three a forecast, one a stale probe) is a hit or a miss, and
-        # the bytes are those of the keys retained.
+        # (three a forecast; a probe is a peek, not a lookup) is a hit or
+        # a miss, and the bytes are those of the keys retained.
         status = service.memo.stats()
         assert status["hits"] + status["misses"] - lookups_before == (
-            THREADS * rounds * 4
+            THREADS * rounds * 3
         )
         assert status["size"] <= 6
-        retained = service.last_forecasts
         assert status["bytes"] == sum(
-            len(sql.encode()) for sql in sqls if retained([sql]) is not None
+            len(sql.encode()) for sql in sqls
+            if service.held_forecasts([sql])[0] is not None
         )
+        assert sanitizer_findings() == []
+
+    def test_memo_answered_requests_beside_the_collector(
+        self, sanitizer, tpcds_catalog, config, mini_corpus
+    ):
+        """Eight handler threads send repeats, which run on those threads,
+        while two more send misses, which the collector batches: every
+        answer is the one an in-process service that never served gives."""
+        from repro.api import QueryPerformancePredictor
+        from repro.serve import PredictionDaemon, ServeClient, ServeConfig
+        from repro.serve.daemon import forecast_payload
+        from repro.workloads.generator import generate_pool
+
+        def trained():
+            service = QueryPerformancePredictor(tpcds_catalog, config=config)
+            return service.fit_corpus(mini_corpus)
+
+        service, reference = trained(), trained()
+        pool = list(dict.fromkeys(
+            query.sql for query in generate_pool(80, seed=313, workload="oltp")
+        ))
+        assert len(pool) > 24
+        hot, cold = pool[:8], pool[8:]
+        expected = {sql: forecast_payload(reference.forecast(sql)) for sql in pool}
+        service.forecast_many(hot)
+        daemon = PredictionDaemon(service=service, config=ServeConfig(max_batch=4))
+        host, port = daemon.start()
+        wrong = []
+        rounds = 40
+
+        def send(sqls):
+            with ServeClient(host, port, client_id="c") as client:
+                for sql in sqls:
+                    if client.forecast(sql)["forecast"] != expected[sql]:
+                        wrong.append(sql)
+
+        senders = [[hot[(i + k) % 8] for i in range(rounds)] for k in range(8)]
+        senders += [cold[0::2], cold[1::2]]
+        threads = [threading.Thread(target=send, args=(sqls,)) for sqls in senders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            stats = daemon.batcher.stats()
+        finally:
+            sys.setswitchinterval(interval)
+            daemon.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert stats["inline_batches"] == 8 * rounds
+        assert stats["batched_statements"] == len(cold)
         assert sanitizer_findings() == []
 
     def test_the_old_served_stale_race_shape_is_caught(self, sanitizer):

@@ -433,13 +433,15 @@ class TestEndToEnd:
         json.dumps(payload)  # the exported trace must be valid JSON
 
     def test_metrics_count_forecasts(self, trained_service):
+        # Literals no other test here sends: the counters count statements
+        # scored, and a statement the memo answers is not scored.
         obs.enable_metrics()
         trained_service.forecast_many(
             [
                 "SELECT count(*) AS c FROM store_sales ss "
-                "WHERE ss.ss_quantity > 30",
+                "WHERE ss.ss_quantity > 41",
                 "SELECT count(*) AS c FROM customer c "
-                "WHERE c.c_birth_year > 1970",
+                "WHERE c.c_birth_year > 1971",
             ]
         )
         snap = obs.metrics_snapshot()

@@ -18,6 +18,7 @@ headline guarantees:
 
 from __future__ import annotations
 
+import itertools
 import json
 import shutil
 import signal
@@ -54,6 +55,7 @@ from repro.serve import (
     ServeConfig,
     TokenBucket,
 )
+from repro.serve.daemon import forecast_payload
 from repro.serve.loadgen import run_load
 from tests._artifacts import damage
 
@@ -62,6 +64,15 @@ SQL_JOIN = (
     "SELECT i.i_category, sum(ss.ss_net_profit) AS total FROM store_sales ss "
     "JOIN item i ON ss.ss_item_sk = i.i_item_sk GROUP BY i.i_category"
 )
+#: Literals no other request carries (see :func:`fresh_light`).
+_FRESH_LITERALS = itertools.count(100_000)
+
+
+def fresh_light() -> str:
+    """``SQL_LIGHT`` with a literal no request has carried before: the
+    (session-wide) service's memo cannot answer it, so its request queues
+    for the collector instead of running on its handler thread."""
+    return SQL_LIGHT.replace("> 30", f"> {next(_FRESH_LITERALS)}")
 
 
 def start_daemon(service, **overrides) -> PredictionDaemon:
@@ -300,11 +311,12 @@ class TestPredictions:
         )
         barrier = threading.Barrier(n_clients)
         results = []
+        sqls = [fresh_light() for _ in range(n_clients)]
 
         def one(index: int) -> None:
             client = client_for(daemon, client_id=f"c{index}")
             barrier.wait()
-            results.append(client.forecast(SQL_LIGHT))
+            results.append(client.forecast(sqls[index]))
 
         predictor_module.gaussian_kernel_cross = counting
         try:
@@ -333,11 +345,12 @@ class TestPredictions:
         barrier = threading.Barrier(n_clients)
         outcomes = []
         lock = threading.Lock()
+        sqls = [fresh_light() for _ in range(n_clients)]
 
         def one(index: int) -> None:
             client = client_for(daemon, client_id=f"c{index}")
             barrier.wait()
-            payload = client.forecast(SQL_LIGHT)
+            payload = client.forecast(sqls[index])
             with lock:
                 outcomes.append(payload["model_version"])
 
@@ -375,6 +388,117 @@ class TestPredictions:
             daemon.stop()
         assert solo["metrics"] == batched["metrics"]
         assert solo["optimizer_cost"] == batched["optimizer_cost"]
+
+
+def batch_threads(daemon: PredictionDaemon) -> list:
+    """Grows by the name of the thread each of ``daemon``'s batches runs on."""
+    names = []
+    run_batch = daemon.batcher._run_batch
+
+    def recording(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return run_batch(*args, **kwargs)
+
+    daemon.batcher._run_batch = recording
+    return names
+
+
+class TestMemoAnsweredRequests:
+    """A request whose every statement the memo answers runs its batch of
+    one on its own handler thread, through the path a queued batch takes;
+    a miss queues for the collector."""
+
+    def test_a_repeat_leaves_the_collector_idle(self, serve_service):
+        sql = fresh_light()
+        daemon = start_daemon(serve_service)
+        try:
+            client = client_for(daemon)
+            threads = batch_threads(daemon)
+            first = client.forecast(sql)
+            before = daemon.batcher.stats()
+            repeats = [client.forecast(sql) for _ in range(5)]
+            both = client.forecast_batch([sql, sql])
+            after = daemon.batcher.stats()
+        finally:
+            daemon.stop()
+        assert (before["batches"], before["inline_batches"]) == (1, 0)
+        assert (after["batches"], after["inline_batches"]) == (1, 6)
+        assert threads == ["repro-serve-batcher"] + ["repro-serve-conn"] * 6
+        direct = forecast_payload(serve_service.forecast(sql))
+        assert all(r["forecast"] == direct for r in [first, *repeats])
+        assert both["forecasts"] == [direct, direct]
+
+    @pytest.mark.parametrize("site", ["serve.handler", "serve.batch"])
+    def test_a_fault_answers_alike_on_either_thread(self, serve_service, site):
+        outcomes, ran_on = {}, {}
+        for kind in ("queued", "inline"):
+            sql = fresh_light()
+            daemon = start_daemon(serve_service)
+            try:
+                client = client_for(daemon)
+                if kind == "inline":
+                    client.forecast(sql)  # from here on the memo holds it
+                threads = batch_threads(daemon)
+                with armed(FaultPlan(seed=4).on(site, calls={1})):
+                    outcomes[kind] = client.try_forecast(sql)
+                assert client.forecast(sql)["forecast"]  # and it serves on
+                ran_on[kind] = set(threads)
+            finally:
+                daemon.stop()
+        status, payload = outcomes["queued"]
+        assert status == 503, payload
+        assert payload["error"] == (
+            "injected_fault" if site == "serve.handler" else "prediction_failed"
+        )
+        assert outcomes["inline"] == outcomes["queued"]
+        assert ran_on == {
+            "queued": {"repro-serve-batcher"}, "inline": {"repro-serve-conn"}
+        }
+
+    def test_a_spent_budget_is_the_same_504_on_either_thread(
+        self, serve_service
+    ):
+        """The budget runs out before the batch starts (a fake clock jumps
+        2 s): a queued and a memo-answered request expire alike."""
+        outcomes, ran_on = {}, {}
+        for kind in ("queued", "inline"):
+            sql = fresh_light()
+            now = [0.0]
+            daemon = PredictionDaemon(
+                service=serve_service,
+                config=ServeConfig(max_batch=8),
+                clock=lambda: now[0],
+            )
+            daemon.start()
+            try:
+                client = client_for(daemon)
+                if kind == "inline":
+                    client.forecast(sql)
+                threads = batch_threads(daemon)
+                run_batch = daemon.batcher._run_batch
+
+                def late(*args, **kwargs):
+                    now[0] += 2.0
+                    return run_batch(*args, **kwargs)
+
+                daemon.batcher._run_batch = late
+                outcomes[kind] = client.try_forecast(sql, deadline_ms=1000.0)
+                ran_on[kind] = threads
+            finally:
+                daemon.stop()
+        assert outcomes["queued"] == outcomes["inline"] == (
+            504,
+            {
+                "error": "deadline_exceeded",
+                "retry_after_s": 1.0,
+                "stage": "queue",
+                "budget_ms": 1000.0,
+                "elapsed_ms": 2000.0,
+            },
+        )
+        assert ran_on == {
+            "queued": ["repro-serve-batcher"], "inline": ["repro-serve-conn"]
+        }
 
 
 # ----------------------------------------------------------------------
@@ -684,7 +808,50 @@ class TestAdmissionUnits:
         controller.review("c", 50.0, inflight=1)  # shed, not charged
         decision = controller.review("c", 50.0, inflight=0)  # admitted
         assert decision.admitted
-        assert controller._bucket("c").balance() == pytest.approx(50.0)
+        assert controller.status()["clients"]["c"] == pytest.approx(50.0)
+
+    def test_full_buckets_leave_the_table(self):
+        """One bucket per sender-chosen ``client`` string, never dropped,
+        was a table that grows without bound."""
+        now = [0.0]
+        controller = AdmissionController(quota_rate=1.0, clock=lambda: now[0])
+        for n in range(10_000):
+            assert controller.review(f"client-{n}", 1.0, inflight=0).admitted
+        now[0] += 3600.0  # every bucket refills to its burst
+        assert controller.status()["clients"] == {}
+        assert controller._buckets == {}
+        assert controller.review("client-0", 1.0, inflight=0).admitted
+        assert list(controller.status()["clients"]) == ["client-0"]
+
+    def test_sweeping_changes_no_decision(self, monkeypatch):
+        """A bucket refilled to its burst decides as a fresh one: a seeded
+        sequence gets the same verdicts and hints with and without sweeps."""
+        import random
+
+        def decide() -> tuple[list, AdmissionController]:
+            rng = random.Random(2000)
+            now = [0.0]
+            controller = AdmissionController(
+                quota_rate=1.0, quota_burst=5.0, clock=lambda: now[0]
+            )
+            verdicts = []
+            for _ in range(2000):
+                now[0] += rng.expovariate(20.0)
+                decision = controller.review(
+                    f"c{rng.randrange(50)}", rng.uniform(0.0, 4.0), inflight=0
+                )
+                verdicts.append((decision.status, decision.retry_after_s))
+                if rng.random() < 0.05:
+                    controller.status()  # sweeps the table
+            controller.status()
+            return verdicts, controller
+
+        swept, swept_controller = decide()
+        monkeypatch.setattr(AdmissionController, "_sweep_locked", lambda self: None)
+        kept, kept_controller = decide()
+        assert swept == kept
+        assert {status for status, _ in swept} == {200, 429}
+        assert len(swept_controller._buckets) < len(kept_controller._buckets) == 50
 
 
 # ----------------------------------------------------------------------
@@ -1028,10 +1195,11 @@ class TestShutdown:
         host, port = daemon.address
         results = []
         lock = threading.Lock()
+        sqls = [fresh_light() for _ in range(5)]
 
         def one(index: int) -> None:
             with ServeClient(host, port, client_id=f"c{index}") as client:
-                payload = client.forecast(SQL_LIGHT)
+                payload = client.forecast(sqls[index])
             with lock:
                 results.append(payload["model_version"])
 

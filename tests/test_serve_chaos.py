@@ -2,7 +2,8 @@
 
 The daemon exposes two registered fault sites — ``serve.handler`` (fires
 before a request enters the batch queue) and ``serve.batch`` (fires
-inside the collector, poisoning a whole micro-batch).  These tests arm
+wherever a batch runs — the collector, or the handler thread of a
+request the statement memo answers — poisoning the whole batch).  These tests arm
 :class:`~repro.resilience.faults.FaultPlan` against a live daemon on a
 real socket and assert the failure contract:
 
@@ -49,7 +50,7 @@ from repro.serve import (
 )
 from repro.serve.loadgen import run_load
 
-from tests.test_serve import SQL_LIGHT, client_for, start_daemon
+from tests.test_serve import SQL_LIGHT, client_for, fresh_light, start_daemon
 
 
 @pytest.fixture(scope="module")
@@ -454,7 +455,7 @@ class TestSelfHealingDrill:
 
             def worker():
                 for _ in range(8):
-                    client.try_forecast(SQL_LIGHT)
+                    client.try_forecast(fresh_light())
 
             slow = FaultPlan(seed=9).on(
                 "serve.batch", mode="delay", delay=0.03, rate=1.0

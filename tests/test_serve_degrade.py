@@ -38,6 +38,7 @@ from tests.test_serve import (
     SQL_JOIN,
     SQL_LIGHT,
     client_for,
+    fresh_light,
     start_daemon,
     train_artifact,
 )
@@ -606,7 +607,7 @@ class TestDegradedServing:
 
             def worker():
                 for _ in range(8):
-                    status, payload = client.try_forecast(SQL_LIGHT)
+                    status, payload = client.try_forecast(fresh_light())
                     if status == 200:
                         with tier_lock:
                             tiers.append(payload["degrade_tier"])

@@ -3,7 +3,8 @@ statement answers exactly as one that has not.
 
 The memo keeps, per statement text, what compiling yields — plan-feature
 row, optimizer cost, warnings — so a repeated forecast skips parse and
-plan.  Everything here compares whole
+plan, and the forecast, which a service without a fallback chain
+answers a repeat with.  Everything here compares whole
 :class:`~repro.api.Forecast` values (metrics, ``confidence``,
 ``warnings``, cost) with ``==``, which is bitwise on their floats,
 against a reference computed with the memo's bound at zero, i.e. with
@@ -86,10 +87,10 @@ class TestWarmedEqualsFresh:
     def test_single_and_batched(self, fresh, statements, reference):
         assert len(statements) >= 1000 and len(set(statements)) > 256
         assert all(f.warnings for f in reference[:4])
-        assert fresh.last_forecasts(statements[:5]) is None
+        assert fresh.held_forecasts(statements[:5]) == (None, False)
         first = [fresh.forecast_many([sql])[0] for sql in statements]
         assert first == reference
-        assert fresh.last_forecasts(statements[-5:]) == reference[-5:]
+        assert fresh.held_forecasts(statements[-5:]) == (reference[-5:], True)
         seen = fresh.memo.stats()
         assert seen["size"] == len(set(statements))
         # Second pass: every lookup is a hit, every answer the same.
@@ -112,9 +113,9 @@ class TestWarmedEqualsFresh:
         assert fresh.forecast_many(batch) == [reference[i] for i in picks]
         assert fresh.memo.stats()["size"] == 3
         assert fresh.forecast_many(batch) == [reference[i] for i in picks]
-        # What the serving tier ``stale`` asks: all held, or nothing.
-        assert fresh.last_forecasts(batch) == [reference[i] for i in picks]
-        assert fresh.last_forecasts([statements[0], statements[1]]) is None
+        # What the serving daemon asks: all held, or nothing.
+        assert fresh.held_forecasts(batch) == ([reference[i] for i in picks], True)
+        assert fresh.held_forecasts([statements[0], statements[1]]) == (None, False)
 
     def test_eviction_at_the_bound(self, fresh, statements, reference, monkeypatch):
         monkeypatch.setattr(fresh.memo, "max_entries", 8)
@@ -125,6 +126,73 @@ class TestWarmedEqualsFresh:
                 at = probe.index(chunk[0])
                 assert got == reference[at:at + len(chunk)]
                 assert fresh.memo.stats()["size"] <= 8
+
+
+@pytest.fixture()
+def scored_rows(monkeypatch):
+    """Rows handed to each ``score_many`` call, and kernel crosses made."""
+    import repro.core.predictor as predictor_module
+    from repro.pipeline.pipeline import PredictionPipeline
+
+    seen = {"rows": [], "crosses": 0}
+    score_many = PredictionPipeline.score_many
+    cross = predictor_module.gaussian_kernel_cross
+
+    def counting_score_many(self, features, *args, **kwargs):
+        seen["rows"].append(len(features))
+        return score_many(self, features, *args, **kwargs)
+
+    def counting_cross(*args, **kwargs):
+        seen["crosses"] += 1
+        return cross(*args, **kwargs)
+
+    monkeypatch.setattr(PredictionPipeline, "score_many", counting_score_many)
+    monkeypatch.setattr(predictor_module, "gaussian_kernel_cross", counting_cross)
+    return seen
+
+
+class TestReuse:
+    """What a repeat costs: a service without a fallback chain answers it
+    with the forecast the memo holds; a fallback service scores it."""
+
+    def test_a_repeat_on_a_plain_service_scores_nothing(
+        self, fresh, statements, reference, scored_rows
+    ):
+        batch = statements[:20]
+        assert fresh.forecast_many(batch) == reference[:20]
+        assert scored_rows["rows"] == [20] and scored_rows["crosses"] > 0
+        scored_rows.update(rows=[], crosses=0)
+        again = fresh.forecast_many(batch)
+        single = [fresh.forecast(sql) for sql in batch]
+        assert again == single == reference[:20]
+        assert scored_rows == {"rows": [], "crosses": 0}
+        # Each statement of each call is still one memo lookup.
+        assert fresh.memo.stats()["hits"] == 40
+
+    def test_duplicate_texts_in_one_batch_score_one_row(
+        self, fresh, statements, reference, scored_rows
+    ):
+        picks = [3, 3, 5, 3, 5]
+        got = fresh.forecast_many([statements[i] for i in picks])
+        assert got == [reference[i] for i in picks]
+        assert scored_rows["rows"] == [2]
+
+    def test_a_fallback_service_scores_every_repeat(
+        self, tpcds_catalog, config, mini_corpus, scored_rows
+    ):
+        service = QueryPerformancePredictor(
+            tpcds_catalog, config=config, fallback=True
+        ).fit_corpus(mini_corpus)
+        sql = PRICE_SQL
+        first = service.forecast(sql)
+        assert first.served_by == "kcca"
+        assert service.held_forecasts([sql, sql]) == ([first, first], False)
+        service.fallback_chain().stage("kcca").breaker.force_open("test")
+        again = service.forecast(sql)
+        assert again.served_by == "regression"
+        assert scored_rows["rows"] == [1, 1]
+        # The memo now holds the regression stage's answer, for tier stale.
+        assert service.held_forecasts([sql]) == ([again], False)
 
 
 class TestInvalidation:
@@ -140,7 +208,7 @@ class TestInvalidation:
             with pytest.raises(kind):
                 fresh.forecast_many([good, bad])
         assert fresh.memo.stats()["size"] == 0
-        assert fresh.last_forecasts([good]) is None
+        assert fresh.held_forecasts([good]) == (None, False)
 
     def test_a_hit_is_still_a_fault_site_and_a_cancellation_point(self, fresh):
         sql = "SELECT count(*) AS c FROM item i"
