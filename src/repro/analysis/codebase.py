@@ -21,11 +21,13 @@ __all__ = ["CODE_RULES", "STRICT_TYPING_DIRS"]
 #: Modules the typing gate (RD009) and the mypy strict set cover.
 STRICT_TYPING_DIRS = ("repro/core/", "repro/pipeline/", "repro/analysis/")
 
-#: Modules allowed to read the wall clock (RD004).
+#: Modules allowed to read the wall clock (RD004); ``serve/wire.py``
+#: for the HTTP ``Date`` header.
 WALL_CLOCK_ALLOWLIST = (
     "repro/obs/",
     "repro/engine/timing.py",
     "repro/resilience/breaker.py",
+    "repro/serve/wire.py",
 )
 
 _DEFAULT_RNG_CALLS = frozenset(
@@ -160,8 +162,8 @@ class WallClockInDeterministicModule(CodeRule):
                 context,
                 node,
                 f"wall-clock read {name}() in a deterministic module; "
-                "only obs/, engine/timing.py and resilience/breaker.py "
-                "may observe real time",
+                "only obs/, engine/timing.py, resilience/breaker.py and "
+                "serve/wire.py may observe real time",
             )
 
 
@@ -536,25 +538,37 @@ class RawSharedMemory(CodeRule):
             )
 
 
-#: Modules the network boundary (RD012) confines socket/HTTP stack
-#: imports to.
+#: Modules the network boundary (RD012) confines socket imports to.
 NETWORK_ALLOWLIST = ("repro/serve/",)
 
-#: Module roots whose import drags in the socket/HTTP serving stack.
-_NETWORK_MODULES = ("socket", "socketserver", "http.server", "http.client")
+#: Module roots whose import opens a socket-level network surface.
+_NETWORK_MODULES = ("socket", "socketserver")
+#: The submodules of ``http`` that are the stdlib's HTTP server and
+#: client, refused everywhere: ``repro.serve.wire`` is the package's one
+#: HTTP implementation.
+_STDLIB_HTTP_STACKS = frozenset({"server", "client"})
+
+
+def _stdlib_http(name: str) -> bool:
+    root, _, rest = name.partition(".")
+    return root == "http" and rest.partition(".")[0] in _STDLIB_HTTP_STACKS
 
 
 class NetworkOutsideServe(CodeRule):
-    """RD012: the socket/HTTP stack is confined to ``repro/serve/``.
+    """RD012: sockets only in ``repro/serve/``, and no stdlib HTTP stack.
 
     The serving daemon is the repo's single network boundary: it owns
     binding, timeouts, structured error responses and shutdown
-    draining.  A ``socket`` or ``http.server`` import anywhere else
-    means a second, untested network surface — one that would bypass
-    the daemon's micro-batching, admission control and drain
-    guarantees.  Keep network I/O behind ``repro.serve`` (the library
-    layers stay pure functions of their inputs, which is also what
-    keeps them deterministic and corpus builds reproducible).
+    draining.  A ``socket`` import anywhere else means a second,
+    untested network surface — one that would bypass the daemon's
+    micro-batching, admission control and drain guarantees.  Keep
+    network I/O behind ``repro.serve`` (the library layers stay pure
+    functions of their inputs, which is also what keeps them
+    deterministic and corpus builds reproducible).  Inside it, HTTP is
+    framed by ``repro.serve.wire`` alone: the stdlib's HTTP server or
+    client module would be a second HTTP implementation, with its own
+    limits, error pages and imports (``email``, and ``ssl`` through the
+    client), so they are refused in ``repro/serve/`` too.
     """
 
     info = register(
@@ -563,23 +577,32 @@ class NetworkOutsideServe(CodeRule):
             name="network-outside-serve",
             severity="error",
             pack="code",
-            summary="socket/http.server import outside repro/serve/",
+            summary="socket import outside repro/serve/, or a stdlib HTTP stack",
         )
     )
     node_types = (ast.Import, ast.ImportFrom)
 
     def visit(self, node: ast.AST, context: LintContext) -> None:
-        if context.in_dir(*NETWORK_ALLOWLIST):
-            return
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         else:
             assert isinstance(node, ast.ImportFrom)
-            names = [node.module or ""]
+            module = node.module or ""
+            # ``from http import server`` names the submodule too.
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
         for name in names:
-            if name in _NETWORK_MODULES or any(
-                name.startswith(module + ".") for module in _NETWORK_MODULES
-            ):
+            if _stdlib_http(name):
+                self.report(
+                    context,
+                    node,
+                    f"stdlib HTTP module {name!r} imported; HTTP is framed by "
+                    "repro.serve.wire alone (docs/SERVING.md)",
+                )
+                return
+            if (
+                name in _NETWORK_MODULES
+                or any(name.startswith(module + ".") for module in _NETWORK_MODULES)
+            ) and not context.in_dir(*NETWORK_ALLOWLIST):
                 self.report(
                     context,
                     node,

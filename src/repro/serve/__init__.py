@@ -14,9 +14,10 @@ cooperatively through the pipeline; and ``repro.serve.degrade`` steps
 service quality down (and hysteretically back up) under pressure.
 
 This package is the only place in the codebase allowed to import
-``socket`` / ``http.server`` / ``http.client`` (lint rule RD012), and
-``repro/serve/supervisor.py`` is the only serving file allowed to use
-``os.fork`` / ``os.kill`` / ``signal.signal`` (rule RD013).
+``socket`` / ``socketserver``, and ``repro.serve.wire`` its one HTTP
+implementation: no module imports the stdlib's HTTP server or client
+(lint rule RD012).  ``repro/serve/supervisor.py`` is the only serving
+file allowed to use ``os.fork`` / ``os.kill`` / ``signal.signal`` (rule RD013).
 """
 
 from repro import lazy_exports

@@ -1,8 +1,8 @@
 """Minimal client for the prediction serving daemon.
 
-A thin ``http.client`` wrapper used by the test suite, the load
-generator and examples — one synchronous request per call over one
-persistent HTTP/1.1 connection, structured rejections surfaced as
+Used by the test suite, the load generator and examples: one synchronous
+request per call over one persistent HTTP/1.1 connection, framed by
+:mod:`repro.serve.wire`; structured rejections surfaced as
 :class:`~repro.errors.ServeRejectedError` so a caller backs off on the
 daemon's own ``retry_after_s`` hint instead of parsing response bodies,
 and a statement the daemon cannot compile as the non-retryable
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import socket
-from http.client import HTTPConnection, HTTPException
 from typing import Optional
 
 from repro.analysis.sanitizer import make_lock
@@ -32,6 +31,7 @@ from repro.errors import (
     ServeRejectedError,
     ServeUnavailableError,
 )
+from repro.serve import wire
 
 __all__ = ["ServeClient"]
 
@@ -39,12 +39,39 @@ __all__ = ["ServeClient"]
 _TCP_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 
+class _Connection:
+    """One socket to the daemon, with no-delay on, and its buffered
+    reader."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, address: tuple[str, int], timeout_s: float) -> None:
+        self.sock = socket.create_connection(address, timeout=timeout_s)
+        try:
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.rfile = self.sock.makefile("rb")
+        except OSError:
+            self.sock.close()
+            raise
+
+    def quickack(self) -> None:
+        # A peer that writes header and body separately with Nagle on
+        # (Python's stock HTTP server does) holds the body back until the
+        # header is ACKed, and on a kept connection that ACK is delayed
+        # ~40 ms: send it now.
+        self.sock.setsockopt(socket.IPPROTO_TCP, _TCP_QUICKACK, 1)
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
 class ServeClient:
     """Synchronous JSON client for one daemon address.
 
-    Keeps one connection open between calls (``http.client`` sets
-    ``TCP_NODELAY`` on it); :meth:`close` or a ``with`` block releases
-    it.  Safe to share between threads: a caller takes the kept
+    Keeps one connection open between calls (with ``TCP_NODELAY`` on);
+    :meth:`close` or a ``with`` block releases it.  Safe to share
+    between threads: a caller takes the kept
     connection for the length of its request, and one that finds it
     taken uses a connection of its own, so callers never wait on each
     other — but only sequential calls reuse a connection, so a load
@@ -76,7 +103,7 @@ class ServeClient:
         self.timeout_s = float(timeout_s)
         self.client_id = client_id
         self.retry_after_s = float(retry_after_s)
-        self._kept: Optional[HTTPConnection] = None
+        self._kept: Optional[_Connection] = None
         self._kept_lock = make_lock("serve.client.kept")
 
     def close(self) -> None:
@@ -94,8 +121,8 @@ class ServeClient:
     # -- transport -------------------------------------------------------
 
     def _swap_kept(
-        self, connection: Optional[HTTPConnection]
-    ) -> Optional[HTTPConnection]:
+        self, connection: Optional[_Connection]
+    ) -> Optional[_Connection]:
         """Put ``connection`` in the kept slot; returns what was there."""
         with self._kept_lock:
             kept, self._kept = self._kept, connection
@@ -120,49 +147,46 @@ class ServeClient:
     ) -> tuple[int, bytes]:
         """One request/response on the kept connection (or a new one)."""
         timeout_s = self.timeout_s if timeout is None else float(timeout)
+        message = wire.request(
+            method, path, f"{self.host}:{self.port}", payload, headers
+        )
         connection = self._swap_kept(None)
-        if connection is None:
-            connection = HTTPConnection(self.host, self.port)
-        # An open socket from an earlier call may have been closed by the
-        # daemon since; only then is a dead connection worth a second try.
-        reused = connection.sock is not None
+        # A connection kept from an earlier call may have been closed by
+        # the daemon since; only then is a dead connection worth a
+        # second try.
+        reused = connection is not None
         while True:
-            response = None
             try:
-                connection.timeout = timeout_s
-                if connection.sock is not None:
+                if connection is None:
+                    connection = _Connection((self.host, self.port), timeout_s)
+                else:
                     connection.sock.settimeout(timeout_s)
-                connection.request(method, path, body=payload, headers=headers)
-                response = connection.getresponse()
-                if _TCP_QUICKACK is not None and connection.sock is not None:
-                    # A peer that writes header and body separately with
-                    # Nagle on (a stock ``http.server``) holds the body
-                    # back until the header is ACKed, and on a kept
-                    # connection that ACK is delayed ~40 ms: send it now.
-                    connection.sock.setsockopt(
-                        socket.IPPROTO_TCP, _TCP_QUICKACK, 1
-                    )
-                raw = response.read()
-            except (OSError, HTTPException) as error:
-                connection.close()
+                connection.sock.sendall(message)
+                response = wire.read_response(
+                    connection.rfile,
+                    connection.quickack if _TCP_QUICKACK is not None else None,
+                )
+            except (OSError, wire.WireError) as error:
+                if connection is not None:
+                    connection.close()
+                    connection = None
                 # Reset, broken pipe or end-of-stream where the status
                 # line should be: the daemon closed the idle connection
                 # and never answered this request.  Send it again, once.
-                if (
-                    reused
-                    and response is None
-                    and isinstance(error, ConnectionError)
-                ):
+                if reused and isinstance(error, ConnectionError):
                     reused = False
                     continue
                 # Refused (no listener), reset (child died mid-request),
                 # timeout, or a torn response: the supervisor-restart
                 # signature.  Surface it typed, with a backoff hint.
                 raise self._unavailable(error) from error
-            displaced = self._swap_kept(connection)
-            if displaced is not None:
-                displaced.close()
-            return response.status, raw
+            if response.keep_alive:
+                displaced = self._swap_kept(connection)
+                if displaced is not None:
+                    displaced.close()
+            else:
+                connection.close()
+            return response.status, response.body
 
     def _request(
         self,

@@ -1,8 +1,9 @@
 """The prediction serving daemon: HTTP/JSON over the batch predict path.
 
 ``PredictionDaemon`` wraps a trained
-:class:`~repro.api.QueryPerformancePredictor` in a stdlib
-``ThreadingHTTPServer`` and multiplexes every concurrent client onto
+:class:`~repro.api.QueryPerformancePredictor` in a thread-per-connection
+``socketserver`` speaking the HTTP subset of :mod:`repro.serve.wire`,
+and multiplexes every concurrent client onto
 the one-kernel-cross ``forecast_many`` path through a
 :class:`~repro.serve.batcher.MicroBatcher`; a request whose every
 statement the service's memo answers runs its batch of one on its own
@@ -43,11 +44,11 @@ from __future__ import annotations
 import json
 import math
 import socket
+import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.analysis.sanitizer import guarded_by, make_lock, note_access
 from repro.engine.metrics import METRIC_NAMES
@@ -68,6 +69,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.batcher import BatchTooLargeError, MicroBatcher, QueueFullError
 from repro.serve.config import ServeConfig
 from repro.serve.degrade import DegradeController
+from repro.serve import wire
 
 __all__ = ["PredictionDaemon", "forecast_payload"]
 
@@ -79,6 +81,10 @@ _DRAIN_TIMEOUT_S = 10.0
 _BREAKER_RESET_S = 30.0
 #: Largest request body read; a longer one is refused unread (413).
 _MAX_BODY_BYTES = 1 << 20
+#: How long a connection closed after a refusal keeps reading (and
+#: discarding) what its client still sends: closing a socket with unread
+#: input resets the connection, which can destroy the refusal unread.
+_LINGER_S = 1.0
 
 
 def forecast_payload(forecast) -> dict:
@@ -131,7 +137,7 @@ class _Runtime:
         self.version = version
 
 
-class _Server(ThreadingHTTPServer):
+class _Server(socketserver.ThreadingTCPServer):
     """One thread per connection, with a deep accept backlog.
 
     The stock backlog of 5 resets connections when a burst of clients
@@ -147,6 +153,7 @@ class _Server(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    allow_reuse_address = True
     request_queue_size = 128
 
     def __init__(self, *args, **kwargs) -> None:
@@ -721,8 +728,6 @@ class PredictionDaemon:
         sock.setblocking(True)  # a parent-side timeout must not leak in
         server.socket = sock
         server.server_address = sock.getsockname()
-        server.server_name = str(host)
-        server.server_port = int(port)
         return self._start_server(server)
 
     def _start_server(self, server: _Server) -> tuple[str, int]:
@@ -794,195 +799,172 @@ class PredictionDaemon:
         self.stop()
 
 
-class _RequestHandler(BaseHTTPRequestHandler):
-    """Thin HTTP mechanics; every decision lives in the daemon."""
+def _json_body(raw: bytes) -> dict:
+    """A request body as a JSON object; ``{}`` when there is none."""
+    if not raw:
+        return {}
+    document = json.loads(raw.decode("utf-8"))
+    if not isinstance(document, dict):
+        raise ValueError("request body must be a JSON object")
+    return document
 
-    server_version = "repro-serve/1.0"
-    protocol_version = "HTTP/1.1"
-    # A kept-alive exchange is one small write each way.  With Nagle on,
-    # or with header and body written separately, every response stalls
-    # ~40 ms on the client's delayed ACK: no-delay, and a buffered wfile
-    # (``handle_one_request`` flushes it once, after the response).
-    disable_nagle_algorithm = True
-    wbufsize = -1
+
+def _deadline_ms(body: dict) -> Optional[float]:
+    """The request's ``deadline_ms``, validated (ValueError on junk)."""
+    value = body.get("deadline_ms")
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("'deadline_ms' must be a number")
+    try:
+        # json.loads accepts NaN and Infinity; neither is a budget,
+        # and either would be echoed back as invalid JSON.
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ValueError("'deadline_ms' must be finite")
+    if value <= 0:
+        raise ValueError("'deadline_ms' must be positive")
+    return float(value)
+
+
+class _RequestHandler(socketserver.StreamRequestHandler):
+    """One connection: read a request, route it, write the response, until
+    the client closes, idles out or sends what cannot be framed.  Every
+    decision lives in the daemon; the framing lives in
+    :mod:`repro.serve.wire`."""
+
     #: Seconds a persistent connection may sit without a request before
     #: the handler closes it (clients reconnect transparently).
     timeout = 30.0
+    # A kept-alive exchange is one small write each way; with Nagle on,
+    # each response would wait ~40 ms for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
-    @property
-    def daemon(self) -> PredictionDaemon:
-        return self.server.repro_daemon  # type: ignore[attr-defined]
+    def handle(self) -> None:
+        while True:
+            try:
+                request = wire.read_request(self.rfile, _MAX_BODY_BYTES, self.wfile)
+            except wire.WireError as refused:
+                self._refuse(refused)
+                return
+            except OSError:
+                return  # idle timeout, reset, or shut down by the daemon
+            if request is None:
+                return
+            try:
+                self.wfile.write(self._respond(request))
+            except OSError:
+                return  # client went away mid-response
+            if not request.keep_alive:
+                return
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # the daemon's own metrics replace access logging
+    def _refuse(self, refused: wire.WireError) -> None:
+        """Answer a request that cannot be framed, then close: end our
+        side and discard what the client still sends for a while, so the
+        close does not reset the connection under the answer."""
+        try:
+            self.wfile.write(wire.refusal(refused))
+            self.connection.shutdown(socket.SHUT_WR)
+            deadline = time.monotonic() + _LINGER_S
+            while time.monotonic() < deadline:
+                self.connection.settimeout(deadline - time.monotonic())
+                if not self.rfile.read1(65536):
+                    break
+        except (OSError, ValueError):
+            pass  # the client went away: nothing left to protect
 
-    def _send_json(
-        self, status: int, payload: dict, retry_after_s: float = 0.0
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after_s > 0:
-            self.send_header("Retry-After", str(max(1, round(retry_after_s))))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+    def _respond(self, request: wire.Request) -> bytes:
+        """The whole response to one framed request."""
+        try:
+            status, payload = self._route(request)
+        except Exception as error:  # never leak a stack trace as a bare 500
+            status, payload = 500, {"error": "internal", "detail": str(error)}
+        if isinstance(payload, str):
+            body = payload.encode("utf-8")
+            content_type = "text/plain; version=0.0.4"
+            retry_after_s = 0.0
+        else:
+            body = json.dumps(payload).encode("utf-8")
+            content_type = "application/json"
+            retry_after_s = payload.get("retry_after_s", 0.0)
+        if not request.keep_alive:
+            connection: Optional[str] = "close"
+        elif request.version == "HTTP/1.0":
+            connection = "keep-alive"
+        else:
+            connection = None
+        return wire.response(status, body, content_type, connection, retry_after_s)
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            return {}
-        if length > _MAX_BODY_BYTES:
-            # Unread, it would be parsed as the next request: close too.
-            self.close_connection = True
-            raise _Response(413, "body_too_large", max_bytes=_MAX_BODY_BYTES)
-        raw = self.rfile.read(length)
-        document = json.loads(raw.decode("utf-8"))
-        if not isinstance(document, dict):
-            raise ValueError("request body must be a JSON object")
-        return document
-
-    def _client_id(self, body: dict) -> str:
-        return str(
+    def _route(self, request: wire.Request) -> tuple[int, Union[dict, str]]:
+        """``(status, payload)``: a JSON-able dict, or text for /metrics."""
+        daemon: PredictionDaemon = self.server.repro_daemon  # type: ignore[attr-defined]
+        path = request.target
+        if request.method == "GET":
+            if path == "/healthz":
+                return 200, {
+                    "status": "stopping" if daemon._stopping else "ok",
+                    "model_version": daemon.model_version,
+                }
+            if path == "/metrics":
+                return 200, get_registry().render_prometheus()
+            if path == "/admin/status":
+                return 200, daemon.status()
+            return 404, {"error": "not_found", "path": path}
+        if request.method != "POST":
+            return 501, {
+                "error": "not_implemented",
+                "detail": f"method {request.method[:16]!r} is not served; "
+                "use GET or POST",
+            }
+        try:
+            body = _json_body(request.body)
+        except (ValueError, UnicodeDecodeError, RecursionError) as error:
+            # json.loads recurses per nesting level: deep is bad JSON too.
+            return 400, {"error": "bad_json", "detail": str(error)}
+        try:
+            deadline_ms = _deadline_ms(body)
+        except ValueError as error:
+            return 400, {"error": "bad_request", "detail": str(error)}
+        client = str(
             body.get("client")
-            or self.headers.get("X-Repro-Client")
+            or request.headers.get("x-repro-client")
             or self.client_address[0]
         )
-
-    def _deadline_ms(self, body: dict) -> Optional[float]:
-        """The request's ``deadline_ms``, validated (ValueError on junk)."""
-        value = body.get("deadline_ms")
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError("'deadline_ms' must be a number")
-        try:
-            # json.loads accepts NaN and Infinity; neither is a budget,
-            # and either would be echoed back as invalid JSON.
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer too large for a float
-            finite = False
-        if not finite:
-            raise ValueError("'deadline_ms' must be finite")
-        if value <= 0:
-            raise ValueError("'deadline_ms' must be positive")
-        return float(value)
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        try:
-            daemon = self.daemon
-            if self.path == "/healthz":
-                self._send_json(
-                    200,
-                    {
-                        "status": "stopping" if daemon._stopping else "ok",
-                        "model_version": daemon.model_version,
-                    },
-                )
-            elif self.path == "/metrics":
-                self._send_text(
-                    200,
-                    get_registry().render_prometheus(),
-                    "text/plain; version=0.0.4",
-                )
-            elif self.path == "/admin/status":
-                self._send_json(200, daemon.status())
-            else:
-                self._send_json(404, {"error": "not_found", "path": self.path})
-        except Exception as error:
-            self._send_json(500, {"error": "internal", "detail": str(error)})
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        try:
-            daemon = self.daemon
+        if path == "/v1/forecast":
+            sql = body.get("sql")
+            if not isinstance(sql, str) or not sql.strip():
+                return 400, {"error": "bad_request", "detail": "missing 'sql'"}
+            status, payload = daemon.dispatch_forecast(
+                [sql], client, deadline_ms=deadline_ms
+            )
+            if status == 200:
+                payload = dict(payload)
+                payload["forecast"] = payload.pop("forecasts")[0]
+            return status, payload
+        if path == "/v1/forecast_batch":
+            sqls = body.get("sqls")
+            if (
+                not isinstance(sqls, list)
+                or not sqls
+                or not all(isinstance(s, str) and s.strip() for s in sqls)
+            ):
+                return 400, {
+                    "error": "bad_request",
+                    "detail": "'sqls' must be a non-empty list of SQL",
+                }
+            return daemon.dispatch_forecast(sqls, client, deadline_ms=deadline_ms)
+        if path == "/admin/reload":
+            artifact = body.get("artifact")
+            if artifact is not None and not isinstance(artifact, str):
+                return 400, {
+                    "error": "bad_request",
+                    "detail": "'artifact' must be a path string",
+                }
             try:
-                body = self._read_json()
-            except _Response as refused:
-                self._send_json(refused.status, refused.payload)
-                return
-            except (ValueError, UnicodeDecodeError, RecursionError) as error:
-                # json.loads recurses per nesting level: deep is bad JSON too.
-                self._send_json(400, {"error": "bad_json", "detail": str(error)})
-                return
-            try:
-                deadline_ms = self._deadline_ms(body)
-            except ValueError as error:
-                self._send_json(
-                    400, {"error": "bad_request", "detail": str(error)}
-                )
-                return
-            if self.path == "/v1/forecast":
-                sql = body.get("sql")
-                if not isinstance(sql, str) or not sql.strip():
-                    self._send_json(
-                        400, {"error": "bad_request", "detail": "missing 'sql'"}
-                    )
-                    return
-                status, payload = daemon.dispatch_forecast(
-                    [sql], self._client_id(body), deadline_ms=deadline_ms
-                )
-                if status == 200:
-                    payload = dict(payload)
-                    payload["forecast"] = payload.pop("forecasts")[0]
-                self._send_json(
-                    status, payload, payload.get("retry_after_s", 0.0)
-                )
-            elif self.path == "/v1/forecast_batch":
-                sqls = body.get("sqls")
-                if (
-                    not isinstance(sqls, list)
-                    or not sqls
-                    or not all(isinstance(s, str) and s.strip() for s in sqls)
-                ):
-                    self._send_json(
-                        400,
-                        {
-                            "error": "bad_request",
-                            "detail": "'sqls' must be a non-empty list of SQL",
-                        },
-                    )
-                    return
-                status, payload = daemon.dispatch_forecast(
-                    sqls, self._client_id(body), deadline_ms=deadline_ms
-                )
-                self._send_json(
-                    status, payload, payload.get("retry_after_s", 0.0)
-                )
-            elif self.path == "/admin/reload":
-                artifact = body.get("artifact")
-                if artifact is not None and not isinstance(artifact, str):
-                    self._send_json(
-                        400,
-                        {
-                            "error": "bad_request",
-                            "detail": "'artifact' must be a path string",
-                        },
-                    )
-                    return
-                try:
-                    version = daemon.reload(artifact)
-                except ReproError as error:
-                    self._send_json(
-                        409, {"error": "reload_failed", "detail": str(error)}
-                    )
-                    return
-                self._send_json(
-                    200, {"status": "reloaded", "model_version": version}
-                )
-            else:
-                self._send_json(404, {"error": "not_found", "path": self.path})
-        except Exception as error:
-            try:
-                self._send_json(500, {"error": "internal", "detail": str(error)})
-            except OSError:
-                pass  # client went away mid-response
+                version = daemon.reload(artifact)
+            except ReproError as error:
+                return 409, {"error": "reload_failed", "detail": str(error)}
+            return 200, {"status": "reloaded", "model_version": version}
+        return 404, {"error": "not_found", "path": path}

@@ -34,7 +34,6 @@ and ``tests/test_serve_chaos.py`` for the kill -9 drills.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import signal
@@ -50,9 +49,13 @@ from repro.analysis.sanitizer import guarded_by, make_lock, note_access
 from repro.errors import ReproError, SupervisorError
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.resilience.faults import fault_site
+from repro.serve import wire
 from repro.serve.config import ServeConfig
 
 __all__ = ["Supervisor", "SupervisorConfig", "install_signal_handler"]
+
+#: Largest request body the parent reads before answering its 503.
+_DRAIN_BYTES = 1 << 16
 
 
 def install_signal_handler(signame: str, handler):
@@ -267,15 +270,17 @@ class Supervisor:
         """One ``GET /healthz`` probe against the child."""
         host, port = self.address
         try:
-            conn = http.client.HTTPConnection(
-                host, port, timeout=self.config.health_timeout_s
-            )
-            try:
-                conn.request("GET", "/healthz")
-                return conn.getresponse().status == 200
-            finally:
-                conn.close()
-        except OSError:
+            with socket.create_connection(
+                (host, port), timeout=self.config.health_timeout_s
+            ) as sock, sock.makefile("rb") as rfile:
+                sock.sendall(
+                    wire.request(
+                        "GET", "/healthz", f"{host}:{port}",
+                        headers={"Connection": "close"},
+                    )
+                )
+                return wire.read_response(rfile).status == 200
+        except (OSError, wire.WireError):
             return False
 
     def wait_healthy(self, timeout_s: float) -> bool:
@@ -399,8 +404,9 @@ class Supervisor:
         try:
             conn.settimeout(0.25)
             try:
-                conn.recv(65536)  # drain the request politely
-            except OSError:
+                with conn.makefile("rb") as rfile:  # read the request politely
+                    wire.read_request(rfile, _DRAIN_BYTES)
+            except (OSError, wire.WireError):
                 pass
             body = json.dumps(
                 {
@@ -409,14 +415,14 @@ class Supervisor:
                     "retry_after_s": self.config.retry_after_s,
                 }
             ).encode("utf-8")
-            head = (
-                "HTTP/1.1 503 Service Unavailable\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Retry-After: {max(1, round(self.config.retry_after_s))}\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("ascii")
-            conn.sendall(head + body)
+            conn.sendall(
+                wire.response(
+                    503,
+                    body,
+                    connection="close",
+                    retry_after_s=self.config.retry_after_s,
+                )
+            )
         except OSError:
             pass  # client went away; the next accept matters more
         finally:

@@ -1,4 +1,5 @@
-"""RD012 violation: raw network I/O outside the serving daemon."""
+"""RD012 violation: raw network I/O outside the serving daemon, and the
+stdlib HTTP client, which no module may import."""
 
 import socket
 from http.client import HTTPConnection

@@ -133,8 +133,29 @@ class TestRuleScoping:
         assert lint_source(source, "repro/ioutils.py", CODE_RULES) == []
 
     def test_rd012_exempts_the_serve_package(self):
+        """The serve package may open sockets; the stdlib HTTP client is
+        refused there too."""
         source = (FIXTURES / "rd012_bad.py").read_text()
-        assert lint_source(source, "repro/serve/fixture.py", CODE_RULES) == []
+        findings = lint_source(source, "repro/serve/fixture.py", CODE_RULES)
+        assert [f.line for f in findings] == [5]
+        assert "'http.client'" in findings[0].message
+        assert lint_source("import socket\n", "repro/serve/fixture.py", CODE_RULES) == []
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "import http.server",
+            "import http.client as hc",
+            "from http.server import BaseHTTPRequestHandler",
+            "from http import client",
+        ],
+    )
+    def test_rd012_refuses_the_stdlib_http_stacks_everywhere(self, statement):
+        for path in (NEUTRAL_PATH, "repro/serve/fixture.py"):
+            findings = lint_source(statement + "\n", path, CODE_RULES)
+            assert [f.rule_id for f in findings] == ["RD012"], (path, findings)
+        # ``http`` itself (HTTPStatus) is no HTTP stack.
+        assert lint_source("from http import HTTPStatus\n", NEUTRAL_PATH, CODE_RULES) == []
 
     def test_rd013_exempts_supervisor_and_resilience(self):
         source = (FIXTURES / "rd013_bad.py").read_text()

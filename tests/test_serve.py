@@ -106,6 +106,31 @@ def raw_post(daemon: PredictionDaemon, path: str, body: bytes):
     return status, head.decode("latin-1"), payload.decode("utf-8")
 
 
+def raw_exchange(daemon: PredictionDaemon, data: bytes) -> list:
+    """Send ``data`` in one write over a bare socket, read until the
+    daemon closes; returns each response as (status, headers, body)."""
+    with socket.create_connection(daemon.address, timeout=30.0) as sock:
+        sock.sendall(data)
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    responses = []
+    while raw:
+        head, separator, raw = raw.partition(b"\r\n\r\n")
+        assert separator, head
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        version, status, _reason = status_line.split(" ", 2)
+        assert version == "HTTP/1.1", status_line
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers["content-length"])
+        responses.append((int(status), headers, raw[:length]))
+        raw = raw[length:]
+    return responses
+
+
 def strict_json(text: str):
     """Parse as a strict client would: NaN/Infinity are not JSON."""
 
@@ -237,6 +262,132 @@ class TestEndpoints:
         finally:
             daemon.stop()
 
+    def test_chunked_body_is_one_structured_411(self, serve_service):
+        """A chunked body is refused on its ``Transfer-Encoding`` alone.
+        Its chunks, unread, used to be parsed as a second request: two
+        responses to one request, the second an HTML error page."""
+        body = json.dumps({"sql": SQL_LIGHT}).encode()
+        request = (
+            b"POST /v1/forecast HTTP/1.1\r\nHost: test\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n"
+        )
+        daemon = start_daemon(serve_service)
+        try:
+            responses = raw_exchange(daemon, request)
+            assert [status for status, _, _ in responses] == [411]
+            _, headers, text = responses[0]
+            assert headers["connection"] == "close"
+            assert headers["content-type"] == "application/json"
+            assert strict_json(text.decode())["error"] == "length_required"
+            assert daemon.status()["breaker"]["state"] == "closed"
+        finally:
+            daemon.stop()
+
+    @pytest.mark.parametrize(
+        "data,status,error",
+        [
+            pytest.param(
+                b"PUT /v1/forecast HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: 2\r\n\r\n{}",
+                501, "not_implemented", id="put",
+            ),
+            pytest.param(
+                b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: t\r\n\r\n",
+                414, "request_line_too_long", id="long-request-line",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/2.0\r\nHost: t\r\n\r\n",
+                505, "http_version_not_supported", id="http-2.0",
+            ),
+            pytest.param(b"hello\r\n", 400, "bad_request_line", id="hello"),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"".join(b"X-Header-%d: v\r\n" % i for i in range(101))
+                + b"\r\n",
+                431, "too_many_headers", id="101-headers",
+            ),
+            pytest.param(
+                b"POST /v1/forecast HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: abc\r\n\r\n{}",
+                400, "bad_content_length", id="content-length-abc",
+            ),
+        ],
+    )
+    def test_transport_refusals_are_structured(
+        self, serve_service, data, status, error
+    ):
+        """Every request the framing refuses gets a status line and a JSON
+        error.  The connection closes unless the refused request was read
+        whole (an unserved method): then the next request on it is
+        served."""
+        follow = b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        daemon = start_daemon(serve_service)
+        try:
+            responses = raw_exchange(daemon, data + follow)
+            got, headers, text = responses[0]
+            assert got == status, text
+            assert headers["content-type"] == "application/json"
+            assert strict_json(text.decode())["error"] == error
+            if status == 501:
+                assert "connection" not in headers
+                assert [r[0] for r in responses] == [501, 200]
+            else:
+                assert headers["connection"] == "close"
+                assert len(responses) == 1
+            assert daemon.status()["breaker"]["state"] == "closed"
+            assert client_for(daemon).forecast(SQL_LIGHT)["forecast"]
+        finally:
+            daemon.stop()
+
+    def test_pipelined_requests_are_answered_in_order(self, serve_service):
+        requests = b""
+        sqls = [SQL_JOIN, SQL_LIGHT]
+        for index, sql in enumerate(sqls):
+            body = json.dumps({"sql": sql}).encode()
+            close = b"Connection: close\r\n" if index == len(sqls) - 1 else b""
+            requests += (
+                b"POST /v1/forecast HTTP/1.1\r\nHost: t\r\n" + close
+                + b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+        daemon = start_daemon(serve_service)
+        try:
+            responses = raw_exchange(daemon, requests)
+        finally:
+            daemon.stop()
+        assert [status for status, _, _ in responses] == [200, 200]
+        for (_, _, text), sql in zip(responses, sqls):
+            expected = forecast_payload(serve_service.forecast(sql))
+            assert json.loads(text)["forecast"] == expected
+
+    def test_expect_100_continue_is_answered_before_the_body(
+        self, serve_service
+    ):
+        """A client that waits for ``100 Continue`` (curl, for a large
+        body) is told to send its body, then gets its answer."""
+        body = json.dumps({"sql": SQL_LIGHT}).encode()
+        head = (
+            b"POST /v1/forecast HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+            b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n" % len(body)
+        )
+        daemon = start_daemon(serve_service)
+        try:
+            with socket.create_connection(daemon.address, timeout=10.0) as sock:
+                sock.sendall(head)
+                interim = sock.recv(65536)
+                assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+                sock.sendall(body)
+                raw = b""
+                while chunk := sock.recv(65536):
+                    raw += chunk
+        finally:
+            daemon.stop()
+        assert raw.startswith(b"HTTP/1.1 200 OK\r\n"), raw[:200]
+        text = raw.partition(b"\r\n\r\n")[2]
+        assert json.loads(text)["forecast"] == forecast_payload(
+            serve_service.forecast(SQL_LIGHT)
+        )
+
     def test_admin_status_shape(self, serve_service):
         daemon = start_daemon(serve_service, slo_p99_ms=30_000.0)
         try:
@@ -315,6 +466,8 @@ class TestPredictions:
 
         def one(index: int) -> None:
             client = client_for(daemon, client_id=f"c{index}")
+            # Connect first, so that the requests leave together.
+            client.health()
             barrier.wait()
             results.append(client.forecast(sqls[index]))
 
@@ -1327,6 +1480,32 @@ class TestPersistentConnection:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+    def test_http10_peer_without_length_is_read_to_end_of_stream(self):
+        """A response with no ``Content-Length`` ends where the stream
+        does; the client keeps no connection to such a peer."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        served = []
+
+        def serve() -> None:
+            for _ in range(2):
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(65536)
+                    conn.sendall(b'HTTP/1.0 200 OK\r\n\r\n{"forecast": {"n": 1}}')
+                served.append(True)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            with ServeClient(*listener.getsockname()[:2], timeout_s=10.0) as client:
+                assert client.forecast(SQL_LIGHT) == {"forecast": {"n": 1}}
+                assert client.forecast(SQL_LIGHT) == {"forecast": {"n": 1}}
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert len(served) == 2
+        finally:
+            listener.close()
 
     def test_restart_costs_one_silent_reconnect(self, serve_service):
         daemon = start_daemon(serve_service)

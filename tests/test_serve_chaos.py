@@ -346,6 +346,27 @@ class TestSupervisor:
             assert supervisor.gave_up
             assert supervisor.status()["state"] == "gave_up"
             assert supervisor.restarts == 2
+            # Count the connections the parent accepts and answers (its
+            # loop counts one after closing it, so wait for the count).
+            entered, accepted = [], []
+            respond = supervisor._respond_503_once
+
+            def counting() -> bool:
+                entered.append(True)
+                answered = respond()
+                if answered:
+                    accepted.append(True)
+                return answered
+
+            def accepts(expected: int) -> int:
+                deadline = time.monotonic() + 5.0
+                while len(accepted) < expected and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                return len(accepted)
+
+            supervisor._respond_503_once = counting
+            while not entered:  # no uncounted accept is still waiting
+                time.sleep(0.01)
             # The address still answers — structurally, not with resets.
             host, port = supervisor.address
             client = ServeClient(host, port, timeout_s=2.0)
@@ -353,10 +374,11 @@ class TestSupervisor:
             assert status == 503
             assert payload["error"] == "restarting"
             assert payload["retry_after_s"] > 0
+            assert accepts(1) == 1
             # The parent answers ``Connection: close``: the client keeps
             # no connection to it, and dials again for the next call.
-            assert client._kept.sock is None
             assert client.try_forecast(SQL_LIGHT)[0] == 503
+            assert accepts(2) == 2
         finally:
             supervisor.stop()
         events = [

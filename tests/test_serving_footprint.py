@@ -24,8 +24,12 @@ from repro.errors import CatalogError
 from repro.workloads.generator import generate_pool
 from repro.workloads.tpcds import build_tpcds_catalog
 
-#: Modules (and their submodules) a serving process must never import.
-TRAINING_MODULES = (
+#: Modules (and their submodules) a serving process must never import:
+#: the training side, process pools, and the stdlib HTTP stacks (the
+#: daemon, its client and the supervisor frame HTTP in
+#: ``repro.serve.wire``; ``http.client`` would pull in ``ssl``, and
+#: either one ``email``).
+UNSERVED_MODULES = (
     "repro.experiments",
     "repro.workloads.spec",
     "repro.workloads.generator",
@@ -41,6 +45,10 @@ TRAINING_MODULES = (
     "multiprocessing",
     "concurrent.futures",
     "numpy.random",
+    "http.server",
+    "http.client",
+    "ssl",
+    "email",
 )
 
 SQLS = [
@@ -101,7 +109,7 @@ def test_a_fresh_serving_process_imports_no_training_module(trained):
     loaded = json.loads(result.stdout)
     found = [
         name for name in loaded
-        if any(name == m or name.startswith(m + ".") for m in TRAINING_MODULES)
+        if any(name == m or name.startswith(m + ".") for m in UNSERVED_MODULES)
     ]
     assert found == []
 
