@@ -196,7 +196,9 @@ class RawSavez(CodeRule):
 
 
 class UnregisteredFaultSite(CodeRule):
-    """RD006: fault-site names must come from the registered list."""
+    """RD006: fault-site names must come from the registered list: those
+    of ``fault_site(...)``, ``FaultPlan.on(...)`` and every ``fault_site=``
+    keyword (the rows of the stage table, ``repro.obs.seam.STAGES``)."""
 
     info = register(
         RuleInfo(
@@ -204,7 +206,7 @@ class UnregisteredFaultSite(CodeRule):
             name="unregistered-fault-site",
             severity="error",
             pack="code",
-            summary="fault_site()/FaultPlan.on() name not in the site registry",
+            summary="fault_site()/FaultPlan.on()/fault_site= name not registered",
         )
     )
     node_types = (ast.Call,)
@@ -238,9 +240,15 @@ class UnregisteredFaultSite(CodeRule):
             and isinstance(func, ast.Attribute)
             and func.attr == "on"
         )
-        if not (is_site_call or is_arm_call) or not node.args:
-            return
-        site = node.args[0]
+        if (is_site_call or is_arm_call) and node.args:
+            self._check_site(node, node.args[0], context)
+        for keyword in node.keywords:
+            if keyword.arg == "fault_site":
+                self._check_site(node, keyword.value, context)
+
+    def _check_site(
+        self, node: ast.Call, site: ast.expr, context: LintContext
+    ) -> None:
         if isinstance(site, ast.Constant) and isinstance(site.value, str):
             if not site_registered(site.value):
                 self.report(

@@ -60,11 +60,10 @@ from repro.errors import ModelError
 from repro.lru import StampedLRU, text_bytes
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
+from repro.obs.seam import boundary, stage
 from repro.optimizer.optimizer import OptimizedQuery, Optimizer
 from repro.pipeline.pipeline import PredictionPipeline
-from repro.resilience import deadline as _resilience_deadline
 from repro.resilience import fallback as _resilience_fallback
-from repro.resilience import faults as _resilience_faults
 from repro.storage.catalog import Catalog
 from repro.workloads.categories import categorize
 
@@ -545,13 +544,15 @@ class QueryPerformancePredictor:
         without a fallback chain answers a statement the memo holds a
         forecast for with that forecast and scores only the rest; a
         fallback service scores every statement.  Either way each
-        distinct text is scored once.  Each stage boundary is a
-        cooperative cancellation point against the caller's installed
-        :class:`~repro.resilience.deadline.Deadline` (the serving daemon
-        turns an expired budget into a structured 504), and each stage's
-        wall time is charged to the deadline's per-stage accounting.  A
-        memoised statement is a cancellation point and an
-        ``optimizer.optimize`` fault site like any other.
+        distinct text is scored once.  Each stage boundary
+        (:func:`repro.obs.seam.stage`: one ``optimizer.optimize`` per
+        compiled statement, ``api.featurize``, ``pipeline.score_many``)
+        is a cooperative cancellation point against the caller's
+        installed :class:`~repro.resilience.deadline.Deadline` (the
+        serving daemon turns an expired budget into a structured 504),
+        and each stage's wall time is charged to the deadline's
+        per-stage accounting.  A memoised statement is a cancellation
+        point and an ``optimizer.optimize`` fault site like any other.
         """
         self._require_trained()
         if not sqls:
@@ -559,21 +560,18 @@ class QueryPerformancePredictor:
         pipeline, memo = self._pipeline, self.memo
         stamp = (self.catalog.version, pipeline)
         rescore = _rescores(pipeline)
-        with _obs_trace.span("api.forecast_many", n=len(sqls)) as current:
-            with _resilience_deadline.stage_scope("optimize"):
-                compiled, hits = memo.lookup(stamp, sqls)
-                current.set(memo_hits=hits)
-                misses: list[str] = []
-                for sql in sqls:
-                    if sql in compiled:
-                        _resilience_deadline.check_deadline("optimize")
-                        _resilience_faults.fault_site("optimizer.optimize")
-                    else:
-                        compiled[sql] = ()  # compiled below, once
-                        misses.append(sql)
-                optimized = self.optimizer.optimize_many(misses)
-            with _obs_trace.span("api.featurize", n=len(sqls)), \
-                    _resilience_deadline.stage_scope("featurize"):
+        with stage("api.forecast_many", n=len(sqls)) as current:
+            compiled, hits = memo.lookup(stamp, sqls)
+            current.set(memo_hits=hits)
+            misses: list[str] = []
+            for sql in sqls:
+                if sql in compiled:
+                    boundary("optimizer.optimize")
+                else:
+                    compiled[sql] = ()  # compiled below, once
+                    misses.append(sql)
+            optimized = self.optimizer.optimize_many(misses)
+            with stage("api.featurize", n=len(sqls)):
                 rows = plan_feature_matrix([opt.plan for opt in optimized])
                 for sql, opt, row in zip(misses, optimized, rows):
                     warnings = _warnings(opt, pipeline)
@@ -584,8 +582,7 @@ class QueryPerformancePredictor:
             costs = np.array([compiled[sql][1] for sql in unscored])
             scored = []
             if unscored:
-                with _resilience_deadline.stage_scope("predict"):
-                    scored = pipeline.score_many(features, optimizer_costs=costs)
+                scored = pipeline.score_many(features, optimizer_costs=costs)
                 if scored[0].stage is not None:
                     current.set(served_by=scored[0].stage)
         for sql, score in zip(unscored, scored):

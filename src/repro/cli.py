@@ -42,8 +42,8 @@ cached, so repeated :func:`main` calls (tests, notebooks) don't retrain
 for every subcommand.
 
 Observability: the global ``--trace-out FILE`` flag enables hot-path
-tracing for any command and writes the resulting span tree as JSON
-(``-`` for a pretty rendering on stderr); ``--metrics`` turns on the
+tracing for any command but ``serve`` and writes the resulting span tree
+as JSON (``-`` for a pretty rendering on stderr); ``--metrics`` turns on the
 metrics registry and dumps it after the command.  See
 docs/OBSERVABILITY.md.
 """
@@ -55,6 +55,8 @@ import json
 import os
 import re
 import sys
+from contextlib import suppress
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -490,6 +492,13 @@ def _lint_command(args, config) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.trace_out and args.command == "serve":
+        # A daemon records its spans on handler and collector threads,
+        # which a trace written at exit never sees.
+        print("error: --trace-out does not apply to serve; a running "
+              "daemon reports through /metrics and /admin/status",
+              file=sys.stderr)
+        return 2
     config = _config(args.system)
     if args.trace_out:
         obs.enable_tracing()
@@ -610,46 +619,37 @@ def _serve_command(args, config) -> int:
             ),
         )
         host, port = supervisor.start()
-        # Handlers go in before the banner: anyone scripting the CLI
-        # treats the banner as "ready", and ready must include "a
-        # SIGTERM from here on drains instead of killing mid-batch".
-        stop_event = threading.Event()
-        _install_stop_handlers(stop_event)
-        print(
-            f"supervising on http://{host}:{port}  "
-            f"(child pid {supervisor.child_pid})"
-        )
-        print(
+        banner = (f"supervising on http://{host}:{port}  "
+                  f"(child pid {supervisor.child_pid})")
+        note = (
             "crashes restart with backoff on the same socket; "
             f"> {args.max_restarts} restarts/"
             f"{args.restart_window_s:g}s gives up"
-            + (f"; journal: {args.crash_journal}" if args.crash_journal else ""),
-            file=sys.stderr,
+            + (f"; journal: {args.crash_journal}" if args.crash_journal else "")
         )
-        try:
-            stop_event.wait()
-            print("stopping supervisor and child...", file=sys.stderr)
-        except KeyboardInterrupt:
-            print("stopping supervisor and child...", file=sys.stderr)
-        finally:
-            supervisor.stop()
-        return 0
-
-    daemon = build_daemon()
-    host, port = daemon.start()
+        farewell = "stopping supervisor and child..."
+        stop = supervisor.stop
+    else:
+        daemon = build_daemon()
+        host, port = daemon.start()
+        banner = f"serving on http://{host}:{port}  (model {daemon.model_version})"
+        note = ("endpoints: /healthz /metrics /admin/status /v1/forecast "
+                "/v1/forecast_batch /admin/reload; SIGHUP reloads the artifact")
+        farewell = "draining and shutting down..."
+        stop = partial(daemon.stop, drain=True)
+    # Handlers go in before the banner: anyone scripting the CLI treats
+    # the banner as "ready", and ready must include "a SIGTERM from here
+    # on drains instead of killing mid-batch".
     stop_event = threading.Event()
     _install_stop_handlers(stop_event)
-    print(f"serving on http://{host}:{port}  (model {daemon.model_version})")
-    print("endpoints: /healthz /metrics /admin/status /v1/forecast "
-          "/v1/forecast_batch /admin/reload; SIGHUP reloads the artifact",
-          file=sys.stderr)
+    print(banner)
+    print(note, file=sys.stderr)
     try:
-        stop_event.wait()
-        print("draining and shutting down...", file=sys.stderr)
-    except KeyboardInterrupt:
-        print("draining and shutting down...", file=sys.stderr)
+        with suppress(KeyboardInterrupt):
+            stop_event.wait()
+        print(farewell, file=sys.stderr)
     finally:
-        daemon.stop(drain=True)
+        stop()
     return 0
 
 

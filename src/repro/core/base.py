@@ -37,6 +37,8 @@ from typing import Any, Iterator, Optional, Protocol, Type, runtime_checkable
 import numpy as np
 
 from repro.errors import ModelError, ReproError
+from repro.ioutils import atomic_savez
+from repro.resilience.faults import fault_site
 
 __all__ = [
     "Model",
@@ -183,11 +185,6 @@ def write_state(
     crash mid-save leaves any previous artifact at ``path`` intact, and
     readers never observe a truncated file.
     """
-    # Lazy import: repro.resilience.fallback builds on this module, so a
-    # module-level import here would close an import cycle.
-    from repro.ioutils import atomic_savez
-    from repro.resilience.faults import fault_site
-
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_name(path.name + ".npz")
@@ -272,9 +269,6 @@ def read_state(
             version, a class mismatch (when ``expected_class`` is given)
             or an array the manifest names but the file lacks.
     """
-    # Lazy import: see write_state.
-    from repro.resilience.faults import fault_site
-
     path = Path(path)
     fault_site("artifact.read", path=str(path))
     try:

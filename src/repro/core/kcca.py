@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.base import checked_array, finite_input
 from repro.errors import ModelError, NotFittedError
 from repro.obs.metrics import get_registry, metrics_enabled
-from repro.obs.trace import span
+from repro.obs.seam import stage
 from repro.rng import child_generator
 
 __all__ = [
@@ -172,7 +172,7 @@ class KCCA:
             raise ModelError("KCCA needs at least two training points")
         d = min(self.n_components, n - 1)
 
-        with span(
+        with stage(
             "kcca.fit", n=n, approximation=self.approximation, rank=self.rank
         ):
             kx_c = center_kernel(kx)
@@ -195,10 +195,10 @@ class KCCA:
                     ).inc()
             try:
                 if use_nystrom:
-                    with span("kcca.fit.nystrom"):
+                    with stage("kcca.fit.nystrom"):
                         self._fit_nystrom(kx_c, ky_c, ridge, d)
                 else:
-                    with span("kcca.fit.exact"):
+                    with stage("kcca.fit.exact"):
                         self._fit_exact(kx_c, ky_c, ridge, d)
             except np.linalg.LinAlgError as error:
                 raise ModelError(f"cannot fit KCCA: {error}") from error
@@ -295,7 +295,7 @@ class KCCA:
         """
         self._require_fitted()
         assert self._centering is not None and self.alpha is not None
-        with span("kcca.project", n=int(np.asarray(cross_kernel).shape[0])):
+        with stage("kcca.project", n=int(np.asarray(cross_kernel).shape[0])):
             centered = center_cross_kernel(cross_kernel, *self._centering)
             return centered @ self.alpha
 

@@ -44,7 +44,7 @@ from repro.core.kernels import (
 )
 from repro.core.neighbors import combine_neighbors, nearest_neighbors
 from repro.errors import ModelError, NotFittedError
-from repro.obs.trace import span
+from repro.obs.seam import stage
 
 __all__ = ["KCCAPredictor", "PredictionDetail"]
 
@@ -199,7 +199,7 @@ class KCCAPredictor(SerializableModel):
             tau = getattr(self, name)
             if tau is not None and not (np.isfinite(tau) and tau > 0):
                 raise ModelError(f"{name} must be a positive number, got {tau!r}")
-        with span("predictor.fit", n=query_features.shape[0]):
+        with stage("predictor.fit", n=query_features.shape[0]):
             fx = self._x_scaler.fit_transform(query_features)
             fy = self._y_scaler.fit_transform(performance)
             self._tau_x = (
@@ -212,7 +212,7 @@ class KCCAPredictor(SerializableModel):
                 if self.performance_tau is not None
                 else scale_factor_heuristic(fy, self.performance_scale_fraction)
             )
-            with span("predictor.kernels"):
+            with stage("predictor.kernels"):
                 kx = gaussian_kernel_matrix(fx, self._tau_x)
                 ky = gaussian_kernel_matrix(fy, tau_y)
             self._kcca.fit(kx, ky)
@@ -246,7 +246,7 @@ class KCCAPredictor(SerializableModel):
     def project(self, query_features: np.ndarray) -> np.ndarray:
         """Coordinates of new queries in the query projection."""
         self._require_fitted()
-        with span("predictor.project"):
+        with stage("predictor.project"):
             features = np.atleast_2d(
                 np.asarray(query_features, dtype=np.float64)
             )
@@ -276,7 +276,7 @@ class KCCAPredictor(SerializableModel):
     def predict_detailed(self, query_features: np.ndarray) -> list[PredictionDetail]:
         """Per-query predictions with neighbour evidence and confidence."""
         coords = self.project(query_features)
-        with span("predictor.knn", n=coords.shape[0], k=self.k_neighbors):
+        with stage("predictor.knn", n=coords.shape[0], k=self.k_neighbors):
             indices, distances = nearest_neighbors(
                 coords,
                 self._kcca.x_projection,

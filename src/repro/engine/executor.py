@@ -33,13 +33,8 @@ from repro.engine.plan import OperatorKind, PlanNode
 from repro.engine.system import SystemConfig
 from repro.engine.timing import ResourceModel
 
-# Submodule imports on purpose: the repro.obs package pulls in the drift
-# monitor, which imports repro.engine.metrics — importing the package
-# here would close an import cycle through repro.engine.__init__.
-# repro.resilience.faults likewise: the resilience package pulls in the
-# fallback chain, which builds on models that execute through here.
-from repro.obs.metrics import get_registry, metrics_enabled, timed
-from repro.obs.trace import span
+from repro.obs.metrics import get_registry, metrics_enabled
+from repro.obs.seam import stage
 from repro.resilience.faults import fault_site
 from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog
@@ -94,9 +89,7 @@ class Executor:
             plan: physical plan (usually rooted at a ROOT operator).
             rng: source of timing noise; pass None for deterministic time.
         """
-        with span("engine.execute") as current, timed(
-            "repro_execute_seconds", "repro_execute_queries_total"
-        ):
+        with stage("engine.execute") as current:
             acc = MetricsAccumulator()
             model = ResourceModel(self.config, self.buffer_pool, acc)
             batch = self._run(plan, model).gathered()

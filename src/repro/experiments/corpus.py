@@ -50,12 +50,12 @@ from repro.engine import Executor, PerformanceMetrics, SystemConfig
 from repro.engine.metrics import METRIC_NAMES
 from repro.errors import CorpusBuildError, ReproError, RetryExhaustedError
 from repro.ioutils import atomic_savez
+from repro.obs.seam import stage
 from repro.obs.trace import (
     attach_spans,
     enable_tracing,
     export_trace,
     reset_trace,
-    span,
     tracing_enabled,
 )
 from repro.optimizer import Optimizer
@@ -65,7 +65,6 @@ from repro.resilience.faults import (
     arm as _arm_plan,
     armed_plan,
     corrupt_array,
-    fault_site,
 )
 from repro.resilience.retry import RetryPolicy
 from repro.rng import child_generator
@@ -193,8 +192,7 @@ def _execute_instance(
     config_name, query_id)`` alone — never from loop order or worker
     identity — which is what makes the fan-out deterministic.
     """
-    with span("corpus.execute", query_id=instance.query_id):
-        corrupting = fault_site("corpus.execute", query_id=instance.query_id)
+    with stage("corpus.execute", query_id=instance.query_id) as current:
         optimized = optimizer.optimize(instance.sql)
         rng = child_generator(noise_seed, f"{config_name}:{instance.query_id}")
         result = executor.execute(optimized.plan, rng=rng)
@@ -205,7 +203,7 @@ def _execute_instance(
         sql=instance.sql,
         features=plan_feature_vector(optimized.plan),
         sql_features=sql_text_features(optimized.query),
-        performance=corrupt_array(corrupting, result.metrics.as_vector()),
+        performance=corrupt_array(current.fault, result.metrics.as_vector()),
         optimizer_cost=optimized.cost,
         estimated_rows=optimized.estimated_rows,
     )
@@ -414,7 +412,7 @@ def build_corpus(
             for query_id, payload in journal.replay().items()
         }
     try:
-        with span(
+        with stage(
             "corpus.build", n=len(pool), jobs=jobs, config=config.name
         ):
             if jobs > 1 and len(pool) > 1:

@@ -21,11 +21,11 @@ rule RD011, so segment lifecycle (the registry below, ``atexit``
 cleanup, resource-tracker hygiene) has exactly one owner.
 
 This module sits below everything else in the package (it imports only
-the standard library and numpy at import time) so any layer — model
-artifacts, corpus caches, checkpoint journals — can use it without
-import cycles.  ``multiprocessing`` is imported by the functions that
-publish and attach planes, so a process that only writes files never
-loads it.
+the standard library, numpy and the fault-site registry at import time)
+so any layer — model artifacts, corpus caches, checkpoint journals —
+can use it without import cycles.  ``multiprocessing`` is imported by
+the functions that publish and attach planes, so a process that only
+writes files never loads it.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
 
 import numpy as np
+
+from repro.resilience.faults import fault_site
 
 if TYPE_CHECKING:
     from multiprocessing import shared_memory
@@ -129,19 +131,6 @@ def atomic_savez(path: Union[str, Path], **arrays: np.ndarray) -> None:
 #: Offset alignment for packed arrays; generous enough for any numpy
 #: dtype and for cache-line-friendly access.
 _PLANE_ALIGN = 64
-
-
-def _fault_site(site: str, **context: object) -> None:
-    """Declare a resilience fault-site invocation (lazy import).
-
-    The import happens at call time, not module import time, because
-    ``repro.resilience`` sits *above* this module (its checkpoint layer
-    imports :func:`atomic_write_bytes`); a top-level import would be a
-    cycle.
-    """
-    from repro.resilience.faults import fault_site
-
-    fault_site(site, **context)
 
 
 @dataclass(frozen=True)
@@ -294,7 +283,7 @@ def publish_arrays(
     """
     if backend not in ("auto", "shm", "mmap"):
         raise ValueError(f"unknown array-plane backend {backend!r}")
-    _fault_site("artifact.write", kind="plane", backend=backend)
+    fault_site("artifact.write", kind="plane", backend=backend)
     layout, total = _pack_layout(arrays)
     if backend in ("auto", "shm"):
         try:
@@ -374,7 +363,7 @@ def attach_arrays(handle: ArrayPlaneHandle) -> AttachedArrays:
     unregister a worker's tracker would whine about (or even unlink) a
     segment the publisher still owns.
     """
-    _fault_site("artifact.read", kind="plane", backend=handle.backend)
+    fault_site("artifact.read", kind="plane", backend=handle.backend)
     arrays: dict[str, np.ndarray] = {}
     if handle.backend == "shm":
         from multiprocessing import resource_tracker, shared_memory

@@ -1,10 +1,13 @@
 """Observability for the train/serve path: tracing, metrics, drift.
 
-Three zero-dependency building blocks (see docs/OBSERVABILITY.md):
+Zero-dependency building blocks (see docs/OBSERVABILITY.md):
 
-* :mod:`repro.obs.trace` — nestable :func:`span` context managers
-  recording wall/CPU time and attributes into a thread-local trace tree,
-  exportable as JSON and mergeable across worker processes;
+* :mod:`repro.obs.seam` — :func:`stage`, the one context every stage
+  boundary crosses: one clock interval per stage feeds the request's
+  deadline, the span, the stage's histogram and its fault site;
+* :mod:`repro.obs.trace` — the spans stages record, with wall/CPU time
+  and attributes, in a thread-local trace tree exportable as JSON and
+  mergeable across worker processes;
 * :mod:`repro.obs.metrics` — a process-wide registry of named counters,
   gauges and fixed-bucket histograms with :func:`metrics_snapshot` and a
   Prometheus text export;
@@ -13,7 +16,7 @@ Three zero-dependency building blocks (see docs/OBSERVABILITY.md):
   (predicted, actual) pairs and flagging degradation.
 
 Everything is **disabled by default**: the instrumented hot path costs a
-flag check per call site until :func:`enable_tracing` /
+few flag checks per stage until :func:`enable_tracing` /
 :func:`enable_metrics` opt in, so observability can ship inside the
 production code rather than bolted onto benchmarks.
 """
@@ -33,7 +36,7 @@ _EXPORTS = {
     "get_registry": "metrics",
     "metrics_enabled": "metrics",
     "reset_metrics": "metrics",
-    "timed": "metrics",
+    "stage": "seam",
     "Span": "trace",
     "attach_spans": "trace",
     "disable_tracing": "trace",
@@ -42,7 +45,6 @@ _EXPORTS = {
     "export_trace": "trace",
     "pretty_trace": "trace",
     "reset_trace": "trace",
-    "span": "trace",
     "trace_roots": "trace",
     "tracing_enabled": "trace",
 }

@@ -9,9 +9,10 @@ Design constraints:
 
 * zero dependencies (stdlib only), safe under threads (one registry
   lock for creation, one lock per instrument for updates);
-* **off by default**: the recording helpers (:func:`metrics_enabled`,
-  :func:`timed`) make disabled instrumentation a flag check, so the hot
-  path carries no cost until someone opts in;
+* **off by default**: :func:`metrics_enabled` makes disabled
+  instrumentation a flag check (the stage seam, :mod:`repro.obs.seam`,
+  observes a stage's histogram only while it is on), so the hot path
+  carries no cost until someone opts in;
 * fixed-bucket histograms: quantiles (p50/p95/p99) are interpolated from
   bucket counts, exactly like a Prometheus server would, so the text
   export (:meth:`MetricsRegistry.render_prometheus`) and the in-process
@@ -20,7 +21,6 @@ Design constraints:
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from typing import Optional, Sequence
 
@@ -38,7 +38,6 @@ __all__ = [
     "enable_metrics",
     "disable_metrics",
     "metrics_enabled",
-    "timed",
 ]
 
 #: Default histogram buckets (seconds), exponential from 50us to 60s —
@@ -341,105 +340,3 @@ def get_registry() -> MetricsRegistry:
 def reset_metrics() -> None:
     """Clear the default registry (test helper)."""
     _REGISTRY.reset()
-    with _TIMED_CACHE_LOCK:
-        _TIMED_CACHE.clear()
-
-
-class _Timed:
-    """Times a block into pre-resolved instruments when enabled.
-
-    ``slot`` is the shared ``[histogram, counter]`` cache entry for this
-    name pair.  The histogram is resolved up front (it always records);
-    the counter stays lazy — it must not exist in the registry until a
-    block actually succeeds — and is memoized into the slot on first
-    success.
-    """
-
-    __slots__ = ("slot", "counter_name", "count", "_start")
-
-    def __init__(
-        self,
-        slot: "list",
-        counter_name: Optional[str],
-        count: int,
-    ) -> None:
-        self.slot = slot
-        self.counter_name = counter_name
-        self.count = count
-        self._start = 0.0
-
-    def __enter__(self) -> "_Timed":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, _exc, _tb) -> bool:
-        elapsed = time.perf_counter() - self._start
-        self.slot[0].observe(elapsed)
-        if self.counter_name is not None and exc_type is None:
-            counter = self.slot[1]
-            if counter is None:
-                # Get-or-create is idempotent under the registry lock,
-                # so concurrent first successes resolve the same
-                # Counter; the memo write is guarded all the same.
-                counter = _REGISTRY.counter(self.counter_name)
-                with _TIMED_CACHE_LOCK:
-                    if self.slot[1] is None:
-                        self.slot[1] = counter
-            counter.inc(self.count)
-        return False
-
-
-class _NoopTimed:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopTimed":
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        return False
-
-
-_NOOP_TIMED = _NoopTimed()
-
-#: Instrument pairs resolved once per (histogram, counter) name pair.
-#: Every registry lookup takes the registry lock plus a dict probe; on
-#: the batch-predict hot path that happened twice per ``timed()`` exit.
-#: Resolving here also fixes the histogram's bucket bounds up front, so
-#: ``observe`` goes straight to ``bisect``.  Cleared by
-#: :func:`reset_metrics`, which is the only way instruments are dropped.
-_TIMED_CACHE: dict[tuple[str, Optional[str]], list] = {}
-
-#: Guards the cache's check-then-insert: two threads hitting the same
-#: call site for the first time used to race it and hand out distinct
-#: slot lists (PR 7); double-checked insertion under this lock keeps
-#: first-call initialization idempotent.  The instruments themselves
-#: are already idempotent (registry get-or-create under its own lock).
-_TIMED_CACHE_LOCK = make_lock("obs.metrics.timed_cache")
-
-
-def timed(
-    histogram_name: str,
-    counter_name: Optional[str] = None,
-    count: int = 1,
-):
-    """Context manager: record the block's latency (seconds) into
-    ``histogram_name`` and, on success, add ``count`` to ``counter_name``.
-
-    A shared no-op while metrics are disabled — safe to leave in the hot
-    path permanently.
-    """
-    if not _ENABLED:
-        return _NOOP_TIMED
-    key = (histogram_name, counter_name)
-    slot = _TIMED_CACHE.get(key)
-    if slot is None:
-        # Resolve the histogram before taking the cache lock: the
-        # registry has its own lock and nesting the two in one order
-        # here and the other elsewhere would invert (CC101).
-        histogram = _REGISTRY.histogram(histogram_name)
-        with _TIMED_CACHE_LOCK:
-            slot = _TIMED_CACHE.get(key)
-            if slot is None:
-                slot = [histogram, None]
-                _TIMED_CACHE[key] = slot
-    return _Timed(slot, counter_name, count)

@@ -1,16 +1,17 @@
 """Zero-dependency tracing spans for the train/serve hot path.
 
-A *span* measures one named region of work — wall-clock and CPU time plus
+A *span* records one named region of work — wall-clock and CPU time plus
 free-form attributes — and spans nest into a tree via a thread-local
 stack.  The design goal is the LinkedIn operability lesson (see
 PAPERS.md): the hard part of running a learned predictor is answering
 "where did this 40 ms prediction go?", which needs per-stage timing on
 the *production* path, not a profiler run on a benchmark.
 
-Tracing is **off by default** and the disabled path is a single module
-flag check returning a shared no-op context manager, so instrumentation
-can stay in the hot path permanently (the gate benchmark measures the
-overhead: ``trace.overhead_share``).
+Code does not open spans itself: it crosses stage boundaries with
+:func:`repro.obs.seam.stage`, which records the stage's one clock
+interval here (:func:`open_span` / :func:`close_span`) while tracing is
+on.  Tracing is **off by default**, and then no span is allocated at all
+(the gate benchmark measures the on-cost: ``trace.overhead_share``).
 
 Worker processes (the ``build_corpus`` fan-out) cannot share the parent's
 thread-local tree, so workers export their finished spans as plain dicts
@@ -23,9 +24,9 @@ Usage::
     from repro import obs
 
     obs.enable_tracing()
-    with obs.span("kcca.fit", n=1000, approximation="nystrom") as sp:
+    with obs.stage("kcca.fit", n=1000, approximation="nystrom") as current:
         ...
-        sp.set(rank=256)
+        current.set(rank=256)
     print(obs.pretty_trace())
     json.dump(obs.export_trace(drain=True), fh)
 """
@@ -39,7 +40,8 @@ from typing import Any, Optional
 
 __all__ = [
     "Span",
-    "span",
+    "open_span",
+    "close_span",
     "enable_tracing",
     "disable_tracing",
     "tracing_enabled",
@@ -90,59 +92,18 @@ class Span:
         "cpu_ms",
         "status",
         "error",
-        "_wall_start",
         "_cpu_start",
-        "_stack",
     )
 
     def __init__(self, name: str, attributes: Optional[dict] = None) -> None:
         self.name = name
-        self.attributes: dict[str, Any] = dict(attributes or {})
+        self.attributes: dict[str, Any] = {} if attributes is None else attributes
         self.children: list[Span] = []
         self.wall_ms: float = 0.0
         self.cpu_ms: float = 0.0
         self.status: str = "ok"
         self.error: Optional[str] = None
-        self._wall_start: float = 0.0
         self._cpu_start: float = 0.0
-        self._stack: Optional[list[Span]] = None
-
-    # -- context manager -------------------------------------------------
-
-    def __enter__(self) -> "Span":
-        # Resolve the thread-local stack once and pin it for __exit__ —
-        # each ``_STATE.<attr>`` access is a dict lookup, and on the
-        # batch-predict hot path the extra lookup per span was a
-        # measurable slice of tracing overhead.
-        stack = _STATE.stack
-        self._stack = stack
-        stack.append(self)
-        self._wall_start = time.perf_counter()
-        self._cpu_start = time.process_time()
-        return self
-
-    def __exit__(self, exc_type, exc, _tb) -> bool:
-        self.wall_ms = (time.perf_counter() - self._wall_start) * 1e3
-        self.cpu_ms = (time.process_time() - self._cpu_start) * 1e3
-        if exc_type is not None:
-            self.status = "error"
-            self.error = f"{exc_type.__name__}: {exc}"
-        stack = self._stack if self._stack is not None else _STATE.stack
-        # Pop self; tolerate a foreign top if user code misnests spans.
-        if stack and stack[-1] is self:
-            stack.pop()
-        elif self in stack:  # pragma: no cover - defensive
-            stack.remove(self)
-        if stack:
-            stack[-1].children.append(self)
-        else:
-            _STATE.roots.append(self)
-        return False  # never swallow exceptions
-
-    def set(self, **attributes: Any) -> "Span":
-        """Attach attributes to an open (or finished) span."""
-        self.attributes.update(attributes)
-        return self
 
     # -- (de)serialisation ----------------------------------------------
 
@@ -188,33 +149,34 @@ class Span:
         )
 
 
-class _NoopSpan:
-    """Shared do-nothing span returned while tracing is disabled."""
+def open_span(name: str, attributes: dict[str, Any]) -> Span:
+    """Push a span named ``name`` onto this thread's open-span stack.
 
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        return False
-
-    def set(self, **_attributes: Any) -> "_NoopSpan":
-        return self
-
-
-_NOOP = _NoopSpan()
-
-
-def span(name: str, **attributes: Any):
-    """Open a span named ``name`` (context manager).
-
-    While tracing is disabled this returns a shared no-op object without
-    allocating anything — the hot-path cost is one flag check.
+    The span keeps ``attributes`` itself (not a copy), so what the stage
+    sets while it runs lands on the span.
     """
-    if not _ENABLED:
-        return _NOOP
-    return Span(name, attributes)
+    span = Span(name, attributes)
+    _STATE.stack.append(span)
+    span._cpu_start = time.process_time()
+    return span
+
+
+def close_span(
+    span: Span, seconds: float, exc_type: Any = None, exc: Any = None
+) -> None:
+    """Finish ``span`` as ``seconds`` of wall time (the stage's reading)
+    and attach it to its parent, or to this thread's roots."""
+    span.wall_ms = seconds * 1e3
+    span.cpu_ms = (time.process_time() - span._cpu_start) * 1e3
+    if exc_type is not None:
+        span.status = "error"
+        span.error = f"{exc_type.__name__}: {exc}"
+    stack = _STATE.stack
+    stack.remove(span)  # the top, unless stages misnest
+    if stack:
+        stack[-1].children.append(span)
+    else:
+        _STATE.roots.append(span)
 
 
 # ----------------------------------------------------------------------

@@ -35,9 +35,7 @@ from repro.engine.system import SystemConfig
 from repro.errors import OptimizerError
 from repro.lru import StampedLRU, text_bytes
 from repro.obs.metrics import get_registry, metrics_enabled
-from repro.obs.trace import span
-from repro.resilience.deadline import check_deadline
-from repro.resilience.faults import fault_site
+from repro.obs.seam import stage
 from repro.optimizer.cardinality import (
     RelEstimate,
     group_by_estimate,
@@ -265,9 +263,7 @@ class Optimizer:
                 statement whose expressions nest deeper than the
                 interpreter's stack.
         """
-        with span("optimizer.optimize") as current:
-            check_deadline("optimize")
-            fault_site("optimizer.optimize")
+        with stage("optimizer.optimize") as current:
             key, entry, hit = None, None, False
             if isinstance(query, str):
                 key, values, pairs = shape(query)
@@ -322,7 +318,7 @@ class Optimizer:
         statistics, and callers get them in input order.  Each query is a
         cooperative cancellation point for the caller's deadline.
         """
-        with span("optimizer.optimize_many", n=len(queries)):
+        with stage("optimizer.optimize_many", n=len(queries)):
             return [self.optimize(query, lint=lint) for query in queries]
 
     # ------------------------------------------------------------------

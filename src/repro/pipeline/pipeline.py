@@ -50,8 +50,8 @@ from repro.engine.metrics import METRIC_NAMES
 from repro.engine.plan import PlanNode
 from repro.engine.system import SystemConfig
 from repro.errors import ModelError
-from repro.obs.metrics import get_registry, metrics_enabled, timed
-from repro.obs.trace import span
+from repro.obs.metrics import get_registry, metrics_enabled
+from repro.obs.seam import stage
 from repro.pipeline.artifact import (
     ARTIFACT_SCHEMA_VERSION,
     catalog_fingerprint,
@@ -170,7 +170,7 @@ class PredictionPipeline:
 
     def featurize(self, plans: Sequence[PlanNode]) -> np.ndarray:
         """Stage 1: plans to the (n, width) feature matrix."""
-        with span("pipeline.featurize", n=len(plans)):
+        with stage("pipeline.featurize", n=len(plans)):
             return self.feature_space.matrix_from_plans(plans)
 
     # ------------------------------------------------------------------
@@ -191,11 +191,11 @@ class PredictionPipeline:
             optimizer_costs: per-query abstract optimizer costs; enables
                 the calibration stage when given.
         """
-        with span(
+        with stage(
             "pipeline.fit",
             n=int(np.asarray(features).shape[0]),
             model=type(self.model).__name__,
-        ), timed("repro_pipeline_fit_seconds"):
+        ):
             if (
                 isinstance(self.model, FallbackChain)
                 and optimizer_costs is not None
@@ -206,7 +206,7 @@ class PredictionPipeline:
             else:
                 self.model.fit(features, performance)
             scorer = self.scorer
-            with span("pipeline.fit.confidence"):
+            with stage("pipeline.fit.confidence"):
                 self.confidence = (
                     ConfidenceModel(scorer, threshold=self.confidence_threshold)
                     if scorer is not None
@@ -239,11 +239,7 @@ class PredictionPipeline:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predicted performance vectors, shape (n, n_metrics)."""
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        with span("pipeline.predict", n=features.shape[0]), timed(
-            "repro_predict_seconds",
-            "repro_predict_queries_total",
-            features.shape[0],
-        ):
+        with stage("pipeline.predict", n=features.shape[0]):
             return self.model.predict(features)
 
     def predict_many(self, features: np.ndarray) -> np.ndarray:
@@ -268,11 +264,7 @@ class PredictionPipeline:
                 stage can serve calibrated numbers; ignored otherwise.
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        with span("pipeline.score_many", n=features.shape[0]), timed(
-            "repro_predict_seconds",
-            "repro_predict_queries_total",
-            features.shape[0],
-        ):
+        with stage("pipeline.score_many", n=features.shape[0]):
             stage_name: Optional[str] = None
             if isinstance(self.model, FallbackChain):
                 predictions, stage_name, details = self.model.predict_labeled(
@@ -284,7 +276,7 @@ class PredictionPipeline:
                     predictions, details = predict_batch(features)
                 else:
                     predictions, details = self.model.predict(features), None
-            with span("pipeline.confidence"):
+            with stage("pipeline.confidence"):
                 if self.confidence is not None and details is not None:
                     reports: Sequence[Optional[ConfidenceReport]] = (
                         self.confidence.assess_details(details)

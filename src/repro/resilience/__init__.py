@@ -17,8 +17,8 @@ Four zero-dependency building blocks (see docs/ROBUSTNESS.md):
   it died, bitwise-identically;
 * :mod:`repro.resilience.deadline` — :class:`Deadline`: an end-to-end
   request time budget threaded through ``optimize → featurize →
-  predict`` on a thread-local, checked cooperatively at stage
-  boundaries (a spent budget is a structured
+  predict`` on a thread-local, checked cooperatively at the stage
+  boundaries of :mod:`repro.obs.seam` (a spent budget is a structured
   :class:`~repro.errors.DeadlineExceededError`, never a killed thread)
   with per-stage wall-time accounting;
 * :mod:`repro.resilience.fallback` — :class:`FallbackChain`: KCCA →
@@ -41,10 +41,8 @@ _EXPORTS = {
     "JOURNAL_FORMAT_VERSION": "checkpoint",
     "BuildJournal": "checkpoint",
     "Deadline": "deadline",
-    "check_deadline": "deadline",
     "current_deadline": "deadline",
     "deadline_scope": "deadline",
-    "stage_scope": "deadline",
     "STAGE_NAMES": "fallback",
     "CostHeuristicPredictor": "fallback",
     "FallbackChain": "fallback",

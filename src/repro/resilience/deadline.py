@@ -3,17 +3,17 @@
 A :class:`Deadline` is a monotonic budget attached to one request (or
 one serving micro-batch): it remembers when it started, how much wall
 time it was given, and how that time was spent per pipeline stage.  The
-production hot path never kills a thread — instead the stage boundaries
-(``optimize`` → ``featurize`` → ``predict``) call :func:`check_deadline`
-and a spent budget surfaces as a structured
+production hot path never kills a thread — instead each stage boundary
+(``optimize`` → ``featurize`` → ``predict``, crossed through
+:func:`repro.obs.seam.stage`) checks the budget on entry and charges the
+stage on exit, and a spent budget surfaces as a structured
 :class:`~repro.errors.DeadlineExceededError` which the serving daemon
 maps to a 504 (*never* a silently late answer).
 
 The current deadline travels on a thread-local, mirroring the
 ``repro.obs`` span stack: :func:`deadline_scope` installs one for a
-block, :func:`current_deadline` reads it, and with no deadline installed
-every helper is a thread-local load plus a ``None`` check — the
-machinery lives in the hot path permanently at ~zero cost.
+block and :func:`current_deadline` reads it; with no deadline installed
+a stage boundary pays a thread-local load plus a ``None`` check.
 
 Usage (what the serving batcher does)::
 
@@ -36,16 +36,7 @@ from typing import Callable, Iterator, Optional
 from repro.analysis.sanitizer import make_lock
 from repro.errors import DeadlineExceededError
 
-__all__ = [
-    "Deadline",
-    "deadline_scope",
-    "current_deadline",
-    "check_deadline",
-    "stage_scope",
-]
-
-#: Canonical stage names, in hot-path order (for status rendering).
-STAGE_NAMES = ("queue", "optimize", "featurize", "predict")
+__all__ = ["Deadline", "deadline_scope", "current_deadline"]
 
 
 class Deadline:
@@ -54,10 +45,11 @@ class Deadline:
     Args:
         budget_s: total wall-time budget in seconds; ``None`` means
             unbounded (accounting still accrues, checks never raise).
-        clock: monotonic time source (injectable for tests).
+        clock: monotonic time source (injectable for tests); the stage
+            seam times the stages of a request on it too.
     """
 
-    __slots__ = ("budget_s", "_clock", "_started", "stage_ms", "_lock")
+    __slots__ = ("budget_s", "clock", "_started", "stage_ms", "_lock")
 
     def __init__(
         self,
@@ -67,7 +59,7 @@ class Deadline:
         if budget_s is not None and budget_s < 0:
             budget_s = 0.0
         self.budget_s = budget_s
-        self._clock = clock
+        self.clock = clock
         self._started = clock()
         self.stage_ms: dict[str, float] = {}
         self._lock = make_lock("resilience.deadline")
@@ -90,9 +82,16 @@ class Deadline:
     def budget_ms(self) -> Optional[float]:
         return None if self.budget_s is None else self.budget_s * 1e3
 
+    def fork(self) -> "Deadline":
+        """A deadline that expires when this one does, with no stage
+        readings yet (what a micro-batch runs under)."""
+        twin = Deadline(self.budget_s, self.clock)
+        twin._started = self._started
+        return twin
+
     def elapsed_s(self) -> float:
         """Wall time spent since the deadline started."""
-        return max(0.0, self._clock() - self._started)
+        return max(0.0, self.clock() - self._started)
 
     def remaining_s(self) -> float:
         """Budget left (``inf`` when unbounded; negative never returned)."""
@@ -104,16 +103,18 @@ class Deadline:
         """Whether the budget is spent."""
         return self.budget_s is not None and self.elapsed_s() >= self.budget_s
 
-    def check(self, stage: str) -> None:
-        """Raise :class:`DeadlineExceededError` when the budget is spent.
+    def check(self, stage: str) -> float:
+        """Raise :class:`DeadlineExceededError` when the budget is spent;
+        return the clock reading it was judged at.
 
         The cooperative cancellation point: called at stage boundaries,
         so a request never burns compute its caller has already given
         up on — and no thread is ever killed.
         """
+        now = self.clock()
         if self.budget_s is None:
-            return
-        elapsed = self.elapsed_s()
+            return now
+        elapsed = max(0.0, now - self._started)
         if elapsed >= self.budget_s:
             raise DeadlineExceededError(
                 f"deadline of {self.budget_s * 1e3:.1f} ms spent before "
@@ -122,6 +123,7 @@ class Deadline:
                 budget_ms=self.budget_s * 1e3,
                 elapsed_ms=elapsed * 1e3,
             )
+        return now
 
     # -- accounting ------------------------------------------------------
 
@@ -131,16 +133,6 @@ class Deadline:
             self.stage_ms[stage] = (
                 self.stage_ms.get(stage, 0.0) + max(0.0, seconds) * 1e3
             )
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Check expiry on entry, charge the stage's elapsed time on exit."""
-        self.check(name)
-        start = self._clock()
-        try:
-            yield
-        finally:
-            self.account(name, self._clock() - start)
 
     def to_payload(self) -> dict:
         """JSON-able snapshot (responses, status pages, test assertions)."""
@@ -182,29 +174,3 @@ def deadline_scope(deadline: Optional[Deadline]) -> Iterator[Optional[Deadline]]
     finally:
         _LOCAL.deadline = previous
 
-
-def check_deadline(stage: str) -> None:
-    """Check the current deadline (no-op when none is installed).
-
-    The call production stage boundaries make; disarmed cost is one
-    thread-local load and a ``None`` test.
-    """
-    deadline = getattr(_LOCAL, "deadline", None)
-    if deadline is not None:
-        deadline.check(stage)
-
-
-@contextmanager
-def stage_scope(name: str) -> Iterator[None]:
-    """Stage boundary helper: check + account against the current deadline.
-
-    With no deadline installed this is a plain passthrough; with one it
-    checks expiry on entry and charges the stage's wall time on exit —
-    the per-stage numbers surface in ``/admin/status`` and spans.
-    """
-    deadline = getattr(_LOCAL, "deadline", None)
-    if deadline is None:
-        yield
-        return
-    with deadline.stage(name):
-        yield

@@ -44,9 +44,8 @@ from repro.core.regression import MultiMetricRegression
 from repro.engine.metrics import METRIC_NAMES
 from repro.errors import ModelError, NotFittedError
 from repro.obs.metrics import get_registry, metrics_enabled
-from repro.obs.trace import span
+from repro.obs.seam import stage as _stage
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.faults import fault_site
 
 __all__ = ["FallbackChain", "CostHeuristicPredictor", "STAGE_NAMES"]
 
@@ -330,8 +329,7 @@ class FallbackChain(SerializableModel):
                 errors.append(f"{stage.name}: breaker open")
                 continue
             try:
-                with span("fallback.stage", stage=stage.name):
-                    fault_site(f"fallback.{stage.name}", stage=stage.name)
+                with _stage(f"fallback.{stage.name}", stage=stage.name):
                     predictions, details = self._invoke(
                         stage, features, optimizer_costs
                     )

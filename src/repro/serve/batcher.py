@@ -251,23 +251,22 @@ class MicroBatcher:
             )
         )
 
-    @staticmethod
-    def _batch_deadline(batch: list[PendingRequest]) -> Optional[Deadline]:
-        """The deadline a batch predicts under: the *loosest* member's.
+    def _batch_deadline(self, batch: list[PendingRequest]) -> Optional[Deadline]:
+        """The deadline a batch predicts under; None when no member has one.
 
-        A batch is aborted mid-pipeline only when nobody in it can still
-        be served; members whose own (tighter) budget lapses while the
-        batch runs are expired individually at resolve time.  Any
-        unbounded member makes the whole batch unbounded.
-        """
-        loosest: Optional[Deadline] = None
-        for pending in batch:
-            deadline = pending.deadline
-            if deadline is None or deadline.budget_s is None:
-                return None
-            if loosest is None or deadline.remaining_s() > loosest.remaining_s():
-                loosest = deadline
-        return loosest
+        It expires with the *loosest* member's budget (any unbounded
+        member makes it unbounded): a batch is aborted mid-pipeline only
+        when nobody in it can still be served; a member whose own budget
+        lapses meanwhile is expired at resolve time.  It starts with no
+        stage readings: what the batch's stages read is charged to every
+        member."""
+        deadlines = [pending.deadline for pending in batch]
+        if all(deadline is None for deadline in deadlines):
+            return None
+        if any(deadline is None or deadline.budget_s is None
+               for deadline in deadlines):
+            return Deadline(clock=self._clock)
+        return max(deadlines, key=Deadline.remaining_s).fork()
 
     def _run_batch(self, batch: list[PendingRequest], inline: bool = False) -> None:
         # Refuse to burn compute on requests whose budget is already
@@ -305,6 +304,12 @@ class MicroBatcher:
             for pending in live:
                 pending.fail(error)
             return
+        finally:
+            if batch_deadline is not None:
+                for pending in live:
+                    if pending.deadline is not None:
+                        for stage, ms in batch_deadline.stage_ms.items():
+                            pending.deadline.account(stage, ms / 1e3)
         if len(results) != len(sqls):
             error = ServeError(
                 f"batch predict returned {len(results)} results "
@@ -321,11 +326,12 @@ class MicroBatcher:
                 self.batches += 1
                 self.batched_statements += len(sqls)
                 self.largest_batch = max(self.largest_batch, len(sqls))
-            if batch_deadline is not None:
-                for stage, ms in batch_deadline.stage_ms.items():
-                    self.stage_ms_total[stage] = (
-                        self.stage_ms_total.get(stage, 0.0) + ms
-                    )
+            for pending in live:
+                if pending.deadline is not None:
+                    for stage, ms in pending.deadline.stage_ms.items():
+                        self.stage_ms_total[stage] = (
+                            self.stage_ms_total.get(stage, 0.0) + ms
+                        )
         cursor = 0
         for pending in live:
             slice_ = results[cursor : cursor + len(pending.sqls)]

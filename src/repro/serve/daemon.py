@@ -61,7 +61,7 @@ from repro.errors import (
     SQLError,
 )
 from repro.obs.metrics import Histogram, enable_metrics, get_registry
-from repro.obs.trace import span
+from repro.obs.seam import stage
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import fault_site
@@ -342,20 +342,19 @@ class PredictionDaemon:
         floors the fallback chain at the cheap regression stage for this
         batch.
         """
-        fault_site("serve.batch", n=len(sqls))
-        runtime = self._runtime
-        floor = None
-        if self.degrade is not None:
-            floor = self.degrade.fallback_floor()
-        chain = runtime.service.fallback_chain()
-        if chain is not None:
-            chain.set_floor(floor)
-        try:
-            with span("serve.batch", n=len(sqls)):
-                forecasts = runtime.service.forecast_many(sqls)
-        finally:
+        with stage("serve.batch", n=len(sqls)):
+            runtime = self._runtime
+            floor = None
+            if self.degrade is not None:
+                floor = self.degrade.fallback_floor()
+            chain = runtime.service.fallback_chain()
             if chain is not None:
-                chain.set_floor(None)
+                chain.set_floor(floor)
+            try:
+                forecasts = runtime.service.forecast_many(sqls)
+            finally:
+                if chain is not None:
+                    chain.set_floor(None)
         return [(forecast, runtime.version) for forecast in forecasts]
 
     # -- degradation ladder ----------------------------------------------

@@ -1,5 +1,6 @@
-"""RD006 clean: every armed site comes from the registered list."""
+"""RD006 clean: every armed or stage-fired site comes from the registered list."""
 
+from repro.obs.seam import StageRow
 from repro.resilience.faults import FaultPlan
 
 plan = (
@@ -9,3 +10,5 @@ plan = (
     .on("serve.supervisor", mode="exit", calls={2})
     .on("serve.batch", mode="hang", delay=0.05)
 )
+row = StageRow(deadline="optimize", fault_site="optimizer.optimize")
+fallback = StageRow(fault_site=f"fallback.{plan.seed}")

@@ -9,6 +9,7 @@ self-lint invariant that ``src/repro`` itself is clean.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -189,6 +190,34 @@ class TestRuleScoping:
             'p = FaultPlan(seed=0).on(f"fallback.{x}", mode="raise")\n'
         )
         assert lint_source(ok, NEUTRAL_PATH, CODE_RULES) == []
+
+
+    def test_rd006_reads_the_stage_table_rows(self):
+        findings = lint_fixture("rd006_bad.py")
+        assert [f.line for f in findings] == [6, 7]
+        assert "'bogus.stage'" in findings[1].message
+
+    def test_every_registered_site_is_fired(self):
+        """A chaos plan can name only sites that a stage or a call fires."""
+        from repro.obs.seam import STAGES
+        from repro.resilience.faults import (
+            REGISTERED_SITE_PREFIXES,
+            REGISTERED_SITES,
+        )
+
+        fired = {row.fault_site for row in STAGES.values() if row.fault_site}
+        for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and (dotted_name(node.func) or "").endswith("fault_site")
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                ):
+                    fired.add(node.args[0].value)
+        assert REGISTERED_SITES <= fired
+        for prefix in REGISTERED_SITE_PREFIXES:
+            assert any(site.startswith(prefix) for site in fired), prefix
 
 
 class TestSuppressions:

@@ -160,6 +160,17 @@ class TestCommands:
         assert main(["serve", "--degrade-force-tier", "3"]) == 1
         assert "tier in 0..2" in capsys.readouterr().err
 
+    def test_serve_refuses_trace_out(self, tmp_path, capsys):
+        """A daemon's spans live on its handler and collector threads, so
+        a trace written at exit would be empty: refused before any model
+        is read, and no file is written."""
+        out = tmp_path / "trace.json"
+        argv = ["--trace-out", str(out), "serve", "--model", str(tmp_path / "m.npz")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--trace-out" in err and "/metrics" in err and "/admin/status" in err
+        assert not out.exists()
+
     def test_production_system(self, capsys):
         code = main(["--scale", "0.05", "--system", "prod8", "measure", SQL])
         assert code == 0

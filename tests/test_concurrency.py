@@ -458,21 +458,25 @@ class TestStressUnderSanitizer:
         assert registry.counter("stress_total").value == THREADS * ROUNDS
         assert sanitizer_findings() == []
 
-    def test_timed_first_call_race_is_idempotent(self, sanitizer):
+    def test_timed_first_call_race_is_idempotent(self, sanitizer, monkeypatch):
         from repro.obs.metrics import (
             disable_metrics,
             enable_metrics,
             get_registry,
             reset_metrics,
-            timed,
         )
+        from repro.obs.seam import STAGES, StageRow, stage
 
+        monkeypatch.setitem(
+            STAGES, "stress.stage",
+            StageRow(histogram="stress_latency_seconds", counter="stress_done"),
+        )
         reset_metrics()
         enable_metrics()
         try:
             def worker():
                 for _ in range(ROUNDS):
-                    with timed("stress_latency_seconds", "stress_done"):
+                    with stage("stress.stage"):
                         pass
 
             _hammer(worker)

@@ -1,11 +1,11 @@
 """Observability layer tests: tracing spans, metrics, drift monitoring.
 
-Covers the PR's acceptance criteria: span nesting and exception capture,
-the worker-merge path through a real ``jobs=2`` corpus build, histogram
-quantiles and the Prometheus text export, the no-op fast path, the
-drift-flag flip + recovery cycle, and the end-to-end requirement that a
-single traced ``forecast`` emits optimize / featurize / project / knn
-spans.
+Covers span nesting and exception capture, the worker-merge path
+through a real ``jobs=2`` corpus build, histogram quantiles and the
+Prometheus text export, the no-op fast path, the drift-flag flip +
+recovery cycle, the end-to-end requirement that a single traced
+``forecast`` emits optimize / featurize / project / knn spans, and that
+a stage's span, deadline charge and histogram are one clock reading.
 """
 
 import json
@@ -21,6 +21,8 @@ from repro.errors import ModelError, ReproError
 from repro.experiments.corpus import build_corpus
 from repro.obs.drift import DriftMonitor, relative_errors
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.seam import STAGES, StageRow
+from repro.resilience.deadline import Deadline, deadline_scope
 from repro.workloads.generator import generate_pool
 
 
@@ -46,11 +48,11 @@ def _clean_obs_state():
 class TestSpans:
     def test_nesting_builds_a_tree(self):
         obs.enable_tracing()
-        with obs.span("outer", n=2):
-            with obs.span("inner.a"):
+        with obs.stage("outer", n=2):
+            with obs.stage("inner.a"):
                 pass
-            with obs.span("inner.b"):
-                with obs.span("leaf"):
+            with obs.stage("inner.b"):
+                with obs.stage("leaf"):
                     pass
         roots = obs.trace_roots()
         assert [r.name for r in roots] == ["outer"]
@@ -62,11 +64,11 @@ class TestSpans:
 
     def test_walk_yields_depth_first(self):
         obs.enable_tracing()
-        with obs.span("a"):
-            with obs.span("b"):
-                with obs.span("c"):
+        with obs.stage("a"):
+            with obs.stage("b"):
+                with obs.stage("c"):
                     pass
-            with obs.span("d"):
+            with obs.stage("d"):
                 pass
         (root,) = obs.trace_roots()
         assert [s.name for s in root.walk()] == ["a", "b", "c", "d"]
@@ -74,7 +76,7 @@ class TestSpans:
     def test_exception_marks_span_and_propagates(self):
         obs.enable_tracing()
         with pytest.raises(ValueError, match="boom"):
-            with obs.span("failing"):
+            with obs.stage("failing"):
                 raise ValueError("boom")
         (root,) = obs.trace_roots()
         assert root.status == "error"
@@ -82,15 +84,15 @@ class TestSpans:
 
     def test_set_attaches_attributes(self):
         obs.enable_tracing()
-        with obs.span("s") as current:
+        with obs.stage("s") as current:
             current.set(rows=10, kind="scan")
         (root,) = obs.trace_roots()
         assert root.attributes == {"rows": 10, "kind": "scan"}
 
     def test_export_round_trips_through_dicts(self):
         obs.enable_tracing()
-        with obs.span("parent", n=1):
-            with obs.span("child"):
+        with obs.stage("parent", n=1):
+            with obs.stage("child"):
                 pass
         payload = obs.export_trace(drain=True)
         assert obs.trace_roots() == []
@@ -103,7 +105,7 @@ class TestSpans:
     def test_attach_spans_grafts_into_open_span(self):
         obs.enable_tracing()
         payload = [{"name": "worker.span", "wall_ms": 1.0, "cpu_ms": 0.5}]
-        with obs.span("parent"):
+        with obs.stage("parent"):
             obs.attach_spans(payload)
         (root,) = obs.trace_roots()
         assert [c.name for c in root.children] == ["worker.span"]
@@ -114,20 +116,20 @@ class TestSpans:
         assert [r.name for r in obs.trace_roots()] == ["orphan"]
 
     def test_noop_when_disabled(self):
-        with obs.span("ignored") as current:
+        with obs.stage("ignored") as current:
             current.set(anything=1)
         assert obs.trace_roots() == []
         # The disabled path hands back one shared object — no allocation.
-        assert obs.span("a") is obs.span("b")
+        assert obs.stage("a") is obs.stage("b")
         obs.attach_spans([{"name": "dropped"}])
         assert obs.trace_roots() == []
 
     def test_pretty_trace_renders_names_and_errors(self):
         obs.enable_tracing()
-        with obs.span("fine", n=3):
+        with obs.stage("fine", n=3):
             pass
         with pytest.raises(RuntimeError):
-            with obs.span("broken"):
+            with obs.stage("broken"):
                 raise RuntimeError("nope")
         rendering = obs.pretty_trace()
         assert "fine" in rendering and '"n": 3' in rendering
@@ -257,21 +259,29 @@ class TestRegistry:
         assert 'repro_lat_seconds_bucket{le="+Inf"} 3' in text
         assert "repro_lat_seconds_count 3" in text
 
-    def test_timed_records_only_when_enabled(self):
-        with obs.timed("repro_t_seconds", "repro_t_total"):
+    def test_timed_records_only_when_enabled(self, monkeypatch):
+        monkeypatch.setitem(
+            STAGES, "t.stage",
+            StageRow(histogram="repro_t_seconds", counter="repro_t_total"),
+        )
+        with obs.stage("t.stage"):
             pass
         assert obs.get_registry().names() == []
         obs.enable_metrics()
-        with obs.timed("repro_t_seconds", "repro_t_total", count=4):
+        with obs.stage("t.stage", n=4):
             pass
         snap = obs.metrics_snapshot()
         assert snap["repro_t_seconds"]["count"] == 1
         assert snap["repro_t_total"]["value"] == 4.0
 
-    def test_timed_skips_counter_on_exception(self):
+    def test_timed_skips_counter_on_exception(self, monkeypatch):
+        monkeypatch.setitem(
+            STAGES, "t.stage",
+            StageRow(histogram="repro_t_seconds", counter="repro_t_total"),
+        )
         obs.enable_metrics()
         with pytest.raises(KeyError):
-            with obs.timed("repro_t_seconds", "repro_t_total"):
+            with obs.stage("t.stage"):
                 raise KeyError("x")
         snap = obs.metrics_snapshot()
         assert snap["repro_t_seconds"]["count"] == 1  # latency still kept
@@ -465,6 +475,34 @@ class TestEndToEnd:
         snap = obs.metrics_snapshot()
         assert snap["repro_forecast_memo_hits_total"]["value"] == 1.0
         assert snap["repro_forecast_memo_misses_total"]["value"] == 2.0
+
+    def test_a_stage_is_one_reading(self, trained_service):
+        """Span, deadline and histogram of each stage are the same number."""
+        sqls = [
+            "SELECT count(*) AS c FROM store_sales ss WHERE ss.ss_quantity > 57",
+            "SELECT count(*) AS c FROM customer c WHERE c.c_birth_year > 1957",
+        ]
+        obs.enable_tracing()
+        obs.enable_metrics()
+        deadline = Deadline(budget_s=60.0)
+        with deadline_scope(deadline):
+            trained_service.forecast_many(sqls)
+        (root,) = obs.drain_trace()
+        wall_ms: dict[str, float] = {}
+        for span in root.walk():
+            wall_ms[span.name] = wall_ms.get(span.name, 0.0) + span.wall_ms
+        predict_ms = obs.metrics_snapshot()["repro_predict_seconds"]["sum"] * 1e3
+        assert set(deadline.stage_ms) == {"optimize", "featurize", "predict"}
+        assert deadline.stage_ms["optimize"] == pytest.approx(
+            wall_ms["optimizer.optimize"], rel=1e-9
+        )
+        assert deadline.stage_ms["featurize"] == pytest.approx(
+            wall_ms["api.featurize"], rel=1e-9
+        )
+        assert deadline.stage_ms["predict"] == pytest.approx(
+            wall_ms["pipeline.score_many"], rel=1e-9
+        )
+        assert predict_ms == pytest.approx(deadline.stage_ms["predict"], rel=1e-9)
 
     def test_api_facade_switches(self):
         from repro import api

@@ -23,15 +23,11 @@ import time
 import pytest
 
 from repro.errors import DeadlineExceededError, ServeRejectedError
-from repro.resilience.deadline import (
-    Deadline,
-    check_deadline,
-    current_deadline,
-    deadline_scope,
-    stage_scope,
-)
+from repro.obs.seam import stage
+from repro.resilience.deadline import Deadline, current_deadline, deadline_scope
 from repro.resilience.faults import FaultPlan, armed
 from repro.serve import PredictionDaemon, ServeConfig
+from repro.serve.batcher import MicroBatcher, PendingRequest
 from repro.serve.degrade import MAX_TIER, TIER_NAMES, DegradeController
 
 from tests.test_serve import (
@@ -108,12 +104,13 @@ class TestDeadline:
     def test_stage_scope_accounts_wall_time(self):
         clock = FakeClock()
         deadline = Deadline(budget_s=10.0, clock=clock)
-        with deadline.stage("optimize"):
-            clock.advance(0.002)
-        with deadline.stage("predict"):
-            clock.advance(0.005)
-        with deadline.stage("predict"):
-            clock.advance(0.001)
+        with deadline_scope(deadline):
+            with stage("optimizer.optimize"):
+                clock.advance(0.002)
+            with stage("pipeline.score_many"):
+                clock.advance(0.005)
+            with stage("pipeline.score_many"):
+                clock.advance(0.001)
         assert deadline.stage_ms["optimize"] == pytest.approx(2.0)
         assert deadline.stage_ms["predict"] == pytest.approx(6.0)
         payload = deadline.to_payload()
@@ -125,10 +122,11 @@ class TestDeadline:
         deadline = Deadline(budget_s=0.1, clock=clock)
         clock.advance(0.2)
         entered = False
-        with pytest.raises(DeadlineExceededError):
-            with deadline.stage("featurize"):
+        with deadline_scope(deadline), pytest.raises(DeadlineExceededError):
+            with stage("api.featurize"):
                 entered = True
         assert not entered  # cancelled before any stage work ran
+        assert deadline.stage_ms == {}
 
     def test_thread_local_scope_nests_and_restores(self):
         assert current_deadline() is None
@@ -144,25 +142,53 @@ class TestDeadline:
         assert current_deadline() is None
 
     def test_check_deadline_is_noop_without_scope(self):
-        check_deadline("optimize")  # no deadline installed: silent
+        with stage("optimizer.optimize"):  # no deadline installed: silent
+            pass
 
     def test_check_deadline_raises_inside_scope(self):
         clock = FakeClock()
         deadline = Deadline(budget_s=0.05, clock=clock)
         clock.advance(0.1)
         with deadline_scope(deadline):
-            with pytest.raises(DeadlineExceededError):
-                check_deadline("featurize")
+            with pytest.raises(DeadlineExceededError) as spent:
+                with stage("api.featurize"):
+                    pass
+        assert spent.value.stage == "featurize"
 
     def test_stage_scope_helper_accounts_current_deadline(self):
         clock = FakeClock()
         deadline = Deadline(budget_s=1.0, clock=clock)
-        with stage_scope("predict"):
+        with stage("pipeline.score_many"):
             pass  # passthrough with no deadline installed
         with deadline_scope(deadline):
-            with stage_scope("predict"):
+            with stage("pipeline.score_many"):
                 clock.advance(0.004)
         assert deadline.stage_ms["predict"] == pytest.approx(4.0)
+
+    def test_every_co_batched_member_is_charged_the_batch_stages(self):
+        """One batch, one reading per stage, charged to each member — not
+        only to the loosest, whose budget the batch still expires with."""
+        clock = FakeClock()
+        installed = []
+
+        def predict(sqls):
+            installed.append(current_deadline().remaining_s())
+            with stage("optimizer.optimize"):
+                clock.advance(0.002)
+            with stage("pipeline.score_many"):
+                clock.advance(0.003)
+            return sqls
+
+        tight = PendingRequest(["a"], "x", Deadline(budget_s=1.0, clock=clock))
+        loose = PendingRequest(["b"], "y", Deadline(budget_s=5.0, clock=clock))
+        clock.advance(0.001)
+        MicroBatcher(predict, clock=clock)._run_batch([tight, loose])
+        assert installed == [pytest.approx(loose.deadline.remaining_s() + 0.005)]
+        for pending in (tight, loose):
+            assert pending.results == pending.sqls
+            assert pending.deadline.stage_ms == pytest.approx(
+                {"queue": 1.0, "optimize": 2.0, "predict": 3.0}
+            )
 
     def test_scope_is_thread_local(self):
         deadline = Deadline(budget_s=1.0, clock=FakeClock())

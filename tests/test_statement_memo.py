@@ -216,15 +216,19 @@ class TestInvalidation:
         plan = FaultPlan(seed=3).on("optimizer.optimize", mode="raise", rate=1.0)
         with armed(plan), pytest.raises(InjectedFault):
             fresh.forecast(sql)
-        # A clock that moves a second a reading: the budget survives the
-        # optimize stage's own entry check and is spent by the time the
-        # memoised statement is reached.
+        # A clock that moves a second a reading: the deadline starts at 0
+        # and is spent at the next reading, which is the memoised
+        # statement's own check (later stages would name themselves).
         ticks = iter(range(100))
-        deadline = Deadline(budget_s=2.5, clock=lambda: float(next(ticks)))
+        deadline = Deadline(budget_s=0.5, clock=lambda: float(next(ticks)))
         with deadline_scope(deadline), pytest.raises(DeadlineExceededError) as spent:
             fresh.forecast(sql)
         assert spent.value.stage == "optimize"
-        assert fresh.forecast(sql) == answer
+        # Answered, the hit still has its optimize stage, charged nothing.
+        unbounded = Deadline()
+        with deadline_scope(unbounded):
+            assert fresh.forecast(sql) == answer
+        assert unbounded.stage_ms["optimize"] == 0.0
 
     def test_analyze_starts_the_memo_over(self, config):
         """Statistics the plans were costed from changed: the next
