@@ -27,9 +27,6 @@ import hashlib
 import importlib
 import io
 import json
-import struct
-import zipfile
-import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Optional, Protocol, Type, runtime_checkable
@@ -37,7 +34,7 @@ from typing import Any, Iterator, Optional, Protocol, Type, runtime_checkable
 import numpy as np
 
 from repro.errors import ModelError, ReproError
-from repro.ioutils import atomic_savez
+from repro.ioutils import NPZ_READ_ERRORS, atomic_savez
 from repro.resilience.faults import fault_site
 
 __all__ = [
@@ -287,18 +284,7 @@ def read_state(
             arrays = {
                 key: data[key] for key in data.files if key != "__manifest__"
             }
-    except (
-        OSError,
-        zipfile.BadZipFile,
-        zlib.error,
-        struct.error,
-        EOFError,
-        ValueError,
-    ) as error:
-        # np.load raises BadZipFile for truncated/corrupt .npz files,
-        # ValueError for pickled payloads (refused by allow_pickle=False),
-        # and leaks zlib.error / struct.error / EOFError when the damage
-        # hits a member's compressed payload instead of the zip directory.
+    except NPZ_READ_ERRORS as error:
         raise ModelError(f"cannot read model artifact {path}: {error}") from error
     version = manifest.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:

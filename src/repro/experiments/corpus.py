@@ -49,7 +49,7 @@ from repro.core.features import plan_feature_vector
 from repro.engine import Executor, PerformanceMetrics, SystemConfig
 from repro.engine.metrics import METRIC_NAMES
 from repro.errors import CorpusBuildError, ReproError, RetryExhaustedError
-from repro.ioutils import atomic_savez
+from repro.ioutils import NPZ_READ_ERRORS, atomic_savez
 from repro.obs.seam import stage
 from repro.obs.trace import (
     attach_spans,
@@ -669,36 +669,41 @@ def load_corpus(path: Path) -> Corpus:
     """Load a corpus saved by :func:`save_corpus`.
 
     Raises:
-        ReproError: when the file has an incompatible format version.
+        ReproError: when the file cannot be read as a corpus cache (it
+            is missing, damaged, or lacks a member) or has an
+            incompatible format version.
     """
     path = Path(path)
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
-        if meta.get("version") != CORPUS_FORMAT_VERSION:
-            raise ReproError(
-                f"corpus cache {path} has version {meta.get('version')}, "
-                f"expected {CORPUS_FORMAT_VERSION}; rebuild it"
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
+            if meta.get("version") != CORPUS_FORMAT_VERSION:
+                raise ReproError(
+                    f"corpus cache {path} has version {meta.get('version')}, "
+                    f"expected {CORPUS_FORMAT_VERSION}; rebuild it"
+                )
+            features = data["features"]
+            sql_features = data["sql_features"]
+            performance = data["performance"]
+            cost = data["optimizer_cost"]
+            estimated_rows = data["estimated_rows"]
+        queries = [
+            ExecutedQuery(
+                query_id=meta["query_ids"][i],
+                template=meta["templates"][i],
+                family=meta["families"][i],
+                sql=meta["sql"][i],
+                features=features[i],
+                sql_features=sql_features[i],
+                performance=performance[i],
+                optimizer_cost=float(cost[i]),
+                estimated_rows=float(estimated_rows[i]),
             )
-        features = data["features"]
-        sql_features = data["sql_features"]
-        performance = data["performance"]
-        cost = data["optimizer_cost"]
-        estimated_rows = data["estimated_rows"]
-    queries = [
-        ExecutedQuery(
-            query_id=meta["query_ids"][i],
-            template=meta["templates"][i],
-            family=meta["families"][i],
-            sql=meta["sql"][i],
-            features=features[i],
-            sql_features=sql_features[i],
-            performance=performance[i],
-            optimizer_cost=float(cost[i]),
-            estimated_rows=float(estimated_rows[i]),
-        )
-        for i in range(len(meta["query_ids"]))
-    ]
-    return Corpus(queries, meta["config_name"])
+            for i in range(len(meta["query_ids"]))
+        ]
+        return Corpus(queries, meta["config_name"])
+    except (*NPZ_READ_ERRORS, KeyError) as error:
+        raise ReproError(f"cannot read corpus cache {path}: {error}") from error
 
 
 def load_or_build_corpus(
@@ -718,8 +723,8 @@ def load_or_build_corpus(
     if not rebuild and path.exists():
         try:
             return load_corpus(path)
-        except (ReproError, OSError, KeyError, json.JSONDecodeError):
-            pass  # stale or corrupt cache: rebuild below
+        except ReproError:
+            pass  # stale or unreadable cache: rebuild below
     corpus = builder() if jobs is None else builder(jobs=jobs)
     save_corpus(corpus, path)
     return corpus

@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import atexit
 import os
+import struct
 import tempfile
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
@@ -45,6 +48,7 @@ if TYPE_CHECKING:
     from multiprocessing import shared_memory
 
 __all__ = [
+    "NPZ_READ_ERRORS",
     "atomic_write_bytes",
     "atomic_write_text",
     "atomic_savez",
@@ -57,6 +61,21 @@ __all__ = [
     "active_plane_names",
     "close_all_planes",
 ]
+
+
+#: What reading a damaged ``.npz`` raises: ``np.load`` raises
+#: ``BadZipFile`` for a truncated or corrupt archive and ``ValueError``
+#: for a pickled payload (refused by ``allow_pickle=False``), and leaks
+#: ``zlib.error`` / ``struct.error`` / ``EOFError`` when the damage hits a
+#: member's compressed payload instead of the zip directory.
+NPZ_READ_ERRORS = (
+    OSError,
+    zipfile.BadZipFile,
+    zlib.error,
+    struct.error,
+    EOFError,
+    ValueError,
+)
 
 
 def fsync_dir(directory: Union[str, Path]) -> None:

@@ -1,9 +1,9 @@
 """Micro-batching collector for the serving daemon.
 
-Handler threads :meth:`~MicroBatcher.submit` their statements and block
-on an event; a single collector thread takes everything queued — up
-to ``max_batch`` statements — and runs the daemon's batch predict
-function **once** per batch.  The collector is work-conserving: it
+Handler threads :meth:`~MicroBatcher.submit` a :class:`ForecastRequest`
+and block on its event; a single collector thread takes everything
+queued — up to ``max_batch`` statements — and runs the daemon's batch
+predict function **once** per batch.  The collector is work-conserving: it
 never holds a batch open on a timer.  An idle collector dispatches a
 lone request at once; requests that arrive while a batch is predicting
 queue up and leave together as the next batch, so load, not a wait,
@@ -11,9 +11,9 @@ forms the batches.  That is the whole point: N concurrent requests
 cost one kernel cross through ``forecast_many`` instead of N (the
 property ``tests/test_serve.py`` asserts by counting crosses).
 
-The batcher knows nothing about HTTP or models; it moves lists of SQL
-between threads.  Failure of a batch fans the exception out to every
-pending request in it — except a statement that does not parse or bind
+The batcher knows nothing about HTTP or models; it moves request
+records between threads.  Failure of a batch fans the exception out to
+every request in it — except a statement that does not parse or bind
 (``SQLError`` / ``OptimizerError``): that is its sender's error, so the
 members of such a batch are predicted again one by one and only the
 request that carries the statement fails.  :meth:`stop` drains the
@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from repro.analysis.sanitizer import guarded_by, make_condition, note_access
 from repro.errors import (
@@ -44,7 +44,7 @@ from repro.errors import (
 from repro.resilience.deadline import Deadline, deadline_scope
 
 __all__ = [
-    "PendingRequest",
+    "ForecastRequest",
     "MicroBatcher",
     "QueueFullError",
     "BatchTooLargeError",
@@ -60,37 +60,36 @@ class BatchTooLargeError(ServeError):
     hold: retrying cannot help, so it is the sender's error (400)."""
 
 
-class PendingRequest:
-    """One submitted request waiting for its slice of a batch result.
+class ForecastRequest:
+    """One forecast request, built once from its validated body.
 
-    Carries the request's :class:`Deadline` (or None for unbounded):
-    the collector refuses to spend compute on a request whose budget is
-    already gone, and never resolves a late result silently.
+    It holds what the request asked (``sqls``, ``client``), its
+    :class:`Deadline` (None for unbounded) and the clock reading at its
+    arrival, and it is what the batcher queues.  The collector refuses
+    to spend compute on a request whose budget is already gone, and
+    never resolves a late result silently.  Its settle slots —
+    ``results`` or ``error``, then ``event`` — are written once, by
+    whichever thread ran its batch.
     """
 
     __slots__ = (
-        "sqls",
-        "client",
-        "event",
-        "results",
-        "error",
-        "deadline",
-        "submitted_at",
+        "sqls", "client", "deadline", "arrived", "event", "results", "error"
     )
 
     def __init__(
         self,
         sqls: Sequence[str],
         client: str,
-        deadline: Optional[Deadline] = None,
+        deadline: Optional[Deadline],
+        arrived: float,
     ) -> None:
         self.sqls = list(sqls)
         self.client = client
+        self.deadline = deadline
+        self.arrived = arrived
         self.event = threading.Event()
         self.results: Optional[list] = None
         self.error: Optional[BaseException] = None
-        self.deadline = deadline
-        self.submitted_at = 0.0
 
     def resolve(self, results: list) -> None:
         self.results = results
@@ -126,7 +125,7 @@ class MicroBatcher:
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
         self._clock = clock
-        self._queue: deque[PendingRequest] = deque()
+        self._queue: deque[ForecastRequest] = deque()
         self._queued_statements = 0
         self._cond = make_condition("serve.batcher.cond")
         guarded_by("serve.batcher.queue", self._cond)
@@ -151,61 +150,61 @@ class MicroBatcher:
 
     # -- producer side ---------------------------------------------------
 
-    def _pending(
-        self, sqls: Sequence[str], client: str, deadline: Optional[Deadline]
-    ) -> PendingRequest:
-        if len(sqls) > self.max_queue:
+    def _admit(
+        self, request: Union[ForecastRequest, Sequence[str]]
+    ) -> ForecastRequest:
+        """``request``, or bare statements as a request with no client
+        and no deadline arriving now.
+
+        Raises:
+            BatchTooLargeError: it alone exceeds ``max_queue``.
+        """
+        if not isinstance(request, ForecastRequest):
+            request = ForecastRequest(request, "", None, self._clock())
+        if len(request.sqls) > self.max_queue:
             raise BatchTooLargeError(
-                f"batch of {len(sqls)} statements exceeds the serve queue "
-                f"cap of {self.max_queue}; split it"
+                f"batch of {len(request.sqls)} statements exceeds the serve "
+                f"queue cap of {self.max_queue}; split it"
             )
-        pending = PendingRequest(sqls, client, deadline=deadline)
-        pending.submitted_at = self._clock()
-        return pending
+        return request
 
     def run(
-        self,
-        sqls: Sequence[str],
-        client: str = "",
-        deadline: Optional[Deadline] = None,
-    ) -> PendingRequest:
-        """Predict ``sqls`` as a batch of their own on the calling thread,
-        exactly as the collector would; returns the settled handle.
+        self, request: Union[ForecastRequest, Sequence[str]]
+    ) -> ForecastRequest:
+        """Predict ``request`` as a batch of its own on the calling thread,
+        exactly as the collector would; returns it settled.
 
         Raises:
-            BatchTooLargeError: ``sqls`` alone exceeds ``max_queue``.
+            BatchTooLargeError: it alone exceeds ``max_queue``.
         """
-        pending = self._pending(sqls, client, deadline)
-        self._run_batch([pending], inline=True)
-        return pending
+        request = self._admit(request)
+        self._run_batch([request], inline=True)
+        return request
 
     def submit(
-        self,
-        sqls: Sequence[str],
-        client: str = "",
-        deadline: Optional[Deadline] = None,
-    ) -> PendingRequest:
-        """Queue ``sqls`` for the next batch; returns the pending handle.
+        self, request: Union[ForecastRequest, Sequence[str]]
+    ) -> ForecastRequest:
+        """Queue ``request`` for the next batch; returns it.
 
         Raises:
-            BatchTooLargeError: ``sqls`` alone exceeds ``max_queue``.
+            BatchTooLargeError: it alone exceeds ``max_queue``.
             QueueFullError: the queue is at ``max_queue`` statements.
             ServeError: the batcher is stopping.
         """
-        pending = self._pending(sqls, client, deadline)
+        request = self._admit(request)
         with self._cond:
             if self._stopping:
                 raise ServeError("batcher is stopping; submission refused")
-            if self._queued_statements + len(pending.sqls) > self.max_queue:
+            if self._queued_statements + len(request.sqls) > self.max_queue:
                 raise QueueFullError(
                     f"serve queue full ({self._queued_statements} statements "
                     f"queued, cap {self.max_queue})"
                 )
             note_access("serve.batcher.queue")
-            self._queue.append(pending)
-            self._queued_statements += len(pending.sqls)
+            self._queue.append(request)
+            self._queued_statements += len(request.sqls)
             self._cond.notify_all()
-        return pending
+        return request
 
     def depth(self) -> int:
         """Statements currently queued (not yet handed to predict)."""
@@ -214,7 +213,7 @@ class MicroBatcher:
 
     # -- collector side --------------------------------------------------
 
-    def _take_batch(self) -> Optional[list[PendingRequest]]:
+    def _take_batch(self) -> Optional[list[ForecastRequest]]:
         """Block until something is queued, then take what is there (up
         to ``max_batch`` statements, FIFO); None when stopped and drained."""
         with self._cond:
@@ -229,29 +228,28 @@ class MicroBatcher:
                 self._queue
                 and size + len(self._queue[0].sqls) <= self.max_batch
             ):
-                pending = self._queue.popleft()
-                batch.append(pending)
-                size += len(pending.sqls)
+                request = self._queue.popleft()
+                batch.append(request)
+                size += len(request.sqls)
             self._queued_statements -= size
             return batch
 
-    def _expire(self, pending: PendingRequest, stage: str) -> None:
-        """Fail ``pending`` with a structured deadline error (→ 504)."""
-        deadline = pending.deadline
-        with self._cond:
-            note_access("serve.batcher.counters")
-            self.expired_requests += 1
-        pending.fail(
-            DeadlineExceededError(
-                f"deadline of {deadline.budget_ms:.1f} ms spent at stage "
-                f"{stage!r} ({deadline.elapsed_s() * 1e3:.1f} ms elapsed)",
-                stage=stage,
-                budget_ms=deadline.budget_ms or 0.0,
-                elapsed_ms=deadline.elapsed_s() * 1e3,
-            )
-        )
+    def _expired(self, request: ForecastRequest, stage: str) -> bool:
+        """Whether ``request``'s budget is spent at ``stage``; if so it is
+        failed with the structured deadline error (→ 504)."""
+        if request.deadline is None:
+            return False
+        try:
+            request.deadline.check(stage)
+        except DeadlineExceededError as error:
+            with self._cond:
+                note_access("serve.batcher.counters")
+                self.expired_requests += 1
+            request.fail(error)
+            return True
+        return False
 
-    def _batch_deadline(self, batch: list[PendingRequest]) -> Optional[Deadline]:
+    def _batch_deadline(self, batch: list[ForecastRequest]) -> Optional[Deadline]:
         """The deadline a batch predicts under; None when no member has one.
 
         It expires with the *loosest* member's budget (any unbounded
@@ -260,7 +258,7 @@ class MicroBatcher:
         lapses meanwhile is expired at resolve time.  It starts with no
         stage readings: what the batch's stages read is charged to every
         member."""
-        deadlines = [pending.deadline for pending in batch]
+        deadlines = [request.deadline for request in batch]
         if all(deadline is None for deadline in deadlines):
             return None
         if any(deadline is None or deadline.budget_s is None
@@ -268,25 +266,23 @@ class MicroBatcher:
             return Deadline(clock=self._clock)
         return max(deadlines, key=Deadline.remaining_s).fork()
 
-    def _run_batch(self, batch: list[PendingRequest], inline: bool = False) -> None:
+    def _run_batch(self, batch: list[ForecastRequest], inline: bool = False) -> None:
         # Refuse to burn compute on requests whose budget is already
         # spent: they are expired here (→ 504), before predict runs.
-        live: list[PendingRequest] = []
+        # A request's queue stage runs from its arrival to this reading.
+        live: list[ForecastRequest] = []
         now = self._clock()
-        for pending in batch:
-            deadline = pending.deadline
-            if deadline is not None:
-                deadline.account("queue", now - pending.submitted_at)
-            if deadline is not None and deadline.expired():
-                self._expire(pending, "queue")
-            else:
-                live.append(pending)
+        for request in batch:
+            if request.deadline is not None:
+                request.deadline.account("queue", now - request.arrived)
+            if not self._expired(request, "queue"):
+                live.append(request)
         if live:
             self._predict(live, inline)
 
-    def _predict(self, live: list[PendingRequest], inline: bool) -> None:
+    def _predict(self, live: list[ForecastRequest], inline: bool) -> None:
         """One predict call for ``live``; resolves or fails each member."""
-        sqls = [sql for pending in live for sql in pending.sqls]
+        sqls = [sql for request in live for sql in request.sqls]
         batch_deadline = self._batch_deadline(live)
         try:
             with deadline_scope(batch_deadline):
@@ -297,26 +293,26 @@ class MicroBatcher:
             if len(live) == 1:
                 live[0].fail(error)
             else:
-                for pending in live:
-                    self._predict([pending], inline)
+                for request in live:
+                    self._predict([request], inline)
             return
         except BaseException as error:  # fan the failure out, keep running
-            for pending in live:
-                pending.fail(error)
+            for request in live:
+                request.fail(error)
             return
         finally:
             if batch_deadline is not None:
-                for pending in live:
-                    if pending.deadline is not None:
+                for request in live:
+                    if request.deadline is not None:
                         for stage, ms in batch_deadline.stage_ms.items():
-                            pending.deadline.account(stage, ms / 1e3)
+                            request.deadline.account(stage, ms / 1e3)
         if len(results) != len(sqls):
             error = ServeError(
                 f"batch predict returned {len(results)} results "
                 f"for {len(sqls)} statements"
             )
-            for pending in live:
-                pending.fail(error)
+            for request in live:
+                request.fail(error)
             return
         with self._cond:
             note_access("serve.batcher.counters")
@@ -326,23 +322,20 @@ class MicroBatcher:
                 self.batches += 1
                 self.batched_statements += len(sqls)
                 self.largest_batch = max(self.largest_batch, len(sqls))
-            for pending in live:
-                if pending.deadline is not None:
-                    for stage, ms in pending.deadline.stage_ms.items():
+            for request in live:
+                if request.deadline is not None:
+                    for stage, ms in request.deadline.stage_ms.items():
                         self.stage_ms_total[stage] = (
                             self.stage_ms_total.get(stage, 0.0) + ms
                         )
         cursor = 0
-        for pending in live:
-            slice_ = results[cursor : cursor + len(pending.sqls)]
-            cursor += len(pending.sqls)
-            deadline = pending.deadline
-            if deadline is not None and deadline.expired():
-                # The answer exists but arrived after the caller's
-                # budget: a late result is never delivered silently.
-                self._expire(pending, "resolve")
-            else:
-                pending.resolve(slice_)
+        for request in live:
+            slice_ = results[cursor : cursor + len(request.sqls)]
+            cursor += len(request.sqls)
+            # An answer that arrives after the caller's budget is never
+            # delivered silently.
+            if not self._expired(request, "resolve"):
+                request.resolve(slice_)
 
     def _collect(self) -> None:
         while True:
@@ -367,9 +360,9 @@ class MicroBatcher:
             if not drain:
                 note_access("serve.batcher.queue")
                 while self._queue:
-                    pending = self._queue.popleft()
-                    self._queued_statements -= len(pending.sqls)
-                    pending.fail(ServeError("daemon shutting down"))
+                    request = self._queue.popleft()
+                    self._queued_statements -= len(request.sqls)
+                    request.fail(ServeError("daemon shutting down"))
             self._cond.notify_all()
         if not self._started:
             return True

@@ -27,16 +27,12 @@ explicit service tiers — and back up hysteretically — trading quality
 for survival; and ``repro.serve.supervisor`` runs the whole daemon as a
 health-checked child with crash recovery on an inherited socket.
 
-Endpoints::
-
-    GET  /healthz             liveness + model version
-    GET  /metrics             Prometheus text exposition
-    GET  /admin/status        batching/admission/breaker/SLO/degrade snapshot
-    POST /v1/forecast         {"sql": "...", "client": "...", "deadline_ms": 250}
-    POST /v1/forecast_batch   {"sqls": [...], "client": "...", "deadline_ms": 250}
-    POST /admin/reload        {"artifact": "path"}  (optional body)
-
-See docs/SERVING.md for the operational guide.
+Each decision on the request path is written once: :data:`ROUTES` maps
+a method and path to its handler and the body fields it reads,
+:data:`OUTCOMES` maps what a forecast request raised to its answer, and
+a :class:`~repro.serve.batcher.ForecastRequest` built once from the
+validated body is what the batcher queues.  See docs/SERVING.md for the
+operational guide.
 """
 
 from __future__ import annotations
@@ -48,11 +44,12 @@ import socketserver
 import threading
 import time
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from repro.analysis.sanitizer import guarded_by, make_lock, note_access
 from repro.engine.metrics import METRIC_NAMES
 from repro.errors import (
+    CircuitOpenError,
     DeadlineExceededError,
     InjectedFault,
     OptimizerError,
@@ -66,12 +63,17 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import fault_site
 from repro.serve.admission import AdmissionController
-from repro.serve.batcher import BatchTooLargeError, MicroBatcher, QueueFullError
+from repro.serve.batcher import (
+    BatchTooLargeError,
+    ForecastRequest,
+    MicroBatcher,
+    QueueFullError,
+)
 from repro.serve.config import ServeConfig
 from repro.serve.degrade import DegradeController
 from repro.serve import wire
 
-__all__ = ["PredictionDaemon", "forecast_payload"]
+__all__ = ["OUTCOMES", "PredictionDaemon", "ROUTES", "forecast_payload"]
 
 #: How long a handler waits for its batch result before answering 503.
 _REQUEST_TIMEOUT_S = 30.0
@@ -201,18 +203,80 @@ class _Server(socketserver.ThreadingTCPServer):
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
 
-class _Response(Exception):
-    """Control-flow carrier for a non-200 structured response."""
+class _Outcome(NamedTuple):
+    """The answer to a forecast request that raised."""
 
-    def __init__(
-        self, status: int, reason: str, retry_after_s: float = 0.0, **extra
-    ) -> None:
-        super().__init__(reason)
-        self.status = status
-        self.payload = {"error": reason, **extra}
-        if retry_after_s > 0:
-            self.payload["retry_after_s"] = round(retry_after_s, 3)
-        self.retry_after_s = retry_after_s
+    status: int
+    error: str
+    #: None: no retry hint.  Else the hint is at least this many seconds,
+    #: and at least the configured ``retry_after_s``.
+    retry_s: Optional[float]
+    #: Whether the serving breaker counts a failure.
+    trips: bool
+    #: Which ``requests.*`` count grows.
+    counter: str
+    #: The payload's fields after ``error``: ``detail`` is the message,
+    #: ``breaker`` the breaker's state, ``max_queue`` the queue cap, and
+    #: any other the error's attribute of that name.
+    fields: tuple[str, ...] = ()
+
+
+_EXPIRED = _Outcome(
+    504, "deadline_exceeded", 0.0, False, "expired",
+    ("stage", "budget_ms", "elapsed_ms"),
+)
+_BAD_STATEMENT = _Outcome(
+    400, "bad_statement", None, False, "rejected", ("detail", "position")
+)
+_INTERNAL = _Outcome(500, "internal", None, False, "failed", ("detail",))
+
+#: What a forecast request that raised answers, keyed on the exception's
+#: type (its nearest class listed) and on where it was raised: on the
+#: handler's thread, or in its batch (the record's ``error``).  A
+#: statement that does not compile is its sender's error, and a spent
+#: budget the caller's: neither is a breaker failure.  A
+#: :class:`~repro.serve.wire.WireError` — an admission refusal — answers
+#: with its own status and payload, counted as rejected.
+OUTCOMES: dict[tuple[type, str], _Outcome] = {
+    (DeadlineExceededError, "handler"): _EXPIRED,
+    (CircuitOpenError, "handler"): _Outcome(
+        503, "breaker_open", _BREAKER_RESET_S, False, "rejected", ("breaker",)
+    ),
+    (BatchTooLargeError, "handler"): _Outcome(
+        400, "batch_too_large", None, False, "rejected", ("detail", "max_queue")
+    ),
+    (QueueFullError, "handler"): _Outcome(
+        503, "queue_full", 0.0, False, "rejected", ("detail",)
+    ),
+    (ServeError, "handler"): _Outcome(503, "shutting_down", 0.0, False, "rejected"),
+    (TimeoutError, "handler"): _Outcome(
+        503, "request_timeout", 0.0, False, "rejected"
+    ),
+    (InjectedFault, "handler"): _Outcome(
+        503, "injected_fault", 0.0, True, "rejected", ("detail",)
+    ),
+    (ReproError, "handler"): _Outcome(
+        503, "prediction_failed", 0.0, False, "rejected", ("detail",)
+    ),
+    (Exception, "handler"): _INTERNAL,
+    (DeadlineExceededError, "batch"): _EXPIRED,
+    (SQLError, "batch"): _BAD_STATEMENT,
+    (OptimizerError, "batch"): _BAD_STATEMENT,
+    (ReproError, "batch"): _Outcome(
+        503, "prediction_failed", 0.0, True, "rejected", ("detail", "breaker")
+    ),
+    (Exception, "batch"): _INTERNAL._replace(trips=True),
+}
+
+#: The Prometheus counter each ``requests.*`` count but ``ok`` also feeds.
+_COUNTER_SERIES = {
+    "rejected": ("repro_serve_rejections_total", "rejected requests"),
+    "failed": ("repro_serve_errors_total", "failed requests"),
+    "expired": (
+        "repro_serve_deadline_expired_total",
+        "requests answered 504: deadline budget spent",
+    ),
+}
 
 
 class PredictionDaemon:
@@ -256,12 +320,9 @@ class PredictionDaemon:
         self._stopping = False
         self._started_at: Optional[float] = None
         self.reloads = 0
-        self.requests_total = 0
-        self.requests_ok = 0
-        self.requests_rejected = 0
-        self.requests_failed = 0
-        self.requests_expired = 0
-        self.served_stale = 0
+        self._requests = dict.fromkeys(
+            ("total", "ok", "rejected", "failed", "expired", "served_stale"), 0
+        )
         self._latency = Histogram(
             "serve_request_seconds", "per-request serving latency"
         )
@@ -364,7 +425,7 @@ class PredictionDaemon:
         if self.degrade is None:
             return 0
         p99_ms: Optional[float] = None
-        if self.requests_total:
+        if self._requests["total"]:
             p99_ms = self._latency.percentiles()["p99"] * 1e3
         return self.degrade.evaluate(
             queue_depth=self.batcher.depth(),
@@ -380,7 +441,7 @@ class PredictionDaemon:
         mixed-freshness response would be impossible to reason about)."""
         with self._state_lock:
             note_access("serve.daemon.state")
-            self.served_stale += 1
+            self._requests["served_stale"] += 1
         if self.config.metrics:
             get_registry().counter(
                 "repro_serve_stale_served_total",
@@ -397,243 +458,141 @@ class PredictionDaemon:
 
     # -- request path ----------------------------------------------------
 
-    def _deadline_for(self, deadline_ms: Optional[float]) -> Optional[Deadline]:
-        """The request's deadline: its own budget, else the configured
-        default, else unbounded (None)."""
-        budget_ms = (
-            deadline_ms
-            if deadline_ms is not None
-            else self.config.default_deadline_ms
-        )
-        if budget_ms is None:
-            return None
-        return Deadline.after_ms(budget_ms, clock=self._clock)
-
-    def _expired_response(self, error: DeadlineExceededError) -> _Response:
-        """The structured 504 a spent budget maps to."""
-        return _Response(
-            504,
-            "deadline_exceeded",
-            retry_after_s=self.config.retry_after_s,
-            stage=error.stage,
-            budget_ms=round(error.budget_ms, 3),
-            elapsed_ms=round(error.elapsed_ms, 3),
-        )
-
-    def handle_forecast(
-        self,
-        sqls: Sequence[str],
-        client: str,
-        deadline_ms: Optional[float] = None,
-    ) -> dict:
-        """Predict ``sqls`` for ``client`` through the batch path.
-
-        Returns the success payload; raises :class:`_Response` for every
-        structured non-200 outcome (bad statement, shed, quota, breaker,
-        fault, spent deadline).
-        """
-        with self._state_lock:
-            note_access("serve.daemon.state")
-            self._inflight += 1
-            inflight = self._inflight
-        try:
-            fault_site("serve.handler", client=client, n=len(sqls))
-            if self._stopping:
-                raise _Response(
-                    503, "shutting_down", retry_after_s=self.config.retry_after_s
-                )
-            deadline = self._deadline_for(deadline_ms)
-            tier = self._observe_pressure()
-            if deadline is not None and deadline.expired():
-                # The client shipped an already-dead budget: 504 before
-                # any compute is spent on it.
-                raise _Response(
-                    504,
-                    "deadline_exceeded",
-                    retry_after_s=self.config.retry_after_s,
-                    stage="arrival",
-                    budget_ms=round(deadline.budget_ms or 0.0, 3),
-                    elapsed_ms=round(deadline.elapsed_s() * 1e3, 3),
-                )
-            runtime = self._runtime
-            held, current = runtime.service.held_forecasts(sqls)
-            stale_ok = self.degrade is not None and self.degrade.stale_ok()
-            if held is not None and stale_ok:
-                return self._serve_stale(held, runtime.version, client, tier)
-            if not self.breaker.allow():
-                raise _Response(
-                    503,
-                    "breaker_open",
-                    retry_after_s=max(
-                        self.config.retry_after_s, _BREAKER_RESET_S
-                    ),
-                    breaker=self.breaker.status(),
-                )
-            # A request the memo answers in full costs less than waking the
-            # collector and being woken by it: its batch runs right here.
-            run = self.batcher.run if current else self.batcher.submit
-            try:
-                pending = run(sqls, client, deadline=deadline)
-            except BatchTooLargeError as error:
-                # No retry can fit it: the sender's error, so no retry
-                # hint and no breaker failure.
-                raise _Response(
-                    400,
-                    "batch_too_large",
-                    detail=str(error),
-                    max_queue=self.config.max_queue,
-                ) from error
-            except QueueFullError as error:
-                raise _Response(
-                    503,
-                    "queue_full",
-                    retry_after_s=self.config.retry_after_s,
-                    detail=str(error),
-                ) from error
-            except ServeError as error:
-                raise _Response(
-                    503, "shutting_down", retry_after_s=self.config.retry_after_s
-                ) from error
-            timeout_s = _REQUEST_TIMEOUT_S
-            if deadline is not None and deadline.budget_s is not None:
-                # No point waiting past the caller's own budget; the
-                # margin lets the batcher's own expiry land first.
-                timeout_s = min(timeout_s, deadline.remaining_s() + 0.05)
-            if not pending.event.wait(timeout_s):
-                if deadline is not None and deadline.expired():
-                    raise _Response(
-                        504,
-                        "deadline_exceeded",
-                        retry_after_s=self.config.retry_after_s,
-                        stage="wait",
-                        budget_ms=round(deadline.budget_ms or 0.0, 3),
-                        elapsed_ms=round(deadline.elapsed_s() * 1e3, 3),
-                    )
-                raise _Response(
-                    503,
-                    "request_timeout",
-                    retry_after_s=self.config.retry_after_s,
-                )
-            if pending.error is not None:
-                if isinstance(pending.error, DeadlineExceededError):
-                    # The client's budget ran out, not a daemon fault:
-                    # the breaker does not count it.
-                    raise self._expired_response(pending.error)
-                if isinstance(pending.error, (SQLError, OptimizerError)):
-                    # The sender's statement does not parse or bind:
-                    # nothing to retry and no daemon fault, so neither a
-                    # retry hint nor a breaker failure.
-                    raise _Response(
-                        400,
-                        "bad_statement",
-                        detail=str(pending.error),
-                        position=getattr(pending.error, "position", None),
-                    )
-                self.breaker.record_failure(str(pending.error))
-                if isinstance(pending.error, (InjectedFault, ReproError)):
-                    raise _Response(
-                        503,
-                        "prediction_failed",
-                        retry_after_s=self.config.retry_after_s,
-                        detail=str(pending.error),
-                        breaker=self.breaker.status(),
-                    )
-                raise pending.error
-            self.breaker.record_success()
-            results = pending.results
-            predicted_seconds = sum(
-                float(forecast.metrics.elapsed_time) for forecast, _ in results
-            )
-            decision = self.admission.review(client, predicted_seconds, inflight)
-            if not decision.admitted:
-                raise _Response(
-                    decision.status,
-                    decision.reason,
-                    retry_after_s=decision.retry_after_s,
-                    admission=decision.to_payload(),
-                    predicted_seconds=predicted_seconds,
-                )
-            payload = {
-                "forecasts": [forecast_payload(f) for f, _ in results],
-                "model_version": results[0][1],
-                "served_by": results[0][0].served_by,
-                "weight_class": decision.weight_class,
-                "predicted_seconds": predicted_seconds,
-                "client": client,
-            }
-            if self.degrade is not None:
-                payload["degrade_tier"] = tier
-            if deadline is not None:
-                payload["deadline"] = deadline.to_payload()
-            return payload
-        except InjectedFault as error:
-            self.breaker.record_failure(str(error))
-            raise _Response(
-                503,
-                "injected_fault",
-                retry_after_s=self.config.retry_after_s,
-                detail=str(error),
-            ) from error
-        finally:
-            with self._state_lock:
-                note_access("serve.daemon.state")
-                self._inflight -= 1
-
     def dispatch_forecast(
         self,
         sqls: Sequence[str],
         client: str,
         deadline_ms: Optional[float] = None,
     ) -> tuple[int, dict]:
-        """Full request path with accounting; returns (status, payload)."""
-        start = self._clock()
+        """Full request path with accounting; returns (status, payload).
+
+        ``deadline_ms`` is the request's budget; None takes the
+        configured default, and with none configured it is unbounded.
+        """
+        arrived = self._clock()
+        if deadline_ms is None:
+            deadline_ms = self.config.default_deadline_ms
+        deadline = None
+        if deadline_ms is not None:
+            deadline = Deadline.after_ms(deadline_ms, clock=self._clock)
+        request = ForecastRequest(sqls, client, deadline, arrived)
+        with self._state_lock:
+            note_access("serve.daemon.state")
+            self._inflight += 1
+            inflight = self._inflight
         try:
-            payload = self.handle_forecast(sqls, client, deadline_ms=deadline_ms)
-            status = 200
-        except _Response as response:
-            status, payload = response.status, response.payload
-        except DeadlineExceededError as error:
-            response = self._expired_response(error)
-            status, payload = response.status, response.payload
-        except ReproError as error:
-            status = 503
-            payload = {
-                "error": "prediction_failed",
-                "detail": str(error),
-                "retry_after_s": self.config.retry_after_s,
-            }
+            payload = self._forecast(request, inflight)
+            status, counter = 200, "ok"
         except Exception as error:  # never leak a stack trace as a bare 500
-            status = 500
-            payload = {"error": "internal", "detail": str(error)}
-        elapsed = self._clock() - start
+            where = "batch" if error is request.error else "handler"
+            status, payload, counter = self._refusal(error, where)
+        elapsed = self._clock() - arrived
         self._latency.observe(elapsed)
         registry = get_registry()
         registry.histogram(
             "repro_serve_request_seconds", "serving request latency"
         ).observe(elapsed)
         registry.counter("repro_serve_requests_total", "serving requests").inc()
+        if counter in _COUNTER_SERIES:
+            registry.counter(*_COUNTER_SERIES[counter]).inc()
         with self._state_lock:
             note_access("serve.daemon.state")
-            self.requests_total += 1
-            if status == 200:
-                self.requests_ok += 1
-            elif status == 504:
-                self.requests_expired += 1
-                registry.counter(
-                    "repro_serve_deadline_expired_total",
-                    "requests answered 504: deadline budget spent",
-                ).inc()
-            elif status in (400, 429, 503):
-                self.requests_rejected += 1
-                registry.counter(
-                    "repro_serve_rejections_total", "rejected requests"
-                ).inc()
-            else:
-                self.requests_failed += 1
-                registry.counter(
-                    "repro_serve_errors_total", "failed requests"
-                ).inc()
+            self._inflight -= 1
+            self._requests["total"] += 1
+            self._requests[counter] += 1
         return status, payload
+
+    def _forecast(self, request: ForecastRequest, inflight: int) -> dict:
+        """The success payload for ``request``; raises for every other
+        outcome (:data:`OUTCOMES`), its batch's error included."""
+        fault_site("serve.handler", client=request.client, n=len(request.sqls))
+        if self._stopping:
+            raise ServeError("daemon is shutting down")
+        deadline = request.deadline
+        tier = self._observe_pressure()
+        if deadline is not None:
+            # A budget already spent on arrival is refused before any
+            # compute is spent on it.
+            deadline.check("arrival")
+        runtime = self._runtime
+        held, current = runtime.service.held_forecasts(request.sqls)
+        if held is not None and self.degrade is not None and self.degrade.stale_ok():
+            return self._serve_stale(held, runtime.version, request.client, tier)
+        if not self.breaker.allow():
+            raise CircuitOpenError(f"breaker {self.breaker.name!r} is open")
+        # A request the memo answers in full costs less than waking the
+        # collector and being woken by it: its batch runs right here.
+        (self.batcher.run if current else self.batcher.submit)(request)
+        timeout_s = _REQUEST_TIMEOUT_S
+        if deadline is not None:
+            # No point waiting past the caller's own budget; the margin
+            # lets the batcher's own expiry land first.
+            timeout_s = min(timeout_s, deadline.remaining_s() + 0.05)
+        if not request.event.wait(timeout_s):
+            if deadline is not None:
+                deadline.check("wait")
+            raise TimeoutError(f"no batch result within {timeout_s:.3f} s")
+        if request.error is not None:
+            raise request.error
+        self.breaker.record_success()
+        results = request.results
+        predicted_seconds = sum(
+            float(forecast.metrics.elapsed_time) for forecast, _ in results
+        )
+        decision = self.admission.review(
+            request.client, predicted_seconds, inflight
+        )
+        if not decision.admitted:
+            raise wire.WireError(
+                decision.status,
+                decision.reason,
+                admission=decision.to_payload(),
+                predicted_seconds=predicted_seconds,
+                retry_after_s=round(decision.retry_after_s, 3),
+            )
+        payload = {
+            "forecasts": [forecast_payload(f) for f, _ in results],
+            "model_version": results[0][1],
+            "served_by": results[0][0].served_by,
+            "weight_class": decision.weight_class,
+            "predicted_seconds": predicted_seconds,
+            "client": request.client,
+        }
+        if self.degrade is not None:
+            payload["degrade_tier"] = tier
+        if deadline is not None:
+            payload["deadline"] = deadline.to_payload()
+        return payload
+
+    def _refusal(self, error: Exception, where: str) -> tuple[int, dict, str]:
+        """``(status, payload, counter)`` for a request that raised
+        ``error`` ``where`` (:data:`OUTCOMES`); counts the breaker
+        failure the table asks for."""
+        if isinstance(error, wire.WireError):
+            return error.status, error.payload, "rejected"
+        outcome = next(
+            OUTCOMES[kind, where]
+            for kind in type(error).__mro__
+            if (kind, where) in OUTCOMES
+        )
+        if outcome.trips:
+            self.breaker.record_failure(str(error))
+        payload = {"error": outcome.error}
+        for name in outcome.fields:
+            if name == "detail":
+                payload[name] = str(error)
+            elif name == "breaker":
+                payload[name] = self.breaker.status()
+            elif name == "max_queue":
+                payload[name] = self.config.max_queue
+            else:
+                value = getattr(error, name, None)
+                payload[name] = round(value, 3) if isinstance(value, float) else value
+        if outcome.retry_s is not None:
+            retry_after_s = max(self.config.retry_after_s, outcome.retry_s)
+            if retry_after_s > 0:
+                payload["retry_after_s"] = round(retry_after_s, 3)
+        return outcome.status, payload, outcome.counter
 
     # -- introspection ---------------------------------------------------
 
@@ -642,14 +601,7 @@ class PredictionDaemon:
         with self._state_lock:
             note_access("serve.daemon.state")
             inflight = self._inflight
-            counters = {
-                "total": self.requests_total,
-                "ok": self.requests_ok,
-                "rejected": self.requests_rejected,
-                "failed": self.requests_failed,
-                "expired": self.requests_expired,
-                "served_stale": self.served_stale,
-            }
+            counters = dict(self._requests)
         percentiles = self._latency.percentiles()
         p99_ms = percentiles["p99"] * 1e3
         slo = {
@@ -658,11 +610,12 @@ class PredictionDaemon:
             "target_p99_ms": self.config.slo_p99_ms,
             "met": (
                 None
-                if self.config.slo_p99_ms is None or not self.requests_total
+                if self.config.slo_p99_ms is None or not counters["total"]
                 else p99_ms <= self.config.slo_p99_ms
             ),
         }
         service = self._runtime.service
+        batcher = self.batcher.stats()
         return {
             "model_version": self.model_version,
             "artifact": (
@@ -678,7 +631,7 @@ class PredictionDaemon:
             "reloads": self.reloads,
             "requests": counters,
             "slo": slo,
-            "batcher": self.batcher.stats(),
+            "batcher": batcher,
             "admission": self.admission.status(),
             "breaker": self.breaker.status(),
             "resilience": service.resilience_status(),
@@ -689,8 +642,8 @@ class PredictionDaemon:
             "templates": service.optimizer.templates.stats(),
             "deadline": {
                 "default_deadline_ms": self.config.default_deadline_ms,
-                "expired_requests": self.batcher.expired_requests,
-                "stage_ms": self.batcher.stats()["stage_ms"],
+                "expired_requests": batcher["expired_requests"],
+                "stage_ms": batcher["stage_ms"],
             },
         }
 
@@ -802,15 +755,39 @@ def _json_body(raw: bytes) -> dict:
     """A request body as a JSON object; ``{}`` when there is none."""
     if not raw:
         return {}
-    document = json.loads(raw.decode("utf-8"))
+    try:
+        document = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as error:
+        # json.loads recurses per nesting level: deep is bad JSON too.
+        raise wire.WireError(400, "bad_json", detail=str(error)) from error
     if not isinstance(document, dict):
-        raise ValueError("request body must be a JSON object")
+        raise wire.WireError(
+            400, "bad_json", detail="request body must be a JSON object"
+        )
     return document
 
 
-def _deadline_ms(body: dict) -> Optional[float]:
-    """The request's ``deadline_ms``, validated (ValueError on junk)."""
-    value = body.get("deadline_ms")
+# -- body field validators: the value → the handler's argument, or
+# -- ValueError (a 400 ``bad_request`` with the message as its detail)
+
+
+def _statement(value) -> str:
+    if not isinstance(value, str) or not value.strip():
+        raise ValueError("missing 'sql'")
+    return value
+
+
+def _statements(value) -> list:
+    if (
+        not isinstance(value, list)
+        or not value
+        or not all(isinstance(s, str) and s.strip() for s in value)
+    ):
+        raise ValueError("'sqls' must be a non-empty list of SQL")
+    return value
+
+
+def _deadline_ms(value) -> Optional[float]:
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -826,6 +803,64 @@ def _deadline_ms(body: dict) -> Optional[float]:
     if value <= 0:
         raise ValueError("'deadline_ms' must be positive")
     return float(value)
+
+
+def _artifact(value) -> Optional[str]:
+    if value is not None and not isinstance(value, str):
+        raise ValueError("'artifact' must be a path string")
+    return value
+
+
+# -- route handlers: (daemon, **validated fields) → (status, payload)
+
+
+def _healthz(daemon: PredictionDaemon) -> tuple[int, dict]:
+    status = "stopping" if daemon._stopping else "ok"
+    return 200, {"status": status, "model_version": daemon.model_version}
+
+
+def _forecast_one(daemon: PredictionDaemon, sql: str, **fields) -> tuple[int, dict]:
+    status, payload = daemon.dispatch_forecast([sql], **fields)
+    if status == 200:
+        payload["forecast"] = payload.pop("forecasts")[0]
+    return status, payload
+
+
+def _reload(daemon: PredictionDaemon, artifact: Optional[str]) -> tuple[int, dict]:
+    try:
+        version = daemon.reload(artifact)
+    except ReproError as error:
+        raise wire.WireError(409, "reload_failed", detail=str(error)) from error
+    return 200, {"status": "reloaded", "model_version": version}
+
+
+class _Route(NamedTuple):
+    handler: Callable[..., tuple[int, Union[dict, str]]]
+    #: Body field → validator; a route without fields never parses its body.
+    fields: dict[str, Callable] = {}
+
+
+#: ``client`` falls back to the ``X-Repro-Client`` header, then the peer.
+_FORECAST_FIELDS = {"deadline_ms": _deadline_ms, "client": str}
+
+#: Every endpoint: ``(method, path)`` → its handler and the body fields
+#: it reads.  A request's route is looked up before its body is parsed
+#: (404 / 501), and only that route's fields are validated.
+ROUTES: dict[tuple[str, str], _Route] = {
+    ("GET", "/healthz"): _Route(_healthz),
+    ("GET", "/metrics"): _Route(
+        lambda daemon: (200, get_registry().render_prometheus())
+    ),
+    ("GET", "/admin/status"): _Route(lambda daemon: (200, daemon.status())),
+    ("POST", "/v1/forecast"): _Route(
+        _forecast_one, {**_FORECAST_FIELDS, "sql": _statement}
+    ),
+    ("POST", "/v1/forecast_batch"): _Route(
+        PredictionDaemon.dispatch_forecast, {**_FORECAST_FIELDS, "sqls": _statements}
+    ),
+    ("POST", "/admin/reload"): _Route(_reload, {"artifact": _artifact}),
+}
+_METHODS = {method for method, _ in ROUTES}
 
 
 class _RequestHandler(socketserver.StreamRequestHandler):
@@ -876,10 +911,11 @@ class _RequestHandler(socketserver.StreamRequestHandler):
 
     def _respond(self, request: wire.Request) -> bytes:
         """The whole response to one framed request."""
+        daemon: PredictionDaemon = self.server.repro_daemon  # type: ignore[attr-defined]
         try:
-            status, payload = self._route(request)
-        except Exception as error:  # never leak a stack trace as a bare 500
-            status, payload = 500, {"error": "internal", "detail": str(error)}
+            status, payload = self._route(daemon, request)
+        except Exception as error:  # a refusal, or a bug: never a bare 500
+            status, payload, _ = daemon._refusal(error, "handler")
         if isinstance(payload, str):
             body = payload.encode("utf-8")
             content_type = "text/plain; version=0.0.4"
@@ -896,74 +932,30 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             connection = None
         return wire.response(status, body, content_type, connection, retry_after_s)
 
-    def _route(self, request: wire.Request) -> tuple[int, Union[dict, str]]:
+    def _route(
+        self, daemon: PredictionDaemon, request: wire.Request
+    ) -> tuple[int, Union[dict, str]]:
         """``(status, payload)``: a JSON-able dict, or text for /metrics."""
-        daemon: PredictionDaemon = self.server.repro_daemon  # type: ignore[attr-defined]
-        path = request.target
-        if request.method == "GET":
-            if path == "/healthz":
-                return 200, {
-                    "status": "stopping" if daemon._stopping else "ok",
-                    "model_version": daemon.model_version,
-                }
-            if path == "/metrics":
-                return 200, get_registry().render_prometheus()
-            if path == "/admin/status":
-                return 200, daemon.status()
-            return 404, {"error": "not_found", "path": path}
-        if request.method != "POST":
-            return 501, {
-                "error": "not_implemented",
-                "detail": f"method {request.method[:16]!r} is not served; "
-                "use GET or POST",
-            }
-        try:
-            body = _json_body(request.body)
-        except (ValueError, UnicodeDecodeError, RecursionError) as error:
-            # json.loads recurses per nesting level: deep is bad JSON too.
-            return 400, {"error": "bad_json", "detail": str(error)}
-        try:
-            deadline_ms = _deadline_ms(body)
-        except ValueError as error:
-            return 400, {"error": "bad_request", "detail": str(error)}
-        client = str(
-            body.get("client")
-            or request.headers.get("x-repro-client")
-            or self.client_address[0]
-        )
-        if path == "/v1/forecast":
-            sql = body.get("sql")
-            if not isinstance(sql, str) or not sql.strip():
-                return 400, {"error": "bad_request", "detail": "missing 'sql'"}
-            status, payload = daemon.dispatch_forecast(
-                [sql], client, deadline_ms=deadline_ms
-            )
-            if status == 200:
-                payload = dict(payload)
-                payload["forecast"] = payload.pop("forecasts")[0]
-            return status, payload
-        if path == "/v1/forecast_batch":
-            sqls = body.get("sqls")
-            if (
-                not isinstance(sqls, list)
-                or not sqls
-                or not all(isinstance(s, str) and s.strip() for s in sqls)
-            ):
-                return 400, {
-                    "error": "bad_request",
-                    "detail": "'sqls' must be a non-empty list of SQL",
-                }
-            return daemon.dispatch_forecast(sqls, client, deadline_ms=deadline_ms)
-        if path == "/admin/reload":
-            artifact = body.get("artifact")
-            if artifact is not None and not isinstance(artifact, str):
-                return 400, {
-                    "error": "bad_request",
-                    "detail": "'artifact' must be a path string",
-                }
+        route = ROUTES.get((request.method, request.target))
+        if route is None:
+            if request.method not in _METHODS:
+                raise wire.WireError(
+                    501,
+                    "not_implemented",
+                    detail=f"method {request.method[:16]!r} is not served; "
+                    "use GET or POST",
+                )
+            raise wire.WireError(404, "not_found", path=request.target)
+        body = _json_body(request.body) if route.fields else {}
+        values = {}
+        for name, check in route.fields.items():
+            value = body.get(name)
+            if name == "client" and not value:
+                value = (
+                    request.headers.get("x-repro-client") or self.client_address[0]
+                )
             try:
-                version = daemon.reload(artifact)
-            except ReproError as error:
-                return 409, {"error": "reload_failed", "detail": str(error)}
-            return 200, {"status": "reloaded", "model_version": version}
-        return 404, {"error": "not_found", "path": path}
+                values[name] = check(value)
+            except ValueError as error:
+                raise wire.WireError(400, "bad_request", detail=str(error)) from error
+        return route.handler(daemon, **values)

@@ -177,6 +177,25 @@ class TestCorpus:
         load_or_build_corpus(path, builder, rebuild=True)
         assert len(calls) == 2
 
+    def test_truncated_cache_is_a_typed_error_and_rebuilt(
+        self, mini_corpus, tmp_path
+    ):
+        """A cache that is not a whole archive was a raw BadZipFile."""
+        path = tmp_path / "c.npz"
+        save_corpus(mini_corpus, path)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(ReproError, match="cannot read corpus cache"):
+            load_corpus(path)
+        calls = []
+
+        def builder():
+            calls.append(1)
+            return mini_corpus
+
+        rebuilt = load_or_build_corpus(path, builder)
+        assert calls == [1] and len(rebuilt) == len(mini_corpus)
+        assert len(load_corpus(path)) == len(mini_corpus)
+
     def test_executed_query_helpers(self, mini_corpus):
         query = mini_corpus.queries[0]
         assert query.elapsed_time == query.performance[0]

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import shutil
 import signal
 import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +57,7 @@ from repro.serve import (
     ServeConfig,
     TokenBucket,
 )
-from repro.serve.daemon import forecast_payload
+from repro.serve.daemon import OUTCOMES, ROUTES, forecast_payload
 from repro.serve.loadgen import run_load
 from tests._artifacts import damage
 
@@ -179,8 +181,51 @@ class TestEndpoints:
             status, payload = client._request("POST", "/v1/nope", {})
             assert status == 404
             assert payload["error"] == "not_found"
+            # The route is looked up before the body is parsed, and a
+            # route validates only the fields it reads.
+            status, _head, text = raw_post(daemon, "/v1/nope", b"{not json")
+            assert (status, strict_json(text)["error"]) == (404, "not_found")
+            status, payload = client._request(
+                "POST", "/admin/reload", {"deadline_ms": -1}
+            )
+            assert status != 400, payload
         finally:
             daemon.stop()
+
+    def test_outcome_and_route_tables_are_the_documented_ones(self):
+        """docs/SERVING.md's endpoint table lists exactly the daemon's
+        routes, and its status table every error the outcome table (and
+        admission, whose refusals answer as they are) can emit, under
+        the same status."""
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "SERVING.md").read_text()
+
+        def table(heading: str) -> list:
+            """The rows of the first table after ``heading``, as cells."""
+            lines = doc.split(heading, 1)[1].splitlines()
+            lines = itertools.dropwhile(lambda line: line[:1] != "|", lines)
+            rows = itertools.takewhile(lambda line: line[:1] == "|", lines)
+            return [[cell.strip() for cell in row.strip("|").split("|")]
+                    for row in list(rows)[2:]]
+
+        endpoints = {(row[0], row[1].strip("`")) for row in table("## Endpoints")}
+        assert endpoints == set(ROUTES)
+        documented = {
+            (int(row[0]), error)
+            for row in table("Status codes of")
+            if row[0].isdigit()
+            for error in re.findall(r"`([a-z_]+)`", row[1])
+        }
+        emitted = {(outcome.status, outcome.error) for outcome in OUTCOMES.values()}
+        admission = AdmissionController(
+            quota_rate=1.0, quota_burst=1.0, heavy_seconds=1.0, shed_inflight=0,
+            clock=lambda: 0.0,
+        )
+        for inflight in (1, 0, 0):  # shed while busy, charge, over quota
+            decision = admission.review("c", 5.0, inflight)
+            if not decision.admitted:
+                emitted.add((decision.status, decision.reason))
+        assert {error for _, error in emitted} >= {"shed_heavy", "quota_exhausted"}
+        assert emitted <= documented, emitted - documented
 
     def test_bad_json_and_missing_sql_are_400(self, serve_service):
         daemon = start_daemon(serve_service)

@@ -27,7 +27,7 @@ from repro.obs.seam import stage
 from repro.resilience.deadline import Deadline, current_deadline, deadline_scope
 from repro.resilience.faults import FaultPlan, armed
 from repro.serve import PredictionDaemon, ServeConfig
-from repro.serve.batcher import MicroBatcher, PendingRequest
+from repro.serve.batcher import ForecastRequest, MicroBatcher
 from repro.serve.degrade import MAX_TIER, TIER_NAMES, DegradeController
 
 from tests.test_serve import (
@@ -179,8 +179,12 @@ class TestDeadline:
                 clock.advance(0.003)
             return sqls
 
-        tight = PendingRequest(["a"], "x", Deadline(budget_s=1.0, clock=clock))
-        loose = PendingRequest(["b"], "y", Deadline(budget_s=5.0, clock=clock))
+        tight = ForecastRequest(
+            ["a"], "x", Deadline(budget_s=1.0, clock=clock), clock()
+        )
+        loose = ForecastRequest(
+            ["b"], "y", Deadline(budget_s=5.0, clock=clock), clock()
+        )
         clock.advance(0.001)
         MicroBatcher(predict, clock=clock)._run_batch([tight, loose])
         assert installed == [pytest.approx(loose.deadline.remaining_s() + 0.005)]
