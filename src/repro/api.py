@@ -175,8 +175,8 @@ def _warnings(
 
 def _rescores(pipeline: PredictionPipeline) -> bool:
     """Whether ``pipeline`` must score a statement the memo holds a forecast
-    for: a fallback chain's stages, breakers, floors and drift state decide
-    its forecasts as well as the statement's feature row does."""
+    for: a fallback chain's stages, breakers and drift state decide its
+    forecasts as well as the statement's feature row does."""
     return isinstance(pipeline.model, _resilience_fallback.FallbackChain)
 
 
@@ -214,8 +214,8 @@ class StatementMemo(StampedLRU):
     For a service without a fallback chain the forecast is such a
     function too (the mean of the k nearest training queries' metrics,
     given the feature row and the fitted model), so a repeat is answered
-    with it.  For a fallback service, whose stages, breakers, floors and
-    drift state decide the forecast as well, only the serving tier
+    with it.  For a fallback service, whose stages, breakers and drift
+    state decide the forecast as well, only the serving tier
     ``stale`` answers from it, labelled stale.  Callers pass the
     ``stamp`` (statistics version, pipeline) they run under: a new one
     empties the memo, and what was computed under an old one is not
@@ -660,16 +660,6 @@ class QueryPerformancePredictor:
         model = self._pipeline.model
         if isinstance(model, _resilience_fallback.FallbackChain):
             return model.status()
-        return None
-
-    def fallback_chain(self) -> Optional[_resilience_fallback.FallbackChain]:
-        """The serving :class:`FallbackChain`, or None for plain
-        predictors.  The serving daemon's degradation ladder uses this
-        to floor the chain at its cheaper stages under pressure."""
-        self._require_trained()
-        model = self._pipeline.model
-        if isinstance(model, _resilience_fallback.FallbackChain):
-            return model
         return None
 
     def measure(self, sql: str) -> PerformanceMetrics:

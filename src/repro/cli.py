@@ -23,7 +23,7 @@ Commands:
 * ``serve``    — run the long-lived prediction daemon: HTTP/JSON,
   micro-batched forecasts, prediction-driven admission control, hot
   reload on SIGHUP; ``--supervised`` adds crash recovery on a shared
-  socket, ``--degrade`` the tiered degradation ladder, and
+  socket, ``--degrade`` the degradation ladder, and
   ``--default-deadline-ms`` end-to-end deadline budgets
   (see docs/SERVING.md);
 * ``workload`` — inspect declarative workload specs:
@@ -66,6 +66,7 @@ from repro.engine.system import production_32node, research_4node
 from repro.errors import ReproError, WorkloadSpecError
 from repro.optimizer import Optimizer
 from repro.serve.config import ServeConfig
+from repro.serve.degrade import MAX_TIER
 
 __all__ = ["main", "build_parser"]
 
@@ -274,13 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--degrade", action="store_true", default=defaults.degrade,
-        help="enable the tiered degradation ladder (step service "
-             "quality down under sustained pressure, back up when calm)",
+        help="enable the degradation ladder (answer repeats from the "
+             "memo under sustained pressure, back to full when calm)",
     )
     serve.add_argument(
         "--degrade-force-tier", type=int,
         default=defaults.degrade_force_tier, metavar="TIER",
-        help="pin the degradation ladder to one tier 0..2 (testing)",
+        help=f"pin the degradation ladder to one tier 0..{MAX_TIER} (testing)",
     )
     serve.add_argument(
         "--supervised", action="store_true",

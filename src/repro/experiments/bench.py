@@ -175,7 +175,7 @@ def bench_sanitizer_overhead(
     schedule = generate_load(n_requests, seed=seed)
 
     def drill() -> dict:
-        config = ServeConfig(max_batch=8, metrics=False)
+        config = ServeConfig(max_batch=8)
         daemon = PredictionDaemon(service=service, config=config)
         address = daemon.start()
         try:

@@ -204,7 +204,6 @@ class FallbackChain(SerializableModel):
         ]
         self.last_served: Optional[str] = None
         self._monitor = None
-        self._floor: Optional[str] = None
 
     def _make_breaker(self, name: str) -> CircuitBreaker:
         return CircuitBreaker(
@@ -250,25 +249,6 @@ class FallbackChain(SerializableModel):
     @property
     def monitor(self):
         return self._monitor
-
-    def set_floor(self, stage: Optional[str]) -> "FallbackChain":
-        """Start serving at ``stage`` instead of the chain head.
-
-        The serving degradation ladder's lever: flooring to
-        ``regression`` skips the expensive kernel stage outright while
-        the daemon is shedding quality under pressure.  Earlier stages
-        are *skipped*, not failed — their breakers are untouched, so
-        lifting the floor restores them instantly.  Runtime wiring; not
-        persisted.  ``None`` lifts the floor.
-        """
-        if stage is not None:
-            self.stage(stage)  # validates the name
-        self._floor = stage
-        return self
-
-    @property
-    def floor(self) -> Optional[str]:
-        return self._floor
 
     # ------------------------------------------------------------------
     # Training
@@ -318,13 +298,7 @@ class FallbackChain(SerializableModel):
         if self._monitor is not None and self._monitor.degraded:
             self._stages[0].breaker.force_open("drift monitor degraded")
         errors: list[str] = []
-        floored = self._floor is not None
         for stage in self._stages:
-            if floored:
-                if stage.name != self._floor:
-                    errors.append(f"{stage.name}: below degradation floor")
-                    continue
-                floored = False
             if not stage.breaker.allow():
                 errors.append(f"{stage.name}: breaker open")
                 continue
@@ -385,7 +359,6 @@ class FallbackChain(SerializableModel):
         """Chain health for dashboards: per-stage breaker state."""
         return {
             "last_served": self.last_served,
-            "floor": self._floor,
             "drift_degraded": (
                 bool(self._monitor.degraded)
                 if self._monitor is not None

@@ -1,10 +1,11 @@
 """Tunable knobs for the prediction serving daemon.
 
 One frozen dataclass holds every serving parameter — network binding,
-micro-batching, admission control, breaker policy and SLO target — so a
-daemon's behaviour is fully described by a single value that tests, the
-CLI and the bench harness can construct and log.  See docs/SERVING.md
-for the operational meaning of each knob.
+micro-batching, admission control, breaker policy, SLO target, default
+deadline and degradation ladder — so a daemon's behaviour is fully
+described by a single value that tests, the CLI and the bench harness
+can construct and log.  See docs/SERVING.md for the operational meaning
+of each knob.
 """
 
 from __future__ import annotations
@@ -48,17 +49,14 @@ class ServeConfig:
             daemon's serving breaker.
         slo_p99_ms: target p99 request latency for the ``/admin/status``
             SLO section; None reports percentiles without a verdict.
-        metrics: enable the process metrics registry on start so
-            ``/metrics`` has live instruments (serving metrics are
-            always recorded either way).
         default_deadline_ms: deadline budget applied to requests that
             do not carry their own ``deadline_ms``; None leaves such
             requests unbounded.  An expired budget is a structured 504,
             never a silently late answer (docs/SERVING.md).
-        degrade: run the tiered degradation ladder — under sustained
-            pressure the daemon steps down explicit service tiers
-            (force the cheap fallback stage, serve stale cached
-            predictions) and steps back up hysteretically.
+        degrade: run the degradation ladder — under sustained pressure
+            the daemon steps down to its ``stale`` tier (a repeat is
+            answered with the forecasts the memo last kept) and steps
+            back up hysteretically.
         degrade_queue_depth: queued statements above which the ladder
             counts the daemon as under pressure.
         degrade_down_after_s: pressure must be sustained this long
@@ -81,7 +79,6 @@ class ServeConfig:
     retry_after_s: float = 1.0
     breaker_failures: int = 5
     slo_p99_ms: Optional[float] = None
-    metrics: bool = True
     default_deadline_ms: Optional[float] = None
     degrade: bool = False
     degrade_queue_depth: int = 64

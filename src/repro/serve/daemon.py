@@ -23,8 +23,9 @@ Requests may carry a ``deadline_ms`` budget, threaded as a
 ``optimize → featurize → predict``; a spent budget is a structured 504
 (*never* a silently late answer).  Under sustained pressure a
 :class:`~repro.serve.degrade.DegradeController` steps the daemon down
-explicit service tiers — and back up hysteretically — trading quality
-for survival; and ``repro.serve.supervisor`` runs the whole daemon as a
+to its ``stale`` tier — and back up hysteretically — where a repeat is
+answered from the memo without a batch, admitted like any other answer;
+and ``repro.serve.supervisor`` runs the whole daemon as a
 health-checked child with crash recovery on an inherited socket.
 
 Each decision on the request path is written once: :data:`ROUTES` maps
@@ -397,25 +398,10 @@ class PredictionDaemon:
 
     def _predict_batch(self, sqls: list[str]) -> list:
         """One micro-batch → one ``forecast_many`` call (one kernel
-        cross), tagged with the runtime version that served it.
-
-        Applies the current degradation tier's quality lever: tier 1+
-        floors the fallback chain at the cheap regression stage for this
-        batch.
-        """
+        cross), tagged with the runtime version that served it."""
         with stage("serve.batch", n=len(sqls)):
             runtime = self._runtime
-            floor = None
-            if self.degrade is not None:
-                floor = self.degrade.fallback_floor()
-            chain = runtime.service.fallback_chain()
-            if chain is not None:
-                chain.set_floor(floor)
-            try:
-                forecasts = runtime.service.forecast_many(sqls)
-            finally:
-                if chain is not None:
-                    chain.set_floor(None)
+            forecasts = runtime.service.forecast_many(sqls)
         return [(forecast, runtime.version) for forecast in forecasts]
 
     # -- degradation ladder ----------------------------------------------
@@ -432,29 +418,6 @@ class PredictionDaemon:
             p99_ms=p99_ms,
             breaker_open=self.breaker.state == "open",
         )
-
-    def _serve_stale(
-        self, forecasts: list, version: str, client: str, tier: int
-    ) -> dict:
-        """A full response from the memo's last forecasts (tier ``stale``;
-        the caller has checked that the memo holds every statement: a
-        mixed-freshness response would be impossible to reason about)."""
-        with self._state_lock:
-            note_access("serve.daemon.state")
-            self._requests["served_stale"] += 1
-        if self.config.metrics:
-            get_registry().counter(
-                "repro_serve_stale_served_total",
-                "responses served from the statement memo's last forecasts",
-            ).inc()
-        return {
-            "forecasts": [forecast_payload(f) for f in forecasts],
-            "model_version": version,
-            "served_by": "stale_cache",
-            "degrade_tier": tier,
-            "stale": True,
-            "client": client,
-        }
 
     # -- request path ----------------------------------------------------
 
@@ -516,26 +479,34 @@ class PredictionDaemon:
             deadline.check("arrival")
         runtime = self._runtime
         held, current = runtime.service.held_forecasts(request.sqls)
-        if held is not None and self.degrade is not None and self.degrade.stale_ok():
-            return self._serve_stale(held, runtime.version, request.client, tier)
-        if not self.breaker.allow():
-            raise CircuitOpenError(f"breaker {self.breaker.name!r} is open")
-        # A request the memo answers in full costs less than waking the
-        # collector and being woken by it: its batch runs right here.
-        (self.batcher.run if current else self.batcher.submit)(request)
-        timeout_s = _REQUEST_TIMEOUT_S
-        if deadline is not None:
-            # No point waiting past the caller's own budget; the margin
-            # lets the batcher's own expiry land first.
-            timeout_s = min(timeout_s, deadline.remaining_s() + 0.05)
-        if not request.event.wait(timeout_s):
+        # Tier ``stale`` answers a request the memo holds in full with the
+        # forecasts it last kept (all or nothing: a mixed-freshness answer
+        # would be impossible to reason about).  No batch runs, so the
+        # breaker neither gates nor hears of it; admission still does.
+        stale = (
+            held is not None and self.degrade is not None and self.degrade.stale_ok()
+        )
+        if stale:
+            results = [(forecast, runtime.version) for forecast in held]
+        else:
+            if not self.breaker.allow():
+                raise CircuitOpenError(f"breaker {self.breaker.name!r} is open")
+            # A request the memo answers in full costs less than waking the
+            # collector and being woken by it: its batch runs right here.
+            (self.batcher.run if current else self.batcher.submit)(request)
+            timeout_s = _REQUEST_TIMEOUT_S
             if deadline is not None:
-                deadline.check("wait")
-            raise TimeoutError(f"no batch result within {timeout_s:.3f} s")
-        if request.error is not None:
-            raise request.error
-        self.breaker.record_success()
-        results = request.results
+                # No point waiting past the caller's own budget; the margin
+                # lets the batcher's own expiry land first.
+                timeout_s = min(timeout_s, deadline.remaining_s() + 0.05)
+            if not request.event.wait(timeout_s):
+                if deadline is not None:
+                    deadline.check("wait")
+                raise TimeoutError(f"no batch result within {timeout_s:.3f} s")
+            if request.error is not None:
+                raise request.error
+            self.breaker.record_success()
+            results = request.results
         predicted_seconds = sum(
             float(forecast.metrics.elapsed_time) for forecast, _ in results
         )
@@ -553,13 +524,22 @@ class PredictionDaemon:
         payload = {
             "forecasts": [forecast_payload(f) for f, _ in results],
             "model_version": results[0][1],
-            "served_by": results[0][0].served_by,
+            "served_by": "stale_cache" if stale else results[0][0].served_by,
             "weight_class": decision.weight_class,
             "predicted_seconds": predicted_seconds,
             "client": request.client,
         }
         if self.degrade is not None:
             payload["degrade_tier"] = tier
+        if stale:
+            payload["stale"] = True
+            with self._state_lock:
+                note_access("serve.daemon.state")
+                self._requests["served_stale"] += 1
+            get_registry().counter(
+                "repro_serve_stale_served_total",
+                "responses served from the statement memo's last forecasts",
+            ).inc()
         if deadline is not None:
             payload["deadline"] = deadline.to_payload()
         return payload
@@ -683,8 +663,9 @@ class PredictionDaemon:
         return self._start_server(server)
 
     def _start_server(self, server: _Server) -> tuple[str, int]:
-        if self.config.metrics:
-            enable_metrics()
+        # ``/metrics`` serves the process registry: library spans and
+        # counters record alongside the serving series.
+        enable_metrics()
         server.repro_daemon = self  # type: ignore[attr-defined]
         self._server = server
         self.batcher.start()

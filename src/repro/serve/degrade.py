@@ -7,14 +7,15 @@ of service tiers and stepping back up when the pressure clears:
 ====  ===========  ====================================================
 tier  name         what the daemon gives up
 ====  ===========  ====================================================
-0     ``full``     nothing — KCCA
-1     ``lean``     the KCCA stage (requests are served by the cheaper
-                   fallback regression stage)
-2     ``stale``    tier 1, plus a request whose every statement the
+0     ``full``     nothing
+1     ``stale``    freshness: a request whose every statement the
                    service's statement memo holds is answered with the
-                   forecasts it last kept, labelled stale (a service
-                   without a fallback chain answers repeats from the
-                   memo at every tier; for it only the label changes)
+                   forecasts it last kept, labelled stale, without a
+                   batch (so without the serving breaker) but through
+                   the same admission review as any other answer (a
+                   service without a fallback chain answers repeats
+                   from the memo at every tier; for it only the label
+                   changes)
 ====  ===========  ====================================================
 
 The :class:`DegradeController` decides the tier.  Transitions are a
@@ -48,9 +49,12 @@ __all__ = [
 ]
 
 #: Human names for the ladder's tiers, in step-down order.
-TIER_NAMES = ("full", "lean", "stale")
+TIER_NAMES = ("full", "stale")
 
 MAX_TIER = len(TIER_NAMES) - 1
+
+#: Observed p99 above ``slo_p99_ms`` times this counts as pressure.
+P99_FACTOR = 1.5
 
 
 class DegradeController:
@@ -59,10 +63,8 @@ class DegradeController:
     Args:
         queue_depth: queued statements at or above which the daemon
             counts as under pressure.
-        slo_p99_ms: the SLO target; with ``p99_factor`` defines the
-            latency pressure signal.  None disables the p99 signal.
-        p99_factor: pressure when observed p99 exceeds
-            ``slo_p99_ms * p99_factor``.
+        slo_p99_ms: the SLO target; pressure when observed p99 exceeds
+            ``slo_p99_ms * P99_FACTOR``.  None disables the p99 signal.
         down_after_s: how long pressure must be sustained before one
             step down.
         up_after_s: how long calm must be sustained before one step up
@@ -78,7 +80,6 @@ class DegradeController:
         self,
         queue_depth: int = 64,
         slo_p99_ms: Optional[float] = None,
-        p99_factor: float = 1.5,
         down_after_s: float = 0.25,
         up_after_s: float = 1.0,
         force_tier: Optional[int] = None,
@@ -86,7 +87,6 @@ class DegradeController:
     ) -> None:
         self.queue_depth = int(queue_depth)
         self.slo_p99_ms = slo_p99_ms
-        self.p99_factor = float(p99_factor)
         self.down_after_s = float(down_after_s)
         self.up_after_s = float(up_after_s)
         self.force_tier = force_tier
@@ -118,7 +118,7 @@ class DegradeController:
         if (
             self.slo_p99_ms is not None
             and p99_ms is not None
-            and p99_ms > self.slo_p99_ms * self.p99_factor
+            and p99_ms > self.slo_p99_ms * P99_FACTOR
         ):
             return "p99_slo"
         return ""
@@ -203,10 +203,6 @@ class DegradeController:
     def tier_name(self) -> str:
         return TIER_NAMES[self.tier]
 
-    def fallback_floor(self) -> Optional[str]:
-        """Tier >= 1 forces the cheaper regression fallback stage."""
-        return "regression" if self.tier >= 1 else None
-
     def stale_ok(self) -> bool:
         """The last tier may answer repeats from the statement memo."""
         return self.tier >= MAX_TIER
@@ -225,7 +221,7 @@ class DegradeController:
                 "signals": {
                     "queue_depth": self.queue_depth,
                     "slo_p99_ms": self.slo_p99_ms,
-                    "p99_factor": self.p99_factor,
+                    "p99_factor": P99_FACTOR,
                 },
                 "hysteresis": {
                     "down_after_s": self.down_after_s,

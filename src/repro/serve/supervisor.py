@@ -56,6 +56,18 @@ __all__ = ["Supervisor", "SupervisorConfig", "install_signal_handler"]
 
 #: Largest request body the parent reads before answering its 503.
 _DRAIN_BYTES = 1 << 16
+#: Multiplier applied to the respawn backoff per consecutive restart.
+_BACKOFF_FACTOR = 2.0
+#: Per-health-check HTTP timeout.
+_HEALTH_TIMEOUT_S = 1.0
+#: Consecutive failed health checks after which a live-but-wedged child
+#: is SIGKILLed and restarted.
+_HANG_CHECKS = 5
+#: Graceful SIGTERM drain allowance at :meth:`Supervisor.stop` before
+#: escalating to SIGKILL.
+_STOP_TIMEOUT_S = 5.0
+#: The ``Retry-After`` hint on parent-served 503s.
+_RETRY_AFTER_S = 0.5
 
 
 def install_signal_handler(signame: str, handler):
@@ -82,41 +94,26 @@ class SupervisorConfig:
             before the supervisor gives up (crash-loop detection).
         restart_window_s: the sliding window those restarts are counted
             in.
-        backoff_initial_s: delay before the first respawn.
-        backoff_factor: multiplier applied per consecutive restart.
+        backoff_initial_s: delay before the first respawn; each
+            consecutive restart doubles it, up to ``backoff_max_s``.
         backoff_max_s: backoff ceiling.
         health_interval_s: delay between child health checks.
-        health_timeout_s: per-health-check HTTP timeout.
-        hang_checks: consecutive failed health checks after which a
-            live-but-wedged child is SIGKILLed and restarted.
-        stop_timeout_s: graceful SIGTERM drain allowance at
-            :meth:`Supervisor.stop` before escalating to SIGKILL.
         crash_journal: JSONL journal path; None keeps events in memory
             only.
-        retry_after_s: the ``Retry-After`` hint on parent-served 503s.
     """
 
     max_restarts: int = 5
     restart_window_s: float = 30.0
     backoff_initial_s: float = 0.05
-    backoff_factor: float = 2.0
     backoff_max_s: float = 2.0
     health_interval_s: float = 0.1
-    health_timeout_s: float = 1.0
-    hang_checks: int = 5
-    stop_timeout_s: float = 5.0
     crash_journal: Optional[Path] = None
-    retry_after_s: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
             raise SupervisorError("max_restarts must be non-negative")
         if self.restart_window_s <= 0:
             raise SupervisorError("restart_window_s must be positive")
-        if self.backoff_factor < 1.0:
-            raise SupervisorError("backoff_factor must be >= 1")
-        if self.hang_checks < 1:
-            raise SupervisorError("hang_checks must be >= 1")
 
 
 class Supervisor:
@@ -271,7 +268,7 @@ class Supervisor:
         host, port = self.address
         try:
             with socket.create_connection(
-                (host, port), timeout=self.config.health_timeout_s
+                (host, port), timeout=_HEALTH_TIMEOUT_S
             ) as sock, sock.makefile("rb") as rfile:
                 sock.sendall(
                     wire.request(
@@ -316,7 +313,7 @@ class Supervisor:
                 failed_checks = 0
             else:
                 failed_checks += 1
-                if failed_checks >= self.config.hang_checks:
+                if failed_checks >= _HANG_CHECKS:
                     # Alive but wedged: treat like a crash, only louder.
                     self._journal("hang_kill", pid=pid, checks=failed_checks)
                     os.kill(pid, signal.SIGKILL)
@@ -372,7 +369,7 @@ class Supervisor:
             ).inc()
         backoff = min(
             self.config.backoff_initial_s
-            * self.config.backoff_factor ** max(0, len(self._restart_offsets) - 1),
+            * _BACKOFF_FACTOR ** max(0, len(self._restart_offsets) - 1),
             self.config.backoff_max_s,
         )
         self._journal("restart", backoff_s=round(backoff, 6))
@@ -412,7 +409,7 @@ class Supervisor:
                 {
                     "error": "restarting",
                     "detail": "serving child is restarting; retry shortly",
-                    "retry_after_s": self.config.retry_after_s,
+                    "retry_after_s": _RETRY_AFTER_S,
                 }
             ).encode("utf-8")
             conn.sendall(
@@ -420,7 +417,7 @@ class Supervisor:
                     503,
                     body,
                     connection="close",
-                    retry_after_s=self.config.retry_after_s,
+                    retry_after_s=_RETRY_AFTER_S,
                 )
             )
         except OSError:
@@ -468,7 +465,7 @@ class Supervisor:
             except ProcessLookupError:
                 pid = None
         if pid is not None:
-            deadline = self._clock() + self.config.stop_timeout_s
+            deadline = self._clock() + _STOP_TIMEOUT_S
             reaped = False
             while self._clock() < deadline:
                 try:
@@ -487,7 +484,7 @@ class Supervisor:
                 except (ProcessLookupError, ChildProcessError):
                     pass
         if self._thread is not None:
-            self._thread.join(timeout=self.config.stop_timeout_s)
+            self._thread.join(timeout=_STOP_TIMEOUT_S)
             self._thread = None
         self.child_pid = None
         self.state = "stopped"

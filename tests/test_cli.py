@@ -157,8 +157,8 @@ class TestCommands:
         assert "error" in err
 
     def test_serve_refuses_a_tier_off_the_ladder(self, capsys):
-        assert main(["serve", "--degrade-force-tier", "3"]) == 1
-        assert "tier in 0..2" in capsys.readouterr().err
+        assert main(["serve", "--degrade-force-tier", "2"]) == 1
+        assert "tier in 0..1" in capsys.readouterr().err
 
     def test_serve_refuses_trace_out(self, tmp_path, capsys):
         """A daemon's spans live on its handler and collector threads, so

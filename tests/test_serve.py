@@ -79,7 +79,7 @@ def fresh_light() -> str:
 
 def start_daemon(service, **overrides) -> PredictionDaemon:
     """A daemon on an ephemeral loopback port with test-friendly knobs."""
-    defaults = dict(max_batch=8, metrics=True)
+    defaults = dict(max_batch=8)
     defaults.update(overrides)
     daemon = PredictionDaemon(service=service, config=ServeConfig(**defaults))
     daemon.start()

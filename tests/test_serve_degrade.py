@@ -248,19 +248,17 @@ class TestDegradeLadder:
         ladder = controller(clock)
         seen = [ladder.tier_name]
         ladder.evaluate(queue_depth=20)
-        for _ in range(2):
-            clock.advance(0.3)
-            ladder.evaluate(queue_depth=20)
-            seen.append(ladder.tier_name)
+        clock.advance(0.3)
+        ladder.evaluate(queue_depth=20)
+        seen.append(ladder.tier_name)
         ladder.evaluate(queue_depth=0)
-        for _ in range(2):
-            clock.advance(1.1)
-            ladder.evaluate(queue_depth=0)
-            seen.append(ladder.tier_name)
-        assert seen == ["full", "lean", "stale", "lean", "full"]
-        assert TIER_NAMES == ("full", "lean", "stale")
+        clock.advance(1.1)
+        ladder.evaluate(queue_depth=0)
+        seen.append(ladder.tier_name)
+        assert seen == ["full", "stale", "full"]
+        assert TIER_NAMES == ("full", "stale")
         assert [(t["from"], t["to"]) for t in ladder.transitions] == [
-            (0, 1), (1, 2), (2, 1), (1, 0)
+            (0, 1), (1, 0)
         ]
 
     def test_ladder_moves_one_tier_at_a_time(self):
@@ -317,37 +315,29 @@ class TestDegradeLadder:
 
     def test_p99_slo_signal(self):
         clock = FakeClock()
-        ladder = controller(clock, slo_p99_ms=100.0, p99_factor=1.5)
+        ladder = controller(clock, slo_p99_ms=100.0)
         ladder.evaluate(queue_depth=0, p99_ms=160.0)  # > 100 * 1.5
         clock.advance(0.3)
         assert ladder.evaluate(queue_depth=0, p99_ms=160.0) == 1
         assert ladder.last_reason == "p99_slo"
         # Below the factored threshold the same signal counts as calm.
-        ladder2 = controller(clock, slo_p99_ms=100.0, p99_factor=1.5)
+        ladder2 = controller(clock, slo_p99_ms=100.0)
         ladder2.evaluate(queue_depth=0, p99_ms=140.0)
         clock.advance(0.3)
         assert ladder2.evaluate(queue_depth=0, p99_ms=140.0) == 0
 
     def test_force_tier_pins_the_ladder(self):
         clock = FakeClock()
-        ladder = controller(clock, force_tier=2)
-        assert ladder.tier == 2
+        ladder = controller(clock, force_tier=MAX_TIER)
+        assert ladder.tier == MAX_TIER
         clock.advance(10.0)
-        assert ladder.evaluate(queue_depth=0) == 2
-        assert ladder.evaluate(queue_depth=999, breaker_open=True) == 2
+        assert ladder.evaluate(queue_depth=0) == MAX_TIER
+        assert ladder.evaluate(queue_depth=999, breaker_open=True) == MAX_TIER
         assert ladder.step_downs == 0 and ladder.step_ups == 0
 
-    @pytest.mark.parametrize(
-        "tier,floor,stale",
-        [
-            (0, None, False),
-            (1, "regression", False),
-            (2, "regression", True),
-        ],
-    )
-    def test_tier_effects(self, tier, floor, stale):
+    @pytest.mark.parametrize("tier,stale", [(0, False), (MAX_TIER, True)])
+    def test_tier_effects(self, tier, stale):
         ladder = controller(FakeClock(), force_tier=tier)
-        assert ladder.fallback_floor() == floor
         assert ladder.stale_ok() is stale
 
     def test_transitions_are_recorded_for_postmortems(self):
@@ -466,25 +456,11 @@ class TestDeadlineServing:
 
 
 class TestDegradedServing:
-    def test_forced_tier_1_serves_lean(self, serve_service):
-        daemon = start_daemon(
-            serve_service, degrade=True, degrade_force_tier=1
-        )
-        try:
-            client = client_for(daemon)
-            payload = client.forecast(SQL_LIGHT)
-            assert payload["degrade_tier"] == 1
-            status = daemon.status()["degrade"]
-            assert status["tier"] == 1 and status["forced"] is True
-            assert status["tier_name"] == "lean"
-        finally:
-            daemon.stop()
-
     def test_forced_tier_2_answers_repeats_from_stale_cache(
         self, serve_service
     ):
         daemon = start_daemon(
-            serve_service, degrade=True, degrade_force_tier=2
+            serve_service, degrade=True, degrade_force_tier=MAX_TIER
         )
         # The memo is the (session-wide) service's, not the daemon's:
         # statements of this test's own, so the first one is a miss.
@@ -496,7 +472,10 @@ class TestDegradedServing:
             repeat = client.forecast(sql)
             assert repeat["served_by"] == "stale_cache"
             assert repeat["stale"] is True
-            assert repeat["degrade_tier"] == 2
+            assert repeat["degrade_tier"] == MAX_TIER
+            # Admitted like any other answer, and it says so.
+            assert repeat["weight_class"] == fresh["weight_class"]
+            assert repeat["predicted_seconds"] == fresh["predicted_seconds"]
             # Bitwise the same forecast the pipeline produced.
             assert repeat["forecast"] == fresh["forecast"]
             # A statement never seen still goes through the pipeline.
@@ -510,6 +489,43 @@ class TestDegradedServing:
             status = daemon.status()
             assert status["memo"]["hits"] >= 1
             assert status["requests"]["served_stale"] == 1
+        finally:
+            daemon.stop()
+
+    @pytest.mark.parametrize(
+        "knobs,literal,statuses,error",
+        [
+            (
+                dict(quota_rate=1e-6, quota_burst=1e-6),
+                36, [200, 429], "quota_exhausted",
+            ),
+            (
+                dict(heavy_seconds=1e-9, shed_inflight=0),
+                37, [503, 503], "shed_heavy",
+            ),
+        ],
+        ids=["over_quota", "bowling_ball"],
+    )
+    def test_a_stale_answer_is_admitted_like_any_other(
+        self, serve_service, knobs, literal, statuses, error
+    ):
+        """The stale tier skips the batch, not the admission review: a
+        client over its quota, or a bowling ball while the daemon is busy,
+        is refused a held statement as it would be a computed one."""
+        daemon = start_daemon(
+            serve_service, degrade=True, degrade_force_tier=MAX_TIER, **knobs
+        )
+        sql = SQL_LIGHT.replace("> 30", f"> {literal}")
+        try:
+            client = client_for(daemon)
+            first = client.try_forecast(sql)
+            # Refused or not, the first answer was computed and is held.
+            assert serve_service.held_forecasts([sql])[0] is not None
+            repeat = client.try_forecast(sql)
+            assert [first[0], repeat[0]] == statuses
+            assert repeat[1]["error"] == error
+            assert repeat[1]["admission"]["admitted"] is False
+            assert daemon.status()["requests"]["served_stale"] == 0
         finally:
             daemon.stop()
 
@@ -544,7 +560,7 @@ class TestDegradedServing:
 
     def test_stepping_down_replans_nothing(self, serve_service, monkeypatch):
         """The tier is not part of the memo's key: what full service
-        compiled, the next tier down finds, so the first step under
+        forecast, the stale tier answers, so the first step under
         pressure does not send every hot statement through the optimizer
         (every compile of a text starts by taking its shape)."""
         import repro.optimizer.optimizer as optimizer_module
@@ -577,8 +593,8 @@ class TestDegradedServing:
                 daemon.degrade.evaluate(queue_depth=10**6)
             for sql in sqls:
                 payload = client.forecast(sql)
-                assert payload["degrade_tier"] == 1
-                assert payload.get("stale") is None
+                assert payload["degrade_tier"] == MAX_TIER
+                assert payload["stale"] is True
             assert calls == []
         finally:
             daemon.stop()
@@ -597,7 +613,9 @@ class TestDegradedServing:
         )
         daemon = PredictionDaemon(
             artifact=path_a,
-            config=ServeConfig(max_batch=4, degrade=True, degrade_force_tier=2),
+            config=ServeConfig(
+                max_batch=4, degrade=True, degrade_force_tier=MAX_TIER
+            ),
         )
         daemon.start()
         try:

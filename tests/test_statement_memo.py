@@ -187,7 +187,7 @@ class TestReuse:
         first = service.forecast(sql)
         assert first.served_by == "kcca"
         assert service.held_forecasts([sql, sql]) == ([first, first], False)
-        service.fallback_chain().stage("kcca").breaker.force_open("test")
+        service.pipeline.model.stage("kcca").breaker.force_open("test")
         again = service.forecast(sql)
         assert again.served_by == "regression"
         assert scored_rows["rows"] == [1, 1]
