@@ -29,13 +29,14 @@ uses (block mappings/sequences, inline flow lists, quoted scalars and
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from string import Formatter
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -122,7 +123,7 @@ def _significant_lines(text: str) -> list[_Line]:
         stripped = _strip_comment(rawline).rstrip()
         if not stripped.strip():
             continue
-        indent = len(stripped) - len(stripped.lstrip(" "))
+        indent = len(stripped) - len(stripped.lstrip(" \t"))
         if "\t" in stripped[:indent]:
             raise WorkloadSpecError(
                 f"line {number}: tabs are not allowed in indentation"
@@ -163,9 +164,13 @@ def _parse_flow_list(text: str, number: int) -> list:
 
 def _parse_scalar(text: str, number: int):
     text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
+    if text[:1] == "[":
+        if not text.endswith("]"):
+            raise WorkloadSpecError(f"line {number}: unterminated flow list")
         return _parse_flow_list(text, number)
-    if len(text) >= 2 and text[0] in "'\"" and text[-1] == text[0]:
+    if text[:1] in ("'", '"'):
+        if len(text) < 2 or text[-1] != text[0]:
+            raise WorkloadSpecError(f"line {number}: unterminated quote")
         return text[1:-1]
     lowered = text.lower()
     if lowered in ("true", "yes"):
@@ -273,7 +278,10 @@ def parse_simple_yaml(text: str) -> dict:
     lines = _significant_lines(text)
     if not lines:
         raise WorkloadSpecError("empty workload spec")
-    value, pos = _parse_block(lines, 0, lines[0].indent)
+    try:
+        value, pos = _parse_block(lines, 0, lines[0].indent)
+    except RecursionError:
+        raise WorkloadSpecError("workload spec nests too deeply") from None
     if pos != len(lines):
         bad = lines[pos]
         raise WorkloadSpecError(
@@ -306,10 +314,6 @@ class TemplateSpec:
     family: str
     sql: str
     params: tuple[ParamSpec, ...]
-
-    @property
-    def placeholder_names(self) -> tuple[str, ...]:
-        return tuple(n for p in self.params for n in p.names)
 
 
 @dataclass(frozen=True)
@@ -354,40 +358,45 @@ class CompiledWorkload:
 
 
 # ----------------------------------------------------------------------
-# Strategy registry
+# Value types
 # ----------------------------------------------------------------------
 
-#: strategy -> (required option names, optional option names)
-_STRATEGY_FIELDS = {
-    "int_uniform": (frozenset({"low", "high"}), frozenset()),
-    "uniform": (frozenset({"low", "high"}), frozenset({"round"})),
-    "choice": (frozenset(), frozenset({"values", "pool"})),
-    "choice_list": (
-        frozenset({"min_n", "max_n"}),
-        frozenset({"values", "pool"}),
-    ),
-    "date_window": (frozenset({"min_days", "max_days"}), frozenset()),
-    "int_offset": (
-        frozenset({"base", "low", "high"}),
-        frozenset({"clamp"}),
-    ),
-    "uniform_offset": (
-        frozenset({"base", "low", "high"}),
-        frozenset({"round"}),
-    ),
-    "zipf_int": (frozenset({"low", "high"}), frozenset({"alpha"})),
-    "zipf_choice": (frozenset(), frozenset({"values", "pool", "alpha"})),
-}
 
-STRATEGY_NAMES = tuple(sorted(_STRATEGY_FIELDS))
-
-_POOL_STRATEGIES = ("choice", "choice_list", "zipf_choice")
+def _finite(value) -> bool:
+    """An int or float that converts to a finite float (bools count)."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
-def _resolve_values(param: ParamSpec, spec: WorkloadSpec) -> tuple:
-    if "values" in param.options:
-        return tuple(param.options["values"])
-    return tuple(spec.pools[param.options["pool"]])
+def _is_int(value) -> bool:
+    return isinstance(value, int)
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_value_list(value) -> bool:
+    """A non-empty list of strings and finite numbers: what a pool holds."""
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(_is_text(v) or _finite(v) for v in value)
+    )
+
+
+#: Value types: a check, and what a value failing it "must be".
+_NUMBER = (_finite, "a finite number")
+_INT = (_is_int, "an integer")
+_NAME = (_is_text, "a string")
+_VALUES = (_is_value_list, "a non-empty list of strings or finite numbers")
+
+
+# ----------------------------------------------------------------------
+# Strategy table
+# ----------------------------------------------------------------------
 
 
 def _typed_pick(values: Sequence, picked) -> Union[int, float, str]:
@@ -405,122 +414,150 @@ def _zipf_probabilities(n: int, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+# Draw builders: ``(options, values, date span) -> draw(rng, raw)``.  Each
+# draw consumes exactly the rng calls, in the same order and with the
+# same arguments, as the legacy hand-written samplers — the
+# bitwise-identity contract of the spec refactor.
+
+
+def _draw_int_uniform(options: dict, values: tuple, span: int):
+    low, high = int(options["low"]), int(options["high"])
+    return lambda rng, raw: int(rng.integers(low, high + 1))
+
+
+def _draw_uniform(options: dict, values: tuple, span: int):
+    low, high = float(options["low"]), float(options["high"])
+    return lambda rng, raw: float(rng.uniform(low, high))
+
+
+def _draw_choice(options: dict, values: tuple, span: int):
+    return lambda rng, raw: _typed_pick(values, rng.choice(values))
+
+
+def _draw_choice_list(options: dict, values: tuple, span: int):
+    min_n, max_n = int(options["min_n"]), int(options["max_n"])
+
+    def draw(rng: np.random.Generator, raw: dict) -> str:
+        count = int(rng.integers(min_n, max_n + 1))
+        chosen = rng.choice(values, size=count, replace=False)
+        return ", ".join(f"'{c}'" for c in chosen)
+
+    return draw
+
+
+def _draw_date_window(options: dict, values: tuple, span: int):
+    min_days, max_days = int(options["min_days"]), int(options["max_days"])
+
+    def draw(rng: np.random.Generator, raw: dict) -> tuple[int, int]:
+        width = min(int(rng.integers(min_days, max_days + 1)), span)
+        lo = int(rng.integers(1, span - width + 2))
+        return lo, lo + width - 1
+
+    return draw
+
+
+def _draw_int_offset(options: dict, values: tuple, span: int):
+    base = options["base"]
+    low, high = int(options["low"]), int(options["high"])
+    clamp = options.get("clamp")
+
+    def draw(rng: np.random.Generator, raw: dict) -> int:
+        value = int(raw[base]) + int(rng.integers(low, high + 1))
+        return value if clamp is None else min(value, int(clamp))
+
+    return draw
+
+
+def _draw_uniform_offset(options: dict, values: tuple, span: int):
+    base = options["base"]
+    low, high = float(options["low"]), float(options["high"])
+    # Offsets apply to the *raw* (unrounded) base draw, matching the
+    # legacy nested-lambda samplers.
+    return lambda rng, raw: float(raw[base]) + float(rng.uniform(low, high))
+
+
+def _draw_zipf_int(options: dict, values: tuple, span: int):
+    low, high = int(options["low"]), int(options["high"])
+    probs = _zipf_probabilities(high - low + 1, float(options.get("alpha", 1.2)))
+    return lambda rng, raw: low + int(rng.choice(len(probs), p=probs))
+
+
+def _draw_zipf_choice(options: dict, values: tuple, span: int):
+    probs = _zipf_probabilities(len(values), float(options.get("alpha", 1.2)))
+    return lambda rng, raw: _typed_pick(
+        values, values[int(rng.choice(len(probs), p=probs))]
+    )
+
+
+@dataclass(frozen=True)
+class _Strategy:
+    """Everything the loader knows about one value strategy.
+
+    ``required`` / ``optional`` map each option to its value type.  With a
+    ``pool`` option the strategy draws from ``values`` or a declared pool;
+    with ``base`` it offsets an earlier param's raw draw; with ``round`` it
+    rounds the SQL text's value.  ``ordered`` is the option pair that must
+    hold ``low <= high``; a ``window`` fills ``names: [lo, hi]``.
+    """
+
+    draw: Callable[[dict, tuple, int], Callable]
+    required: dict = field(default_factory=dict)
+    optional: dict = field(default_factory=dict)
+    ordered: Optional[tuple[str, str]] = None
+    window: bool = False
+
+
+_RANGE = {"low": _NUMBER, "high": _NUMBER}
+_OFFSET = {"base": _NAME, **_RANGE}
+_SOURCE = {"values": _VALUES, "pool": _NAME}
+
+#: One row per value strategy; docs/WORKLOADS.md's table lists the same.
+_STRATEGIES = {
+    "int_uniform": _Strategy(_draw_int_uniform, _RANGE, ordered=("low", "high")),
+    "uniform": _Strategy(_draw_uniform, _RANGE, {"round": _INT}, ("low", "high")),
+    "choice": _Strategy(_draw_choice, optional=_SOURCE),
+    "choice_list": _Strategy(
+        _draw_choice_list, {"min_n": _INT, "max_n": _INT}, _SOURCE
+    ),
+    "date_window": _Strategy(
+        _draw_date_window,
+        {"min_days": _NUMBER, "max_days": _NUMBER},
+        ordered=("min_days", "max_days"),
+        window=True,
+    ),
+    "int_offset": _Strategy(_draw_int_offset, _OFFSET, {"clamp": _NUMBER}),
+    "uniform_offset": _Strategy(_draw_uniform_offset, _OFFSET, {"round": _INT}),
+    "zipf_int": _Strategy(_draw_zipf_int, _RANGE, {"alpha": _NUMBER}, ("low", "high")),
+    "zipf_choice": _Strategy(_draw_zipf_choice, optional={**_SOURCE, "alpha": _NUMBER}),
+}
+
+STRATEGY_NAMES = tuple(sorted(_STRATEGIES))
+
+
 _Step = Callable[[np.random.Generator, dict, dict], None]
 
 
 def _compile_param(param: ParamSpec, spec: WorkloadSpec) -> _Step:
-    """Build the draw step for one param; closures capture plain data.
+    """Build the draw step for one param; closures capture plain data."""
+    row, options = _STRATEGIES[param.strategy], param.options
+    # inline values, a declared pool, or none for a strategy without either
+    values = tuple(options.get("values") or spec.pools.get(options.get("pool"), ()))
+    draw = row.draw(options, values, spec.date_span_days)
+    digits = options.get("round", 2) if "round" in row.optional else None
+    names, window = param.names, row.window
 
-    Each step consumes exactly the same rng calls, in the same order and
-    with the same arguments, as the legacy hand-written samplers — the
-    bitwise-identity contract of the spec refactor.
-    """
-    strategy = param.strategy
-    options = param.options
-    name = param.names[0]
-
-    if strategy == "int_uniform":
-        low, high = int(options["low"]), int(options["high"])
-
-        def step(rng: np.random.Generator, raw: dict, out: dict) -> None:
-            value = int(rng.integers(low, high + 1))
+    def step(rng: np.random.Generator, raw: dict, out: dict) -> None:
+        drawn = draw(rng, raw)
+        for name, value in zip(names, drawn if window else (drawn,)):
             raw[name] = value
-            out[name] = value
-
-    elif strategy == "uniform":
-        low, high = float(options["low"]), float(options["high"])
-        digits = int(options.get("round", 2))
-
-        def step(rng: np.random.Generator, raw: dict, out: dict) -> None:
-            value = float(rng.uniform(low, high))
-            raw[name] = value
-            out[name] = round(value, digits)
-
-    elif strategy == "choice":
-        values = _resolve_values(param, spec)
-
-        def step(rng: np.random.Generator, raw: dict, out: dict) -> None:
-            value = _typed_pick(values, rng.choice(values))
-            raw[name] = value
-            out[name] = value
-
-    elif strategy == "choice_list":
-        values = _resolve_values(param, spec)
-        min_n, max_n = int(options["min_n"]), int(options["max_n"])
-
-        def step(rng: np.random.Generator, raw: dict, out: dict) -> None:
-            count = int(rng.integers(min_n, max_n + 1))
-            chosen = rng.choice(values, size=count, replace=False)
-            value = ", ".join(f"'{c}'" for c in chosen)
-            raw[name] = value
-            out[name] = value
-
-    elif strategy == "date_window":
-        min_days, max_days = int(options["min_days"]), int(options["max_days"])
-        span = spec.date_span_days
-        lo_name, hi_name = param.names
-
-        def step(rng: np.random.Generator, raw: dict, out: dict) -> None:
-            width = int(rng.integers(min_days, max_days + 1))
-            width = min(width, span)
-            lo = int(rng.integers(1, span - width + 2))
-            raw[lo_name] = out[lo_name] = lo
-            raw[hi_name] = out[hi_name] = lo + width - 1
-
-    elif strategy == "int_offset":
-        base = str(options["base"])
-        low, high = int(options["low"]), int(options["high"])
-        clamp = options.get("clamp")
-
-        def step(rng: np.random.Generator, raw: dict, out: dict) -> None:
-            value = int(raw[base]) + int(rng.integers(low, high + 1))
-            if clamp is not None:
-                value = min(value, int(clamp))
-            raw[name] = value
-            out[name] = value
-
-    elif strategy == "uniform_offset":
-        base = str(options["base"])
-        low, high = float(options["low"]), float(options["high"])
-        digits = int(options.get("round", 2))
-
-        def step(rng: np.random.Generator, raw: dict, out: dict) -> None:
-            # Offsets apply to the *raw* (unrounded) base draw, matching
-            # the legacy nested-lambda samplers.
-            value = float(raw[base]) + float(rng.uniform(low, high))
-            raw[name] = value
-            out[name] = round(value, digits)
-
-    elif strategy == "zipf_int":
-        low, high = int(options["low"]), int(options["high"])
-        probs = _zipf_probabilities(
-            high - low + 1, float(options.get("alpha", 1.2))
-        )
-
-        def step(rng: np.random.Generator, raw: dict, out: dict) -> None:
-            value = low + int(rng.choice(len(probs), p=probs))
-            raw[name] = value
-            out[name] = value
-
-    elif strategy == "zipf_choice":
-        values = _resolve_values(param, spec)
-        probs = _zipf_probabilities(
-            len(values), float(options.get("alpha", 1.2))
-        )
-
-        def step(rng: np.random.Generator, raw: dict, out: dict) -> None:
-            index = int(rng.choice(len(probs), p=probs))
-            value = _typed_pick(values, values[index])
-            raw[name] = value
-            out[name] = value
-
-    else:  # pragma: no cover - validation rejects unknown strategies
-        raise WorkloadSpecError(f"unknown strategy {strategy!r}")
+            out[name] = value if digits is None else round(value, digits)
 
     return step
 
 
-def _make_sampler(steps: Sequence[_Step]) -> Callable[[np.random.Generator], dict]:
+def _template_sampler(tspec: TemplateSpec, spec: WorkloadSpec) -> Callable:
+    steps = [_compile_param(p, spec) for p in tspec.params]
+
     def sampler(rng: np.random.Generator) -> dict:
         raw: dict = {}
         out: dict = {}
@@ -533,36 +570,263 @@ def _make_sampler(steps: Sequence[_Step]) -> Callable[[np.random.Generator], dic
 
 def compile_workload(spec: WorkloadSpec) -> CompiledWorkload:
     """Compile a validated spec into executable query templates."""
-    templates = []
-    for tspec in spec.templates:
-        steps = [_compile_param(p, spec) for p in tspec.params]
-        templates.append(
-            QueryTemplate(
-                name=tspec.name,
-                sql=tspec.sql,
-                sampler=_make_sampler(steps),
-                family=tspec.family,
-            )
+    templates = tuple(
+        QueryTemplate(
+            name=tspec.name,
+            sql=tspec.sql,
+            sampler=_template_sampler(tspec, spec),
+            family=tspec.family,
         )
+        for tspec in spec.templates
+    )
     return CompiledWorkload(
         spec=spec,
-        templates=tuple(templates),
+        templates=templates,
         family_order=spec.family_names(),
         weights={f.name: f.weight for f in spec.families},
     )
 
 
 # ----------------------------------------------------------------------
-# Validation
+# Validation: schema tables, one typed walk, then the cross-field rules
 # ----------------------------------------------------------------------
 
 
-def _sql_placeholders(sql: str) -> list[str]:
+def _expect(predicate: Callable[[object], bool], message: str):
+    """A field check refusing what ``predicate`` rejects with ``message``,
+    formatted with the field's ``where`` and ``value``."""
+    return lambda value, where: (
+        [] if predicate(value) else [message.format(where=where, value=value)]
+    )
+
+
+def _check_tables(tables, where: str) -> list[str]:
+    if not isinstance(tables, dict) or not tables:
+        return ["tables must be a non-empty mapping of table -> columns"]
     return [
-        field_name
-        for _, field_name, _, _ in Formatter().parse(sql)
-        if field_name is not None
+        f"tables.{name} must be a list of column names"
+        for name, columns in tables.items()
+        if not (isinstance(columns, list) and all(map(_is_text, columns)))
     ]
+
+
+def _check_pools(pools, where: str) -> list[str]:
+    if not pools:
+        return []
+    if not isinstance(pools, dict):
+        return ["pools must be a mapping of name -> value list"]
+    return [
+        f"pools.{name} must be a non-empty list"
+        if not isinstance(values, list) or not values
+        else f"pools.{name} must hold only strings and finite numbers"
+        for name, values in pools.items()
+        if not _is_value_list(values)
+    ]
+
+
+def _is_slug(value) -> bool:
+    return _is_text(value) and re.fullmatch(r"[a-z0-9_-]+", value) is not None
+
+
+#: Schema tables, walked by :func:`_walk`: (field, default when absent,
+#: check).  ``a.b`` is field ``b`` of mapping ``a``, absent when ``a`` is
+#: not a mapping.  A check returns the messages refusing the value.
+_SPEC_FIELDS = (
+    ("spec_version", None, _expect(
+        lambda v: v == SPEC_SCHEMA_VERSION,
+        f"spec_version must be {SPEC_SCHEMA_VERSION}, got {{value!r}}")),
+    ("name", None, _expect(_is_slug, "name must be a lowercase slug, got {value!r}")),
+    ("description", "", _expect(_is_text, "description must be a string")),
+    ("catalog.kind", None, _expect(
+        lambda v: v in ("tpcds", "customer"),
+        "catalog.kind must be 'tpcds' or 'customer'")),
+    ("catalog.scale_factor", 1.0, _expect(
+        _finite, "catalog.scale_factor must be a finite number")),
+    ("catalog.scale", 1.0, _expect(_finite, "catalog.scale must be a finite number")),
+    ("catalog.seed", 0, _expect(_is_int, "catalog.seed must be an integer")),
+    ("tables", None, _check_tables),
+    ("pools", None, _check_pools),
+    ("defaults", None, _expect(
+        lambda v: not v or isinstance(v, dict), "defaults must be a mapping")),
+    ("defaults.date_span_days", 365, _expect(
+        lambda v: _is_int(v) and v >= 1,
+        "defaults.date_span_days must be a positive integer")),
+)
+
+_FAMILY_FIELDS = (
+    ("weight", 1.0, _expect(lambda v: _finite(v) and v >= 0,
+                            "{where}: weight must be >= 0")),
+    ("description", "", _expect(_is_text, "{where}: description must be a string")),
+)
+
+_TEMPLATE_FIELDS = (
+    ("sql", None, _expect(lambda v: _is_text(v) and bool(v.strip()),
+                          "{where}: missing sql")),
+    ("params", [], _expect(lambda v: v is None or isinstance(v, list),
+                           "{where}: params must be a list")),
+)
+
+
+def _walk(mapping: dict, fields: tuple, where: str = "") -> tuple[dict, list[str]]:
+    """Check every field of a schema table on its raw value, before anything
+    hashes, formats or converts it; returns (fields that passed, messages)."""
+    values: dict = {}
+    messages: list[str] = []
+    for key, default, check in fields:
+        parent, _, leaf = key.rpartition(".")
+        holder = mapping.get(parent) if parent else mapping
+        value = holder.get(leaf, default) if isinstance(holder, dict) else default
+        failed = check(value, where)
+        messages.extend(failed)
+        if not failed:
+            values[key] = value
+    return values, messages
+
+
+def _check_param(entry, where: str, pools: dict, seen: set) -> Union[ParamSpec, str]:
+    """The param ``entry`` declares, or the first message refusing it."""
+    if not isinstance(entry, dict):
+        return f"{where}: must be a mapping"
+    strategy = entry.get("strategy")
+    row = _STRATEGIES.get(strategy) if _is_text(strategy) else None
+    if row is None:
+        known = ", ".join(STRATEGY_NAMES)
+        return f"{where}: unknown strategy {strategy!r} (known: {known})"
+    if row.window:
+        name_key, names = "names", entry.get("names")
+        pair = isinstance(names, list) and len(names) == 2
+        if not (pair and all(map(_is_text, names))):
+            return f"{where}: {strategy} needs 'names: [lo, hi]'"
+    else:
+        name_key, names = "name", [entry.get("name")]
+        if not (_is_text(names[0]) and names[0]):
+            return f"{where}: missing 'name'"
+    options = {k: v for k, v in entry.items() if k not in ("strategy", name_key)}
+    types = {**row.required, **row.optional}
+    missing = sorted(set(row.required) - set(options))
+    if missing:
+        return (
+            f"{where}: strategy {strategy!r} missing option(s): "
+            + ", ".join(missing)
+        )
+    unknown = sorted(set(options) - set(types))
+    if unknown:
+        return f"{where}: unknown option(s) for {strategy!r}: " + ", ".join(unknown)
+    if "pool" in types:
+        if ("values" in options) == ("pool" in options):
+            return f"{where}: {strategy!r} needs exactly one of 'values' or 'pool'"
+        pool = options.get("pool")
+        if "pool" in options and not (_is_text(pool) and pool in pools):
+            return f"{where}: pool {pool!r} is not declared"
+        values = options["values"] if "values" in options else pools[pool]
+        if not isinstance(values, list) or not values:
+            return f"{where}: value list must be non-empty"
+        min_n, max_n = options.get("min_n"), options.get("max_n")
+        if "min_n" in types and not (
+            _is_int(min_n) and _is_int(max_n) and 1 <= min_n <= max_n <= len(values)
+        ):
+            return f"{where}: need 1 <= min_n <= max_n <= {len(values)} (pool size)"
+    if row.ordered:
+        lo_key, hi_key = row.ordered
+        low, high = options[lo_key], options[hi_key]
+        if not (_finite(low) and _finite(high) and low <= high):
+            return f"{where}: need numeric {lo_key} <= {hi_key}"
+    base = options.get("base")
+    if "base" in types and not (_is_text(base) and base in seen):
+        return (
+            f"{where}: offset base {base!r} must name an "
+            "*earlier* param of the same template"
+        )
+    duplicate = [n for n in names if n in seen]
+    if duplicate:
+        return f"{where}: duplicate param name(s): " + ", ".join(duplicate)
+    for key, value in options.items():
+        check, kind = types[key]
+        if not check(value):
+            return f"{where}: option {key!r} must be {kind}"
+    return ParamSpec(strategy=strategy, names=tuple(names), options=options)
+
+
+def _check_families(entries, errors: list[str]) -> list[FamilySpec]:
+    if not isinstance(entries, list) or not entries:
+        errors.append("families must be a non-empty list")
+        return []
+    families: list[FamilySpec] = []
+    seen: set = set()
+    for entry in entries:
+        if not isinstance(entry, dict) or not _is_text(entry.get("name")):
+            errors.append(f"family entry {entry!r} needs a 'name'")
+            continue
+        name = entry["name"]
+        if name in seen:
+            errors.append(f"duplicate family {name!r}")
+            continue
+        values, messages = _walk(entry, _FAMILY_FIELDS, f"family {name!r}")
+        errors.extend(messages)
+        if messages:
+            continue
+        seen.add(name)
+        weight = float(values["weight"])
+        families.append(FamilySpec(name, weight, values["description"]))
+    if families and not any(f.weight > 0 for f in families):
+        errors.append("at least one family must have a positive weight")
+    return families
+
+
+def _check_templates(
+    entries, families: list[FamilySpec], pools: dict, errors: list[str]
+) -> list[TemplateSpec]:
+    if not isinstance(entries, list) or not entries:
+        errors.append("templates must be a non-empty list")
+        return []
+    family_names = {f.name for f in families}
+    templates: list[TemplateSpec] = []
+    seen: set = set()
+    for entry in entries:
+        if not isinstance(entry, dict) or not _is_text(entry.get("name")):
+            errors.append(f"template entry needs a 'name': {entry!r}")
+            continue
+        name = entry["name"]
+        if name in seen:
+            errors.append(f"duplicate template {name!r}")
+            continue
+        seen.add(name)
+        where = f"template {name!r}"
+        family = entry.get("family", "standard")
+        if not _is_text(family) or (family_names and family not in family_names):
+            errors.append(f"{where}: family {family!r} is not declared")
+        values, messages = _walk(entry, _TEMPLATE_FIELDS, where)
+        errors.extend(messages)
+        if messages:
+            continue
+        sql = values["sql"]
+        try:
+            placeholders = {f for _, f, _, _ in Formatter().parse(sql) if f is not None}
+        except ValueError as error:
+            errors.append(f"{where}: sql is not a str.format template: {error}")
+            continue
+        params: list[ParamSpec] = []
+        produced: set = set()
+        for index, param_entry in enumerate(values["params"] or []):
+            param = _check_param(
+                param_entry, f"{where} param #{index}", pools, produced
+            )
+            if isinstance(param, str):
+                errors.append(param)
+                continue
+            produced.update(param.names)
+            params.append(param)
+        missing = sorted(placeholders - produced)
+        if missing:
+            errors.append(
+                f"{where}: sql placeholder(s) with no strategy: "
+                + ", ".join("{%s}" % m for m in missing)
+            )
+        unused = sorted(produced - placeholders)
+        if unused:
+            errors.append(f"{where}: param(s) never used in sql: " + ", ".join(unused))
+        templates.append(TemplateSpec(name, family, sql.strip(), tuple(params)))
+    return templates
 
 
 def _collect_query_refs(query) -> tuple[list, list]:
@@ -595,24 +859,13 @@ def _validate_template_sql(
     """Render once with a probe rng, parse, and check the vocabulary."""
     from repro.sql.parser import parse
 
-    template = compile_workload(
-        WorkloadSpec(
-            name=spec.name,
-            description=spec.description,
-            catalog=spec.catalog,
-            tables=spec.tables,
-            pools=spec.pools,
-            families=spec.families,
-            templates=(tspec,),
-            date_span_days=spec.date_span_days,
-        )
-    ).templates[0]
     prefix = f"template {tspec.name!r}"
     try:
-        sql, _params = template.render(
-            child_generator(0, f"spec-validate:{tspec.name}")
+        sampler = _template_sampler(tspec, spec)
+        sql = tspec.sql.format(
+            **sampler(child_generator(0, f"spec-validate:{tspec.name}"))
         )
-    except (KeyError, IndexError, ValueError) as error:
+    except (KeyError, IndexError, ValueError, OverflowError) as error:
         errors.append(f"{prefix}: render failed: {error}")
         return
     try:
@@ -641,282 +894,30 @@ def _validate_template_sql(
             )
 
 
-def _validate_params(
-    tspec_name: str,
-    params_data: list,
-    pools: dict,
-    errors: list[str],
-) -> list[ParamSpec]:
-    specs: list[ParamSpec] = []
-    seen: set[str] = set()
-    prefix = f"template {tspec_name!r}"
-    for index, entry in enumerate(params_data):
-        where = f"{prefix} param #{index}"
-        if not isinstance(entry, dict):
-            errors.append(f"{where}: must be a mapping")
-            continue
-        strategy = entry.get("strategy")
-        if strategy not in _STRATEGY_FIELDS:
-            errors.append(
-                f"{where}: unknown strategy {strategy!r} "
-                f"(known: {', '.join(STRATEGY_NAMES)})"
-            )
-            continue
-        required, optional = _STRATEGY_FIELDS[strategy]
-        if strategy == "date_window":
-            names = entry.get("names")
-            if (
-                not isinstance(names, list)
-                or len(names) != 2
-                or not all(isinstance(n, str) for n in names)
-            ):
-                errors.append(
-                    f"{where}: date_window needs 'names: [lo, hi]'"
-                )
-                continue
-            names = tuple(names)
-            known = required | optional | {"strategy", "names"}
-        else:
-            name = entry.get("name")
-            if not isinstance(name, str) or not name:
-                errors.append(f"{where}: missing 'name'")
-                continue
-            names = (name,)
-            known = required | optional | {"strategy", "name"}
-        missing = sorted(required - set(entry))
-        if missing:
-            errors.append(
-                f"{where}: strategy {strategy!r} missing option(s): "
-                + ", ".join(missing)
-            )
-            continue
-        unknown = sorted(set(entry) - known)
-        if unknown:
-            errors.append(
-                f"{where}: unknown option(s) for {strategy!r}: "
-                + ", ".join(unknown)
-            )
-            continue
-        options = {
-            k: v for k, v in entry.items() if k not in ("strategy", "name", "names")
-        }
-        if strategy in _POOL_STRATEGIES:
-            has_values = "values" in options
-            has_pool = "pool" in options
-            if has_values == has_pool:
-                errors.append(
-                    f"{where}: {strategy!r} needs exactly one of "
-                    "'values' or 'pool'"
-                )
-                continue
-            if has_pool and options["pool"] not in pools:
-                errors.append(
-                    f"{where}: pool {options['pool']!r} is not declared"
-                )
-                continue
-            values = (
-                options["values"] if has_values else pools[options["pool"]]
-            )
-            if not isinstance(values, list) or not values:
-                errors.append(f"{where}: value list must be non-empty")
-                continue
-            if strategy == "choice_list":
-                min_n, max_n = options.get("min_n"), options.get("max_n")
-                if not (
-                    isinstance(min_n, int)
-                    and isinstance(max_n, int)
-                    and 1 <= min_n <= max_n <= len(values)
-                ):
-                    errors.append(
-                        f"{where}: need 1 <= min_n <= max_n <= "
-                        f"{len(values)} (pool size)"
-                    )
-                    continue
-        if strategy in ("int_uniform", "uniform", "zipf_int", "date_window"):
-            lo_key, hi_key = (
-                ("min_days", "max_days")
-                if strategy == "date_window"
-                else ("low", "high")
-            )
-            low, high = options.get(lo_key), options.get(hi_key)
-            if not (
-                isinstance(low, (int, float))
-                and isinstance(high, (int, float))
-                and low <= high
-            ):
-                errors.append(
-                    f"{where}: need numeric {lo_key} <= {hi_key}"
-                )
-                continue
-        if strategy in ("int_offset", "uniform_offset"):
-            base = options.get("base")
-            if base not in seen:
-                errors.append(
-                    f"{where}: offset base {base!r} must name an "
-                    "*earlier* param of the same template"
-                )
-                continue
-        duplicate = [n for n in names if n in seen]
-        if duplicate:
-            errors.append(
-                f"{where}: duplicate param name(s): " + ", ".join(duplicate)
-            )
-            continue
-        seen.update(names)
-        specs.append(ParamSpec(strategy=strategy, names=names, options=options))
-    return specs
-
-
 def validate_spec_data(data: dict) -> tuple[Optional[WorkloadSpec], list[str]]:
     """Validate raw spec data; returns (spec or None, error messages)."""
-    errors: list[str] = []
     if not isinstance(data, dict):
         return None, ["spec root must be a mapping"]
-    version = data.get("spec_version")
-    if version != SPEC_SCHEMA_VERSION:
-        errors.append(
-            f"spec_version must be {SPEC_SCHEMA_VERSION}, got {version!r}"
-        )
-    name = data.get("name")
-    if not isinstance(name, str) or not re.fullmatch(r"[a-z0-9_-]+", name or ""):
-        errors.append(f"name must be a lowercase slug, got {name!r}")
-        name = "invalid"
-    catalog = data.get("catalog")
-    if not isinstance(catalog, dict) or catalog.get("kind") not in (
-        "tpcds",
-        "customer",
-    ):
-        errors.append("catalog.kind must be 'tpcds' or 'customer'")
-        catalog = {"kind": "tpcds"}
-    tables = data.get("tables")
-    if not isinstance(tables, dict) or not tables:
-        errors.append("tables must be a non-empty mapping of table -> columns")
-        tables = {}
-    else:
-        for table_name, columns in tables.items():
-            if not isinstance(columns, list) or not all(
-                isinstance(c, str) for c in columns
-            ):
-                errors.append(
-                    f"tables.{table_name} must be a list of column names"
-                )
-    pools = data.get("pools") or {}
-    if not isinstance(pools, dict):
-        errors.append("pools must be a mapping of name -> value list")
-        pools = {}
-    else:
-        for pool_name, values in pools.items():
-            if not isinstance(values, list) or not values:
-                errors.append(f"pools.{pool_name} must be a non-empty list")
-    defaults = data.get("defaults") or {}
-    date_span = defaults.get("date_span_days", 365)
-    if not isinstance(date_span, int) or date_span < 1:
-        errors.append("defaults.date_span_days must be a positive integer")
-        date_span = 365
-
-    families_data = data.get("families")
-    families: list[FamilySpec] = []
-    if not isinstance(families_data, list) or not families_data:
-        errors.append("families must be a non-empty list")
-    else:
-        seen_families = set()
-        for entry in families_data:
-            if not isinstance(entry, dict) or not isinstance(
-                entry.get("name"), str
-            ):
-                errors.append(f"family entry {entry!r} needs a 'name'")
-                continue
-            fname = entry["name"]
-            weight = entry.get("weight", 1.0)
-            if fname in seen_families:
-                errors.append(f"duplicate family {fname!r}")
-                continue
-            if not isinstance(weight, (int, float)) or weight < 0:
-                errors.append(f"family {fname!r}: weight must be >= 0")
-                continue
-            seen_families.add(fname)
-            families.append(
-                FamilySpec(
-                    name=fname,
-                    weight=float(weight),
-                    description=str(entry.get("description", "")),
-                )
-            )
-        if families and not any(f.weight > 0 for f in families):
-            errors.append("at least one family must have a positive weight")
-
-    templates_data = data.get("templates")
-    templates: list[TemplateSpec] = []
-    family_names = {f.name for f in families}
-    if not isinstance(templates_data, list) or not templates_data:
-        errors.append("templates must be a non-empty list")
-    else:
-        seen_templates = set()
-        for entry in templates_data:
-            if not isinstance(entry, dict) or not isinstance(
-                entry.get("name"), str
-            ):
-                errors.append(f"template entry needs a 'name': {entry!r}")
-                continue
-            tname = entry["name"]
-            if tname in seen_templates:
-                errors.append(f"duplicate template {tname!r}")
-                continue
-            seen_templates.add(tname)
-            family = entry.get("family", "standard")
-            if family_names and family not in family_names:
-                errors.append(
-                    f"template {tname!r}: family {family!r} is not declared"
-                )
-            sql = entry.get("sql")
-            if not isinstance(sql, str) or not sql.strip():
-                errors.append(f"template {tname!r}: missing sql")
-                continue
-            params_data = entry.get("params")
-            if params_data is None:
-                params_data = []
-            if not isinstance(params_data, list):
-                errors.append(f"template {tname!r}: params must be a list")
-                continue
-            params = _validate_params(tname, params_data, pools, errors)
-            produced = [n for p in params for n in p.names]
-            placeholders = set(_sql_placeholders(sql))
-            missing = sorted(placeholders - set(produced))
-            if missing:
-                errors.append(
-                    f"template {tname!r}: sql placeholder(s) with no "
-                    "strategy: " + ", ".join("{%s}" % m for m in missing)
-                )
-            unused = sorted(set(produced) - placeholders)
-            if unused:
-                errors.append(
-                    f"template {tname!r}: param(s) never used in sql: "
-                    + ", ".join(unused)
-                )
-            templates.append(
-                TemplateSpec(
-                    name=tname,
-                    family=str(family),
-                    sql=sql.strip(),
-                    params=tuple(params),
-                )
-            )
-
+    values, errors = _walk(data, _SPEC_FIELDS)
+    pools = data.get("pools") if isinstance(data.get("pools"), dict) else {}
+    families = _check_families(data.get("families"), errors)
+    templates = _check_templates(data.get("templates"), families, pools, errors)
+    if errors:
+        return None, errors
     spec = WorkloadSpec(
-        name=name,
-        description=str(data.get("description", "")),
-        catalog=dict(catalog),
-        tables={t: list(c) for t, c in tables.items() if isinstance(c, list)},
-        pools={p: list(v) for p, v in pools.items() if isinstance(v, list)},
+        name=values["name"],
+        description=values["description"],
+        catalog=dict(data["catalog"]),
+        tables={t: list(c) for t, c in data["tables"].items()},
+        pools={p: list(v) for p, v in pools.items()},
         families=tuple(families),
         templates=tuple(templates),
-        date_span_days=date_span,
+        date_span_days=values["defaults.date_span_days"],
     )
-    if not errors:
-        # Vocabulary pass: render each template once, parse it, and check
-        # every table/column against the declared schema.
-        for tspec in spec.templates:
-            _validate_template_sql(tspec, spec, errors)
+    # Vocabulary pass: render each template once, parse it, and check
+    # every table/column against the declared schema.
+    for tspec in spec.templates:
+        _validate_template_sql(tspec, spec, errors)
     if errors:
         return None, errors
     return spec, []
@@ -932,12 +933,12 @@ def load_workload_spec(path: Union[str, Path]) -> WorkloadSpec:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise WorkloadSpecError(f"cannot read workload spec {path}: {error}")
     if path.suffix.lower() == ".json":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
             raise WorkloadSpecError(f"{path}: invalid JSON: {error}")
     else:
         data = parse_simple_yaml(text)
@@ -948,17 +949,7 @@ def load_workload_spec(path: Union[str, Path]) -> WorkloadSpec:
             + "\n  ".join(errors),
             errors=tuple(errors),
         )
-    return WorkloadSpec(
-        name=spec.name,
-        description=spec.description,
-        catalog=spec.catalog,
-        tables=spec.tables,
-        pools=spec.pools,
-        families=spec.families,
-        templates=spec.templates,
-        date_span_days=spec.date_span_days,
-        source=str(path),
-    )
+    return replace(spec, source=str(path))
 
 
 # ----------------------------------------------------------------------
@@ -1091,11 +1082,3 @@ def describe_workload(ref: WorkloadRef) -> str:
                 f"      {template.name:<32} [{strategies or 'no params'}]"
             )
     return "\n".join(lines)
-
-
-def iter_param_specs(ref: WorkloadRef) -> Iterable[tuple[str, ParamSpec]]:
-    """Yield (template name, param spec) pairs — handy for introspection."""
-    compiled = resolve_workload(ref)
-    for tspec in compiled.spec.templates:
-        for param in tspec.params:
-            yield tspec.name, param

@@ -8,17 +8,22 @@ verbatim copy of the legacy hard-coded layer
 spec path is deterministic across interpreter runs.
 """
 
+import itertools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tests._legacy_templates as legacy
 from repro.errors import WorkloadSpecError
 from repro.workloads.generator import generate_pool
 from repro.workloads.spec import (
+    _STRATEGIES,
     SPEC_SCHEMA_VERSION,
     builtin_workload_names,
     describe_workload,
@@ -30,6 +35,21 @@ from repro.workloads.spec import (
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SPEC_DIR = REPO_ROOT / "specs"
+MALFORMED_DIR = REPO_ROOT / "tests" / "fixtures" / "specs" / "malformed"
+
+#: One malformed spec per shape that once escaped as a raw traceback, and
+#: the message its refusal must carry.
+MALFORMED = {
+    "defaults_list.yaml": "defaults must be a mapping",
+    "strategy_list.yaml": "unknown strategy ['int_uniform']",
+    "family_list.yaml": "family ['standard'] is not declared",
+    "pool_list.yaml": "pool ['quantities'] is not declared",
+    "alpha_text.yaml": "option 'alpha' must be a finite number",
+    "round_text.yaml": "option 'round' must be an integer",
+    "offset_bound_text.yaml": "param #3: option 'low' must be a finite number",
+    "high_infinity.json": "need numeric low <= high",
+    "sql_lone_brace.yaml": "sql is not a str.format template",
+}
 
 
 def as_dict(instance):
@@ -236,6 +256,86 @@ class TestValidation:
             load_workload_spec(bad)
         assert excinfo.value.errors
 
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_spec_is_a_typed_error(self, name):
+        with pytest.raises(WorkloadSpecError) as excinfo:
+            load_workload_spec(MALFORMED_DIR / name)
+        assert any(MALFORMED[name] in e for e in excinfo.value.errors), (
+            excinfo.value.errors
+        )
+
+    def test_strategy_table_is_the_documented_one(self):
+        """docs/WORKLOADS.md's "Value strategies" table lists exactly the
+        strategy table's rows, with the same required and optional options."""
+        doc = (REPO_ROOT / "docs" / "WORKLOADS.md").read_text()
+        lines = doc.split("## Value strategies", 1)[1].splitlines()
+        lines = itertools.dropwhile(lambda line: line[:1] != "|", lines)
+        rows = list(itertools.takewhile(lambda line: line[:1] == "|", lines))[2:]
+        documented = {}
+        for row in rows:
+            strategy, required, optional = row.strip("|").split("|")[:3]
+            documented[strategy.strip().strip("`")] = (
+                set(re.findall(r"`(\w+)`", required)),
+                set(re.findall(r"`(\w+)`", optional)),
+            )
+        assert documented == {
+            name: (set(row.required), set(row.optional))
+            for name, row in _STRATEGIES.items()
+        }
+
+
+def _nodes(node, path=()):
+    """Every node of nested spec data, as the path of keys reaching it."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(alphabet=st.characters() | st.sampled_from("{}"), max_size=12),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestSpecFuzz:
+    """Any damaged spec is a spec or a typed refusal, never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), value=JSON_VALUES)
+    def test_one_node_replaced_is_a_spec_or_a_typed_error(self, data, value):
+        spec_data = minimal_spec_data()
+        path = data.draw(st.sampled_from(list(_nodes(spec_data))))
+        if path:
+            parent = spec_data
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            spec_data = value
+        try:
+            spec, errors = validate_spec_data(spec_data)
+        except WorkloadSpecError:
+            return
+        assert (spec is None) == bool(errors)
+        assert all(isinstance(e, str) for e in errors)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(alphabet=st.characters() | st.sampled_from(" -:[]'\"{}\t\n#>")))
+    def test_any_text_parses_or_is_a_typed_error(self, text):
+        try:
+            assert isinstance(parse_simple_yaml(text), dict)
+        except WorkloadSpecError:
+            pass
+
 
 # ----------------------------------------------------------------------
 # YAML-subset parser units
@@ -268,6 +368,17 @@ class TestYamlSubset:
             {"name": "b"},
         ]
         assert data["pools"]["colors"] == ["red", "green", "blue"]
+        # A tab in the indentation and an unterminated quote or flow list
+        # are refused with their line; nesting past the stack is refused.
+        deep = "".join(f"{' ' * depth}k{depth}:\n" for depth in range(2000))
+        for bad, where in (
+            ("a:\n\tb: 1\nc: 2", "line 2: tabs"),
+            ("a: 'x", "line 1: unterminated quote"),
+            ("a: [1,2", "line 1: unterminated flow list"),
+            (deep, "nests too deeply"),
+        ):
+            with pytest.raises(WorkloadSpecError, match=where):
+                parse_simple_yaml(bad)
 
     def test_folded_scalar_joins_with_spaces(self):
         text = "\n".join(
@@ -408,10 +519,23 @@ class TestCliWorkload:
 
         bad = tmp_path / "broken.yaml"
         bad.write_text("spec_version: 999\nname: broken\n")
-        code = main(["workload", "validate", str(bad)])
+        # Neither UTF-8 nor JSON an int() can read: refused, not raised.
+        (tmp_path / "binary.yaml").write_bytes(b"name: \xff\n")
+        (tmp_path / "huge.json").write_text('{"spec_version": ' + "1" * 5000 + "}")
+        code = main(["workload", "validate", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
-        assert "FAIL" in out
+        assert out.count("FAIL") == 3
+
+    def test_validate_refuses_malformed_specs_without_a_traceback(self, capsys):
+        from repro.cli import main
+
+        assert sorted(p.name for p in MALFORMED_DIR.iterdir()) == sorted(MALFORMED)
+        code = main(["workload", "validate", str(MALFORMED_DIR)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("FAIL ") == len(MALFORMED)
+        assert f"0/{len(MALFORMED)} specs valid" in out
 
     def test_describe_and_sample(self, capsys):
         from repro.cli import main
