@@ -12,9 +12,10 @@ depends on:
   performance metrics.
 * :mod:`repro.workloads` — TPC-DS-like database, query templates
   (standard + "problem query"), and the separate customer schema.
-* :mod:`repro.core` — KCCA prediction plus every baseline the paper
-  evaluates (linear regression, PCA, CCA, K-means, SQL-text features).
-* :mod:`repro.experiments` — one entry point per paper table/figure.
+* :mod:`repro.core` — KCCA prediction plus the baselines the experiments
+  run (linear regression, CCA, SQL-text features).
+* :mod:`repro.experiments` — the experiment table, one row per paper
+  table/figure (`python -m repro.experiments`).
 
 Quickstart::
 

@@ -15,8 +15,7 @@ Pipeline (Sections V–VI of the paper):
    performance vectors (sidestepping the kernel pre-image problem).
 
 Baselines evaluated and rejected by the paper are implemented alongside:
-per-metric linear regression (:mod:`repro.core.regression`), PCA
-(:mod:`repro.core.pca`), classical CCA (:mod:`repro.core.cca`), K-means
-clustering (:mod:`repro.core.kmeans`), and SQL-text features
+per-metric linear regression (:mod:`repro.core.regression`), classical
+CCA (:mod:`repro.core.cca`), and SQL-text features
 (:mod:`repro.sql.text_features`).
 """

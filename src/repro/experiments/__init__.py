@@ -5,9 +5,13 @@
   categories), with on-disk caching under ``data/corpora/``.
 * :mod:`repro.experiments.harness` — category-stratified splits and
   predictor evaluation helpers.
-* :mod:`repro.experiments.experiments` — ``fig2`` .. ``fig17`` and the
-  three design-choice tables; each returns a result object the benchmark
-  suite prints and EXPERIMENTS.md records.
+* :mod:`repro.experiments.experiments` — the experiment table: one row
+  per paper table or figure (runner, paper values, floors, EXPERIMENTS.md
+  section) and the sha256-pinned corpora they read.  ``python -m
+  repro.experiments`` runs every row, checks every floor and writes
+  EXPERIMENTS.md.
+* :mod:`repro.experiments.ablations` — design-choice ablations and the
+  Section VII-C.4 timing profile, run by two rows of the table.
 * :mod:`repro.experiments.report` — plain-text table rendering.
 * :mod:`repro.experiments.bench` — the perf benchmark harness behind
   ``scripts/bench.py`` (two within-component ratio sections; the

@@ -6,9 +6,9 @@ feature vector (estimated cardinalities), the SQL-text feature vector, the
 six measured performance metrics, the optimizer's abstract cost and the
 runtime category.
 
-Executing the full research corpus takes tens of minutes (the bowling
-balls are real multi-million-row joins), so corpora are cached as ``.npz``
-files under ``data/corpora/`` — exactly like the paper's measured training
+Executing the full research corpus takes minutes (the bowling balls are
+real multi-million-row joins), so corpora are cached as ``.npz`` files
+under ``data/corpora/`` — exactly like the paper's measured training
 data, which was also collected once and reused.  Delete the cache or set
 ``rebuild=True`` to re-measure.
 

@@ -7,9 +7,12 @@ from typing import Mapping, Sequence
 
 from repro.engine.metrics import METRIC_NAMES
 
-__all__ = ["format_risk_table", "format_value", "format_pool_table", "hms"]
+__all__ = [
+    "METRIC_LABELS", "format_risk_table", "format_value", "format_pool_table", "hms",
+]
 
-_METRIC_LABELS = {
+#: Metric names as the paper's tables print them.
+METRIC_LABELS = {
     "elapsed_time": "Elapsed Time",
     "records_accessed": "Records Accessed",
     "records_used": "Records Used",
@@ -48,7 +51,7 @@ def format_risk_table(
     lines.append(header)
     lines.append("-" * len(header))
     for metric in metric_names:
-        row = f"{_METRIC_LABELS.get(metric, metric):<18}"
+        row = f"{METRIC_LABELS.get(metric, metric):<18}"
         for label in labels:
             row += f"{format_value(columns[label].get(metric)):>{max(width, 10)}}"
         lines.append(row)

@@ -497,19 +497,26 @@ class _Strategy:
     ``pool`` option the strategy draws from ``values`` or a declared pool;
     with ``base`` it offsets an earlier param's raw draw; with ``round`` it
     rounds the SQL text's value.  ``ordered`` is the option pair that must
-    hold ``low <= high``; a ``window`` fills ``names: [lo, hi]``.
+    hold ``low <= high``; ``max_values`` caps how many integers that pair
+    may span; a ``window`` fills ``names: [lo, hi]``.
     """
 
     draw: Callable[[dict, tuple, int], Callable]
     required: dict = field(default_factory=dict)
     optional: dict = field(default_factory=dict)
     ordered: Optional[tuple[str, str]] = None
+    max_values: Optional[int] = None
     window: bool = False
 
 
 _RANGE = {"low": _NUMBER, "high": _NUMBER}
 _OFFSET = {"base": _NAME, **_RANGE}
 _SOURCE = {"values": _VALUES, "pool": _NAME}
+
+#: ``zipf_int`` builds one float64 probability per value in its range
+#: when the spec is compiled, so the range is bounded (8 MB at the cap;
+#: the widest shipped range holds 801 values).
+_ZIPF_MAX_VALUES = 10**6
 
 #: One row per value strategy; docs/WORKLOADS.md's table lists the same.
 _STRATEGIES = {
@@ -527,7 +534,10 @@ _STRATEGIES = {
     ),
     "int_offset": _Strategy(_draw_int_offset, _OFFSET, {"clamp": _NUMBER}),
     "uniform_offset": _Strategy(_draw_uniform_offset, _OFFSET, {"round": _INT}),
-    "zipf_int": _Strategy(_draw_zipf_int, _RANGE, {"alpha": _NUMBER}, ("low", "high")),
+    "zipf_int": _Strategy(
+        _draw_zipf_int, _RANGE, {"alpha": _NUMBER}, ("low", "high"),
+        max_values=_ZIPF_MAX_VALUES,
+    ),
     "zipf_choice": _Strategy(_draw_zipf_choice, optional={**_SOURCE, "alpha": _NUMBER}),
 }
 
@@ -731,6 +741,12 @@ def _check_param(entry, where: str, pools: dict, seen: set) -> Union[ParamSpec, 
         low, high = options[lo_key], options[hi_key]
         if not (_finite(low) and _finite(high) and low <= high):
             return f"{where}: need numeric {lo_key} <= {hi_key}"
+        span = int(high) - int(low) + 1
+        if row.max_values is not None and span > row.max_values:
+            return (
+                f"{where}: {strategy} range {lo_key}..{hi_key} holds {span} "
+                f"values, more than {row.max_values}"
+            )
     base = options.get("base")
     if "base" in types and not (_is_text(base) and base in seen):
         return (

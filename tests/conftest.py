@@ -2,7 +2,7 @@
 
 Everything here is deliberately small (scale factor 0.1-0.2) so the unit
 and integration test suite runs in seconds; the full-size corpora live in
-``data/corpora`` and are only used by the benchmark suite.
+``data/corpora`` and are only used by ``python -m repro.experiments``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Tests for KCCA, CCA, PCA, K-means and the regression baseline."""
+"""Tests for KCCA, CCA and the regression baseline."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from repro.core.cca import CCA
 from repro.core.kcca import KCCA, center_cross_kernel, center_kernel
 from repro.core.kernels import gaussian_kernel_matrix
-from repro.core.kmeans import KMeans, cluster_agreement
-from repro.core.pca import PCA
 from repro.core.regression import LinearRegression, MultiMetricRegression
 from repro.errors import ModelError, NotFittedError
 
@@ -134,94 +132,6 @@ class TestCCA:
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
             CCA().transform_x(np.ones((2, 2)))
-
-
-class TestPCA:
-    def test_first_component_is_max_variance_direction(self):
-        rng = np.random.default_rng(0)
-        data = np.column_stack(
-            [rng.normal(0, 10, 300), rng.normal(0, 1, 300)]
-        )
-        model = PCA(n_components=2).fit(data)
-        # First component should be (approximately) the x axis.
-        assert abs(model.components[0][0]) > 0.99
-
-    def test_explained_variance_ratio_sums_to_one(self):
-        data = np.random.default_rng(0).normal(size=(100, 4))
-        model = PCA(n_components=4).fit(data)
-        assert model.explained_variance_ratio().sum() == pytest.approx(1.0)
-
-    def test_transform_centers(self):
-        data = np.random.default_rng(0).normal(size=(50, 3)) + 100
-        transformed = PCA(n_components=3).fit_transform(data)
-        assert np.allclose(transformed.mean(axis=0), 0.0, atol=1e-9)
-
-    def test_reconstruction_with_all_components(self):
-        data = np.random.default_rng(0).normal(size=(30, 3))
-        model = PCA(n_components=3).fit(data)
-        transformed = model.transform(data)
-        reconstructed = transformed @ model.components + model.mean
-        assert np.allclose(reconstructed, data, atol=1e-9)
-
-    def test_not_fitted(self):
-        with pytest.raises(NotFittedError):
-            PCA().transform(np.ones((2, 2)))
-
-
-class TestKMeans:
-    def blobs(self, seed=0):
-        rng = np.random.default_rng(seed)
-        return np.vstack(
-            [
-                rng.normal([0, 0], 0.3, (40, 2)),
-                rng.normal([5, 5], 0.3, (40, 2)),
-                rng.normal([0, 5], 0.3, (40, 2)),
-            ]
-        )
-
-    def test_recovers_blobs(self):
-        data = self.blobs()
-        model = KMeans(n_clusters=3, seed=1).fit(data)
-        labels = model.labels
-        # Points within each generated blob share one label.
-        for start in (0, 40, 80):
-            block = labels[start : start + 40]
-            assert (block == block[0]).mean() > 0.95
-
-    def test_predict_consistent_with_fit(self):
-        data = self.blobs()
-        model = KMeans(n_clusters=3, seed=1).fit(data)
-        assert np.array_equal(model.predict(data), model.labels)
-
-    def test_inertia_decreases_with_k(self):
-        data = self.blobs()
-        inertia = [
-            KMeans(n_clusters=k, seed=1).fit(data).inertia for k in (1, 3)
-        ]
-        assert inertia[1] < inertia[0]
-
-    def test_too_few_points(self):
-        with pytest.raises(ModelError):
-            KMeans(n_clusters=5).fit(np.ones((3, 2)))
-
-    def test_cluster_agreement_identical(self):
-        labels = np.array([0, 0, 1, 1, 2])
-        assert cluster_agreement(labels, labels) == 1.0
-
-    def test_cluster_agreement_disjoint(self):
-        a = np.array([0, 0, 0, 0])
-        b = np.array([0, 1, 2, 3])
-        assert cluster_agreement(a, b) == 0.0
-
-    def test_paper_motivation_feature_vs_performance_clusters(self):
-        """Section V-B: clustering X and clustering Y produce different
-        partitions when the X->Y map is non-monotone in cluster space."""
-        rng = np.random.default_rng(3)
-        x = rng.uniform(0, 1, (150, 2))
-        y = np.column_stack([np.sin(8 * x[:, 0]), np.cos(8 * x[:, 1])])
-        labels_x = KMeans(n_clusters=3, seed=0).fit(x).labels
-        labels_y = KMeans(n_clusters=3, seed=0).fit(y).labels
-        assert cluster_agreement(labels_x, labels_y) < 0.9
 
 
 class TestLinearRegression:

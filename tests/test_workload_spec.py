@@ -49,6 +49,7 @@ MALFORMED = {
     "offset_bound_text.yaml": "param #3: option 'low' must be a finite number",
     "high_infinity.json": "need numeric low <= high",
     "sql_lone_brace.yaml": "sql is not a str.format template",
+    "zipf_int_huge.yaml": "zipf_int range low..high holds 1000000000000 values",
 }
 
 
@@ -210,6 +211,20 @@ class TestValidation:
         spec, errors = validate_spec_data(minimal_spec_data())
         assert errors == []
         assert spec is not None
+
+    def test_zipf_int_range_is_bounded(self):
+        """A zipf_int range builds one probability per value at compile
+        time: a million values pass, one more is refused before any
+        allocation."""
+        data = minimal_spec_data()
+        param = data["templates"][0]["params"][0]
+        param.update(strategy="zipf_int", low=1, high=10**6)
+        spec, errors = validate_spec_data(data)
+        assert errors == [] and spec is not None
+        param["high"] = 10**6 + 1
+        spec, errors = validate_spec_data(data)
+        assert spec is None
+        assert any("holds 1000001 values, more than 1000000" in e for e in errors)
 
     def test_missing_placeholder_strategy(self):
         data = minimal_spec_data()
