@@ -14,7 +14,7 @@ import re
 
 from repro.analysis.engine import CodeRule, LintContext, dotted_name
 from repro.analysis.rules import RuleInfo, register
-from repro.resilience.faults import site_registered
+from repro.resilience.faults import REGISTERED_SITES, site_registered
 
 __all__ = ["CODE_RULES", "STRICT_TYPING_DIRS"]
 
@@ -276,15 +276,7 @@ class UnregisteredFaultSite(CodeRule):
 
     @staticmethod
     def _prefix_may_match(prefix: str) -> bool:
-        if site_registered(prefix):
-            return True
-        from repro.resilience.faults import (
-            REGISTERED_SITE_PREFIXES,
-            REGISTERED_SITES,
-        )
-
-        candidates = set(REGISTERED_SITES) | set(REGISTERED_SITE_PREFIXES)
-        return any(candidate.startswith(prefix) for candidate in candidates)
+        return any(site.startswith(prefix) for site in REGISTERED_SITES)
 
 
 class NonPicklablePoolCallable(CodeRule):

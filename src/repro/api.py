@@ -30,13 +30,6 @@ Observability (off by default; see docs/OBSERVABILITY.md)::
     api.set_metrics(True)
     predictor.forecast_many(sqls)
     print(api.get_metrics())      # registry snapshot (latencies, totals)
-
-Resilient serving (off by default; see docs/ROBUSTNESS.md)::
-
-    predictor = QueryPerformancePredictor.train_on_tpcds(fallback=True)
-    forecast = predictor.forecast(sql)
-    print(forecast.served_by)            # "kcca" — or a fallback stage
-    print(predictor.resilience_status()) # per-stage breaker states
 """
 
 from __future__ import annotations
@@ -63,7 +56,6 @@ from repro.obs import trace as _obs_trace
 from repro.obs.seam import boundary, stage
 from repro.optimizer.optimizer import OptimizedQuery, Optimizer
 from repro.pipeline.pipeline import PredictionPipeline
-from repro.resilience import fallback as _resilience_fallback
 from repro.storage.catalog import Catalog
 from repro.workloads.categories import categorize
 
@@ -137,9 +129,10 @@ class Forecast:
     Attributes:
         confidence: kernel-space anomaly report, or None when the serving
             model has no projection to measure distances in (regression
-            baseline, or a fallback stage below the primary).
-        served_by: which fallback stage produced the numbers (``kcca`` /
-            ``regression`` / ``heuristic``); None for plain predictors.
+            baseline).
+        served_by: always None: no stage other than the fitted model
+            answers.  Kept because ``bench/layers.py`` sets it; the
+            benchmark's next revision may drop it.
         warnings: plan-lint warnings (docs/STATIC_ANALYSIS.md, Pack B):
             structural hazards found in the physical plan plus, for
             trained services, operators outside the training corpus's
@@ -173,13 +166,6 @@ def _warnings(
     )
 
 
-def _rescores(pipeline: PredictionPipeline) -> bool:
-    """Whether ``pipeline`` must score a statement the memo holds a forecast
-    for: a fallback chain's stages, breakers and drift state decide its
-    forecasts as well as the statement's feature row does."""
-    return isinstance(pipeline.model, _resilience_fallback.FallbackChain)
-
-
 def _rows(
     spec: dict, pipeline: PredictionPipeline, source: str
 ) -> Callable[[], Catalog]:
@@ -209,14 +195,11 @@ class StatementMemo(StampedLRU):
     warnings, last forecast)``.
 
     The first three are what compiling yields: pure functions of the
-    text, the catalog statistics and the fitted pipeline's vocabulary,
-    so any service tier may reuse them; no plan tree or AST is kept.
-    For a service without a fallback chain the forecast is such a
-    function too (the mean of the k nearest training queries' metrics,
-    given the feature row and the fitted model), so a repeat is answered
-    with it.  For a fallback service, whose stages, breakers and drift
-    state decide the forecast as well, only the serving tier
-    ``stale`` answers from it, labelled stale.  Callers pass the
+    text, the catalog statistics and the fitted pipeline's vocabulary;
+    no plan tree or AST is kept.  The forecast is such a function too
+    (the mean of the k nearest training queries' metrics, given the
+    feature row and the fitted model), so a repeat is answered with
+    it.  Callers pass the
     ``stamp`` (statistics version, pipeline) they run under: a new one
     empties the memo, and what was computed under an old one is not
     stored.
@@ -252,11 +235,6 @@ class QueryPerformancePredictor:
         config: the system configuration being modelled.
         two_step: use the paper's two-step type-specific models
             (Experiment 3) instead of one global model.
-        fallback: serve through a degrading
-            :class:`~repro.resilience.FallbackChain` (primary model →
-            per-metric regression → calibrated cost heuristic, each
-            behind a circuit breaker); forecasts then carry a
-            ``served_by`` stage label.
     """
 
     def __init__(
@@ -264,7 +242,6 @@ class QueryPerformancePredictor:
         catalog: Catalog,
         config: Optional[SystemConfig] = None,
         two_step: bool = False,
-        fallback: bool = False,
         **predictor_kwargs,
     ) -> None:
         self.catalog = catalog
@@ -272,7 +249,6 @@ class QueryPerformancePredictor:
         self.optimizer = Optimizer(self.catalog, self.config)
         self._executor: Optional[Executor] = None
         self.two_step = two_step
-        self.fallback = fallback
         self._predictor_kwargs = predictor_kwargs
         self._pipeline: Optional[PredictionPipeline] = None
         self._corpus: Optional[Corpus] = None
@@ -299,7 +275,6 @@ class QueryPerformancePredictor:
         seed: int = 7,
         config: Optional[SystemConfig] = None,
         two_step: bool = False,
-        fallback: bool = False,
         problem_fraction: Optional[float] = None,
         jobs: Optional[int] = None,
         **predictor_kwargs,
@@ -325,8 +300,7 @@ class QueryPerformancePredictor:
         spec = compiled.spec
         catalog = build_catalog_for(spec, scale=scale, seed=seed)
         service = cls(
-            catalog, config=config, two_step=two_step, fallback=fallback,
-            **predictor_kwargs,
+            catalog, config=config, two_step=two_step, **predictor_kwargs,
         )
         recipe = dict(spec.catalog)
         if scale is not None:
@@ -350,7 +324,6 @@ class QueryPerformancePredictor:
         seed: int = 7,
         config: Optional[SystemConfig] = None,
         two_step: bool = False,
-        fallback: bool = False,
         problem_fraction: float = 0.25,
         jobs: Optional[int] = None,
         **predictor_kwargs,
@@ -370,7 +343,6 @@ class QueryPerformancePredictor:
             seed=seed,
             config=config,
             two_step=two_step,
-            fallback=fallback,
             problem_fraction=problem_fraction,
             jobs=jobs,
             **predictor_kwargs,
@@ -392,15 +364,12 @@ class QueryPerformancePredictor:
             model = TwoStepPredictor(**self._predictor_kwargs)
         else:
             model = KCCAPredictor(**self._predictor_kwargs)
-        if self.fallback:
-            model = _resilience_fallback.FallbackChain(primary=model)
         pipeline = PredictionPipeline(model=model)
         pipeline.fit_corpus(corpus)
         pipeline.fingerprint_environment(self.catalog, self.config)
         pipeline.metadata.update(
             {
                 "two_step": self.two_step,
-                "fallback": self.fallback,
                 "n_training_queries": len(corpus),
                 "system_config": asdict(self.config),
                 "catalog_spec": self._catalog_spec,
@@ -481,7 +450,6 @@ class QueryPerformancePredictor:
             catalog,
             config=config,
             two_step=bool(pipeline.metadata.get("two_step", False)),
-            fallback=bool(pipeline.metadata.get("fallback", False)),
         )
         service._catalog_spec = spec
         service._rows = rows
@@ -540,11 +508,9 @@ class QueryPerformancePredictor:
         The batch path end-to-end: plan the statements the statement
         memo does not hold (once per distinct text), build one feature
         matrix of the statements to score, project it once, and derive
-        predictions and confidence from the same projection.  A service
-        without a fallback chain answers a statement the memo holds a
-        forecast for with that forecast and scores only the rest; a
-        fallback service scores every statement.  Either way each
-        distinct text is scored once.  Each stage boundary
+        predictions and confidence from the same projection.  A statement
+        the memo holds a forecast for is answered with that forecast;
+        each other distinct text is scored once.  Each stage boundary
         (:func:`repro.obs.seam.stage`: one ``optimizer.optimize`` per
         compiled statement, ``api.featurize``, ``pipeline.score_many``)
         is a cooperative cancellation point against the caller's
@@ -559,7 +525,6 @@ class QueryPerformancePredictor:
             return []
         pipeline, memo = self._pipeline, self.memo
         stamp = (self.catalog.version, pipeline)
-        rescore = _rescores(pipeline)
         with stage("api.forecast_many", n=len(sqls)) as current:
             compiled, hits = memo.lookup(stamp, sqls)
             current.set(memo_hits=hits)
@@ -577,14 +542,11 @@ class QueryPerformancePredictor:
                     warnings = _warnings(opt, pipeline)
                     compiled[sql] = (row.copy(), opt.cost, warnings, None)
                 unscored = [sql for sql in dict.fromkeys(sqls)
-                            if rescore or compiled[sql][3] is None]
+                            if compiled[sql][3] is None]
                 features = np.array([compiled[sql][0] for sql in unscored])
-            costs = np.array([compiled[sql][1] for sql in unscored])
             scored = []
             if unscored:
-                scored = pipeline.score_many(features, optimizer_costs=costs)
-                if scored[0].stage is not None:
-                    current.set(served_by=scored[0].stage)
+                scored = pipeline.score_many(features)
         for sql, score in zip(unscored, scored):
             row, cost, warnings, _ = compiled[sql]
             metrics = PerformanceMetrics.from_vector(score.prediction)
@@ -593,30 +555,21 @@ class QueryPerformancePredictor:
                 category=categorize(metrics.elapsed_time).value,
                 confidence=score.confidence,
                 optimizer_cost=cost,
-                served_by=score.stage,
                 warnings=warnings,
             ))
         memo.store(stamp, compiled)
         return [compiled[sql][3] for sql in sqls]
 
-    def held_forecasts(
-        self, sqls: Sequence[str]
-    ) -> tuple[Optional[list[Forecast]], bool]:
+    def held_forecasts(self, sqls: Sequence[str]) -> Optional[list[Forecast]]:
         """The forecast the memo holds for each of ``sqls`` under this model
-        and these catalog statistics (None unless it holds every one), and
-        whether :meth:`forecast_many` answers ``sqls`` with exactly those.
-
-        It does for a service without a fallback chain.  A fallback service
-        scores every statement again, so to it they are only the last
-        answers, which the serving daemon's tier ``stale`` gives, whichever
-        tier computed them.  A peek: no lookup is counted and no entry
-        moves in the LRU order.
+        and these catalog statistics — exactly what :meth:`forecast_many`
+        answers ``sqls`` with — or None unless it holds every one.  A peek:
+        no lookup is counted and no entry moves in the LRU order.
         """
-        pipeline = self.pipeline
-        held = self.memo.peek((self.catalog.version, pipeline), sqls)
+        held = self.memo.peek((self.catalog.version, self.pipeline), sqls)
         if len(held) < len(set(sqls)):
-            return None, False
-        return [held[sql][3] for sql in sqls], not _rescores(pipeline)
+            return None
+        return [held[sql][3] for sql in sqls]
 
     def forecast_workload(
         self,
@@ -653,15 +606,6 @@ class QueryPerformancePredictor:
         """
         return _warnings(self.optimizer.optimize(sql), self._pipeline)
 
-    def resilience_status(self) -> Optional[dict]:
-        """Per-stage breaker health when serving through a fallback
-        chain (None for plain predictors)."""
-        self._require_trained()
-        model = self._pipeline.model
-        if isinstance(model, _resilience_fallback.FallbackChain):
-            return model.status()
-        return None
-
     def measure(self, sql: str) -> PerformanceMetrics:
         """Actually run ``sql`` on the simulated system (ground truth)."""
         optimized = self.optimizer.optimize(sql)
@@ -692,10 +636,6 @@ class QueryPerformancePredictor:
         else:
             lines.append(
                 "confidence             : n/a (no kernel projection)"
-            )
-        if forecast.served_by is not None:
-            lines.append(
-                f"served by              : {forecast.served_by}"
             )
         for warning in forecast.warnings:
             lines.append(f"plan lint              : {warning.render()}")

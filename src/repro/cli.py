@@ -23,8 +23,7 @@ Commands:
 * ``serve``    — run the long-lived prediction daemon: HTTP/JSON,
   micro-batched forecasts, prediction-driven admission control, hot
   reload on SIGHUP; ``--supervised`` adds crash recovery on a shared
-  socket, ``--degrade`` the degradation ladder, and
-  ``--default-deadline-ms`` end-to-end deadline budgets
+  socket, and ``--default-deadline-ms`` end-to-end deadline budgets
   (see docs/SERVING.md);
 * ``workload`` — inspect declarative workload specs:
   ``validate`` (schema + vocabulary checks, exit 1 on errors),
@@ -66,13 +65,12 @@ from repro.engine.system import production_32node, research_4node
 from repro.errors import ReproError, WorkloadSpecError
 from repro.optimizer import Optimizer
 from repro.serve.config import ServeConfig
-from repro.serve.degrade import MAX_TIER
 
 __all__ = ["main", "build_parser"]
 
 #: Trained services keyed by (workload, scale, seed, system, queries,
-#: two_step, fallback) so one process invoking several subcommands trains
-#: at most once per setup.
+#: two_step) so one process invoking several subcommands trains at most
+#: once per setup.
 _service_cache: dict[tuple, QueryPerformancePredictor] = {}
 
 _NO_ARTIFACT_HINT = (
@@ -129,11 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--save", required=True, metavar="ARTIFACT",
         help="where to write the model artifact (.npz)",
     )
-    _add_training_options(
-        train,
-        fallback="serve through a degrading fallback chain (KCCA -> "
-                 "regression -> cost heuristic) with circuit breakers",
-    )
+    _add_training_options(train)
 
     plan = sub.add_parser("plan", help="show the optimizer's physical plan")
     plan.add_argument("sql")
@@ -168,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_training_options(
         forecast,
         queries="training workload size when no --model (default 200)",
-        fallback="serve through a degrading fallback chain; the output "
-                 "table gains a 'stage' column naming which model answered",
     )
 
     lint = sub.add_parser(
@@ -274,16 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
              "budgets answer 504 (default: unbounded)",
     )
     serve.add_argument(
-        "--degrade", action="store_true", default=defaults.degrade,
-        help="enable the degradation ladder (answer repeats from the "
-             "memo under sustained pressure, back to full when calm)",
-    )
-    serve.add_argument(
-        "--degrade-force-tier", type=int,
-        default=defaults.degrade_force_tier, metavar="TIER",
-        help=f"pin the degradation ladder to one tier 0..{MAX_TIER} (testing)",
-    )
-    serve.add_argument(
         "--supervised", action="store_true",
         help="run the daemon as a supervised child: crash -> restart "
              "with backoff on the same socket, crash loops give up "
@@ -342,13 +324,11 @@ def _add_training_options(
     cmd: argparse.ArgumentParser,
     queries: str = "training workload size (default 200)",
     two_step: str = "use type-specific two-step models",
-    fallback: str = "serve through a degrading fallback chain",
 ) -> None:
-    """``--queries`` / ``--two-step`` / ``--fallback``, which :func:`_train`
-    reads; a command whose help says more passes its own text."""
+    """``--queries`` / ``--two-step``, which :func:`_train` reads; a
+    command whose help says more passes its own text."""
     cmd.add_argument("--queries", type=int, default=200, help=queries)
     cmd.add_argument("--two-step", action="store_true", help=two_step)
-    cmd.add_argument("--fallback", action="store_true", help=fallback)
 
 
 def _config(name: str):
@@ -368,7 +348,7 @@ def _catalog(args):
 def _train(args, config) -> QueryPerformancePredictor:
     """A service trained on the selected workload, once per setup."""
     key = (args.workload, args.scale, args.seed, args.system, args.queries,
-           args.two_step, args.fallback)
+           args.two_step)
     if key not in _service_cache:
         # The CLI process is single-threaded; the cache cannot race.
         _service_cache[key] = QueryPerformancePredictor.train_on_workload(  # repro: allow[CC003]
@@ -378,7 +358,6 @@ def _train(args, config) -> QueryPerformancePredictor:
             seed=args.seed,
             config=config,
             two_step=args.two_step,
-            fallback=args.fallback,
             jobs=args.jobs,
         )
     return _service_cache[key]
@@ -585,8 +564,6 @@ def _serve_config(args) -> ServeConfig:
         shed_inflight=args.shed_inflight,
         slo_p99_ms=args.slo_p99_ms,
         default_deadline_ms=args.default_deadline_ms,
-        degrade=args.degrade,
-        degrade_force_tier=args.degrade_force_tier,
     )
 
 
@@ -724,14 +701,11 @@ def _dispatch(args, config) -> int:
             return 2
         predictor = _service(args, config)
         forecasts = predictor.forecast_many(sqls)
-        staged = any(fc.served_by is not None for fc in forecasts)
         linted = any(fc.warnings for fc in forecasts)
         header = (
             f"{'#':>3}  {'elapsed':>9}  {'category':<13}"
             f"{'disk I/Os':>10}  {'cost':>10}  conf"
         )
-        if staged:
-            header += "  stage"
         if linted:
             header += "  lint"
         print(header)
@@ -746,8 +720,6 @@ def _dispatch(args, config) -> int:
                 f"{fc.category:<13}{fc.metrics.disk_ios:>10,}  "
                 f"{fc.optimizer_cost:>10,.1f}  {conf:<4}"
             )
-            if staged:
-                row += f"  {fc.served_by}"
             if linted:
                 ids = ",".join(
                     sorted({w.rule_id for w in fc.warnings})

@@ -95,7 +95,6 @@ _MODEL_MODULES = (
     "repro.core.predictor",
     "repro.core.regression",
     "repro.core.two_step",
-    "repro.resilience.fallback",
 )
 
 

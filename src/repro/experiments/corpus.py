@@ -9,8 +9,8 @@ runtime category.
 Executing the full research corpus takes minutes (the bowling balls are
 real multi-million-row joins), so corpora are cached as ``.npz`` files
 under ``data/corpora/`` — exactly like the paper's measured training
-data, which was also collected once and reused.  Delete the cache or set
-``rebuild=True`` to re-measure.
+data, which was also collected once and reused.  Delete the cache to
+re-measure.
 
 Corpus generation fans out across worker processes when ``jobs > 1``
 (``build_corpus(..., jobs=4)``): each query's executor noise stream is
@@ -709,7 +709,6 @@ def load_corpus(path: Path) -> Corpus:
 def load_or_build_corpus(
     path: Path,
     builder: Callable[..., Corpus],
-    rebuild: bool = False,
     jobs: Optional[int] = None,
 ) -> Corpus:
     """Load the cached corpus at ``path``, building and caching if needed.
@@ -720,7 +719,7 @@ def load_or_build_corpus(
             (the builder must accept a ``jobs`` keyword in that case).
     """
     path = Path(path)
-    if not rebuild and path.exists():
+    if path.exists():
         try:
             return load_corpus(path)
         except ReproError:

@@ -8,8 +8,8 @@ stage's latency histogram and the chaos fault site.  :func:`stage` is
 the one way to cross a boundary, and :data:`STAGES` the one table of
 what a stage name feeds::
 
-    with stage("pipeline.score_many", n=len(features)) as current:
-        current.set(served_by="kcca")
+    with stage("api.forecast_many", n=len(sqls)) as current:
+        current.set(memo_hits=hits)
 
 On entry the context reads the clock once, checks the thread's deadline
 against that reading and fires the stage's fault site when a plan is
@@ -73,9 +73,6 @@ STAGES: dict[str, StageRow] = {
     ),
     "corpus.execute": StageRow(fault_site="corpus.execute"),
     "serve.batch": StageRow(fault_site="serve.batch"),
-    "fallback.kcca": StageRow(fault_site="fallback.kcca"),
-    "fallback.regression": StageRow(fault_site="fallback.regression"),
-    "fallback.heuristic": StageRow(fault_site="fallback.heuristic"),
 }
 
 _SPAN_ONLY = StageRow()

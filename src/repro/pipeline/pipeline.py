@@ -60,7 +60,6 @@ from repro.pipeline.artifact import (
     statistics_catalog,
     system_fingerprint,
 )
-from repro.resilience.fallback import FallbackChain
 from repro.storage.catalog import Catalog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -100,9 +99,9 @@ class ScoredPrediction:
         prediction: (n_metrics,) predicted performance vector.
         confidence: anomaly assessment, or None when the model family has
             no kernel projection to measure distances in (regression).
-        stage: which :class:`~repro.resilience.fallback.FallbackChain`
-            stage served the prediction (``kcca`` / ``regression`` /
-            ``heuristic``), or None when the pipeline runs a plain model.
+        stage: always None: the fitted model is the only stage.  Kept
+            because ``bench/layers.py`` reads it; the benchmark's next
+            revision may drop it.
     """
 
     prediction: np.ndarray
@@ -158,8 +157,6 @@ class PredictionPipeline:
         projection (the regression baseline).
         """
         model = self.model
-        if isinstance(model, FallbackChain):
-            model = model.primary
         if isinstance(model, TwoStepPredictor):
             return model.router
         if isinstance(model, OnlinePredictor):
@@ -196,15 +193,7 @@ class PredictionPipeline:
             n=int(np.asarray(features).shape[0]),
             model=type(self.model).__name__,
         ):
-            if (
-                isinstance(self.model, FallbackChain)
-                and optimizer_costs is not None
-            ):
-                self.model.fit_with_costs(
-                    features, performance, optimizer_costs
-                )
-            else:
-                self.model.fit(features, performance)
+            self.model.fit(features, performance)
             scorer = self.scorer
             with stage("pipeline.fit.confidence"):
                 self.confidence = (
@@ -259,23 +248,16 @@ class PredictionPipeline:
         rather than 2N.
 
         Args:
-            optimizer_costs: per-query abstract costs, forwarded to a
-                :class:`FallbackChain` model so its last-resort heuristic
-                stage can serve calibrated numbers; ignored otherwise.
+            optimizer_costs: ignored.  Kept because ``bench/layers.py``
+                passes it; the benchmark's next revision may drop it.
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         with stage("pipeline.score_many", n=features.shape[0]):
-            stage_name: Optional[str] = None
-            if isinstance(self.model, FallbackChain):
-                predictions, stage_name, details = self.model.predict_labeled(
-                    features, optimizer_costs
-                )
+            predict_batch = getattr(self.model, "predict_batch", None)
+            if predict_batch is not None:
+                predictions, details = predict_batch(features)
             else:
-                predict_batch = getattr(self.model, "predict_batch", None)
-                if predict_batch is not None:
-                    predictions, details = predict_batch(features)
-                else:
-                    predictions, details = self.model.predict(features), None
+                predictions, details = self.model.predict(features), None
             with stage("pipeline.confidence"):
                 if self.confidence is not None and details is not None:
                     reports: Sequence[Optional[ConfidenceReport]] = (
@@ -295,7 +277,6 @@ class PredictionPipeline:
                 ScoredPrediction(
                     prediction=predictions[i],
                     confidence=reports[i],
-                    stage=stage_name,
                 )
                 for i in range(predictions.shape[0])
             ]

@@ -1,11 +1,11 @@
-"""Resilience for the train/serve path: chaos, retries, checkpoints, fallback.
+"""Resilience for the train/serve path: chaos, retries, checkpoints, deadlines.
 
-Four zero-dependency building blocks (see docs/ROBUSTNESS.md):
+Five zero-dependency building blocks (see docs/ROBUSTNESS.md):
 
 * :mod:`repro.resilience.faults` — deterministic fault injection: a
   seeded :class:`FaultPlan` arms named sites in the production code
   (``corpus.execute``, ``engine.operator``, ``artifact.read``,
-  ``optimizer.optimize``, ``fallback.<stage>``) to raise, delay, corrupt
+  ``optimizer.optimize``, ``serve.batch``) to raise, delay, corrupt
   or hard-kill on a schedule that is a pure function of
   ``(seed, site, call index)`` — every chaos test replays exactly;
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy`: exponential
@@ -21,13 +21,12 @@ Four zero-dependency building blocks (see docs/ROBUSTNESS.md):
   boundaries of :mod:`repro.obs.seam` (a spent budget is a structured
   :class:`~repro.errors.DeadlineExceededError`, never a killed thread)
   with per-stage wall-time accounting;
-* :mod:`repro.resilience.fallback` — :class:`FallbackChain`: KCCA →
-  per-metric regression → calibrated optimizer-cost heuristic, one
-  :class:`CircuitBreaker` per stage, every prediction labelled with the
-  stage that served it.
+* :mod:`repro.resilience.breaker` — :class:`CircuitBreaker`: the
+  serving daemon's closed / open / half-open guard around its batch
+  path.
 
-Everything is **off by default**: with no plan armed and no retry policy
-passed, the instrumented hot path costs one module-global ``None`` check
+Fault injection and retries are **off by default**: with no plan armed
+and no retry policy passed, the instrumented hot path costs one module-global ``None`` check
 per site and existing outputs are byte-for-byte unchanged.
 """
 
@@ -43,9 +42,6 @@ _EXPORTS = {
     "Deadline": "deadline",
     "current_deadline": "deadline",
     "deadline_scope": "deadline",
-    "STAGE_NAMES": "fallback",
-    "CostHeuristicPredictor": "fallback",
-    "FallbackChain": "fallback",
     "FaultPlan": "faults",
     "FaultSpec": "faults",
     "arm": "faults",

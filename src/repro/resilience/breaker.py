@@ -2,13 +2,11 @@
 
 The serving-side complement of :mod:`repro.resilience.retry`: retries
 handle *transient* failures, a breaker handles *persistent* ones.  After
-``failure_threshold`` consecutive failures (or an external trip — e.g. a
-degraded :class:`~repro.obs.drift.DriftMonitor`), the breaker *opens*
-and callers route around the stage without paying for doomed calls.
-After ``reset_timeout`` seconds it *half-opens*: one probe call is let
-through; if it succeeds (``half_open_successes`` times) the breaker
-*closes* and normal service resumes, if it fails the breaker re-opens
-and the timer restarts.
+``failure_threshold`` consecutive failures the breaker *opens* and
+callers are refused without paying for doomed calls.  After
+``reset_timeout`` seconds it *half-opens*: one probe call is let
+through; if it succeeds the breaker *closes* and normal service
+resumes, if it fails the breaker re-opens and the timer restarts.
 
 The clock is injectable so state transitions are unit-testable without
 sleeping, and every transition is mirrored into the metrics registry
@@ -41,7 +39,6 @@ class CircuitBreaker:
         failure_threshold: consecutive failures that open the breaker.
         reset_timeout: seconds the breaker stays open before allowing a
             half-open probe.
-        half_open_successes: probe successes required to close again.
         clock: monotonic time source (injectable for tests).
     """
 
@@ -50,23 +47,18 @@ class CircuitBreaker:
         name: str = "",
         failure_threshold: int = 3,
         reset_timeout: float = 30.0,
-        half_open_successes: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if failure_threshold < 1:
             raise ReproError("failure_threshold must be >= 1")
         if reset_timeout < 0:
             raise ReproError("reset_timeout must be non-negative")
-        if half_open_successes < 1:
-            raise ReproError("half_open_successes must be >= 1")
         self.name = name
         self.failure_threshold = int(failure_threshold)
         self.reset_timeout = float(reset_timeout)
-        self.half_open_successes = int(half_open_successes)
         self.clock = clock
         self._state = CLOSED
         self._consecutive_failures = 0
-        self._probe_successes = 0
         self._opened_at: Optional[float] = None
         self.open_count = 0
         self.trip_reason: Optional[str] = None
@@ -89,13 +81,11 @@ class CircuitBreaker:
         return self.state != OPEN
 
     def record_success(self) -> None:
-        """Note a successful call; closes a half-open breaker when the
-        probe quota is met."""
+        """Note a successful call; the probe's success closes a half-open
+        breaker."""
         state = self.state
         if state == HALF_OPEN:
-            self._probe_successes += 1
-            if self._probe_successes >= self.half_open_successes:
-                self._transition(CLOSED)
+            self._transition(CLOSED)
         elif state == CLOSED:
             self._consecutive_failures = 0
 
@@ -113,21 +103,6 @@ class CircuitBreaker:
                 reason
                 or f"{self._consecutive_failures} consecutive failures"
             )
-
-    def force_open(self, reason: str) -> None:
-        """Open immediately regardless of counters (e.g. drift tripped).
-
-        Idempotent while already open: the reset timer is *not* pushed
-        back, so a recurring external signal (checked on every request)
-        still lets the breaker half-open and probe once the signal
-        clears.
-        """
-        if self._state != OPEN:
-            self._open(reason)
-
-    def reset(self) -> None:
-        """Hard reset to closed (e.g. after an intentional model swap)."""
-        self._transition(CLOSED)
 
     def status(self) -> dict:
         """JSON-able state for dashboards and the CLI."""
@@ -151,11 +126,8 @@ class CircuitBreaker:
         self._state = state
         if state == CLOSED:
             self._consecutive_failures = 0
-            self._probe_successes = 0
             self._opened_at = None
             self.trip_reason = None
-        elif state == HALF_OPEN:
-            self._probe_successes = 0
         if metrics_enabled() and self.name:
             get_registry().gauge(
                 f"repro_breaker_state_{self.name}",

@@ -23,7 +23,7 @@ Usage (what the serving batcher does)::
     print(deadline.stage_ms)   # {"optimize": 1.7, "featurize": 0.1, ...}
 
 The clock is injectable so tier transitions and expiry are unit-testable
-without sleeping (``tests/test_serve_degrade.py`` drives a fake clock).
+without sleeping (``tests/test_serve_deadline.py`` drives a fake clock).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 A :class:`FaultPlan` arms named *fault sites* — fixed points the
 production code already passes through (``corpus.execute``,
 ``engine.operator``, ``artifact.read``, ``artifact.write``,
-``optimizer.optimize``, ``fallback.<stage>``) — to raise, delay, corrupt
+``optimizer.optimize``, ``serve.batch``) — to raise, delay, corrupt
 or hard-kill on chosen invocations.  Whether invocation *k* of site *s*
 fires is a pure function of ``(plan seed, site, k)``, so every chaos run
 is exactly reproducible: the same seed produces the same failure
@@ -21,7 +21,7 @@ Usage::
     plan = FaultPlan(seed=11)
     plan.on("corpus.execute", mode="raise", rate=0.2)        # seeded coin
     plan.on("engine.operator", mode="delay", calls={3}, delay=0.05)
-    plan.on("fallback.kcca", mode="raise", match={"stage": "kcca"})
+    plan.on("serve.handler", mode="raise", match={"client": "ci"})
     with armed(plan):
         ...                 # chaos happens, deterministically
     print(plan.fired)       # {"corpus.execute": 7, ...}
@@ -51,16 +51,15 @@ __all__ = [
     "armed",
     "armed_plan",
     "REGISTERED_SITES",
-    "REGISTERED_SITE_PREFIXES",
     "site_registered",
 ]
 
 _MODES = ("raise", "delay", "corrupt", "exit", "hang")
 
 #: The fixed fault-site vocabulary.  Production code may only declare
-#: sites named here (or under a registered prefix); the static analysis
-#: pass (rule RD006) enforces this, so chaos plans written against the
-#: documented names keep matching real injection points.
+#: sites named here; the static analysis pass (rule RD006) enforces
+#: this, so chaos plans written against the documented names keep
+#: matching real injection points.
 REGISTERED_SITES = frozenset(
     {
         "corpus.execute",
@@ -74,15 +73,10 @@ REGISTERED_SITES = frozenset(
     }
 )
 
-#: Site-name prefixes for parameterised families (``fallback.<stage>``).
-REGISTERED_SITE_PREFIXES = ("fallback.",)
-
 
 def site_registered(name: str) -> bool:
     """Whether ``name`` is a registered fault-site name."""
-    if name in REGISTERED_SITES:
-        return True
-    return any(name.startswith(prefix) for prefix in REGISTERED_SITE_PREFIXES)
+    return name in REGISTERED_SITES
 
 
 class FaultSpec:

@@ -7,11 +7,10 @@ meters clients with prediction-driven admission control, hot-reloads
 artifacts without dropping requests, and exposes Prometheus metrics +
 SLO reporting.  See docs/SERVING.md.
 
-Self-healing (this PR's layer): ``repro.serve.supervisor`` runs the
-daemon as a health-checked child with crash recovery on an inherited
-socket; requests carry end-to-end ``deadline_ms`` budgets enforced
-cooperatively through the pipeline; and ``repro.serve.degrade`` steps
-service quality down (and hysteretically back up) under pressure.
+Self-healing: ``repro.serve.supervisor`` runs the daemon as a
+health-checked child with crash recovery on an inherited socket, and
+requests carry end-to-end ``deadline_ms`` budgets enforced
+cooperatively through the pipeline.
 
 This package is the only place in the codebase allowed to import
 ``socket`` / ``socketserver``, and ``repro.serve.wire`` its one HTTP
@@ -33,7 +32,6 @@ _EXPORTS = {
     "ServeConfig": "config",
     "PredictionDaemon": "daemon",
     "forecast_payload": "daemon",
-    "DegradeController": "degrade",
     "LoadReport": "loadgen",
     "LoadRequest": "loadgen",
     "generate_load": "loadgen",

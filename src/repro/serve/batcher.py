@@ -206,11 +206,6 @@ class MicroBatcher:
             self._cond.notify_all()
         return request
 
-    def depth(self) -> int:
-        """Statements currently queued (not yet handed to predict)."""
-        with self._cond:
-            return self._queued_statements
-
     # -- collector side --------------------------------------------------
 
     def _take_batch(self) -> Optional[list[ForecastRequest]]:

@@ -1,8 +1,8 @@
 """Tunable knobs for the prediction serving daemon.
 
 One frozen dataclass holds every serving parameter — network binding,
-micro-batching, admission control, breaker policy, SLO target, default
-deadline and degradation ladder — so a daemon's behaviour is fully
+micro-batching, admission control, breaker policy, SLO target and
+default deadline — so a daemon's behaviour is fully
 described by a single value that tests, the CLI and the bench harness
 can construct and log.  See docs/SERVING.md for the operational meaning
 of each knob.
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ServeError
-from repro.serve.degrade import MAX_TIER
 
 __all__ = ["ServeConfig"]
 
@@ -53,19 +52,6 @@ class ServeConfig:
             do not carry their own ``deadline_ms``; None leaves such
             requests unbounded.  An expired budget is a structured 504,
             never a silently late answer (docs/SERVING.md).
-        degrade: run the degradation ladder — under sustained pressure
-            the daemon steps down to its ``stale`` tier (a repeat is
-            answered with the forecasts the memo last kept) and steps
-            back up hysteretically.
-        degrade_queue_depth: queued statements above which the ladder
-            counts the daemon as under pressure.
-        degrade_down_after_s: pressure must be sustained this long
-            before the ladder steps down one tier.
-        degrade_up_after_s: calm must be sustained this long before the
-            ladder steps back up one tier (hysteresis: recovering is
-            deliberately slower than degrading).
-        degrade_force_tier: pin the ladder to one tier (testing); None
-            runs it freely.
     """
 
     host: str = "127.0.0.1"
@@ -80,11 +66,6 @@ class ServeConfig:
     breaker_failures: int = 5
     slo_p99_ms: Optional[float] = None
     default_deadline_ms: Optional[float] = None
-    degrade: bool = False
-    degrade_queue_depth: int = 64
-    degrade_down_after_s: float = 0.25
-    degrade_up_after_s: float = 1.0
-    degrade_force_tier: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -97,16 +78,6 @@ class ServeConfig:
             raise ServeError("heavy_seconds must be positive when set")
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
             raise ServeError("default_deadline_ms must be positive when set")
-        if self.degrade_force_tier is not None and not (
-            0 <= self.degrade_force_tier <= MAX_TIER
-        ):
-            raise ServeError(
-                f"degrade_force_tier must be a tier in 0..{MAX_TIER}"
-            )
-        if self.degrade_queue_depth < 1:
-            raise ServeError("degrade_queue_depth must be >= 1")
-        if self.degrade_down_after_s < 0 or self.degrade_up_after_s < 0:
-            raise ServeError("degrade hysteresis windows must be non-negative")
 
     @property
     def effective_quota_burst(self) -> Optional[float]:

@@ -21,12 +21,9 @@ response names the ``model_version`` that produced it).
 Requests may carry a ``deadline_ms`` budget, threaded as a
 :class:`~repro.resilience.deadline.Deadline` through
 ``optimize → featurize → predict``; a spent budget is a structured 504
-(*never* a silently late answer).  Under sustained pressure a
-:class:`~repro.serve.degrade.DegradeController` steps the daemon down
-to its ``stale`` tier — and back up hysteretically — where a repeat is
-answered from the memo without a batch, admitted like any other answer;
-and ``repro.serve.supervisor`` runs the whole daemon as a
-health-checked child with crash recovery on an inherited socket.
+(*never* a silently late answer); and ``repro.serve.supervisor`` runs
+the whole daemon as a health-checked child with crash recovery on an
+inherited socket.
 
 Each decision on the request path is written once: :data:`ROUTES` maps
 a method and path to its handler and the body fields it reads,
@@ -71,7 +68,6 @@ from repro.serve.batcher import (
     QueueFullError,
 )
 from repro.serve.config import ServeConfig
-from repro.serve.degrade import DegradeController
 from repro.serve import wire
 
 __all__ = ["OUTCOMES", "PredictionDaemon", "ROUTES", "forecast_payload"]
@@ -322,7 +318,7 @@ class PredictionDaemon:
         self._started_at: Optional[float] = None
         self.reloads = 0
         self._requests = dict.fromkeys(
-            ("total", "ok", "rejected", "failed", "expired", "served_stale"), 0
+            ("total", "ok", "rejected", "failed", "expired"), 0
         )
         self._latency = Histogram(
             "serve_request_seconds", "per-request serving latency"
@@ -347,16 +343,6 @@ class PredictionDaemon:
             max_queue=self.config.max_queue,
             clock=clock,
         )
-        self.degrade: Optional[DegradeController] = None
-        if self.config.degrade or self.config.degrade_force_tier is not None:
-            self.degrade = DegradeController(
-                queue_depth=self.config.degrade_queue_depth,
-                slo_p99_ms=self.config.slo_p99_ms,
-                down_after_s=self.config.degrade_down_after_s,
-                up_after_s=self.config.degrade_up_after_s,
-                force_tier=self.config.degrade_force_tier,
-                clock=clock,
-            )
         self._server: Optional[_Server] = None
         self._server_thread: Optional[threading.Thread] = None
         self._previous_sighup = None
@@ -403,21 +389,6 @@ class PredictionDaemon:
             runtime = self._runtime
             forecasts = runtime.service.forecast_many(sqls)
         return [(forecast, runtime.version) for forecast in forecasts]
-
-    # -- degradation ladder ----------------------------------------------
-
-    def _observe_pressure(self) -> int:
-        """Feed one pressure observation to the ladder; returns the tier."""
-        if self.degrade is None:
-            return 0
-        p99_ms: Optional[float] = None
-        if self._requests["total"]:
-            p99_ms = self._latency.percentiles()["p99"] * 1e3
-        return self.degrade.evaluate(
-            queue_depth=self.batcher.depth(),
-            p99_ms=p99_ms,
-            breaker_open=self.breaker.state == "open",
-        )
 
     # -- request path ----------------------------------------------------
 
@@ -472,41 +443,29 @@ class PredictionDaemon:
         if self._stopping:
             raise ServeError("daemon is shutting down")
         deadline = request.deadline
-        tier = self._observe_pressure()
         if deadline is not None:
             # A budget already spent on arrival is refused before any
             # compute is spent on it.
             deadline.check("arrival")
-        runtime = self._runtime
-        held, current = runtime.service.held_forecasts(request.sqls)
-        # Tier ``stale`` answers a request the memo holds in full with the
-        # forecasts it last kept (all or nothing: a mixed-freshness answer
-        # would be impossible to reason about).  No batch runs, so the
-        # breaker neither gates nor hears of it; admission still does.
-        stale = (
-            held is not None and self.degrade is not None and self.degrade.stale_ok()
-        )
-        if stale:
-            results = [(forecast, runtime.version) for forecast in held]
-        else:
-            if not self.breaker.allow():
-                raise CircuitOpenError(f"breaker {self.breaker.name!r} is open")
-            # A request the memo answers in full costs less than waking the
-            # collector and being woken by it: its batch runs right here.
-            (self.batcher.run if current else self.batcher.submit)(request)
-            timeout_s = _REQUEST_TIMEOUT_S
+        held = self._runtime.service.held_forecasts(request.sqls)
+        if not self.breaker.allow():
+            raise CircuitOpenError(f"breaker {self.breaker.name!r} is open")
+        # A request the memo answers in full costs less than waking the
+        # collector and being woken by it: its batch runs right here.
+        (self.batcher.submit if held is None else self.batcher.run)(request)
+        timeout_s = _REQUEST_TIMEOUT_S
+        if deadline is not None:
+            # No point waiting past the caller's own budget; the margin
+            # lets the batcher's own expiry land first.
+            timeout_s = min(timeout_s, deadline.remaining_s() + 0.05)
+        if not request.event.wait(timeout_s):
             if deadline is not None:
-                # No point waiting past the caller's own budget; the margin
-                # lets the batcher's own expiry land first.
-                timeout_s = min(timeout_s, deadline.remaining_s() + 0.05)
-            if not request.event.wait(timeout_s):
-                if deadline is not None:
-                    deadline.check("wait")
-                raise TimeoutError(f"no batch result within {timeout_s:.3f} s")
-            if request.error is not None:
-                raise request.error
-            self.breaker.record_success()
-            results = request.results
+                deadline.check("wait")
+            raise TimeoutError(f"no batch result within {timeout_s:.3f} s")
+        if request.error is not None:
+            raise request.error
+        self.breaker.record_success()
+        results = request.results
         predicted_seconds = sum(
             float(forecast.metrics.elapsed_time) for forecast, _ in results
         )
@@ -524,22 +483,11 @@ class PredictionDaemon:
         payload = {
             "forecasts": [forecast_payload(f) for f, _ in results],
             "model_version": results[0][1],
-            "served_by": "stale_cache" if stale else results[0][0].served_by,
+            "served_by": results[0][0].served_by,
             "weight_class": decision.weight_class,
             "predicted_seconds": predicted_seconds,
             "client": request.client,
         }
-        if self.degrade is not None:
-            payload["degrade_tier"] = tier
-        if stale:
-            payload["stale"] = True
-            with self._state_lock:
-                note_access("serve.daemon.state")
-                self._requests["served_stale"] += 1
-            get_registry().counter(
-                "repro_serve_stale_served_total",
-                "responses served from the statement memo's last forecasts",
-            ).inc()
         if deadline is not None:
             payload["deadline"] = deadline.to_payload()
         return payload
@@ -614,10 +562,6 @@ class PredictionDaemon:
             "batcher": batcher,
             "admission": self.admission.status(),
             "breaker": self.breaker.status(),
-            "resilience": service.resilience_status(),
-            "degrade": (
-                self.degrade.status() if self.degrade is not None else None
-            ),
             "memo": service.memo.stats(),
             "templates": service.optimizer.templates.stats(),
             "deadline": {

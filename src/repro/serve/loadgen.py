@@ -62,16 +62,13 @@ class LoadReport:
     retried: int = 0
     statuses: dict[int, int] = field(default_factory=dict)
     latencies_s: list[float] = field(default_factory=list)
-    served_by: dict[str, int] = field(default_factory=dict)
 
-    def observe(self, status: int, latency_s: float, stage: Optional[str]) -> None:
+    def observe(self, status: int, latency_s: float) -> None:
         self.total += 1
         self.statuses[status] = self.statuses.get(status, 0) + 1
         self.latencies_s.append(latency_s)
         if status == 200:
             self.ok += 1
-            if stage:
-                self.served_by[stage] = self.served_by.get(stage, 0) + 1
         elif status == 504:
             self.expired += 1
         elif status in (429, 503):
@@ -102,7 +99,6 @@ class LoadReport:
             "dropped": self.dropped,
             "retried": self.retried,
             "statuses": {str(k): v for k, v in sorted(self.statuses.items())},
-            "served_by": dict(sorted(self.served_by.items())),
             "p50_ms": round(self.percentile_ms(50), 3),
             "p99_ms": round(self.percentile_ms(99), 3),
         }
@@ -196,13 +192,11 @@ def _replay_one(
     client = ServeClient(host, port, timeout_s=timeout_s, client_id=request.client)
     start = time.monotonic()
     status = 0
-    stage: Optional[str] = None
     attempts = 0
     while True:
         try:
-            payload = client.forecast(request.sql, deadline_ms=deadline_ms)
+            client.forecast(request.sql, deadline_ms=deadline_ms)
             status = 200
-            stage = payload.get("served_by")
         except ServeRejectedError as rejection:
             status = rejection.status
         except ServeBadStatementError:
@@ -221,4 +215,4 @@ def _replay_one(
     latency = time.monotonic() - start
     client.close()
     with lock:
-        report.observe(status, latency, stage)
+        report.observe(status, latency)

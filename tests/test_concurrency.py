@@ -515,18 +515,16 @@ class TestStressUnderSanitizer:
         assert bucket.balance() == 0.0
         assert sanitizer_findings() == []
 
-    def test_degrade_ladder_and_stale_cache(
+    def test_statement_memo_under_eight_threads(
         self, sanitizer, monkeypatch, tpcds_catalog, config, mini_corpus
     ):
-        """The ladder, and the statement memo its last tier answers from:
-        eight threads forecasting an overlapping statement set through a
-        memo small enough to evict on every pass."""
+        """The statement memo: eight threads forecasting an overlapping
+        statement set through a memo small enough to evict on every
+        pass."""
         import repro.api as api
-        from repro.serve.degrade import DegradeController
         from repro.workloads.generator import generate_pool
 
         monkeypatch.setattr(api, "_MEMO_ENTRIES", 6)
-        ladder = DegradeController(clock=lambda: 0.0)
         service = api.QueryPerformancePredictor(tpcds_catalog, config=config)
         service.fit_corpus(mini_corpus)
         sqls = [q.sql for q in generate_pool(12, seed=77, workload="oltp")]
@@ -537,12 +535,10 @@ class TestStressUnderSanitizer:
 
         def worker():
             for i in range(rounds):
-                ladder.evaluate(queue_depth=0)
-                ladder.status()
                 batch = [sqls[(i + k) % len(sqls)] for k in range(3)]
                 if service.forecast_many(batch) != [expected[s] for s in batch]:
                     wrong.append(batch)
-                held, _current = service.held_forecasts(batch[:1])
+                held = service.held_forecasts(batch[:1])
                 if held is not None and held != [expected[batch[0]]]:
                     wrong.append(batch[:1])
 
@@ -552,8 +548,6 @@ class TestStressUnderSanitizer:
             _hammer(worker)
         finally:
             sys.setswitchinterval(interval)
-        assert ladder.tier == 0
-        assert ladder.step_downs == 0 and ladder.step_ups == 0
         assert wrong == []
         # The counters are exact, not approximately right: every lookup
         # (three a forecast; a probe is a peek, not a lookup) is a hit or
@@ -565,7 +559,7 @@ class TestStressUnderSanitizer:
         assert status["size"] <= 6
         assert status["bytes"] == sum(
             len(sql.encode()) for sql in sqls
-            if service.held_forecasts([sql])[0] is not None
+            if service.held_forecasts([sql]) is not None
         )
         assert sanitizer_findings() == []
 

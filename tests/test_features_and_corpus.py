@@ -165,18 +165,6 @@ class TestCorpus:
         assert len(calls) == 1
         assert len(first) == len(second)
 
-    def test_load_or_build_rebuild_flag(self, mini_corpus, tmp_path):
-        path = tmp_path / "c.npz"
-        calls = []
-
-        def builder():
-            calls.append(1)
-            return mini_corpus
-
-        load_or_build_corpus(path, builder)
-        load_or_build_corpus(path, builder, rebuild=True)
-        assert len(calls) == 2
-
     def test_truncated_cache_is_a_typed_error_and_rebuilt(
         self, mini_corpus, tmp_path
     ):

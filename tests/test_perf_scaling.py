@@ -424,41 +424,32 @@ class TestFrontEndWorkCounts:
         calls = self.calls_per_statement(work, statements)
         assert calls <= self.FORECAST_MANY_CALLS * self.HEADROOM, calls
 
-    def test_second_pass_compiles_nothing(
-        self, statements, unwarmed, tpcds_catalog, config, mini_corpus
-    ):
+    def test_second_pass_compiles_nothing(self, statements, unwarmed):
         """A repeated statement costs a memo lookup: no parse, no plan,
-        and a twentieth of the interpreter calls.  A service without a
-        fallback chain answers it with the forecast the memo holds, so
-        nothing is scored; a fallback service projects it again, once per
-        batch of 50.  Before the memo this pass made 200 + 200 of the
-        first two calls and 1 245 calls per statement, as on the first."""
-        from repro.api import QueryPerformancePredictor
+        and a twentieth of the interpreter calls.  It is answered with
+        the forecast the memo holds, so nothing is scored.  Before the
+        memo this pass made 200 + 200 of the first two calls and 1 245
+        calls per statement, as on the first."""
+        def work():
+            for start in range(0, len(statements), 50):
+                unwarmed.forecast_many(statements[start:start + 50])
 
-        fallback = QueryPerformancePredictor(
-            tpcds_catalog, config=config, fallback=True
-        ).fit_corpus(mini_corpus)
-        for service, scored in ((unwarmed, 0), (fallback, 4)):
-            def work():
-                for start in range(0, len(statements), 50):
-                    service.forecast_many(statements[start:start + 50])
+        work()
+        stats = self.profiled(work)
 
-            work()
-            stats = self.profiled(work)
+        def calls_to(module: str, function: str) -> int:
+            return sum(
+                count
+                for (path, _line, name), (_cc, count, *_rest)
+                in stats.stats.items()
+                if name == function and path.endswith(module)
+            )
 
-            def calls_to(module: str, function: str) -> int:
-                return sum(
-                    count
-                    for (path, _line, name), (_cc, count, *_rest)
-                    in stats.stats.items()
-                    if name == function and path.endswith(module)
-                )
-
-            assert calls_to("sql/parser.py", "parse") == 0
-            assert calls_to("optimizer/optimizer.py", "optimize") == 0
-            assert calls_to("pipeline/pipeline.py", "score_many") == scored
-            calls = stats.total_calls / len(statements)
-            assert calls <= self.SECOND_PASS_CALLS * self.HEADROOM, calls
+        assert calls_to("sql/parser.py", "parse") == 0
+        assert calls_to("optimizer/optimizer.py", "optimize") == 0
+        assert calls_to("pipeline/pipeline.py", "score_many") == 0
+        calls = stats.total_calls / len(statements)
+        assert calls <= self.SECOND_PASS_CALLS * self.HEADROOM, calls
 
 
 # ----------------------------------------------------------------------

@@ -100,22 +100,15 @@ class TestModelProtocol:
         state = model.state_dict()
         assert set(state) >= {"config", "fitted"}
 
-    def test_a_fresh_process_resolves_a_class_nothing_imported(
-        self, mini_corpus, tmp_path
-    ):
-        """A model class registers when its module is imported; loading a
-        fallback chain over the two-step predictor with only the chain's
-        module imported still finds it."""
-        from repro.resilience.fallback import FallbackChain
-
-        path = tmp_path / "chain.npz"
-        FallbackChain(primary=TwoStepPredictor()).fit(
-            mini_corpus.feature_matrix(), mini_corpus.performance_matrix()
-        ).save(path)
+    def test_a_fresh_process_resolves_a_class_nothing_imported(self):
+        """A model class registers when its module is imported; resolving
+        the two-step predictor by name in a process that has not imported
+        its module still finds it."""
         code = (
-            "from repro.resilience.fallback import FallbackChain\n"
-            f"chain = FallbackChain.load({str(path)!r})\n"
-            "print(type(chain.primary).__name__)\n"
+            "import sys\n"
+            "from repro.core.base import model_class\n"
+            "assert 'repro.core.two_step' not in sys.modules\n"
+            "print(model_class('TwoStepPredictor').__name__)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,

@@ -1,12 +1,10 @@
 """Chaos suite for repro.resilience: deterministic fault injection,
-retry/backoff, circuit breakers, checkpointed corpus builds and the
-degrading fallback chain.
+retry/backoff, circuit breakers and checkpointed corpus builds.
 
 Every scenario is reproducible: faults fire on schedules that are pure
 functions of a seed, retries assert on their computed schedules instead
-of sleeping, and breakers run on a fake clock.  The headline guarantees
-— a killed build resumes *bitwise-identically*, a healthy fallback chain
-is *bitwise-identical* to the plain pipeline — are asserted with
+of sleeping, and breakers run on a fake clock.  The headline guarantee
+— a killed build resumes *bitwise-identically* — is asserted with
 ``np.array_equal``, not tolerances.
 """
 
@@ -15,12 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.system import research_4node
 from repro.errors import (
     CheckpointError,
     CorpusBuildError,
     InjectedFault,
-    ModelError,
     ParseError,
     ReproError,
     RetryExhaustedError,
@@ -30,7 +26,6 @@ from repro.experiments.corpus import (
     build_fingerprint,
     save_corpus,
 )
-from repro.obs.drift import DriftMonitor
 from repro.pipeline import PredictionPipeline
 from repro.resilience import (
     CLOSED,
@@ -38,8 +33,6 @@ from repro.resilience import (
     OPEN,
     BuildJournal,
     CircuitBreaker,
-    CostHeuristicPredictor,
-    FallbackChain,
     FaultPlan,
     RetryPolicy,
     armed,
@@ -308,31 +301,6 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == CLOSED  # streak broken, never reached 2
 
-    def test_force_open_is_idempotent_while_open(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker("b", reset_timeout=10.0, clock=clock)
-        breaker.force_open("drift")
-        opened = breaker.open_count
-        clock.advance(6.0)
-        # A recurring external signal must not push the reset timer back.
-        breaker.force_open("drift again")
-        assert breaker.open_count == opened
-        clock.advance(4.0)
-        assert breaker.state == HALF_OPEN
-
-    def test_multi_probe_close(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            "b", failure_threshold=1, reset_timeout=1.0,
-            half_open_successes=2, clock=clock,
-        )
-        breaker.record_failure()
-        clock.advance(1.0)
-        breaker.record_success()
-        assert breaker.state == HALF_OPEN
-        breaker.record_success()
-        assert breaker.state == CLOSED
-
 
 # ----------------------------------------------------------------------
 # Build journal
@@ -522,149 +490,6 @@ class TestParallelResilience:
         )
         assert not (tmp_path / "par.journal").exists()
         assert_corpora_identical(clean_corpus, rebuilt)
-
-
-# ----------------------------------------------------------------------
-# Fallback chain
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def fitted_chain(mini_corpus):
-    chain = FallbackChain(breaker_failures=3, breaker_reset_seconds=30.0)
-    chain.fit_with_costs(
-        mini_corpus.feature_matrix(),
-        mini_corpus.performance_matrix(),
-        mini_corpus.optimizer_costs(),
-    )
-    return chain
-
-
-class TestFallbackChain:
-    def test_healthy_chain_serves_primary_identically(self, mini_corpus):
-        features = mini_corpus.feature_matrix()
-        performance = mini_corpus.performance_matrix()
-        costs = mini_corpus.optimizer_costs()
-
-        plain = PredictionPipeline()
-        plain.fit(features, performance, costs)
-        chained = PredictionPipeline(model=FallbackChain())
-        chained.fit(features, performance, costs)
-
-        scored_plain = plain.score_many(features[:8])
-        scored_chain = chained.score_many(features[:8], costs[:8])
-        for a, b in zip(scored_plain, scored_chain):
-            assert np.array_equal(a.prediction, b.prediction)
-            assert a.confidence.zscore == b.confidence.zscore
-            assert a.stage is None
-            assert b.stage == "kcca"
-
-    def test_failover_to_regression_is_nonnegative(self, fitted_chain):
-        features = np.atleast_2d(
-            np.full(32, 100.0)
-        )  # any features; stage choice is what matters
-        plan = FaultPlan(seed=1).on("fallback.kcca", mode="raise", rate=1.0)
-        with armed(plan):
-            predictions, stage, details = fitted_chain.predict_labeled(
-                features
-            )
-        assert stage == "regression"
-        assert details is None
-        assert (predictions >= 0.0).all()
-        fitted_chain.breaker("kcca").reset()
-
-    def test_breaker_trips_then_probes_then_closes(self, mini_corpus):
-        clock = FakeClock()
-        chain = FallbackChain(
-            breaker_failures=2, breaker_reset_seconds=10.0, clock=clock
-        )
-        chain.fit_with_costs(
-            mini_corpus.feature_matrix(),
-            mini_corpus.performance_matrix(),
-            mini_corpus.optimizer_costs(),
-        )
-        features = mini_corpus.feature_matrix()[:2]
-        plan = FaultPlan(seed=1).on("fallback.kcca", mode="raise", rate=1.0)
-        with armed(plan):
-            for _ in range(2):
-                _, stage, _ = chain.predict_labeled(features)
-                assert stage == "regression"
-            assert chain.breaker("kcca").state == OPEN
-            # While open, kcca is skipped without paying for the call.
-            fired_before = plan.fired.get("fallback.kcca", 0)
-            _, stage, _ = chain.predict_labeled(features)
-            assert stage == "regression"
-            assert plan.fired.get("fallback.kcca", 0) == fired_before
-
-        # Faults cleared; after the reset timeout the half-open probe
-        # succeeds and the breaker closes again.
-        clock.advance(10.0)
-        assert chain.breaker("kcca").state == HALF_OPEN
-        _, stage, _ = chain.predict_labeled(features)
-        assert stage == "kcca"
-        assert chain.breaker("kcca").state == CLOSED
-
-    def test_drift_monitor_forces_failover(self, mini_corpus):
-        clock = FakeClock()
-        chain = FallbackChain(clock=clock)
-        chain.fit_with_costs(
-            mini_corpus.feature_matrix(),
-            mini_corpus.performance_matrix(),
-            mini_corpus.optimizer_costs(),
-        )
-        monitor = DriftMonitor(
-            floor=0.85, tolerance=0.2, window=4, min_samples=4
-        )
-        chain.set_monitor(monitor)
-        features = mini_corpus.feature_matrix()[:2]
-        _, stage, _ = chain.predict_labeled(features)
-        assert stage == "kcca"
-
-        width = len(monitor.metric_names)
-        for _ in range(4):  # feed wildly wrong predictions: drift trips
-            monitor.record(np.full(width, 1.0), np.full(width, 500.0))
-        assert monitor.degraded
-        _, stage, _ = chain.predict_labeled(features)
-        assert stage == "regression"
-        assert chain.status()["drift_degraded"] is True
-
-    def test_all_stages_down_raises_model_error(self, fitted_chain):
-        plan = (
-            FaultPlan(seed=1)
-            .on("fallback.kcca", mode="raise", rate=1.0)
-            .on("fallback.regression", mode="raise", rate=1.0)
-            .on("fallback.heuristic", mode="raise", rate=1.0)
-        )
-        features = np.atleast_2d(np.full(32, 10.0))
-        with armed(plan):
-            with pytest.raises(ModelError, match="every fallback stage"):
-                fitted_chain.predict_labeled(features)
-        for name in ("kcca", "regression", "heuristic"):
-            fitted_chain.breaker(name).reset()
-
-    def test_heuristic_scales_profile_by_cost(self, mini_corpus):
-        heuristic = CostHeuristicPredictor()
-        heuristic.fit(
-            mini_corpus.feature_matrix(), mini_corpus.performance_matrix()
-        )
-        costs = mini_corpus.optimizer_costs()
-        heuristic.fit_costs(costs, mini_corpus.elapsed_times())
-        cheap, expensive = np.percentile(costs, [10, 90])
-        predictions = heuristic.predict(
-            np.zeros((2, 3)), optimizer_costs=[cheap, expensive]
-        )
-        assert predictions.shape[0] == 2
-        assert predictions[1, 0] > predictions[0, 0]  # costlier -> slower
-
-    def test_chain_state_round_trips(self, fitted_chain, tmp_path):
-        path = tmp_path / "chain.npz"
-        fitted_chain.save(path)
-        loaded = FallbackChain.load(path)
-        features = np.atleast_2d(np.full(32, 50.0))
-        assert np.array_equal(
-            fitted_chain.predict(features), loaded.predict(features)
-        )
-        assert loaded.breaker("kcca").state == CLOSED
 
 
 # ----------------------------------------------------------------------

@@ -443,10 +443,11 @@ class TestEndpoints:
             daemon.stop()
         for key in (
             "model_version", "uptime_s", "inflight", "requests", "slo",
-            "batcher", "admission", "breaker", "resilience", "memo",
-            "templates",
+            "batcher", "admission", "breaker", "memo", "templates",
         ):
             assert key in status, key
+        assert not {"degrade", "resilience"} & set(status)
+        assert "served_" "stale" not in status["requests"]
         assert set(status["memo"]) == {
             "size", "max_entries", "bytes", "max_bytes", "hits", "misses"
         }
@@ -1093,7 +1094,7 @@ class TestBatcherUnits:
         assert batcher.stop(drain=False)
         assert pending.event.is_set()
         assert isinstance(pending.error, ServeError)
-        assert batcher.depth() == 0
+        assert batcher.stats()["queued_statements"] == 0
 
     def test_batch_error_fans_out_to_all_pendings(self):
         def boom(sqls):

@@ -12,9 +12,6 @@ real socket and assert the failure contract:
 * repeated batch failures trip the serving circuit breaker, which is
   visible at ``/admin/status`` and converts later requests into fast
   ``breaker_open`` rejections;
-* a daemon wrapping a :class:`FallbackChain` degrades *through* the
-  chain — a dead kcca stage means responses say ``served_by:
-  "regression"`` and still return 200;
 * a seeded chaos load drill produces only structured outcomes
   (``dropped == 0``) even with faults firing mid-stream.
 """
@@ -24,12 +21,10 @@ from __future__ import annotations
 import json
 import os
 import signal
-import threading
 import time
 
 import pytest
 
-from repro.api import QueryPerformancePredictor
 from repro.errors import (
     ServeRejectedError,
     ServeUnavailableError,
@@ -50,17 +45,7 @@ from repro.serve import (
 )
 from repro.serve.loadgen import run_load
 
-from tests.test_serve import SQL_LIGHT, client_for, fresh_light, start_daemon
-
-
-@pytest.fixture(scope="module")
-def fallback_service(tpcds_catalog, config, mini_corpus):
-    """A predictor serving through a FallbackChain (kcca → regression)."""
-    service = QueryPerformancePredictor(
-        tpcds_catalog, config=config, fallback=True
-    )
-    service.fit_corpus(mini_corpus)
-    return service
+from tests.test_serve import SQL_LIGHT, client_for, start_daemon
 
 
 class TestFaultSites:
@@ -171,51 +156,6 @@ class TestBatchFaults:
             daemon.stop()
 
 
-class TestFallbackDegradation:
-    def test_dead_kcca_stage_degrades_to_regression(self, fallback_service):
-        daemon = start_daemon(fallback_service)
-        try:
-            client = client_for(daemon)
-            healthy = client.forecast(SQL_LIGHT)
-            assert healthy["served_by"] == "kcca"
-            plan = FaultPlan(seed=1).on(
-                "fallback.kcca", mode="raise", rate=1.0
-            )
-            with armed(plan):
-                degraded = client.forecast(SQL_LIGHT)
-            # Still a 200 — the chain absorbed the failure.
-            assert degraded["served_by"] == "regression"
-            assert degraded["forecast"]["served_by"] == "regression"
-            assert degraded["forecast"]["metrics"]["elapsed_time"] >= 0
-        finally:
-            daemon.stop()
-            fallback_service.resilience_status()  # chain is still alive
-
-    def test_fallback_breaker_reported_in_resilience_section(
-        self, fallback_service
-    ):
-        daemon = start_daemon(fallback_service, breaker_failures=50)
-        try:
-            client = client_for(daemon)
-            plan = FaultPlan(seed=1).on(
-                "fallback.kcca", mode="raise", rate=1.0
-            )
-            with armed(plan):
-                # FallbackChain defaults trip the kcca breaker after a
-                # few consecutive stage failures.
-                for _ in range(4):
-                    client.forecast(SQL_LIGHT)
-            resilience = client.status()["resilience"]
-            assert resilience is not None
-            assert resilience["last_served"] == "regression"
-            assert "kcca" in resilience["stages"]
-            # The serving breaker itself never tripped: every request
-            # was answered 200 by the chain.
-            assert client.status()["breaker"]["state"] == "closed"
-        finally:
-            daemon.stop()
-
-
 class TestChaosLoadDrill:
     def test_faulty_load_is_all_structured_outcomes(
         self, serve_service, load_schedule
@@ -246,11 +186,9 @@ class TestChaosLoadDrill:
 # ----------------------------------------------------------------------
 
 
-def supervised(service, tmp_path, *, serve_overrides=None, **policy):
+def supervised(service, tmp_path, **policy):
     """A supervisor over a daemon factory, journaling into tmp_path."""
-    serve_kwargs = dict(max_batch=4)
-    serve_kwargs.update(serve_overrides or {})
-    config = ServeConfig(**serve_kwargs)
+    config = ServeConfig(max_batch=4)
     defaults = dict(
         backoff_initial_s=0.01,
         backoff_max_s=0.05,
@@ -398,25 +336,18 @@ class TestSupervisor:
 
 
 class TestSelfHealingDrill:
-    def test_chaos_drill_is_fully_structured_with_tier_steps(
+    def test_chaos_drill_is_fully_structured(
         self, serve_service, load_schedule, tmp_path
     ):
         """The acceptance drill: ``exit`` armed at serve.handler and
         ``hang`` at serve.batch, a 200-request seeded load against the
         supervised daemon.  Every request must end structured (200, 429,
         503 or 504 — never a dropped socket), over-deadline answers are
-        504s, the supervisor must have healed at least one crash — and
-        the degradation ladder must be seen stepping down *and* back up.
+        504s, and the supervisor must have healed at least one crash.
         """
         supervisor = supervised(
             serve_service,
             tmp_path,
-            serve_overrides=dict(
-                degrade=True,
-                degrade_queue_depth=4,
-                degrade_down_after_s=0.02,
-                degrade_up_after_s=0.05,
-            ),
             max_restarts=50,
             restart_window_s=60.0,
         )
@@ -460,45 +391,3 @@ class TestSelfHealingDrill:
         ]
         crashes = [e for e in events if e["event"] == "exit"]
         assert any(e.get("exit_code") == 13 for e in crashes), crashes
-
-        # Tier observation: the same pressure recipe as the load above,
-        # against an unforked daemon so the ladder counters survive —
-        # the ladder must step down under pressure and climb back.
-        daemon = start_daemon(
-            serve_service,
-            max_batch=2,
-            degrade=True,
-            degrade_queue_depth=2,
-            degrade_down_after_s=0.02,
-            degrade_up_after_s=0.05,
-        )
-        try:
-            client = client_for(daemon)
-
-            def worker():
-                for _ in range(8):
-                    client.try_forecast(fresh_light())
-
-            slow = FaultPlan(seed=9).on(
-                "serve.batch", mode="delay", delay=0.03, rate=1.0
-            )
-            with armed(slow):
-                threads = [
-                    threading.Thread(target=worker) for _ in range(6)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-            assert daemon.status()["degrade"]["step_downs"] >= 1
-            settle = time.monotonic() + 10.0
-            while time.monotonic() < settle:
-                client.forecast(SQL_LIGHT)
-                if daemon.status()["degrade"]["tier"] == 0:
-                    break
-                time.sleep(0.03)
-            degrade = daemon.status()["degrade"]
-            assert degrade["tier"] == 0
-            assert degrade["step_ups"] >= 1
-        finally:
-            daemon.stop()

@@ -3,8 +3,7 @@ statement answers exactly as one that has not.
 
 The memo keeps, per statement text, what compiling yields — plan-feature
 row, optimizer cost, warnings — so a repeated forecast skips parse and
-plan, and the forecast, which a service without a fallback chain
-answers a repeat with.  Everything here compares whole
+plan, and the forecast, which a repeat is answered with.  Everything here compares whole
 :class:`~repro.api.Forecast` values (metrics, ``confidence``,
 ``warnings``, cost) with ``==``, which is bitwise on their floats,
 against a reference computed with the memo's bound at zero, i.e. with
@@ -87,10 +86,10 @@ class TestWarmedEqualsFresh:
     def test_single_and_batched(self, fresh, statements, reference):
         assert len(statements) >= 1000 and len(set(statements)) > 256
         assert all(f.warnings for f in reference[:4])
-        assert fresh.held_forecasts(statements[:5]) == (None, False)
+        assert fresh.held_forecasts(statements[:5]) is None
         first = [fresh.forecast_many([sql])[0] for sql in statements]
         assert first == reference
-        assert fresh.held_forecasts(statements[-5:]) == (reference[-5:], True)
+        assert fresh.held_forecasts(statements[-5:]) == reference[-5:]
         seen = fresh.memo.stats()
         assert seen["size"] == len(set(statements))
         # Second pass: every lookup is a hit, every answer the same.
@@ -114,8 +113,8 @@ class TestWarmedEqualsFresh:
         assert fresh.memo.stats()["size"] == 3
         assert fresh.forecast_many(batch) == [reference[i] for i in picks]
         # What the serving daemon asks: all held, or nothing.
-        assert fresh.held_forecasts(batch) == ([reference[i] for i in picks], True)
-        assert fresh.held_forecasts([statements[0], statements[1]]) == (None, False)
+        assert fresh.held_forecasts(batch) == [reference[i] for i in picks]
+        assert fresh.held_forecasts([statements[0], statements[1]]) is None
 
     def test_eviction_at_the_bound(self, fresh, statements, reference, monkeypatch):
         monkeypatch.setattr(fresh.memo, "max_entries", 8)
@@ -152,8 +151,8 @@ def scored_rows(monkeypatch):
 
 
 class TestReuse:
-    """What a repeat costs: a service without a fallback chain answers it
-    with the forecast the memo holds; a fallback service scores it."""
+    """What a repeat costs: it is answered with the forecast the memo
+    holds, and nothing is scored."""
 
     def test_a_repeat_on_a_plain_service_scores_nothing(
         self, fresh, statements, reference, scored_rows
@@ -177,23 +176,6 @@ class TestReuse:
         assert got == [reference[i] for i in picks]
         assert scored_rows["rows"] == [2]
 
-    def test_a_fallback_service_scores_every_repeat(
-        self, tpcds_catalog, config, mini_corpus, scored_rows
-    ):
-        service = QueryPerformancePredictor(
-            tpcds_catalog, config=config, fallback=True
-        ).fit_corpus(mini_corpus)
-        sql = PRICE_SQL
-        first = service.forecast(sql)
-        assert first.served_by == "kcca"
-        assert service.held_forecasts([sql, sql]) == ([first, first], False)
-        service.pipeline.model.stage("kcca").breaker.force_open("test")
-        again = service.forecast(sql)
-        assert again.served_by == "regression"
-        assert scored_rows["rows"] == [1, 1]
-        # The memo now holds the regression stage's answer, for tier stale.
-        assert service.held_forecasts([sql]) == ([again], False)
-
 
 class TestInvalidation:
     def test_failing_statement_is_reraised_and_never_retained(self, fresh):
@@ -208,7 +190,7 @@ class TestInvalidation:
             with pytest.raises(kind):
                 fresh.forecast_many([good, bad])
         assert fresh.memo.stats()["size"] == 0
-        assert fresh.held_forecasts([good]) == (None, False)
+        assert fresh.held_forecasts([good]) is None
 
     def test_a_hit_is_still_a_fault_site_and_a_cancellation_point(self, fresh):
         sql = "SELECT count(*) AS c FROM item i"
