@@ -7,10 +7,11 @@ Usage (from the repository root)::
     PYTHONPATH=src python scripts/check.py --no-mypy      # AST lint only
 
 Runs Pack A (the ``RDnnn`` codebase-contract rules) and the static
-half of Pack C (the ``CCnnn`` concurrency rules, see
-docs/STATIC_ANALYSIS.md and docs/CONCURRENCY.md) over ``src/repro``
-and then mypy with the ``pyproject.toml`` configuration.  Exits 0 only
-when both are clean.
+half of Pack C (the ``CC0xx`` concurrency rules, see
+docs/STATIC_ANALYSIS.md and docs/CONCURRENCY.md) over ``src/repro`` in
+one walk, and then mypy with the ``pyproject.toml`` configuration.
+This is the one entry point for both packs' source rules.  Exits 0 only
+when both halves are clean.
 Environments without mypy still run the full AST lint — including the
 RD009 annotation gate — and report the mypy half as skipped.
 """

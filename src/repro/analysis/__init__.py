@@ -4,8 +4,9 @@ concurrency pack.
 Three rule packs behind one engine (see docs/STATIC_ANALYSIS.md):
 
 * **Pack A** (``RDnnn``, :mod:`repro.analysis.codebase`) — AST rules
-  that enforce the repository's determinism/atomicity contracts on
-  ``src/repro`` itself; run them via ``scripts/check.py`` or
+  that enforce the repository's codebase contracts (wall clock, fault
+  sites, typing, network and process boundaries) on ``src/repro``
+  itself; run them via ``scripts/check.py`` or
   :func:`repro.analysis.runner.run_checks`.
 * **Pack B** (``PLnnn``, :mod:`repro.analysis.planlint`) — checks on
   compiled plan trees that flag pathological plans (cartesian products,
@@ -16,7 +17,8 @@ Three rule packs behind one engine (see docs/STATIC_ANALYSIS.md):
 * **Pack C** (``CCnnn``, :mod:`repro.analysis.concurrency` +
   :mod:`repro.analysis.sanitizer`) — concurrency correctness for the
   threaded serving stack: CC0xx are static AST rules (bare locks,
-  unguarded acquires, blocking calls under locks ...), CC1xx are
+  unlocked global mutation, inconsistently locked attributes,
+  anonymous event waits) run with Pack A, CC1xx are
   runtime findings from the ``REPRO_SANITIZE=1`` sanitizer (lock-order
   inversions, Eraser lockset races, hold-time violations).
 """

@@ -1,10 +1,11 @@
 """Pack A: codebase-contract rules, run over ``src/repro`` itself.
 
-Each rule enforces one cross-cutting contract established in earlier
-PRs — deterministic seeding, atomic artifact writes, registered fault
-sites, picklable pool callables, no silent exception swallowing, and a
-typing gate for the strict module set.  docs/STATIC_ANALYSIS.md carries
-the full catalogue with rationale; rule IDs are stable forever.
+Each rule enforces one cross-cutting contract: no wall-clock reads in
+deterministic modules, registered fault sites, a typing gate for the
+strict module set, query templates only in specs, one network boundary
+and one owner of process control.  docs/STATIC_ANALYSIS.md carries the
+full catalogue with rationale; rule IDs are stable forever and a
+retired ID is never reused.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ WALL_CLOCK_ALLOWLIST = (
     "repro/serve/wire.py",
 )
 
-_DEFAULT_RNG_CALLS = frozenset(
-    {"np.random.default_rng", "numpy.random.default_rng", "default_rng"}
-)
-_GLOBAL_SEED_CALLS = frozenset(
-    {"np.random.seed", "numpy.random.seed", "random.seed"}
-)
 _WALL_CLOCK_CALLS = frozenset(
     {
         "time.time",
@@ -49,93 +44,6 @@ _WALL_CLOCK_CALLS = frozenset(
         "datetime.date.today",
     }
 )
-_RAW_SAVEZ_CALLS = frozenset(
-    {"np.savez", "np.savez_compressed", "numpy.savez", "numpy.savez_compressed"}
-)
-
-
-class UnseededDefaultRng(CodeRule):
-    """RD001: ``default_rng()`` with no seed is nondeterministic."""
-
-    info = register(
-        RuleInfo(
-            id="RD001",
-            name="unseeded-default-rng",
-            severity="error",
-            pack="code",
-            summary="np.random.default_rng() must be given an explicit seed",
-        )
-    )
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.AST, context: LintContext) -> None:
-        assert isinstance(node, ast.Call)
-        name = dotted_name(node.func)
-        if name in _DEFAULT_RNG_CALLS and not node.args and not node.keywords:
-            self.report(
-                context,
-                node,
-                "unseeded np.random.default_rng(); pass an explicit seed "
-                "or derive one via repro.rng",
-            )
-
-
-class StdlibRandomImport(CodeRule):
-    """RD002: the stdlib ``random`` module is off-limits outside rng."""
-
-    info = register(
-        RuleInfo(
-            id="RD002",
-            name="stdlib-random-import",
-            severity="error",
-            pack="code",
-            summary="stdlib random is forbidden outside repro/rng.py",
-        )
-    )
-    node_types = (ast.Import, ast.ImportFrom)
-
-    def visit(self, node: ast.AST, context: LintContext) -> None:
-        if context.relpath == "repro/rng.py":
-            return
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        else:
-            assert isinstance(node, ast.ImportFrom)
-            names = [node.module or ""]
-        for name in names:
-            if name == "random" or name.startswith("random."):
-                self.report(
-                    context,
-                    node,
-                    "stdlib random imported; all randomness must flow "
-                    "through seeded repro.rng generators",
-                )
-                return
-
-
-class GlobalNumpySeed(CodeRule):
-    """RD003: global RNG seeding leaks state across call sites."""
-
-    info = register(
-        RuleInfo(
-            id="RD003",
-            name="global-rng-seed",
-            severity="error",
-            pack="code",
-            summary="np.random.seed mutates hidden global state",
-        )
-    )
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.AST, context: LintContext) -> None:
-        assert isinstance(node, ast.Call)
-        if dotted_name(node.func) in _GLOBAL_SEED_CALLS:
-            self.report(
-                context,
-                node,
-                "global RNG seeding; construct a local "
-                "np.random.default_rng(seed) instead",
-            )
 
 
 class WallClockInDeterministicModule(CodeRule):
@@ -164,34 +72,6 @@ class WallClockInDeterministicModule(CodeRule):
                 f"wall-clock read {name}() in a deterministic module; "
                 "only obs/, engine/timing.py, resilience/breaker.py and "
                 "serve/wire.py may observe real time",
-            )
-
-
-class RawSavez(CodeRule):
-    """RD005: artifact writes must go through atomic_savez."""
-
-    info = register(
-        RuleInfo(
-            id="RD005",
-            name="non-atomic-savez",
-            severity="error",
-            pack="code",
-            summary="np.savez* outside ioutils; use repro.ioutils.atomic_savez",
-        )
-    )
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.AST, context: LintContext) -> None:
-        assert isinstance(node, ast.Call)
-        if context.relpath == "repro/ioutils.py":
-            return
-        name = dotted_name(node.func)
-        if name in _RAW_SAVEZ_CALLS:
-            self.report(
-                context,
-                node,
-                f"direct {name}() can leave torn artifacts; use "
-                "repro.ioutils.atomic_savez (tmp + fsync + rename)",
             )
 
 
@@ -277,128 +157,6 @@ class UnregisteredFaultSite(CodeRule):
     @staticmethod
     def _prefix_may_match(prefix: str) -> bool:
         return any(site.startswith(prefix) for site in REGISTERED_SITES)
-
-
-class NonPicklablePoolCallable(CodeRule):
-    """RD007: pool-submitted callables must be module-level."""
-
-    info = register(
-        RuleInfo(
-            id="RD007",
-            name="non-picklable-pool-callable",
-            severity="error",
-            pack="code",
-            summary="lambda/nested def passed to ProcessPoolExecutor submit/map",
-        )
-    )
-    node_types = (ast.Call,)
-
-    def __init__(self) -> None:
-        self._uses_process_pool = False
-        self._nested_defs: set[str] = set()
-
-    def start(self, tree: ast.Module, context: LintContext) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                if any(
-                    alias.name.startswith("concurrent.futures")
-                    for alias in node.names
-                ):
-                    self._uses_process_pool = True
-            elif isinstance(node, ast.ImportFrom):
-                if (node.module or "").startswith("concurrent.futures"):
-                    self._uses_process_pool = True
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for inner in ast.walk(node):
-                    if inner is not node and isinstance(
-                        inner, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        self._nested_defs.add(inner.name)
-
-    def visit(self, node: ast.AST, context: LintContext) -> None:
-        assert isinstance(node, ast.Call)
-        if not self._uses_process_pool:
-            return
-        func = node.func
-        if not (
-            isinstance(func, ast.Attribute) and func.attr in ("submit", "map")
-        ):
-            return
-        if not node.args:
-            return
-        target = node.args[0]
-        if isinstance(target, ast.Lambda):
-            self.report(
-                context,
-                node,
-                "lambda passed to a process pool; lambdas are not "
-                "picklable — use a module-level function",
-            )
-        elif isinstance(target, ast.Name) and target.id in self._nested_defs:
-            self.report(
-                context,
-                node,
-                f"nested function {target.id!r} passed to a process pool; "
-                "nested defs are not picklable — move it to module level",
-            )
-
-
-class SwallowedException(CodeRule):
-    """RD008: silent exception swallowing in core/ and pipeline/."""
-
-    info = register(
-        RuleInfo(
-            id="RD008",
-            name="swallowed-exception",
-            severity="error",
-            pack="code",
-            summary="bare except / except Exception: pass in core or pipeline",
-        )
-    )
-    node_types = (ast.ExceptHandler,)
-
-    def visit(self, node: ast.AST, context: LintContext) -> None:
-        assert isinstance(node, ast.ExceptHandler)
-        if not context.in_dir("repro/core/", "repro/pipeline/"):
-            return
-        if node.type is None:
-            self.report(
-                context,
-                node,
-                "bare except: hides every failure, including injected "
-                "faults; catch a specific exception",
-            )
-            return
-        if self._catches_everything(node.type) and self._body_is_noop(
-            node.body
-        ):
-            self.report(
-                context,
-                node,
-                "except Exception with a no-op body swallows failures "
-                "silently; handle or re-raise",
-            )
-
-    @staticmethod
-    def _catches_everything(expr: ast.expr) -> bool:
-        names = []
-        if isinstance(expr, ast.Tuple):
-            names = [dotted_name(element) for element in expr.elts]
-        else:
-            names = [dotted_name(expr)]
-        return any(name in ("Exception", "BaseException") for name in names)
-
-    @staticmethod
-    def _body_is_noop(body: list[ast.stmt]) -> bool:
-        for statement in body:
-            if isinstance(statement, ast.Pass):
-                continue
-            if isinstance(statement, ast.Expr) and isinstance(
-                statement.value, ast.Constant
-            ):
-                continue  # docstring or bare `...`
-            return False
-        return True
 
 
 class UntypedDefInStrictModule(CodeRule):
@@ -495,47 +253,6 @@ class QueryTemplateLiteral(CodeRule):
             "parameterised SQL template literal; declare query templates "
             "in a workload spec under specs/ instead of hard-coding them",
         )
-
-
-class RawSharedMemory(CodeRule):
-    """RD011: shared-memory segments are created only by ioutils.
-
-    ``multiprocessing.shared_memory.SharedMemory`` has OS-level lifetime:
-    a segment survives the creating process unless someone unlinks it,
-    and Python's resource tracker double-registers attachments made from
-    worker processes.  ``repro.ioutils`` owns both problems — its
-    ``ArrayPlane`` publishes/attaches with tracker hygiene and unlink
-    discipline — so any other module constructing ``SharedMemory``
-    directly reintroduces the leak classes the data plane was built to
-    prevent (see docs/PERFORMANCE.md).
-    """
-
-    info = register(
-        RuleInfo(
-            id="RD011",
-            name="raw-shared-memory",
-            severity="error",
-            pack="code",
-            summary="SharedMemory() outside ioutils; use the ArrayPlane API",
-        )
-    )
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.AST, context: LintContext) -> None:
-        assert isinstance(node, ast.Call)
-        if context.relpath == "repro/ioutils.py":
-            return
-        name = dotted_name(node.func)
-        if name is None:
-            return
-        if name == "SharedMemory" or name.endswith(".SharedMemory"):
-            self.report(
-                context,
-                node,
-                f"direct {name}() bypasses segment lifetime management; "
-                "publish/attach through repro.ioutils (publish_arrays / "
-                "attach_arrays) instead",
-            )
 
 
 #: Modules the network boundary (RD012) confines socket imports to.
@@ -670,17 +387,10 @@ class ProcessControlOutsideSupervisor(CodeRule):
 
 #: Pack A, in rule-ID order (classes; instantiated per linted file).
 CODE_RULES = (
-    UnseededDefaultRng,
-    StdlibRandomImport,
-    GlobalNumpySeed,
     WallClockInDeterministicModule,
-    RawSavez,
     UnregisteredFaultSite,
-    NonPicklablePoolCallable,
-    SwallowedException,
     UntypedDefInStrictModule,
     QueryTemplateLiteral,
-    RawSharedMemory,
     NetworkOutsideServe,
     ProcessControlOutsideSupervisor,
 )

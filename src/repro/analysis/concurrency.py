@@ -1,5 +1,5 @@
-"""Pack C: static concurrency rules (CC001–CC008) for the threaded
-serving stack.
+"""Pack C: static concurrency rules (CC001, CC003, CC007, CC008) for
+the threaded serving stack.
 
 The runtime sanitizer (:mod:`repro.analysis.sanitizer`, CC1xx) catches
 what actually happened in a run; these rules catch what *could* happen,
@@ -40,21 +40,6 @@ _RAW_PRIMITIVES = frozenset(
         "threading.RLock",
         "threading.Condition",
     }
-)
-
-_BLOCKING_CALLS = frozenset(
-    {
-        "time.sleep",
-        "subprocess.run",
-        "subprocess.Popen",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-    }
-)
-
-_BLOCKING_METHODS = frozenset(
-    {"sendall", "recv", "accept", "connect", "makefile"}
 )
 
 _LOCKISH_HINTS = ("lock", "cond", "mutex")
@@ -132,66 +117,6 @@ class BareLockConstruction(CodeRule):
                 "use repro.analysis.sanitizer.make_lock/make_rlock/"
                 "make_condition",
             )
-
-
-class AcquireWithoutGuard(_ParentMapMixin, CodeRule):
-    """CC002: ``.acquire()`` not paired with ``with`` or try/finally.
-
-    A raised exception between a bare acquire and its release leaves the
-    lock held forever; ``with lock:`` (or a try/finally whose finally
-    releases) is the only shape that cannot leak.
-    """
-
-    info = register(
-        RuleInfo(
-            id="CC002",
-            name="acquire-without-release-guard",
-            severity="error",
-            pack="concurrency",
-            summary=".acquire() outside a with-statement or try/finally "
-            "release",
-        )
-    )
-    node_types = (ast.Call,)
-
-    def start(self, tree: ast.Module, context: LintContext) -> None:
-        self._build_parents(tree)
-
-    def visit(self, node: ast.AST, context: LintContext) -> None:
-        assert isinstance(node, ast.Call)
-        if not context.in_dir(*CONCURRENCY_DIRS):
-            return
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "acquire"):
-            return
-        if not _is_lockish(dotted_name(func.value)):
-            return
-        for ancestor in self._ancestors(node):
-            if isinstance(ancestor, ast.Try) and self._finally_releases(
-                ancestor
-            ):
-                return
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break
-        self.report(
-            context,
-            node,
-            f"{self.info.name}: bare acquire on "
-            f"'{dotted_name(func.value)}'; use 'with' or release in a "
-            "finally block",
-        )
-
-    @staticmethod
-    def _finally_releases(node: ast.Try) -> bool:
-        for stmt in node.finalbody:
-            for sub in ast.walk(stmt):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "release"
-                ):
-                    return True
-        return False
 
 
 class UnlockedGlobalMutation(_ParentMapMixin, CodeRule):
@@ -324,155 +249,6 @@ class UnlockedGlobalMutation(_ParentMapMixin, CodeRule):
                 )
 
 
-class WaitOutsideWhile(_ParentMapMixin, CodeRule):
-    """CC004: ``Condition.wait()`` outside a while-predicate loop.
-
-    Condition waits are subject to spurious and stolen wakeups; an
-    ``if``-guarded wait proceeds on stale state.  ``wait_for`` carries
-    its own predicate loop and is exempt.
-    """
-
-    info = register(
-        RuleInfo(
-            id="CC004",
-            name="condition-wait-outside-while",
-            severity="error",
-            pack="concurrency",
-            summary="Condition.wait() not wrapped in a while predicate "
-            "loop",
-        )
-    )
-    node_types = (ast.Call,)
-
-    def start(self, tree: ast.Module, context: LintContext) -> None:
-        self._build_parents(tree)
-
-    def visit(self, node: ast.AST, context: LintContext) -> None:
-        assert isinstance(node, ast.Call)
-        if not context.in_dir(*CONCURRENCY_DIRS):
-            return
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "wait"):
-            return
-        receiver = dotted_name(func.value)
-        if not receiver or "cond" not in receiver.rsplit(".", 1)[-1].lower():
-            return  # Event.wait etc.: no predicate contract
-        for ancestor in self._ancestors(node):
-            if isinstance(ancestor, ast.While):
-                return
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break
-        self.report(
-            context,
-            node,
-            f"{self.info.name}: '{receiver}.wait()' outside a while "
-            "loop; re-check the predicate after every wakeup",
-        )
-
-
-class DoubleAcquire(_ParentMapMixin, CodeRule):
-    """CC005: nested ``with`` on the same non-reentrant lock.
-
-    ``with self._lock:`` inside another ``with self._lock:`` in the same
-    function deadlocks instantly unless the lock is re-entrant (names
-    containing ``rlock`` are assumed re-entrant and exempt).
-    """
-
-    info = register(
-        RuleInfo(
-            id="CC005",
-            name="double-acquire-nonreentrant",
-            severity="error",
-            pack="concurrency",
-            summary="same non-reentrant lock acquired twice on one "
-            "static path",
-        )
-    )
-    node_types = (ast.With,)
-
-    def start(self, tree: ast.Module, context: LintContext) -> None:
-        self._build_parents(tree)
-
-    def visit(self, node: ast.AST, context: LintContext) -> None:
-        assert isinstance(node, ast.With)
-        if not context.in_dir(*CONCURRENCY_DIRS):
-            return
-        names = [
-            name
-            for name in _with_lock_names(node)
-            if _is_lockish(name) and "rlock" not in name.lower()
-        ]
-        if not names:
-            return
-        for ancestor in self._ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break
-            if isinstance(ancestor, ast.With):
-                overlap = set(names) & set(_with_lock_names(ancestor))
-                if overlap:
-                    self.report(
-                        context,
-                        node,
-                        f"{self.info.name}: "
-                        f"'{sorted(overlap)[0]}' is already held by an "
-                        "enclosing with-block (instant deadlock on a "
-                        "non-reentrant lock)",
-                    )
-                    return
-
-
-class BlockingCallUnderLock(_ParentMapMixin, CodeRule):
-    """CC006: statically visible blocking call inside a with-lock block.
-
-    Sleeping, spawning subprocesses or doing socket I/O while holding a
-    lock serializes every other thread behind an operation with
-    unbounded latency; the runtime watchdog (CC103) catches the dynamic
-    cases, this rule catches the obvious static ones.
-    """
-
-    info = register(
-        RuleInfo(
-            id="CC006",
-            name="blocking-call-under-lock",
-            severity="warning",
-            pack="concurrency",
-            summary="sleep/subprocess/socket call inside a with-lock "
-            "block",
-        )
-    )
-    node_types = (ast.Call,)
-
-    def start(self, tree: ast.Module, context: LintContext) -> None:
-        self._build_parents(tree)
-
-    def visit(self, node: ast.AST, context: LintContext) -> None:
-        assert isinstance(node, ast.Call)
-        if not context.in_dir(*CONCURRENCY_DIRS):
-            return
-        name = dotted_name(node.func)
-        blocking = name in _BLOCKING_CALLS or (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _BLOCKING_METHODS
-        )
-        if not blocking:
-            return
-        for ancestor in self._ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return
-            if isinstance(ancestor, ast.With) and any(
-                _is_lockish(lock) for lock in _with_lock_names(ancestor)
-            ):
-                label = name or node.func.attr  # type: ignore[union-attr]
-                self.report(
-                    context,
-                    node,
-                    f"{self.info.name}: '{label}' called while holding "
-                    f"'{_with_lock_names(ancestor)[0]}'; move the "
-                    "blocking work outside the lock",
-                )
-                return
-
-
 class InconsistentlyLockedAttribute(_ParentMapMixin, CodeRule):
     """CC007: attribute locked in one method, unlocked in another.
 
@@ -603,11 +379,7 @@ class AnonymousEventWait(CodeRule):
 
 CONCURRENCY_RULES = (
     BareLockConstruction,
-    AcquireWithoutGuard,
     UnlockedGlobalMutation,
-    WaitOutsideWhile,
-    DoubleAcquire,
-    BlockingCallUnderLock,
     InconsistentlyLockedAttribute,
     AnonymousEventWait,
 )

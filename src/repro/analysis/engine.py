@@ -4,8 +4,8 @@ The engine parses each source file once, builds a dispatch table from
 node type to interested rules, and walks the tree a single time — adding
 a rule costs one dict lookup per matching node, not another tree walk.
 
-Suppressions are per line: a trailing ``# repro: allow[RD001]`` (or
-``allow[RD001,RD005]``) comment on the *first* line of the flagged
+Suppressions are per line: a trailing ``# repro: allow[RD004]`` (or
+``allow[RD004,RD013]``) comment on the *first* line of the flagged
 statement silences exactly those rule IDs there and nowhere else.
 """
 

@@ -1,14 +1,16 @@
 """The rule registry: stable IDs and metadata for every lint rule.
 
 Rule IDs are part of the project's public surface — they appear in
-suppression comments (``# repro: allow[RD001]``), JSON reports, CI logs
+suppression comments (``# repro: allow[RD004]``), JSON reports, CI logs
 and docs/STATIC_ANALYSIS.md — so they are registered centrally, never
-renumbered, and duplicates are rejected at import time.
+renumbered, never reused once retired, and duplicates are rejected at
+import time.
 
 Three ID namespaces:
 
-* ``RDnnn`` — Pack A, codebase contracts (determinism, atomicity,
-  picklability ...), run over ``src/repro`` itself;
+* ``RDnnn`` — Pack A, codebase contracts (wall clock, fault sites,
+  typing, network and process boundaries ...), run over ``src/repro``
+  itself;
 * ``PLnnn`` — Pack B, plan lint, run over compiled plan trees before
   execution;
 * ``CCnnn`` — Pack C, concurrency: ``CC0xx`` are static AST rules run
@@ -56,7 +58,7 @@ _REGISTRY: dict[str, RuleInfo] = {}
 def register(info: RuleInfo) -> RuleInfo:
     """Register a rule under its stable ID (import-time validation)."""
     if not _ID_PATTERN.match(info.id):
-        raise ValueError(f"bad rule id {info.id!r}: expected RDnnn or PLnnn")
+        raise ValueError(f"bad rule id {info.id!r}: expected RDnnn, PLnnn or CCnnn")
     if info.severity not in SEVERITIES:
         raise ValueError(
             f"bad severity {info.severity!r} for {info.id}; one of {SEVERITIES}"

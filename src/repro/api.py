@@ -227,7 +227,7 @@ class QueryPerformancePredictor:
 
     Internally everything flows through one
     :class:`~repro.pipeline.PredictionPipeline` (featurizer → model →
-    calibration → confidence), which is also what :meth:`save` persists
+    confidence), which is also what :meth:`save` persists
     and :meth:`load` restores — train once, serve from the artifact.
 
     Args:

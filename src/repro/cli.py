@@ -184,13 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["text", "json"], default="text",
         help="output format (default text)",
     )
-    lint.add_argument(
-        "--concurrency", metavar="TREE", nargs="?", const="",
-        default=None,
-        help="run static Pack C (CC001-CC008) over a source tree "
-             "instead of plan-linting SQL; TREE defaults to the "
-             "installed repro package; exits 1 on any finding",
-    )
 
     measure = sub.add_parser("measure", help="run the query (ground truth)")
     measure.add_argument("sql")
@@ -402,37 +395,10 @@ def _write_trace(destination: str) -> None:
     print(f"trace written to {destination}", file=sys.stderr)
 
 
-def _concurrency_lint_command(args) -> int:
-    """``repro lint --concurrency``: static Pack C over a source tree."""
-    from repro.analysis.concurrency import CONCURRENCY_RULES
-    from repro.analysis.engine import findings_to_report, lint_package
-
-    if args.concurrency:
-        package_root = Path(args.concurrency)
-    else:
-        import repro
-
-        package_root = Path(repro.__file__).resolve().parent
-    if not package_root.is_dir():
-        print(f"error: {package_root} is not a directory", file=sys.stderr)
-        return 2
-    findings = lint_package(package_root, rules=CONCURRENCY_RULES)
-    if args.format == "json":
-        print(json.dumps(findings_to_report(findings), indent=2))
-    else:
-        for finding in findings:
-            print(finding.render())
-        label = "clean" if not findings else f"{len(findings)} finding(s)"
-        print(f"concurrency lint ({package_root}): {label}")
-    return 1 if findings else 0
-
-
 def _lint_command(args, config) -> int:
     """``repro lint``: plan-lint statements; exit 1 when warnings fire."""
     from repro.analysis.findings import LINT_SCHEMA_VERSION
 
-    if args.concurrency is not None:
-        return _concurrency_lint_command(args)
     statements: list[str] = []
     for chunk in args.sql:
         statements.extend(_split_statements(chunk))

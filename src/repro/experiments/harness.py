@@ -118,7 +118,7 @@ def fit_pipeline(
     """Fit a prediction pipeline on a training corpus.
 
     The standard experiment entry point: experiments go through the
-    public pipeline (model + calibration + confidence) rather than poking
+    public pipeline (model + confidence) rather than poking
     predictor internals.
 
     Args:

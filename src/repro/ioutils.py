@@ -16,9 +16,9 @@ of numpy arrays once — into a single ``multiprocessing.shared_memory``
 segment, or a memory-mapped spill file as fallback — and let any number
 of worker processes *attach* zero-copy read-only views instead of
 re-pickling the arrays per worker (see docs/PERFORMANCE.md, "Data
-plane").  Plane creation is confined to this module by static-analysis
-rule RD011, so segment lifecycle (the registry below, ``atexit``
-cleanup, resource-tracker hygiene) has exactly one owner.
+plane").  Planes are created in this module alone, so segment
+lifecycle (the registry below, ``atexit`` cleanup, resource-tracker
+hygiene) has exactly one owner.
 
 This module sits below everything else in the package (it imports only
 the standard library, numpy and the fault-site registry at import time)

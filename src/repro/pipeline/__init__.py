@@ -1,7 +1,7 @@
 """Train-once / serve-many prediction pipelines with persistence.
 
 * :class:`~repro.pipeline.pipeline.PredictionPipeline` — the composed
-  featurizer → model → calibration → confidence stages, with batch
+  featurizer → model → confidence stages, with batch
   scoring (one kernel-cross evaluation per model for N queries).
 * :mod:`~repro.pipeline.artifact` — versioned ``.npz`` + JSON-manifest
   artifacts, fingerprinted against the training catalog and system

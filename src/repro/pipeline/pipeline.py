@@ -1,4 +1,4 @@
-"""The end-to-end prediction pipeline: featurize → model → calibrate → confide.
+"""The end-to-end prediction pipeline: featurize → model → confidence.
 
 The paper's central claim is train-once / use-everywhere: one KCCA model
 feeds workload management, capacity planning and system sizing.  This
@@ -8,9 +8,6 @@ module is the composition layer that makes that true in code:
   optimizer plans into the fixed-width feature matrix;
 * **model** — any :class:`~repro.core.base.Model` (KCCA, two-step,
   online, regression baseline);
-* **calibration** — a :class:`~repro.core.calibration.CostCalibrator`
-  fitted on the training corpus's optimizer costs (the paper's
-  Section VIII cost-to-seconds mapping);
 * **confidence** — a :class:`~repro.core.confidence.ConfidenceModel`
   flagging queries far from anything seen in training.
 
@@ -40,7 +37,6 @@ from repro.core.base import (
     restoring,
     write_state,
 )
-from repro.core.calibration import CostCalibrator
 from repro.core.confidence import ConfidenceModel, ConfidenceReport
 from repro.core.features import FeatureSpace
 from repro.core.online import OnlinePredictor
@@ -66,8 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.corpus import Corpus
 
 __all__ = ["PredictionPipeline", "ScoredPrediction"]
-
-_ELAPSED_INDEX = METRIC_NAMES.index("elapsed_time")
 
 
 def _fingerprints(
@@ -110,7 +104,7 @@ class ScoredPrediction:
 
 
 class PredictionPipeline:
-    """Composable featurizer → model → calibration → confidence stages.
+    """Composable featurizer → model → confidence stages.
 
     Args:
         model: any :class:`~repro.core.base.Model`; default a fresh
@@ -133,7 +127,6 @@ class PredictionPipeline:
         self.model: Model = model if model is not None else KCCAPredictor()
         self.feature_space = feature_space or FeatureSpace.for_plans()
         self.confidence_threshold = confidence_threshold
-        self.calibrator: Optional[CostCalibrator] = None
         self.confidence: Optional[ConfidenceModel] = None
         self.fingerprints: dict[str, str] = {}
         self.metadata: dict = dict(metadata or {})
@@ -178,15 +171,12 @@ class PredictionPipeline:
         self,
         features: np.ndarray,
         performance: np.ndarray,
-        optimizer_costs: Optional[np.ndarray] = None,
     ) -> "PredictionPipeline":
         """Fit every stage from training matrices.
 
         Args:
             features: (n, p) query feature matrix.
             performance: (n, m) measured performance matrix.
-            optimizer_costs: per-query abstract optimizer costs; enables
-                the calibration stage when given.
         """
         with stage(
             "pipeline.fit",
@@ -201,11 +191,6 @@ class PredictionPipeline:
                     if scorer is not None
                     else None
                 )
-            if optimizer_costs is not None and len(optimizer_costs) >= 3:
-                elapsed = np.asarray(performance, dtype=np.float64)[
-                    :, _ELAPSED_INDEX
-                ]
-                self.calibrator = CostCalibrator().fit(optimizer_costs, elapsed)
             if metrics_enabled():
                 get_registry().gauge(
                     "repro_model_train_size",
@@ -214,11 +199,10 @@ class PredictionPipeline:
         return self
 
     def fit_corpus(self, corpus: "Corpus") -> "PredictionPipeline":
-        """Fit from an executed corpus (features, metrics and costs)."""
+        """Fit from an executed corpus (features and metrics)."""
         return self.fit(
             corpus.feature_matrix(),
             corpus.performance_matrix(),
-            corpus.optimizer_costs(),
         )
 
     # ------------------------------------------------------------------
@@ -281,14 +265,6 @@ class PredictionPipeline:
                 for i in range(predictions.shape[0])
             ]
 
-    def calibrated_seconds(self, optimizer_costs: np.ndarray) -> np.ndarray:
-        """Stage 3: optimizer cost units to calibrated wall-clock seconds."""
-        if self.calibrator is None:
-            raise ModelError(
-                "pipeline has no calibration stage (fit with optimizer costs)"
-            )
-        return self.calibrator.predict_seconds(optimizer_costs)
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
@@ -329,11 +305,6 @@ class PredictionPipeline:
         model_state = self.model.state_dict()
         state = {
             "model": model_state,
-            "calibrator": (
-                self.calibrator.state_dict()
-                if self.calibrator is not None
-                else None
-            ),
             "confidence": (
                 {
                     "median": self.confidence.calibration[0],
@@ -419,10 +390,6 @@ class PredictionPipeline:
             pipeline.artifact_digest = digest
             if state.get("catalog") is not None:
                 pipeline.catalog = statistics_catalog(state["catalog"])
-            if state.get("calibrator") is not None:
-                pipeline.calibrator = CostCalibrator().load_state_dict(
-                    state["calibrator"]
-                )
             confidence_state = state.get("confidence")
             scorer = pipeline.scorer
             if confidence_state is not None and scorer is not None:

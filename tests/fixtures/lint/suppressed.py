@@ -1,5 +1,5 @@
 """A violation silenced by an inline allow comment."""
 
-import numpy as np
+import time
 
-rng = np.random.default_rng()  # repro: allow[RD001]
+stamp = time.time()  # repro: allow[RD004]

@@ -2,9 +2,10 @@
 
 Every RD rule gets a violating and a clean fixture (tests/fixtures/lint/),
 linted under a virtual repo-relative path so the scoped rules (RD004,
-RD008, RD009) see the directory they guard.  On top of the per-rule
-pairs: suppression comments, the JSON report schema, the runner, and the
-self-lint invariant that ``src/repro`` itself is clean.
+RD009, RD012, RD013) see the directory they guard.  On top of the
+per-rule pairs: suppression comments, the registry, the JSON report
+schema, the runner, and the self-lint invariant that ``src/repro``
+itself is clean.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +29,7 @@ from repro.analysis import (
     run_checks,
     self_lint,
 )
+from repro.analysis.codebase import STRICT_TYPING_DIRS
 from repro.analysis.engine import (
     dotted_name,
     findings_to_report,
@@ -40,7 +43,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: A path outside every rule scope/allowlist — the neutral default.
 NEUTRAL_PATH = "repro/workloads/fixture.py"
-#: A path inside the strict-typing + no-swallowing scope.
+#: A path inside the strict-typing scope.
 CORE_PATH = "repro/core/fixture.py"
 
 
@@ -54,17 +57,10 @@ def lint_fixture(name: str, relpath: str = NEUTRAL_PATH) -> list[Finding]:
 # ----------------------------------------------------------------------
 
 PAIRS = [
-    ("rd001", "RD001", NEUTRAL_PATH),
-    ("rd002", "RD002", NEUTRAL_PATH),
-    ("rd003", "RD003", NEUTRAL_PATH),
     ("rd004", "RD004", NEUTRAL_PATH),
-    ("rd005", "RD005", NEUTRAL_PATH),
     ("rd006", "RD006", NEUTRAL_PATH),
-    ("rd007", "RD007", NEUTRAL_PATH),
-    ("rd008", "RD008", CORE_PATH),
     ("rd009", "RD009", CORE_PATH),
     ("rd010", "RD010", NEUTRAL_PATH),
-    ("rd011", "RD011", NEUTRAL_PATH),
     ("rd012", "RD012", NEUTRAL_PATH),
     ("rd013", "RD013", NEUTRAL_PATH),
 ]
@@ -94,12 +90,6 @@ class TestRulePairs:
         assert [f.rule_id for f in findings] == ["RD000"]
         assert findings[0].severity == "error"
 
-    def test_rd007_flags_both_lambda_and_nested_def(self):
-        findings = lint_fixture("rd007_bad.py")
-        assert len(findings) == 2
-        messages = " ".join(f.message for f in findings)
-        assert "lambda" in messages and "helper" in messages
-
 
 class TestRuleScoping:
     def test_rd004_allowlisted_paths_may_read_the_clock(self):
@@ -111,27 +101,10 @@ class TestRuleScoping:
         ):
             assert lint_source(source, allowed, CODE_RULES) == []
 
-    def test_rd008_only_guards_core_and_pipeline(self):
-        source = (FIXTURES / "rd008_bad.py").read_text()
-        assert lint_source(source, "repro/engine/fixture.py", CODE_RULES) == []
-        assert lint_source(source, "repro/pipeline/fixture.py", CODE_RULES)
-
     def test_rd009_only_guards_the_strict_dirs(self):
         source = (FIXTURES / "rd009_bad.py").read_text()
         assert lint_source(source, "repro/engine/fixture.py", CODE_RULES) == []
         assert lint_source(source, "repro/analysis/fixture.py", CODE_RULES)
-
-    def test_rd002_exempts_the_rng_module(self):
-        source = (FIXTURES / "rd002_bad.py").read_text()
-        assert lint_source(source, "repro/rng.py", CODE_RULES) == []
-
-    def test_rd005_exempts_ioutils(self):
-        source = (FIXTURES / "rd005_bad.py").read_text()
-        assert lint_source(source, "repro/ioutils.py", CODE_RULES) == []
-
-    def test_rd011_exempts_ioutils(self):
-        source = (FIXTURES / "rd011_bad.py").read_text()
-        assert lint_source(source, "repro/ioutils.py", CODE_RULES) == []
 
     def test_rd012_exempts_the_serve_package(self):
         """The serve package may open sockets; the stdlib HTTP client is
@@ -221,35 +194,67 @@ class TestSuppressions:
 
     def test_allow_comment_for_another_rule_does_not_silence(self):
         source = (
-            "import numpy as np\n"
-            "rng = np.random.default_rng()  # repro: allow[RD005]\n"
+            "import time\n"
+            "stamp = time.time()  # repro: allow[RD013]\n"
         )
         findings = lint_source(source, NEUTRAL_PATH, CODE_RULES)
-        assert [f.rule_id for f in findings] == ["RD001"]
+        assert [f.rule_id for f in findings] == ["RD004"]
 
     def test_parse_suppressions_multiple_ids(self):
         allowed = parse_suppressions(
-            "x = 1\ny = 2  # repro: allow[RD001, RD005]\n"
+            "x = 1\ny = 2  # repro: allow[RD004, RD013]\n"
         )
-        assert allowed == {2: frozenset({"RD001", "RD005"})}
+        assert allowed == {2: frozenset({"RD004", "RD013"})}
 
     def test_suppression_only_applies_to_its_line(self):
         source = (
-            "import numpy as np\n"
-            "# repro: allow[RD001]\n"
-            "rng = np.random.default_rng()\n"
+            "import time\n"
+            "# repro: allow[RD004]\n"
+            "stamp = time.time()\n"
         )
         findings = lint_source(source, NEUTRAL_PATH, CODE_RULES)
-        assert [f.rule_id for f in findings] == ["RD001"]
+        assert [f.rule_id for f in findings] == ["RD004"]
 
 
 class TestRegistryAndReport:
     def test_registry_knows_both_packs(self):
         code_ids = {info.id for info in all_rules(pack="code")}
         plan_ids = {info.id for info in all_rules(pack="plan")}
-        assert {f"RD00{i}" for i in range(10)} <= code_ids
+        concurrency_ids = {info.id for info in all_rules(pack="concurrency")}
+        assert code_ids == {
+            "RD000", "RD004", "RD006", "RD009", "RD010", "RD012", "RD013",
+        }
         assert {f"PL00{i}" for i in range(1, 6)} == plan_ids
-        assert is_known("RD001") and not is_known("RD999")
+        assert concurrency_ids == {
+            "CC001", "CC003", "CC007", "CC008", "CC101", "CC102", "CC103",
+        }
+        assert len(all_rules()) == 19
+        assert is_known("RD004") and not is_known("RD999")
+
+    def test_bad_rule_id_message_names_every_namespace(self):
+        with pytest.raises(ValueError, match="RDnnn, PLnnn or CCnnn"):
+            register(
+                RuleInfo(
+                    id="XX001",
+                    name="bad-namespace",
+                    severity="error",
+                    pack="code",
+                    summary="not a namespace",
+                )
+            )
+
+    def test_typing_gate_and_mypy_strict_set_agree(self):
+        """RD009's scope and pyproject's strict mypy modules are one
+        decision written twice; they must name the same packages."""
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        match = re.search(
+            r"module = \[([^\]]*)\]\s*ignore_errors = false", pyproject
+        )
+        assert match is not None
+        modules = re.findall(r'"repro\.(\w+)\.\*"', match.group(1))
+        assert tuple(f"repro/{name}/" for name in modules) == (
+            STRICT_TYPING_DIRS
+        )
 
     def test_registry_is_complete_in_a_fresh_process(self):
         """A pack registers its rules when imported, and nothing imports a
@@ -269,7 +274,7 @@ class TestRegistryAndReport:
         with pytest.raises(ValueError):
             register(
                 RuleInfo(
-                    id="RD001",
+                    id="RD004",
                     name="duplicate",
                     severity="error",
                     pack="code",
@@ -286,8 +291,8 @@ class TestRegistryAndReport:
         assert dotted_name(subscripted.func) is None
 
     def test_json_report_schema_and_ordering(self):
-        findings = lint_fixture("rd001_bad.py") + lint_fixture(
-            "rd008_bad.py", CORE_PATH
+        findings = lint_fixture("rd004_bad.py") + lint_fixture(
+            "rd009_bad.py", CORE_PATH
         )
         report = findings_to_report(findings)
         assert report["schema_version"] == LINT_SCHEMA_VERSION
@@ -303,9 +308,9 @@ class TestRegistryAndReport:
             }
 
     def test_finding_render(self):
-        finding = lint_fixture("rd001_bad.py")[0]
+        finding = lint_fixture("rd004_bad.py")[0]
         assert finding.render().startswith(
-            f"{NEUTRAL_PATH}:{finding.line}:{finding.column}: RD001 "
+            f"{NEUTRAL_PATH}:{finding.line}:{finding.column}: RD004 "
         )
 
 
@@ -325,15 +330,13 @@ class TestRunner:
     def test_run_checks_flags_a_violating_package(self, tmp_path):
         package = tmp_path / "repro"
         package.mkdir()
-        (package / "bad.py").write_text(
-            "import numpy as np\nrng = np.random.default_rng()\n"
-        )
+        (package / "bad.py").write_text("import time\nstamp = time.time()\n")
         report = run_checks(
             repo_root=REPO_ROOT, package_root=package, with_mypy=False
         )
         assert report.exit_code == 1 and not report.clean
         assert [f["rule_id"] for f in report.as_dict()["findings"]] == [
-            "RD001"
+            "RD004"
         ]
 
     def test_check_script_end_to_end(self):

@@ -47,9 +47,10 @@ class TestParser:
             ["train", "--save", "m.npz", "--fall" "back"],
             ["serve", "--de" "grade"],
             ["serve", "--de" "grade-force-tier", "1"],
+            ["lint", "--con" "currency"],
         ],
         ids=["warm pool", "chunk size", "metrics", "metrics --demo",
-             "fallback", "degrade", "degrade force tier"],
+             "fallback", "degrade", "degrade force tier", "lint concurrency"],
     )
     def test_removed_surface_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_:

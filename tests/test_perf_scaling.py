@@ -175,8 +175,7 @@ class TestNystromKCCA:
         features, performance = _synthetic(160)
         model = KCCAPredictor(approximation="nystrom", rank=64)
         pipeline = PredictionPipeline(model=model).fit(
-            features[:140], performance[:140],
-            optimizer_costs=performance[:140, 0],
+            features[:140], performance[:140]
         )
         path = tmp_path / "nystrom.npz"
         pipeline.save(path)

@@ -140,17 +140,30 @@ class TestPipelineRoundTrip:
             assert after.confidence.zscore == before.confidence.zscore
             assert after.confidence.anomalous == before.confidence.anomalous
 
-    def test_calibrator_round_trips(self, mini_corpus, tmp_path):
+    def test_an_artifact_with_a_calibrator_section_scores_the_same(
+        self, mini_corpus, tmp_path
+    ):
+        """Artifacts saved before the pipeline lost its cost calibrator
+        carry a ``calibrator`` section; it is ignored on load and the
+        forecasts are bit for bit those of the same pipeline without it."""
         pipeline = fit_pipeline(mini_corpus)
-        assert pipeline.calibrator is not None
-        costs = mini_corpus.optimizer_costs()[:5]
-        expected = pipeline.calibrated_seconds(costs)
+        features = mini_corpus.feature_matrix()[:11]
         path = tmp_path / "pipeline.npz"
         pipeline.save(path)
-        loaded = PredictionPipeline.load(path)
-        np.testing.assert_array_equal(
-            loaded.calibrated_seconds(costs), expected
-        )
+        plain = PredictionPipeline.load(path).score_many(features)
+
+        def add_calibrator(document):
+            assert "calibrator" not in document["state"]
+            document["state"]["calibrator"] = {
+                "slope": 0.0123, "intercept": -0.5, "r_squared": 0.91,
+            }
+
+        tamper(path, manifest=add_calibrator)
+        legacy = PredictionPipeline.load(path)
+        assert not hasattr(legacy, "calibrator")
+        for before, after in zip(plain, legacy.score_many(features)):
+            np.testing.assert_array_equal(after.prediction, before.prediction)
+            assert after.confidence == before.confidence
 
     def test_catalog_fingerprint_mismatch_refused(
         self, mini_corpus, tpcds_catalog, config, tmp_path

@@ -504,7 +504,7 @@ class TestAtomicArtifacts:
         features = mini_corpus.feature_matrix()
         performance = mini_corpus.performance_matrix()
         pipeline = PredictionPipeline()
-        pipeline.fit(features, performance, mini_corpus.optimizer_costs())
+        pipeline.fit(features, performance)
         path = tmp_path / "model.npz"
         pipeline.save(path)
         before = path.read_bytes()
