@@ -178,7 +178,7 @@ class _Store:
     """
 
     def __init__(self) -> None:
-        self._mutex = threading.Lock()  # repro: allow[CC001]
+        self._mutex = threading.Lock()
         # thread id -> ordered [(lock id, name, site, acquire perf time)]
         self._held: dict[int, list[tuple[int, str, str, float]]] = {}
         # (earlier name, later name) -> (site, stack) of first observation
@@ -367,7 +367,7 @@ class TrackedLock:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._lock = threading.Lock()  # repro: allow[CC001]
+        self._lock = threading.Lock()
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         acquired = self._lock.acquire(blocking, timeout)
@@ -402,7 +402,7 @@ class TrackedRLock(TrackedLock):
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._lock = threading.RLock()  # repro: allow[CC001]
+        self._lock = threading.RLock()
 
     def locked(self) -> bool:
         # RLock has no locked() on 3.11.  The owning thread would pass a
@@ -427,7 +427,7 @@ class TrackedCondition:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._cond = threading.Condition()  # repro: allow[CC001]
+        self._cond = threading.Condition()
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         acquired = self._cond.acquire(blocking, timeout)

@@ -18,9 +18,10 @@ from repro.errors import ExecutionError, PlanError
 from repro.engine.metrics import MetricsAccumulator, PerformanceMetrics
 from repro.engine.operators import (
     Batch,
+    aggregate_groups,
     distinct_batch,
     filter_batch,
-    group_by_batch,
+    group_rows,
     hash_join_batches,
     nested_join_batches,
     project_batch,
@@ -130,8 +131,8 @@ class Executor:
                 "repartition"
             )
             return child
-        if kind in (OperatorKind.HASH_JOIN, OperatorKind.MERGE_JOIN):
-            return self._run_equi_join(node, model)
+        if kind == OperatorKind.HASH_JOIN:
+            return self._run_hash_join(node, model)
         if kind == OperatorKind.NESTED_JOIN:
             return self._run_nested_join(node, model)
         if kind in (OperatorKind.SEMI_JOIN, OperatorKind.ANTI_JOIN):
@@ -203,26 +204,20 @@ class Executor:
         model.simple(node.kind.value, child.n_rows)
         return out
 
-    def _run_equi_join(self, node: PlanNode, model: ResourceModel) -> Batch:
+    def _run_hash_join(self, node: PlanNode, model: ResourceModel) -> Batch:
         left = self._run(node.left, model)
         right = self._run(node.right, model)
         if not node.join_pairs:
             raise PlanError(f"{node.kind.value} requires join pairs")
         out = hash_join_batches(left, right, node.join_pairs, node.residual)
-        skew = self._key_skew(right, node.join_pairs, side="right")
-        if node.kind == OperatorKind.HASH_JOIN:
-            model.hash_join(
-                node.kind.value,
-                build_rows=right.n_rows,
-                probe_rows=left.n_rows,
-                build_bytes=right.total_bytes,
-                out_rows=out.n_rows,
-                skew=skew,
-            )
-        else:
-            model.merge_join(
-                node.kind.value, left.n_rows, right.n_rows, out.n_rows, skew
-            )
+        model.hash_join(
+            node.kind.value,
+            build_rows=right.n_rows,
+            probe_rows=left.n_rows,
+            build_bytes=right.total_bytes,
+            out_rows=out.n_rows,
+            skew=self._key_skew(right, node.join_pairs, side="right"),
+        )
         return out
 
     def _run_nested_join(self, node: PlanNode, model: ResourceModel) -> Batch:
@@ -262,11 +257,12 @@ class Executor:
         child = self._run(node.child, model)
         if not node.group_keys:
             raise PlanError(f"{node.kind.value} requires group keys")
-        out = group_by_batch(child, node.group_keys, node.aggregates)
-        skew = 1.0
-        if child.n_rows:
-            key = child.column(node.group_keys[0])
-            skew = skew_factor(partition_counts(key, self.config.n_nodes))
+        grouping = group_rows(child, node.group_keys)
+        out = aggregate_groups(child, grouping, node.aggregates)
+        # Each group's first-key value, hashed once, stands for its rows.
+        first_key = grouping.keys[node.group_keys[0]]
+        counts = partition_counts(first_key, self.config.n_nodes, grouping.sizes)
+        skew = skew_factor(counts)
         if node.kind == OperatorKind.SORT_GROUPBY:
             model.sort(node.kind.value, child.n_rows, child.row_bytes, skew)
             model.simple(node.kind.value, child.n_rows, skew)

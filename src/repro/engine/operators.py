@@ -24,11 +24,13 @@ from repro.sql.eval import evaluate
 __all__ = [
     "Batch",
     "equi_join_indices",
-    "join_match_counts",
     "hash_join_batches",
     "nested_join_batches",
     "semi_join_batch",
     "sort_batch",
+    "Grouping",
+    "group_rows",
+    "aggregate_groups",
     "group_by_batch",
     "scalar_aggregate_batch",
     "distinct_batch",
@@ -159,29 +161,33 @@ class Batch:
 # ----------------------------------------------------------------------
 
 
-def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Codes in ``[0, n_distinct)`` that follow the sorted order of ``values``.
+def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes in ``[0, n_distinct)`` that follow the sorted order of
+    ``values``, and the distinct values in that order.
 
     Integer keys whose range fits a lookup table are ranked in linear
     time: offset by the minimum, mark the values present, number the marks
     in order.  Strings, floats and wider ranges go through ``np.unique``.
     """
     if values.dtype.kind == "b":
-        values = values.view(np.uint8)
+        codes, uniques = _dense_codes(values.view(np.uint8))
+        return codes, uniques.view(np.bool_)
     if values.dtype.kind in "iu" and len(values):
         low = values.min()
         span = int(values.max()) - int(low) + 1
         if span <= max(_TABLE_SPAN, len(values)):
             wide = values if values.dtype.itemsize == 8 else values.astype(np.int64)
-            offsets = (wide - wide.dtype.type(low)).view(np.int64)
+            low = wide.dtype.type(low)
+            offsets = (wide - low).view(np.int64)
             present = np.zeros(span, dtype=bool)
             present[offsets] = True
             marks = np.flatnonzero(present)
             rank = np.empty(span, dtype=np.int64)
             rank[marks] = np.arange(len(marks))
-            return rank[offsets], len(marks)
+            uniques = (marks.astype(wide.dtype) + low).astype(values.dtype)
+            return rank[offsets], uniques
     uniques, codes = np.unique(values, return_inverse=True)
-    return codes, len(uniques)
+    return codes, uniques
 
 
 def _pair_codes(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, int]:
@@ -196,26 +202,49 @@ def _pair_codes(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, int]:
     else:
         dtype = np.dtype(str)
     sides = [left.astype(dtype, copy=False), right.astype(dtype, copy=False)]
-    return _dense_codes(np.concatenate(sides))
+    codes, uniques = _dense_codes(np.concatenate(sides))
+    return codes, len(uniques)
 
 
 def _combine_codes(
-    columns: Sequence[tuple[np.ndarray, int]]
+    columns: Sequence[tuple[np.ndarray, int]],
+    steps: Optional[list[tuple[int, Optional[np.ndarray]]]] = None,
 ) -> tuple[np.ndarray, int]:
     """Fold per-column ``(codes, radix)`` pairs into one composite code per
     row, ordered like the key tuples, and an exclusive bound on it.
 
     The composite is made dense again whenever its bound outgrows the
     lookup table, so the bound never passes ``max(_TABLE_SPAN, n_rows)``
-    on entry to a step and the product stays far inside ``int64``.
+    on entry to a step and the product stays far inside ``int64``.  Each
+    fold's radix and, where it was made dense, the composites it ranked are
+    appended to ``steps``, for :func:`_split_codes`.
     """
     codes, bound = columns[0]
     for more, radix in columns[1:]:
         codes = codes * radix + more
         bound *= radix
+        ranked = None
         if bound > _TABLE_SPAN:
-            codes, bound = _dense_codes(codes)
+            codes, ranked = _dense_codes(codes)
+            bound = len(ranked)
+        if steps is not None:
+            steps.append((radix, ranked))
     return codes, bound
+
+
+def _split_codes(
+    composite: np.ndarray, steps: list[tuple[int, Optional[np.ndarray]]]
+) -> list[np.ndarray]:
+    """Per-column codes of ``composite`` codes of :func:`_combine_codes`,
+    read back through the ``steps`` it recorded."""
+    parts = []
+    for radix, ranked in reversed(steps):
+        if ranked is not None:
+            composite = ranked[composite]
+        composite, part = np.divmod(composite, radix)
+        parts.append(part)
+    parts.append(composite)
+    return parts[::-1]
 
 
 def _first_rows(codes: np.ndarray, n_codes: int) -> np.ndarray:
@@ -240,8 +269,11 @@ def factorize_rows(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
         raise ExecutionError("factorize_rows requires at least one key column")
     columns = [_dense_codes(np.asarray(arr)) for arr in arrays]
     if len(columns) == 1:
-        return columns[0]
-    return _dense_codes(_combine_codes(columns)[0])
+        codes, uniques = columns[0]
+        return codes, len(uniques)
+    composite = _combine_codes([(codes, len(uniques)) for codes, uniques in columns])
+    codes, uniques = _dense_codes(composite[0])
+    return codes, len(uniques)
 
 
 # ----------------------------------------------------------------------
@@ -249,19 +281,14 @@ def factorize_rows(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
 # ----------------------------------------------------------------------
 
 
-def join_match_counts(
+def _join_codes(
     left_keys: Sequence[np.ndarray], right_keys: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-left-row match bookkeeping for an equi join.
-
-    Both sides are coded together, the right (build) side is counted per
-    code and stably sorted by it; a left row reads its count and the start
-    of its run from those per-code tables.
+    """Both sides of an equi join coded together.
 
     Returns:
-        (counts, starts, order): ``order`` sorts the right side by key;
-        for left row i the matching right rows are
-        ``order[starts[i] : starts[i] + counts[i]]``.
+        (left_codes, right_codes, per_code): each row's key code, and the
+        number of right (build) rows that carry each code.
     """
     if len(left_keys) != len(right_keys) or not left_keys:
         raise ExecutionError("equi join requires matching, non-empty key lists")
@@ -269,17 +296,28 @@ def join_match_counts(
     codes, bound = _combine_codes([_pair_codes(lk, rk) for lk, rk in pairs])
     n_left = len(left_keys[0])
     left_codes, right_codes = codes[:n_left], codes[n_left:]
-    order = np.argsort(right_codes, kind="stable")
-    per_code = np.bincount(right_codes, minlength=bound)
-    run_starts = np.cumsum(per_code) - per_code
-    return per_code[left_codes], run_starts[left_codes], order
+    return left_codes, right_codes, np.bincount(right_codes, minlength=bound)
 
 
 def equi_join_indices(
     left_keys: Sequence[np.ndarray], right_keys: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-index pairs produced by an inner equi join."""
-    counts, starts, order = join_match_counts(left_keys, right_keys)
+    """Row-index pairs produced by an inner equi join: left-major, the
+    build rows of one probe row in row order."""
+    left_codes, right_codes, per_code = _join_codes(left_keys, right_keys)
+    if per_code.max(initial=0) <= 1:
+        # Every build key is unique: a probe row matches the one build row
+        # that holds its code, or none, and nothing fans out.
+        build_row = np.full(len(per_code), -1, dtype=np.int64)
+        build_row[right_codes] = np.arange(len(right_codes))
+        right_idx = build_row[left_codes]
+        left_idx = np.flatnonzero(right_idx >= 0)
+        return left_idx, right_idx[left_idx]
+    # The build side sorted by code; a probe row reads its match count and
+    # the start of its run from the per-code tables.
+    order = np.argsort(right_codes, kind="stable")
+    counts = per_code[left_codes]
+    starts = (np.cumsum(per_code) - per_code)[left_codes]
     total = int(counts.sum())
     left_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     # Output pair p of left row i reads order[starts[i] + (p - first pair of i)].
@@ -346,9 +384,9 @@ def semi_join_batch(
     """Left rows with (or, for anti, without) a match on the right."""
     left_keys = [left.column(l) for l, _ in join_pairs]
     right_keys = [right.column(r) for _, r in join_pairs]
-    counts, _starts, _order = join_match_counts(left_keys, right_keys)
-    keep = counts == 0 if anti else counts > 0
-    return left.mask(keep)
+    left_codes, _right_codes, per_code = _join_codes(left_keys, right_keys)
+    matched = per_code[left_codes] > 0
+    return left.mask(~matched if anti else matched)
 
 
 def _merge_batches(left: Batch, right: Batch) -> Batch:
@@ -390,18 +428,106 @@ def sort_batch(batch: Batch, keys: Sequence[tuple[str, bool]]) -> Batch:
     return batch.take(order)
 
 
+@dataclass(slots=True)
+class Grouping:
+    """One factorisation of a group-by key: each row's group, and each
+    group's size and key values, groups in sorted key order."""
+
+    codes: np.ndarray
+    sizes: np.ndarray
+    keys: dict[str, np.ndarray]
+
+
+def _key_codes(batch: Batch, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Dense codes of a key column over the batch's rows, and the distinct
+    values they stand for.
+
+    A column still deferred over a source with fewer rows than the batch
+    is ranked on that source, and only its codes are gathered: ranked again
+    over the values the batch's rows read, they are a table look-up.
+    """
+    column = dict.get(batch.columns, name)
+    if isinstance(column, _Gather) and len(column.source) < len(column):
+        source_codes, uniques = _dense_codes(column.source)
+        rows = column.rows.flat()
+        read = np.zeros(len(column.source), dtype=bool)
+        read[rows] = True
+        present = np.zeros(len(uniques), dtype=bool)
+        present[source_codes[read]] = True
+        rank = np.cumsum(present) - 1
+        return rank[source_codes][rows], uniques[present]
+    return _dense_codes(batch.column(name))
+
+
+def _first_row_values(
+    batch: Batch,
+    name: str,
+    values: np.ndarray,
+    key_codes: np.ndarray,
+    uniques: np.ndarray,
+    codes: np.ndarray,
+) -> np.ndarray:
+    """Each group's ``values`` of a key column, made its first row's where
+    equal keys may differ in their bits: ``-0.0`` and ``0.0``, and NaNs.
+    A deferred column is read at those rows only."""
+    if uniques.dtype.kind != "f":
+        return values
+    ambiguous = np.flatnonzero((uniques == 0) | np.isnan(uniques))
+    if len(ambiguous):
+        rows = np.flatnonzero(np.isin(key_codes, ambiguous))
+        groups, first = np.unique(codes[rows], return_index=True)
+        rows = rows[first]
+        column = dict.__getitem__(batch.columns, name)
+        if isinstance(column, _Gather):
+            column, rows = column.source, column.rows.flat()[rows]
+        values[groups] = column[rows]
+    return values
+
+
+def group_rows(batch: Batch, group_keys: Sequence[str]) -> Grouping:
+    """Factorise the group key of ``batch`` once.
+
+    Each key column is ranked on its own (:func:`_key_codes`) and several
+    are folded into one composite code, which is ranked again; each
+    group's key values are read back from that ranking, not from its rows.
+    """
+    if not group_keys:
+        raise ExecutionError("group_by_batch requires group keys")
+    if batch.n_rows == 0:
+        keys = {name: batch.column(name)[:0] for name in group_keys}
+        return Grouping(np.empty(0, np.int64), np.empty(0, np.int64), keys)
+    columns = [_key_codes(batch, name) for name in group_keys]
+    if len(columns) == 1:
+        codes, uniques = columns[0]
+        per_group = [uniques]
+    else:
+        steps: list = []
+        radices = [(key_codes, len(uniques)) for key_codes, uniques in columns]
+        codes, composite = _dense_codes(_combine_codes(radices, steps)[0])
+        per_group = [
+            uniques[part]
+            for (_, uniques), part in zip(columns, _split_codes(composite, steps))
+        ]
+    keys = {
+        name: _first_row_values(batch, name, values, key_codes, uniques, codes)
+        for name, values, (key_codes, uniques) in zip(group_keys, per_group, columns)
+    }
+    sizes = np.bincount(codes, minlength=len(per_group[0]))
+    return Grouping(codes, sizes, keys)
+
+
 def _aggregate_column(
     spec: AggregateSpec,
-    codes: np.ndarray,
-    n_groups: int,
+    grouping: Grouping,
     batch: Batch,
     layout: Optional[tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
-    """Compute one aggregate per group; ``codes`` holds each row's group and
-    ``layout`` (min/max only) the rows in group order and each group's start."""
+    """Compute one aggregate per group; ``layout`` (min/max only) holds the
+    rows in group order and each group's start."""
     func = spec.func.lower()
+    codes, sizes = grouping.codes, grouping.sizes
     if func == "count" and spec.expr is None and not spec.distinct:
-        return np.bincount(codes, minlength=n_groups).astype(np.float64)
+        return sizes.astype(np.float64)
     if spec.expr is None:
         raise ExecutionError(f"aggregate {func} requires an argument")
     values = batch.evaluate(spec.expr)
@@ -410,17 +536,14 @@ def _aggregate_column(
         pair_codes, n_pairs = factorize_rows([codes, values])
         pair_group = np.empty(n_pairs, dtype=np.int64)
         pair_group[pair_codes] = codes  # rows of one pair all write its group
-        return np.bincount(pair_group, minlength=n_groups).astype(np.float64)
+        return np.bincount(pair_group, minlength=len(sizes)).astype(np.float64)
     if func == "count":
-        return np.bincount(codes, minlength=n_groups).astype(np.float64)
-    numeric = values.astype(np.float64)
+        return sizes.astype(np.float64)
+    numeric = values.astype(np.float64, copy=False)
     if func == "sum":
-        return np.bincount(codes, weights=numeric, minlength=n_groups)
+        return np.bincount(codes, weights=numeric, minlength=len(sizes))
     if func == "avg":
-        sums = np.bincount(codes, weights=numeric, minlength=n_groups)
-        counts = np.bincount(codes, minlength=n_groups)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        return np.bincount(codes, weights=numeric, minlength=len(sizes)) / sizes
     if func in ("min", "max"):
         group_order, group_starts = layout
         reducer = np.minimum if func == "min" else np.maximum
@@ -428,35 +551,34 @@ def _aggregate_column(
     raise ExecutionError(f"unsupported aggregate function {func!r}")
 
 
+def aggregate_groups(
+    batch: Batch, grouping: Grouping, aggregates: Sequence[AggregateSpec]
+) -> Batch:
+    """The group key columns of ``grouping`` (same names) followed by one
+    column per aggregate alias."""
+    columns = dict(grouping.keys)
+    if batch.n_rows == 0:
+        for spec in aggregates:
+            columns[spec.alias] = np.empty(0, dtype=np.float64)
+        return Batch(columns, n_rows=0)
+    layout = None
+    if any(spec.func.lower() in ("min", "max") for spec in aggregates):
+        # The only aggregates that need the rows laid out group by group.
+        sizes = grouping.sizes
+        layout = np.argsort(grouping.codes, kind="stable"), np.cumsum(sizes) - sizes
+    for spec in aggregates:
+        columns[spec.alias] = _aggregate_column(spec, grouping, batch, layout)
+    return Batch(columns, n_rows=len(grouping.sizes))
+
+
 def group_by_batch(
     batch: Batch,
     group_keys: Sequence[str],
     aggregates: Sequence[AggregateSpec],
 ) -> Batch:
-    """Group by key columns and compute aggregates.
-
-    Output columns: the group key columns (same names) followed by one
-    column per aggregate alias.
-    """
-    if not group_keys:
-        raise ExecutionError("group_by_batch requires group keys")
-    if batch.n_rows == 0:
-        columns = {name: batch.column(name)[:0] for name in group_keys}
-        for spec in aggregates:
-            columns[spec.alias] = np.empty(0, dtype=np.float64)
-        return Batch(columns, n_rows=0)
-    key_arrays = [batch.column(name) for name in group_keys]
-    codes, n_groups = factorize_rows(key_arrays)
-    representative = _first_rows(codes, n_groups)
-    columns = {name: batch.column(name)[representative] for name in group_keys}
-    layout = None
-    if any(spec.func.lower() in ("min", "max") for spec in aggregates):
-        # The only aggregates that need the rows laid out group by group.
-        sizes = np.bincount(codes, minlength=n_groups)
-        layout = np.argsort(codes, kind="stable"), np.cumsum(sizes) - sizes
-    for spec in aggregates:
-        columns[spec.alias] = _aggregate_column(spec, codes, n_groups, batch, layout)
-    return Batch(columns, n_rows=n_groups)
+    """Group by key columns and compute aggregates (:func:`group_rows`,
+    then :func:`aggregate_groups`)."""
+    return aggregate_groups(batch, group_rows(batch, group_keys), aggregates)
 
 
 def scalar_aggregate_batch(
@@ -473,7 +595,8 @@ def scalar_aggregate_batch(
                 raise ExecutionError(f"aggregate {func} requires an argument")
             values = batch.evaluate(spec.expr)
             if spec.distinct:
-                values = values[_first_rows(*_dense_codes(values))]
+                codes, uniques = _dense_codes(values)
+                values = values[_first_rows(codes, len(uniques))]
             if func == "count":
                 value = float(len(values))
             elif batch.n_rows == 0 and len(values) == 0:

@@ -112,19 +112,6 @@ class ResourceModel:
             spilled = self._pages(build_bytes + probe_bytes) * passes
             self._disk(operator, 2 * spilled, skew)  # write + re-read
 
-    def merge_join(
-        self, operator: str, left_rows: int, right_rows: int, out_rows: int,
-        skew: float,
-    ) -> None:
-        """Merge join over sorted inputs: linear CPU."""
-        self._cpu(
-            operator,
-            left_rows + right_rows,
-            self._config.cpu_tuple_s,
-            skew,
-        )
-        self._cpu(operator, out_rows, 2.0 * self._config.cpu_tuple_s, skew)
-
     def nested_join(
         self, operator: str, outer_rows: int, inner_rows: int, out_rows: int,
         skew: float,

@@ -76,8 +76,6 @@ def node_cost(node: PlanNode, catalog: Catalog) -> float:
         return _CPU_COMPARE_WEIGHT * in_rows * math.log2(limit)
     if kind == OperatorKind.SORT:
         return _CPU_COMPARE_WEIGHT * in_rows * max(math.log2(in_rows), 1.0) * 10.0
-    if kind == OperatorKind.MERGE_JOIN:
-        return _CPU_ROW_WEIGHT * (in_rows + 0.5 * out_rows)
     if kind == OperatorKind.NESTED_JOIN:
         outer = max(node.left.estimated_rows, 1.0)
         inner = max(node.right.estimated_rows, 1.0)

@@ -28,10 +28,11 @@ def hash_partition(keys: np.ndarray, n_partitions: int) -> np.ndarray:
     if n_partitions == 1:
         return np.zeros(len(keys), dtype=np.int64)
     if np.issubdtype(keys.dtype, np.integer):
-        hashed = (keys.astype(np.uint64) * np.uint64(2654435761)) & np.uint64(
-            0xFFFFFFFF
-        )
-        return (hashed % np.uint64(n_partitions)).astype(np.int64)
+        wide = keys.view(np.uint64) if keys.dtype.itemsize == 8 else keys.astype(np.uint64)
+        hashed = wide * np.uint64(2654435761)
+        hashed &= np.uint64(0xFFFFFFFF)
+        hashed %= np.uint64(n_partitions)
+        return hashed.view(np.int64)
     if np.issubdtype(keys.dtype, np.floating):
         return (np.abs(keys.astype(np.int64)) % n_partitions).astype(np.int64)
     # String keys: stable per-value hash via vectorised lookup.
@@ -51,10 +52,13 @@ def _string_hash(value: str) -> int:
     return h
 
 
-def partition_counts(keys: np.ndarray, n_partitions: int) -> np.ndarray:
-    """Rows per partition after hash partitioning ``keys``."""
+def partition_counts(
+    keys: np.ndarray, n_partitions: int, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows per partition after hash partitioning ``keys``, where key ``i``
+    stands for ``weights[i]`` rows (one each by default)."""
     parts = hash_partition(keys, n_partitions)
-    return np.bincount(parts, minlength=n_partitions).astype(np.int64)
+    return np.bincount(parts, weights, minlength=n_partitions).astype(np.int64)
 
 
 def skew_factor(counts: np.ndarray) -> float:

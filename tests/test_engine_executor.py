@@ -168,3 +168,19 @@ class TestErrors:
         bogus = PlanNode(kind=OperatorKind.FILE_SCAN)
         with pytest.raises(PlanError):
             executor.execute(bogus)
+
+    def test_merge_join_is_refused(self, optimizer, executor):
+        """The planner never chooses a merge join, and the executor has no
+        body for one: a plan carrying it ends in a PlanError before any
+        of its inputs is read."""
+        from repro.engine.plan import PlanNode
+
+        plan = optimizer.optimize(JOIN_SQL).plan
+        join = next(n for n in plan.walk() if n.kind == OperatorKind.HASH_JOIN)
+        merge = PlanNode(
+            kind=OperatorKind.MERGE_JOIN,
+            children=join.children,
+            join_pairs=join.join_pairs,
+        )
+        with pytest.raises(PlanError, match="merge_join"):
+            executor.execute(merge)

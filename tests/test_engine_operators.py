@@ -14,6 +14,7 @@ from repro.engine.operators import (
     factorize_rows,
     filter_batch,
     group_by_batch,
+    group_rows,
     hash_join_batches,
     nested_join_batches,
     scalar_aggregate_batch,
@@ -24,6 +25,7 @@ from repro.engine.operators import (
 from repro.engine.plan import AggregateSpec
 from repro.errors import ExecutionError
 from repro.sql.parser import parse
+from repro.storage.partition import partition_counts
 
 
 def predicate(cond):
@@ -318,6 +320,32 @@ class TestEquiJoin:
         assert semi.n_rows == len({i for i, _ in expected})
 
 
+    @given(join_sides())
+    @example(([np.array([3, 1, 3, 2])], [np.array([1, 2, 3])]))
+    @example(([np.array([], dtype=np.int64)], [np.array([1, 2])]))
+    @settings(max_examples=150, deadline=None)
+    def test_unique_build_keys_match_the_fan_out_expansion(self, sides):
+        """Property: with every build key unique, the join's pairs are
+        bit for bit those of the general expansion, which the same build
+        side written twice takes (each pair then comes twice, the second
+        time with a row of the copy)."""
+        left, right = sides
+        names = [f"r{c}" for c in range(len(right))]
+        right = [
+            distinct_batch(Batch(dict(zip(names, right)), len(right[0]))).column(name)
+            for name in names
+        ]
+        n_right = len(right[0])
+        li, ri = equi_join_indices(left, right)
+        twice = [np.concatenate([column, column]) for column in right]
+        fan_li, fan_ri = equi_join_indices(left, twice)
+        assert len(fan_li) == 2 * len(li)
+        first = fan_ri < n_right
+        for unique, general in ((li, fan_li[first]), (ri, fan_ri[first])):
+            assert unique.dtype == general.dtype == np.int64
+            assert unique.tobytes() == general.tobytes()
+
+
 class TestHashJoinBatches:
     def test_columns_merged(self):
         left = Batch({"l.k": np.array([1, 2]), "l.v": np.array([10, 20])}, 2)
@@ -563,6 +591,70 @@ class TestGroupBy:
         assert out.column("lo").tolist() == [min(values) for _, values in expected]
         assert out.column("hi").tolist() == [max(values) for _, values in expected]
         assert out.column("d").tolist() == [1.0] * len(expected)
+
+
+    AGGREGATES = [
+        AggregateSpec("sum", expr("t.v"), "s"),
+        AggregateSpec("count", None, "c"),
+        AggregateSpec("avg", expr("t.v"), "a"),
+        AggregateSpec("min", expr("t.v"), "lo"),
+        AggregateSpec("max", expr("t.v"), "hi"),
+        AggregateSpec("count", expr("t.k0"), "d", True),
+    ]
+
+    @given(key_columns(max_rows=12), st.data())
+    @example([np.array([0.0, -0.0, float("nan")])], None)
+    @example([np.array(["b", "a"]), np.array([-0.0, 0.0])], None)
+    @settings(max_examples=150, deadline=None)
+    def test_deferred_keys_match_eager_keys(self, keys, data):
+        """Property: a group-by over a selection not gathered yet (its key
+        columns ranked on their source where the selection is the larger)
+        equals the group-by over the same rows gathered first, bit for bit
+        and dtype for dtype — repeated rows, empty selections, ``-0.0``
+        and NaN keys included."""
+        n_source = len(keys[0])
+        if data is None:
+            rows = np.tile(np.arange(n_source - 1, -1, -1), 2)
+        else:
+            rows = np.array(
+                data.draw(st.lists(st.integers(0, n_source - 1), max_size=40))
+                if n_source else [],
+                dtype=np.int64,
+            )
+        names = [f"t.k{c}" for c in range(len(keys))]
+        values = np.arange(len(rows)) * 0.25 - 1.0
+        deferred = _merge_batches(
+            Batch(dict(zip(names, keys)), n_source).take(rows),
+            Batch({"t.v": values}, len(rows)),
+        )
+        eager = Batch(
+            {**{name: key[rows] for name, key in zip(names, keys)}, "t.v": values},
+            len(rows),
+        )
+        expected = group_by_batch(eager, names, self.AGGREGATES)
+        out = group_by_batch(deferred, names, self.AGGREGATES)
+        assert list(out.columns) == list(expected.columns)
+        for name, column in expected.columns.items():
+            assert out.column(name).dtype == column.dtype, name
+            assert out.column(name).tobytes() == column.tobytes(), name
+
+    @given(key_columns(max_rows=60), st.integers(1, 9))
+    @example([np.array([0.0, -0.0, float("nan"), float("nan")])], 3)
+    @example([np.array([2**64 - 1, 7, 2**64 - 1], dtype=np.uint64)], 4)
+    @settings(max_examples=150, deadline=None)
+    def test_skew_counts_from_groups_match_row_counts(self, keys, n_partitions):
+        """Property: each group's first-key value hashed once and weighted
+        by the group's size gives the partition counts of hashing the
+        first key column row by row."""
+        names = [f"t.k{c}" for c in range(len(keys))]
+        grouping = group_rows(Batch(dict(zip(names, keys)), len(keys[0])), names)
+        with np.errstate(invalid="ignore"):  # NaN and inf hashed as integers
+            by_group = partition_counts(
+                grouping.keys[names[0]], n_partitions, grouping.sizes
+            )
+            by_row = partition_counts(keys[0], n_partitions)
+        assert by_group.dtype == by_row.dtype == np.int64
+        assert by_group.tolist() == by_row.tolist()
 
 
 class TestScalarAggregate:

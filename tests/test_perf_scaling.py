@@ -10,7 +10,9 @@
 * a fitted or loaded model holds no N x N array, its artifact grows
   linearly in N, and what it holds instead equals the kernel expressions;
 * the engine groups and joins integer keys without sorting them;
-* a join gathers the columns something above it reads, and no others.
+* a join gathers the columns something above it reads, and no others;
+* a group-by factorises its key once, on the smallest array that holds
+  it, and a join on unique build keys does not fan out.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.core.kernels import (
 )
 from repro.core.neighbors import nearest_neighbors
 from repro.core.predictor import KCCAPredictor
+from repro.engine import Executor
 from repro.engine.operators import Batch, group_by_batch, hash_join_batches
 from repro.engine.plan import AggregateSpec
 from repro.errors import ModelError
@@ -46,8 +49,10 @@ from repro.experiments.corpus import (
     load_or_build_corpus,
     resolve_jobs,
 )
+from repro.optimizer import Optimizer
 from repro.pipeline import PredictionPipeline
 from repro.sql.parser import parse
+from repro.storage import partition
 from repro.workloads.generator import generate_pool
 
 
@@ -574,13 +579,17 @@ class TestJoinGathersOnlyWhatIsRead:
         }
 
     def test_group_by_over_a_join_gathers_its_two_columns(self, sides):
+        """The value column is gathered; the key is ranked on its 2 000
+        build rows and only its codes are gathered, so the join output's
+        ``r.g`` stays deferred (the parent gathered it as values too)."""
         probe, build = sides
         joined = hash_join_batches(probe, build, [("l.k", "r.k")])
         assert joined.n_rows == self.ROWS and len(joined.columns) == 8
         assert self.gathered(joined) == set()
         value = parse("SELECT l.v0 FROM l").select[0].expr
         out = group_by_batch(joined, ["r.g"], [AggregateSpec("sum", value, "total")])
-        assert self.gathered(joined) == {"r.g", "l.v0"}
+        assert self.gathered(joined) == {"l.v0"}
+        assert np.array_equal(out.column("r.g"), np.unique(build.column("r.g")))
         expected = np.bincount(
             build.column("r.g")[probe.column("l.k")],
             weights=probe.column("l.v0"),
@@ -611,3 +620,84 @@ class TestJoinGathersOnlyWhatIsRead:
         assert joined.row_bytes == probe.row_bytes + build.row_bytes == 64.0
         assert joined.total_bytes == 64.0 * self.ROWS
         assert self.gathered(joined) == set()
+
+
+# ----------------------------------------------------------------------
+# One factorisation per group key (a perf guard without a clock)
+# ----------------------------------------------------------------------
+
+
+class TestGroupKeyFactorisedOnce:
+    """What a group-by and a join hand to NumPy, recorded by wrapping the
+    calls.  The commit before the group key was factorised once hashed
+    every input row of a group-by again for the skew model, sorted a string
+    key reached through a join over every joined row, and expanded a join
+    on unique build keys with two ``np.repeat`` calls over its output; it
+    fails all three tests."""
+
+    ROWS = 200_000
+    BUILD_ROWS = 2_000
+
+    @staticmethod
+    def recorded(monkeypatch, owner, name) -> list[int]:
+        """Lengths of the first argument of every call to ``owner.name``."""
+        lengths: list[int] = []
+        real = getattr(owner, name)
+
+        def recording(values, *args, **kwargs):
+            lengths.append(len(values))
+            return real(values, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+        return lengths
+
+    def test_skew_model_hashes_one_key_per_group(
+        self, tpcds_catalog, config, monkeypatch
+    ):
+        plan = Optimizer(tpcds_catalog, config).optimize(
+            "SELECT ss.ss_store_sk, count(*) AS c FROM store_sales ss "
+            "GROUP BY ss.ss_store_sk"
+        ).plan
+        executor = Executor(tpcds_catalog, config)
+        executor.execute(plan)  # the scan's own skew is computed once, here
+        hashed = self.recorded(monkeypatch, partition, "hash_partition")
+        result = executor.execute(plan)
+        assert tpcds_catalog.table("store_sales").n_rows > 100 * result.n_rows
+        assert hashed == [result.n_rows]
+
+    def test_string_key_through_a_join_is_sorted_over_its_source(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        probe = Batch(
+            {
+                "l.k": rng.integers(0, self.BUILD_ROWS, self.ROWS),
+                "l.v": rng.random(self.ROWS),
+            },
+            self.ROWS,
+        )
+        categories = np.array(["Books", "Home", "Music", "Sports", "Women"])
+        build = Batch(
+            {
+                "r.k": np.arange(self.BUILD_ROWS),
+                "r.category": categories[rng.integers(0, 5, self.BUILD_ROWS)],
+            },
+            self.BUILD_ROWS,
+        )
+        joined = hash_join_batches(probe, build, [("l.k", "r.k")])
+        sorted_lengths = self.recorded(monkeypatch, np, "unique")
+        value = parse("SELECT l.v FROM l").select[0].expr
+        out = group_by_batch(
+            joined, ["r.category"], [AggregateSpec("sum", value, "total")]
+        )
+        assert out.column("r.category").tolist() == categories.tolist()
+        assert sorted_lengths and max(sorted_lengths) <= self.BUILD_ROWS
+
+    def test_join_on_unique_build_keys_does_not_fan_out(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        probe = Batch({"l.k": rng.integers(0, 2 * self.BUILD_ROWS, self.ROWS)}, self.ROWS)
+        build = Batch({"r.k": rng.permutation(self.BUILD_ROWS)}, self.BUILD_ROWS)
+        repeated = self.recorded(monkeypatch, np, "repeat")
+        joined = hash_join_batches(probe, build, [("l.k", "r.k")])
+        assert repeated == []
+        matched = probe.column("l.k") < self.BUILD_ROWS
+        assert joined.n_rows == int(matched.sum())
+        assert np.array_equal(joined.column("l.k"), joined.column("r.k"))
