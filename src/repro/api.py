@@ -127,9 +127,7 @@ class Forecast:
     """A pre-execution performance forecast for one SQL statement.
 
     Attributes:
-        confidence: kernel-space anomaly report, or None when the serving
-            model has no projection to measure distances in (regression
-            baseline).
+        confidence: kernel-space anomaly report.
         served_by: always None: no stage other than the fitted model
             answers.  Kept because ``bench/layers.py`` sets it; the
             benchmark's next revision may drop it.
@@ -141,7 +139,7 @@ class Forecast:
 
     metrics: PerformanceMetrics
     category: str
-    confidence: Optional[ConfidenceReport]
+    confidence: ConfidenceReport
     optimizer_cost: float
     served_by: Optional[str] = None
     warnings: tuple[PlanWarning, ...] = ()
@@ -226,8 +224,8 @@ class QueryPerformancePredictor:
     """Trainable, explainable query performance prediction service.
 
     Internally everything flows through one
-    :class:`~repro.pipeline.PredictionPipeline` (featurizer → model →
-    confidence), which is also what :meth:`save` persists
+    :class:`~repro.pipeline.PredictionPipeline` (model → confidence,
+    scoring plan-feature rows), which is also what :meth:`save` persists
     and :meth:`load` restores — train once, serve from the artifact.
 
     Args:
@@ -627,16 +625,11 @@ class QueryPerformancePredictor:
             f"message bytes          : {m.message_bytes:,}",
             f"optimizer cost (units) : {forecast.optimizer_cost:,.1f}",
         ]
-        if forecast.confidence is not None:
-            lines.append(
-                f"confidence             : "
-                f"{'LOW (anomalous query)' if forecast.confidence.anomalous else 'ok'}"
-                f" (neighbour distance z={forecast.confidence.zscore:+.2f})"
-            )
-        else:
-            lines.append(
-                "confidence             : n/a (no kernel projection)"
-            )
+        lines.append(
+            f"confidence             : "
+            f"{'LOW (anomalous query)' if forecast.confidence.anomalous else 'ok'}"
+            f" (neighbour distance z={forecast.confidence.zscore:+.2f})"
+        )
         for warning in forecast.warnings:
             lines.append(f"plan lint              : {warning.render()}")
         return "\n".join(lines)

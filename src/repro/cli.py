@@ -677,10 +677,7 @@ def _dispatch(args, config) -> int:
         print(header)
         print("-" * len(header))
         for i, fc in enumerate(forecasts):
-            if fc.confidence is None:
-                conf = "n/a"
-            else:
-                conf = "LOW" if fc.confidence.anomalous else "ok"
+            conf = "LOW" if fc.confidence.anomalous else "ok"
             row = (
                 f"{i:>3}  {fc.metrics.elapsed_time:>8.2f}s  "
                 f"{fc.category:<13}{fc.metrics.disk_ios:>10,}  "

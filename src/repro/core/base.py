@@ -1,21 +1,16 @@
-"""The unified ``Model`` protocol and model persistence.
+"""Model persistence: state dicts to and from one versioned ``.npz``.
 
-Every predictor family in :mod:`repro.core` — the KCCA predictor, the
-two-step type-specific predictor, the sliding-window online predictor and
-the regression baseline — implements one contract:
-
-* ``fit(query_features, performance) -> self``
-* ``predict(query_features) -> (n, n_metrics) array``
-* ``state_dict() -> dict`` — a ``{"config": ..., "fitted": ...}`` export
-  of everything needed to reconstruct the model;
-* ``load_state_dict(state) -> self`` — the inverse.
-
-:class:`SerializableModel` turns the ``state_dict`` export into on-disk
-persistence: one ``.npz`` file holding every array plus a JSON manifest
-(schema version, model class, the non-array state).  A model trained in
-one process can therefore be saved and loaded in another, which is what
-lets one trained model serve many downstream decisions (workload
-management, capacity planning, sizing) instead of retraining per use.
+The two model families a service trains — the KCCA predictor and the
+two-step type-specific predictor — export everything needed to rebuild
+them as ``state_dict() -> {"config": ..., "fitted": ...}`` and restore it
+with ``load_state_dict(state)``.  :func:`write_state` / :func:`read_state`
+turn such a state into one file holding every array plus a JSON manifest
+(schema version, class name, the non-array state); the prediction
+pipeline (:mod:`repro.pipeline.pipeline`) is the one writer and reader.
+A model trained in one process can therefore be saved and loaded in
+another, which is what lets one trained model serve many downstream
+decisions (workload management, capacity planning, sizing) instead of
+retraining per use.
 
 The format is deliberately dependency-free (numpy + json only, no
 pickle), so artifacts are safe to load and stable across Python versions.
@@ -24,12 +19,11 @@ pickle), so artifacts are safe to load and stable across Python versions.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import io
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Optional, Protocol, Type, runtime_checkable
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -38,11 +32,7 @@ from repro.ioutils import NPZ_READ_ERRORS, atomic_savez
 from repro.resilience.faults import fault_site
 
 __all__ = [
-    "Model",
-    "SerializableModel",
     "MODEL_SCHEMA_VERSION",
-    "register_model",
-    "model_class",
     "pack_state",
     "unpack_state",
     "write_state",
@@ -59,65 +49,6 @@ __all__ = [
 MODEL_SCHEMA_VERSION = 2
 
 _ARRAY_KEY = "__array__"
-
-
-@runtime_checkable
-class Model(Protocol):
-    """The contract every predictor family implements."""
-
-    def fit(self, query_features: np.ndarray, performance: np.ndarray) -> "Model":
-        """Train from (n, p) features and (n, m) performance vectors."""
-        ...
-
-    def predict(self, query_features: np.ndarray) -> np.ndarray:
-        """Predicted performance vectors, shape (n, n_metrics)."""
-        ...
-
-    def state_dict(self) -> dict:
-        """Everything needed to reconstruct the model, as arrays + JSON."""
-        ...
-
-    def load_state_dict(self, state: dict) -> "Model":
-        """Restore the model (hyper-parameters and fitted state)."""
-        ...
-
-
-# ----------------------------------------------------------------------
-# Model registry (class name -> class), used by artifact loading
-# ----------------------------------------------------------------------
-
-_REGISTRY: dict[str, type] = {}
-
-#: The modules defining the registered classes.  A class registers when
-#: its module is imported, and nothing else imports them all.
-_MODEL_MODULES = (
-    "repro.core.online",
-    "repro.core.predictor",
-    "repro.core.regression",
-    "repro.core.two_step",
-)
-
-
-def register_model(cls: type) -> type:
-    """Class decorator: make ``cls`` loadable by name from artifacts."""
-    _REGISTRY[cls.__name__] = cls
-    return cls
-
-
-def model_class(name: str) -> type:
-    """Resolve a registered model class by name.
-
-    Raises:
-        ModelError: for names no registered model claims.
-    """
-    for module in _MODEL_MODULES:
-        importlib.import_module(module)
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ModelError(
-            f"unknown model class {name!r}; registered: {sorted(_REGISTRY)}"
-        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +104,7 @@ def write_state(
     path: Path,
     state: dict,
     model_class_name: str,
-    extra_manifest: Optional[dict] = None,
+    extra_manifest: dict,
 ) -> None:
     """Persist a model state dict as ``.npz`` arrays + a JSON manifest.
 
@@ -192,9 +123,8 @@ def write_state(
         "schema_version": MODEL_SCHEMA_VERSION,
         "model_class": model_class_name,
         "state": skeleton,
+        **extra_manifest,
     }
-    if extra_manifest:
-        manifest.update(extra_manifest)
     payload = np.frombuffer(
         json.dumps(manifest).encode("utf-8"), dtype=np.uint8
     )
@@ -252,9 +182,7 @@ def restoring(path: Path) -> Iterator[None]:
         ) from error
 
 
-def read_state(
-    path: Path, expected_class: Optional[str] = None
-) -> tuple[dict, dict, str]:
+def read_state(path: Path, expected_class: str) -> tuple[dict, dict, str]:
     """Load ``(state, manifest, digest)`` written by :func:`write_state`.
 
     The file is read once: ``digest`` is :func:`artifact_digest` of the
@@ -262,8 +190,8 @@ def read_state(
 
     Raises:
         ModelError: on a missing/corrupt manifest, an unknown schema
-            version, a class mismatch (when ``expected_class`` is given)
-            or an array the manifest names but the file lacks.
+            version, a class other than ``expected_class`` or an array
+            the manifest names but the file lacks.
     """
     path = Path(path)
     fault_site("artifact.read", path=str(path))
@@ -291,40 +219,12 @@ def read_state(
             f"model artifact {path} has schema version {version!r}, "
             f"this build reads version {MODEL_SCHEMA_VERSION}"
         )
-    if expected_class is not None:
-        found = manifest.get("model_class")
-        if found != expected_class:
-            raise ModelError(
-                f"model artifact {path} holds a {found!r}, "
-                f"expected {expected_class!r}"
-            )
+    found = manifest.get("model_class")
+    if found != expected_class:
+        raise ModelError(
+            f"model artifact {path} holds a {found!r}, "
+            f"expected {expected_class!r}"
+        )
     with restoring(path):
         state = unpack_state(manifest["state"], arrays)
     return state, manifest, artifact_digest(raw)
-
-
-class SerializableModel:
-    """Mixin adding ``save(path)`` / ``load(path)`` on top of state dicts.
-
-    Subclasses implement ``state_dict`` / ``load_state_dict``; the mixin
-    handles the on-disk format and class checking.
-    """
-
-    def state_dict(self) -> dict:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def load_state_dict(self, state: dict) -> "SerializableModel":  # pragma: no cover
-        raise NotImplementedError
-
-    def save(self, path: Path) -> None:
-        """Write this model to ``path`` (npz arrays + JSON manifest)."""
-        write_state(path, self.state_dict(), type(self).__name__)
-
-    @classmethod
-    def load(cls: Type["SerializableModel"], path: Path) -> "SerializableModel":
-        """Load a model of exactly this class from ``path``."""
-        state, _manifest, _digest = read_state(path, expected_class=cls.__name__)
-        model = cls.__new__(cls)
-        with restoring(path):
-            model.load_state_dict(state)
-        return model

@@ -54,25 +54,6 @@ class CostCalibrator:
         self.r_squared = float(1.0 - residual / total) if total > 0 else 0.0
         return self
 
-    def state_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-        }
-
-    def load_state_dict(self, state: dict) -> "CostCalibrator":
-        self.__init__()
-        if state.get("slope") is not None:
-            self.slope = float(state["slope"])
-            self.intercept = float(state["intercept"])
-            self.r_squared = (
-                float(state["r_squared"])
-                if state.get("r_squared") is not None
-                else None
-            )
-        return self
-
     def predict_seconds(self, costs: np.ndarray) -> np.ndarray:
         """Calibrated elapsed-time estimates for optimizer costs."""
         if self.slope is None or self.intercept is None:

@@ -10,16 +10,18 @@ The vector layout is fixed by the engine's operator vocabulary, so models
 trained on one schema can score plans from another — which is what makes
 the cross-schema transfer of Experiment 4 possible at all.
 
-An optional ``log_scale`` applies ``log1p`` to every component.  The paper
-used raw values; with a Gaussian kernel the raw encoding makes similarity
-be dominated by the largest cardinalities (small queries collapse into one
-cluster), which is also what the paper's projections show.  Both variants
-are benchmarked in the ablations.
+The vectors hold raw values, as in the paper.  With a Gaussian kernel the
+raw encoding makes similarity be dominated by the largest cardinalities
+(small queries collapse into one cluster), which is also what the paper's
+projections show; the predictor therefore conditions them itself
+(:class:`~repro.core.predictor.KCCAPredictor` ``log_features``), and the
+``feature encoding`` ablation of the experiment table compares the
+log-scaled and raw encodings.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +31,6 @@ __all__ = [
     "PLAN_FEATURE_NAMES",
     "plan_feature_vector",
     "plan_feature_matrix",
-    "FeatureSpace",
 ]
 
 _KINDS = tuple(kind.value for kind in OperatorKind)
@@ -45,7 +46,7 @@ PLAN_FEATURE_NAMES = tuple(
 )
 
 
-def plan_feature_vector(plan: PlanNode, log_scale: bool = False) -> np.ndarray:
+def plan_feature_vector(plan: PlanNode) -> np.ndarray:
     """The 2-per-operator feature vector of one physical plan."""
     counts = plan.operator_counts()
     cardinalities = plan.cardinality_sums()
@@ -53,21 +54,16 @@ def plan_feature_vector(plan: PlanNode, log_scale: bool = False) -> np.ndarray:
     for kind in _KINDS:
         values.append(float(counts.get(kind, 0)))
         values.append(float(cardinalities.get(kind, 0.0)))
-    vector = np.array(values, dtype=np.float64)
-    if log_scale:
-        vector = np.log1p(vector)
-    return vector
+    return np.array(values, dtype=np.float64)
 
 
-def plan_feature_matrix(
-    plans: Sequence[PlanNode], log_scale: bool = False
-) -> np.ndarray:
+def plan_feature_matrix(plans: Sequence[PlanNode]) -> np.ndarray:
     """Feature matrix for many plans, shape (n_plans, 2 * n_kinds).
 
     The batch path of :func:`plan_feature_vector`: each plan is walked
     exactly once (filling its count and cardinality columns in place)
     instead of twice, and the matrix is preallocated rather than stacked —
-    this is what `predict_many` feeds the kernel with.
+    this is what ``forecast_many`` feeds the kernel with.
     """
     matrix = np.zeros((len(plans), len(PLAN_FEATURE_NAMES)), dtype=np.float64)
     for row, plan in enumerate(plans):
@@ -76,57 +72,4 @@ def plan_feature_matrix(
             column = _KIND_COLUMN[node.kind.value]
             out[column] += 1.0
             out[column + 1] += float(node.estimated_rows)
-    if log_scale:
-        np.log1p(matrix, out=matrix)
     return matrix
-
-
-class FeatureSpace:
-    """A named, fixed-width feature space with matrix builders.
-
-    Keeps feature construction honest across training and test sets: the
-    same space instance must be used for both so columns line up.
-    """
-
-    def __init__(
-        self, names: Sequence[str], log_scale: bool = False
-    ) -> None:
-        self.names = tuple(names)
-        self.log_scale = log_scale
-
-    @classmethod
-    def for_plans(cls, log_scale: bool = False) -> "FeatureSpace":
-        """The query-plan feature space (Figure 9)."""
-        return cls(PLAN_FEATURE_NAMES, log_scale=log_scale)
-
-    @property
-    def width(self) -> int:
-        return len(self.names)
-
-    def matrix_from_plans(self, plans: Iterable[PlanNode]) -> np.ndarray:
-        """Stack plan feature vectors into an (n, width) matrix."""
-        plans = list(plans)
-        if not plans:
-            return np.empty((0, self.width))
-        matrix = plan_feature_matrix(plans, self.log_scale)
-        if matrix.shape[1] != self.width:
-            raise ValueError(
-                f"plan features have width {matrix.shape[1]}, "
-                f"expected {self.width}"
-            )
-        return matrix
-
-    def matrix_from_vectors(self, vectors: Iterable[np.ndarray]) -> np.ndarray:
-        """Stack prebuilt vectors, applying this space's scaling."""
-        rows = []
-        for vector in vectors:
-            vector = np.asarray(vector, dtype=np.float64)
-            if vector.shape != (self.width,):
-                raise ValueError(
-                    f"feature vector has shape {vector.shape}, "
-                    f"expected ({self.width},)"
-                )
-            rows.append(np.log1p(vector) if self.log_scale else vector)
-        if not rows:
-            return np.empty((0, self.width))
-        return np.vstack(rows)

@@ -13,9 +13,11 @@ queries".  This module implements exactly that:
   fit, increasing their weight in the kernel without changing the
   prediction-time machinery.
 
-The benchmark ``test_ablation_online`` shows the effect on a workload
-whose system "drifts" mid-stream (e.g. after the OS upgrade that hurt the
-paper's bowling-ball predictions in Figure 10).
+The ``sec8-online`` row of the experiment table
+(:func:`repro.experiments.experiments.sec8_online_retraining`) shows the
+effect on a workload whose system "drifts" mid-stream (e.g. after the OS
+upgrade that hurt the paper's bowling-ball predictions in Figure 10).
+The predictor is an experiment, not a service model: it is never saved.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.base import SerializableModel, register_model
-from repro.core.predictor import KCCAPredictor, PredictionDetail
+from repro.core.predictor import KCCAPredictor
 from repro.errors import ModelError, NotFittedError
 
 if TYPE_CHECKING:  # runtime wiring only; avoids a core -> obs import
@@ -35,8 +36,7 @@ if TYPE_CHECKING:  # runtime wiring only; avoids a core -> obs import
 __all__ = ["OnlinePredictor"]
 
 
-@register_model
-class OnlinePredictor(SerializableModel):
+class OnlinePredictor:
     """KCCA predictor over a sliding window of recent observations.
 
     Args:
@@ -72,8 +72,8 @@ class OnlinePredictor(SerializableModel):
         self._since_refit = 0
         self._model: Optional[KCCAPredictor] = None
         self.refit_count = 0
-        # Runtime-only wiring (not persisted): a DriftMonitor fed with
-        # each observation's pre-refit residual; see set_monitor().
+        # Runtime-only wiring: a DriftMonitor fed with each observation's
+        # pre-refit residual; see set_monitor().
         self._monitor: Optional["DriftMonitor"] = None
 
     # ------------------------------------------------------------------
@@ -101,8 +101,7 @@ class OnlinePredictor(SerializableModel):
         """Bulk-load a training set through the sliding window.
 
         Observes every row in order (respecting the window bound), then
-        forces a refit so the model reflects the final window — the batch
-        entry point of the :class:`repro.core.base.Model` protocol.
+        forces a refit so the model reflects the final window.
         """
         query_features = np.atleast_2d(
             np.asarray(query_features, dtype=np.float64)
@@ -130,8 +129,7 @@ class OnlinePredictor(SerializableModel):
         query with the *current* model and feeds the (predicted, actual)
         pair to the monitor — the residual a live deployment would see,
         measured before the observation can influence a refit.  The
-        monitor is runtime wiring and is not persisted by
-        :meth:`state_dict`; re-attach after :meth:`load_state_dict`.
+        monitor is runtime wiring, not part of the model.
         """
         self._monitor = monitor
         return self
@@ -177,56 +175,3 @@ class OnlinePredictor(SerializableModel):
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict with the most recent fitted model."""
         return self.model.predict(features)
-
-    def predict_batch(
-        self, features: np.ndarray
-    ) -> tuple[np.ndarray, list[PredictionDetail]]:
-        """Batched predictions plus neighbour details (inner model's)."""
-        return self.model.predict_batch(features)
-
-    # ------------------------------------------------------------------
-    # Persistence (Model protocol)
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Window configuration, buffered observations and inner model."""
-        fitted = None
-        if self._features:
-            fitted = {
-                "features": np.vstack(self._features),
-                "performance": np.vstack(self._performance),
-                "since_refit": self._since_refit,
-                "refit_count": self.refit_count,
-                "model": (
-                    self._model.state_dict()
-                    if self._model is not None
-                    else None
-                ),
-            }
-        return {
-            "config": {
-                "window_size": self.window_size,
-                "refit_interval": self.refit_interval,
-                "recency_boost": self.recency_boost,
-                "min_fit_size": self.min_fit_size,
-                "predictor_kwargs": dict(self.predictor_kwargs),
-            },
-            "fitted": fitted,
-        }
-
-    def load_state_dict(self, state: dict) -> "OnlinePredictor":
-        """Restore a :meth:`state_dict` export (inverse operation)."""
-        config = dict(state["config"])
-        kwargs = config.pop("predictor_kwargs")
-        self.__init__(**config, **kwargs)
-        fitted = state.get("fitted")
-        if fitted is not None:
-            for row in np.asarray(fitted["features"]):
-                self._features.append(row.copy())
-            for row in np.asarray(fitted["performance"]):
-                self._performance.append(row.copy())
-            self._since_refit = int(fitted["since_refit"])
-            self.refit_count = int(fitted["refit_count"])
-            if fitted.get("model") is not None:
-                self._model = KCCAPredictor().load_state_dict(fitted["model"])
-        return self

@@ -28,12 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.base import (
-    SerializableModel,
-    checked_array,
-    finite_input,
-    register_model,
-)
+from repro.core.base import checked_array, finite_input
 from repro.core.kcca import KCCA
 from repro.core.kernels import (
     PERFORMANCE_SCALE_FRACTION,
@@ -117,8 +112,7 @@ class _Standardizer:
         return self
 
 
-@register_model
-class KCCAPredictor(SerializableModel):
+class KCCAPredictor:
     """Multi-metric query performance prediction via KCCA + k-NN.
 
     Args:
@@ -301,7 +295,7 @@ class KCCAPredictor(SerializableModel):
         return details
 
     # ------------------------------------------------------------------
-    # Persistence (Model protocol)
+    # Persistence
     # ------------------------------------------------------------------
 
     def state_dict(self) -> dict:

@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.base import SerializableModel, register_model
 from repro.errors import ModelError, NotFittedError
 
 __all__ = ["LinearRegression", "MultiMetricRegression"]
@@ -60,19 +59,8 @@ class LinearRegression:
             raise NotFittedError("LinearRegression model is not fitted")
         return np.nonzero(np.abs(self.coefficients) <= tolerance)[0]
 
-    def state_dict(self) -> dict:
-        return {"coefficients": self.coefficients, "intercept": self.intercept}
 
-    def load_state_dict(self, state: dict) -> "LinearRegression":
-        self.__init__()
-        if state.get("coefficients") is not None:
-            self.coefficients = np.asarray(state["coefficients"])
-            self.intercept = float(state["intercept"])
-        return self
-
-
-@register_model
-class MultiMetricRegression(SerializableModel):
+class MultiMetricRegression:
     """One independent :class:`LinearRegression` per performance metric."""
 
     def __init__(self, metric_names: tuple[str, ...]) -> None:
@@ -120,31 +108,3 @@ class MultiMetricRegression(SerializableModel):
             name: int((predictions[:, index] < 0).sum())
             for index, name in enumerate(self.metric_names)
         }
-
-    # ------------------------------------------------------------------
-    # Persistence (Model protocol)
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Metric names plus per-metric coefficient vectors when fitted."""
-        fitted = None
-        if self._models is not None:
-            fitted = {
-                name: model.state_dict()
-                for name, model in self._models.items()
-            }
-        return {
-            "config": {"metric_names": list(self.metric_names)},
-            "fitted": fitted,
-        }
-
-    def load_state_dict(self, state: dict) -> "MultiMetricRegression":
-        """Restore a :meth:`state_dict` export (inverse operation)."""
-        self.__init__(tuple(state["config"]["metric_names"]))
-        fitted = state.get("fitted")
-        if fitted is not None:
-            self._models = {
-                name: LinearRegression().load_state_dict(sub)
-                for name, sub in fitted.items()
-            }
-        return self

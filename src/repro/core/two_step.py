@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.base import SerializableModel, register_model
 from repro.core.predictor import KCCAPredictor, PredictionDetail
 from repro.engine.metrics import METRIC_NAMES
 from repro.errors import ModelError, NotFittedError
@@ -34,8 +33,7 @@ __all__ = ["TwoStepPredictor"]
 _ELAPSED_INDEX = METRIC_NAMES.index("elapsed_time")
 
 
-@register_model
-class TwoStepPredictor(SerializableModel):
+class TwoStepPredictor:
     """Classify query type, then predict with a type-specific model.
 
     Args:
@@ -145,7 +143,7 @@ class TwoStepPredictor(SerializableModel):
         return tuple(sorted(self._specialists, key=lambda c: c.value))
 
     # ------------------------------------------------------------------
-    # Persistence (Model protocol)
+    # Persistence
     # ------------------------------------------------------------------
 
     def state_dict(self) -> dict:

@@ -492,7 +492,7 @@ class Experiment1Result:
 def _kcca_accuracy(train: Corpus, test: Corpus) -> Experiment1Result:
     """Fit the standard pipeline on ``train`` and score it on ``test``."""
     pipeline = fit_pipeline(train)
-    predicted = pipeline.predict_many(test.feature_matrix())
+    predicted = pipeline.predict(test.feature_matrix())
     actual = test.performance_matrix()
     risk_wo = {
         name: predictive_risk_without_outliers(
@@ -544,9 +544,9 @@ class TwoStepResult:
 def fig14_experiment3(split: tuple[Corpus, Corpus]) -> TwoStepResult:
     """Experiment 3: classify query type, then type-specific prediction."""
     train, test = split
-    one_pred = fit_pipeline(train).predict_many(test.feature_matrix())
+    one_pred = fit_pipeline(train).predict(test.feature_matrix())
     two_pipeline = fit_pipeline(train, model=TwoStepPredictor())
-    two_pred = two_pipeline.predict_many(test.feature_matrix())
+    two_pred = two_pipeline.predict(test.feature_matrix())
     actual = test.performance_matrix()
     labels = two_pipeline.model.classify(test.feature_matrix())
     return TwoStepResult(
@@ -898,7 +898,7 @@ def workload_family_accuracy(
     train, test = _family_split(corpus, train_fraction, seed)
     pipeline = fit_pipeline(train)
     families = evaluate_by_family(pipeline, test, tolerance=tolerance)
-    predicted = pipeline.predict_many(test.feature_matrix())
+    predicted = pipeline.predict(test.feature_matrix())
     actual = test.performance_matrix()
     return FamilyAccuracyResult(
         workload=spec.name,

@@ -6,12 +6,11 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import Model
-from repro.core.metrics import predictive_risk
+from repro.core.metrics import predictive_risk, within_fraction
 from repro.engine.metrics import METRIC_NAMES
 from repro.errors import ReproError
 from repro.experiments.corpus import Corpus
-from repro.pipeline import PredictionPipeline
+from repro.pipeline.pipeline import PipelineModel, PredictionPipeline
 from repro.rng import child_generator
 from repro.workloads.categories import QueryCategory
 
@@ -112,7 +111,7 @@ def evaluate_metrics(
 
 def fit_pipeline(
     train: Corpus,
-    model: Optional[Model] = None,
+    model: Optional[PipelineModel] = None,
     **pipeline_kwargs,
 ) -> PredictionPipeline:
     """Fit a prediction pipeline on a training corpus.
@@ -135,7 +134,7 @@ def evaluate_pipeline(
     pipeline: PredictionPipeline, test: Corpus
 ) -> dict[str, float]:
     """Per-metric predictive risk of a fitted pipeline on a test corpus."""
-    predicted = pipeline.predict_many(test.feature_matrix())
+    predicted = pipeline.predict(test.feature_matrix())
     return evaluate_metrics(predicted, test.performance_matrix())
 
 
@@ -151,31 +150,21 @@ def evaluate_by_family(
     with spec-driven workloads the interesting question is how that figure
     decomposes across families (e.g. OLTP point lookups vs analytic
     rollups).  For each family present in the test corpus the result holds
-    ``n`` (query count) and ``within_tolerance``, a per-metric fraction of
-    queries where ``|predicted - actual| <= tolerance * |actual|``.
-    Degenerate actuals of exactly zero count as hits only when the
-    prediction is also within ``tolerance`` of zero in absolute terms.
+    ``n`` (query count) and ``within_tolerance``, a per-metric
+    :func:`~repro.core.metrics.within_fraction` of its queries: the share
+    with ``|predicted - actual| <= tolerance * |actual|``, where a zero
+    actual is a hit only for a (near) zero prediction.
 
     Raises:
-        ReproError: when ``tolerance`` is not positive.
+        ModelError: when ``tolerance`` is not positive.
     """
-    if tolerance <= 0:
-        raise ReproError("tolerance must be positive")
     report: dict[str, dict[str, object]] = {}
     for family, indices in test.family_indices().items():
         subset = test.subset(indices)
-        predicted = np.asarray(
-            pipeline.predict_many(subset.feature_matrix()), dtype=np.float64
-        )
-        actual = np.asarray(subset.performance_matrix(), dtype=np.float64)
-        if predicted.shape != actual.shape:
-            raise ReproError("predicted and actual matrices differ in shape")
-        threshold = np.where(
-            np.abs(actual) > 0.0, tolerance * np.abs(actual), tolerance
-        )
-        hits = np.abs(predicted - actual) <= threshold
+        predicted = pipeline.predict(subset.feature_matrix())
+        actual = subset.performance_matrix()
         fractions = {
-            name: float(np.mean(hits[:, i]))
+            name: within_fraction(predicted[:, i], actual[:, i], tolerance)
             for i, name in enumerate(metric_names)
         }
         report[family] = {

@@ -1,8 +1,8 @@
 """Train-once / serve-many prediction pipelines with persistence.
 
-* :class:`~repro.pipeline.pipeline.PredictionPipeline` — the composed
-  featurizer → model → confidence stages, with batch
-  scoring (one kernel-cross evaluation per model for N queries).
+* :class:`~repro.pipeline.pipeline.PredictionPipeline` — a KCCA or
+  two-step model and its confidence model, with batch scoring (one
+  kernel-cross evaluation per model for N queries).
 * :mod:`~repro.pipeline.artifact` — versioned ``.npz`` + JSON-manifest
   artifacts, fingerprinted against the training catalog and system
   configuration; mismatches are refused on load.

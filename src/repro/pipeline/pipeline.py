@@ -1,13 +1,14 @@
-"""The end-to-end prediction pipeline: featurize → model → confidence.
+"""The end-to-end prediction pipeline: model → confidence.
 
 The paper's central claim is train-once / use-everywhere: one KCCA model
 feeds workload management, capacity planning and system sizing.  This
-module is the composition layer that makes that true in code:
+module is the composition layer that makes that true in code.  A pipeline
+holds exactly what a forecast reads:
 
-* **featurizer** — a :class:`~repro.core.features.FeatureSpace` turning
-  optimizer plans into the fixed-width feature matrix;
-* **model** — any :class:`~repro.core.base.Model` (KCCA, two-step,
-  online, regression baseline);
+* **model** — a :class:`~repro.core.predictor.KCCAPredictor` or a
+  :class:`~repro.core.two_step.TwoStepPredictor`, scoring the
+  :func:`~repro.core.features.plan_feature_matrix` rows of optimizer
+  plans;
 * **confidence** — a :class:`~repro.core.confidence.ConfidenceModel`
   flagging queries far from anything seen in training.
 
@@ -25,27 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 import numpy as np
 
-from repro.core.base import (
-    Model,
-    checked_array,
-    model_class,
-    read_state,
-    restoring,
-    write_state,
-)
+from repro.core.base import checked_array, read_state, restoring, write_state
 from repro.core.confidence import ConfidenceModel, ConfidenceReport
-from repro.core.features import FeatureSpace
-from repro.core.online import OnlinePredictor
+from repro.core.features import PLAN_FEATURE_NAMES
 from repro.core.predictor import KCCAPredictor
 from repro.core.two_step import TwoStepPredictor
 from repro.engine.metrics import METRIC_NAMES
-from repro.engine.plan import PlanNode
 from repro.engine.system import SystemConfig
-from repro.errors import ModelError
+from repro.errors import ModelError, NotFittedError
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.seam import stage
 from repro.pipeline.artifact import (
@@ -61,7 +53,14 @@ from repro.storage.catalog import Catalog
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.corpus import Corpus
 
-__all__ = ["PredictionPipeline", "ScoredPrediction"]
+__all__ = ["PipelineModel", "PredictionPipeline", "ScoredPrediction"]
+
+#: The model families a service trains, and so the ones an artifact holds.
+PipelineModel = Union[KCCAPredictor, TwoStepPredictor]
+
+_MODEL_CLASSES: dict[str, type] = {
+    cls.__name__: cls for cls in (KCCAPredictor, TwoStepPredictor)
+}
 
 
 def _fingerprints(
@@ -91,26 +90,22 @@ class ScoredPrediction:
 
     Attributes:
         prediction: (n_metrics,) predicted performance vector.
-        confidence: anomaly assessment, or None when the model family has
-            no kernel projection to measure distances in (regression).
+        confidence: anomaly assessment.
         stage: always None: the fitted model is the only stage.  Kept
             because ``bench/layers.py`` reads it; the benchmark's next
             revision may drop it.
     """
 
     prediction: np.ndarray
-    confidence: Optional[ConfidenceReport]
+    confidence: ConfidenceReport
     stage: Optional[str] = None
 
 
 class PredictionPipeline:
-    """Composable featurizer → model → confidence stages.
+    """A fitted model and the confidence model over its projection.
 
     Args:
-        model: any :class:`~repro.core.base.Model`; default a fresh
-            :class:`KCCAPredictor`.
-        feature_space: the featurizer stage; default the plan feature
-            space of Figure 9.
+        model: the model stage; default a fresh :class:`KCCAPredictor`.
         confidence_threshold: z-score above which a query is flagged
             anomalous.
         metadata: free-form JSON-able dict persisted with the artifact
@@ -119,13 +114,13 @@ class PredictionPipeline:
 
     def __init__(
         self,
-        model: Optional[Model] = None,
-        feature_space: Optional[FeatureSpace] = None,
+        model: Optional[PipelineModel] = None,
         confidence_threshold: float = 3.0,
         metadata: Optional[dict] = None,
     ) -> None:
-        self.model: Model = model if model is not None else KCCAPredictor()
-        self.feature_space = feature_space or FeatureSpace.for_plans()
+        self.model: PipelineModel = (
+            model if model is not None else KCCAPredictor()
+        )
         self.confidence_threshold = confidence_threshold
         self.confidence: Optional[ConfidenceModel] = None
         self.fingerprints: dict[str, str] = {}
@@ -141,27 +136,11 @@ class PredictionPipeline:
     # ------------------------------------------------------------------
 
     @property
-    def scorer(self) -> Optional[KCCAPredictor]:
-        """The KCCA model whose projection measures confidence distances.
-
-        The model itself for a plain KCCA predictor, the public router
-        for the two-step predictor, the current inner model for the
-        online predictor, and None for models without a kernel
-        projection (the regression baseline).
-        """
+    def scorer(self) -> KCCAPredictor:
+        """The KCCA model whose projection measures confidence distances:
+        the model itself, or the two-step predictor's public router."""
         model = self.model
-        if isinstance(model, TwoStepPredictor):
-            return model.router
-        if isinstance(model, OnlinePredictor):
-            return model.model if model.is_ready else None
-        if isinstance(model, KCCAPredictor):
-            return model
-        return None
-
-    def featurize(self, plans: Sequence[PlanNode]) -> np.ndarray:
-        """Stage 1: plans to the (n, width) feature matrix."""
-        with stage("pipeline.featurize", n=len(plans)):
-            return self.feature_space.matrix_from_plans(plans)
+        return model.router if isinstance(model, TwoStepPredictor) else model
 
     # ------------------------------------------------------------------
     # Training
@@ -184,12 +163,9 @@ class PredictionPipeline:
             model=type(self.model).__name__,
         ):
             self.model.fit(features, performance)
-            scorer = self.scorer
             with stage("pipeline.fit.confidence"):
-                self.confidence = (
-                    ConfidenceModel(scorer, threshold=self.confidence_threshold)
-                    if scorer is not None
-                    else None
+                self.confidence = ConfidenceModel(
+                    self.scorer, threshold=self.confidence_threshold
                 )
             if metrics_enabled():
                 get_registry().gauge(
@@ -215,10 +191,6 @@ class PredictionPipeline:
         with stage("pipeline.predict", n=features.shape[0]):
             return self.model.predict(features)
 
-    def predict_many(self, features: np.ndarray) -> np.ndarray:
-        """Batch alias of :meth:`predict` (one kernel-cross per model)."""
-        return self.predict(features)
-
     def score_many(
         self,
         features: np.ndarray,
@@ -236,23 +208,14 @@ class PredictionPipeline:
                 passes it; the benchmark's next revision may drop it.
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        if self.confidence is None:
+            raise NotFittedError("the pipeline is not fitted")
         with stage("pipeline.score_many", n=features.shape[0]):
-            predict_batch = getattr(self.model, "predict_batch", None)
-            if predict_batch is not None:
-                predictions, details = predict_batch(features)
-            else:
-                predictions, details = self.model.predict(features), None
+            predictions, details = self.model.predict_batch(features)
             with stage("pipeline.confidence"):
-                if self.confidence is not None and details is not None:
-                    reports: Sequence[Optional[ConfidenceReport]] = (
-                        self.confidence.assess_details(details)
-                    )
-                else:
-                    reports = [None] * predictions.shape[0]
+                reports = self.confidence.assess_details(details)
             if metrics_enabled():
-                anomalous = sum(
-                    1 for r in reports if r is not None and r.anomalous
-                )
+                anomalous = sum(1 for report in reports if report.anomalous)
                 get_registry().counter(
                     "repro_confidence_anomalous_total",
                     "queries flagged far from the training distribution",
@@ -301,22 +264,23 @@ class PredictionPipeline:
                 verification can refuse mismatched environments, and the
                 catalog's statistics are stored.
         """
+        if self.confidence is None:
+            raise NotFittedError("the pipeline is not fitted")
         self.fingerprint_environment(catalog, config)
         model_state = self.model.state_dict()
+        median, scale = self.confidence.calibration
         state = {
             "model": model_state,
-            "confidence": (
-                {
-                    "median": self.confidence.calibration[0],
-                    "scale": self.confidence.calibration[1],
-                    "threshold": self.confidence.threshold,
-                }
-                if self.confidence is not None
-                else None
-            ),
+            "confidence": {
+                "median": median,
+                "scale": scale,
+                "threshold": self.confidence.threshold,
+            },
+            # What the rows the model scores are: written for readers of
+            # the artifact, checked on load.
             "feature_space": {
-                "names": list(self.feature_space.names),
-                "log_scale": self.feature_space.log_scale,
+                "names": list(PLAN_FEATURE_NAMES),
+                "log_scale": False,
             },
             "catalog": catalog_state(catalog) if catalog is not None else None,
         }
@@ -352,8 +316,10 @@ class PredictionPipeline:
                 the ones stored in the artifact.
 
         Raises:
-            ModelError: unknown schema version, unknown model class, a
-                body that cannot be restored, or a fingerprint mismatch.
+            ModelError: unknown schema version, a model class other than
+                the two a service trains, features other than the plan
+                features this build computes, a body that cannot be
+                restored, or a fingerprint mismatch.
         """
         state, manifest, digest = read_state(path, expected_class=cls.__name__)
         with restoring(path):
@@ -364,23 +330,34 @@ class PredictionPipeline:
                     f"pipeline schema version {version!r}, "
                     f"this build reads version {ARTIFACT_SCHEMA_VERSION}"
                 )
-            cls_model = model_class(artifact.get("model_class", ""))
-            model = cls_model.__new__(cls_model)
+            name = artifact.get("model_class")
+            if name not in _MODEL_CLASSES:
+                raise ModelError(
+                    f"unknown model class {name!r}; a pipeline holds one "
+                    f"of {sorted(_MODEL_CLASSES)}"
+                )
+            model_cls = _MODEL_CLASSES[name]
+            model = model_cls.__new__(model_cls)
             model.load_state_dict(state["model"])
             # A forecast names its columns by METRIC_NAMES.
             for holder in _holding(state["model"], "train_performance"):
                 checked_array(
                     holder, "train_performance", None, len(METRIC_NAMES)
                 )
-
-            space_state = state.get("feature_space") or {}
-            feature_space = FeatureSpace(
-                tuple(space_state.get("names", ())),
-                log_scale=bool(space_state.get("log_scale", False)),
-            )
+            space = state["feature_space"]
+            if tuple(space["names"]) != PLAN_FEATURE_NAMES:
+                raise ModelError(
+                    "its feature space is not the plan features this "
+                    f"build computes ({len(space['names'])} names, "
+                    f"expected {len(PLAN_FEATURE_NAMES)})"
+                )
+            if space["log_scale"]:
+                raise ModelError(
+                    "its feature space is log-scaled; this build scores "
+                    "raw plan features"
+                )
             pipeline = cls(
                 model=model,
-                feature_space=feature_space,
                 confidence_threshold=float(
                     artifact.get("confidence_threshold", 3.0)
                 ),
@@ -390,14 +367,12 @@ class PredictionPipeline:
             pipeline.artifact_digest = digest
             if state.get("catalog") is not None:
                 pipeline.catalog = statistics_catalog(state["catalog"])
-            confidence_state = state.get("confidence")
-            scorer = pipeline.scorer
-            if confidence_state is not None and scorer is not None:
-                pipeline.confidence = ConfidenceModel.from_calibration(
-                    scorer,
-                    median=confidence_state["median"],
-                    scale=confidence_state["scale"],
-                    threshold=confidence_state["threshold"],
-                )
+            confidence = state["confidence"]
+            pipeline.confidence = ConfidenceModel.from_calibration(
+                pipeline.scorer,
+                median=confidence["median"],
+                scale=confidence["scale"],
+                threshold=confidence["threshold"],
+            )
         pipeline.check_environment(catalog, config, str(path))
         return pipeline

@@ -93,13 +93,7 @@ def forecast_payload(forecast) -> dict:
     decoded payload compares bitwise-equal to the in-process forecast —
     the property the black-box identity tests rely on.
     """
-    confidence = None
-    if forecast.confidence is not None:
-        confidence = {
-            "distance": float(forecast.confidence.distance),
-            "zscore": float(forecast.confidence.zscore),
-            "anomalous": bool(forecast.confidence.anomalous),
-        }
+    confidence = forecast.confidence
     return {
         "metrics": {
             name: float(getattr(forecast.metrics, name))
@@ -107,7 +101,11 @@ def forecast_payload(forecast) -> dict:
         },
         "category": forecast.category,
         "optimizer_cost": float(forecast.optimizer_cost),
-        "confidence": confidence,
+        "confidence": {
+            "distance": float(confidence.distance),
+            "zscore": float(confidence.zscore),
+            "anomalous": bool(confidence.anomalous),
+        },
         "served_by": forecast.served_by,
         "warnings": [
             {

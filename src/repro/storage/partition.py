@@ -12,13 +12,16 @@ import numpy as np
 
 __all__ = ["hash_partition", "partition_counts", "skew_factor"]
 
+_INT64_MIN = np.float64(-(2.0**63))
+
 
 def hash_partition(keys: np.ndarray, n_partitions: int) -> np.ndarray:
     """Assign each row to a partition by hashing its key.
 
-    Works for integer and string keys; the integer path uses a cheap
-    multiplicative hash (Knuth) so that sequential surrogate keys spread
-    evenly rather than striping.
+    Works for integer, float and string keys; the integer path uses a
+    cheap multiplicative hash (Knuth) so that sequential surrogate keys
+    spread evenly rather than striping.  A float key hashes by its
+    integer part.
 
     Returns:
         int64 array of partition ids in ``[0, n_partitions)``.
@@ -34,7 +37,11 @@ def hash_partition(keys: np.ndarray, n_partitions: int) -> np.ndarray:
         hashed %= np.uint64(n_partitions)
         return hashed.view(np.int64)
     if np.issubdtype(keys.dtype, np.floating):
-        return (np.abs(keys.astype(np.int64)) % n_partitions).astype(np.int64)
+        # A key int64 cannot hold (NaN, +-inf, |x| >= 2**63) has no defined
+        # cast; it hashes as int64's minimum, which x86 casts it to.
+        in_range = (keys >= _INT64_MIN) & (keys < -_INT64_MIN)
+        whole = np.where(in_range, keys, _INT64_MIN).astype(np.int64)
+        return np.abs(whole) % n_partitions
     # String keys: stable per-value hash via vectorised lookup.
     values, inverse = np.unique(keys, return_inverse=True)
     value_hash = np.array(

@@ -65,6 +65,30 @@ def _fallback_chain(document: dict) -> None:
     _metadata(document)["fallback"] = True
 
 
+def _online_predictor(document: dict) -> None:
+    """What an artifact of a pipeline over the sliding-window predictor
+    said of its model: the KCCA model as the window's inner model, the
+    window holding the training rows (array placeholders are paths, so
+    the arrays stay where they are)."""
+    document["artifact"]["model_class"] = "OnlinePredictor"
+    model = document["state"]["model"]
+    document["state"]["model"] = {
+        "config": {
+            "window_size": 500, "refit_interval": 25, "recency_boost": 0.0,
+            "min_fit_size": 20, "predictor_kwargs": {},
+        },
+        "fitted": {
+            "features": model["fitted"]["train_features"],
+            "performance": model["fitted"]["train_performance"],
+            "since_refit": 0, "refit_count": 1, "model": model,
+        },
+    }
+
+
+def _space(document: dict) -> dict:
+    return document["state"]["feature_space"]
+
+
 #: name -> (manifest mutation, array mutation), either may be None.
 DAMAGED_BODIES = {
     "array_absent_from_zip": (
@@ -111,6 +135,11 @@ DAMAGED_BODIES = {
     "catalog_rows_not_an_integer": (
         lambda doc: _tables(doc)["store_sales"].update(rows=7500.5), None),
     "model_class_is_fallback_chain": (_fallback_chain, None),
+    "model_class_is_online_predictor": (_online_predictor, None),
+    "feature_space_log_scaled": (
+        lambda doc: _space(doc).update(log_scale=True), None),
+    "feature_space_names_one_short": (
+        lambda doc: _space(doc)["names"].pop(), None),
 }
 
 

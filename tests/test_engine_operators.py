@@ -640,6 +640,8 @@ class TestGroupBy:
 
     @given(key_columns(max_rows=60), st.integers(1, 9))
     @example([np.array([0.0, -0.0, float("nan"), float("nan")])], 3)
+    @example([np.array([float("inf"), 1e300, -float("inf"), 1e300, 2.5])], 3)
+    @example([np.array([-1e300, float("-inf"), -1e300, float("nan")])], 5)
     @example([np.array([2**64 - 1, 7, 2**64 - 1], dtype=np.uint64)], 4)
     @settings(max_examples=150, deadline=None)
     def test_skew_counts_from_groups_match_row_counts(self, keys, n_partitions):
@@ -648,11 +650,10 @@ class TestGroupBy:
         first key column row by row."""
         names = [f"t.k{c}" for c in range(len(keys))]
         grouping = group_rows(Batch(dict(zip(names, keys)), len(keys[0])), names)
-        with np.errstate(invalid="ignore"):  # NaN and inf hashed as integers
-            by_group = partition_counts(
-                grouping.keys[names[0]], n_partitions, grouping.sizes
-            )
-            by_row = partition_counts(keys[0], n_partitions)
+        by_group = partition_counts(
+            grouping.keys[names[0]], n_partitions, grouping.sizes
+        )
+        by_row = partition_counts(keys[0], n_partitions)
         assert by_group.dtype == by_row.dtype == np.int64
         assert by_group.tolist() == by_row.tolist()
 

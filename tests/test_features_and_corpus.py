@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.features import (
     PLAN_FEATURE_NAMES,
-    FeatureSpace,
+    plan_feature_matrix,
     plan_feature_vector,
 )
 from repro.engine.metrics import METRIC_NAMES
@@ -55,25 +55,16 @@ class TestPlanFeatures:
             plan.walk().__next__().estimated_rows, rel=1.0
         )
 
-    def test_log_scale(self, optimizer):
-        plan = optimizer.optimize("SELECT * FROM item i").plan
-        raw = plan_feature_vector(plan)
-        logged = plan_feature_vector(plan, log_scale=True)
-        assert np.allclose(logged, np.log1p(raw))
-
-    def test_feature_space_matrices(self, optimizer):
+    def test_plan_feature_matrix_stacks_the_vectors(self, optimizer):
         plans = [
             optimizer.optimize("SELECT * FROM item i").plan,
             optimizer.optimize("SELECT * FROM store s").plan,
         ]
-        space = FeatureSpace.for_plans()
-        matrix = space.matrix_from_plans(plans)
-        assert matrix.shape == (2, space.width)
-
-    def test_feature_space_rejects_bad_width(self):
-        space = FeatureSpace(("a", "b"))
-        with pytest.raises(ValueError):
-            space.matrix_from_vectors([np.ones(3)])
+        matrix = plan_feature_matrix(plans)
+        assert matrix.shape == (2, len(PLAN_FEATURE_NAMES))
+        assert np.array_equal(
+            matrix, np.vstack([plan_feature_vector(plan) for plan in plans])
+        )
 
     def test_different_queries_different_vectors(self, optimizer):
         v1 = plan_feature_vector(

@@ -401,13 +401,6 @@ class TestOnlinePredictorMonitor:
         # Self-predictions on a stationary stream are accurate.
         assert monitor.accuracy("elapsed_time") > 0.0
 
-    def test_monitor_not_persisted(self, tmp_path):
-        predictor = OnlinePredictor(min_fit_size=4, window_size=16)
-        predictor.set_monitor(DriftMonitor())
-        state = predictor.state_dict()
-        restored = OnlinePredictor().load_state_dict(state)
-        assert restored.monitor is None
-
 
 # ----------------------------------------------------------------------
 # End-to-end and bench integration

@@ -1,5 +1,5 @@
-"""OnlinePredictor sliding-window tests: refit triggers, readiness edges,
-and state_dict save → load → observe continuation."""
+"""OnlinePredictor sliding-window tests: refit triggers and readiness
+edges."""
 
 import numpy as np
 import pytest
@@ -104,56 +104,3 @@ class TestRefitTriggers:
         assert predictor.is_ready
         assert predictor.refit_count == 1
         assert len(predictor) == 30
-
-
-class TestPersistenceContinuation:
-    def test_save_load_observe_matches_uninterrupted_run(self):
-        """Persist mid-stream, restore, continue: the restored predictor
-        must track the uninterrupted one exactly."""
-        features, performance = _stream(60)
-        kwargs = dict(
-            window_size=32, refit_interval=8, min_fit_size=12
-        )
-        continuous = OnlinePredictor(**kwargs)
-        for row in range(40):
-            continuous.observe(features[row], performance[row])
-
-        interrupted = OnlinePredictor(**kwargs)
-        for row in range(25):
-            interrupted.observe(features[row], performance[row])
-        state = interrupted.state_dict()
-        restored = OnlinePredictor().load_state_dict(state)
-        assert restored.window_size == 32
-        assert restored.refit_interval == 8
-        assert len(restored) == len(interrupted)
-        assert restored.refit_count == interrupted.refit_count
-        for row in range(25, 40):
-            restored.observe(features[row], performance[row])
-
-        assert restored.refit_count == continuous.refit_count
-        assert len(restored) == len(continuous)
-        probe = features[40:46]
-        np.testing.assert_allclose(
-            restored.predict(probe), continuous.predict(probe)
-        )
-
-    def test_unready_state_round_trips(self):
-        features, performance = _stream(6)
-        predictor = OnlinePredictor(min_fit_size=10)
-        for row in range(6):
-            predictor.observe(features[row], performance[row])
-        restored = OnlinePredictor().load_state_dict(predictor.state_dict())
-        assert not restored.is_ready
-        assert len(restored) == 6
-        # Continue to readiness after the restore.
-        more_f, more_p = _stream(10, seed=1)
-        for row in range(4):
-            restored.observe(more_f[row], more_p[row])
-        assert restored.is_ready
-
-    def test_empty_state_round_trips(self):
-        state = OnlinePredictor(window_size=8).state_dict()
-        assert state["fitted"] is None
-        restored = OnlinePredictor().load_state_dict(state)
-        assert len(restored) == 0
-        assert restored.window_size == 8

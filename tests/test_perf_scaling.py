@@ -192,7 +192,7 @@ class TestNystromKCCA:
         assert state["config"]["rank"] == 64
         held_out = features[140:]
         assert np.array_equal(
-            loaded.predict_many(held_out), pipeline.predict_many(held_out)
+            loaded.predict(held_out), pipeline.predict(held_out)
         )
         # The artifact manifest advertises the approximation for ops.
         with np.load(path, allow_pickle=False) as data:
@@ -213,9 +213,9 @@ class TestNystromKCCA:
         features, performance = _synthetic(120)
         n, width = features.shape
         path = tmp_path / "model.npz"
-        fitted = KCCAPredictor().fit(features, performance)
+        fitted = PredictionPipeline().fit(features, performance)
         fitted.save(path)
-        for model in (fitted, KCCAPredictor.load(path)):
+        for model in (fitted.model, PredictionPipeline.load(path).model):
             kcca = model._kcca
             largest = n * max(kcca.n_components, width)
             sizes = [
@@ -248,7 +248,8 @@ class TestNystromKCCA:
         """The projections and centring constants a model keeps are the
         bits the N x N kernels give, recomputed here from the kernels."""
         features, performance = _synthetic(120)
-        model = KCCAPredictor(**kwargs).fit(features, performance)
+        pipeline = PredictionPipeline(model=KCCAPredictor(**kwargs))
+        model = pipeline.fit(features, performance).model
         kcca = model._kcca
         fx = model._x_scaler.transform(features)
         fy = model._y_scaler.transform(performance)
@@ -267,8 +268,8 @@ class TestNystromKCCA:
         assert grand_mean == kx.mean()
 
         path = tmp_path / "model.npz"
-        model.save(path)
-        loaded = KCCAPredictor.load(path)
+        pipeline.save(path)
+        loaded = PredictionPipeline.load(path).model
         assert np.array_equal(loaded.query_projection, model.query_projection)
         assert np.array_equal(
             loaded.performance_projection, model.performance_projection

@@ -22,10 +22,8 @@ from repro.api import (
     clear_artifact_cache,
     resolve_artifact,
 )
-from repro.core.base import MODEL_SCHEMA_VERSION, Model
-from repro.core.online import OnlinePredictor
+from repro.core.base import MODEL_SCHEMA_VERSION
 from repro.core.predictor import KCCAPredictor
-from repro.core.regression import MultiMetricRegression
 from repro.core.two_step import TwoStepPredictor
 from repro.engine.metrics import METRIC_NAMES
 from repro.engine.system import production_32node
@@ -38,8 +36,6 @@ from tests._artifacts import DAMAGED_BODIES, damage, tamper
 MODEL_FACTORIES = {
     "kcca": lambda: KCCAPredictor(),
     "two_step": lambda: TwoStepPredictor(),
-    "online": lambda: OnlinePredictor(min_fit_size=10),
-    "regression": lambda: MultiMetricRegression(METRIC_NAMES),
 }
 
 
@@ -77,17 +73,17 @@ def _subprocess_env() -> dict:
 
 class TestModelProtocol:
     @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
-    def test_conforms_and_round_trips(self, name, mini_corpus, tmp_path):
+    def test_conforms_and_round_trips(self, name, mini_corpus):
+        """A model rebuilt from its ``state_dict`` predicts bit for bit
+        what the fitted one does."""
         model = MODEL_FACTORIES[name]()
-        assert isinstance(model, Model)
         features = mini_corpus.feature_matrix()
         performance = mini_corpus.performance_matrix()
         model.fit(features, performance)
         expected = model.predict(features[:7])
 
-        path = tmp_path / f"{name}.npz"
-        model.save(path)
-        loaded = type(model).load(path)
+        loaded = type(model).__new__(type(model))
+        loaded.load_state_dict(model.state_dict())
         restored = loaded.predict(features[:7])
         np.testing.assert_array_equal(restored, expected)
 
@@ -100,22 +96,6 @@ class TestModelProtocol:
         state = model.state_dict()
         assert set(state) >= {"config", "fitted"}
 
-    def test_a_fresh_process_resolves_a_class_nothing_imported(self):
-        """A model class registers when its module is imported; resolving
-        the two-step predictor by name in a process that has not imported
-        its module still finds it."""
-        code = (
-            "import sys\n"
-            "from repro.core.base import model_class\n"
-            "assert 'repro.core.two_step' not in sys.modules\n"
-            "print(model_class('TwoStepPredictor').__name__)\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=_subprocess_env(), check=True,
-        )
-        assert result.stdout.strip() == "TwoStepPredictor"
-
 
 class TestPipelineRoundTrip:
     @pytest.mark.parametrize("model_name", ["kcca", "two_step"])
@@ -126,7 +106,7 @@ class TestPipelineRoundTrip:
             mini_corpus, model=MODEL_FACTORIES[model_name]()
         )
         features = mini_corpus.feature_matrix()[:11]
-        expected = pipeline.predict_many(features)
+        expected = pipeline.predict(features)
         expected_scores = pipeline.score_many(features)
 
         path = tmp_path / "pipeline.npz"
@@ -134,7 +114,7 @@ class TestPipelineRoundTrip:
         loaded = PredictionPipeline.load(
             path, catalog=tpcds_catalog, config=config
         )
-        np.testing.assert_array_equal(loaded.predict_many(features), expected)
+        np.testing.assert_array_equal(loaded.predict(features), expected)
         for before, after in zip(expected_scores, loaded.score_many(features)):
             np.testing.assert_array_equal(after.prediction, before.prediction)
             assert after.confidence.zscore == before.confidence.zscore
@@ -308,17 +288,6 @@ class TestDamagedBodies:
     def test_undamaged_copy_loads_and_forecasts(self, good, batch_sqls):
         # The control: what the shapes above are mutations of.
         assert QueryPerformancePredictor.load(good).forecast_many(batch_sqls[:3])
-
-    @pytest.mark.parametrize("model_name", ["two_step", "regression"])
-    def test_bare_model_files_too(self, model_name, mini_corpus, tmp_path):
-        model = MODEL_FACTORIES[model_name]().fit(
-            mini_corpus.feature_matrix(), mini_corpus.performance_matrix()
-        )
-        path = tmp_path / "model.npz"
-        model.save(path)
-        tamper(path, manifest=lambda doc: doc["state"].pop("config"))
-        with pytest.raises(ModelError, match=re.escape(str(path))):
-            type(model).load(path)
 
 
 class TestBatchPrediction:

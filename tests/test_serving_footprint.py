@@ -38,6 +38,8 @@ UNSERVED_MODULES = (
     "repro.workloads.templates",
     "repro.engine.executor",
     "repro.engine.operators",
+    "repro.core.online",
+    "repro.core.regression",
     "repro.analysis.codebase",
     "repro.analysis.concurrency",
     "repro.analysis.runner",

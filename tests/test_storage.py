@@ -1,5 +1,7 @@
 """Storage layer tests: tables, partitioning, catalog, buffer pool."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,24 @@ class TestPartitioning:
     def test_deterministic(self):
         keys = np.arange(100)
         assert np.array_equal(hash_partition(keys, 8), hash_partition(keys, 8))
+
+    def test_float_keys_int64_cannot_hold_share_a_defined_partition(self):
+        """NaN, +-inf and |x| >= 2**63 have no integer part in int64; they
+        hash as its minimum (no cast warning), and in-range keys by their
+        integer part."""
+        outside = np.array(
+            [np.nan, np.inf, -np.inf, 1e300, -1e300, 2.0**63, -(2.0**64)]
+        )
+        inside = np.array([3.7, -3.7, 3.0, -(2.0**63), 2.0**62, -0.0])
+        for n in (2, 3, 7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                hashed = hash_partition(outside, n)
+                expected = hash_partition(np.array([-(2.0**63)]), n)[0]
+                assert hashed.tolist() == [expected] * len(outside)
+                assert hash_partition(inside, n).tolist() == [
+                    3 % n, 3 % n, 3 % n, -(2**63) % n, 2**62 % n, 0
+                ]
 
     def test_invalid_partition_count(self):
         with pytest.raises(ValueError):
