@@ -1,7 +1,7 @@
 """Plan executor: runs physical plans and measures their performance.
 
 The executor walks a :class:`~repro.engine.plan.PlanNode` tree bottom-up,
-materialising each operator's output with the algorithms in
+building each operator's output with the algorithms in
 :mod:`repro.engine.operators` and charging resource usage through the
 :class:`~repro.engine.timing.ResourceModel`.  The result is both the real
 query answer and a :class:`~repro.engine.metrics.PerformanceMetrics` record
@@ -14,10 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import ExecutionError, PlanError
+from repro.errors import PlanError
 from repro.engine.metrics import MetricsAccumulator, PerformanceMetrics
 from repro.engine.operators import (
     Batch,
+    KeyCounts,
     aggregate_groups,
     distinct_batch,
     filter_batch,
@@ -45,15 +46,24 @@ __all__ = ["Executor", "ExecutionResult"]
 
 
 class ExecutionResult:
-    """Answer rows plus measured performance for one query execution."""
+    """Answer rows plus measured performance for one query execution.
+
+    The metrics are worked out from row counts and dtypes alone; the
+    answer's values are computed when ``batch`` is first read.
+    """
 
     def __init__(self, batch: Batch, metrics: PerformanceMetrics) -> None:
-        self.batch = batch
+        self._batch = batch
         self.metrics = metrics
 
     @property
+    def batch(self) -> Batch:
+        """The answer, every column an array."""
+        return self._batch.gathered()
+
+    @property
     def n_rows(self) -> int:
-        return self.batch.n_rows
+        return self._batch.n_rows
 
 
 class Executor:
@@ -93,7 +103,7 @@ class Executor:
         with stage("engine.execute") as current:
             acc = MetricsAccumulator()
             model = ResourceModel(self.config, self.buffer_pool, acc)
-            batch = self._run(plan, model).gathered()
+            batch = self._run(plan, model)
             metrics = PerformanceMetrics(
                 elapsed_time=model.elapsed_seconds(rng),
                 records_accessed=acc.records_accessed,
@@ -209,14 +219,14 @@ class Executor:
         right = self._run(node.right, model)
         if not node.join_pairs:
             raise PlanError(f"{node.kind.value} requires join pairs")
-        out = hash_join_batches(left, right, node.join_pairs, node.residual)
+        out, build_keys = hash_join_batches(left, right, node.join_pairs, node.residual)
         model.hash_join(
             node.kind.value,
             build_rows=right.n_rows,
             probe_rows=left.n_rows,
             build_bytes=right.total_bytes,
             out_rows=out.n_rows,
-            skew=self._key_skew(right, node.join_pairs, side="right"),
+            skew=self._key_skew(build_keys),
         )
         return out
 
@@ -227,7 +237,7 @@ class Executor:
         if node.join_pairs:
             # Equi pairs given to a nested join still execute hash-style for
             # tractability, but time is charged quadratically below.
-            out = hash_join_batches(left, right, node.join_pairs, predicate)
+            out, _ = hash_join_batches(left, right, node.join_pairs, predicate)
         else:
             out = nested_join_batches(left, right, predicate)
         model.nested_join(
@@ -241,15 +251,14 @@ class Executor:
         if not node.join_pairs:
             raise PlanError("semi/anti join requires join pairs")
         anti = node.kind == OperatorKind.ANTI_JOIN
-        out = semi_join_batch(left, right, node.join_pairs, anti=anti)
-        skew = self._key_skew(right, node.join_pairs, side="right")
+        out, build_keys = semi_join_batch(left, right, node.join_pairs, anti=anti)
         model.hash_join(
             node.kind.value,
             build_rows=right.n_rows,
             probe_rows=left.n_rows,
             build_bytes=right.total_bytes,
             out_rows=out.n_rows,
-            skew=skew,
+            skew=self._key_skew(build_keys),
         )
         return out
 
@@ -290,15 +299,8 @@ class Executor:
         self._scan_skew_cache[table_name] = skew
         return skew
 
-    def _key_skew(
-        self, batch: Batch, join_pairs: tuple[tuple[str, str], ...], side: str
-    ) -> float:
-        """Skew of the build-side key distribution across processing nodes."""
-        if batch.n_rows == 0:
-            return 1.0
-        key_name = join_pairs[0][1] if side == "right" else join_pairs[0][0]
-        try:
-            key = batch.column(key_name)
-        except ExecutionError:
-            return 1.0
-        return skew_factor(partition_counts(key, self.config.n_nodes))
+    def _key_skew(self, build_keys: KeyCounts) -> float:
+        """Skew of the build-side key distribution across processing nodes:
+        each distinct build key hashed once, weighted by its rows."""
+        values, counts = build_keys
+        return skew_factor(partition_counts(values, self.config.n_nodes, counts))

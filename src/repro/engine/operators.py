@@ -7,22 +7,30 @@ concerns separate means the *measured* record counts are always those of a
 genuine execution, while the simulated clock charges whatever algorithm the
 optimizer chose — including charging quadratic time for a nested-loop join
 the executor evaluates in vectorised chunks.
+
+An output's row count and its columns' dtypes are known as soon as an
+operator returns; the values are worked out when something first reads
+them.  A join's fan-out, a sort's permutation, an aggregate and a gathered
+column are each computed on their first read and kept, so a consumer that
+reads only row counts and dtypes (the measured metrics) expands nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import ExecutionError
 from repro.engine.plan import AggregateSpec
-from repro.sql.ast import Expr
-from repro.sql.eval import evaluate
+from repro.sql.ast import ColumnRef, Expr
+from repro.sql.eval import evaluate, resolve_column
 
 __all__ = [
     "Batch",
+    "KeyCounts",
     "equi_join_indices",
     "hash_join_batches",
     "nested_join_batches",
@@ -47,55 +55,100 @@ _NL_CHUNK_ELEMENTS = 4_000_000
 #: whatever the row count; a range no wider than the rows is always ranked so.
 _TABLE_SPAN = 1 << 20
 
+#: Aggregate functions the engine computes.
+_FUNCTIONS = ("count", "sum", "avg", "min", "max")
+
+
+class _Lazy:
+    """An array worked out by ``make()`` when first read, then kept; its
+    length and dtype are known before.  Reading it drops what ``make``
+    held."""
+
+    __slots__ = ("n", "dtype", "_make", "_array")
+
+    def __init__(self, n: int, dtype, make: Optional[Callable[[], np.ndarray]]) -> None:
+        self.n, self.dtype = n, np.dtype(dtype)
+        self._make: Optional[Callable[[], np.ndarray]] = make
+        self._array: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return self.n
+
+    def read(self) -> np.ndarray:
+        if self._array is None:
+            self._array = self._compute()
+        return self._array
+
+    def _compute(self) -> np.ndarray:
+        make, self._make = self._make, None
+        assert make is not None
+        return make()
+
+
+#: A column as a batch stores it: an array, or the value that will be one.
+Column = Union[np.ndarray, _Lazy]
+
+
+def _read(column: Column) -> np.ndarray:
+    return column.read() if isinstance(column, _Lazy) else column
+
 
 @dataclass(slots=True)
 class _Rows:
     """Row numbers ``outer`` into the rows ``inner`` selects (``None``: into
     the source itself).  The two are composed when a column is first read
-    through them, once for every column that shares the selection."""
+    through them, once for every column that shares the selection;
+    ``outer`` may itself be worked out then."""
 
     inner: Optional["_Rows"]
-    outer: np.ndarray
+    outer: Column
 
     def flat(self) -> np.ndarray:
-        if self.inner is not None:
-            self.outer, self.inner = self.inner.flat()[self.outer], None
-        return self.outer
+        if self.inner is not None or isinstance(self.outer, _Lazy):
+            outer = _read(self.outer)
+            if self.inner is not None:
+                outer = self.inner.flat()[outer]
+            self.outer, self.inner = outer, None
+        return self.outer  # type: ignore[return-value]
 
 
-@dataclass(slots=True)
-class _Gather:
-    """A column not gathered yet: ``source[rows.flat()]``."""
+class _Gather(_Lazy):
+    """A column not gathered yet: ``source[rows.flat()]``.  Once read,
+    ``rows`` is None."""
 
-    source: np.ndarray
-    rows: _Rows
+    __slots__ = ("source", "rows")
 
-    def __len__(self) -> int:
-        return len(self.rows.outer)
+    def __init__(self, source: Column, rows: _Rows) -> None:
+        super().__init__(len(rows.outer), source.dtype, None)
+        self.source: Column = source
+        self.rows: Optional[_Rows] = rows
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.source.dtype
+    def _compute(self) -> np.ndarray:
+        assert self.rows is not None
+        array = _read(self.source)[self.rows.flat()]
+        self.source, self.rows = array, None
+        return array
 
 
 class _Columns(dict):
-    """Column arrays by name.  Reading ``columns[name]`` gathers a deferred
-    column and keeps the array; ``items()`` / ``values()`` hand back what is
-    stored, deferred or not, and are for code that only passes columns on."""
+    """Column arrays by name.  Reading ``columns[name]`` works out a
+    deferred column and keeps the array; ``items()`` / ``values()`` hand
+    back what is stored, deferred or not, and are for code that only
+    passes columns on or reads their dtypes."""
 
     def __getitem__(self, name: str) -> np.ndarray:
         column = dict.__getitem__(self, name)
-        if isinstance(column, _Gather):
-            column = self[name] = column.source[column.rows.flat()]
+        if isinstance(column, _Lazy):
+            column = self[name] = column.read()
         return column
 
 
 @dataclass
 class Batch:
     """A batch of rows: equal-length named columns, each an array or, until
-    something reads it, the gather that will produce the array."""
+    something reads it, the value that will produce the array."""
 
-    columns: dict[str, np.ndarray] = field(default_factory=dict)
+    columns: dict[str, Column] = field(default_factory=dict)
     n_rows: int = 0
 
     def __post_init__(self) -> None:
@@ -112,10 +165,18 @@ class Batch:
         except KeyError:
             raise ExecutionError(f"unknown column {name!r}") from None
 
-    def take(self, indices: np.ndarray) -> "Batch":
-        """New batch with the rows selected by ``indices`` (with repeats).
-        No column is gathered here: each records its source and the rows
-        to read, and columns selected together keep sharing one selection."""
+    def stored(self, name: str) -> Column:
+        """Column ``name`` as stored, without reading it."""
+        try:
+            return dict.__getitem__(self.columns, name)
+        except KeyError:
+            raise ExecutionError(f"unknown column {name!r}") from None
+
+    def take(self, indices: Column) -> "Batch":
+        """New batch with the rows selected by ``indices`` (with repeats),
+        which may themselves be worked out later.  No column is gathered
+        here: each records its source and the rows to read, and columns
+        selected together keep sharing one selection."""
         selections: dict[int, _Rows] = {}
         columns = {}
         for name, column in self.columns.items():
@@ -131,7 +192,7 @@ class Batch:
         return self.take(np.flatnonzero(keep))
 
     def gathered(self) -> "Batch":
-        """This batch once every column still deferred has been gathered."""
+        """This batch once every column still deferred has been read."""
         for name in self.columns:
             self.column(name)
         return self
@@ -154,6 +215,13 @@ class Batch:
     def evaluate(self, expr: Expr) -> np.ndarray:
         """Evaluate an expression over this batch."""
         return evaluate(expr, self.columns, self.n_rows)
+
+    def check(self, expr: Expr) -> None:
+        """Raise what evaluating ``expr`` over this batch raises for a
+        reason other than its values — an unknown or ambiguous column, an
+        operator its column types do not support — reading no row."""
+        columns = self.columns.items()
+        evaluate(expr, {name: np.empty(0, col.dtype) for name, col in columns}, 0)
 
 
 # ----------------------------------------------------------------------
@@ -281,6 +349,14 @@ def factorize_rows(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
 # ----------------------------------------------------------------------
 
 
+class KeyCounts(NamedTuple):
+    """A key column's distinct keys, one value each in the column's own
+    dtype, and the number of rows that hold each."""
+
+    values: np.ndarray
+    counts: np.ndarray
+
+
 def _join_codes(
     left_keys: Sequence[np.ndarray], right_keys: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -299,12 +375,94 @@ def _join_codes(
     return left_codes, right_codes, np.bincount(right_codes, minlength=bound)
 
 
-def equi_join_indices(
-    left_keys: Sequence[np.ndarray], right_keys: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-index pairs produced by an inner equi join: left-major, the
-    build rows of one probe row in row order."""
-    left_codes, right_codes, per_code = _join_codes(left_keys, right_keys)
+def _build_keys(
+    key: np.ndarray, right_codes: np.ndarray, per_code: np.ndarray
+) -> KeyCounts:
+    """The build side's first key column, one row per join code, standing
+    for the code's ``per_code`` rows: they hold equal keys, which hash
+    alike — all but integers past 2**53 that a float probe key made one
+    code."""
+    row = np.empty(len(per_code), dtype=np.int64)
+    row[right_codes] = np.arange(len(right_codes))
+    present = np.flatnonzero(per_code)
+    return KeyCounts(key[row[present]], per_code[present])
+
+
+class _FanOut:
+    """An inner equi join whose build keys repeat, held as each probe row's
+    match count: its row count is known at once, and the row numbers of
+    its output on either side are worked out when a column reads them —
+    left-major, the build rows of one probe row in row order."""
+
+    __slots__ = (
+        "probe_codes", "build_codes", "per_code", "counts", "n_rows", "_build_weights"
+    )
+
+    def __init__(
+        self, probe_codes: np.ndarray, build_codes: np.ndarray, per_code: np.ndarray
+    ) -> None:
+        self.probe_codes, self.build_codes = probe_codes, build_codes
+        self.per_code = per_code
+        self.counts = per_code[probe_codes]
+        self.n_rows = int(self.counts.sum())
+        self._build_weights: Optional[np.ndarray] = None
+
+    def probe_rows(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.counts), dtype=np.int64), self.counts)
+
+    def build_rows(self) -> np.ndarray:
+        # The build side sorted by code; a probe row reads the start of its
+        # run from the per-code table.
+        per_code, counts = self.per_code, self.counts
+        order = np.argsort(self.build_codes, kind="stable")
+        starts = (np.cumsum(per_code) - per_code)[self.probe_codes]
+        # Output pair p of probe row i reads order[starts[i] + (p - first pair of i)].
+        build_pos = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        build_pos += np.arange(self.n_rows, dtype=np.int64)
+        return order[build_pos]
+
+    def weights(self, probe: bool) -> np.ndarray:
+        """How many output rows each row of one side stands for."""
+        if probe:
+            return self.counts
+        if self._build_weights is None:
+            per_probe_code = np.bincount(self.probe_codes, minlength=len(self.per_code))
+            self._build_weights = per_probe_code[self.build_codes]
+        return self._build_weights
+
+    def in_output_order(self, rows: np.ndarray, probe: bool) -> np.ndarray:
+        """The ``rows`` (ascending) of one side that reach the output,
+        ordered by where each first appears in it."""
+        rows = rows[self.weights(probe)[rows] > 0]
+        if probe:
+            return rows
+        # A build row first meets the first probe row of its code.
+        first_probe = _first_rows(self.probe_codes, len(self.per_code))
+        return rows[np.argsort(first_probe[self.build_codes[rows]], kind="stable")]
+
+
+class _Side(_Lazy):
+    """One side's row numbers into a :class:`_FanOut`.  A group-by whose
+    keys all read through the same unread side groups that side's rows,
+    weighted (:func:`group_rows`); reading it lets go of the fan-out."""
+
+    __slots__ = ("fan", "probe")
+
+    def __init__(self, fan: _FanOut, probe: bool) -> None:
+        rows = fan.probe_rows if probe else fan.build_rows
+        super().__init__(fan.n_rows, np.int64, rows)
+        self.fan: Optional[_FanOut] = fan
+        self.probe = probe
+
+    def _compute(self) -> np.ndarray:
+        self.fan = None
+        return super()._compute()
+
+
+def _matches(
+    left_codes: np.ndarray, right_codes: np.ndarray, per_code: np.ndarray
+) -> tuple[Column, Column]:
+    """The row numbers an inner equi join's output reads on each side."""
     if per_code.max(initial=0) <= 1:
         # Every build key is unique: a probe row matches the one build row
         # that holds its code, or none, and nothing fans out.
@@ -313,17 +471,17 @@ def equi_join_indices(
         right_idx = build_row[left_codes]
         left_idx = np.flatnonzero(right_idx >= 0)
         return left_idx, right_idx[left_idx]
-    # The build side sorted by code; a probe row reads its match count and
-    # the start of its run from the per-code tables.
-    order = np.argsort(right_codes, kind="stable")
-    counts = per_code[left_codes]
-    starts = (np.cumsum(per_code) - per_code)[left_codes]
-    total = int(counts.sum())
-    left_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    # Output pair p of left row i reads order[starts[i] + (p - first pair of i)].
-    right_pos = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    right_pos += np.arange(total, dtype=np.int64)
-    return left_idx, order[right_pos]
+    fan = _FanOut(left_codes, right_codes, per_code)
+    return _Side(fan, probe=True), _Side(fan, probe=False)
+
+
+def equi_join_indices(
+    left_keys: Sequence[np.ndarray], right_keys: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-index pairs produced by an inner equi join: left-major, the
+    build rows of one probe row in row order."""
+    left_idx, right_idx = _matches(*_join_codes(left_keys, right_keys))
+    return _read(left_idx), _read(right_idx)
 
 
 def hash_join_batches(
@@ -331,16 +489,18 @@ def hash_join_batches(
     right: Batch,
     join_pairs: Sequence[tuple[str, str]],
     residual: Optional[Expr] = None,
-) -> Batch:
-    """Inner equi join of two batches with an optional residual predicate."""
+) -> tuple[Batch, KeyCounts]:
+    """Inner equi join of two batches with an optional residual predicate,
+    and the build side's first key column counted per key."""
     left_keys = [left.column(l) for l, _ in join_pairs]
     right_keys = [right.column(r) for _, r in join_pairs]
-    left_idx, right_idx = equi_join_indices(left_keys, right_keys)
+    left_codes, right_codes, per_code = _join_codes(left_keys, right_keys)
+    left_idx, right_idx = _matches(left_codes, right_codes, per_code)
     joined = _merge_batches(left.take(left_idx), right.take(right_idx))
     if residual is not None and joined.n_rows:
         keep = joined.evaluate(residual).astype(bool)
         joined = joined.mask(keep)
-    return joined
+    return joined, _build_keys(right_keys[0], right_codes, per_code)
 
 
 def nested_join_batches(
@@ -380,13 +540,15 @@ def semi_join_batch(
     right: Batch,
     join_pairs: Sequence[tuple[str, str]],
     anti: bool = False,
-) -> Batch:
-    """Left rows with (or, for anti, without) a match on the right."""
+) -> tuple[Batch, KeyCounts]:
+    """Left rows with (or, for anti, without) a match on the right, and the
+    build side's first key column counted per key."""
     left_keys = [left.column(l) for l, _ in join_pairs]
     right_keys = [right.column(r) for _, r in join_pairs]
-    left_codes, _right_codes, per_code = _join_codes(left_keys, right_keys)
+    left_codes, right_codes, per_code = _join_codes(left_keys, right_keys)
     matched = per_code[left_codes] > 0
-    return left.mask(~matched if anti else matched)
+    out = left.mask(~matched if anti else matched)
+    return out, _build_keys(right_keys[0], right_codes, per_code)
 
 
 def _merge_batches(left: Batch, right: Batch) -> Batch:
@@ -405,15 +567,13 @@ def _merge_batches(left: Batch, right: Batch) -> Batch:
 # ----------------------------------------------------------------------
 
 
-def sort_batch(batch: Batch, keys: Sequence[tuple[str, bool]]) -> Batch:
-    """Sort by (column, descending) keys; stable, last key least significant.
+def _sort_order(batch: Batch, keys: Sequence[tuple[str, bool]]) -> np.ndarray:
+    """The stable permutation that sorts ``batch`` by ``keys``.
 
     ``np.lexsort`` treats its *last* key as primary, so the key list is
     reversed; descending order is achieved by negating numeric keys and by
     inverting rank codes for strings.
     """
-    if not keys or batch.n_rows == 0:
-        return batch
     lexsort_keys = []
     for name, descending in reversed(list(keys)):
         values = batch.column(name)
@@ -424,18 +584,35 @@ def sort_batch(batch: Batch, keys: Sequence[tuple[str, bool]]) -> Batch:
                 _, codes = np.unique(values, return_inverse=True)
                 values = -codes
         lexsort_keys.append(values)
-    order = np.lexsort(lexsort_keys)
-    return batch.take(order)
+    return np.lexsort(lexsort_keys)
 
 
-@dataclass(slots=True)
+def sort_batch(batch: Batch, keys: Sequence[tuple[str, bool]]) -> Batch:
+    """Sort by (column, descending) keys; stable, last key least significant.
+    The permutation is worked out when a column of the result is read."""
+    if not keys or batch.n_rows == 0:
+        return batch
+    for name, _ in keys:
+        batch.stored(name)  # an unknown key fails here, not at the read
+    return batch.take(_Lazy(batch.n_rows, np.int64, partial(_sort_order, batch, keys)))
+
+
 class Grouping:
     """One factorisation of a group-by key: each row's group, and each
-    group's size and key values, groups in sorted key order."""
+    group's size and key values, groups in sorted key order.  The per-row
+    codes of a group-by over a join's fan-out are worked out when an
+    aggregate first reads them."""
 
-    codes: np.ndarray
-    sizes: np.ndarray
-    keys: dict[str, np.ndarray]
+    __slots__ = ("_codes", "sizes", "keys")
+
+    def __init__(
+        self, codes: Column, sizes: np.ndarray, keys: dict[str, np.ndarray]
+    ) -> None:
+        self._codes, self.sizes, self.keys = codes, sizes, keys
+
+    @property
+    def codes(self) -> np.ndarray:
+        return _read(self._codes)
 
 
 def _key_codes(batch: Batch, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -446,9 +623,10 @@ def _key_codes(batch: Batch, name: str) -> tuple[np.ndarray, np.ndarray]:
     is ranked on that source, and only its codes are gathered: ranked again
     over the values the batch's rows read, they are a table look-up.
     """
-    column = dict.get(batch.columns, name)
-    if isinstance(column, _Gather) and len(column.source) < len(column):
-        source_codes, uniques = _dense_codes(column.source)
+    column = batch.stored(name)
+    deferred = isinstance(column, _Gather) and column.rows is not None
+    if deferred and len(column.source) < len(column):
+        source_codes, uniques = _dense_codes(_read(column.source))
         rows = column.rows.flat()
         read = np.zeros(len(column.source), dtype=bool)
         read[rows] = True
@@ -459,6 +637,28 @@ def _key_codes(batch: Batch, name: str) -> tuple[np.ndarray, np.ndarray]:
     return _dense_codes(batch.column(name))
 
 
+def _fan_side(batch: Batch, group_keys: Sequence[str]) -> Optional[tuple[_Side, Batch]]:
+    """The unread join side every key column of ``batch`` reads through,
+    and those key columns over that side's rows; None when there is none."""
+    sides, columns = set(), {}
+    for name in group_keys:
+        column = batch.stored(name)
+        if not isinstance(column, _Gather) or column.rows is None:
+            return None
+        side = column.rows.outer
+        if not isinstance(side, _Side) or side.fan is None:
+            return None
+        sides.add(side)
+        inner = column.rows.inner
+        source = column.source
+        columns[name] = source if inner is None else _Gather(source, inner)
+    if len(sides) != 1:
+        return None
+    (side,) = sides
+    n_rows = len(side.fan.counts if side.probe else side.fan.build_codes)
+    return side, Batch(columns, n_rows=n_rows)
+
+
 def _first_row_values(
     batch: Batch,
     name: str,
@@ -466,21 +666,26 @@ def _first_row_values(
     key_codes: np.ndarray,
     uniques: np.ndarray,
     codes: np.ndarray,
+    side: Optional[_Side] = None,
 ) -> np.ndarray:
-    """Each group's ``values`` of a key column, made its first row's where
-    equal keys may differ in their bits: ``-0.0`` and ``0.0``, and NaNs.
-    A deferred column is read at those rows only."""
+    """Each group's ``values`` of a key column, made its first output row's
+    where equal keys may differ in their bits: ``-0.0`` and ``0.0``, and
+    NaNs.  A deferred column is read at those rows only; the rows of a
+    fan-out ``side`` are ordered by where they first reach the output."""
     if uniques.dtype.kind != "f":
         return values
     ambiguous = np.flatnonzero((uniques == 0) | np.isnan(uniques))
     if len(ambiguous):
         rows = np.flatnonzero(np.isin(key_codes, ambiguous))
+        if side is not None:
+            assert side.fan is not None
+            rows = side.fan.in_output_order(rows, side.probe)
         groups, first = np.unique(codes[rows], return_index=True)
         rows = rows[first]
-        column = dict.__getitem__(batch.columns, name)
-        if isinstance(column, _Gather):
+        column = batch.stored(name)
+        if isinstance(column, _Gather) and column.rows is not None:
             column, rows = column.source, column.rows.flat()[rows]
-        values[groups] = column[rows]
+        values[groups] = _read(column)[rows]
     return values
 
 
@@ -490,13 +695,21 @@ def group_rows(batch: Batch, group_keys: Sequence[str]) -> Grouping:
     Each key column is ranked on its own (:func:`_key_codes`) and several
     are folded into one composite code, which is ranked again; each
     group's key values are read back from that ranking, not from its rows.
+
+    When every key column reads through the same unread side of a join's
+    fan-out, the keys are ranked on that side's rows, each weighted by the
+    output rows it stands for, and the output is not expanded: a group's
+    size is its weighted count, groups only unmatched rows hold are
+    dropped, and each output row's group is worked out when read.
     """
     if not group_keys:
         raise ExecutionError("group_by_batch requires group keys")
     if batch.n_rows == 0:
         keys = {name: batch.column(name)[:0] for name in group_keys}
         return Grouping(np.empty(0, np.int64), np.empty(0, np.int64), keys)
-    columns = [_key_codes(batch, name) for name in group_keys]
+    through = _fan_side(batch, group_keys)
+    side, rows = through if through is not None else (None, batch)
+    columns = [_key_codes(rows, name) for name in group_keys]
     if len(columns) == 1:
         codes, uniques = columns[0]
         per_group = [uniques]
@@ -508,28 +721,56 @@ def group_rows(batch: Batch, group_keys: Sequence[str]) -> Grouping:
             uniques[part]
             for (_, uniques), part in zip(columns, _split_codes(composite, steps))
         ]
+    if side is None:
+        sizes = np.bincount(codes, minlength=len(per_group[0]))
+    else:
+        assert side.fan is not None
+        # The weights are whole numbers, so the float sums are exact.
+        weights = side.fan.weights(side.probe)
+        sizes = np.bincount(codes, weights, len(per_group[0])).astype(np.int64)
+        kept = sizes > 0
+        if not kept.all():
+            # Rows of a dropped group reach no output row; their new code is
+            # never read.
+            codes, sizes = (np.cumsum(kept) - 1)[codes], sizes[kept]
+            per_group = [values[kept] for values in per_group]
     keys = {
-        name: _first_row_values(batch, name, values, key_codes, uniques, codes)
+        name: _first_row_values(rows, name, values, key_codes, uniques, codes, side)
         for name, values, (key_codes, uniques) in zip(group_keys, per_group, columns)
     }
-    sizes = np.bincount(codes, minlength=len(per_group[0]))
-    return Grouping(codes, sizes, keys)
+    if side is None:
+        return Grouping(codes, sizes, keys)
+    codes_through = _Lazy(batch.n_rows, np.int64, partial(_through, codes, side))
+    return Grouping(codes_through, sizes, keys)
+
+
+def _through(values: np.ndarray, side: _Side) -> np.ndarray:
+    """``values`` of a fan-out side's rows, read at each output row."""
+    return values[side.read()]
+
+
+def _check_aggregate(spec: AggregateSpec, batch: Batch) -> str:
+    """The aggregate's function, once it is known to compute over ``batch``:
+    what would fail on reading its value fails here."""
+    func = spec.func.lower()
+    if func == "count" and spec.expr is None and not spec.distinct:
+        return func
+    if spec.expr is None:
+        raise ExecutionError(f"aggregate {func} requires an argument")
+    batch.check(spec.expr)
+    if func not in _FUNCTIONS and not spec.distinct:
+        raise ExecutionError(f"unsupported aggregate function {func!r}")
+    return func
 
 
 def _aggregate_column(
-    spec: AggregateSpec,
-    grouping: Grouping,
-    batch: Batch,
-    layout: Optional[tuple[np.ndarray, np.ndarray]],
+    spec: AggregateSpec, grouping: Grouping, batch: Batch, layout: _Lazy
 ) -> np.ndarray:
     """Compute one aggregate per group; ``layout`` (min/max only) holds the
-    rows in group order and each group's start."""
+    rows in group order."""
     func = spec.func.lower()
     codes, sizes = grouping.codes, grouping.sizes
-    if func == "count" and spec.expr is None and not spec.distinct:
-        return sizes.astype(np.float64)
-    if spec.expr is None:
-        raise ExecutionError(f"aggregate {func} requires an argument")
+    assert spec.expr is not None
     values = batch.evaluate(spec.expr)
     if spec.distinct:
         # Count distinct (value, group) pairs per group.
@@ -537,38 +778,39 @@ def _aggregate_column(
         pair_group = np.empty(n_pairs, dtype=np.int64)
         pair_group[pair_codes] = codes  # rows of one pair all write its group
         return np.bincount(pair_group, minlength=len(sizes)).astype(np.float64)
-    if func == "count":
-        return sizes.astype(np.float64)
     numeric = values.astype(np.float64, copy=False)
     if func == "sum":
         return np.bincount(codes, weights=numeric, minlength=len(sizes))
     if func == "avg":
         return np.bincount(codes, weights=numeric, minlength=len(sizes)) / sizes
-    if func in ("min", "max"):
-        group_order, group_starts = layout
-        reducer = np.minimum if func == "min" else np.maximum
-        return reducer.reduceat(numeric[group_order], group_starts)
-    raise ExecutionError(f"unsupported aggregate function {func!r}")
+    reducer = np.minimum if func == "min" else np.maximum
+    return reducer.reduceat(numeric[layout.read()], np.cumsum(sizes) - sizes)
 
 
 def aggregate_groups(
     batch: Batch, grouping: Grouping, aggregates: Sequence[AggregateSpec]
 ) -> Batch:
     """The group key columns of ``grouping`` (same names) followed by one
-    column per aggregate alias."""
-    columns = dict(grouping.keys)
+    column per aggregate alias.  ``count(*)`` and ``count(x)`` are the
+    group sizes; every other aggregate is computed when first read."""
+    columns: dict[str, Column] = dict(grouping.keys)
     if batch.n_rows == 0:
         for spec in aggregates:
             columns[spec.alias] = np.empty(0, dtype=np.float64)
         return Batch(columns, n_rows=0)
-    layout = None
-    if any(spec.func.lower() in ("min", "max") for spec in aggregates):
-        # The only aggregates that need the rows laid out group by group.
-        sizes = grouping.sizes
-        layout = np.argsort(grouping.codes, kind="stable"), np.cumsum(sizes) - sizes
+    n_groups = len(grouping.sizes)
+    # The rows laid out group by group, which only min/max read.
+    layout = _Lazy(
+        batch.n_rows, np.int64, lambda: np.argsort(grouping.codes, kind="stable")
+    )
     for spec in aggregates:
-        columns[spec.alias] = _aggregate_column(spec, grouping, batch, layout)
-    return Batch(columns, n_rows=len(grouping.sizes))
+        func = _check_aggregate(spec, batch)
+        if func == "count" and not spec.distinct:
+            columns[spec.alias] = grouping.sizes.astype(np.float64)
+        else:
+            compute = partial(_aggregate_column, spec, grouping, batch, layout)
+            columns[spec.alias] = _Lazy(n_groups, np.float64, compute)
+    return Batch(columns, n_rows=n_groups)
 
 
 def group_by_batch(
@@ -581,39 +823,48 @@ def group_by_batch(
     return aggregate_groups(batch, group_rows(batch, group_keys), aggregates)
 
 
+def _scalar_value(spec: AggregateSpec, func: str, batch: Batch) -> np.ndarray:
+    """One aggregate over the whole batch, as a one-element array."""
+    assert spec.expr is not None
+    values = batch.evaluate(spec.expr)
+    if spec.distinct:
+        codes, uniques = _dense_codes(values)
+        values = values[_first_rows(codes, len(uniques))]
+    if func == "count":
+        value = float(len(values))
+    elif len(values) == 0:
+        value = float("nan")
+    else:
+        numeric = values.astype(np.float64)
+        if func == "sum":
+            value = float(numeric.sum())
+        elif func == "avg":
+            value = float(numeric.mean())
+        elif func == "min":
+            value = float(numeric.min())
+        else:
+            value = float(numeric.max())
+    return np.array([value], dtype=np.float64)
+
+
 def scalar_aggregate_batch(
     batch: Batch, aggregates: Sequence[AggregateSpec]
 ) -> Batch:
-    """Aggregate the whole batch to a single row."""
-    columns: dict[str, np.ndarray] = {}
+    """Aggregate the whole batch to a single row; every aggregate but
+    ``count(*)`` is computed when first read."""
+    columns: dict[str, Column] = {}
     for spec in aggregates:
         func = spec.func.lower()
         if func == "count" and spec.expr is None and not spec.distinct:
-            value = float(batch.n_rows)
-        else:
-            if spec.expr is None:
-                raise ExecutionError(f"aggregate {func} requires an argument")
-            values = batch.evaluate(spec.expr)
-            if spec.distinct:
-                codes, uniques = _dense_codes(values)
-                values = values[_first_rows(codes, len(uniques))]
-            if func == "count":
-                value = float(len(values))
-            elif batch.n_rows == 0 and len(values) == 0:
-                value = float("nan")
-            else:
-                numeric = values.astype(np.float64)
-                if func == "sum":
-                    value = float(numeric.sum())
-                elif func == "avg":
-                    value = float(numeric.mean()) if len(numeric) else float("nan")
-                elif func == "min":
-                    value = float(numeric.min()) if len(numeric) else float("nan")
-                elif func == "max":
-                    value = float(numeric.max()) if len(numeric) else float("nan")
-                else:
-                    raise ExecutionError(f"unsupported aggregate function {func!r}")
-        columns[spec.alias] = np.array([value], dtype=np.float64)
+            columns[spec.alias] = np.array([float(batch.n_rows)], dtype=np.float64)
+            continue
+        if spec.expr is None:
+            raise ExecutionError(f"aggregate {func} requires an argument")
+        batch.check(spec.expr)
+        if batch.n_rows and func not in _FUNCTIONS:
+            raise ExecutionError(f"unsupported aggregate function {func!r}")
+        compute = partial(_scalar_value, spec, func, batch)
+        columns[spec.alias] = _Lazy(1, np.float64, compute)
     return Batch(columns, n_rows=1)
 
 
@@ -637,11 +888,16 @@ def filter_batch(batch: Batch, predicate: Expr) -> Batch:
 
 
 def project_batch(batch: Batch, items: Sequence) -> Batch:
-    """Evaluate select items; output columns keyed by alias (or SQL text)."""
-    columns: dict[str, np.ndarray] = {}
+    """Evaluate select items; output columns keyed by alias (or SQL text).
+    A bare column is passed on as stored, read or not."""
+    stored = dict(batch.columns.items())
+    columns: dict[str, Column] = {}
     for item in items:
         name = item.alias or item.expr.to_sql()
-        columns[name] = batch.evaluate(item.expr)
+        if isinstance(item.expr, ColumnRef):
+            columns[name] = resolve_column(stored, item.expr)
+        else:
+            columns[name] = batch.evaluate(item.expr)
     return Batch(columns, n_rows=batch.n_rows)
 
 

@@ -193,7 +193,8 @@ def _execute_instance(
     identity — which is what makes the fan-out deterministic.
     """
     with stage("corpus.execute", query_id=instance.query_id) as current:
-        optimized = optimizer.optimize(instance.sql)
+        # An executed query keeps no lint warnings, so none are computed.
+        optimized = optimizer.optimize(instance.sql, lint=False)
         rng = child_generator(noise_seed, f"{config_name}:{instance.query_id}")
         result = executor.execute(optimized.plan, rng=rng)
     return ExecutedQuery(

@@ -312,7 +312,7 @@ class TestEquiJoin:
             if all(map(same_key, left_row, right_row))
         ]
         assert list(zip(li.tolist(), ri.tolist())) == expected
-        semi = semi_join_batch(
+        semi, _ = semi_join_batch(
             Batch({f"l{c}": col for c, col in enumerate(left)}, len(left_rows)),
             Batch({f"r{c}": col for c, col in enumerate(right)}, len(right_rows)),
             [(f"l{c}", f"r{c}") for c in range(len(left))],
@@ -350,7 +350,7 @@ class TestHashJoinBatches:
     def test_columns_merged(self):
         left = Batch({"l.k": np.array([1, 2]), "l.v": np.array([10, 20])}, 2)
         right = Batch({"r.k": np.array([2, 1]), "r.w": np.array([200, 100])}, 2)
-        out = hash_join_batches(left, right, [("l.k", "r.k")])
+        out, _ = hash_join_batches(left, right, [("l.k", "r.k")])
         assert out.n_rows == 2
         row = {k: out.column(k)[0] for k in out.columns}
         assert row["l.v"] * 10 == row["r.w"]
@@ -358,7 +358,7 @@ class TestHashJoinBatches:
     def test_residual_predicate(self):
         left = Batch({"l.k": np.array([1, 1]), "l.v": np.array([5, 50])}, 2)
         right = Batch({"r.k": np.array([1]), "r.w": np.array([10])}, 1)
-        out = hash_join_batches(
+        out, _ = hash_join_batches(
             left, right, [("l.k", "r.k")], residual=predicate("l.v > r.w")
         )
         assert out.n_rows == 1
@@ -407,21 +407,245 @@ class TestSemiJoin:
     def test_semi(self):
         left = Batch({"l.k": np.array([1, 2, 3])}, 3)
         right = Batch({"r.k": np.array([2, 2, 3])}, 3)
-        out = semi_join_batch(left, right, [("l.k", "r.k")])
+        out, _ = semi_join_batch(left, right, [("l.k", "r.k")])
         assert list(out.column("l.k")) == [2, 3]
 
     def test_anti(self):
         left = Batch({"l.k": np.array([1, 2, 3])}, 3)
         right = Batch({"r.k": np.array([2])}, 1)
-        out = semi_join_batch(left, right, [("l.k", "r.k")], anti=True)
+        out, _ = semi_join_batch(left, right, [("l.k", "r.k")], anti=True)
         assert list(out.column("l.k")) == [1, 3]
 
     def test_semi_does_not_duplicate(self):
         """Semi join output has at most one row per left row."""
         left = Batch({"l.k": np.array([1])}, 1)
         right = Batch({"r.k": np.array([1, 1, 1])}, 3)
-        out = semi_join_batch(left, right, [("l.k", "r.k")])
+        out, _ = semi_join_batch(left, right, [("l.k", "r.k")])
         assert out.n_rows == 1
+
+
+#: Values an aggregate reads: sums of these depend on their order.
+AGGREGATE_VALUES = st.sampled_from([0.1, -2.5, 1e16, -1e16, 3.0, float("nan")])
+
+
+def fan_case(left, right, keys, *, left_rows=None, right_rows=None, order=0):
+    """One join-then-group-by case: each side's source columns (``k*`` join
+    keys, ``g*`` other keys, ``v`` values), the rows of each source a side
+    reads (None: all of it, as stored), the group keys and a seed for the
+    order in which the results are read."""
+    return {
+        "left": left, "right": right, "keys": keys, "order": order,
+        "left_rows": left_rows, "right_rows": right_rows,
+    }
+
+
+@st.composite
+def fan_cases(draw):
+    left_keys, right_keys = draw(join_sides())
+    sides = {}
+    for prefix, join_keys in (("l", left_keys), ("r", right_keys)):
+        n_source = len(join_keys[0])
+        columns = {f"{prefix}.k{c}": key for c, key in enumerate(join_keys)}
+        for c in range(draw(st.integers(1, 2))):
+            domain = draw(st.sampled_from(sorted(KEY_DOMAINS)))
+            columns[f"{prefix}.g{c}"] = key_column(draw, domain, n_source)
+        columns[f"{prefix}.v"] = np.array(
+            draw(st.lists(AGGREGATE_VALUES, min_size=n_source, max_size=n_source)),
+            dtype=np.float64,
+        )
+        rows = None
+        if n_source and draw(st.booleans()):
+            # The side is itself a selection, with repeats, not gathered yet.
+            rows = np.array(
+                draw(st.lists(st.integers(0, n_source - 1), max_size=12)),
+                dtype=np.int64,
+            )
+        sides[prefix] = columns, rows
+    where = draw(st.sampled_from(["probe", "build", "mixed"]))
+    names = {prefix: sorted(columns)[:-1] for prefix, (columns, _) in sides.items()}
+    if where == "mixed":
+        keys = [draw(st.sampled_from(names["l"])), draw(st.sampled_from(names["r"]))]
+    else:
+        side = names["l" if where == "probe" else "r"]
+        keys = draw(
+            st.lists(st.sampled_from(side), min_size=1, max_size=3, unique=True)
+        )
+    return fan_case(
+        sides["l"][0], sides["r"][0], keys,
+        left_rows=sides["l"][1], right_rows=sides["r"][1],
+        order=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestDeferredFanOut:
+    """A join whose build keys repeat hands on its match counts; the rows
+    of its output are expanded only when something reads them."""
+
+    AGGREGATES = [
+        AggregateSpec("count", None, "c"),
+        AggregateSpec("sum", expr("l.v"), "s"),
+        AggregateSpec("avg", expr("r.v"), "a"),
+        AggregateSpec("min", expr("l.v"), "lo"),
+        AggregateSpec("max", expr("r.v"), "hi"),
+        AggregateSpec("count", expr("r.v"), "n"),
+        AggregateSpec("count", expr("l.k0"), "d", True),
+    ]
+
+    @staticmethod
+    def sides(case) -> tuple[Batch, Batch]:
+        batches = []
+        for prefix in ("left", "right"):
+            columns, rows = case[prefix], case[f"{prefix}_rows"]
+            batch = Batch(dict(columns), len(next(iter(columns.values()))))
+            batches.append(batch if rows is None else batch.take(rows))
+        return batches[0], batches[1]
+
+    @classmethod
+    def eager_join(cls, case) -> Batch:
+        """The join's output gathered, from the index pairs."""
+        left, right = (side.gathered() for side in cls.sides(case))
+        pairs = [(name, "r" + name[1:]) for name in left.columns if ".k" in name]
+        li, ri = equi_join_indices(
+            [left.column(l) for l, _ in pairs], [right.column(r) for _, r in pairs]
+        )
+        columns = {name: left.column(name)[li] for name in left.columns}
+        columns.update({name: right.column(name)[ri] for name in right.columns})
+        return Batch(columns, len(li))
+
+    @classmethod
+    def deferred_join(cls, case) -> Batch:
+        left, right = cls.sides(case)
+        pairs = [(name, "r" + name[1:]) for name in left.columns if ".k" in name]
+        joined, _ = hash_join_batches(left, right, pairs)
+        return joined
+
+    @staticmethod
+    def assert_same(out: Batch, expected: Batch, order: int) -> None:
+        """Bit for bit and dtype for dtype, ``out`` read in a shuffled order."""
+        names = list(expected.columns)
+        for index in np.random.default_rng(order).permutation(len(names)):
+            out.column(names[index])
+        assert list(out.columns) == names
+        for name in names:
+            assert out.column(name).dtype == expected.column(name).dtype, name
+            assert out.column(name).tobytes() == expected.column(name).tobytes(), name
+
+    @given(fan_cases())
+    @example(fan_case(  # float keys holding -0.0 and NaN on the build side,
+        # where a group's first output row is not its first build row
+        {"l.k0": np.array([1, 2, 1, 2]), "l.g0": np.array([0, 1, 2, 3]),
+         "l.v": np.array([0.1, 0.2, 0.3, 0.4])},
+        {"r.k0": np.array([2, 1, 2, 1, 1]),
+         "r.g0": np.array([0.0, -0.0, np.copysign(np.nan, -1.0), np.nan, 0.0]),
+         "r.v": np.array([1.0, 2.0, 3.0, 4.0, 5.0])},
+        ["r.g0"],
+    ))
+    @example(fan_case(  # ... and on the probe side, through a selection
+        {"l.k0": np.array([3, 1, 3]), "l.g0": np.array([-0.0, 0.0, float("nan")]),
+         "l.v": np.array([1.0, 2.0, 3.0])},
+        {"r.k0": np.array([1, 1, 3]), "r.g0": np.array([True, False, True]),
+         "r.v": np.array([1.0, 2.0, 3.0])},
+        ["l.g0"], left_rows=np.array([2, 1, 0, 0]),
+    ))
+    @example(fan_case(  # string and bool keys, several columns, both sides
+        {"l.k0": np.array([1, 1, 2]), "l.g0": np.array(["b", "a", "b"]),
+         "l.v": np.array([1.0, 2.0, 3.0])},
+        {"r.k0": np.array([1, 2, 2]), "r.g0": np.array([True, False, True]),
+         "r.v": np.array([1.0, 2.0, 3.0])},
+        ["l.g0", "r.g0"],
+    ))
+    @example(fan_case(  # no probe row matches
+        {"l.k0": np.array([5, 6]), "l.g0": np.array([1, 2]),
+         "l.v": np.array([1.0, 2.0])},
+        {"r.k0": np.array([1, 1]), "r.g0": np.array([1, 1]),
+         "r.v": np.array([1.0, 2.0])},
+        ["l.g0"],
+    ))
+    @example(fan_case(  # an empty probe side
+        {"l.k0": np.array([], dtype=np.int64), "l.g0": np.array([], dtype=np.int64),
+         "l.v": np.array([])},
+        {"r.k0": np.array([1, 1]), "r.g0": np.array([1, 1]),
+         "r.v": np.array([1.0, 2.0])},
+        ["r.g0"],
+    ))
+    @example(fan_case(  # every build key unique: nothing fans out
+        {"l.k0": np.array([1, 2, 2]), "l.g0": np.array([1, 1, 2]),
+         "l.v": np.array([1.0, 2.0, 3.0])},
+        {"r.k0": np.array([2, 1]), "r.g0": np.array([7, 8]),
+         "r.v": np.array([1.0, 2.0])},
+        ["r.g0"],
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_group_by_equals_the_gathered_join(self, case):
+        """Property: a group-by over a join not expanded yet — keys on the
+        probe side, the build side or both, aggregates read in any order —
+        equals the same group-by over the join's output gathered first, bit
+        for bit and dtype for dtype; and so do a sort and a top-n of it."""
+        keys, order = case["keys"], case["order"]
+        joined = self.deferred_join(case)
+        eager = self.eager_join(case)
+        assert joined.n_rows == eager.n_rows
+        expected = group_by_batch(eager, keys, self.AGGREGATES).gathered()
+        self.assert_same(group_by_batch(joined, keys, self.AGGREGATES), expected, order)
+        sort_keys = [(keys[0], True), ("s", False)]
+        for limit in (None, 2):
+            def ordered(batch):
+                if limit is None:
+                    return sort_batch(batch, sort_keys)
+                return top_n_batch(batch, sort_keys, limit)
+
+            joined = self.deferred_join(case)
+            out = ordered(group_by_batch(joined, keys, self.AGGREGATES))
+            self.assert_same(out, ordered(expected).gathered(), order + 1)
+
+    @given(join_sides(), st.integers(1, 9), st.booleans())
+    @example(
+        ([np.array([1.0])], [np.array([np.nan, -np.inf, np.inf, -0.0, 0.0, 1e300])]),
+        3,
+        False,
+    )
+    @example(([np.array([1])], [np.array([2**64 - 1, 7, 2**64 - 1], dtype=np.uint64)]),
+             4, True)
+    @example(([np.array([], dtype=np.int64)], [np.array([], dtype=np.int64)]), 2, False)
+    @settings(max_examples=150, deadline=None)
+    def test_build_key_counts_equal_row_counts(self, sides, n_partitions, semi):
+        """Property: one build key per join code, in the build column's own
+        dtype and weighted by the code's rows, gives the partition counts of
+        hashing the build key column row by row."""
+        left, right = sides
+        names = range(len(left))
+        probe = Batch({f"l{c}": left[c] for c in names}, len(left[0]))
+        build = Batch({f"r{c}": right[c] for c in names}, len(right[0]))
+        pairs = [(f"l{c}", f"r{c}") for c in names]
+        join = semi_join_batch if semi else hash_join_batches
+        _, (values, counts) = join(probe, build, pairs)
+        assert values.dtype == right[0].dtype
+        by_key = partition_counts(values, n_partitions, counts)
+        by_row = partition_counts(right[0], n_partitions)
+        assert by_key.dtype == by_row.dtype == np.int64
+        assert by_key.tolist() == by_row.tolist()
+
+    def test_errors_do_not_wait_for_a_read(self):
+        """What fails over the rows fails when the operator runs."""
+        left = Batch({"l.k": np.array([1, 1]), "l.v": np.array([1.0, 2.0])}, 2)
+        right = Batch({"r.k": np.array([1, 1]), "r.s": np.array(["a", "b"])}, 2)
+        joined, _ = hash_join_batches(left, right, [("l.k", "r.k")])
+        failing = [
+            (AggregateSpec("median", expr("l.v"), "m"), "unsupported aggregate"),
+            (AggregateSpec("sum", expr("l.nope"), "m"), "unknown column"),
+            (AggregateSpec("max", None, "m"), "requires an argument"),
+        ]
+        for spec, message in failing:
+            with pytest.raises(ExecutionError, match=message):
+                group_by_batch(joined, ["r.k"], [spec])
+            with pytest.raises(ExecutionError, match=message):
+                scalar_aggregate_batch(joined, [spec])
+        with pytest.raises(TypeError):
+            group_by_batch(joined, ["l.k"], [AggregateSpec("sum", expr("-r.s"), "m")])
+        with pytest.raises(ExecutionError, match="unknown column"):
+            sort_batch(joined, [("l.nope", False)])
+        with pytest.raises(ExecutionError, match="unknown column"):
+            top_n_batch(joined, [("l.nope", False)], 1)
 
 
 class TestSort:
@@ -634,7 +858,7 @@ class TestGroupBy:
         expected = group_by_batch(eager, names, self.AGGREGATES)
         out = group_by_batch(deferred, names, self.AGGREGATES)
         assert list(out.columns) == list(expected.columns)
-        for name, column in expected.columns.items():
+        for name, column in expected.gathered().columns.items():
             assert out.column(name).dtype == column.dtype, name
             assert out.column(name).tobytes() == column.tobytes(), name
 

@@ -175,6 +175,27 @@ class TestCorpus:
         assert calls == [1] and len(rebuilt) == len(mini_corpus)
         assert len(load_corpus(path)) == len(mini_corpus)
 
+    def test_build_lints_no_plan(self, tpcds_catalog, config, monkeypatch):
+        """An executed query keeps no lint warnings, so a build computes
+        none (the optimizer used to lint every plan it built)."""
+        import repro.optimizer.optimizer as optimizer_module
+        from repro.experiments.corpus import build_corpus
+        from repro.workloads.generator import generate_pool
+
+        linted = []
+        real = optimizer_module.lint_plan
+
+        def counting(plan, *args, **kwargs):
+            linted.append(plan)
+            return real(plan, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer_module, "lint_plan", counting)
+        corpus = build_corpus(
+            tpcds_catalog, config, generate_pool(12, seed=43, problem_fraction=0.0)
+        )
+        assert len(corpus) == 12
+        assert linted == []
+
     def test_executed_query_helpers(self, mini_corpus):
         query = mini_corpus.queries[0]
         assert query.elapsed_time == query.performance[0]

@@ -35,7 +35,12 @@ from repro.core.kernels import (
 from repro.core.neighbors import nearest_neighbors
 from repro.core.predictor import KCCAPredictor
 from repro.engine import Executor
-from repro.engine.operators import Batch, group_by_batch, hash_join_batches
+from repro.engine.operators import (
+    Batch,
+    equi_join_indices,
+    group_by_batch,
+    hash_join_batches,
+)
 from repro.engine.plan import AggregateSpec
 from repro.errors import ModelError
 from repro.experiments.bench import (
@@ -533,7 +538,7 @@ class TestEngineSortCounts:
 
         monkeypatch.setattr(np, "argsort", recording_argsort)
         calls = self.sort_calls(
-            lambda: hash_join_batches(probe, build, [("l.k", "r.k")])
+            lambda: hash_join_batches(probe, build, [("l.k", "r.k")])[0].gathered()
         )
         assert calls == {"argsort": 1}
         assert sorted_lengths == [self.BUILD_ROWS]
@@ -580,17 +585,20 @@ class TestJoinGathersOnlyWhatIsRead:
         }
 
     def test_group_by_over_a_join_gathers_its_two_columns(self, sides):
-        """The value column is gathered; the key is ranked on its 2 000
-        build rows and only its codes are gathered, so the join output's
-        ``r.g`` stays deferred (the parent gathered it as values too)."""
+        """The value column is gathered when the sum is first read, not
+        when the group-by runs; the key is ranked on its 2 000 build rows
+        and only its codes are gathered, so the join output's ``r.g`` stays
+        deferred."""
         probe, build = sides
-        joined = hash_join_batches(probe, build, [("l.k", "r.k")])
+        joined, _ = hash_join_batches(probe, build, [("l.k", "r.k")])
         assert joined.n_rows == self.ROWS and len(joined.columns) == 8
         assert self.gathered(joined) == set()
         value = parse("SELECT l.v0 FROM l").select[0].expr
         out = group_by_batch(joined, ["r.g"], [AggregateSpec("sum", value, "total")])
-        assert self.gathered(joined) == {"l.v0"}
+        assert self.gathered(joined) == set()
         assert np.array_equal(out.column("r.g"), np.unique(build.column("r.g")))
+        out.column("total")
+        assert self.gathered(joined) == {"l.v0"}
         expected = np.bincount(
             build.column("r.g")[probe.column("l.k")],
             weights=probe.column("l.v0"),
@@ -601,7 +609,7 @@ class TestJoinGathersOnlyWhatIsRead:
     def test_a_residual_predicate_gathers_what_it_reads(self, sides):
         probe, build = sides
         residual = parse("SELECT 1 FROM l WHERE l.v1 > r.w0").where
-        joined = hash_join_batches(probe, build, [("l.k", "r.k")], residual)
+        joined, _ = hash_join_batches(probe, build, [("l.k", "r.k")], residual)
         assert self.gathered(joined) == set()
         keep = probe.column("l.v1") > build.column("r.w0")[probe.column("l.k")]
         assert joined.n_rows == int(keep.sum())
@@ -617,7 +625,7 @@ class TestJoinGathersOnlyWhatIsRead:
 
     def test_byte_accounting_reads_no_column(self, sides):
         probe, build = sides
-        joined = hash_join_batches(probe, build, [("l.k", "r.k")])
+        joined, _ = hash_join_batches(probe, build, [("l.k", "r.k")])
         assert joined.row_bytes == probe.row_bytes + build.row_bytes == 64.0
         assert joined.total_bytes == 64.0 * self.ROWS
         assert self.gathered(joined) == set()
@@ -683,7 +691,7 @@ class TestGroupKeyFactorisedOnce:
             },
             self.BUILD_ROWS,
         )
-        joined = hash_join_batches(probe, build, [("l.k", "r.k")])
+        joined, _ = hash_join_batches(probe, build, [("l.k", "r.k")])
         sorted_lengths = self.recorded(monkeypatch, np, "unique")
         value = parse("SELECT l.v FROM l").select[0].expr
         out = group_by_batch(
@@ -697,8 +705,114 @@ class TestGroupKeyFactorisedOnce:
         probe = Batch({"l.k": rng.integers(0, 2 * self.BUILD_ROWS, self.ROWS)}, self.ROWS)
         build = Batch({"r.k": rng.permutation(self.BUILD_ROWS)}, self.BUILD_ROWS)
         repeated = self.recorded(monkeypatch, np, "repeat")
-        joined = hash_join_batches(probe, build, [("l.k", "r.k")])
+        joined, _ = hash_join_batches(probe, build, [("l.k", "r.k")])
         assert repeated == []
         matched = probe.column("l.k") < self.BUILD_ROWS
         assert joined.n_rows == int(matched.sum())
         assert np.array_equal(joined.column("l.k"), joined.column("r.k"))
+
+
+# ----------------------------------------------------------------------
+# A join's fan-out expanded only when read (a perf guard without a clock)
+# ----------------------------------------------------------------------
+
+
+class TestFanOutExpandedOnlyWhenRead:
+    """A store self-join on ``ss_store_sk`` (seven stores) whose 495 455
+    output rows are 120 times its 4 122 input rows, grouped on one side
+    with ``count(*)`` and ``sum``.  The commit before expanded the join
+    with two ``np.repeat`` calls over its output, counted the groups and
+    summed with ``np.bincount`` over every output row, all before anything
+    read the answer, and fails both tests."""
+
+    SQL = (
+        "SELECT ss1.ss_item_sk, count(*) AS c, sum(ss2.ss_sales_price) AS s "
+        "FROM store_sales ss1, store_sales ss2 "
+        "WHERE ss1.ss_store_sk = ss2.ss_store_sk AND ss1.ss_quantity < 3 "
+        "AND ss2.ss_quantity < 6 GROUP BY ss1.ss_item_sk"
+    )
+    PRICE = parse("SELECT ss2.ss_sales_price FROM ss2").select[0].expr
+
+    @staticmethod
+    def recorded(monkeypatch) -> list[int]:
+        """Lengths of the inputs and results of every ``np.repeat`` and
+        ``np.bincount`` call."""
+        lengths: list[int] = []
+        for name in ("repeat", "bincount"):
+            real = getattr(np, name)
+
+            def recording(values, *args, _real=real, **kwargs):
+                result = _real(values, *args, **kwargs)
+                lengths.extend((len(values), len(result)))
+                return result
+
+            monkeypatch.setattr(np, name, recording)
+        return lengths
+
+    @pytest.fixture()
+    def sides(self, tpcds_catalog):
+        """Each side's rows of the join, as the scans select them."""
+        table = tpcds_catalog.table("store_sales")
+        quantity = table.column("ss_quantity")
+        return {
+            "ss1": np.flatnonzero(quantity < 3),
+            "ss2": np.flatnonzero(quantity < 6),
+        }
+
+    def join_rows(self, tpcds_catalog, sides) -> int:
+        store = tpcds_catalog.table("store_sales").column("ss_store_sk")
+        per_store = np.bincount(store[sides["ss2"]], minlength=store.max() + 1)
+        return int(per_store[store[sides["ss1"]]].sum())
+
+    def test_metrics_expand_nothing(
+        self, tpcds_catalog, config, sides, monkeypatch
+    ):
+        plan = Optimizer(tpcds_catalog, config).optimize(self.SQL).plan
+        executor = Executor(tpcds_catalog, config)
+        executor.execute(plan)  # the scans' own skew is computed once, here
+        output = self.join_rows(tpcds_catalog, sides)
+        assert output >= 100 * (len(sides["ss1"]) + len(sides["ss2"]))
+        lengths = self.recorded(monkeypatch)
+        result = executor.execute(plan)
+        assert result.metrics.rows_returned == result.n_rows
+        assert lengths and max(lengths) < output
+
+    def test_the_answer_is_expanded_when_read(
+        self, tpcds_catalog, config, sides, monkeypatch
+    ):
+        plan = Optimizer(tpcds_catalog, config).optimize(self.SQL).plan
+        executor = Executor(tpcds_catalog, config)
+        executor.execute(plan)
+        output = self.join_rows(tpcds_catalog, sides)
+        lengths = self.recorded(monkeypatch)
+        result = executor.execute(plan)
+        assert max(lengths) < output
+        batch = result.batch
+        assert max(lengths) == output
+        monkeypatch.undo()
+        assert all(type(column) is np.ndarray for column in batch.columns.values())
+        # The same group-by over the join's output gathered first.
+        (join,) = [node for node in plan.walk() if node.join_pairs]
+        probe, build = (name.split(".")[0] for name in join.join_pairs[0])
+        table = tpcds_catalog.table("store_sales")
+        store = table.column("ss_store_sk")
+        li, ri = equi_join_indices(
+            [store[sides[probe]]], [store[sides[build]]]
+        )
+        rows = {probe: sides[probe][li], build: sides[build][ri]}
+        eager = Batch(
+            {
+                "ss1.ss_item_sk": table.column("ss_item_sk")[rows["ss1"]],
+                "ss2.ss_sales_price": table.column("ss_sales_price")[rows["ss2"]],
+            },
+            len(li),
+        )
+        expected = group_by_batch(
+            eager, ["ss1.ss_item_sk"], [AggregateSpec("sum", self.PRICE, "s")]
+        )
+        assert result.n_rows == expected.n_rows
+        for name in ("ss1.ss_item_sk", "s"):
+            assert batch.column(name).tobytes() == expected.column(name).tobytes()
+        assert batch.column("c").tolist() == np.bincount(
+            np.unique(eager.column("ss1.ss_item_sk"), return_inverse=True)[1]
+        ).tolist()
