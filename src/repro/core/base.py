@@ -41,6 +41,8 @@ __all__ = [
     "checked_array",
     "finite_input",
     "restoring",
+    "RETIRED_SETTINGS",
+    "settings",
 ]
 
 #: Bump when the on-disk state layout changes incompatibly; artifacts
@@ -49,6 +51,23 @@ __all__ = [
 MODEL_SCHEMA_VERSION = 2
 
 _ARRAY_KEY = "__array__"
+
+#: Settings older builds wrote into a KCCA model's ``config``: the Nyström
+#: fit path's, and conditioning choices nothing set.  They only shaped a
+#: fit whose result the artifact stores, so a load drops them whatever
+#: their values, as it never reads a Nyström fit's ``landmarks`` array or
+#: a two-step model's ``min_category_size``; any other unknown setting is
+#: still refused.
+RETIRED_SETTINGS = frozenset({
+    "approximation",
+    "rank",
+    "landmark_seed",
+    "performance_tau",
+    "query_scale_fraction",
+    "performance_scale_fraction",
+    "log_performance",
+    "standardize_performance",
+})
 
 
 # ----------------------------------------------------------------------
@@ -153,6 +172,13 @@ def checked_array(state: dict, name: str, *shape: Optional[int]) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ModelError(f"fitted array {name!r} holds a non-finite value")
     return array
+
+
+def settings(config: dict) -> dict:
+    """A restored model ``config`` without its :data:`RETIRED_SETTINGS`."""
+    return {
+        key: value for key, value in config.items() if key not in RETIRED_SETTINGS
+    }
 
 
 def finite_input(values: Any, name: str) -> np.ndarray:

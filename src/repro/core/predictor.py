@@ -2,9 +2,9 @@
 
 Training (:meth:`KCCAPredictor.fit`):
 
-1. optionally log-transform and standardise the query and performance
-   feature matrices (kernel conditioning; predictions always come from the
-   *raw* performance vectors);
+1. optionally log-transform and standardise the query feature matrix, and
+   always the performance matrix (kernel conditioning; predictions always
+   come from the *raw* performance vectors);
 2. build Gaussian kernel matrices with the paper's scale heuristic
    (fractions 0.1 / 0.2 of the norm variance);
 3. run KCCA to obtain maximally correlated projections.
@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.base import checked_array, finite_input
+from repro.core.base import checked_array, finite_input, settings
 from repro.core.kcca import KCCA
 from repro.core.kernels import (
     PERFORMANCE_SCALE_FRACTION,
@@ -121,16 +121,12 @@ class KCCAPredictor:
         k_neighbors: neighbours used for prediction (paper: 3).
         distance_metric: ``euclidean`` (paper's choice) or ``cosine``.
         weighting: ``equal`` (paper's choice), ``ranked`` or ``distance``.
-        approximation: KCCA fit path — ``exact`` (dense O(N^3) solve) or
-            ``nystrom`` (landmark subspace solve, O(N * rank^2)).
-        rank: Nyström landmark count; None picks the default (256,
-            clamped to N).  ``rank == N`` reproduces the exact solve.
-        landmark_seed: seed for the deterministic landmark subsample.
-        query_tau / performance_tau: explicit Gaussian scale factors;
-            derived from the paper's fraction heuristic when None.
-        log_features / standardize_features: query-side conditioning.
-        log_performance / standardize_performance: performance-side kernel
-            conditioning (predictions still average raw vectors).
+        query_tau: explicit Gaussian scale factor of the query kernel;
+            derived from the paper's fraction heuristic when None (the
+            performance kernel's always is).
+        log_features / standardize_features: query-side conditioning.  The
+            performance side is always log-transformed and standardised
+            (predictions still average raw vectors).
     """
 
     def __init__(
@@ -140,34 +136,17 @@ class KCCAPredictor:
         k_neighbors: int = 3,
         distance_metric: str = "euclidean",
         weighting: str = "equal",
-        approximation: str = "exact",
-        rank: Optional[int] = None,
-        landmark_seed: int = 0,
         query_tau: Optional[float] = None,
-        performance_tau: Optional[float] = None,
-        query_scale_fraction: float = QUERY_SCALE_FRACTION,
-        performance_scale_fraction: float = PERFORMANCE_SCALE_FRACTION,
         log_features: bool = True,
         standardize_features: bool = True,
-        log_performance: bool = True,
-        standardize_performance: bool = True,
     ) -> None:
         self.k_neighbors = k_neighbors
         self.distance_metric = distance_metric
         self.weighting = weighting
         self.query_tau = query_tau
-        self.performance_tau = performance_tau
-        self.query_scale_fraction = query_scale_fraction
-        self.performance_scale_fraction = performance_scale_fraction
-        self._kcca = KCCA(
-            n_components=n_components,
-            regularization=regularization,
-            approximation=approximation,
-            rank=rank,
-            landmark_seed=landmark_seed,
-        )
+        self._kcca = KCCA(n_components=n_components, regularization=regularization)
         self._x_scaler = _Standardizer(log_features, standardize_features)
-        self._y_scaler = _Standardizer(log_performance, standardize_performance)
+        self._y_scaler = _Standardizer(True, True)
         self._train_features: Optional[np.ndarray] = None
         self._train_performance: Optional[np.ndarray] = None
         self._tau_x: Optional[float] = None
@@ -189,23 +168,16 @@ class KCCAPredictor:
                 "training set must exceed the neighbour count "
                 f"({query_features.shape[0]} <= {self.k_neighbors})"
             )
-        for name in ("query_tau", "performance_tau"):
-            tau = getattr(self, name)
-            if tau is not None and not (np.isfinite(tau) and tau > 0):
-                raise ModelError(f"{name} must be a positive number, got {tau!r}")
+        tau = self.query_tau
+        if tau is not None and not (np.isfinite(tau) and tau > 0):
+            raise ModelError(f"query_tau must be a positive number, got {tau!r}")
         with stage("predictor.fit", n=query_features.shape[0]):
             fx = self._x_scaler.fit_transform(query_features)
             fy = self._y_scaler.fit_transform(performance)
-            self._tau_x = (
-                self.query_tau
-                if self.query_tau is not None
-                else scale_factor_heuristic(fx, self.query_scale_fraction)
-            )
-            tau_y = (
-                self.performance_tau
-                if self.performance_tau is not None
-                else scale_factor_heuristic(fy, self.performance_scale_fraction)
-            )
+            if tau is None:
+                tau = scale_factor_heuristic(fx, QUERY_SCALE_FRACTION)
+            self._tau_x = tau
+            tau_y = scale_factor_heuristic(fy, PERFORMANCE_SCALE_FRACTION)
             with stage("predictor.kernels"):
                 kx = gaussian_kernel_matrix(fx, self._tau_x)
                 ky = gaussian_kernel_matrix(fy, tau_y)
@@ -314,27 +286,19 @@ class KCCAPredictor:
             "config": {
                 "n_components": self._kcca.n_components,
                 "regularization": self._kcca.regularization,
-                "approximation": self._kcca.approximation,
-                "rank": self._kcca.rank,
-                "landmark_seed": self._kcca.landmark_seed,
                 "k_neighbors": self.k_neighbors,
                 "distance_metric": self.distance_metric,
                 "weighting": self.weighting,
                 "query_tau": self.query_tau,
-                "performance_tau": self.performance_tau,
-                "query_scale_fraction": self.query_scale_fraction,
-                "performance_scale_fraction": self.performance_scale_fraction,
                 "log_features": self._x_scaler.log_transform,
                 "standardize_features": self._x_scaler.standardize,
-                "log_performance": self._y_scaler.log_transform,
-                "standardize_performance": self._y_scaler.standardize,
             },
             "fitted": fitted,
         }
 
     def load_state_dict(self, state: dict) -> "KCCAPredictor":
         """Restore a :meth:`state_dict` export (inverse operation)."""
-        self.__init__(**state["config"])
+        self.__init__(**settings(state["config"]))
         fitted = state.get("fitted")
         if fitted is not None:
             self._train_features = checked_array(

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.base import settings
 from repro.core.predictor import KCCAPredictor, PredictionDetail
 from repro.engine.metrics import METRIC_NAMES
 from repro.errors import ModelError, NotFittedError
@@ -32,21 +33,20 @@ __all__ = ["TwoStepPredictor"]
 
 _ELAPSED_INDEX = METRIC_NAMES.index("elapsed_time")
 
+#: Categories with fewer training queries than this are folded into the
+#: router model (their queries are still predictable; they just reuse the
+#: global model).
+MIN_CATEGORY_SIZE = 8
+
 
 class TwoStepPredictor:
     """Classify query type, then predict with a type-specific model.
 
     Args:
         predictor_kwargs: forwarded to every inner :class:`KCCAPredictor`.
-        min_category_size: categories with fewer training queries than
-            this are folded into the router model (their queries are still
-            predictable; they just reuse the global model).
     """
 
-    def __init__(
-        self, min_category_size: int = 8, **predictor_kwargs: object
-    ) -> None:
-        self.min_category_size = min_category_size
+    def __init__(self, **predictor_kwargs: object) -> None:
         self.predictor_kwargs = predictor_kwargs
         self._router: Optional[KCCAPredictor] = None
         self._categories: Optional[list[QueryCategory]] = None
@@ -70,7 +70,7 @@ class TwoStepPredictor:
         counts = Counter(self._categories)
         k = self._router.k_neighbors
         for category, count in counts.items():
-            if count >= max(self.min_category_size, k + 1):
+            if count >= max(MIN_CATEGORY_SIZE, k + 1):
                 member = np.array(
                     [c == category for c in self._categories], dtype=bool
                 )
@@ -159,19 +159,13 @@ class TwoStepPredictor:
                 },
             }
         return {
-            "config": {
-                "min_category_size": self.min_category_size,
-                "predictor_kwargs": dict(self.predictor_kwargs),
-            },
+            "config": {"predictor_kwargs": dict(self.predictor_kwargs)},
             "fitted": fitted,
         }
 
     def load_state_dict(self, state: dict) -> "TwoStepPredictor":
         """Restore a :meth:`state_dict` export (inverse operation)."""
-        config = state["config"]
-        self.__init__(
-            config["min_category_size"], **config["predictor_kwargs"]
-        )
+        self.__init__(**settings(state["config"]["predictor_kwargs"]))
         fitted = state.get("fitted")
         if fitted is not None:
             self._router = KCCAPredictor().load_state_dict(fitted["router"])

@@ -758,7 +758,7 @@ def _check_aggregate(spec: AggregateSpec, batch: Batch) -> str:
     if spec.expr is None:
         raise ExecutionError(f"aggregate {func} requires an argument")
     batch.check(spec.expr)
-    if func not in _FUNCTIONS and not spec.distinct:
+    if func not in _FUNCTIONS:
         raise ExecutionError(f"unsupported aggregate function {func!r}")
     return func
 
@@ -767,24 +767,30 @@ def _aggregate_column(
     spec: AggregateSpec, grouping: Grouping, batch: Batch, layout: _Lazy
 ) -> np.ndarray:
     """Compute one aggregate per group; ``layout`` (min/max only) holds the
-    rows in group order."""
+    rows in group order.  A DISTINCT aggregate reads one row per distinct
+    (group, value) pair."""
     func = spec.func.lower()
     codes, sizes = grouping.codes, grouping.sizes
     assert spec.expr is not None
     values = batch.evaluate(spec.expr)
     if spec.distinct:
-        # Count distinct (value, group) pairs per group.
+        # Pair codes follow the (group, value) order, so the pairs' first
+        # rows come group by group, as min/max read them.
         pair_codes, n_pairs = factorize_rows([codes, values])
-        pair_group = np.empty(n_pairs, dtype=np.int64)
-        pair_group[pair_codes] = codes  # rows of one pair all write its group
-        return np.bincount(pair_group, minlength=len(sizes)).astype(np.float64)
+        first = _first_rows(pair_codes, n_pairs)
+        codes, values = codes[first], values[first]
+        sizes = np.bincount(codes, minlength=len(sizes))
+        if func == "count":
+            return sizes.astype(np.float64)
     numeric = values.astype(np.float64, copy=False)
     if func == "sum":
         return np.bincount(codes, weights=numeric, minlength=len(sizes))
     if func == "avg":
         return np.bincount(codes, weights=numeric, minlength=len(sizes)) / sizes
+    if not spec.distinct:
+        numeric = numeric[layout.read()]
     reducer = np.minimum if func == "min" else np.maximum
-    return reducer.reduceat(numeric[layout.read()], np.cumsum(sizes) - sizes)
+    return reducer.reduceat(numeric, np.cumsum(sizes) - sizes)
 
 
 def aggregate_groups(

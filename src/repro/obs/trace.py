@@ -24,9 +24,9 @@ Usage::
     from repro import obs
 
     obs.enable_tracing()
-    with obs.stage("kcca.fit", n=1000, approximation="nystrom") as current:
+    with obs.stage("kcca.fit", n=1000) as current:
         ...
-        current.set(rank=256)
+        current.set(components=8)
     print(obs.pretty_trace())
     json.dump(obs.export_trace(drain=True), fh)
 """

@@ -111,6 +111,8 @@ DAMAGED_BODIES = {
     "unknown_model_config_key": (
         lambda doc: doc["state"]["model"]["config"].update(warp_factor=9),
         None),
+    "unknown_kcca_config_key": (
+        lambda doc: _fitted(doc)["kcca"]["config"].update(warp_factor=9), None),
     "scale_factor_is_a_word": (
         lambda doc: _metadata(doc)["catalog_spec"].update(scale_factor="big"),
         None),

@@ -269,9 +269,7 @@ class TestKCCAPredictor:
 
     def test_explicit_tau_respected(self):
         (x, y), (xt, _) = make_synthetic(n=60, n_test=5)
-        model = KCCAPredictor(
-            log_features=False, query_tau=5.0, performance_tau=5.0
-        ).fit(x, y)
+        model = KCCAPredictor(log_features=False, query_tau=5.0).fit(x, y)
         assert model._tau_x == 5.0
 
     def test_neighbor_params_changeable_after_fit(self):

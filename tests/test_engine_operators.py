@@ -123,6 +123,34 @@ def sort_rank(row) -> tuple:
     return tuple((True, 0) if value != value else (False, value) for value in row)
 
 
+DISTINCT_FUNCTIONS = ("count", "sum", "avg", "min", "max")
+
+
+def distinct_aggregates(column: str) -> list[AggregateSpec]:
+    return [AggregateSpec(func, expr(column), func, True) for func in DISTINCT_FUNCTIONS]
+
+
+def assert_distinct_per_group(batch: Batch, keys: list[str], column: str) -> None:
+    """Grouped ``f(DISTINCT column)`` equals ``scalar_aggregate_batch`` over
+    each group's rows, for every function (``-0.0`` equal to ``0.0``, NaN
+    to NaN: a sum starts from one or the other)."""
+    out = group_by_batch(batch, keys, distinct_aggregates(column))
+    rows = batch.gathered()
+    codes, n_groups = (
+        factorize_rows([rows.column(name) for name in keys])
+        if rows.n_rows else (np.empty(0, np.int64), 0)
+    )
+    assert out.n_rows == n_groups
+    for func in DISTINCT_FUNCTIONS:
+        expected = [
+            scalar_aggregate_batch(
+                rows.mask(codes == group), distinct_aggregates(column)
+            ).column(func)[0]
+            for group in range(n_groups)
+        ]
+        np.testing.assert_array_equal(out.column(func), expected, err_msg=func)
+
+
 class TestBatch:
     def test_length_validation(self):
         with pytest.raises(ExecutionError):
@@ -598,6 +626,24 @@ class TestDeferredFanOut:
             out = ordered(group_by_batch(joined, keys, self.AGGREGATES))
             self.assert_same(out, ordered(expected).gathered(), order + 1)
 
+    @given(fan_cases())
+    @example(fan_case(  # one build key matched by three probe rows
+        {"l.k0": np.array([1, 1, 1, 2]), "l.g0": np.array([0, 0, 0, 0]),
+         "l.v": np.array([5.0, 5.0, 7.0, 1.0])},
+        {"r.k0": np.array([1, 1, 2]), "r.g0": np.array([3, 4, 3]),
+         "r.v": np.array([2.0, 2.0, 6.0])},
+        ["r.g0"],
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_aggregates_over_the_fan_out(self, case):
+        """Property: over a join not expanded yet, each group's
+        ``f(DISTINCT v)`` of either side's values is the scalar one of
+        that group's joined rows."""
+        for column in ("l.v", "r.v"):
+            assert_distinct_per_group(
+                self.deferred_join(case), case["keys"], column
+            )
+
     @given(join_sides(), st.integers(1, 9), st.booleans())
     @example(
         ([np.array([1.0])], [np.array([np.nan, -np.inf, np.inf, -0.0, 0.0, 1e300])]),
@@ -632,6 +678,7 @@ class TestDeferredFanOut:
         joined, _ = hash_join_batches(left, right, [("l.k", "r.k")])
         failing = [
             (AggregateSpec("median", expr("l.v"), "m"), "unsupported aggregate"),
+            (AggregateSpec("median", expr("l.v"), "m", True), "unsupported aggregate"),
             (AggregateSpec("sum", expr("l.nope"), "m"), "unknown column"),
             (AggregateSpec("max", None, "m"), "requires an argument"),
         ]
@@ -880,6 +927,30 @@ class TestGroupBy:
         by_row = partition_counts(keys[0], n_partitions)
         assert by_group.dtype == by_row.dtype == np.int64
         assert by_group.tolist() == by_row.tolist()
+
+    @given(key_columns(max_rows=40), st.data())
+    @example([np.array([1, 1, 1])], [5, 5, 7])
+    @example([np.array([0.0, -0.0, 0.0, 1.0])], [-0.0, 0.0, 2.5, float("nan")])
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_aggregates_equal_the_scalar_ones_per_group(self, keys, data):
+        """Property: each group's ``f(DISTINCT v)`` — count, sum, avg, min,
+        max over integer or float values with repeats — is the scalar
+        ``f(DISTINCT v)`` of that group's rows (it was the distinct count
+        for every function)."""
+        n_rows = len(keys[0])
+        if isinstance(data, list):
+            values = np.array(data)
+        else:
+            domain = data.draw(st.sampled_from([
+                st.integers(-3, 9),
+                st.sampled_from([0.0, -0.0, 0.5, -2.25, 6.0, float("nan")]),
+            ]))
+            values = np.array(
+                data.draw(st.lists(domain, min_size=n_rows, max_size=n_rows))
+            )
+        names = [f"t.k{c}" for c in range(len(keys))]
+        batch = Batch({**dict(zip(names, keys)), "t.v": values}, n_rows)
+        assert_distinct_per_group(batch, names, "t.v")
 
 
 class TestScalarAggregate:

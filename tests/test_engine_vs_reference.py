@@ -169,6 +169,18 @@ QUERIES = [
         "WHERE s.s_item = i.i_id AND s.s_cust = c.c_id "
         "GROUP BY i.i_cat, c.c_region"
     ),
+    # grouped DISTINCT aggregates: each group's distinct values
+    (
+        "SELECT s.s_cust, sum(DISTINCT s.s_qty) AS sq, "
+        "avg(DISTINCT s.s_qty) AS aq, min(DISTINCT s.s_amt) AS lo, "
+        "max(DISTINCT s.s_item) AS hi FROM tsales s GROUP BY s.s_cust"
+    ),
+    (
+        "SELECT i.i_cat, sum(DISTINCT s.s_qty) AS sq, "
+        "avg(DISTINCT i.i_price) AS ap, min(DISTINCT s.s_cust) AS lo, "
+        "max(DISTINCT s.s_qty) AS hi, count(DISTINCT s.s_cust) AS d "
+        "FROM tsales s, titem i WHERE s.s_item = i.i_id GROUP BY i.i_cat"
+    ),
     # distinct
     "SELECT DISTINCT s.s_cust FROM tsales s WHERE s.s_amt > 30",
     # subqueries

@@ -95,6 +95,20 @@ def predicates(draw):
 
 
 @st.composite
+def aggregates(draw, join):
+    """One to three of count/sum/avg/min/max, each with or without
+    DISTINCT, over a column of either joined table."""
+    columns = ["l.a", "l.v"] + (["r.w"] if join else [])
+    items = []
+    for index in range(draw(st.integers(1, 3))):
+        func = draw(st.sampled_from(["count", "sum", "avg", "min", "max"]))
+        distinct = "DISTINCT " if draw(st.booleans()) else ""
+        column = draw(st.sampled_from(columns))
+        items.append(f"{func}({distinct}{column}) AS x{index}")
+    return ", ".join(items)
+
+
+@st.composite
 def queries(draw):
     join = draw(st.booleans())
     group = draw(st.booleans())
@@ -105,7 +119,7 @@ def queries(draw):
     else:
         from_clause = "fuzz_left l"
     if group:
-        select = "l.b, count(*) AS c, sum(l.v) AS sv"
+        select = f"l.b, {draw(aggregates(join))}"
         tail = " GROUP BY l.b"
     else:
         select = "l.a, l.v"

@@ -1,8 +1,6 @@
 """Determinism and correctness of the scaled train/serve hot paths:
 
 * parallel corpus generation is bitwise identical to the serial build;
-* Nyström KCCA tracks the exact solve (and reproduces it at rank = N);
-* Nyström pipelines round-trip through save/load;
 * the rewritten distance/kernel kernels match their reference formulas;
 * the benchmark harness runs and emits a valid, JSON-able report;
 * the statement front end stays within its budget of interpreter calls
@@ -25,8 +23,9 @@ import re
 import numpy as np
 import pytest
 
-from repro.core.kcca import KCCA, center_kernel
+from repro.core.kcca import center_kernel
 from repro.core.kernels import (
+    PERFORMANCE_SCALE_FRACTION,
     cross_squared_distances,
     gaussian_kernel_cross,
     gaussian_kernel_matrix,
@@ -42,7 +41,6 @@ from repro.engine.operators import (
     hash_join_batches,
 )
 from repro.engine.plan import AggregateSpec
-from repro.errors import ModelError
 from repro.experiments.bench import (
     BENCH_SCHEMA_VERSION,
     SECTIONS,
@@ -124,88 +122,11 @@ class TestParallelCorpus:
 
 
 # ----------------------------------------------------------------------
-# Nyström KCCA
+# What a KCCA fit keeps
 # ----------------------------------------------------------------------
 
 
-class TestNystromKCCA:
-    def test_rank_n_reproduces_dense_solve(self):
-        features, performance = _synthetic(120)
-        exact = KCCAPredictor().fit(features[:100], performance[:100])
-        full = KCCAPredictor(approximation="nystrom", rank=100).fit(
-            features[:100], performance[:100]
-        )
-        held_out = features[100:]
-        assert np.allclose(
-            full.predict(held_out), exact.predict(held_out),
-            rtol=1e-9, atol=1e-12,
-        )
-        assert np.allclose(
-            full.canonical_correlations,
-            exact.canonical_correlations,
-            atol=1e-10,
-        )
-
-    def test_low_rank_within_tolerance_at_n300(self):
-        features, performance = _synthetic(340)
-        train_f, train_p = features[:300], performance[:300]
-        exact = KCCAPredictor().fit(train_f, train_p)
-        nystrom = KCCAPredictor(approximation="nystrom", rank=128).fit(
-            train_f, train_p
-        )
-        predicted_exact = exact.predict(features[300:])
-        predicted_nystrom = nystrom.predict(features[300:])
-        assert np.allclose(predicted_nystrom, predicted_exact, rtol=0.25)
-        relative = np.abs(predicted_nystrom - predicted_exact) / np.abs(
-            predicted_exact
-        )
-        assert relative.mean() < 0.05
-
-    def test_landmarks_deterministic_and_recorded(self):
-        features, performance = _synthetic(150)
-        kx = gaussian_kernel_matrix(np.log1p(features), 10.0)
-        ky = gaussian_kernel_matrix(np.log1p(performance), 10.0)
-        first = KCCA(approximation="nystrom", rank=40).fit(kx, ky)
-        second = KCCA(approximation="nystrom", rank=40).fit(kx, ky)
-        assert np.array_equal(first.landmarks, second.landmarks)
-        assert first.landmarks.shape == (40,)
-        assert np.array_equal(first.alpha, second.alpha)
-        other_seed = KCCA(
-            approximation="nystrom", rank=40, landmark_seed=1
-        ).fit(kx, ky)
-        assert not np.array_equal(first.landmarks, other_seed.landmarks)
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ModelError):
-            KCCA(approximation="cholesky")
-        with pytest.raises(ModelError):
-            KCCA(approximation="nystrom", rank=0)
-
-    def test_nystrom_pipeline_artifact_roundtrip(self, tmp_path):
-        features, performance = _synthetic(160)
-        model = KCCAPredictor(approximation="nystrom", rank=64)
-        pipeline = PredictionPipeline(model=model).fit(
-            features[:140], performance[:140]
-        )
-        path = tmp_path / "nystrom.npz"
-        pipeline.save(path)
-
-        loaded = PredictionPipeline.load(path)
-        assert isinstance(loaded.model, KCCAPredictor)
-        state = loaded.model.state_dict()
-        assert state["config"]["approximation"] == "nystrom"
-        assert state["config"]["rank"] == 64
-        held_out = features[140:]
-        assert np.array_equal(
-            loaded.predict(held_out), pipeline.predict(held_out)
-        )
-        # The artifact manifest advertises the approximation for ops.
-        with np.load(path, allow_pickle=False) as data:
-            manifest = json.loads(
-                bytes(data["__manifest__"].tobytes()).decode("utf-8")
-            )
-        assert manifest["artifact"]["kernel"]["approximation"] == "nystrom"
-
+class TestKeptKCCAState:
     def test_projection_cached_once_per_fit(self):
         features, performance = _synthetic(80)
         model = KCCAPredictor().fit(features, performance)
@@ -245,22 +166,18 @@ class TestNystromKCCA:
         # The parent commit stored three N x N kernels and read ~3.9 x.
         assert sizes[240] < 2.6 * sizes[120]
 
-    @pytest.mark.parametrize(
-        "kwargs", [{}, {"approximation": "nystrom", "rank": 40}],
-        ids=["exact", "nystrom"],
-    )
-    def test_kept_state_equals_the_kernel_expressions(self, kwargs, tmp_path):
+    def test_kept_state_equals_the_kernel_expressions(self, tmp_path):
         """The projections and centring constants a model keeps are the
         bits the N x N kernels give, recomputed here from the kernels."""
         features, performance = _synthetic(120)
-        pipeline = PredictionPipeline(model=KCCAPredictor(**kwargs))
+        pipeline = PredictionPipeline(model=KCCAPredictor())
         model = pipeline.fit(features, performance).model
         kcca = model._kcca
         fx = model._x_scaler.transform(features)
         fy = model._y_scaler.transform(performance)
         kx = gaussian_kernel_matrix(fx, model._tau_x)
         ky = gaussian_kernel_matrix(
-            fy, scale_factor_heuristic(fy, model.performance_scale_fraction)
+            fy, scale_factor_heuristic(fy, PERFORMANCE_SCALE_FRACTION)
         )
         assert np.array_equal(
             model.query_projection, center_kernel(kx) @ kcca.alpha

@@ -38,6 +38,29 @@ MODEL_FACTORIES = {
     "two_step": lambda: TwoStepPredictor(),
 }
 
+#: The settings older builds wrote into each KCCA predictor's and each
+#: KCCA's config, with the values they always held ...
+RETIRED_PREDICTOR_SETTINGS = {
+    "approximation": "exact", "rank": None, "landmark_seed": 0,
+    "performance_tau": None, "query_scale_fraction": 0.1,
+    "performance_scale_fraction": 0.2, "log_performance": True,
+    "standardize_performance": True,
+}
+RETIRED_KCCA_SETTINGS = {"approximation": "exact", "rank": None, "landmark_seed": 0}
+#: ... and what a Nyström fit wrote in their place.
+NYSTROM_SETTINGS = {"approximation": "nystrom", "rank": 8, "landmark_seed": 3}
+
+
+def _predictor_states(model: dict) -> list[tuple[dict, str]]:
+    """Each KCCA predictor state of a saved model, with its array path."""
+    fitted, prefix = model["fitted"], "state/model"
+    if "router" not in fitted:
+        return [(model, prefix)]
+    return [(fitted["router"], f"{prefix}/fitted/router")] + [
+        (state, f"{prefix}/fitted/specialists/{name}")
+        for name, state in fitted["specialists"].items()
+    ]
+
 
 @pytest.fixture(scope="module")
 def service(tpcds_catalog, config, mini_corpus):
@@ -141,6 +164,47 @@ class TestPipelineRoundTrip:
         tamper(path, manifest=add_calibrator)
         legacy = PredictionPipeline.load(path)
         assert not hasattr(legacy, "calibrator")
+        for before, after in zip(plain, legacy.score_many(features)):
+            np.testing.assert_array_equal(after.prediction, before.prediction)
+            assert after.confidence == before.confidence
+
+    @pytest.mark.parametrize("model_name", ["kcca", "two_step"])
+    def test_an_artifact_with_retired_model_settings_scores_the_same(
+        self, model_name, mini_corpus, tmp_path
+    ):
+        """Artifacts saved before KCCA lost its Nyström fit path carry its
+        settings and conditioning settings nothing set, a Nyström fit its
+        ``landmarks`` array and a two-step model ``min_category_size``;
+        all are dropped on load and the forecasts are bit for bit those of
+        the same pipeline without them."""
+        pipeline = fit_pipeline(mini_corpus, model=MODEL_FACTORIES[model_name]())
+        features = mini_corpus.feature_matrix()[:11]
+        path = tmp_path / "pipeline.npz"
+        pipeline.save(path)
+        plain = PredictionPipeline.load(path).score_many(features)
+        arrays = {}
+
+        def add_retired_settings(document):
+            model = document["state"]["model"]
+            if model_name == "two_step":
+                model["config"]["min_category_size"] = 8
+                model["config"]["predictor_kwargs"].update(NYSTROM_SETTINGS)
+            for number, (state, prefix) in enumerate(_predictor_states(model)):
+                kcca = state["fitted"]["kcca"]
+                state["config"].update(RETIRED_PREDICTOR_SETTINGS)
+                kcca["config"].update(RETIRED_KCCA_SETTINGS)
+                if number == 0:  # the one Nyström fit
+                    state["config"].update(NYSTROM_SETTINGS)
+                    kcca["config"].update(NYSTROM_SETTINGS)
+                    key = f"{prefix}/fitted/kcca/fitted/landmarks"
+                    kcca["fitted"]["landmarks"] = {"__array__": key}
+                    arrays[key] = np.arange(0, 16, 2)
+            document["artifact"]["kernel"] = dict(model["config"])
+
+        tamper(path, add_retired_settings, lambda data: data.update(arrays))
+        legacy = PredictionPipeline.load(path)
+        expected = pipeline.model.state_dict()["config"]
+        assert legacy.model.state_dict()["config"] == expected
         for before, after in zip(plain, legacy.score_many(features)):
             np.testing.assert_array_equal(after.prediction, before.prediction)
             assert after.confidence == before.confidence
