@@ -164,8 +164,24 @@ class TwoStepPredictor:
         }
 
     def load_state_dict(self, state: dict) -> "TwoStepPredictor":
-        """Restore a :meth:`state_dict` export (inverse operation)."""
-        self.__init__(**settings(state["config"]["predictor_kwargs"]))
+        """Restore a :meth:`state_dict` export (inverse operation).
+
+        Raises:
+            ModelError: the config holds a key beside ``predictor_kwargs``
+                (but for the retired ``min_category_size``, which is
+                dropped), or ``predictor_kwargs`` one that
+                :class:`KCCAPredictor` does not take.
+        """
+        config = dict(state["config"])
+        config.pop("min_category_size", None)  # now MIN_CATEGORY_SIZE
+        predictor_kwargs = settings(config.pop("predictor_kwargs"))
+        if config:
+            raise ModelError(f"unknown two-step setting(s) {sorted(config)}")
+        try:
+            KCCAPredictor(**predictor_kwargs)
+        except TypeError as error:
+            raise ModelError(f"two-step predictor_kwargs: {error}") from None
+        self.__init__(**predictor_kwargs)
         fitted = state.get("fitted")
         if fitted is not None:
             self._router = KCCAPredictor().load_state_dict(fitted["router"])

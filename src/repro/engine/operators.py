@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.engine.plan import AggregateSpec
-from repro.sql.ast import ColumnRef, Expr
+from repro.sql.ast import BinaryOp, ColumnRef, Expr
 from repro.sql.eval import evaluate, resolve_column
 
 __all__ = [
@@ -357,9 +357,13 @@ class KeyCounts(NamedTuple):
     counts: np.ndarray
 
 
+#: What :func:`_join_codes` returns.
+_JoinCodes = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def _join_codes(
     left_keys: Sequence[np.ndarray], right_keys: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> _JoinCodes:
     """Both sides of an equi join coded together.
 
     Returns:
@@ -392,18 +396,33 @@ class _FanOut:
     """An inner equi join whose build keys repeat, held as each probe row's
     match count: its row count is known at once, and the row numbers of
     its output on either side are worked out when a column reads them —
-    left-major, the build rows of one probe row in row order."""
+    left-major, the build rows of one probe row in row order.
+
+    ``unequal``, when given, is a second coding of the join (probe codes,
+    build codes, build rows per code) with one more column on each side,
+    and a key-matched pair is kept only where its two codes differ: the
+    pairs whose two columns are equal are dropped (an ``x <> y`` residual)
+    by subtracting their counts, not by comparing pair by pair.
+    """
 
     __slots__ = (
-        "probe_codes", "build_codes", "per_code", "counts", "n_rows", "_build_weights"
+        "probe_codes", "build_codes", "per_code", "unequal", "counts", "n_rows",
+        "_build_weights",
     )
 
     def __init__(
-        self, probe_codes: np.ndarray, build_codes: np.ndarray, per_code: np.ndarray
+        self,
+        probe_codes: np.ndarray,
+        build_codes: np.ndarray,
+        per_code: np.ndarray,
+        unequal: Optional[_JoinCodes] = None,
     ) -> None:
         self.probe_codes, self.build_codes = probe_codes, build_codes
-        self.per_code = per_code
+        self.per_code, self.unequal = per_code, unequal
         self.counts = per_code[probe_codes]
+        if unequal is not None:
+            probe_pairs, _, per_pair = unequal
+            self.counts -= per_pair[probe_pairs]
         self.n_rows = int(self.counts.sum())
         self._build_weights: Optional[np.ndarray] = None
 
@@ -413,13 +432,18 @@ class _FanOut:
     def build_rows(self) -> np.ndarray:
         # The build side sorted by code; a probe row reads the start of its
         # run from the per-code table.
-        per_code, counts = self.per_code, self.counts
+        per_code, probe_codes = self.per_code, self.probe_codes
+        matches = per_code[probe_codes]
         order = np.argsort(self.build_codes, kind="stable")
-        starts = (np.cumsum(per_code) - per_code)[self.probe_codes]
-        # Output pair p of probe row i reads order[starts[i] + (p - first pair of i)].
-        build_pos = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        build_pos += np.arange(self.n_rows, dtype=np.int64)
-        return order[build_pos]
+        starts = (np.cumsum(per_code) - per_code)[probe_codes]
+        # Matched pair p of probe row i reads order[starts[i] + (p - first pair of i)].
+        build_pos = np.repeat(starts - (np.cumsum(matches) - matches), matches)
+        build_pos += np.arange(len(build_pos), dtype=np.int64)
+        rows = order[build_pos]
+        if self.unequal is None:
+            return rows
+        probe_pairs, build_pairs, _ = self.unequal
+        return rows[np.repeat(probe_pairs, matches) != build_pairs[rows]]
 
     def weights(self, probe: bool) -> np.ndarray:
         """How many output rows each row of one side stands for."""
@@ -427,7 +451,11 @@ class _FanOut:
             return self.counts
         if self._build_weights is None:
             per_probe_code = np.bincount(self.probe_codes, minlength=len(self.per_code))
-            self._build_weights = per_probe_code[self.build_codes]
+            weights = per_probe_code[self.build_codes]
+            if self.unequal is not None:
+                probe_pairs, build_pairs, per_pair = self.unequal
+                weights -= np.bincount(probe_pairs, minlength=len(per_pair))[build_pairs]
+            self._build_weights = weights
         return self._build_weights
 
     def in_output_order(self, rows: np.ndarray, probe: bool) -> np.ndarray:
@@ -436,9 +464,20 @@ class _FanOut:
         rows = rows[self.weights(probe)[rows] > 0]
         if probe:
             return rows
-        # A build row first meets the first probe row of its code.
-        first_probe = _first_rows(self.probe_codes, len(self.per_code))
-        return rows[np.argsort(first_probe[self.build_codes[rows]], kind="stable")]
+        # A build row first meets the first probe row of its code ...
+        n_codes, probe_codes = len(self.per_code), self.probe_codes
+        first_probe = _first_rows(probe_codes, n_codes)
+        codes = self.build_codes[rows]
+        meets = first_probe[codes]
+        if self.unequal is not None:
+            # ... whose pair differs from its own: that row, or else the
+            # first of its code whose pair differs from that row's.
+            probe_pairs, build_pairs, _ = self.unequal
+            differs = probe_pairs != probe_pairs[first_probe[probe_codes]]
+            second = _first_rows(np.where(differs, probe_codes, n_codes), n_codes + 1)
+            equal = probe_pairs[meets] == build_pairs[rows]
+            meets = np.where(equal, second[codes], meets)
+        return rows[np.argsort(meets, kind="stable")]
 
 
 class _Side(_Lazy):
@@ -460,9 +499,13 @@ class _Side(_Lazy):
 
 
 def _matches(
-    left_codes: np.ndarray, right_codes: np.ndarray, per_code: np.ndarray
+    left_codes: np.ndarray,
+    right_codes: np.ndarray,
+    per_code: np.ndarray,
+    unequal: Optional[_JoinCodes] = None,
 ) -> tuple[Column, Column]:
-    """The row numbers an inner equi join's output reads on each side."""
+    """The row numbers an inner equi join's output reads on each side; a
+    pair whose ``unequal`` codes (:class:`_FanOut`) are equal is dropped."""
     if per_code.max(initial=0) <= 1:
         # Every build key is unique: a probe row matches the one build row
         # that holds its code, or none, and nothing fans out.
@@ -470,8 +513,13 @@ def _matches(
         build_row[right_codes] = np.arange(len(right_codes))
         right_idx = build_row[left_codes]
         left_idx = np.flatnonzero(right_idx >= 0)
-        return left_idx, right_idx[left_idx]
-    fan = _FanOut(left_codes, right_codes, per_code)
+        right_idx = right_idx[left_idx]
+        if unequal is not None:
+            probe_pairs, build_pairs, _ = unequal
+            keep = probe_pairs[left_idx] != build_pairs[right_idx]
+            left_idx, right_idx = left_idx[keep], right_idx[keep]
+        return left_idx, right_idx
+    fan = _FanOut(left_codes, right_codes, per_code, unequal)
     return _Side(fan, probe=True), _Side(fan, probe=False)
 
 
@@ -484,6 +532,37 @@ def equi_join_indices(
     return _read(left_idx), _read(right_idx)
 
 
+def _unequal_codes(
+    left: Batch,
+    right: Batch,
+    left_keys: list[np.ndarray],
+    right_keys: list[np.ndarray],
+    residual: Optional[Expr],
+) -> Optional[_JoinCodes]:
+    """The join coded with ``x`` added to the left key and ``y`` to the
+    right one (:func:`_join_codes`) when ``residual`` is exactly ``x <> y``
+    over a column of each side whose values compare as integers (integer
+    or bool); None for any other residual."""
+    if not isinstance(residual, BinaryOp) or residual.op != "<>":
+        return None
+    refs = (residual.left, residual.right)
+    if not all(isinstance(ref, ColumnRef) for ref in refs):
+        return None
+    names = {name: name for name in (*left.columns, *right.columns)}
+    try:
+        x, y = (resolve_column(names, ref) for ref in refs)
+    except ExecutionError:
+        return None
+    if x in right.columns:
+        x, y = y, x
+    if x not in left.columns or y not in right.columns:
+        return None
+    dtypes = left.stored(x).dtype, right.stored(y).dtype
+    if np.result_type(*dtypes).kind not in "biu":  # floats, or int64 with uint64
+        return None
+    return _join_codes([*left_keys, left.column(x)], [*right_keys, right.column(y)])
+
+
 def hash_join_batches(
     left: Batch,
     right: Batch,
@@ -491,13 +570,23 @@ def hash_join_batches(
     residual: Optional[Expr] = None,
 ) -> tuple[Batch, KeyCounts]:
     """Inner equi join of two batches with an optional residual predicate,
-    and the build side's first key column counted per key."""
+    and the build side's first key column counted per key.
+
+    A residual ``x <> y`` over a column of each side that compares as
+    integers is not evaluated pair by pair: the join is coded once more
+    with ``x`` added to the probe key and ``y`` to the build key, and a
+    pair is kept where the two codes differ, so a join whose build keys
+    repeat is still only counted until a column is read.
+    """
     left_keys = [left.column(l) for l, _ in join_pairs]
     right_keys = [right.column(r) for _, r in join_pairs]
     left_codes, right_codes, per_code = _join_codes(left_keys, right_keys)
-    left_idx, right_idx = _matches(left_codes, right_codes, per_code)
+    unequal = _unequal_codes(left, right, left_keys, right_keys, residual)
+    left_idx, right_idx = _matches(left_codes, right_codes, per_code, unequal)
     joined = _merge_batches(left.take(left_idx), right.take(right_idx))
-    if residual is not None and joined.n_rows:
+    if residual is not None and unequal is not None:
+        joined.check(residual)
+    elif residual is not None and joined.n_rows:
         keep = joined.evaluate(residual).astype(bool)
         joined = joined.mask(keep)
     return joined, _build_keys(right_keys[0], right_codes, per_code)

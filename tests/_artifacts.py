@@ -89,6 +89,27 @@ def _space(document: dict) -> dict:
     return document["state"]["feature_space"]
 
 
+def two_step(change: Callable[[dict], object]) -> Callable[[dict], None]:
+    """What an artifact of a two-step pipeline says of its model, made from
+    a KCCA one: that model as the router, no specialists, and a config
+    ``change`` has mutated."""
+
+    def shape(document: dict) -> None:
+        document["artifact"]["model_class"] = "TwoStepPredictor"
+        config: dict = {"predictor_kwargs": {}}
+        change(config)
+        document["state"]["model"] = {
+            "config": config,
+            "fitted": {
+                "router": document["state"]["model"],
+                "categories": [],
+                "specialists": {},
+            },
+        }
+
+    return shape
+
+
 #: name -> (manifest mutation, array mutation), either may be None.
 DAMAGED_BODIES = {
     "array_absent_from_zip": (
@@ -110,6 +131,11 @@ DAMAGED_BODIES = {
         None),
     "unknown_model_config_key": (
         lambda doc: doc["state"]["model"]["config"].update(warp_factor=9),
+        None),
+    "unknown_two_step_config_key": (
+        two_step(lambda config: config.update(warp_factor=9)), None),
+    "unknown_two_step_predictor_setting": (
+        two_step(lambda config: config["predictor_kwargs"].update(warp_factor=9)),
         None),
     "unknown_kcca_config_key": (
         lambda doc: _fitted(doc)["kcca"]["config"].update(warp_factor=9), None),

@@ -672,27 +672,158 @@ class TestDeferredFanOut:
         assert by_key.tolist() == by_row.tolist()
 
     def test_errors_do_not_wait_for_a_read(self):
-        """What fails over the rows fails when the operator runs."""
-        left = Batch({"l.k": np.array([1, 1]), "l.v": np.array([1.0, 2.0])}, 2)
-        right = Batch({"r.k": np.array([1, 1]), "r.s": np.array(["a", "b"])}, 2)
-        joined, _ = hash_join_batches(left, right, [("l.k", "r.k")])
+        """What fails over the rows fails when the operator runs, over a
+        join with a ``<>`` residual as over one without."""
+        left = Batch({"l.k": np.array([1, 1]), "l.v": np.array([1.0, 2.0]),
+                      "l.x": np.array([1, 2])}, 2)
+        right = Batch({"r.k": np.array([1, 1]), "r.s": np.array(["a", "b"]),
+                       "r.y": np.array([2, 3])}, 2)
+        with pytest.raises(ExecutionError, match="unknown column"):
+            hash_join_batches(left, right, [("l.k", "r.k")], predicate("l.x <> r.nope"))
         failing = [
             (AggregateSpec("median", expr("l.v"), "m"), "unsupported aggregate"),
             (AggregateSpec("median", expr("l.v"), "m", True), "unsupported aggregate"),
             (AggregateSpec("sum", expr("l.nope"), "m"), "unknown column"),
             (AggregateSpec("max", None, "m"), "requires an argument"),
         ]
-        for spec, message in failing:
-            with pytest.raises(ExecutionError, match=message):
-                group_by_batch(joined, ["r.k"], [spec])
-            with pytest.raises(ExecutionError, match=message):
-                scalar_aggregate_batch(joined, [spec])
-        with pytest.raises(TypeError):
-            group_by_batch(joined, ["l.k"], [AggregateSpec("sum", expr("-r.s"), "m")])
-        with pytest.raises(ExecutionError, match="unknown column"):
-            sort_batch(joined, [("l.nope", False)])
-        with pytest.raises(ExecutionError, match="unknown column"):
-            top_n_batch(joined, [("l.nope", False)], 1)
+        for residual in (None, predicate("l.x <> r.y")):
+            joined, _ = hash_join_batches(left, right, [("l.k", "r.k")], residual)
+            assert joined.n_rows == (4 if residual is None else 3)
+            for spec, message in failing:
+                with pytest.raises(ExecutionError, match=message):
+                    group_by_batch(joined, ["r.k"], [spec])
+                with pytest.raises(ExecutionError, match=message):
+                    scalar_aggregate_batch(joined, [spec])
+            with pytest.raises(TypeError):
+                group_by_batch(
+                    joined, ["l.k"], [AggregateSpec("sum", expr("-r.s"), "m")]
+                )
+            with pytest.raises(ExecutionError, match="unknown column"):
+                sort_batch(joined, [("l.nope", False)])
+            with pytest.raises(ExecutionError, match="unknown column"):
+                top_n_batch(joined, [("l.nope", False)], 1)
+
+
+#: Domains of the two columns a ``<>`` residual compares: few values, so
+#: equal pairs are common; ``uint64`` against a signed column compares as
+#: floats, which the join evaluates pair by pair.
+UNEQUAL_DOMAINS = ("bool", "int8", "negative", "uint64", "edge")
+
+
+def unequal_case(left, right, keys, residual="l.x <> r.y", **options):
+    """A :func:`fan_case` whose sides also hold the columns ``l.x`` and
+    ``r.y`` and whose join keeps the pairs ``residual`` holds for."""
+    return {**fan_case(left, right, keys, **options), "residual": predicate(residual)}
+
+
+@st.composite
+def unequal_cases(draw):
+    case = draw(fan_cases())
+    for prefix, name in (("left", "l.x"), ("right", "r.y")):
+        columns = dict(case[prefix])
+        n_source = len(next(iter(columns.values())))
+        domain = draw(st.sampled_from(UNEQUAL_DOMAINS))
+        columns[name] = key_column(draw, domain, n_source)
+        case[prefix] = columns
+    residual = draw(st.sampled_from(["l.x <> r.y", "r.y <> l.x"]))
+    return {**case, "residual": predicate(residual)}
+
+
+class TestUnequalResidual:
+    """A join whose residual is one ``x <> y`` over a column of each side
+    counts the pairs it keeps by subtracting those whose two columns are
+    equal, and compares no pair; what it answers, read in any order or
+    grouped on either side, is the key-matched join expanded and then
+    masked by the residual."""
+
+    @staticmethod
+    def join(case) -> Batch:
+        left, right = TestDeferredFanOut.sides(case)
+        pairs = [(name, "r" + name[1:]) for name in left.columns if ".k" in name]
+        joined, _ = hash_join_batches(left, right, pairs, case["residual"])
+        return joined
+
+    @staticmethod
+    def expand_then_mask(case) -> Batch:
+        eager = TestDeferredFanOut.eager_join(case)
+        return eager.mask(eager.evaluate(case["residual"])).gathered()
+
+    @given(unequal_cases())
+    @example(unequal_case(  # a probe row whose every match is equal
+        {"l.k0": np.array([1, 1, 2]), "l.x": np.array([5, 6, 5]),
+         "l.g0": np.array([-0.0, 0.0, np.nan]), "l.v": np.array([1.0, 2.0, 3.0])},
+        {"r.k0": np.array([1, 1]), "r.y": np.array([5, 5]),
+         "r.g0": np.array([1, 2]), "r.v": np.array([1.0, 2.0])},
+        ["l.g0"],
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_expand_then_mask(self, case):
+        """Property: the row count, and every column read in a shuffled
+        order, bit for bit and dtype for dtype."""
+        joined, expected = self.join(case), self.expand_then_mask(case)
+        assert joined.n_rows == expected.n_rows
+        TestDeferredFanOut.assert_same(joined, expected, case["order"])
+
+    @given(unequal_cases())
+    @example(unequal_case(  # float keys on the build side, where a group's
+        # first output row is a build row that the code's first probe row
+        # does not keep
+        {"l.k0": np.array([1, 1, 1]), "l.x": np.array([5, 6, 5]),
+         "l.g0": np.array([0, 0, 0]), "l.v": np.array([1.0, 2.0, 3.0])},
+        {"r.k0": np.array([1, 1, 1, 1]), "r.y": np.array([5, 6, 5, 7]),
+         "r.g0": np.array([0.0, -0.0, np.copysign(np.nan, -1.0), np.nan]),
+         "r.v": np.array([1.0, 2.0, 3.0, 4.0])},
+        ["r.g0"], residual="r.y <> l.x",
+    ))
+    @example(unequal_case(  # ... and on the probe side, where the first
+        # probe row of a group keeps no pair
+        {"l.k0": np.array([1, 1, 2]), "l.x": np.array([5, 6, 5]),
+         "l.g0": np.array([-0.0, 0.0, np.nan]), "l.v": np.array([1.0, 2.0, 3.0])},
+        {"r.k0": np.array([1, 1, 2, 2]), "r.y": np.array([5, 5, 4, 5]),
+         "r.g0": np.array([1, 2, 3, 4]), "r.v": np.array([1.0, 2.0, 3.0, 4.0])},
+        ["l.g0", "r.g0"],
+    ))
+    @example(unequal_case(  # every pair equal: an empty result
+        {"l.k0": np.array([1, 1]), "l.x": np.array([3, 3]),
+         "l.g0": np.array([1, 2]), "l.v": np.array([1.0, 2.0])},
+        {"r.k0": np.array([1, 1]), "r.y": np.array([3, 3]),
+         "r.g0": np.array([1, 1]), "r.v": np.array([1.0, 2.0])},
+        ["r.g0"],
+    ))
+    @example(unequal_case(  # every build key unique: nothing fans out
+        {"l.k0": np.array([1, 2, 2]), "l.x": np.array([True, False, True]),
+         "l.g0": np.array([1, 1, 2]), "l.v": np.array([1.0, 2.0, 3.0])},
+        {"r.k0": np.array([2, 1]), "r.y": np.array([True, True]),
+         "r.g0": np.array([7, 8]), "r.v": np.array([1.0, 2.0])},
+        ["r.g0"],
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_group_by_equals_expand_then_mask(self, case):
+        """Property: a group-by on the probe side's keys, the build side's
+        or both, then sorted and cut by a top-n, equals the same over the
+        expanded and masked join, DISTINCT, min and max included."""
+        keys, order = case["keys"], case["order"]
+        expected = group_by_batch(
+            self.expand_then_mask(case), keys, TestDeferredFanOut.AGGREGATES
+        ).gathered()
+        out = group_by_batch(self.join(case), keys, TestDeferredFanOut.AGGREGATES)
+        TestDeferredFanOut.assert_same(out, expected, order)
+        sort_keys = [(keys[0], True), ("s", False)]
+        out = top_n_batch(
+            group_by_batch(self.join(case), keys, TestDeferredFanOut.AGGREGATES),
+            sort_keys, 2,
+        )
+        TestDeferredFanOut.assert_same(
+            out, top_n_batch(expected, sort_keys, 2).gathered(), order + 1
+        )
+
+    @given(unequal_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_distinct_aggregates(self, case):
+        """Property: each group's ``f(DISTINCT v)`` of either side's values
+        is the scalar one of that group's kept rows."""
+        for column in ("l.v", "r.v"):
+            assert_distinct_per_group(self.join(case), case["keys"], column)
 
 
 class TestSort:

@@ -181,6 +181,25 @@ QUERIES = [
         "max(DISTINCT s.s_qty) AS hi, count(DISTINCT s.s_cust) AS d "
         "FROM tsales s, titem i WHERE s.s_item = i.i_id GROUP BY i.i_cat"
     ),
+    # a self-join whose residual is one ``<>`` over a column of each side,
+    # grouped on its probe side (s1; the filtered s2 is the smaller, built
+    # side) and on its build side: the join counts its pairs, forming none
+    (
+        "SELECT s1.s_item, count(*) AS c, sum(s2.s_amt) AS total, "
+        "min(s2.s_qty) AS lo FROM tsales s1, tsales s2 "
+        "WHERE s1.s_item = s2.s_item AND s1.s_cust <> s2.s_cust "
+        "AND s2.s_qty > 3 GROUP BY s1.s_item"
+    ),
+    (
+        "SELECT s2.s_cust, count(*) AS c, max(s1.s_amt) AS hi, "
+        "count(DISTINCT s1.s_item) AS d FROM tsales s1, tsales s2 "
+        "WHERE s1.s_item = s2.s_item AND s2.s_cust <> s1.s_cust "
+        "AND s2.s_qty > 3 GROUP BY s2.s_cust"
+    ),
+    (
+        "SELECT s1.s_id, s2.s_id FROM tsales s1, tsales s2 "
+        "WHERE s1.s_cust = s2.s_cust AND s1.s_item <> s2.s_item AND s1.s_qty = 1"
+    ),
     # distinct
     "SELECT DISTINCT s.s_cust FROM tsales s WHERE s.s_amt > 30",
     # subqueries

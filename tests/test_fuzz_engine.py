@@ -115,7 +115,8 @@ def queries(draw):
     where = draw(predicates())
     if join:
         from_clause = "fuzz_left l, fuzz_right r"
-        where = f"l.a = r.a AND {where}"
+        residual = "l.b <> r.a AND " if draw(st.booleans()) else ""
+        where = f"l.a = r.a AND {residual}{where}"
     else:
         from_clause = "fuzz_left l"
     if group:

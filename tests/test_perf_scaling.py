@@ -635,20 +635,41 @@ class TestGroupKeyFactorisedOnce:
 
 
 class TestFanOutExpandedOnlyWhenRead:
-    """A store self-join on ``ss_store_sk`` (seven stores) whose 495 455
-    output rows are 120 times its 4 122 input rows, grouped on one side
-    with ``count(*)`` and ``sum``.  The commit before expanded the join
-    with two ``np.repeat`` calls over its output, counted the groups and
-    summed with ``np.bincount`` over every output row, all before anything
-    read the answer, and fails both tests."""
+    """Two store self-joins, each grouped on one side with ``count(*)``
+    and ``sum``, whose output is made of far more rows than their input:
 
-    SQL = (
-        "SELECT ss1.ss_item_sk, count(*) AS c, sum(ss2.ss_sales_price) AS s "
-        "FROM store_sales ss1, store_sales ss2 "
-        "WHERE ss1.ss_store_sk = ss2.ss_store_sk AND ss1.ss_quantity < 3 "
-        "AND ss2.ss_quantity < 6 GROUP BY ss1.ss_item_sk"
-    )
+    * ``store``, on ``ss_store_sk`` (seven stores): 495 455 output rows,
+      120 times its 4 122 input rows.  The engine used to expand the join
+      with two ``np.repeat`` calls over its output, count the groups and
+      sum with ``np.bincount`` over every output row, all before anything
+      read the answer;
+    * ``affinity``, the shape of ``problem_item_affinity``: on
+      ``ss_item_sk`` with the residual ``ss1.ss_store_sk <>
+      ss2.ss_store_sk``, 243 178 of its 289 411 key-matched pairs kept,
+      15 times its 16 259 input rows.  The engine used to expand every
+      key-matched pair and evaluate the residual on it, read or not.
+
+    The engine before each of those changes fails both tests of its
+    shape."""
+
+    #: shape -> (join key, the column a ``<>`` residual compares or None,
+    #: the ss1 and ss2 quantity bounds, the least output-to-input ratio)
+    SHAPES = {
+        "store": ("ss_store_sk", None, 3, 6, 100),
+        "affinity": ("ss_item_sk", "ss_store_sk", 10, 20, 10),
+    }
     PRICE = parse("SELECT ss2.ss_sales_price FROM ss2").select[0].expr
+
+    @classmethod
+    def sql(cls, shape: str) -> str:
+        key, unequal, ss1, ss2, _ = cls.SHAPES[shape]
+        residual = f"AND ss1.{unequal} <> ss2.{unequal} " if unequal else ""
+        return (
+            "SELECT ss1.ss_item_sk, count(*) AS c, sum(ss2.ss_sales_price) AS s "
+            "FROM store_sales ss1, store_sales ss2 "
+            f"WHERE ss1.{key} = ss2.{key} {residual}AND ss1.ss_quantity < {ss1} "
+            f"AND ss2.ss_quantity < {ss2} GROUP BY ss1.ss_item_sk"
+        )
 
     @staticmethod
     def recorded(monkeypatch) -> list[int]:
@@ -666,63 +687,62 @@ class TestFanOutExpandedOnlyWhenRead:
             monkeypatch.setattr(np, name, recording)
         return lengths
 
-    @pytest.fixture()
-    def sides(self, tpcds_catalog):
-        """Each side's rows of the join, as the scans select them."""
-        table = tpcds_catalog.table("store_sales")
+    def join(self, catalog, shape: str, plan) -> tuple[dict, dict, int]:
+        """Each side's rows as the scans select them, the table row each
+        output row reads on each side, in the order of the plan's join,
+        and the number of key-matched pairs."""
+        key, unequal, ss1, ss2, _ = self.SHAPES[shape]
+        table = catalog.table("store_sales")
         quantity = table.column("ss_quantity")
-        return {
-            "ss1": np.flatnonzero(quantity < 3),
-            "ss2": np.flatnonzero(quantity < 6),
-        }
+        sides = {"ss1": np.flatnonzero(quantity < ss1),
+                 "ss2": np.flatnonzero(quantity < ss2)}
+        (join,) = [node for node in plan.walk() if node.join_pairs]
+        probe, build = (name.split(".")[0] for name in join.join_pairs[0])
+        column = table.column(key)
+        li, ri = equi_join_indices([column[sides[probe]]], [column[sides[build]]])
+        rows = {probe: sides[probe][li], build: sides[build][ri]}
+        if unequal is not None:
+            values = table.column(unequal)
+            keep = values[rows["ss1"]] != values[rows["ss2"]]
+            rows = {name: side[keep] for name, side in rows.items()}
+        return sides, rows, len(li)
 
-    def join_rows(self, tpcds_catalog, sides) -> int:
-        store = tpcds_catalog.table("store_sales").column("ss_store_sk")
-        per_store = np.bincount(store[sides["ss2"]], minlength=store.max() + 1)
-        return int(per_store[store[sides["ss1"]]].sum())
-
-    def test_metrics_expand_nothing(
-        self, tpcds_catalog, config, sides, monkeypatch
-    ):
-        plan = Optimizer(tpcds_catalog, config).optimize(self.SQL).plan
-        executor = Executor(tpcds_catalog, config)
+    def metrics_expand_nothing(self, catalog, config, shape, monkeypatch) -> None:
+        plan = Optimizer(catalog, config).optimize(self.sql(shape)).plan
+        executor = Executor(catalog, config)
         executor.execute(plan)  # the scans' own skew is computed once, here
-        output = self.join_rows(tpcds_catalog, sides)
-        assert output >= 100 * (len(sides["ss1"]) + len(sides["ss2"]))
+        sides, rows, _ = self.join(catalog, shape, plan)
+        output = len(rows["ss1"])
+        ratio = self.SHAPES[shape][-1]
+        assert output >= ratio * (len(sides["ss1"]) + len(sides["ss2"]))
         lengths = self.recorded(monkeypatch)
         result = executor.execute(plan)
         assert result.metrics.rows_returned == result.n_rows
         assert lengths and max(lengths) < output
 
-    def test_the_answer_is_expanded_when_read(
-        self, tpcds_catalog, config, sides, monkeypatch
-    ):
-        plan = Optimizer(tpcds_catalog, config).optimize(self.SQL).plan
-        executor = Executor(tpcds_catalog, config)
+    def answer_is_expanded_when_read(self, catalog, config, shape, monkeypatch) -> None:
+        plan = Optimizer(catalog, config).optimize(self.sql(shape)).plan
+        executor = Executor(catalog, config)
         executor.execute(plan)
-        output = self.join_rows(tpcds_catalog, sides)
+        _, rows, matched = self.join(catalog, shape, plan)
+        output = len(rows["ss1"])
         lengths = self.recorded(monkeypatch)
         result = executor.execute(plan)
         assert max(lengths) < output
         batch = result.batch
-        assert max(lengths) == output
+        # Reading expands the key-matched pairs: as many as the output
+        # rows when no residual drops one.
+        assert max(lengths) == matched
         monkeypatch.undo()
         assert all(type(column) is np.ndarray for column in batch.columns.values())
         # The same group-by over the join's output gathered first.
-        (join,) = [node for node in plan.walk() if node.join_pairs]
-        probe, build = (name.split(".")[0] for name in join.join_pairs[0])
-        table = tpcds_catalog.table("store_sales")
-        store = table.column("ss_store_sk")
-        li, ri = equi_join_indices(
-            [store[sides[probe]]], [store[sides[build]]]
-        )
-        rows = {probe: sides[probe][li], build: sides[build][ri]}
+        table = catalog.table("store_sales")
         eager = Batch(
             {
                 "ss1.ss_item_sk": table.column("ss_item_sk")[rows["ss1"]],
                 "ss2.ss_sales_price": table.column("ss_sales_price")[rows["ss2"]],
             },
-            len(li),
+            output,
         )
         expected = group_by_batch(
             eager, ["ss1.ss_item_sk"], [AggregateSpec("sum", self.PRICE, "s")]
@@ -733,3 +753,19 @@ class TestFanOutExpandedOnlyWhenRead:
         assert batch.column("c").tolist() == np.bincount(
             np.unique(eager.column("ss1.ss_item_sk"), return_inverse=True)[1]
         ).tolist()
+
+    def test_metrics_expand_nothing(self, tpcds_catalog, config, monkeypatch):
+        self.metrics_expand_nothing(tpcds_catalog, config, "store", monkeypatch)
+
+    def test_the_answer_is_expanded_when_read(self, tpcds_catalog, config, monkeypatch):
+        self.answer_is_expanded_when_read(tpcds_catalog, config, "store", monkeypatch)
+
+    def test_affinity_metrics_expand_nothing(self, tpcds_catalog, config, monkeypatch):
+        self.metrics_expand_nothing(tpcds_catalog, config, "affinity", monkeypatch)
+
+    def test_affinity_answer_is_expanded_when_read(
+        self, tpcds_catalog, config, monkeypatch
+    ):
+        self.answer_is_expanded_when_read(
+            tpcds_catalog, config, "affinity", monkeypatch
+        )

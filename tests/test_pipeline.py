@@ -31,7 +31,7 @@ from repro.errors import ModelError
 from repro.experiments.harness import evaluate_pipeline, fit_pipeline
 from repro.pipeline import PredictionPipeline
 from repro.workloads.generator import generate_pool
-from tests._artifacts import DAMAGED_BODIES, damage, tamper
+from tests._artifacts import DAMAGED_BODIES, damage, tamper, two_step
 
 MODEL_FACTORIES = {
     "kcca": lambda: KCCAPredictor(),
@@ -352,6 +352,16 @@ class TestDamagedBodies:
     def test_undamaged_copy_loads_and_forecasts(self, good, batch_sqls):
         # The control: what the shapes above are mutations of.
         assert QueryPerformancePredictor.load(good).forecast_many(batch_sqls[:3])
+
+    @pytest.mark.parametrize("retired", [{}, {"min_category_size": 8}])
+    def test_two_step_copy_without_an_unknown_key_loads(self, good, retired, tmp_path):
+        # The control of the ``unknown_two_step_*`` shapes: the two-step
+        # artifact they mutate loads, with or without the retired setting.
+        path = shutil.copy(good, tmp_path / "two_step.npz")
+        tamper(path, manifest=two_step(lambda config: config.update(retired)))
+        model = QueryPerformancePredictor.load(path).pipeline.model
+        assert isinstance(model, TwoStepPredictor)
+        assert model.state_dict()["config"] == {"predictor_kwargs": {}}
 
 
 class TestBatchPrediction:

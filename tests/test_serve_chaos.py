@@ -25,6 +25,7 @@ import time
 
 import pytest
 
+from repro.api import QueryPerformancePredictor
 from repro.errors import (
     ServeRejectedError,
     ServeUnavailableError,
@@ -337,16 +338,27 @@ class TestSupervisor:
 
 class TestSelfHealingDrill:
     def test_chaos_drill_is_fully_structured(
-        self, serve_service, load_schedule, tmp_path
+        self, tpcds_catalog, config, mini_corpus, load_schedule, tmp_path
     ):
         """The acceptance drill: ``exit`` armed at serve.handler and
         ``hang`` at serve.batch, a 200-request seeded load against the
         supervised daemon.  Every request must end structured (200, 429,
         503 or 504 — never a dropped socket), over-deadline answers are
         504s, and the supervisor must have healed at least one crash.
+
+        The daemon serves a predictor fitted here, whose statement memo
+        is empty when each generation forks, so a generation's first
+        batches run on the collector.  The session's shared predictor
+        holds forecasts earlier tests left in its memo: a statement it
+        holds is answered inline on its handler thread, where the hang
+        stalls that one thread while the others reach the 25th handler
+        call, and the exit kills the child before the stalled request's
+        504 is written (``expired: 0``).
         """
+        service = QueryPerformancePredictor(tpcds_catalog, config=config)
+        service.fit_corpus(mini_corpus)
         supervisor = supervised(
-            serve_service,
+            service,
             tmp_path,
             max_restarts=50,
             restart_window_s=60.0,
