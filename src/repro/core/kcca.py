@@ -8,12 +8,14 @@ directions solve
     (Kx + rI)^-1 Kx Ky (Ky + rI)^-1  —  top singular vectors,
 
 which is algebraically equivalent to the generalised eigenproblem printed
-in the paper but numerically far better behaved.  The dual coefficient
-matrices ``alpha`` and ``beta`` project kernel rows onto the *query
-projection* ``Kx @ alpha`` and *performance projection* ``Ky @ beta``.
+in the paper but numerically far better behaved.  The dual coefficients
+``alpha`` project kernel rows onto the *query projection* ``Kx @ alpha``,
+all a forecast reads.  A fit also keeps, in memory only, the training
+set's *performance projection* (read off a solve it makes anyway) and the
+canonical correlations, for the Figure 6 diagnostics.
 
-This is the dense solve: two symmetric N x N solves plus an N x N SVD,
-O(N^3) — fine at the paper's ~1k-query training sets.
+This is the dense solve: three N x N solves plus an N x N SVD, O(N^3) —
+fine at the paper's ~1k-query training sets.
 
 Regularisation is essential here: Gaussian kernel matrices are nearly
 low-rank, and unregularised KCCA returns meaningless perfectly-correlated
@@ -69,10 +71,8 @@ class KCCA:
             kernel is ``regularization * N`` (scaling with N keeps the
             effective smoothing comparable across training-set sizes).
 
-    Attributes (after :meth:`fit`):
+    Attributes (after :meth:`fit` or :meth:`load_state_dict`):
         alpha: N x d dual coefficients for the X (query) side.
-        beta: N x d dual coefficients for the Y (performance) side.
-        correlations: the d canonical correlations, descending.
     """
 
     def __init__(
@@ -87,11 +87,11 @@ class KCCA:
         self.n_components = n_components
         self.regularization = regularization
         self.alpha: Optional[np.ndarray] = None
-        self.beta: Optional[np.ndarray] = None
-        self.correlations: Optional[np.ndarray] = None
         self._centering: Optional[tuple[np.ndarray, float]] = None
         self._x_proj: Optional[np.ndarray] = None
+        # Read by no forecast: kept by a fit, never persisted.
         self._y_proj: Optional[np.ndarray] = None
+        self._correlations: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
 
@@ -110,22 +110,23 @@ class KCCA:
             kx_c = center_kernel(kx)
             ky_c = center_kernel(ky)
             try:
-                self._solve(kx_c, ky_c, self.regularization * n, d)
+                self.alpha, self._y_proj, self._correlations = self._solve(
+                    kx_c, ky_c, self.regularization * n, d
+                )
             except np.linalg.LinAlgError as error:
                 raise ModelError(f"cannot fit KCCA: {error}") from error
-            assert self.alpha is not None and self.beta is not None
             # All that prediction reads of the N x N kernels: the training
-            # set's two projections, and the column means and grand mean
+            # set's query projection, and the column means and grand mean
             # that centre a new query's kernel row.  The kernels themselves
             # are neither kept nor persisted.
             self._x_proj = kx_c @ self.alpha
-            self._y_proj = ky_c @ self.beta
             self._centering = (kx.mean(axis=0, keepdims=True), float(kx.mean()))
         return self
 
     def _solve(
         self, kx_c: np.ndarray, ky_c: np.ndarray, ridge: float, d: int
-    ) -> None:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``alpha``, the performance projection and the correlations."""
         n = kx_c.shape[0]
         ax = kx_c + ridge * np.eye(n)
         ay = ky_c + ridge * np.eye(n)
@@ -136,15 +137,23 @@ class KCCA:
         m = px @ py.T
         u, s, vt = np.linalg.svd(m, full_matrices=False)
 
-        self.alpha = np.linalg.solve(ax, u[:, :d])
-        self.beta = np.linalg.solve(ay, vt[:d].T)
-        self.correlations = np.clip(s[:d], 0.0, 1.0)
+        # Ay and Ky are symmetric, so the performance projection
+        # Ky Ay^-1 v is py.T @ v: it needs no solve of its own.
+        y_proj = py.T @ vt[:d].T
+        return np.linalg.solve(ax, u[:, :d]), y_proj, np.clip(s[:d], 0.0, 1.0)
 
     # ------------------------------------------------------------------
 
     def _require_fitted(self) -> None:
-        if self.alpha is None or self.beta is None:
+        if self.alpha is None:
             raise NotFittedError("KCCA model is not fitted")
+
+    def _fit_only(self, value: Optional[np.ndarray], name: str) -> np.ndarray:
+        self._require_fitted()
+        if value is None:
+            raise ModelError(f"a loaded model has no {name}: an artifact "
+                             "stores only what a forecast reads")
+        return value
 
     @property
     def x_projection(self) -> np.ndarray:
@@ -155,10 +164,13 @@ class KCCA:
 
     @property
     def y_projection(self) -> np.ndarray:
-        """Training points in the performance projection (N x d)."""
-        self._require_fitted()
-        assert self._y_proj is not None
-        return self._y_proj
+        """Training points in the performance projection (N x d), after a fit."""
+        return self._fit_only(self._y_proj, "performance projection")
+
+    @property
+    def correlations(self) -> np.ndarray:
+        """The d canonical correlations, descending, after a fit."""
+        return self._fit_only(self._correlations, "canonical correlations")
 
     def project_x(self, cross_kernel: np.ndarray) -> np.ndarray:
         """Project new points given their M x N kernel against training X.
@@ -178,10 +190,7 @@ class KCCA:
             assert self._centering is not None
             fitted = {
                 "alpha": self.alpha,
-                "beta": self.beta,
-                "correlations": self.correlations,
                 "x_projection": self._x_proj,
-                "y_projection": self._y_proj,
                 "kernel_column_means": self._centering[0],
                 "kernel_mean": self._centering[1],
             }
@@ -195,32 +204,16 @@ class KCCA:
 
     def load_state_dict(self, state: dict) -> "KCCA":
         """Restore a :meth:`state_dict` export (inverse operation);
-        ``ModelError`` when the fitted arrays disagree about N or d."""
+        ``ModelError`` when the fitted arrays disagree about N or d.  The
+        performance side older builds also wrote is never read."""
         self.__init__(**settings(state["config"]))
         fitted = state.get("fitted")
         if fitted is not None:
             self.alpha = checked_array(fitted, "alpha", None, None)
             n, d = self.alpha.shape
-            self.beta = checked_array(fitted, "beta", n, d)
-            self.correlations = checked_array(fitted, "correlations", d)
             self._x_proj = checked_array(fitted, "x_projection", n, d)
-            self._y_proj = checked_array(fitted, "y_projection", n, d)
             self._centering = (
                 checked_array(fitted, "kernel_column_means", 1, n),
                 float(checked_array(fitted, "kernel_mean")),
             )
         return self
-
-    def projection_correlation(self) -> np.ndarray:
-        """Empirical per-component correlation of the two training
-        projections (diagnostic; should track ``correlations``)."""
-        self._require_fitted()
-        xs = self.x_projection
-        ys = self.y_projection
-        corrs = []
-        for i in range(xs.shape[1]):
-            x, y = xs[:, i], ys[:, i]
-            denom = x.std() * y.std()
-            corrs.append(float(np.mean((x - x.mean()) * (y - y.mean())) / denom)
-                         if denom > 0 else 0.0)
-        return np.array(corrs)

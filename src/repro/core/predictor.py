@@ -146,7 +146,6 @@ class KCCAPredictor:
         self.query_tau = query_tau
         self._kcca = KCCA(n_components=n_components, regularization=regularization)
         self._x_scaler = _Standardizer(log_features, standardize_features)
-        self._y_scaler = _Standardizer(True, True)
         self._train_features: Optional[np.ndarray] = None
         self._train_performance: Optional[np.ndarray] = None
         self._tau_x: Optional[float] = None
@@ -173,7 +172,7 @@ class KCCAPredictor:
             raise ModelError(f"query_tau must be a positive number, got {tau!r}")
         with stage("predictor.fit", n=query_features.shape[0]):
             fx = self._x_scaler.fit_transform(query_features)
-            fy = self._y_scaler.fit_transform(performance)
+            fy = _Standardizer(True, True).fit_transform(performance)
             if tau is None:
                 tau = scale_factor_heuristic(fx, QUERY_SCALE_FRACTION)
             self._tau_x = tau
@@ -200,12 +199,14 @@ class KCCAPredictor:
 
     @property
     def performance_projection(self) -> np.ndarray:
-        """Training queries in the performance projection (N x d)."""
+        """Training queries in the performance projection (N x d); only a
+        fit has it, a loaded model raises ``ModelError``."""
         self._require_fitted()
         return self._kcca.y_projection
 
     @property
     def canonical_correlations(self) -> np.ndarray:
+        """As :attr:`performance_projection`, only after a fit."""
         self._require_fitted()
         return self._kcca.correlations
 
@@ -276,7 +277,6 @@ class KCCAPredictor:
         if self._train_features is not None:
             fitted = {
                 "x_scaler": self._x_scaler.state_dict(),
-                "y_scaler": self._y_scaler.state_dict(),
                 "tau_x": self._tau_x,
                 "train_features": self._train_features,
                 "train_performance": self._train_performance,
@@ -309,9 +309,6 @@ class KCCAPredictor:
                 fitted, "train_performance", n, None
             )
             self._x_scaler.load_state_dict(fitted["x_scaler"], width)
-            self._y_scaler.load_state_dict(
-                fitted["y_scaler"], self._train_performance.shape[1]
-            )
             self._tau_x = float(checked_array(fitted, "tau_x"))
             if self._tau_x <= 0:
                 raise ModelError(f"fitted scalar 'tau_x' is {self._tau_x}")

@@ -584,11 +584,10 @@ def hash_join_batches(
     unequal = _unequal_codes(left, right, left_keys, right_keys, residual)
     left_idx, right_idx = _matches(left_codes, right_codes, per_code, unequal)
     joined = _merge_batches(left.take(left_idx), right.take(right_idx))
-    if residual is not None and unequal is not None:
-        joined.check(residual)
-    elif residual is not None and joined.n_rows:
-        keep = joined.evaluate(residual).astype(bool)
-        joined = joined.mask(keep)
+    if residual is not None:
+        joined.check(residual)  # whether or not a pair matched on the keys
+        if unequal is None and joined.n_rows:
+            joined = joined.mask(joined.evaluate(residual).astype(bool))
     return joined, _build_keys(right_keys[0], right_codes, per_code)
 
 
@@ -600,9 +599,12 @@ def nested_join_batches(
     The simulated clock charges ``|left| * |right|`` comparisons for this
     operator regardless of how it is evaluated here.
     """
+    empty = _merge_batches(left.take(np.empty(0, np.int64)),
+                           right.take(np.empty(0, np.int64)))
+    if predicate is not None:
+        empty.check(predicate)  # whether or not a side has rows
     if left.n_rows == 0 or right.n_rows == 0:
-        return _merge_batches(left.take(np.empty(0, np.int64)),
-                              right.take(np.empty(0, np.int64)))
+        return empty
     chunk_rows = max(1, _NL_CHUNK_ELEMENTS // max(right.n_rows, 1))
     left_parts: list[np.ndarray] = []
     right_parts: list[np.ndarray] = []
@@ -619,9 +621,8 @@ def nested_join_batches(
             right_idx = right_idx[keep]
         left_parts.append(left_idx)
         right_parts.append(right_idx)
-    left_idx = np.concatenate(left_parts) if left_parts else np.empty(0, np.int64)
-    right_idx = np.concatenate(right_parts) if right_parts else np.empty(0, np.int64)
-    return _merge_batches(left.take(left_idx), right.take(right_idx))
+    return _merge_batches(left.take(np.concatenate(left_parts)),
+                          right.take(np.concatenate(right_parts)))
 
 
 def semi_join_batch(

@@ -678,8 +678,15 @@ class TestDeferredFanOut:
                       "l.x": np.array([1, 2])}, 2)
         right = Batch({"r.k": np.array([1, 1]), "r.s": np.array(["a", "b"]),
                        "r.y": np.array([2, 3])}, 2)
-        with pytest.raises(ExecutionError, match="unknown column"):
-            hash_join_batches(left, right, [("l.k", "r.k")], predicate("l.x <> r.nope"))
+        none = Batch({"r.k": np.array([9]), "r.y": np.array([2])}, 1)
+        for side in (right, none):  # with key matches and without
+            with pytest.raises(ExecutionError, match="unknown column"):
+                hash_join_batches(left, side, [("l.k", "r.k")], predicate("l.x <> r.nope"))
+            with pytest.raises(ExecutionError, match="unknown column"):
+                hash_join_batches(left, side, [("l.k", "r.k")], predicate("l.x < r.nope"))
+        for side in (right, none.mask(np.zeros(1, bool))):  # rows or an empty side
+            with pytest.raises(ExecutionError, match="unknown column"):
+                nested_join_batches(left, side, predicate("l.x < r.nope"))
         failing = [
             (AggregateSpec("median", expr("l.v"), "m"), "unsupported aggregate"),
             (AggregateSpec("median", expr("l.v"), "m", True), "unsupported aggregate"),

@@ -32,7 +32,7 @@ from repro.core.kernels import (
     scale_factor_heuristic,
 )
 from repro.core.neighbors import nearest_neighbors
-from repro.core.predictor import KCCAPredictor
+from repro.core.predictor import KCCAPredictor, _Standardizer
 from repro.engine import Executor
 from repro.engine.operators import (
     Batch,
@@ -150,7 +150,7 @@ class TestKeptKCCAState:
                 for item in (value if isinstance(value, tuple) else (value,))
                 if isinstance(item, np.ndarray)
             ]
-            assert len(sizes) >= 8  # the walk does see the fitted arrays
+            assert len(sizes) >= 5  # the walk does see the fitted arrays
             assert max(sizes) == largest  # the training features, N x width
             assert model.query_projection.shape == (n, kcca.n_components)
 
@@ -168,22 +168,27 @@ class TestKeptKCCAState:
 
     def test_kept_state_equals_the_kernel_expressions(self, tmp_path):
         """The projections and centring constants a model keeps are the
-        bits the N x N kernels give, recomputed here from the kernels."""
+        bits the N x N kernels give, recomputed here from the kernels.  The
+        performance projection is ``Ky Ay^-1 v``, read off the fit's own
+        solve of ``Ay`` (both are symmetric); an artifact does not keep it."""
         features, performance = _synthetic(120)
         pipeline = PredictionPipeline(model=KCCAPredictor())
         model = pipeline.fit(features, performance).model
         kcca = model._kcca
         fx = model._x_scaler.transform(features)
-        fy = model._y_scaler.transform(performance)
+        fy = _Standardizer(True, True).fit_transform(performance)
         kx = gaussian_kernel_matrix(fx, model._tau_x)
         ky = gaussian_kernel_matrix(
             fy, scale_factor_heuristic(fy, PERFORMANCE_SCALE_FRACTION)
         )
+        kx_c, ky_c = center_kernel(kx), center_kernel(ky)
+        ridge = kcca.regularization * len(features) * np.eye(len(features))
+        px = np.linalg.solve(kx_c + ridge, kx_c)
+        py = np.linalg.solve(ky_c + ridge, ky_c)
+        vt = np.linalg.svd(px @ py.T, full_matrices=False)[2]
+        assert np.array_equal(model.query_projection, kx_c @ kcca.alpha)
         assert np.array_equal(
-            model.query_projection, center_kernel(kx) @ kcca.alpha
-        )
-        assert np.array_equal(
-            model.performance_projection, center_kernel(ky) @ kcca.beta
+            model.performance_projection, py.T @ vt[: kcca.n_components].T
         )
         column_means, grand_mean = kcca._centering
         assert np.array_equal(column_means, kx.mean(axis=0, keepdims=True))
@@ -193,16 +198,8 @@ class TestKeptKCCAState:
         pipeline.save(path)
         loaded = PredictionPipeline.load(path).model
         assert np.array_equal(loaded.query_projection, model.query_projection)
-        assert np.array_equal(
-            loaded.performance_projection, model.performance_projection
-        )
         assert np.array_equal(loaded._kcca._centering[0], column_means)
         assert loaded._kcca._centering[1] == grand_mean
-        assert np.array_equal(
-            loaded._kcca.projection_correlation(),
-            kcca.projection_correlation(),
-        )
-        assert (kcca.projection_correlation() > 0.5).any()
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,46 @@ RETIRED_KCCA_SETTINGS = {"approximation": "exact", "rank": None, "landmark_seed"
 NYSTROM_SETTINGS = {"approximation": "nystrom", "rank": 8, "landmark_seed": 3}
 
 
+#: What each KCCA predictor of an older build's artifact also held: the
+#: fit's performance side, which no forecast reads.
+PERFORMANCE_SIDE = frozenset({"beta", "y_projection", "correlations", "y_scaler"})
+
+
+def _performance_members(path: Path) -> list[str]:
+    """The array members and manifest keys of the artifact at ``path``
+    that belong to a KCCA fit's performance side."""
+    with np.load(path) as archive:
+        members = [
+            name for name in archive.files if PERFORMANCE_SIDE & set(name.split("/"))
+        ]
+        manifest = bytes(archive["__manifest__"]).decode("utf-8")
+    return members + sorted(key for key in PERFORMANCE_SIDE if f'"{key}"' in manifest)
+
+
+def _add_performance_side(state: dict, prefix: str, arrays: dict) -> None:
+    """Put back into one KCCA predictor ``state`` what an older build wrote
+    of its performance side; ``arrays`` maps each new member's key to how
+    it is made from the artifact's array table."""
+    kcca, fitted = state["fitted"]["kcca"]["fitted"], f"{prefix}/fitted"
+    alpha = f"{fitted}/kcca/fitted/alpha"
+    made = {
+        "kcca/fitted/beta": lambda data: -data[alpha],
+        "kcca/fitted/y_projection": lambda data: 0.9 * data[alpha],
+        "kcca/fitted/correlations": lambda data: np.linspace(
+            0.9, 0.6, data[alpha].shape[1]),
+        "y_scaler/mean": lambda data: np.zeros(len(METRIC_NAMES)),
+        "y_scaler/std": lambda data: np.ones(len(METRIC_NAMES)),
+    }
+    for name in ("beta", "y_projection", "correlations"):
+        kcca[name] = {"__array__": f"{fitted}/kcca/fitted/{name}"}
+    state["fitted"]["y_scaler"] = {
+        "log_transform": True, "standardize": True,
+        "mean": {"__array__": f"{fitted}/y_scaler/mean"},
+        "std": {"__array__": f"{fitted}/y_scaler/std"},
+    }
+    arrays.update({f"{fitted}/{name}": make for name, make in made.items()})
+
+
 def _predictor_states(model: dict) -> list[tuple[dict, str]]:
     """Each KCCA predictor state of a saved model, with its array path."""
     fitted, prefix = model["fitted"], "state/model"
@@ -169,14 +209,44 @@ class TestPipelineRoundTrip:
             assert after.confidence == before.confidence
 
     @pytest.mark.parametrize("model_name", ["kcca", "two_step"])
+    def test_an_artifact_holds_no_performance_side(
+        self, model_name, mini_corpus, tmp_path
+    ):
+        """No forecast reads ``beta``, the performance projection, the
+        canonical correlations or the performance scaler: no KCCA
+        predictor of an artifact, router or specialist, holds them.  A fit
+        keeps the projection and the correlations for the Figure 6
+        diagnostics; a loaded model names why it has neither."""
+        pipeline = fit_pipeline(mini_corpus, model=MODEL_FACTORIES[model_name]())
+        path = tmp_path / "pipeline.npz"
+        pipeline.save(path)
+        with np.load(path) as archive:
+            assert any(name.endswith("/kcca/fitted/alpha") for name in archive.files)
+        assert _performance_members(path) == []
+
+        fitted, loaded = pipeline.model, PredictionPipeline.load(path).model
+        if model_name == "two_step":
+            assert fitted.trained_categories  # specialists were saved too
+            fitted, loaded = fitted.router, loaded.router
+        n, d = fitted.query_projection.shape
+        assert fitted.performance_projection.shape == (n, d)
+        assert fitted.canonical_correlations.shape == (d,)
+        assert np.array_equal(loaded.query_projection, fitted.query_projection)
+        for name in ("performance_projection", "canonical_correlations"):
+            with pytest.raises(ModelError, match="an artifact stores only what"):
+                getattr(loaded, name)
+
+    @pytest.mark.parametrize("model_name", ["kcca", "two_step"])
     def test_an_artifact_with_retired_model_settings_scores_the_same(
         self, model_name, mini_corpus, tmp_path
     ):
         """Artifacts saved before KCCA lost its Nyström fit path carry its
         settings and conditioning settings nothing set, a Nyström fit its
         ``landmarks`` array and a two-step model ``min_category_size``;
-        all are dropped on load and the forecasts are bit for bit those of
-        the same pipeline without them."""
+        those saved before the performance side went carry it in every
+        KCCA predictor.  All are dropped on load, the forecasts are bit for
+        bit those of the same pipeline without them, and a re-save writes
+        none of them."""
         pipeline = fit_pipeline(mini_corpus, model=MODEL_FACTORIES[model_name]())
         features = mini_corpus.feature_matrix()[:11]
         path = tmp_path / "pipeline.npz"
@@ -193,21 +263,29 @@ class TestPipelineRoundTrip:
                 kcca = state["fitted"]["kcca"]
                 state["config"].update(RETIRED_PREDICTOR_SETTINGS)
                 kcca["config"].update(RETIRED_KCCA_SETTINGS)
+                _add_performance_side(state, prefix, arrays)
                 if number == 0:  # the one Nyström fit
                     state["config"].update(NYSTROM_SETTINGS)
                     kcca["config"].update(NYSTROM_SETTINGS)
                     key = f"{prefix}/fitted/kcca/fitted/landmarks"
                     kcca["fitted"]["landmarks"] = {"__array__": key}
-                    arrays[key] = np.arange(0, 16, 2)
+                    arrays[key] = lambda data: np.arange(0, 16, 2)
             document["artifact"]["kernel"] = dict(model["config"])
 
-        tamper(path, add_retired_settings, lambda data: data.update(arrays))
+        def add_retired_arrays(data):
+            data.update({key: make(data) for key, make in arrays.items()})
+
+        tamper(path, add_retired_settings, add_retired_arrays)
+        assert _performance_members(path)  # what an older build wrote
         legacy = PredictionPipeline.load(path)
         expected = pipeline.model.state_dict()["config"]
         assert legacy.model.state_dict()["config"] == expected
         for before, after in zip(plain, legacy.score_many(features)):
             np.testing.assert_array_equal(after.prediction, before.prediction)
             assert after.confidence == before.confidence
+        resaved = tmp_path / "resaved.npz"
+        legacy.save(resaved)
+        assert _performance_members(resaved) == []
 
     def test_catalog_fingerprint_mismatch_refused(
         self, mini_corpus, tpcds_catalog, config, tmp_path
